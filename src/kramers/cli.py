@@ -29,20 +29,31 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
+#: most nodes a --x/--k range may hold; each node costs at least one integral
+MAX_RANGE_NODES = 10_000
+
+
 def _parse_range(text: str) -> np.ndarray:
     """Parse 'start:stop:step' into an inclusive, deterministic grid."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"range {text!r}: start, stop and step must be finite")
     if stop < start:
         raise ValueError(f"empty range {text!r}: stop is below start")
     if stop > start and step <= 0.0:
         raise ValueError(f"empty range {text!r}: step must be positive")
     if stop == start:
         return np.array([start])
-    count = int(round((stop - start) / step)) + 1
-    grid = start + step * np.arange(count)
+    steps = (stop - start) / step
+    # round(steps) + 1 nodes; the comparison is also false for an overflow
+    if not steps < MAX_RANGE_NODES - 0.5:
+        raise ValueError(
+            f"range {text!r} holds more than {MAX_RANGE_NODES} nodes"
+        )
+    grid = start + step * np.arange(int(round(steps)) + 1)
     return grid[grid <= stop + 1e-12 * max(1.0, abs(stop))]
 
 
@@ -134,10 +145,10 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     params = GasParameters(gamma=args.gamma, q=args.q, g_v=1.0)
-    series = build_series(args.gamma, args.order, spec)
     x_nodes = _parse_range(args.x)
     if x_nodes.size == 0:
         raise ValueError("empty x range")
+    series = build_series(args.gamma, args.order, spec)
     profile = velocity_profile(params, series, x_nodes, spec)
     header = ["x1", "u_total", "u_continuum"]
     columns = [profile.x_nodes, profile.u_total, profile.u_continuum]

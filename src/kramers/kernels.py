@@ -4,13 +4,20 @@ The kernel combines the density-weighted moments with the subtraction that
 removes the k=0 pole order by order:
 
     S(k, k1) = J^(3)(k, k1) - sqrt(pi) T_3(k) J^(1)(0, k1)
-             = S_1(k, k1) + gamma k1^2 S_2(k, k1)
+             = (1 - gamma) S_1(k, k1)
     S_1 = J_3 - sqrt(pi) T_3(k) T_1(k1)
-    S_2 = J_5 - sqrt(pi) T_3(k) T_3(k1)
+
+The collapse is exact: the moment recurrences give J^(m)(k, k1) =
+gamma T_m(k) + (1 - gamma) J_m(k, k1) (see :mod:`kramers.special_integrals`),
+and with sqrt(pi) T_1(0) = 1 the gamma T_3(k) parts of the two terms cancel.
+It is the README's identity S_2 = -S_1/k1^2 for the density term of
+S = S_1 + gamma k1^2 S_2.  The scalar reference
+:func:`kramers.special_integrals.j_m` keeps the (1 + gamma k1^2 t^2) weight,
+so the dual-route check still tests the identity.
 
 Applying the operator means sampling
 
-    psi(k) = (1/pi) int_0^inf S(k, k1) phi(k1) / T_2(k1) dk1
+    psi(k) = ((1 - gamma)/pi) int_0^inf S_1(k, k1) phi(k1) / T_2(k1) dk1
 
 on a fixed composite grid and interpolating between nodes.
 """
@@ -115,26 +122,9 @@ def standard_grid(spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
 def s_kernel(
     k: float, k1: float, gamma: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
-    """Kernel value S(k, k1) = S_1 + gamma k1^2 S_2 (adaptive scalar path)."""
-    t3k = t_n(3, k, spec)
-    s1 = j_n(3, k, k1, spec) - SQRT_PI * t3k * t_n(1, k1, spec)
-    if gamma == 0.0:
-        return s1
-    s2 = j_n(5, k, k1, spec) - SQRT_PI * t3k * t_n(3, k1, spec)
-    return s1 + gamma * k1 * k1 * s2
-
-
-def _s_kernel_row(
-    k: float, k1: np.ndarray, gamma: float, spec: QuadratureSpec
-) -> np.ndarray:
-    """Vectorised S(k, k1-array) for the operator integrals."""
-    t3k = t_n(3, k, spec)
-    batch = MomentBatch(k1, spec)
-    s1 = batch.against(fixed_row(3, k, spec)) - SQRT_PI * t3k * batch.t(1)
-    if gamma == 0.0:
-        return s1
-    s2 = batch.against(fixed_row(5, k, spec)) - SQRT_PI * t3k * batch.t(3)
-    return s1 + gamma * k1**2 * s2
+    """Kernel value S(k, k1) = (1 - gamma) S_1(k, k1) (adaptive scalar path)."""
+    s1 = j_n(3, k, k1, spec) - SQRT_PI * t_n(3, k, spec) * t_n(1, k1, spec)
+    return (1.0 - gamma) * s1
 
 
 _PHI_LABEL = re.compile(r"^phi_(\d+)$")
@@ -154,6 +144,7 @@ def apply_kernel(
 ) -> SpectralFunction:
     """Advance a spectral iterate: psi(k) = (1/pi) int S(k,k1) phi(k1)/T_2(k1) dk1.
 
+    Each node integrates S_1 and scales by the exact factor (1 - gamma).
     The positive sign is used throughout: it is the convention under which
     the second-order slip coefficient assembled from the iterates matches
     the independent double-integral route (see the oracle module).  Output
@@ -167,18 +158,13 @@ def apply_kernel(
     for i, k in enumerate(nodes):
         t3k = t_n(3, float(k), spec)
         row3 = fixed_row(3, float(k), spec)
-        row5 = fixed_row(5, float(k), spec)
 
-        def integrand(k1, _t3k=t3k, _row3=row3, _row5=row5):
-            k1 = np.atleast_1d(np.asarray(k1, dtype=float))
+        def integrand(k1, _t3k=t3k, _row3=row3):
             batch = MomentBatch(k1, spec)
             s_row = batch.against(_row3) - SQRT_PI * _t3k * batch.t(1)
-            if gamma != 0.0:
-                s2 = batch.against(_row5) - SQRT_PI * _t3k * batch.t(3)
-                s_row = s_row + gamma * k1**2 * s2
-            return s_row * phi(k1) / batch.t(2)
+            return s_row * phi(batch.k) / batch.t(2)
 
-        values[i] = integrate_spectral(
+        values[i] = (1.0 - gamma) * integrate_spectral(
             integrand,
             spec,
             tail_exponent=2,

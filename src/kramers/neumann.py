@@ -7,6 +7,16 @@ U_n is fixed by removing the second-order pole of E_n at k=0, after which
 
 is finite everywhere.  The iterates phi_n come from repeated application of
 the kernel operator to the seed phi_0.
+
+Both U_n and the pole residual B_n integrate one weight, J^(1)(k, k1) =
+J_1 + gamma k1^2 J_3.  The moment identity k1^2 J_3(k, k1) = T_1(k) -
+J_1(k, k1) (see :mod:`kramers.special_integrals`) makes it
+
+    J^(1)(k, k1) = gamma T_1(k) + (1 - gamma) J_1(k, k1),
+
+with J_1(0, k1) = T_1(k1) and T_1(0) = 1/sqrt(pi) for U_n.  Because the
+kernel is exactly (1 - gamma) S_1 (see :mod:`kramers.kernels`), phi_n is
+(1 - gamma)^n times its gamma=0 value, so (1 - gamma) U_n is linear in gamma.
 """
 
 from __future__ import annotations
@@ -14,8 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .kernels import SpectralFunction, apply_kernel, standard_grid
 from .quadrature import (
@@ -72,6 +80,33 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError("gamma must be >= 0")
 
 
+def _pole_integrand(
+    k: float, gamma: float, phi: SpectralFunction, spec: QuadratureSpec
+):
+    """Batched integrand k1 -> J^(1)(k, k1) phi(k1) / T_2(k1) of U_n and B_n."""
+    t1k = t_n(1, k, spec)
+    row = fixed_row(1, k, spec)
+
+    def integrand(k1):
+        batch = MomentBatch(k1, spec)
+        j1 = gamma * t1k + (1.0 - gamma) * batch.against(row)
+        return j1 * phi(batch.k) / batch.t(2)
+
+    return integrand
+
+
+def _u_detail(
+    n: int, gamma: float, phi_prev: SpectralFunction, spec: QuadratureSpec
+) -> tuple[float, float, float]:
+    """U_n with its quadrature error estimate and fitted-tail part."""
+    integral, err, tail = _integrate_spectral_detail(
+        _pole_integrand(0.0, gamma, phi_prev, spec), spec, 2,
+        f"U_{n} pole-elimination integral",
+    )
+    scale = SQRT_PI * (1.0 - gamma) ** n
+    return float(-integral / scale), err / scale, tail / scale
+
+
 def u_coefficient(
     n: int,
     gamma: float,
@@ -92,18 +127,7 @@ def u_coefficient(
     if n < 1:
         raise ValueError("u_coefficient is defined for n >= 1; use u0()")
     _check_gamma(gamma)
-
-    def integrand(k):
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        batch = MomentBatch(k, spec)
-        kernel_row = batch.t(1) + gamma * k**2 * batch.t(3)
-        return kernel_row * phi_prev(k) / batch.t(2)
-
-    integral = integrate_spectral(
-        integrand, spec, tail_exponent=2,
-        label=f"U_{n} pole-elimination integral",
-    )
-    return -integral / (SQRT_PI * (1.0 - gamma) ** n)
+    return _u_detail(n, gamma, phi_prev, spec)[0]
 
 
 def e_n(
@@ -169,24 +193,10 @@ def build_series(
     u_coeffs = [u0()]
     diagnostics: list[dict] = [{"order": 0, "u_error": 0.0}]
     for n in range(1, order + 1):
-        def integrand(k, phi=phi_funcs[-1]):
-            k = np.atleast_1d(np.asarray(k, dtype=float))
-            batch = MomentBatch(k, spec)
-            kernel_row = batch.t(1) + gamma * k**2 * batch.t(3)
-            return kernel_row * phi(k) / batch.t(2)
-
-        integral, err, tail = _integrate_spectral_detail(
-            integrand, spec, 2, f"U_{n} pole-elimination integral"
-        )
-        u_coeffs.append(float(-integral / (SQRT_PI * (1.0 - gamma) ** n)))
+        u_n, u_error, u_tail = _u_detail(n, gamma, phi_funcs[-1], spec)
+        u_coeffs.append(u_n)
         phi_funcs.append(apply_kernel(phi_funcs[-1], gamma, spec))
-        diagnostics.append(
-            {
-                "order": n,
-                "u_error": err / (SQRT_PI * (1.0 - gamma) ** n),
-                "u_tail": tail / (SQRT_PI * (1.0 - gamma) ** n),
-            }
-        )
+        diagnostics.append({"order": n, "u_error": u_error, "u_tail": u_tail})
     e_funcs = [e_n(n, gamma, phi_funcs[n], spec) for n in range(order + 1)]
     return SeriesExpansion(
         gamma=gamma,
@@ -217,22 +227,13 @@ def pole_residual(
         return u0() * t_n(1, k, spec) - t_n(2, k, spec)
     if n > series.order:
         raise ValueError("series does not hold this order")
-    phi_prev = series.phi_funcs[n - 1]
-    scale = (1.0 - series.gamma) ** n
-
-    def integrand(k1):
-        # E_{n-1} through its pole-free quotient phi_{n-1}/T_2, the same
-        # discretisation that fixed U_n; a resampled density interpolant
-        # would leave a spurious k-independent floor under B_n.
-        k1 = np.atleast_1d(np.asarray(k1, dtype=float))
-        batch = MomentBatch(k1, spec)
-        row = batch.against(fixed_row(1, k, spec))
-        if series.gamma != 0.0:
-            row = row + series.gamma * k1**2 * batch.against(fixed_row(3, k, spec))
-        return row * phi_prev(k1) / (scale * batch.t(2))
-
+    # E_{n-1} enters through its pole-free quotient phi_{n-1}/T_2, the same
+    # discretisation that fixed U_n; a resampled density interpolant would
+    # leave a spurious k-independent floor under B_n.
     integral = integrate_spectral(
-        integrand, spec, tail_exponent=2,
+        _pole_integrand(k, series.gamma, series.phi_funcs[n - 1], spec),
+        spec, tail_exponent=2,
         label=f"B_{n} pole residual at k={k:.3g}",
     )
-    return series.u_coeffs[n] * t_n(1, k, spec) + integral / math.pi
+    scale = (1.0 - series.gamma) ** n * math.pi
+    return series.u_coeffs[n] * t_n(1, k, spec) + integral / scale

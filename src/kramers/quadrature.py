@@ -77,6 +77,9 @@ class QuadratureSpec:
     max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
+        for name in ("rel_tol", "abs_tol", "t_max", "k_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("rel_tol and abs_tol must be positive")
         if not (self.t_max > 0 and self.k_max > 0):

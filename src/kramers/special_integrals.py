@@ -9,12 +9,23 @@ factors:
     L(k)        = (1 - gamma) k^2 T_2(k)     (dispersion function)
     phi_0(k)    = (sqrt(pi)/2) T_3(k) - T_4(k)   (seed spectral numerator)
 
+Splitting k^2 t^2 / (1 + k^2 t^2) = 1 - 1/(1 + k^2 t^2) under the integral
+gives the recurrences T_n(k) + k^2 T_{n+2}(k) = T_n(0) and
+J_n(k, k1) + k1^2 J_{n+2}(k, k1) = T_n(k).  The second makes the density
+weight an exact blend,
+
+    J^(m)(k, k1) = gamma T_m(k) + (1 - gamma) J_m(k, k1),
+
+which is how the solver evaluates it; :func:`j_m` integrates the
+(1 + gamma k1^2 t^2) weight directly and serves as the reference.
+
 Two evaluation paths are provided.  The scalar functions (`t_n`, `j_n`, ...)
 go through the adaptive engine in :mod:`kramers.quadrature` and honour the
-QuadratureSpec contract.  The ``*_vec`` functions evaluate on arrays of k via
-a fixed graded Gauss-Legendre rule whose panels are geometrically refined
-toward t=0, resolving the Lorentzian knee at t ~ 1/k for k up to ~4000; they
-are cross-checked against the scalar path in the test suite and exist purely
+QuadratureSpec contract.  :class:`MomentBatch` (with `fixed_row`,
+`t_n_vec` and `phi0_vec`) evaluates on arrays of k via a fixed graded
+Gauss-Legendre rule whose panels are geometrically refined toward t=0,
+resolving the Lorentzian knee at t ~ 1/k for k up to ~4000; it is
+cross-checked against the scalar path in the test suite and exists purely
 for speed in the grid/kernel machinery.
 """
 
@@ -41,10 +52,7 @@ __all__ = [
     "MomentBatch",
     "fixed_row",
     "t_n_vec",
-    "j_n_vec",
-    "j_m_vec",
     "phi0_vec",
-    "dispersion_l_vec",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -181,33 +189,9 @@ def t_n_vec(n: int, k, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
     return MomentBatch(k, spec).t(n)
 
 
-def j_n_vec(n: int, k: float, k1, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
-    """J_n(k, k1) for scalar k against an array of k1."""
-    _check_order(n)
-    k1 = np.atleast_1d(np.asarray(k1, dtype=float))
-    rule = _rule(spec)
-    row = rule.moment_weights[n] / (1.0 + k * k * rule.t_sq)
-    denom = 1.0 + np.multiply.outer(k1 * k1, rule.t_sq)
-    return (row / denom).sum(axis=-1)
-
-
-def j_m_vec(
-    m: int, k: float, k1, gamma: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> np.ndarray:
-    """J^(m)(k, k1) = J_m + gamma k1^2 J_{m+2}, vectorised over k1."""
-    k1 = np.atleast_1d(np.asarray(k1, dtype=float))
-    return j_n_vec(m, k, k1, spec) + gamma * k1**2 * j_n_vec(m + 2, k, k1, spec)
-
-
 def phi0_vec(k, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
     """Seed spectral numerator (sqrt(pi)/2) T_3 - T_4, vectorised."""
     return SQRT_PI / 2.0 * t_n_vec(3, k, spec) - t_n_vec(4, k, spec)
-
-
-def dispersion_l_vec(k, gamma: float, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
-    """Dispersion function (1 - gamma) k^2 T_2(k), vectorised."""
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    return (1.0 - gamma) * k**2 * t_n_vec(2, k, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kramers import cli
 from kramers.cli import main
 
 
@@ -50,6 +51,11 @@ class TestSlip:
     def test_bad_flag_exit_code(self, capsys):
         assert main(["slip", "--order", "eleven"]) == 2
 
+    def test_infinite_kmax_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "slip", "--kmax", "inf")
+        assert code == 2
+        assert "k_max must be finite" in err
+
     def test_json_metadata(self, capsys):
         code, out, _ = run_cli(
             capsys, "slip", "--q", "0.8", "--gamma", "0.1", "--order", "1",
@@ -92,6 +98,14 @@ class TestCurves:
         assert code == 2
         assert "range" in err
 
+    @pytest.mark.parametrize(
+        "bad", ["0:inf:1", "0:1:nan", "nan:1:1", "0:1e9:1", "0:1e308:1e-308"]
+    )
+    def test_bad_range_rejected(self, capsys, bad):
+        code, _, err = run_cli(capsys, "curves", "--k", bad)
+        assert code == 2
+        assert "range" in err
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run_cli(capsys, "curves", "--what", "tn", "--k", "0:3:0.5")
         _, out2, _ = run_cli(capsys, "curves", "--what", "tn", "--k", "0:3:0.5")
@@ -117,6 +131,16 @@ class TestProfile:
         _, rows = csv_rows(out)
         assert len(rows) == 1
         assert float(rows[0][0]) == 0.0
+
+    @pytest.mark.parametrize("bad", ["0:inf:1", "0:1e9:1"])
+    def test_bad_range_rejected_before_series(self, capsys, monkeypatch, bad):
+        def no_series(*args):
+            raise AssertionError("series built before the range was parsed")
+
+        monkeypatch.setattr(cli, "build_series", no_series)
+        code, _, err = run_cli(capsys, "profile", "--x", bad)
+        assert code == 2
+        assert "range" in err
 
     def test_distribution_columns(self, capsys):
         code, out, _ = run_cli(

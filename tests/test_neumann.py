@@ -36,13 +36,20 @@ class TestUCoefficient:
         assert u1 == pytest.approx(0.14052350, abs=2e-7)
 
     def test_density_slope(self, series_cache):
-        phi_0 = series_cache(0.0, 1).phi_funcs[0]
+        """(1-gamma) U_n is linear in gamma: the kernel is (1-gamma) S_1."""
         gammas = np.array([0.0, 0.25, 0.5])
         scaled = np.array([
-            (1.0 - g) * u_coefficient(1, g, phi_0, SPEC) for g in gammas
+            [(1.0 - g) * u for u in series_cache(g, 4).u_coeffs[1:]]
+            for g in gammas
         ])
-        slope = np.polyfit(gammas, scaled, 1)[0]
+        np.testing.assert_allclose(
+            scaled[1], 0.5 * (scaled[0] + scaled[2]), rtol=0, atol=1e-10
+        )
+        slope = np.polyfit(gammas, scaled[:, 0], 1)[0]
         assert slope == pytest.approx(0.2009, abs=1e-3)
+        phi_0 = series_cache(0.0, 1).phi_funcs[0]
+        u1 = u_coefficient(1, 0.25, phi_0, SPEC)
+        assert u1 == series_cache(0.25, 4).u_coeffs[1]
 
     def test_second_order_value(self, series_cache):
         series = series_cache(0.0, 2)

@@ -33,6 +33,10 @@ class TestSpecValidation:
             {"k_max": -1.0},
             {"max_subdivisions": 0},
             {"t_max": 3.0},  # exp(-9) >> abs_tol
+            {"rel_tol": math.inf},
+            {"abs_tol": math.nan},
+            {"t_max": math.inf},
+            {"k_max": math.inf},
         ],
     )
     def test_invariants_rejected(self, kwargs):

@@ -11,11 +11,9 @@ from kramers.special_integrals import (
     MOMENTS,
     MomentBatch,
     dispersion_l,
-    dispersion_l_vec,
+    fixed_row,
     j_m,
-    j_m_vec,
     j_n,
-    j_n_vec,
     phi0,
     phi0_vec,
     t_moment,
@@ -205,27 +203,28 @@ class TestVectorisedAgainstScalar:
 
     def test_j_n(self):
         k1 = np.array([0.0, 0.4, 1.7, 6.0, 30.0])
+        batch = MomentBatch(k1, SPEC)
         for n in (1, 3, 5):
             for k in (0.0, 0.9, 12.0):
-                vec = j_n_vec(n, k, k1, SPEC)
+                vec = batch.against(fixed_row(n, k, SPEC))
                 ref = np.array([j_n(n, k, v, SPEC) for v in k1])
                 np.testing.assert_allclose(vec, ref, atol=5e-12)
 
     def test_j_m(self):
+        """J^(m) = gamma T_m(k) + (1-gamma) J_m, the form the solver runs."""
         k1 = np.array([0.0, 0.8, 3.0])
-        vec = j_m_vec(1, 0.6, k1, 0.3, SPEC)
-        ref = np.array([j_m(1, 0.6, v, 0.3, SPEC) for v in k1])
-        np.testing.assert_allclose(vec, ref, atol=5e-12)
+        batch = MomentBatch(k1, SPEC)
+        for m, k, gamma in ((1, 0.6, 0.3), (1, 0.0, 0.5), (3, 2.5, 0.2)):
+            vec = gamma * t_n(m, k, SPEC) + (1.0 - gamma) * batch.against(
+                fixed_row(m, k, SPEC)
+            )
+            ref = np.array([j_m(m, k, v, gamma, SPEC) for v in k1])
+            np.testing.assert_allclose(vec, ref, atol=5e-12)
 
-    def test_phi0_and_dispersion(self):
+    def test_phi0(self):
         np.testing.assert_allclose(
             phi0_vec(K_GRID, SPEC),
             [phi0(k, SPEC) for k in K_GRID],
-            atol=5e-12,
-        )
-        np.testing.assert_allclose(
-            dispersion_l_vec(K_GRID, 0.2, SPEC),
-            [dispersion_l(k, 0.2, SPEC) for k in K_GRID],
             atol=5e-12,
         )
 
