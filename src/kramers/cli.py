@@ -191,7 +191,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None,
                         help="relative quadrature tolerance")
     parser.add_argument("--kmax", type=float, default=None,
-                        help="spectral truncation wavenumber")
+                        help="spectral truncation wavenumber in (2, 16384]")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None,
                         help="write to this path instead of stdout")

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
+from scipy.interpolate import BSpline, make_interp_spline
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_spectral
 from .special_integrals import MomentBatch, SQRT_PI, fixed_row, j_n, t_n
@@ -41,10 +41,10 @@ class SpectralFunction:
     """A sampled, interpolable even function of k >= 0 with an algebraic tail.
 
     Evaluation between nodes is by a quintic spline whose odd derivatives
-    are clamped to zero at k=0 (evenness forces a flat start); grids too
-    short for a quintic fall back to a clamped cubic.  The quintic keeps
-    the interpolation error of the standard grid near 1e-10 relative, which
-    the refinement-stability contract of :func:`apply_kernel` needs.
+    are clamped to zero at k=0 (evenness forces a flat start), so at least
+    8 nodes are required.  The quintic keeps the interpolation error of the
+    standard grid near 1e-10 relative, which the refinement-stability
+    contract of :func:`apply_kernel` needs.
     Beyond the last node the function follows C / k^tail_exponent anchored
     at the last sample.  Instances are immutable; the sample arrays are
     frozen on construction.
@@ -68,17 +68,19 @@ class SpectralFunction:
             raise ValueError(f"{self.label}: non-finite sample values")
         if self.tail_exponent < 2:
             raise ValueError("tail_exponent must be >= 2")
+        if len(nodes) < 8:
+            raise ValueError(
+                f"{self.label}: a quintic spline needs at least 8 nodes, "
+                f"got {len(nodes)}"
+            )
         nodes.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
-        if len(nodes) >= 8:
-            spline = make_interp_spline(
-                nodes, values, k=5,
-                bc_type=([(1, 0.0), (3, 0.0)], [(3, 0.0), (4, 0.0)]),
-            )
-        else:
-            spline = CubicSpline(nodes, values, bc_type=((1, 0.0), "not-a-knot"))
+        spline = make_interp_spline(
+            nodes, values, k=5,
+            bc_type=([(1, 0.0), (3, 0.0)], [(3, 0.0), (4, 0.0)]),
+        )
         object.__setattr__(self, "_spline", spline)
         object.__setattr__(
             self, "_tail_coeff", values[-1] * nodes[-1] ** self.tail_exponent
@@ -157,10 +159,10 @@ def apply_kernel(
     values = np.empty_like(nodes)
     for i, k in enumerate(nodes):
         t3k = t_n(3, float(k), spec)
-        row3 = fixed_row(3, float(k), spec)
+        row3 = fixed_row(3, float(k))
 
         def integrand(k1, _t3k=t3k, _row3=row3):
-            batch = MomentBatch(k1, spec)
+            batch = MomentBatch(k1)
             s_row = batch.against(_row3) - SQRT_PI * _t3k * batch.t(1)
             return s_row * phi(batch.k) / batch.t(2)
 

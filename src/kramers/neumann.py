@@ -85,10 +85,10 @@ def _pole_integrand(
 ):
     """Batched integrand k1 -> J^(1)(k, k1) phi(k1) / T_2(k1) of U_n and B_n."""
     t1k = t_n(1, k, spec)
-    row = fixed_row(1, k, spec)
+    row = fixed_row(1, k)
 
     def integrand(k1):
-        batch = MomentBatch(k1, spec)
+        batch = MomentBatch(k1)
         j1 = gamma * t1k + (1.0 - gamma) * batch.against(row)
         return j1 * phi(batch.k) / batch.t(2)
 
@@ -146,7 +146,7 @@ def e_n(
         raise ValueError("order must be >= 0")
     _check_gamma(gamma)
     values = phi_n(phi_n.nodes) / (
-        (1.0 - gamma) ** (n + 1) * t_n_vec(2, phi_n.nodes, spec)
+        (1.0 - gamma) ** (n + 1) * t_n_vec(2, phi_n.nodes)
     )
     return SpectralFunction(
         nodes=phi_n.nodes.copy(),
@@ -185,7 +185,7 @@ def build_series(
     phi_funcs = [
         SpectralFunction(
             nodes=grid,
-            values=phi0_vec(grid, spec),
+            values=phi0_vec(grid),
             tail_exponent=4,
             label="phi_0",
         )

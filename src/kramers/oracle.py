@@ -5,7 +5,9 @@ moment closures: no spectral grid, no interpolation, no code shared with
 the kernel/series modules beyond the problem's formulas.  Slowly decaying
 outer integrands (their tails fall like ln(k)/k^2) are handled exactly by
 the substitution k -> 1/u on the far range, so these values are accurate
-references rather than truncation-limited estimates.
+references rather than truncation-limited estimates.  The only setting read
+from the main path is the Gaussian truncation point ``T_MAX``; its own
+tolerances are fixed here, so no function takes a QuadratureSpec.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def _quiet_quad(*args, **kwargs):
         warnings.simplefilter("ignore", IntegrationWarning)
         return quad(*args, **kwargs)
 
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .quadrature import T_MAX
 from .special_integrals import SQRT_PI
 
 __all__ = ["u1_direct", "j_constants", "u2_direct"]
@@ -117,7 +119,7 @@ def _split_integral(f, epsabs: float, epsrel: float) -> float:
     return head + tail + _log_closure(f, _K_HIGH, 2)
 
 
-def u1_direct(gamma: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def u1_direct(gamma: float) -> float:
     """First slip coefficient by single direct quadrature.
 
     U_1 = -(1-gamma)^{-1} (1/sqrt(pi))
@@ -126,19 +128,18 @@ def u1_direct(gamma: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
-    t_max = spec.t_max
 
     def integrand(k: float) -> float:
-        t1 = _t_inline(1, k, t_max)
-        t2 = _t_inline(2, k, t_max)
-        t3 = _t_inline(3, k, t_max)
-        return (t1 + gamma * k * k * t3) * _phi0_inline(k, t_max) / t2
+        t1 = _t_inline(1, k, T_MAX)
+        t2 = _t_inline(2, k, T_MAX)
+        t3 = _t_inline(3, k, T_MAX)
+        return (t1 + gamma * k * k * t3) * _phi0_inline(k, T_MAX) / t2
 
     integral = _split_integral(integrand, epsabs=1e-12, epsrel=1e-10)
     return -integral / ((1.0 - gamma) * SQRT_PI)
 
 
-def j_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float, float]:
+def j_constants() -> tuple[float, float, float]:
     """(J_0, J_1, J_2): the double integrals behind the second-order slip.
 
     J_0 pairs T_1 with the kernel part S_1, J_2 pairs the density-weighted
@@ -151,20 +152,19 @@ def j_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float, floa
     times tighter than the outer; inner results are reused across the three
     outer integrals via an exact-argument table (values only, no grids).
     """
-    t_max = spec.t_max
     t_memo: dict[tuple[int, float], float] = {}
 
     def T(n: int, k: float) -> float:
         key = (n, k)
         if key not in t_memo:
-            t_memo[key] = _t_inline(n, k, t_max)
+            t_memo[key] = _t_inline(n, k, T_MAX)
         return t_memo[key]
 
     phi_memo: dict[float, float] = {}
 
     def phi0(k: float) -> float:
         if k not in phi_memo:
-            phi_memo[k] = _phi0_inline(k, t_max)
+            phi_memo[k] = _phi0_inline(k, T_MAX)
         return phi_memo[k]
 
     ab_memo: dict[float, tuple[float, float]] = {}
@@ -176,11 +176,11 @@ def j_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float, floa
         t3k1 = T(3, k1)
 
         def fa(k2: float) -> float:
-            s1 = _j_inline(3, k1, k2, t_max) - SQRT_PI * t3k1 * T(1, k2)
+            s1 = _j_inline(3, k1, k2, T_MAX) - SQRT_PI * t3k1 * T(1, k2)
             return s1 * phi0(k2) / T(2, k2)
 
         def fb(k2: float) -> float:
-            s2 = _j_inline(5, k1, k2, t_max) - SQRT_PI * t3k1 * T(3, k2)
+            s2 = _j_inline(5, k1, k2, T_MAX) - SQRT_PI * t3k1 * T(3, k2)
             return k2 * k2 * s2 * phi0(k2) / T(2, k2)
 
         a_val, _ = _quiet_quad(fa, 0.0, _INNER_KMAX, epsabs=_EPS_ABS, epsrel=1e-9,
@@ -213,9 +213,7 @@ def j_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float, floa
 
 
 def u2_direct(
-    gamma: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    j_values: tuple[float, float, float] | None = None,
+    gamma: float, j_values: tuple[float, float, float] | None = None
 ) -> float:
     """Second slip coefficient -(J_0 + gamma J_1 + gamma^2 J_2)/(1-gamma)^2.
 
@@ -224,5 +222,5 @@ def u2_direct(
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
-    j0, j1, j2 = j_values if j_values is not None else j_constants(spec)
+    j0, j1, j2 = j_values if j_values is not None else j_constants()
     return -(j0 + gamma * j1 + gamma * gamma * j2) / (1.0 - gamma) ** 2

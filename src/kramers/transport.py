@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _MAX_SEGMENTS = 250_000
+#: half periods summed, with iterated averaging, past k_max
+_TAIL_TERMS = 48
 
 
 class OscillatoryConvergenceError(QuadratureError):
@@ -179,7 +181,6 @@ def _osc_transform(
     kind: str = "cos",
     mu: float = 0.0,
     label: str = "oscillatory transform",
-    n_tail_terms: int = 48,
 ) -> float:
     """int_0^inf w(k x) density(k) damp(k) dk with w = cos or k*sin.
 
@@ -260,7 +261,7 @@ def _osc_transform(
     tail = _gl_pieces(g, np.asarray(stub_bounds))
     # alternating half-period terms, iterated-averaging acceleration
     half = 2.0 * quarter
-    edges = zero + half * np.arange(n_tail_terms + 1)
+    edges = zero + half * np.arange(_TAIL_TERMS + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     hw = 0.5 * half
     pts = mid + hw * _GL_X[None, :]
@@ -284,21 +285,6 @@ def _combined_density(
     )
 
 
-def _u_continuum(
-    params: GasParameters,
-    series: SeriesExpansion,
-    x: float,
-    spec: QuadratureSpec,
-    density: SpectralFunction,
-) -> float:
-    pref = params.g_v * (1.0 - params.gamma) * (2.0 - params.q)
-    c0 = _osc_transform(
-        density, x, spec, kind="cos",
-        label=f"U_c cosine transform at x1={x:.4g}",
-    )
-    return pref * c0 / math.pi
-
-
 def velocity_profile(
     params: GasParameters,
     series: SeriesExpansion,
@@ -312,8 +298,13 @@ def velocity_profile(
         raise ValueError("x nodes must be >= 0")
     u_sl = slip_velocity(params, series)
     density = _combined_density(series, params.q)
+    pref = params.g_v * (1.0 - params.gamma) * (2.0 - params.q)
     u_c = np.array([
-        _u_continuum(params, series, x, spec, density) for x in x_nodes
+        pref * _osc_transform(
+            density, x, spec, kind="cos",
+            label=f"U_c cosine transform at x1={x:.4g}",
+        ) / math.pi
+        for x in x_nodes
     ])
     u_total = u_sl + params.g_v * x_nodes + u_c
     return VelocityProfile(
@@ -356,7 +347,7 @@ def distribution_function(
         label=f"h_c cosine transform at x1={x1:.4g}",
     ) / math.pi
     if mu == 0.0:
-        return h_as + pref * (gamma * c0 + (1.0 - gamma) * c0)
+        return h_as + pref * c0
 
     c1 = _osc_transform(
         density, x1, spec, kind="cos", mu=mu,

@@ -130,11 +130,11 @@ def _oracle_checks(spec: QuadratureSpec) -> list[CheckResult]:
     out = []
     for gamma in (0.0, 0.25, 0.5):
         series = neumann.build_series(gamma, 1, spec)
-        dev = abs(series.u_coeffs[1] - oracle.u1_direct(gamma, spec))
+        dev = abs(series.u_coeffs[1] - oracle.u1_direct(gamma))
         out.append(
             CheckResult("oracle", f"U_1 cross-path at gamma={gamma}", dev, 1e-5)
         )
-    j_values = oracle.j_constants(spec)
+    j_values = oracle.j_constants()
     out.append(
         CheckResult(
             "oracle", "J_0 = 0.0116", abs(j_values[0] - 0.0116), 5e-4
@@ -156,7 +156,7 @@ def _oracle_checks(spec: QuadratureSpec) -> list[CheckResult]:
     for gamma in (0.0, 0.25):
         series = neumann.build_series(gamma, 2, spec)
         dev = abs(
-            series.u_coeffs[2] - oracle.u2_direct(gamma, spec, j_values=j_values)
+            series.u_coeffs[2] - oracle.u2_direct(gamma, j_values=j_values)
         )
         out.append(
             CheckResult("oracle", f"U_2 cross-path at gamma={gamma}", dev, 1e-5)

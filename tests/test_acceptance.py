@@ -90,7 +90,7 @@ def test_a3_second_order_constants(series_cache, oracle_j):
     ]
     for gamma in (0.0, 0.25):
         series = series_cache(gamma, 2)
-        direct = u2_direct(gamma, SPEC, j_values=oracle_j)
+        direct = u2_direct(gamma, j_values=oracle_j)
         dev = abs(series.u_coeffs[2] - direct)
         checks.append(
             (f"series U_2 matches double integrals at gamma={gamma} +- 1e-5",
@@ -235,14 +235,14 @@ def test_a8_cross_path_and_verify(series_cache, oracle_j, capsys):
     checks = []
     for gamma in (0.0, 0.25, 0.5):
         series = series_cache(gamma, 1)
-        dev = abs(series.u_coeffs[1] - u1_direct(gamma, SPEC))
+        dev = abs(series.u_coeffs[1] - u1_direct(gamma))
         checks.append(
             (f"U_1 cross-path at gamma={gamma} +- 1e-5", dev <= 1e-5,
              f"|diff|={dev:.2e}")
         )
     for gamma in (0.0, 0.25):
         series = series_cache(gamma, 2)
-        dev = abs(series.u_coeffs[2] - u2_direct(gamma, SPEC, j_values=oracle_j))
+        dev = abs(series.u_coeffs[2] - u2_direct(gamma, j_values=oracle_j))
         checks.append(
             (f"U_2 cross-path at gamma={gamma} +- 1e-5", dev <= 1e-5,
              f"|diff|={dev:.2e}")

@@ -56,6 +56,12 @@ class TestSlip:
         assert code == 2
         assert "k_max must be finite" in err
 
+    @pytest.mark.parametrize("kmax", ["1", "1e300"])
+    def test_kmax_out_of_range_rejected(self, capsys, kmax):
+        code, _, err = run_cli(capsys, "slip", "--kmax", kmax)
+        assert code == 2
+        assert "k_max" in err
+
     def test_json_metadata(self, capsys):
         code, out, _ = run_cli(
             capsys, "slip", "--q", "0.8", "--gamma", "0.1", "--order", "1",

@@ -14,7 +14,7 @@ SPEC = QuadratureSpec()
 def phi_seed(spec=SPEC, grid=None):
     grid = standard_grid(spec) if grid is None else grid
     return SpectralFunction(
-        nodes=grid, values=phi0_vec(grid, spec), tail_exponent=4, label="phi_0"
+        nodes=grid, values=phi0_vec(grid), tail_exponent=4, label="phi_0"
     )
 
 
@@ -45,6 +45,13 @@ class TestSpectralFunction:
             SpectralFunction(
                 nodes=np.array([0.0, 1.0]), values=np.ones(2),
                 tail_exponent=1, label="bad",
+            )
+
+    def test_requires_eight_nodes(self):
+        nodes = np.linspace(0.0, 1.0, 7)
+        with pytest.raises(ValueError, match="8 nodes"):
+            SpectralFunction(
+                nodes=nodes, values=np.ones(7), tail_exponent=2, label="short",
             )
 
     def test_immutable_samples(self):

@@ -1,27 +1,24 @@
 import pytest
 
 from kramers.oracle import u1_direct, u2_direct
-from kramers.quadrature import QuadratureSpec
-
-SPEC = QuadratureSpec()
 
 
 class TestU1Direct:
     def test_rarefied_value(self):
-        assert u1_direct(0.0, SPEC) == pytest.approx(0.1405, abs=5e-4)
-        assert u1_direct(0.0, SPEC) == pytest.approx(0.14052350, abs=2e-7)
+        assert u1_direct(0.0) == pytest.approx(0.1405, abs=5e-4)
+        assert u1_direct(0.0) == pytest.approx(0.14052350, abs=2e-7)
 
     def test_half_density_value(self):
         expected = (0.1405 + 0.2009 * 0.5) / 0.5
-        assert u1_direct(0.5, SPEC) == pytest.approx(expected, abs=2e-3)
+        assert u1_direct(0.5) == pytest.approx(expected, abs=2e-3)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.6, 0.9])
     def test_positive_across_density(self, gamma):
-        assert u1_direct(gamma, SPEC) > 0.0
+        assert u1_direct(gamma) > 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            u1_direct(1.0, SPEC)
+            u1_direct(1.0)
 
 
 class TestJConstants:
@@ -42,7 +39,7 @@ class TestJConstants:
 
 class TestU2Direct:
     def test_rarefied_value(self, oracle_j):
-        assert u2_direct(0.0, SPEC, j_values=oracle_j) == pytest.approx(
+        assert u2_direct(0.0, j_values=oracle_j) == pytest.approx(
             -0.0116, abs=5e-4
         )
 
@@ -50,7 +47,7 @@ class TestU2Direct:
         j0, j1, j2 = oracle_j
         gamma = 0.2
         expected = -(j0 + gamma * j1 + gamma * gamma * j2) / (1.0 - gamma) ** 2
-        assert u2_direct(gamma, SPEC, j_values=oracle_j) == pytest.approx(
+        assert u2_direct(gamma, j_values=oracle_j) == pytest.approx(
             expected, rel=1e-14
         )
 
@@ -59,16 +56,16 @@ class TestCrossPathEquivalence:
     @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5])
     def test_u1(self, gamma, series_cache):
         series = series_cache(gamma, 1)
-        assert abs(series.u_coeffs[1] - u1_direct(gamma, SPEC)) <= 1e-5
+        assert abs(series.u_coeffs[1] - u1_direct(gamma)) <= 1e-5
 
     @pytest.mark.parametrize("gamma", [0.0, 0.25])
     def test_u2(self, gamma, series_cache, oracle_j):
         series = series_cache(gamma, 2)
-        direct = u2_direct(gamma, SPEC, j_values=oracle_j)
+        direct = u2_direct(gamma, j_values=oracle_j)
         assert abs(series.u_coeffs[2] - direct) <= 1e-5
 
     def test_sign_convention_unique(self, series_cache, oracle_j):
         """Flipping the iteration sign flips U_2 and misses by >100x tolerance."""
         series = series_cache(0.0, 2)
-        flipped = -u2_direct(0.0, SPEC, j_values=oracle_j)
+        flipped = -u2_direct(0.0, j_values=oracle_j)
         assert abs(series.u_coeffs[2] - flipped) > 100 * 1e-5

@@ -197,37 +197,37 @@ class TestVectorisedAgainstScalar:
 
     def test_t_n(self):
         for n in range(9):
-            vec = t_n_vec(n, K_GRID, SPEC)
+            vec = t_n_vec(n, K_GRID)
             ref = np.array([t_n(n, k, SPEC) for k in K_GRID])
             np.testing.assert_allclose(vec, ref, atol=5e-12, rtol=5e-12)
 
     def test_j_n(self):
         k1 = np.array([0.0, 0.4, 1.7, 6.0, 30.0])
-        batch = MomentBatch(k1, SPEC)
+        batch = MomentBatch(k1)
         for n in (1, 3, 5):
             for k in (0.0, 0.9, 12.0):
-                vec = batch.against(fixed_row(n, k, SPEC))
+                vec = batch.against(fixed_row(n, k))
                 ref = np.array([j_n(n, k, v, SPEC) for v in k1])
                 np.testing.assert_allclose(vec, ref, atol=5e-12)
 
     def test_j_m(self):
         """J^(m) = gamma T_m(k) + (1-gamma) J_m, the form the solver runs."""
         k1 = np.array([0.0, 0.8, 3.0])
-        batch = MomentBatch(k1, SPEC)
+        batch = MomentBatch(k1)
         for m, k, gamma in ((1, 0.6, 0.3), (1, 0.0, 0.5), (3, 2.5, 0.2)):
             vec = gamma * t_n(m, k, SPEC) + (1.0 - gamma) * batch.against(
-                fixed_row(m, k, SPEC)
+                fixed_row(m, k)
             )
             ref = np.array([j_m(m, k, v, gamma, SPEC) for v in k1])
             np.testing.assert_allclose(vec, ref, atol=5e-12)
 
     def test_phi0(self):
         np.testing.assert_allclose(
-            phi0_vec(K_GRID, SPEC),
+            phi0_vec(K_GRID),
             [phi0(k, SPEC) for k in K_GRID],
             atol=5e-12,
         )
 
     def test_moment_batch_consistency(self):
-        batch = MomentBatch(K_GRID, SPEC)
-        np.testing.assert_allclose(batch.t(2), t_n_vec(2, K_GRID, SPEC), rtol=0)
+        batch = MomentBatch(K_GRID)
+        np.testing.assert_allclose(batch.t(2), t_n_vec(2, K_GRID), rtol=0)
