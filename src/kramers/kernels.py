@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline, make_interp_spline
+from scipy.interpolate import PPoly, make_interp_spline
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_spectral
 from .special_integrals import MomentBatch, SQRT_PI, fixed_row, j_n, t_n
@@ -44,7 +44,10 @@ class SpectralFunction:
     are clamped to zero at k=0 (evenness forces a flat start), so at least
     8 nodes are required.  The quintic keeps the interpolation error of the
     standard grid near 1e-10 relative, which the refinement-stability
-    contract of :func:`apply_kernel` needs.
+    contract of :func:`apply_kernel` needs.  The spline is converted once,
+    on construction, to its piecewise-polynomial form (one set of monomial
+    coefficients per knot interval), which evaluates several times faster
+    than the B-spline recurrence and agrees with it to rounding.
     Beyond the last node the function follows C / k^tail_exponent anchored
     at the last sample.  Instances are immutable; the sample arrays are
     frozen on construction.
@@ -54,7 +57,7 @@ class SpectralFunction:
     values: np.ndarray
     tail_exponent: int
     label: str
-    _spline: BSpline = field(init=False, repr=False, compare=False)
+    _poly: PPoly = field(init=False, repr=False, compare=False)
     _tail_coeff: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,7 +84,7 @@ class SpectralFunction:
             nodes, values, k=5,
             bc_type=([(1, 0.0), (3, 0.0)], [(3, 0.0), (4, 0.0)]),
         )
-        object.__setattr__(self, "_spline", spline)
+        object.__setattr__(self, "_poly", PPoly.from_spline(spline))
         object.__setattr__(
             self, "_tail_coeff", values[-1] * nodes[-1] ** self.tail_exponent
         )
@@ -92,15 +95,15 @@ class SpectralFunction:
 
     def __call__(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=float)
-        if np.any(k < 0.0):
+        if not np.all(k >= 0.0):  # also catches NaN
             raise ValueError("spectral functions are defined for k >= 0")
         scalar = k.ndim == 0
         k = np.atleast_1d(k)
-        out = np.empty_like(k)
-        inside = k <= self.nodes[-1]
-        out[inside] = self._spline(k[inside])
-        if not inside.all():
-            out[~inside] = self._tail_coeff / k[~inside] ** self.tail_exponent
+        k_max = self.nodes[-1]
+        out = self._poly(np.minimum(k, k_max))
+        tail = k > k_max
+        if tail.any():
+            out[tail] = self._tail_coeff / k[tail] ** self.tail_exponent
         return out[0] if scalar else out
 
 
@@ -118,7 +121,13 @@ def standard_grid(spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
     ]
     if spec.k_max > 50.0:
         sections.append(np.geomspace(50.0, spec.k_max, 33)[1:])
-    return np.concatenate(sections)
+    grid = np.concatenate(sections)
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError(
+            f"k_max={spec.k_max!r} is too close to 2: the 64 grid nodes on "
+            "(2, k_max] do not increase strictly"
+        )
+    return grid
 
 
 def s_kernel(

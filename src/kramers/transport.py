@@ -9,7 +9,9 @@ density; evenness reduces it to a cosine integral,
 with E_q = sum_n q^n E_n.  Oscillatory integrals are split at the quarter
 period boundaries of the oscillator (and at the interpolation knots), summed
 segment by segment, and the truncated tail is summed as an alternating
-series over half periods with iterated averaging.
+series over half periods with iterated averaging.  The transforms needed at
+one x1 (the plain and damped cosine and the damped k-sine of h(x1, mu))
+share one set of samples of the density on those segments.
 """
 
 from __future__ import annotations
@@ -148,22 +150,41 @@ def slip_coefficient_kv(params: GasParameters, series: SeriesExpansion) -> float
 # ---------------------------------------------------------------------------
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+#: pieces evaluated per batch; bounds the transient memory of the shared
+#: head samples, which hold up to nine arrays of 16 points per piece
+_GL_BATCH = 10_000
+
+#: the transforms _osc_transform can return: oscillator and whether the
+#: damping factor 1/(1 + k^2 mu^2) applies
+_KINDS = {
+    "cos": ("cos", False),
+    "damped_cos": ("cos", True),
+    "damped_ksin": ("ksin", True),
+}
 
 
-def _gl_pieces(f, bounds: np.ndarray) -> float:
-    """Sum of 16-point Gauss-Legendre integrals over consecutive bounds."""
-    total = 0.0
+def _gl_pieces(f, bounds: np.ndarray) -> list[float]:
+    """16-point Gauss-Legendre sums over consecutive bounds.
+
+    ``f`` maps the points to a sequence of integrand arrays; the result has
+    one sum per array.
+    """
+    totals = None
     n_pieces = len(bounds) - 1
-    for start in range(0, n_pieces, 50_000):
-        end = min(start + 50_000, n_pieces)
+    for start in range(0, n_pieces, _GL_BATCH):
+        end = min(start + _GL_BATCH, n_pieces)
         lo = bounds[start:end]
         hi = bounds[start + 1:end + 1]
         mid = 0.5 * (lo + hi)[:, None]
         half = 0.5 * (hi - lo)[:, None]
         pts = mid + half * _GL_X[None, :]
-        vals = f(pts.ravel()).reshape(pts.shape)
-        total += float((vals * (half * _GL_W[None, :])).sum())
-    return total
+        weights = half * _GL_W[None, :]
+        sums = [
+            float((vals.reshape(pts.shape) * weights).sum())
+            for vals in f(pts.ravel())
+        ]
+        totals = sums if totals is None else [a + b for a, b in zip(totals, sums)]
+    return totals
 
 
 def _averaged_alternating(terms: np.ndarray) -> float:
@@ -178,32 +199,36 @@ def _osc_transform(
     density: SpectralFunction,
     x: float,
     spec: QuadratureSpec,
-    kind: str = "cos",
+    kinds: tuple[str, ...],
     mu: float = 0.0,
     label: str = "oscillatory transform",
-) -> float:
-    """int_0^inf w(k x) density(k) damp(k) dk with w = cos or k*sin.
+) -> tuple[float, ...]:
+    """int_0^inf w(k x) density(k) dk for each of ``kinds``, in that order.
 
-    ``mu`` sets the damping factor 1/(1 + k^2 mu^2) carried by the
-    distribution-function integrands (0 means none).  For x = 0 the cosine
-    case reduces to a plain spectral integral; for x > 0 the range up to
-    k_max is split at quarter-period boundaries and interpolation knots,
-    and the tail continues the fitted (a + b ln k)/k^2 density model as an
-    accelerated alternating series over half periods.
+    ``"cos"`` has w = cos; ``"damped_cos"`` and ``"damped_ksin"`` have
+    w = cos and k*sin times the damping factor 1/(1 + k^2 mu^2) carried by
+    the distribution-function integrands.  For x = 0 the cosine transforms
+    reduce to plain spectral integrals and the k-sine one vanishes.  For
+    x > 0 the range up to k_max is split at quarter-period boundaries and
+    interpolation knots; the density, the oscillators and the damping are
+    sampled once on those pieces and shared by every requested transform.
+    The tail of each continues the fitted (a + b ln k)/k^2 density model as
+    an accelerated alternating series over half periods.
     """
+    forms = [_KINDS[kind] for kind in kinds]
     k_max = spec.k_max
 
     def damp(k):
-        if mu == 0.0:
-            return 1.0
         return 1.0 / (1.0 + (k * mu) ** 2)
 
     if x == 0.0:
-        if kind != "cos":
-            return 0.0
-        return integrate_spectral(
-            lambda k: density(k) * damp(np.asarray(k)),
-            spec, tail_exponent=2, label=label,
+        return tuple(
+            0.0 if wave == "ksin" else integrate_spectral(
+                (lambda k: density(k) * damp(np.asarray(k))) if damped
+                else density,
+                spec, tail_exponent=2, label=label,
+            )
+            for wave, damped in forms
         )
     if x < 0.0:
         raise ValueError("transform coordinate must be >= 0")
@@ -217,57 +242,58 @@ def _osc_transform(
             f" segments (budget {_MAX_SEGMENTS})",
         )
 
-    if kind == "cos":
-        def w(k):
-            return np.cos(k * x)
-        first_zero = quarter  # cos(kx) vanishes at odd multiples of pi/(2x)
-    elif kind == "ksin":
-        def w(k):
-            return k * np.sin(k * x)
-        first_zero = 2.0 * quarter  # sin(kx) vanishes at multiples of pi/x
-    else:
-        raise ValueError(f"unknown oscillator kind {kind!r}")
+    def oscillator(wave, k):
+        return np.cos(k * x) if wave == "cos" else k * np.sin(k * x)
 
-    def f(k):
-        return w(k) * density(k) * damp(k)
+    def head(k):
+        e = density(k)
+        weighted = {wave: oscillator(wave, k) * e for wave in {w for w, _ in forms}}
+        d = damp(k) if any(damped for _, damped in forms) else None
+        return [weighted[wave] * d if damped else weighted[wave]
+                for wave, damped in forms]
 
     bounds = np.unique(np.concatenate([
         density.nodes[density.nodes <= k_max],
         quarter * np.arange(1, n_quarters + 1),
         [0.0, k_max],
     ]))
-    head = _gl_pieces(f, bounds)
+    heads = _gl_pieces(head, bounds)
 
     # continue the fitted density model beyond k_max
     alpha, beta = _fit_log_tail(density, k_max, 2, label)
-
-    def model_amp(k):
-        base = (alpha + beta * np.log(k)) / k**2 * damp(k)
-        if kind == "ksin":
-            return k * base
-        return base
-
-    def g(k):
-        return w(k) * model_amp(k)
-
-    zero = first_zero * math.ceil(k_max / first_zero + 1e-12)
-    if zero <= k_max:
-        zero += 2.0 * quarter
-    # stub [k_max, zero], geometrically split in case x is tiny
-    stub_bounds = [k_max]
-    while stub_bounds[-1] * 2.0 < zero:
-        stub_bounds.append(stub_bounds[-1] * 2.0)
-    stub_bounds.append(zero)
-    tail = _gl_pieces(g, np.asarray(stub_bounds))
-    # alternating half-period terms, iterated-averaging acceleration
     half = 2.0 * quarter
-    edges = zero + half * np.arange(_TAIL_TERMS + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     hw = 0.5 * half
-    pts = mid + hw * _GL_X[None, :]
-    terms = (g(pts.ravel()).reshape(pts.shape) * (_GL_W[None, :] * hw)).sum(axis=1)
-    tail += _averaged_alternating(terms)
-    return head + tail
+    results = []
+    for (wave, damped), value in zip(forms, heads):
+        def g(k, wave=wave, damped=damped):
+            amp = (alpha + beta * np.log(k)) / k**2
+            if damped:
+                amp = amp * damp(k)
+            if wave == "ksin":
+                # k sin(kx) already carries k: the known k-sine tail defect
+                # (ROADMAP), kept until the profile references are re-pinned
+                amp = k * amp
+            return oscillator(wave, k) * amp
+
+        # cos(kx) vanishes at odd multiples of pi/(2x), sin(kx) at multiples of pi/x
+        first_zero = quarter if wave == "cos" else half
+        zero = first_zero * math.ceil(k_max / first_zero + 1e-12)
+        if zero <= k_max:
+            zero += half
+        # stub [k_max, zero], geometrically split in case x is tiny
+        stub_bounds = [k_max]
+        while stub_bounds[-1] * 2.0 < zero:
+            stub_bounds.append(stub_bounds[-1] * 2.0)
+        stub_bounds.append(zero)
+        tail = _gl_pieces(lambda k: (g(k),), np.asarray(stub_bounds))[0]
+        # alternating half-period terms, iterated-averaging acceleration
+        edges = zero + half * np.arange(_TAIL_TERMS + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        pts = mid + hw * _GL_X[None, :]
+        terms = (g(pts.ravel()).reshape(pts.shape) * (_GL_W[None, :] * hw)).sum(axis=1)
+        tail += _averaged_alternating(terms)
+        results.append(value + tail)
+    return tuple(results)
 
 
 def _combined_density(
@@ -301,9 +327,9 @@ def velocity_profile(
     pref = params.g_v * (1.0 - params.gamma) * (2.0 - params.q)
     u_c = np.array([
         pref * _osc_transform(
-            density, x, spec, kind="cos",
+            density, x, spec, ("cos",),
             label=f"U_c cosine transform at x1={x:.4g}",
-        ) / math.pi
+        )[0] / math.pi
         for x in x_nodes
     ])
     u_total = u_sl + params.g_v * x_nodes + u_c
@@ -342,21 +368,18 @@ def distribution_function(
     h_as = u_sl + g_v * (x1 - (1.0 - gamma) * mu)
 
     density = _combined_density(series, q)
-    c0 = _osc_transform(
-        density, x1, spec, kind="cos",
-        label=f"h_c cosine transform at x1={x1:.4g}",
-    ) / math.pi
+    kinds = ("cos",) if mu == 0.0 else ("cos", "damped_cos", "damped_ksin")
+    transforms = [
+        value / math.pi
+        for value in _osc_transform(
+            density, x1, spec, kinds, mu=mu,
+            label=f"h_c transforms at x1={x1:.4g}, mu={mu:.4g}",
+        )
+    ]
     if mu == 0.0:
-        return h_as + pref * c0
+        return h_as + pref * transforms[0]
 
-    c1 = _osc_transform(
-        density, x1, spec, kind="cos", mu=mu,
-        label=f"h_c damped cosine transform at x1={x1:.4g}, mu={mu:.4g}",
-    ) / math.pi
-    s1 = _osc_transform(
-        density, x1, spec, kind="ksin", mu=mu,
-        label=f"h_c sine transform at x1={x1:.4g}, mu={mu:.4g}",
-    ) / math.pi
+    c0, c1, s1 = transforms
     h_c = pref * (gamma * c0 + (1.0 - gamma) * c1 + (1.0 - gamma) * mu * s1)
 
     if mu > 0.0:

@@ -56,7 +56,7 @@ class TestSlip:
         assert code == 2
         assert "k_max must be finite" in err
 
-    @pytest.mark.parametrize("kmax", ["1", "1e300"])
+    @pytest.mark.parametrize("kmax", ["1", "1e300", "2.0000000000000004"])
     def test_kmax_out_of_range_rejected(self, capsys, kmax):
         code, _, err = run_cli(capsys, "slip", "--kmax", kmax)
         assert code == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import make_interp_spline
 
 from kramers.kernels import SpectralFunction, apply_kernel, s_kernel, standard_grid
 from kramers.quadrature import QuadratureSpec
@@ -72,6 +73,30 @@ class TestSpectralFunction:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             phi_seed()(-0.5)
+
+    @pytest.mark.parametrize("k", [math.nan, np.array([0.5, math.nan, 2.0])])
+    def test_nan_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k >= 0"):
+            phi_seed()(k)
+
+    def test_matches_quintic_bspline(self):
+        """The piecewise-polynomial form reproduces the clamped quintic B-spline."""
+        f = phi_seed()
+        spline = make_interp_spline(
+            f.nodes, f.values, k=5,
+            bc_type=([(1, 0.0), (3, 0.0)], [(3, 0.0), (4, 0.0)]),
+        )
+        rng = np.random.default_rng(2024)
+        probe = np.concatenate([
+            f.nodes,
+            0.5 * (f.nodes[:-1] + f.nodes[1:]),
+            rng.uniform(0.0, f.k_max, 2000),
+        ])
+        scale = np.max(np.abs(f.values))
+        np.testing.assert_allclose(f(probe), spline(probe), rtol=0, atol=1e-14 * scale)
+        beyond = f.k_max * np.array([1.0 + 1e-12, 1.5, 4.0, 1e3])
+        expected = f.values[-1] * f.k_max**f.tail_exponent / beyond**f.tail_exponent
+        np.testing.assert_allclose(f(beyond), expected, rtol=1e-15, atol=0)
 
     def test_deterministic_evaluation(self):
         f = phi_seed()
@@ -182,3 +207,9 @@ class TestStandardGrid:
         assert np.sum(grid <= 2.0) == 64
         assert np.sum((grid > 2.0) & (grid <= 50.0)) == 64
         assert np.sum(grid > 50.0) == 32
+
+    def test_k_max_too_close_to_two_names_k_max(self):
+        # accepted by QuadratureSpec, but the 64 nodes on (2, k_max] collide
+        spec = QuadratureSpec(k_max=math.nextafter(2.0, 3.0))
+        with pytest.raises(ValueError, match="k_max"):
+            standard_grid(spec)

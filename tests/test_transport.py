@@ -149,8 +149,8 @@ class TestVelocityProfile:
             part = velocity_profile(params, s1, [x], SPEC).u_continuum[0]
             term = (
                 params.g_v * (2.0 - params.q) * params.q**2 / math.pi
-                * _osc_transform(s2.e_funcs[2], x, SPEC, kind="cos",
-                                 label="order-2 term")
+                * _osc_transform(s2.e_funcs[2], x, SPEC, ("cos",),
+                                 label="order-2 term")[0]
             )
             assert full - part == pytest.approx(term, abs=1e-9)
 
@@ -165,7 +165,46 @@ class TestVelocityProfile:
             velocity_profile(params, series_cache(0.0, 0), [1e5], SPEC)
 
 
+class TestSharedTransforms:
+    KINDS = ("cos", "damped_cos", "damped_ksin")
+
+    @pytest.mark.parametrize("x", [0.0, 2.5, 17.0])
+    @pytest.mark.parametrize("mu", [0.5, -1.0])
+    def test_shared_samples_match_single_transforms(self, series_cache, x, mu):
+        from kramers.transport import _combined_density, _osc_transform
+
+        density = _combined_density(series_cache(0.0, 2), 0.8)
+        shared = _osc_transform(density, x, SPEC, self.KINDS, mu=mu)
+        assert len(shared) == 3
+        for kind, value in zip(self.KINDS, shared):
+            (single,) = _osc_transform(density, x, SPEC, (kind,), mu=mu)
+            assert value == pytest.approx(single, abs=1e-15)
+
+
 class TestDistributionFunction:
+    # h(x1, mu) recorded with B-spline evaluation and one density sampling
+    # per transform; the shared samples must reproduce it to rounding
+    H_POINTS = [(0.0, 0.5), (0.0, -1.0), (2.5, 0.5), (2.5, -1.0), (17.0, 0.0), (17.0, 0.7)]
+    H_RECORDED = {
+        (0.0, 2, 1.0): [
+            -0.0013213039775366031, 1.9026210827485055, 2.978012440009719,
+            4.5025147285240665, 18.01518042957993, 17.315174490143097,
+        ],
+        (0.25, 4, 0.9): [
+            0.11666142745955754, 1.5769071615473986, 3.094516345939715,
+            4.239841872505229, 18.00618679767323, 17.481181882839284,
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(H_RECORDED))
+    def test_recorded_values(self, series_cache, case):
+        gamma, order, q = case
+        series = series_cache(gamma, order)
+        params = GasParameters(gamma=gamma, q=q, g_v=1.0)
+        for (x1, mu), expected in zip(self.H_POINTS, self.H_RECORDED[case]):
+            h = distribution_function(params, series, x1, mu, SPEC)
+            assert h == pytest.approx(expected, abs=1e-12)
+
     def test_asymptotic_antisymmetry(self, series_cache):
         series = series_cache(0.0, 2)
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
