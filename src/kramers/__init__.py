@@ -29,7 +29,6 @@ from .special_integrals import (
 )
 from .transport import (
     DimensionalContext,
-    OscillatoryConvergenceError,
     VelocityProfile,
     dimensional_slip,
     distribution_function,
@@ -48,7 +47,6 @@ __all__ = [
     "BudgetExhaustedError",
     "NonFiniteIntegrandError",
     "TailEstimateDominatesError",
-    "OscillatoryConvergenceError",
     "integrate_gaussian_weighted",
     "integrate_spectral",
     "GasParameters",

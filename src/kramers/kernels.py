@@ -25,6 +25,7 @@ on a fixed composite grid and interpolating between nodes.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,9 @@ from scipy.interpolate import PPoly, make_interp_spline
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_spectral
 from .special_integrals import MomentBatch, SQRT_PI, fixed_row, j_n, t_n
 
-__all__ = ["SpectralFunction", "standard_grid", "s_kernel", "apply_kernel"]
+__all__ = [
+    "SpectralFunction", "weighted_sum", "standard_grid", "s_kernel", "apply_kernel",
+]
 
 
 @dataclass(frozen=True)
@@ -47,17 +50,20 @@ class SpectralFunction:
     contract of :func:`apply_kernel` needs.  The spline is converted once,
     on construction, to its piecewise-polynomial form (one set of monomial
     coefficients per knot interval), which evaluates several times faster
-    than the B-spline recurrence and agrees with it to rounding.
+    than the B-spline recurrence and agrees with it to rounding.  That form
+    is the read-only attribute ``poly``: breakpoints ``poly.x`` (the nodes,
+    with the end knots repeated as empty intervals) and coefficients
+    ``poly.c[m, i]`` of ``(k - poly.x[i])^(5-m)``.
     Beyond the last node the function follows C / k^tail_exponent anchored
-    at the last sample.  Instances are immutable; the sample arrays are
-    frozen on construction.
+    at the last sample.  Instances are immutable; the sample and coefficient
+    arrays are frozen on construction.
     """
 
     nodes: np.ndarray
     values: np.ndarray
     tail_exponent: int
     label: str
-    _poly: PPoly = field(init=False, repr=False, compare=False)
+    poly: PPoly = field(init=False, repr=False, compare=False)
     _tail_coeff: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -76,15 +82,18 @@ class SpectralFunction:
                 f"{self.label}: a quintic spline needs at least 8 nodes, "
                 f"got {len(nodes)}"
             )
-        nodes.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
         spline = make_interp_spline(
             nodes, values, k=5,
             bc_type=([(1, 0.0), (3, 0.0)], [(3, 0.0), (4, 0.0)]),
         )
-        object.__setattr__(self, "_poly", PPoly.from_spline(spline))
+        self._freeze(nodes, values, PPoly.from_spline(spline))
+
+    def _freeze(self, nodes: np.ndarray, values: np.ndarray, poly: PPoly) -> None:
+        for arr in (nodes, values, poly.x, poly.c):
+            arr.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "poly", poly)
         object.__setattr__(
             self, "_tail_coeff", values[-1] * nodes[-1] ** self.tail_exponent
         )
@@ -100,11 +109,37 @@ class SpectralFunction:
         scalar = k.ndim == 0
         k = np.atleast_1d(k)
         k_max = self.nodes[-1]
-        out = self._poly(np.minimum(k, k_max))
+        out = self.poly(np.minimum(k, k_max))
         tail = k > k_max
         if tail.any():
             out[tail] = self._tail_coeff / k[tail] ** self.tail_exponent
         return out[0] if scalar else out
+
+
+def weighted_sum(
+    weights: Sequence[float], funcs: Sequence[SpectralFunction], label: str
+) -> SpectralFunction:
+    """sum_i weights[i] funcs[i] on the shared grid, without a refit.
+
+    The clamped quintic interpolant is linear in the node values, so the
+    sum's node values, polynomial coefficients and tail coefficient are the
+    weighted sums of the terms'.  The terms must share their nodes and tail
+    exponent.
+    """
+    first = funcs[0]
+    for f in funcs[1:]:
+        if (f.tail_exponent != first.tail_exponent
+                or not np.array_equal(f.nodes, first.nodes)):
+            raise ValueError(
+                f"{label}: {f.label} and {first.label} differ in grid or tail"
+            )
+    values = sum(w * f.values for w, f in zip(weights, funcs))
+    coeffs = sum(w * f.poly.c for w, f in zip(weights, funcs))
+    total = object.__new__(SpectralFunction)
+    object.__setattr__(total, "tail_exponent", first.tail_exponent)
+    object.__setattr__(total, "label", label)
+    total._freeze(first.nodes, values, PPoly.construct_fast(coeffs, first.poly.x))
+    return total
 
 
 def standard_grid(spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:

@@ -6,12 +6,15 @@ density; evenness reduces it to a cosine integral,
 
     U_c(x) = G_v (1-gamma) (2-q) (1/pi) int_0^inf cos(k x) E_q(k) dk,
 
-with E_q = sum_n q^n E_n.  Oscillatory integrals are split at the quarter
-period boundaries of the oscillator (and at the interpolation knots), summed
-segment by segment, and the truncated tail is summed as an alternating
-series over half periods with iterated averaging.  The transforms needed at
-one x1 (the plain and damped cosine and the damped k-sine of h(x1, mu))
-share one set of samples of the density on those segments.
+with E_q = sum_n q^n E_n, summed from the per-order polynomial pieces (the
+interpolant is linear in its node values, so nothing is refitted).  Up to
+k_max the density is a quintic on each knot interval, and the integral of
+a polynomial times e^{ikx} has a closed form (Filon's method), so the head
+of each transform costs the same at every x1.  Beyond k_max the fitted
+density model is summed as an alternating series over half periods with
+iterated averaging.  The transforms needed at one x1 (the plain and damped
+cosine and the damped k-sine of h(x1, mu)) share the polynomial pieces and
+the oscillatory moments.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 
-from .kernels import SpectralFunction
+from .kernels import SpectralFunction, weighted_sum
 from .neumann import SeriesExpansion, u0
 from .quadrature import (
     DEFAULT_SPEC,
-    QuadratureError,
     QuadratureSpec,
     _fit_log_tail,
     integrate_spectral,
@@ -33,7 +36,6 @@ from .quadrature import (
 from .special_integrals import SQRT_PI, GasParameters
 
 __all__ = [
-    "OscillatoryConvergenceError",
     "VelocityProfile",
     "DimensionalContext",
     "slip_velocity",
@@ -44,13 +46,11 @@ __all__ = [
     "dimensional_slip",
 ]
 
-_MAX_SEGMENTS = 250_000
 #: half periods summed, with iterated averaging, past k_max
 _TAIL_TERMS = 48
-
-
-class OscillatoryConvergenceError(QuadratureError):
-    """x1 * k_max demands more oscillation segments than the budget allows."""
+_AVERAGING_WEIGHTS = np.array(
+    [math.comb(_TAIL_TERMS - 1, i) for i in range(_TAIL_TERMS)], dtype=float
+) / 2.0 ** (_TAIL_TERMS - 1)
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,16 @@ def _check_pair(params: GasParameters, series: SeriesExpansion) -> None:
         raise ValueError("q must be positive: (2-q)/q diverges at q=0")
 
 
+def _check_k_max(series: SeriesExpansion, spec: QuadratureSpec) -> None:
+    grid_k_max = series.e_funcs[0].k_max
+    if spec.k_max > grid_k_max:
+        raise ValueError(
+            f"series was built up to k_max={grid_k_max:g}, spec asks for "
+            f"k_max={spec.k_max:g}: the transforms need the density's "
+            "polynomial pieces up to k_max; build the series with this spec"
+        )
+
+
 def _series_sum(params: GasParameters, series: SeriesExpansion) -> float:
     """sum_n U_n q^n over the available orders."""
     return sum(
@@ -150,9 +160,6 @@ def slip_coefficient_kv(params: GasParameters, series: SeriesExpansion) -> float
 # ---------------------------------------------------------------------------
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-#: pieces evaluated per batch; bounds the transient memory of the shared
-#: head samples, which hold up to nine arrays of 16 points per piece
-_GL_BATCH = 10_000
 
 #: the transforms _osc_transform can return: oscillator and whether the
 #: damping factor 1/(1 + k^2 mu^2) applies
@@ -162,37 +169,122 @@ _KINDS = {
     "damped_ksin": ("ksin", True),
 }
 
+# Chebyshev tables of the head.  A knot interval [a, b] of the density is
+# mapped to t in [-1, 1] by k = m + r t (midpoint m, half-width r), and the
+# integrand polynomial on it is expanded as sum_n e_n T_n(t).
+_DEGREE = 5  # of the density's pieces
+_DAMP_POINTS = 9  # Chebyshev points of the interpolated damping factor
+_N_CHEB = _DEGREE + _DAMP_POINTS  # coefficients of a damped piece (degree 13)
+_DAMP_T = C.chebpts1(_DAMP_POINTS)
+#: damping samples at _DAMP_T -> Chebyshev coefficients of their interpolant
+_DAMP_FIT = np.linalg.inv(C.chebvander(_DAMP_T, _DAMP_POINTS - 1))
+#: column n: Chebyshev coefficients of (1 + t)^n = (T_0 + T_1)^n, which turn
+#: the local coefficients of p(a + s), s = r (1 + t), into Chebyshev ones
+_FROM_LOCAL = np.zeros((_DEGREE + 1, _DEGREE + 1))
+#: T_i T_j = (T_{i+j} + T_|i-j|)/2: the product of a piece and a damping
+#: interpolant from the flattened outer product of their coefficients
+_PRODUCT = np.zeros((_N_CHEB, _DEGREE + 1, _DAMP_POINTS))
+for _i in range(_DEGREE + 1):
+    _FROM_LOCAL[:_i + 1, _i] = C.chebpow([1.0, 1.0], _i)
+    for _j in range(_DAMP_POINTS):
+        _PRODUCT[_i + _j, _i, _j] += 0.5
+        _PRODUCT[abs(_i - _j), _i, _j] += 0.5
+_PRODUCT = _PRODUCT.reshape(_N_CHEB, -1)
+#: [j, n]: T_n^(j)(1) = prod_{l<j} (n^2 - l^2)/(2l + 1), and
+#: T_n^(j)(-1) = (-1)^(n+j) T_n^(j)(1)
+_ENDPOINT_DERIVS = np.ones((_N_CHEB, _N_CHEB))
+for _j in range(1, _N_CHEB):
+    _ENDPOINT_DERIVS[_j] = (_ENDPOINT_DERIVS[_j - 1]
+                            * (np.arange(_N_CHEB) ** 2 - (_j - 1) ** 2) / (2 * _j - 1))
+_ALTERNATING = (-1.0) ** np.arange(_N_CHEB)
+#: [n, g]: T_n at the Gauss-Legendre points, times the weights
+_GL_CHEB = (C.chebvander(_GL_X, _N_CHEB - 1) * _GL_W[:, None]).T
+#: below x h = 2 omega = 1 the closed-form moments cancel; Gauss-Legendre
+#: takes those pieces (exact there to rounding up to omega ~ 3)
+_CLOSED_FORM_MIN_OMEGA = 0.5
 
-def _gl_pieces(f, bounds: np.ndarray) -> list[float]:
-    """16-point Gauss-Legendre sums over consecutive bounds.
 
-    ``f`` maps the points to a sequence of integrand arrays; the result has
-    one sum per array.
+def _chebyshev_moments(omega: np.ndarray) -> np.ndarray:
+    """K[n, i] = int_{-1}^{1} T_n(t) e^{i omega_i t} dt for n < _N_CHEB.
+
+    Repeated integration by parts gives the closed form
+    K_n = sum_j (-1)^j [T_n^(j)(t) e^{i omega t}]_{-1}^{1} / (i omega)^(j+1),
+    which ends after j = n.  Small omega uses 16-point Gauss-Legendre.
     """
-    totals = None
-    n_pieces = len(bounds) - 1
-    for start in range(0, n_pieces, _GL_BATCH):
-        end = min(start + _GL_BATCH, n_pieces)
-        lo = bounds[start:end]
-        hi = bounds[start + 1:end + 1]
-        mid = 0.5 * (lo + hi)[:, None]
-        half = 0.5 * (hi - lo)[:, None]
-        pts = mid + half * _GL_X[None, :]
-        weights = half * _GL_W[None, :]
-        sums = [
-            float((vals.reshape(pts.shape) * weights).sum())
-            for vals in f(pts.ravel())
-        ]
-        totals = sums if totals is None else [a + b for a, b in zip(totals, sums)]
-    return totals
+    moments = np.empty((_N_CHEB, omega.size), dtype=complex)
+    small = omega < _CLOSED_FORM_MIN_OMEGA
+    moments[:, small] = _GL_CHEB @ np.exp(1j * np.outer(_GL_X, omega[small]))
+    w = omega[~small]
+    powers = np.cumprod(np.broadcast_to(1.0 / (1j * w), (_N_CHEB, w.size)), axis=0)
+    at_plus = _ENDPOINT_DERIVS.T @ (_ALTERNATING[:, None] * powers)
+    at_minus = _ENDPOINT_DERIVS.T @ powers
+    moments[:, ~small] = (
+        np.exp(1j * w) * at_plus - _ALTERNATING[:, None] * np.exp(-1j * w) * at_minus
+    )
+    return moments
+
+
+def _head_pieces(
+    density: SpectralFunction,
+    x: float,
+    k_max: float,
+    kinds: tuple[str, ...],
+    mu: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Head of each transform in ``kinds`` on every knot interval below k_max.
+
+    Returns the interval bounds ``lo``, ``hi`` and the integrals, one row per
+    kind.  Each piece of ``density.poly`` (the last one clipped at k_max) is
+    expanded in Chebyshev polynomials; the damping factor, times k for the
+    k-sine, is interpolated at 9 Chebyshev points of the interval and
+    multiplied in exactly.  Then int_a^b P(k) e^{ikx} dk =
+    r e^{ixm} sum_n e_n K_n(x r) with the moments of
+    :func:`_chebyshev_moments`: the cosine transforms take the real part,
+    the k-sine one the imaginary part.  This is Filon's method with the
+    density's own knots (Iserles & Norsett, Proc. R. Soc. A 461, 2005).
+    """
+    poly = density.poly
+    lo = poly.x[:-1]
+    hi = np.minimum(poly.x[1:], k_max)
+    keep = hi > lo
+    lo, hi = lo[keep], hi[keep]
+    r = 0.5 * (hi - lo)
+    mid = lo + r
+    # poly.c holds the coefficients of (k - lo)^(5-m); k - lo = r (1 + t)
+    local = poly.c[::-1, keep] * r ** np.arange(_DEGREE + 1)[:, None]
+    piece = _FROM_LOCAL @ local
+    moments = _chebyshev_moments(x * r)
+    phase = r * np.exp(1j * x * mid)
+    k_fit = mid + r * _DAMP_T[:, None]
+    damp = 1.0 / (1.0 + (k_fit * mu) ** 2)
+    values = []
+    for wave, damped in (_KINDS[kind] for kind in kinds):
+        if wave == "cos" and not damped:
+            coeffs = piece
+        else:
+            factor = (k_fit if wave == "ksin" else 1.0) * (damp if damped else 1.0)
+            fit = _DAMP_FIT @ factor
+            coeffs = _PRODUCT @ (piece[:, None, :] * fit[None, :, :]).reshape(
+                -1, piece.shape[1])
+        integral = phase * (coeffs * moments[:len(coeffs)]).sum(axis=0)
+        values.append(integral.real if wave == "cos" else integral.imag)
+    return lo, hi, np.array(values)
+
+
+def _gl_sums(f, edges: np.ndarray) -> np.ndarray:
+    """16-point Gauss-Legendre integrals of ``f`` over consecutive edges."""
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (f(mid + half * _GL_X) * (half * _GL_W)).sum(axis=1)
 
 
 def _averaged_alternating(terms: np.ndarray) -> float:
-    """Iterated averaging of partial sums (alternating-series acceleration)."""
-    s = np.cumsum(terms)
-    while len(s) > 1:
-        s = 0.5 * (s[:-1] + s[1:])
-    return float(s[0])
+    """Iterated averaging of partial sums (alternating-series acceleration).
+
+    Averaging neighbours until one value is left weights partial sum i by
+    C(n-1, i) / 2^(n-1); the weights are exact in floating point.
+    """
+    return float(_AVERAGING_WEIGHTS @ np.cumsum(terms))
 
 
 def _osc_transform(
@@ -209,11 +301,13 @@ def _osc_transform(
     w = cos and k*sin times the damping factor 1/(1 + k^2 mu^2) carried by
     the distribution-function integrands.  For x = 0 the cosine transforms
     reduce to plain spectral integrals and the k-sine one vanishes.  For
-    x > 0 the range up to k_max is split at quarter-period boundaries and
-    interpolation knots; the density, the oscillators and the damping are
-    sampled once on those pieces and shared by every requested transform.
-    The tail of each continues the fitted (a + b ln k)/k^2 density model as
-    an accelerated alternating series over half periods.
+    x > 0 the head on [0, k_max] is integrated exactly, knot interval by
+    knot interval, from the density's polynomial pieces
+    (:func:`_head_pieces`), at a cost that does not grow with x; all kinds
+    share the pieces and the oscillatory moments.  ``spec.k_max`` must not
+    exceed ``density.k_max``.  The tail of each continues the fitted
+    (a + b ln k)/k^2 density model as an accelerated alternating series
+    over half periods.
     """
     forms = [_KINDS[kind] for kind in kinds]
     k_max = spec.k_max
@@ -232,37 +326,18 @@ def _osc_transform(
         )
     if x < 0.0:
         raise ValueError("transform coordinate must be >= 0")
+    if not math.isfinite(float(x) * k_max):
+        raise ValueError(f"{label}: x * k_max overflows at x={x:g}")
 
-    quarter = math.pi / (2.0 * x)
-    n_quarters = int(k_max / quarter)
-    if n_quarters > _MAX_SEGMENTS:
-        raise OscillatoryConvergenceError(
-            label,
-            f"x={x:.4g} with k_max={k_max:.4g} needs {n_quarters} oscillation"
-            f" segments (budget {_MAX_SEGMENTS})",
-        )
+    heads = _head_pieces(density, x, k_max, kinds, mu)[2].sum(axis=1)
 
     def oscillator(wave, k):
         return np.cos(k * x) if wave == "cos" else k * np.sin(k * x)
 
-    def head(k):
-        e = density(k)
-        weighted = {wave: oscillator(wave, k) * e for wave in {w for w, _ in forms}}
-        d = damp(k) if any(damped for _, damped in forms) else None
-        return [weighted[wave] * d if damped else weighted[wave]
-                for wave, damped in forms]
-
-    bounds = np.unique(np.concatenate([
-        density.nodes[density.nodes <= k_max],
-        quarter * np.arange(1, n_quarters + 1),
-        [0.0, k_max],
-    ]))
-    heads = _gl_pieces(head, bounds)
-
     # continue the fitted density model beyond k_max
     alpha, beta = _fit_log_tail(density, k_max, 2, label)
+    quarter = math.pi / (2.0 * x)
     half = 2.0 * quarter
-    hw = 0.5 * half
     results = []
     for (wave, damped), value in zip(forms, heads):
         def g(k, wave=wave, damped=damped):
@@ -285,14 +360,11 @@ def _osc_transform(
         while stub_bounds[-1] * 2.0 < zero:
             stub_bounds.append(stub_bounds[-1] * 2.0)
         stub_bounds.append(zero)
-        tail = _gl_pieces(lambda k: (g(k),), np.asarray(stub_bounds))[0]
+        tail = float(_gl_sums(g, np.asarray(stub_bounds)).sum())
         # alternating half-period terms, iterated-averaging acceleration
         edges = zero + half * np.arange(_TAIL_TERMS + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        pts = mid + hw * _GL_X[None, :]
-        terms = (g(pts.ravel()).reshape(pts.shape) * (_GL_W[None, :] * hw)).sum(axis=1)
-        tail += _averaged_alternating(terms)
-        results.append(value + tail)
+        tail += _averaged_alternating(_gl_sums(g, edges))
+        results.append(float(value) + tail)
     return tuple(results)
 
 
@@ -301,12 +373,8 @@ def _combined_density(
 ) -> SpectralFunction:
     """sum_n q^n E_n(k) truncated at order ``upto`` (inclusive)."""
     top = series.order if upto is None else upto
-    nodes = series.e_funcs[0].nodes
-    values = np.zeros_like(nodes)
-    for n in range(top + 1):
-        values = values + q**n * series.e_funcs[n].values
-    return SpectralFunction(
-        nodes=nodes.copy(), values=values, tail_exponent=2,
+    return weighted_sum(
+        [q**n for n in range(top + 1)], series.e_funcs[:top + 1],
         label=f"E_q[0..{top}]",
     )
 
@@ -319,6 +387,7 @@ def velocity_profile(
 ) -> VelocityProfile:
     """Sample U(x1) = U_sl + G_v x1 + U_c(x1) on the given coordinates."""
     _check_pair(params, series)
+    _check_k_max(series, spec)
     x_nodes = np.atleast_1d(np.asarray(x_nodes, dtype=float))
     if np.any(x_nodes < 0.0):
         raise ValueError("x nodes must be >= 0")
@@ -360,6 +429,7 @@ def distribution_function(
     carried by the cosine and k-sine transforms of E_q.
     """
     _check_pair(params, series)
+    _check_k_max(series, spec)
     if x1 < 0.0:
         raise ValueError("x1 must be >= 0 (profiles live in the half-space)")
     gamma, q, g_v = params.gamma, params.q, params.g_v

@@ -138,6 +138,12 @@ class TestProfile:
         assert len(rows) == 1
         assert float(rows[0][0]) == 0.0
 
+    def test_far_field_point(self, capsys):
+        code, out, _ = run_cli(capsys, "profile", "--x", "600:600:1")
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert len(rows) == 1 and math.isfinite(float(rows[0][2]))
+
     @pytest.mark.parametrize("bad", ["0:inf:1", "0:1e9:1"])
     def test_bad_range_rejected_before_series(self, capsys, monkeypatch, bad):
         def no_series(*args):

@@ -5,7 +5,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import make_interp_spline
 
-from kramers.kernels import SpectralFunction, apply_kernel, s_kernel, standard_grid
+from kramers.kernels import (
+    SpectralFunction,
+    apply_kernel,
+    s_kernel,
+    standard_grid,
+    weighted_sum,
+)
 from kramers.quadrature import QuadratureSpec
 from kramers.special_integrals import SQRT_PI, j_m, phi0_vec, t_n
 
@@ -59,6 +65,27 @@ class TestSpectralFunction:
         f = phi_seed()
         with pytest.raises(ValueError):
             f.values[0] = 3.0
+
+    def test_read_only_polynomial(self):
+        f = phi_seed()
+        with pytest.raises(AttributeError):
+            f.poly = None
+        with pytest.raises(ValueError):
+            f.poly.c[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.poly.x[1] = 0.5
+
+    def test_weighted_sum_needs_one_grid(self):
+        f = phi_seed()
+        other = phi_seed(grid=standard_grid(QuadratureSpec(k_max=400.0)))
+        with pytest.raises(ValueError, match="grid"):
+            weighted_sum([1.0, 1.0], [f, other], label="mixed")
+        total = weighted_sum([2.0, -0.5], [f, f], label="1.5 phi_0")
+        np.testing.assert_allclose(
+            total(f.nodes), 1.5 * f.values, rtol=0,
+            atol=1e-15 * np.max(np.abs(f.values)),
+        )
+        assert total.label == "1.5 phi_0"
 
     def test_interpolation_hits_nodes(self):
         f = phi_seed()

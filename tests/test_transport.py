@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from kramers.kernels import SpectralFunction
 from kramers.quadrature import QuadratureSpec, integrate_gaussian_weighted
 from kramers.special_integrals import GasParameters
 from kramers.transport import (
     DimensionalContext,
-    OscillatoryConvergenceError,
     dimensional_slip,
     distribution_function,
     gamma_from_physical,
@@ -159,10 +159,101 @@ class TestVelocityProfile:
         with pytest.raises(ValueError):
             velocity_profile(params, series_cache(0.0, 0), [-1.0], SPEC)
 
-    def test_oscillation_budget(self, series_cache):
+    def test_far_field_finite(self, series_cache):
+        """The head costs the same at every x1, so far coordinates just work."""
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
-        with pytest.raises(OscillatoryConvergenceError):
-            velocity_profile(params, series_cache(0.0, 0), [1e5], SPEC)
+        profile = velocity_profile(params, series_cache(0.0, 0), [600.0, 1e5], SPEC)
+        assert np.all(np.isfinite(profile.u_continuum))
+        assert np.all(np.abs(profile.u_continuum) < 1e-12)
+
+    def test_overflowing_coordinate_rejected(self, series_cache):
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            velocity_profile(params, series_cache(0.0, 0), [1e306], SPEC)
+
+
+class TestSpecAgainstSeries:
+    def test_k_max_above_grid_rejected(self, series_cache):
+        series = series_cache(0.0, 1)
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        wide = QuadratureSpec(k_max=1600.0)
+        with pytest.raises(ValueError, match="k_max"):
+            velocity_profile(params, series, [1.0], wide)
+        with pytest.raises(ValueError, match="k_max"):
+            distribution_function(params, series, 1.0, 0.5, wide)
+
+    def test_k_max_below_grid_clips_last_piece(self, series_cache):
+        from kramers.transport import _combined_density, _head_pieces
+
+        series = series_cache(0.0, 1)
+        density = _combined_density(series, 1.0)
+        lo, hi, _ = _head_pieces(density, 3.0, 500.0, ("cos",))
+        assert hi[-1] == 500.0 and lo[-1] < 500.0 < density.k_max
+        np.testing.assert_array_equal(hi[:-1], lo[1:])
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        x = [0.5, 3.0]
+        narrow = velocity_profile(params, series, x, QuadratureSpec(k_max=500.0))
+        full = velocity_profile(params, series, x, SPEC)
+        np.testing.assert_allclose(
+            narrow.u_continuum, full.u_continuum, rtol=0, atol=1e-6
+        )
+
+
+class TestCombinedDensity:
+    def test_summed_pieces_match_refit(self, series_cache):
+        from kramers.transport import _combined_density
+
+        series = series_cache(0.25, 4)
+        for upto in (None, 3):
+            summed = _combined_density(series, 0.9, upto=upto)
+            refit = SpectralFunction(
+                nodes=summed.nodes, values=summed.values, tail_exponent=2,
+                label="refit",
+            )
+            probe = np.concatenate(
+                [summed.nodes, 0.5 * (summed.nodes[:-1] + summed.nodes[1:])]
+            )
+            scale = np.max(np.abs(summed.values))
+            np.testing.assert_allclose(
+                summed(probe), refit(probe), rtol=0, atol=1e-14 * scale
+            )
+            beyond = summed.k_max * np.array([1.5, 10.0])
+            np.testing.assert_allclose(summed(beyond), refit(beyond), rtol=1e-15)
+
+
+class TestClosedFormHead:
+    KINDS = ("cos", "damped_cos", "damped_ksin")
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("x", [0.05, 0.5, 2.5, 20.0, 450.0, 5000.0])
+    def test_matches_quadpack_on_each_knot_interval(self, series_cache, x):
+        """Every piece of every transform against QUADPACK's weighted rules."""
+        from kramers.transport import _combined_density, _head_pieces
+
+        density = _combined_density(series_cache(0.0, 2), 0.8)
+
+        def e(k):
+            return float(density(k))
+
+        for mu in (0.25, 2.0, -1.0):
+            lo, hi, heads = _head_pieces(density, x, SPEC.k_max, self.KINDS, mu=mu)
+            assert lo[0] == 0.0 and hi[-1] == SPEC.k_max
+
+            def damp(k):
+                return 1.0 / (1.0 + (k * mu) ** 2)
+
+            integrands = (
+                ("cos", e),
+                ("cos", lambda k: e(k) * damp(k)),
+                ("sin", lambda k: k * e(k) * damp(k)),
+            )
+            for row, (weight, f) in zip(heads, integrands):
+                expected = [
+                    quad(f, a, b, weight=weight, wvar=x, epsabs=1e-17,
+                         epsrel=1e-14, limit=200)[0]
+                    for a, b in zip(lo, hi)
+                ]
+                np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
 
 
 class TestSharedTransforms:
