@@ -19,7 +19,9 @@ Applying the operator means sampling
 
     psi(k) = ((1 - gamma)/pi) int_0^inf S_1(k, k1) phi(k1) / T_2(k1) dk1
 
-on a fixed composite grid and interpolating between nodes.
+on a fixed composite grid and interpolating between nodes.  The node
+integrals form one family in the lockstep quadrature of
+:mod:`kramers.quadrature`, so the k1 points they share are evaluated once.
 """
 
 from __future__ import annotations
@@ -191,31 +193,34 @@ def apply_kernel(
     """Advance a spectral iterate: psi(k) = (1/pi) int S(k,k1) phi(k1)/T_2(k1) dk1.
 
     Each node integrates S_1 and scales by the exact factor (1 - gamma).
-    The positive sign is used throughout: it is the convention under which
-    the second-order slip coefficient assembled from the iterates matches
-    the independent double-integral route (see the oracle module).  Output
-    is sampled on the grid of ``phi`` with tail exponent 2.
+    All nodes are integrated together, as one family with a member per
+    node (labelled ``phi_n grid node k=...`` in errors): a sweep builds one
+    :class:`MomentBatch` on the distinct k1 points its unconverged nodes
+    need and contracts it once against the ``(rule size, nodes)`` stack of
+    ``fixed_row(3, k)``.  The positive sign is used throughout: it is the
+    convention under which the second-order slip coefficient assembled
+    from the iterates matches the independent double-integral route (see
+    the oracle module).  Output is sampled on the grid of ``phi`` with
+    tail exponent 2.
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
     label = _next_label(phi.label)
     nodes = phi.nodes
-    values = np.empty_like(nodes)
-    for i, k in enumerate(nodes):
-        t3k = t_n(3, float(k), spec)
-        row3 = fixed_row(3, float(k))
+    t3 = np.array([t_n(3, float(k), spec) for k in nodes])
+    rows3 = np.stack([fixed_row(3, float(k)) for k in nodes], axis=1)
 
-        def integrand(k1, _t3k=t3k, _row3=row3):
-            batch = MomentBatch(k1)
-            s_row = batch.against(_row3) - SQRT_PI * _t3k * batch.t(1)
-            return s_row * phi(batch.k) / batch.t(2)
+    def integrand(k1):
+        batch = MomentBatch(k1)
+        s_rows = batch.against(rows3) - np.outer(batch.t(1), SQRT_PI * t3)
+        return s_rows * phi(batch.k)[:, None] / batch.t(2)[:, None]
 
-        values[i] = (1.0 - gamma) * integrate_spectral(
-            integrand,
-            spec,
-            tail_exponent=2,
-            label=f"{label} grid node k={k:.3g}",
-        ) / np.pi
+    values = (1.0 - gamma) * integrate_spectral(
+        integrand,
+        spec,
+        tail_exponent=2,
+        label=[f"{label} grid node k={k:.3g}" for k in nodes],
+    ) / np.pi
     return SpectralFunction(
         nodes=nodes.copy(), values=values, tail_exponent=2, label=label
     )

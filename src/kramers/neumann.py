@@ -163,7 +163,8 @@ def build_series(
 ) -> SeriesExpansion:
     """Build U_0..U_order with their iterates and densities.
 
-    Cost grows by one nesting level (one grid-sized factor of work) per
+    Each order costs one kernel application (one lockstep family of grid
+    node integrals) and one pole integral, so the cost is linear in the
     order; orders beyond 4 are refused as outside the method's intended
     range.  The default order used by the CLI is 2.
     """

@@ -9,17 +9,24 @@ Two integral families cover everything the solver needs:
 
 The engine is an adaptive Gauss-Kronrod (G7/K15) bisection scheme that
 evaluates the integrand on whole batches of nodes at once: integrands must
-be numpy-vectorised and pay one call per refinement sweep.  Accuracy is set
-by the two fields of :class:`QuadratureSpec`; the absolute floor, the
-Gaussian truncation point and the subdivision budget are module constants.
-All functions are pure; nothing here holds mutable state.
+be numpy-vectorised and pay one call per refinement sweep.  It integrates
+a family of m integrands in lockstep as readily as one (a spectral
+integrand returning one column per member, see :func:`integrate_spectral`):
+every member keeps its own intervals, convergence test, subdivision budget
+and tail fit, so its value is the one it would get alone, while a sweep
+evaluates the family once on the distinct nodes that its unconverged
+members need.  The members start from one partition and bisect it, so
+they share most nodes.  Accuracy is set by the two fields of
+:class:`QuadratureSpec`; the absolute floor, the Gaussian truncation point
+and the subdivision budget are module constants.  All functions are pure;
+nothing here holds mutable state beyond one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -122,83 +129,171 @@ _WG_FULL = np.zeros(15)
 _WG_FULL[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
 
 
-def _eval_batch(f: Callable, x: np.ndarray, label: str) -> np.ndarray:
-    """Evaluate the vectorised integrand ``f`` on a flat array of nodes."""
+def _eval_batch(
+    f: Callable, x: np.ndarray, label: str | Sequence[str]
+) -> np.ndarray:
+    """Evaluate the vectorised integrand ``f`` on a flat array of nodes.
+
+    ``label`` is one label, for an integrand with one value per node, or a
+    sequence of m labels, for a family whose values form a
+    ``(len(x), m)`` array; a non-finite value is reported under the label
+    of its member.
+    """
+    family = not isinstance(label, str)
+    shape = (x.size, len(label)) if family else x.shape
     vals = np.asarray(f(x), dtype=float)
-    if vals.shape != x.shape:
-        vals = np.broadcast_to(vals, x.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = x[~np.isfinite(vals)][:1]
+    if vals.shape != shape:
+        vals = np.broadcast_to(vals, shape)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i, *member = np.unravel_index(np.argmin(finite), shape)
         raise NonFiniteIntegrandError(
-            label, f"integrand not finite near x={bad[0]:.6g}"
+            label[member[0]] if family else label,
+            f"integrand not finite near x={x[i]:.6g}",
         )
     return vals
+
+
+def _labels(label: str | Sequence[str]) -> tuple[str, ...]:
+    return (label,) if isinstance(label, str) else tuple(label)
+
+
+def _shared_nodes(f: Callable, labels: tuple[str, ...]) -> Callable:
+    """Node evaluator of a family that evaluates each distinct node once.
+
+    The returned ``values(pts, owner)`` maps rows of G7/K15 nodes ``pts``,
+    row i belonging to member ``owner[i]``, to that member's integrand
+    values.  Members that start from one partition and bisect it share
+    most of their nodes, within a sweep and across sweeps, so nodes are
+    deduplicated and every evaluated row of member values is kept for the
+    rest of the call.
+    """
+    known_x = np.empty(0)
+    known_vals = np.empty((0, len(labels)))
+
+    def values(pts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        nonlocal known_x, known_vals
+        x, inverse = np.unique(pts.ravel(), return_inverse=True)
+        at = np.searchsorted(known_x, x)
+        seen = at < known_x.size
+        seen[seen] = known_x[at[seen]] == x[seen]
+        if not seen.all():
+            fresh = x[~seen]
+            known_x = np.concatenate([known_x, fresh])
+            known_vals = np.concatenate(
+                [known_vals, _eval_batch(f, fresh, labels)]
+            )
+            order = np.argsort(known_x)
+            known_x, known_vals = known_x[order], known_vals[order]
+            at = np.searchsorted(known_x, x)
+        return known_vals[at[inverse].reshape(pts.shape), owner[:, None]]
+
+    return values
 
 
 def _adaptive_gk(
     f: Callable,
     breakpoints: np.ndarray,
     rel_tol: float,
-    label: str,
-) -> tuple[float, float]:
+    label: str | Sequence[str],
+) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive G7/K15 over the union of [breakpoints[i], breakpoints[i+1]].
 
-    Returns (value, error estimate).  Deterministic: refinement splits every
-    interval whose error exceeds a quarter of the current worst error.
+    Integrates one integrand or, when ``label`` is a sequence of m labels,
+    a family of m (see :func:`_eval_batch`), and returns (values, error
+    estimates), one entry per member.  Each member refines on its own
+    intervals: it splits every interval whose error exceeds a quarter of
+    its current worst, within its own ``MAX_SUBDIVISIONS`` budget, and
+    stops once its total error meets its tolerance.  A sweep evaluates the
+    new intervals of all unconverged members together, each distinct node
+    once, so a member's value does not depend on the others.
+    Deterministic.
     """
-    lo = np.asarray(breakpoints[:-1], dtype=float)
-    hi = np.asarray(breakpoints[1:], dtype=float)
+    labels = _labels(label)
+    m = len(labels)
+    if m == 1:
+        # one member never revisits a node: nothing to share
+        def node_values(pts, owner):
+            return _eval_batch(f, pts.ravel(), label).reshape(pts.shape)
+    else:
+        node_values = _shared_nodes(f, labels)
 
-    def rate(lo_a: np.ndarray, hi_a: np.ndarray):
+    def rate(lo_a: np.ndarray, hi_a: np.ndarray, owner: np.ndarray):
         mid = 0.5 * (lo_a + hi_a)
         half = 0.5 * (hi_a - lo_a)
         pts = mid[:, None] + half[:, None] * _NODES[None, :]
-        vals = _eval_batch(f, pts.ravel(), label).reshape(pts.shape)
-        resk = (vals * _WK_FULL).sum(axis=1) * half
-        resg = (vals * _WG_FULL).sum(axis=1) * half
+        vals = node_values(pts, owner)
+        # np.add.reduce is sum() without its Python wrapper, which counts
+        # in the many small scalar integrals
+        resk = np.add.reduce(vals * _WK_FULL, axis=1) * half
+        resg = np.add.reduce(vals * _WG_FULL, axis=1) * half
         # QUADPACK-style sharpened error estimate
         reskh = resk / (hi_a - lo_a)
-        resasc = (np.abs(vals - reskh[:, None]) * _WK_FULL).sum(axis=1) * half
+        resasc = np.add.reduce(
+            np.abs(vals - reskh[:, None]) * _WK_FULL, axis=1
+        ) * half
         raw = np.abs(resk - resg)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = np.where(
-                resasc > 0.0,
-                resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
-                raw,
-            )
+        positive = resasc > 0.0
+        scaled = np.where(
+            positive,
+            resasc * np.minimum(1.0, (200.0 * raw / np.where(positive, resasc, 1.0)) ** 1.5),
+            raw,
+        )
         return resk, scaled
 
-    vals, errs = rate(lo, hi)
+    # The intervals of all members, each tagged with its member (owner).  A
+    # member's intervals keep the order a one-member run gives them, and a
+    # converged member's intervals stay as they are, so its sums do too.
+    breakpoints = np.asarray(breakpoints, dtype=float)
+    lo = np.concatenate([breakpoints[:-1]] * m)
+    hi = np.concatenate([breakpoints[1:]] * m)
+    owner = np.arange(m).repeat(len(breakpoints) - 1)
+    vals, errs = rate(lo, hi, owner)
     while True:
-        total = float(vals.sum())
-        err_total = float(errs.sum())
-        tol = max(ABS_TOL, rel_tol * abs(total))
-        if err_total <= tol:
+        total = np.bincount(owner, vals, m)
+        err_total = np.bincount(owner, errs, m)
+        tol = np.maximum(ABS_TOL, rel_tol * np.abs(total))
+        busy = ~(err_total <= tol)
+        if not busy.any():
             return total, err_total
+        # no member holds MAX_SUBDIVISIONS intervals unless all do together
         if len(lo) >= MAX_SUBDIVISIONS:
-            raise BudgetExhaustedError(
-                label,
-                f"subdivision limit {MAX_SUBDIVISIONS} reached (error "
-                f"{err_total:.3e} > tolerance {tol:.3e})",
-            )
-        worst = errs.max()
-        split = errs >= 0.25 * worst
-        if len(lo) + int(split.sum()) > MAX_SUBDIVISIONS:
-            # split only as many of the worst intervals as the budget allows
-            order = np.argsort(errs)[::-1]
-            allowed = order[: max(1, MAX_SUBDIVISIONS - len(lo))]
-            split = np.zeros(len(lo), dtype=bool)
-            split[allowed] = True
+            count = np.bincount(owner, minlength=m)
+            exhausted = busy & (count >= MAX_SUBDIVISIONS)
+            if exhausted.any():
+                j = exhausted.argmax()
+                raise BudgetExhaustedError(
+                    labels[j],
+                    f"subdivision limit {MAX_SUBDIVISIONS} reached (error "
+                    f"{err_total[j]:.3e} > tolerance {tol[j]:.3e})",
+                )
+        worst = np.zeros(m)
+        np.maximum.at(worst, owner, errs)
+        split = busy[owner] & (errs >= 0.25 * worst[owner])
+        if len(lo) + np.count_nonzero(split) > MAX_SUBDIVISIONS:
+            count = np.bincount(owner, minlength=m)
+            over = count + np.bincount(owner, split, m) > MAX_SUBDIVISIONS
+            for j in over.nonzero()[0]:
+                # split only as many of the member's worst intervals as its
+                # budget allows
+                mine = (owner == j).nonzero()[0]
+                order = np.argsort(errs[mine])[::-1]
+                split[mine] = False
+                split[mine[order[: MAX_SUBDIVISIONS - count[j]]]] = True
+        keep = ~split
         mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[~split], lo[split], mid])
-        new_hi = np.concatenate([hi[~split], mid, hi[split]])
-        keep_vals, keep_errs = vals[~split], errs[~split]
-        ref_vals, ref_errs = rate(
-            np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        parents = owner[split]
+        halves = np.concatenate([parents, parents])
+        new_vals, new_errs = rate(
+            np.concatenate([lo[split], mid]),
+            np.concatenate([mid, hi[split]]),
+            halves,
         )
-        lo, hi = new_lo, new_hi
-        vals = np.concatenate([keep_vals, ref_vals])
-        errs = np.concatenate([keep_errs, ref_errs])
+        lo = np.concatenate([lo[keep], lo[split], mid])
+        hi = np.concatenate([hi[keep], mid, hi[split]])
+        owner = np.concatenate([owner[keep], halves])
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])
 
 
 def integrate_gaussian_weighted(
@@ -218,13 +313,17 @@ def integrate_gaussian_weighted(
 
     breaks = np.linspace(0.0, T_MAX, 5)
     value, _ = _adaptive_gk(g, breaks, spec.rel_tol, label)
-    return value
+    return float(value[0])
 
 
 def _fit_log_tail(
-    f: Callable, k_max: float, p: int, label: str
-) -> tuple[float, float]:
-    """Fit f(k) ~ (alpha + beta ln k)/k^p from samples at 0.7*k_max and k_max."""
+    f: Callable, k_max: float, p: int, label: str | Sequence[str]
+) -> tuple:
+    """Fit f(k) ~ (alpha + beta ln k)/k^p from samples at 0.7*k_max and k_max.
+
+    For a family (``label`` a sequence) alpha and beta are arrays, one
+    entry per member.
+    """
     ka, kb = 0.7 * k_max, k_max
     fa, fb = _eval_batch(f, np.array([ka, kb]), label)
     la, lb = math.log(ka), math.log(kb)
@@ -233,7 +332,7 @@ def _fit_log_tail(
     return alpha, beta
 
 
-def _tail_correction(alpha: float, beta: float, k_max: float, p: int) -> float:
+def _tail_correction(alpha, beta, k_max: float, p: int):
     """Exact integral of (alpha + beta ln k)/k^p over [k_max, inf)."""
     lb = math.log(k_max)
     return (alpha + beta * (lb + 1.0 / (p - 1))) * k_max ** (1 - p) / (p - 1)
@@ -243,9 +342,12 @@ def _integrate_spectral_detail(
     f: Callable,
     spec: QuadratureSpec,
     tail_exponent: int,
-    label: str,
-) -> tuple[float, float, float]:
-    """integrate_spectral returning (value, error estimate, tail part)."""
+    label: str | Sequence[str],
+) -> tuple:
+    """integrate_spectral returning (value, error estimate, tail part).
+
+    For a family each of the three is an array, one entry per member.
+    """
     if tail_exponent < 2:
         raise ValueError("tail_exponent must be >= 2")
     # geometric initial partition suits decaying integrands
@@ -254,13 +356,19 @@ def _integrate_spectral_detail(
         pts.append(min(pts[-1] * 4.0, spec.k_max))
     head, err = _adaptive_gk(f, np.array(pts), spec.rel_tol, label)
     alpha, beta = _fit_log_tail(f, spec.k_max, tail_exponent, label)
-    tail = _tail_correction(alpha, beta, spec.k_max, tail_exponent)
-    if abs(tail) > 0.1 * (abs(head) + ABS_TOL):
+    tail = np.atleast_1d(
+        _tail_correction(alpha, beta, spec.k_max, tail_exponent)
+    )
+    dominant = np.abs(tail) > 0.1 * (np.abs(head) + ABS_TOL)
+    if dominant.any():
+        j = dominant.argmax()
         raise TailEstimateDominatesError(
-            label,
-            f"tail estimate {tail:.3e} exceeds 10% of the truncated part "
-            f"{head:.3e}; k_max={spec.k_max} too small",
+            _labels(label)[j],
+            f"tail estimate {tail[j]:.3e} exceeds 10% of the truncated part "
+            f"{head[j]:.3e}; k_max={spec.k_max} too small",
         )
+    if isinstance(label, str):
+        return float(head[0] + tail[0]), float(err[0]), float(tail[0])
     return head + tail, err, tail
 
 
@@ -268,8 +376,8 @@ def integrate_spectral(
     f: Callable,
     spec: QuadratureSpec = DEFAULT_SPEC,
     tail_exponent: int = 2,
-    label: str = "spectral integral",
-) -> float:
+    label: str | Sequence[str] = "spectral integral",
+) -> float | np.ndarray:
     """Integrate ``f(k)`` over k in [0, inf) for algebraically decaying f.
 
     The domain is truncated at ``spec.k_max`` and the remainder estimated by
@@ -278,6 +386,13 @@ def integrate_spectral(
     log-augmented model is required here: with a pure power fit, integrands
     of this problem (which all carry ``ln k / k^2`` tails) would be biased at
     the 1e-3 level however large ``k_max`` is chosen.
+
+    With a sequence of m labels instead of one, ``f`` is a family: it maps
+    the k points to a ``(len(k), m)`` array, column j being member j, and
+    the result is an array of the m integrals.  Each member refines, fits
+    its tail and meets its budget and tail guard as it would alone, and an
+    error names the member that raised it; one call of ``f`` per sweep
+    serves all members, on the distinct points they need.
     """
     value, _, _ = _integrate_spectral_detail(f, spec, tail_exponent, label)
     return value

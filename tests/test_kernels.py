@@ -12,8 +12,10 @@ from kramers.kernels import (
     standard_grid,
     weighted_sum,
 )
-from kramers.quadrature import QuadratureSpec
-from kramers.special_integrals import SQRT_PI, j_m, phi0_vec, t_n
+from kramers.quadrature import QuadratureSpec, integrate_spectral
+from kramers.special_integrals import (
+    SQRT_PI, MomentBatch, fixed_row, j_m, phi0_vec, t_n,
+)
 
 SPEC = QuadratureSpec()
 
@@ -220,6 +222,34 @@ class TestApplyKernel:
     def test_gamma_domain(self):
         with pytest.raises(ValueError):
             apply_kernel(phi_seed(), 1.0, SPEC)
+
+    def test_lockstep_matches_per_node_integrals(self):
+        """Every 10th node against its own integral of one kernel column.
+
+        The family contracts all kernel rows in one matrix product, whose
+        rounding differs from the one-row product at 4e-16.  S_1 cancels
+        where k1 is small against k, so relative to a small node value
+        that becomes up to 1.4e-13 (6.6e-12 at the last nodes, ~1e-12 in
+        size); the tolerance is therefore relative to the largest value.
+        """
+        phi = phi_seed()
+        gamma = 0.25
+        psi = apply_kernel(phi, gamma, SPEC)
+        scale = np.abs(psi.values).max()
+        for i in range(0, len(phi.nodes), 10):
+            k = float(phi.nodes[i])
+            t3k = t_n(3, k, SPEC)
+            row3 = fixed_row(3, k)
+
+            def integrand(k1):
+                batch = MomentBatch(k1)
+                s_row = batch.against(row3) - SQRT_PI * t3k * batch.t(1)
+                return s_row * phi(batch.k) / batch.t(2)
+
+            alone = (1.0 - gamma) * integrate_spectral(
+                integrand, SPEC, tail_exponent=2, label=f"node {i}"
+            ) / np.pi
+            assert psi.values[i] == pytest.approx(alone, rel=0.0, abs=1e-14 * scale)
 
 
 class TestStandardGrid:

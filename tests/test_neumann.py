@@ -134,6 +134,57 @@ class TestBuildSeries:
             )
 
 
+class TestRecordedSeries:
+    """Order-4 series recorded when every grid node was integrated alone.
+
+    U_1..U_4 to 1e-12 relative; phi_4 and E_4 at every 16th node to 1e-12
+    of their largest value (the last nodes hold values near 1e-13).
+    """
+
+    U = {
+        0.0: [0.1405234316942604, -0.011555351976562833,
+              0.0010925167140026673, -0.00010544498005860478],
+        0.25: [0.254340741515391, -0.023416084658733537,
+               0.0022683275909644914, -0.00021993930272291842],
+    }
+    PHI_4 = {
+        0.0: [-1.538694626622049e-05, -9.101914353263536e-06,
+              -4.131819985154322e-06, -2.0598635874142534e-06,
+              -1.0559886622920664e-06, -1.386973896592966e-07,
+              -1.2611551390689045e-08, -9.102308876007977e-10,
+              -4.984597642560131e-11, -3.3456084615122587e-13],
+        0.25: [-4.868525965736366e-06, -2.8799025881675107e-06,
+               -1.307333667099137e-06, -6.51753713156172e-07,
+               -3.341214126526255e-07, -4.388472094430172e-08,
+               -3.99037368539938e-09, -2.8800274176583084e-10,
+               -1.5771578477774016e-11, -1.058571427243642e-13],
+    }
+    E_4 = {
+        0.0: [-3.077389253244098e-05, -2.4208654521487084e-05,
+              -1.730145144880117e-05, -1.3006966212479465e-05,
+              -9.93097441009255e-06, -4.389148482493643e-06,
+              -1.6443731693669853e-06, -5.422621539333776e-07,
+              -1.5306740843294432e-07, -1.604420069709858e-08],
+        0.25: [-4.103185669888098e-05, -3.227820602674654e-05,
+               -2.3068601930348003e-05, -1.7342621615332265e-05,
+               -1.3241299212437302e-05, -5.852197976313457e-06,
+               -2.192497560908262e-06, -7.230162052090834e-07,
+               -2.0408987790232485e-07, -2.1392267595490393e-08],
+    }
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    def test_order_four(self, series_cache, gamma):
+        series = series_cache(gamma, 4)
+        assert series.u_coeffs[1:] == pytest.approx(self.U[gamma], rel=1e-12)
+        for recorded, func in ((self.PHI_4, series.phi_funcs[4]),
+                               (self.E_4, series.e_funcs[4])):
+            expected = np.array(recorded[gamma])
+            np.testing.assert_allclose(
+                func.values[::16], expected, rtol=0,
+                atol=1e-12 * np.abs(func.values).max(),
+            )
+
+
 class TestPoleResidual:
     def test_zero_order_closed_form(self, series_cache):
         series = series_cache(0.0, 1)

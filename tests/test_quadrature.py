@@ -14,6 +14,7 @@ from kramers.quadrature import (
     NonFiniteIntegrandError,
     QuadratureSpec,
     TailEstimateDominatesError,
+    _integrate_spectral_detail,
     integrate_gaussian_weighted,
     integrate_spectral,
 )
@@ -192,4 +193,134 @@ class TestSpectral:
                 lambda k: 1.0 / (1.0 + np.asarray(k) ** 2),
                 small, tail_exponent=2, label="wide lorentzian",
             )
+        assert "wide lorentzian" in str(err.value)
+
+
+def _lorentzian(a):
+    return lambda k: 1.0 / (1.0 + (a * np.asarray(k)) ** 2)
+
+
+def _bump(k):
+    # a quadratic on the first two initial intervals and 0 beyond: the
+    # G7/K15 pair is exact there, so it converges on the first sweep
+    k = np.asarray(k)
+    return np.where(k < 1.0, (1.0 - k) ** 2, 0.0)
+
+
+def _family(members):
+    return lambda k: np.stack([f(k) for f in members], axis=1)
+
+
+def _head_sweeps(f, spec=SPEC):
+    calls = []
+
+    def counted(k):
+        calls.append(np.size(k))
+        return f(k)
+
+    integrate_spectral(counted, spec)
+    return len(calls) - 1  # the last call is the two-point tail fit
+
+
+class TestFamily:
+    """Members integrated in lockstep, each exactly as it would be alone."""
+
+    SCALES = (0.01, 0.3, 1.0, 10.0, 300.0)
+    MEMBERS = [_lorentzian(a) for a in SCALES] + [_bump]
+    LABELS = [f"lorentzian a={a}" for a in SCALES] + ["bump"]
+
+    def test_members_refine_differently(self):
+        sweeps = [_head_sweeps(f) for f in self.MEMBERS]
+        assert sweeps[-1] == 1
+        assert len(set(sweeps)) >= 4 and max(sweeps) >= 8
+
+    def test_members_match_single_integrals(self):
+        values, errors, tails = _integrate_spectral_detail(
+            _family(self.MEMBERS), SPEC, 2, self.LABELS
+        )
+        assert values.shape == errors.shape == tails.shape == (len(self.MEMBERS),)
+        for j, f in enumerate(self.MEMBERS):
+            alone = _integrate_spectral_detail(f, SPEC, 2, self.LABELS[j])
+            for got, want in zip((values[j], errors[j], tails[j]), alone):
+                assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert values[-1] == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+    def test_no_point_evaluated_twice(self):
+        seen = []
+        family = _family(self.MEMBERS)
+
+        def counted(k):
+            seen.append(np.array(k))
+            return family(k)
+
+        values = integrate_spectral(counted, SPEC, 2, self.LABELS)
+        points = np.concatenate(seen)
+        assert np.unique(points).size == points.size
+        # at most one call per sweep for the whole family, none when other
+        # members have already evaluated every node a sweep needs
+        assert len(seen) <= max(_head_sweeps(f) for f in self.MEMBERS) + 1
+        np.testing.assert_array_equal(
+            values,
+            [integrate_spectral(f, SPEC, 2) for f in self.MEMBERS],
+        )
+
+    def test_result_type_follows_label(self):
+        one = integrate_spectral(_lorentzian(1.0), SPEC, 2, "one")
+        assert isinstance(one, float)
+        family = integrate_spectral(
+            _family([_lorentzian(1.0)]), SPEC, 2, ["only member"]
+        )
+        assert isinstance(family, np.ndarray) and family.shape == (1,)
+        assert family[0] == one
+
+
+class TestFamilyFailures:
+    """A failing member raises its own error class under its own label."""
+
+    def test_non_finite_member(self):
+        def bad(k):
+            return np.where(np.asarray(k) > 2.0, np.nan, 1.0)
+
+        members = [_lorentzian(1.0), bad, _lorentzian(3.0)]
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            integrate_spectral(
+                _family(members), SPEC, 2, ["good one", "bad member", "good two"]
+            )
+        assert err.value.label == "bad member"
+        assert "bad member" in str(err.value)
+
+    def test_budget_exhausted_member(self):
+        def spiky(k):
+            return np.cos(1e5 * np.asarray(k))
+
+        seen = []
+
+        def counted(k):
+            seen.append(np.size(k))
+            return spiky(k)
+
+        with pytest.raises(BudgetExhaustedError) as alone:
+            integrate_spectral(counted, SPEC, 2, "spiky member")
+        # the capped split lands the member on exactly MAX_SUBDIVISIONS
+        # intervals: 7 initial ones, each split adding one and rating two
+        assert sum(seen) == 15 * (2 * MAX_SUBDIVISIONS - 7)
+
+        members = [_lorentzian(1.0), spiky, _lorentzian(10.0)]
+        with pytest.raises(BudgetExhaustedError) as err:
+            integrate_spectral(
+                _family(members), SPEC, 2, ["good one", "spiky member", "good two"]
+            )
+        assert err.value.label == "spiky member"
+        assert str(err.value) == str(alone.value)
+
+    def test_tail_dominating_member(self):
+        small = QuadratureSpec(k_max=5.0)
+        members = [lambda k: np.exp(-np.asarray(k)), _lorentzian(1.0),
+                   lambda k: np.exp(-2.0 * np.asarray(k))]
+        with pytest.raises(TailEstimateDominatesError) as err:
+            integrate_spectral(
+                _family(members), small, 2,
+                ["decaying one", "wide lorentzian", "decaying two"],
+            )
+        assert err.value.label == "wide lorentzian"
         assert "wide lorentzian" in str(err.value)
