@@ -34,7 +34,7 @@ import numpy as np
 from scipy.interpolate import PPoly, make_interp_spline
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_spectral
-from .special_integrals import MomentBatch, SQRT_PI, fixed_row, j_n, t_n
+from .special_integrals import MomentBatch, SQRT_PI, fixed_row, j_n, t_n, t_n_vec
 
 __all__ = [
     "SpectralFunction", "weighted_sum", "standard_grid", "s_kernel", "apply_kernel",
@@ -207,7 +207,7 @@ def apply_kernel(
         raise ValueError("gamma must be in [0, 1)")
     label = _next_label(phi.label)
     nodes = phi.nodes
-    t3 = np.array([t_n(3, float(k), spec) for k in nodes])
+    t3 = t_n_vec(3, nodes)
     rows3 = np.stack([fixed_row(3, float(k)) for k in nodes], axis=1)
 
     def integrand(k1):

@@ -2,9 +2,11 @@
 
 Everything here is computed with scipy's QUADPACK integrator and inline
 moment closures: no spectral grid, no interpolation, no code shared with
-the kernel/series modules beyond the problem's formulas.  Slowly decaying
-outer integrands (their tails fall like ln(k)/k^2) are handled exactly by
-the substitution k -> 1/u on the far range, so these values are accurate
+the kernel/series modules beyond the problem's formulas.  Every integral
+over a wavenumber runs to infinity in three parts: a head in k, a far range
+in s = ln k, where the slow ln(k)/k^p tails become smooth integrands that
+decay exponentially in s, and the exact remainder of a fitted log-power
+model past the top of the far range.  So these values are accurate
 references rather than truncation-limited estimates.  The only setting read
 from the main path is the Gaussian truncation point ``T_MAX``; its own
 tolerances are fixed here, so no function takes a QuadratureSpec.
@@ -15,8 +17,12 @@ from __future__ import annotations
 import math
 import warnings
 
-import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+
+from .quadrature import T_MAX
+from .special_integrals import SQRT_PI
+
+__all__ = ["u1_direct", "j_constants", "u2_direct"]
 
 
 def _quiet_quad(*args, **kwargs):
@@ -30,15 +36,13 @@ def _quiet_quad(*args, **kwargs):
         warnings.simplefilter("ignore", IntegrationWarning)
         return quad(*args, **kwargs)
 
-from .quadrature import T_MAX
-from .special_integrals import SQRT_PI
-
-__all__ = ["u1_direct", "j_constants", "u2_direct"]
-
-_OUTER_SPLIT = 10.0  # direct integration below, 1/u substitution above
-_K_HIGH = 1e4        # substitution cap: above this the inline moments sink
-                     # below quadrature resolution; the fitted log model
-                     # closes the remainder (residual ~ 1/k^3 ~ 1e-12 here)
+_OUTER_SPLIT = 10.0  # outer integrals: in k below, in ln k above
+_K_HIGH = 1e4        # top of the outer far range: above this the inline
+                     # moments sink below quadrature resolution; the fitted
+                     # log model closes the remainder (residual ~ 1/k^3 ~ 1e-12)
+_INNER_SPLIT = 2.0   # inner (k2) integrals: in k below, in ln k above; their
+                     # far range needs no breakpoints (within 3e-10 relative
+                     # of a 1e-13 reference for k1 in [1e-3, 3e3])
 _INNER_KMAX = 120.0  # inner integrals decay like ln^2(k)/k^4
 
 
@@ -104,19 +108,37 @@ def _log_closure(f, k_top: float, p: int) -> float:
     return (alpha + beta * (lb + 1.0 / (p - 1))) * k_top ** (1 - p) / (p - 1)
 
 
-def _split_integral(f, epsabs: float, epsrel: float) -> float:
-    """int_0^inf f(k) dk as [0, split] + 1/u substitution + model closure.
+def _half_line_integral(
+    f, split: float, top: float, p: int, epsabs: float, epsrel: float,
+    breaks: tuple[float, ...] = (),
+) -> float:
+    """int_0^inf f(k) dk for integrands with (alpha + beta ln k)/k^p tails.
 
-    The far range [split, K_HIGH] maps to u = 1/k, turning the slow
-    ln(k)/k^2 tails into a mild logarithmic endpoint; beyond K_HIGH the
-    remainder is the exact integral of the fitted log-power model.
+    The head [0, split] is integrated in k.  The far range [split, top] is
+    integrated in s = ln k, where f(e^s) e^s is smooth and decays like
+    s e^{-(p-1)s}; ``breaks`` are wavenumbers inside it, passed to QUADPACK
+    as breakpoints in s.  Beyond ``top`` the remainder is the exact integral
+    of the log-power model fitted there (:func:`_log_closure`).
     """
-    head, _ = _quiet_quad(f, 0.0, _OUTER_SPLIT, epsabs=epsabs, epsrel=epsrel,
-                   limit=300)
-    tail, _ = _quiet_quad(lambda u: f(1.0 / u) / (u * u), 1.0 / _K_HIGH,
-                   1.0 / _OUTER_SPLIT, epsabs=epsabs, epsrel=epsrel,
-                   limit=300)
-    return head + tail + _log_closure(f, _K_HIGH, 2)
+    head, _ = _quiet_quad(f, 0.0, split, epsabs=epsabs, epsrel=epsrel,
+                          limit=300)
+    far, _ = _quiet_quad(lambda s: f(math.exp(s)) * math.exp(s),
+                         math.log(split), math.log(top), epsabs=epsabs,
+                         epsrel=epsrel, limit=300,
+                         points=[math.log(k) for k in breaks] or None)
+    return head + far + _log_closure(f, top, p)
+
+
+def _split_integral(f, epsabs: float, epsrel: float) -> float:
+    """Outer int_0^inf f(k) dk: in k to 10, in ln k to K_HIGH, then closed.
+
+    The outer integrands fall like ln(k)/k^2.  The far range keeps
+    breakpoints at k = 100 and 1000: over the three decades as one interval
+    QUADPACK's first error estimate can undershoot the true error by more
+    than ten times and stop there.
+    """
+    return _half_line_integral(f, _OUTER_SPLIT, _K_HIGH, 2, epsabs, epsrel,
+                               breaks=(100.0, 1000.0))
 
 
 def u1_direct(gamma: float) -> float:
@@ -183,13 +205,10 @@ def j_constants() -> tuple[float, float, float]:
             s2 = _j_inline(5, k1, k2, T_MAX) - SQRT_PI * t3k1 * T(3, k2)
             return k2 * k2 * s2 * phi0(k2) / T(2, k2)
 
-        a_val, _ = _quiet_quad(fa, 0.0, _INNER_KMAX, epsabs=_EPS_ABS, epsrel=1e-9,
-                        limit=300)
-        b_val, _ = _quiet_quad(fb, 0.0, _INNER_KMAX, epsabs=_EPS_ABS, epsrel=1e-9,
-                        limit=300)
-        # the inner integrands decay like ln^2(k2)/k2^4; close their tails
-        a_val += _log_closure(fa, _INNER_KMAX, 4)
-        b_val += _log_closure(fb, _INNER_KMAX, 4)
+        a_val, b_val = (
+            _half_line_integral(f, _INNER_SPLIT, _INNER_KMAX, 4, _EPS_ABS, 1e-9)
+            for f in (fa, fb)
+        )
         ab_memo[k1] = (a_val, b_val)
         return a_val, b_val
 

@@ -14,7 +14,7 @@ from kramers.kernels import (
 )
 from kramers.quadrature import QuadratureSpec, integrate_spectral
 from kramers.special_integrals import (
-    SQRT_PI, MomentBatch, fixed_row, j_m, phi0_vec, t_n,
+    SQRT_PI, MomentBatch, fixed_row, j_m, phi0_vec, t_n, t_n_vec,
 )
 
 SPEC = QuadratureSpec()
@@ -236,9 +236,10 @@ class TestApplyKernel:
         gamma = 0.25
         psi = apply_kernel(phi, gamma, SPEC)
         scale = np.abs(psi.values).max()
+        t3 = t_n_vec(3, phi.nodes)
         for i in range(0, len(phi.nodes), 10):
             k = float(phi.nodes[i])
-            t3k = t_n(3, k, SPEC)
+            t3k = t3[i]
             row3 = fixed_row(3, k)
 
             def integrand(k1):

@@ -1,6 +1,48 @@
+import math
+
 import pytest
 
+from kramers import oracle
 from kramers.oracle import u1_direct, u2_direct
+
+# The oracle's values pinned to 1e-10.  The J constants are those of
+# perfbench/reference.json (the benchmark's verify gate).
+PINNED_U1 = {0.15: 0.200780257920851, 0.5: 0.481978455744126}
+PINNED_J = (0.011555371521207811, 0.01246592438827681, -0.02402129591449216)
+PIN_TOL = 1e-10
+
+
+class TestHalfLineIntegral:
+    """Head in k, far range in ln k, log-power closure: checked on closed
+    forms whose leading tails have the closure's (alpha + beta ln k)/k^p
+    form."""
+
+    def test_outer_configuration(self):
+        def f(k):
+            return math.log1p(k * k) / (1.0 + k * k)
+
+        value = oracle._split_integral(f, epsabs=1e-12, epsrel=1e-10)
+        assert value == pytest.approx(math.pi * math.log(2.0), abs=1e-9)
+
+    def test_inner_configuration(self):
+        def f(k):
+            return math.log1p(k * k) / (1.0 + k * k) ** 2
+
+        value = oracle._half_line_integral(
+            f, oracle._INNER_SPLIT, oracle._INNER_KMAX, 4, oracle._EPS_ABS, 1e-9
+        )
+        expected = math.pi / 2.0 * (math.log(2.0) - 0.5)
+        assert value == pytest.approx(expected, abs=1e-9)
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("gamma", sorted(PINNED_U1))
+    def test_u1(self, gamma):
+        assert abs(u1_direct(gamma) - PINNED_U1[gamma]) <= PIN_TOL
+
+    def test_j_constants(self, oracle_j):
+        for value, pinned in zip(oracle_j, PINNED_J):
+            assert abs(value - pinned) <= PIN_TOL
 
 
 class TestU1Direct:
