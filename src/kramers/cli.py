@@ -149,7 +149,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if x_nodes.size == 0:
         raise ValueError("empty x range")
     series = build_series(args.gamma, args.order, spec)
-    profile = velocity_profile(params, series, x_nodes, spec)
+    profile = velocity_profile(params, series, x_nodes)
     header = ["x1", "u_total", "u_continuum"]
     columns = [profile.x_nodes, profile.u_total, profile.u_continuum]
     if args.mu:
@@ -158,7 +158,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             header.append(f"h_mu_{_fmt(mu)}")
             columns.append(
                 np.array([
-                    distribution_function(params, series, x, mu, spec)
+                    distribution_function(params, series, x, mu)
                     for x in profile.x_nodes
                 ])
             )

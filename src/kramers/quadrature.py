@@ -332,10 +332,30 @@ def _fit_log_tail(
     return alpha, beta
 
 
-def _tail_correction(alpha, beta, k_max: float, p: int):
-    """Exact integral of (alpha + beta ln k)/k^p over [k_max, inf)."""
+def _log_tail(
+    f: Callable, k_max: float, p: int, head, label: str | Sequence[str]
+) -> np.ndarray:
+    """Exact integral over [k_max, inf) of the log-tail model fitted to ``f``.
+
+    The model (alpha + beta ln k)/k^p is fitted by :func:`_fit_log_tail`.
+    Raises :class:`TailEstimateDominatesError` when the tail exceeds 10% of
+    the truncated part ``head``.  Returns one entry per member (a family
+    when ``label`` is a sequence), as does ``head``.
+    """
+    alpha, beta = _fit_log_tail(f, k_max, p, label)
     lb = math.log(k_max)
-    return (alpha + beta * (lb + 1.0 / (p - 1))) * k_max ** (1 - p) / (p - 1)
+    tail = np.atleast_1d(
+        (alpha + beta * (lb + 1.0 / (p - 1))) * k_max ** (1 - p) / (p - 1)
+    )
+    dominant = np.abs(tail) > 0.1 * (np.abs(head) + ABS_TOL)
+    if dominant.any():
+        j = dominant.argmax()
+        raise TailEstimateDominatesError(
+            _labels(label)[j],
+            f"tail estimate {tail[j]:.3e} exceeds 10% of the truncated part "
+            f"{np.atleast_1d(head)[j]:.3e}; k_max={k_max} too small",
+        )
+    return tail
 
 
 def _integrate_spectral_detail(
@@ -355,18 +375,7 @@ def _integrate_spectral_detail(
     while pts[-1] < spec.k_max:
         pts.append(min(pts[-1] * 4.0, spec.k_max))
     head, err = _adaptive_gk(f, np.array(pts), spec.rel_tol, label)
-    alpha, beta = _fit_log_tail(f, spec.k_max, tail_exponent, label)
-    tail = np.atleast_1d(
-        _tail_correction(alpha, beta, spec.k_max, tail_exponent)
-    )
-    dominant = np.abs(tail) > 0.1 * (np.abs(head) + ABS_TOL)
-    if dominant.any():
-        j = dominant.argmax()
-        raise TailEstimateDominatesError(
-            _labels(label)[j],
-            f"tail estimate {tail[j]:.3e} exceeds 10% of the truncated part "
-            f"{head[j]:.3e}; k_max={spec.k_max} too small",
-        )
+    tail = _log_tail(f, spec.k_max, tail_exponent, head, label)
     if isinstance(label, str):
         return float(head[0] + tail[0]), float(err[0]), float(tail[0])
     return head + tail, err, tail

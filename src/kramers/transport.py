@@ -8,13 +8,16 @@ density; evenness reduces it to a cosine integral,
 
 with E_q = sum_n q^n E_n, summed from the per-order polynomial pieces (the
 interpolant is linear in its node values, so nothing is refitted).  Up to
-k_max the density is a quintic on each knot interval, and the integral of
-a polynomial times e^{ikx} has a closed form (Filon's method), so the head
-of each transform costs the same at every x1.  Beyond k_max the fitted
-density model is summed as an alternating series over half periods with
-iterated averaging.  The transforms needed at one x1 (the plain and damped
-cosine and the damped k-sine of h(x1, mu)) share the polynomial pieces and
-the oscillatory moments.
+k_max, the last node of the series grid, the density is a quintic on each
+knot interval, and the integral of a polynomial times e^{ikx} has a closed
+form (Filon's method), so the head of each transform costs the same at
+every x1 >= 0.  Beyond k_max the fitted density model is integrated
+exactly at x1 = 0 and summed as an alternating series over half periods
+with iterated averaging at x1 > 0.  The transforms needed at one x1 (the
+plain and damped cosine and the damped k-sine of h(x1, mu)) share the
+polynomial pieces and the oscillatory moments; the k-integrals of the
+source bracket of h are the plain and damped cosine transforms at 0.
+Nothing here integrates adaptively.
 """
 
 from __future__ import annotations
@@ -27,12 +30,9 @@ from numpy.polynomial import chebyshev as C
 
 from .kernels import SpectralFunction, weighted_sum
 from .neumann import SeriesExpansion, u0
-from .quadrature import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    _fit_log_tail,
-    integrate_spectral,
-)
+# perfbench/tracing.py rebinds integrate_spectral here, though nothing here
+# calls it; the import goes once the tracer tolerates absent names (ROADMAP)
+from .quadrature import _fit_log_tail, _log_tail, integrate_spectral  # noqa: F401
 from .special_integrals import SQRT_PI, GasParameters
 
 __all__ = [
@@ -114,16 +114,6 @@ def _check_pair(params: GasParameters, series: SeriesExpansion) -> None:
         )
     if params.q <= 0.0:
         raise ValueError("q must be positive: (2-q)/q diverges at q=0")
-
-
-def _check_k_max(series: SeriesExpansion, spec: QuadratureSpec) -> None:
-    grid_k_max = series.e_funcs[0].k_max
-    if spec.k_max > grid_k_max:
-        raise ValueError(
-            f"series was built up to k_max={grid_k_max:g}, spec asks for "
-            f"k_max={spec.k_max:g}: the transforms need the density's "
-            "polynomial pieces up to k_max; build the series with this spec"
-        )
 
 
 def _series_sum(params: GasParameters, series: SeriesExpansion) -> float:
@@ -227,31 +217,27 @@ def _chebyshev_moments(omega: np.ndarray) -> np.ndarray:
 def _head_pieces(
     density: SpectralFunction,
     x: float,
-    k_max: float,
     kinds: tuple[str, ...],
     mu: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Head of each transform in ``kinds`` on every knot interval below k_max.
 
     Returns the interval bounds ``lo``, ``hi`` and the integrals, one row per
-    kind.  Each piece of ``density.poly`` (the last one clipped at k_max) is
-    expanded in Chebyshev polynomials; the damping factor, times k for the
-    k-sine, is interpolated at 9 Chebyshev points of the interval and
-    multiplied in exactly.  Then int_a^b P(k) e^{ikx} dk =
-    r e^{ixm} sum_n e_n K_n(x r) with the moments of
-    :func:`_chebyshev_moments`: the cosine transforms take the real part,
-    the k-sine one the imaginary part.  This is Filon's method with the
-    density's own knots (Iserles & Norsett, Proc. R. Soc. A 461, 2005).
+    kind.  Each piece of ``density.poly`` is expanded in Chebyshev
+    polynomials; the damping factor, times k for the k-sine, is interpolated
+    at 9 Chebyshev points of the interval and multiplied in exactly.  Then
+    int_a^b P(k) e^{ikx} dk = r e^{ixm} sum_n e_n K_n(x r) with the moments
+    of :func:`_chebyshev_moments` (Gauss-Legendre, exact for these pieces,
+    at x = 0): the cosine transforms take the real part, the k-sine one the
+    imaginary part.  This is Filon's method with the density's own knots
+    (Iserles & Norsett, Proc. R. Soc. A 461, 2005).
     """
     poly = density.poly
-    lo = poly.x[:-1]
-    hi = np.minimum(poly.x[1:], k_max)
-    keep = hi > lo
-    lo, hi = lo[keep], hi[keep]
+    lo, hi = poly.x[:-1], poly.x[1:]
     r = 0.5 * (hi - lo)
     mid = lo + r
     # poly.c holds the coefficients of (k - lo)^(5-m); k - lo = r (1 + t)
-    local = poly.c[::-1, keep] * r ** np.arange(_DEGREE + 1)[:, None]
+    local = poly.c[::-1] * r ** np.arange(_DEGREE + 1)[:, None]
     piece = _FROM_LOCAL @ local
     moments = _chebyshev_moments(x * r)
     phase = r * np.exp(1j * x * mid)
@@ -290,7 +276,6 @@ def _averaged_alternating(terms: np.ndarray) -> float:
 def _osc_transform(
     density: SpectralFunction,
     x: float,
-    spec: QuadratureSpec,
     kinds: tuple[str, ...],
     mu: float = 0.0,
     label: str = "oscillatory transform",
@@ -299,37 +284,37 @@ def _osc_transform(
 
     ``"cos"`` has w = cos; ``"damped_cos"`` and ``"damped_ksin"`` have
     w = cos and k*sin times the damping factor 1/(1 + k^2 mu^2) carried by
-    the distribution-function integrands.  For x = 0 the cosine transforms
-    reduce to plain spectral integrals and the k-sine one vanishes.  For
-    x > 0 the head on [0, k_max] is integrated exactly, knot interval by
-    knot interval, from the density's polynomial pieces
-    (:func:`_head_pieces`), at a cost that does not grow with x; all kinds
-    share the pieces and the oscillatory moments.  ``spec.k_max`` must not
-    exceed ``density.k_max``.  The tail of each continues the fitted
-    (a + b ln k)/k^2 density model as an accelerated alternating series
-    over half periods.
+    the distribution-function integrands.  At every x >= 0 the head on
+    [0, density.k_max] is integrated exactly, knot interval by knot
+    interval, from the density's polynomial pieces (:func:`_head_pieces`),
+    at a cost that does not grow with x; all kinds share the pieces and the
+    oscillatory moments, and the k-sine head vanishes at x = 0.  Past k_max
+    each transform continues the fitted (a + b ln k)/k^2 density model: at
+    x = 0 as its exact integral, under the 10% tail guard of
+    :mod:`kramers.quadrature`, and at x > 0 as an accelerated alternating
+    series over half periods.
     """
     forms = [_KINDS[kind] for kind in kinds]
-    k_max = spec.k_max
+    k_max = density.k_max
 
     def damp(k):
         return 1.0 / (1.0 + (k * mu) ** 2)
 
-    if x == 0.0:
-        return tuple(
-            0.0 if wave == "ksin" else integrate_spectral(
-                (lambda k: density(k) * damp(np.asarray(k))) if damped
-                else density,
-                spec, tail_exponent=2, label=label,
-            )
-            for wave, damped in forms
-        )
     if x < 0.0:
         raise ValueError("transform coordinate must be >= 0")
     if not math.isfinite(float(x) * k_max):
         raise ValueError(f"{label}: x * k_max overflows at x={x:g}")
-
-    heads = _head_pieces(density, x, k_max, kinds, mu)[2].sum(axis=1)
+    heads = _head_pieces(density, x, kinds, mu)[2].sum(axis=1)
+    if x == 0.0:
+        # The model is fitted to the integrand, damping included, although
+        # a damped integrand decays like /k^4: the known x1 = 0 defect
+        # (ROADMAP), kept until the profile references are re-pinned.
+        return tuple(
+            float(value) if wave == "ksin" else float(value + _log_tail(
+                (lambda k: density(k) * damp(k)) if damped else density,
+                k_max, 2, value, label)[0])
+            for (wave, damped), value in zip(forms, heads)
+        )
 
     def oscillator(wave, k):
         return np.cos(k * x) if wave == "cos" else k * np.sin(k * x)
@@ -380,23 +365,21 @@ def _combined_density(
 
 
 def velocity_profile(
-    params: GasParameters,
-    series: SeriesExpansion,
-    x_nodes,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    params: GasParameters, series: SeriesExpansion, x_nodes
 ) -> VelocityProfile:
     """Sample U(x1) = U_sl + G_v x1 + U_c(x1) on the given coordinates."""
     _check_pair(params, series)
-    _check_k_max(series, spec)
     x_nodes = np.atleast_1d(np.asarray(x_nodes, dtype=float))
+    if not np.all(np.isfinite(x_nodes)):
+        raise ValueError("x_nodes must be finite")
     if np.any(x_nodes < 0.0):
-        raise ValueError("x nodes must be >= 0")
+        raise ValueError("x_nodes must be >= 0")
     u_sl = slip_velocity(params, series)
     density = _combined_density(series, params.q)
     pref = params.g_v * (1.0 - params.gamma) * (2.0 - params.q)
     u_c = np.array([
         pref * _osc_transform(
-            density, x, spec, ("cos",),
+            density, x, ("cos",),
             label=f"U_c cosine transform at x1={x:.4g}",
         )[0] / math.pi
         for x in x_nodes
@@ -413,7 +396,6 @@ def distribution_function(
     series: SeriesExpansion,
     x1: float,
     mu: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
     """Velocity distribution h(x1, mu) = h_as + h_c in the half-space x1 >= 0.
 
@@ -426,10 +408,15 @@ def distribution_function(
 
     whose Lorentzian k-integrals against cos and k sin have the closed form
     R_q(mu) e^{-x1/mu} for mu > 0 (zero for mu < 0); the density part is
-    carried by the cosine and k-sine transforms of E_q.
+    carried by the cosine and k-sine transforms of E_q at x1.  The integral
+    in R_q is the plain and damped cosine transform at x = 0 of
+    sum_{n<N} q^n E_n, so it does not depend on x1.  Non-finite x1 or mu
+    is rejected.
     """
     _check_pair(params, series)
-    _check_k_max(series, spec)
+    for name, value in (("x1", x1), ("mu", mu)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if x1 < 0.0:
         raise ValueError("x1 must be >= 0 (profiles live in the half-space)")
     gamma, q, g_v = params.gamma, params.q, params.g_v
@@ -442,7 +429,7 @@ def distribution_function(
     transforms = [
         value / math.pi
         for value in _osc_transform(
-            density, x1, spec, kinds, mu=mu,
+            density, x1, kinds, mu=mu,
             label=f"h_c transforms at x1={x1:.4g}, mu={mu:.4g}",
         )
     ]
@@ -455,20 +442,15 @@ def distribution_function(
     if mu > 0.0:
         r = abs(mu) - u0()
         if series.order >= 1:
-            prev = _combined_density(series, q, upto=series.order - 1)
-
-            def integrand(k):
-                k = np.asarray(k, dtype=float)
-                return (gamma + (1.0 - gamma) / (1.0 + (k * mu) ** 2)) * prev(k)
-
-            source = integrate_spectral(
-                integrand, spec, tail_exponent=2,
+            plain, damped = _osc_transform(
+                _combined_density(series, q, upto=series.order - 1), 0.0,
+                ("cos", "damped_cos"), mu,
                 label=f"source bracket at mu={mu:.4g}",
             )
             r -= sum(
                 series.u_coeffs[n] * q**n for n in range(1, series.order + 1)
             )
-            r -= q * source / math.pi
+            r -= q * (gamma * plain + (1.0 - gamma) * damped) / math.pi
         h_c += pref * r * math.exp(-x1 / mu)
     return h_as + h_c
 

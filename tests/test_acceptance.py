@@ -205,7 +205,7 @@ def test_a7_profile_decay_and_moment(series_cache):
     for gamma in (0.0, 0.25):
         series = series_cache(gamma, 2)
         params = GasParameters(gamma=gamma, q=1.0, g_v=1.0)
-        profile = velocity_profile(params, series, [0.0, 1.0, 5.0, 20.0], SPEC)
+        profile = velocity_profile(params, series, [0.0, 1.0, 5.0, 20.0])
         ratio = abs(profile.u_continuum[-1] / profile.u_continuum[0])
         checks.append(
             (f"|U_c(20)| < 1e-3 |U_c(0)| (gamma={gamma})", ratio < 1e-3,
@@ -216,7 +216,7 @@ def test_a7_profile_decay_and_moment(series_cache):
                 h_as = profile.u_sl + params.g_v * (
                     x - (1.0 - gamma) * mu
                 )
-                return distribution_function(params, series, x, mu, SPEC) - h_as
+                return distribution_function(params, series, x, mu) - h_as
 
             def folded(t, x=x):
                 return np.array([h_c(v) + h_c(-v) for v in np.atleast_1d(t)])

@@ -154,6 +154,14 @@ class TestProfile:
         assert code == 2
         assert "range" in err
 
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+    def test_non_finite_mu_rejected(self, capsys, mu):
+        code, out, err = run_cli(
+            capsys, "profile", "--x", "1:1:1", "--order", "0", f"--mu={mu}",
+        )
+        assert code == 2
+        assert "mu must be finite" in err and out == ""
+
     def test_distribution_columns(self, capsys):
         code, out, _ = run_cli(
             capsys, "profile", "--x", "0:1:1", "--order", "1",

@@ -76,21 +76,19 @@ class TestVelocityProfile:
     def test_asymptote_split_exact(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.3)
         profile = velocity_profile(
-            params, series_cache(0.0, 2), [0.0, 0.5, 2.0, 11.0], SPEC
+            params, series_cache(0.0, 2), [0.0, 0.5, 2.0, 11.0]
         )
         recon = profile.u_sl + profile.g_v * profile.x_nodes + profile.u_continuum
         np.testing.assert_array_equal(profile.u_total, recon)
 
     def test_wall_layer_decays(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
-        profile = velocity_profile(
-            params, series_cache(0.0, 2), [0.0, 20.0], SPEC
-        )
+        profile = velocity_profile(params, series_cache(0.0, 2), [0.0, 20.0])
         assert abs(profile.u_continuum[1]) < 1e-3 * abs(profile.u_continuum[0])
 
     def test_asymptote_recovery(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
-        profile = velocity_profile(params, series_cache(0.0, 2), [20.0], SPEC)
+        profile = velocity_profile(params, series_cache(0.0, 2), [20.0])
         drift = profile.u_total[0] - profile.g_v * 20.0
         assert drift == pytest.approx(profile.u_sl, abs=1e-3)
 
@@ -126,13 +124,13 @@ class TestVelocityProfile:
         brute = (head + tail) / math.pi
 
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
-        profile = velocity_profile(params, series_cache(0.0, 0), [0.0], SPEC)
+        profile = velocity_profile(params, series_cache(0.0, 0), [0.0])
         assert profile.u_continuum[0] == pytest.approx(brute, abs=2e-5)
 
     def test_gradient_linearity(self, series_cache):
         series = series_cache(0.0, 2)
-        a = velocity_profile(GasParameters(0.0, 1.0, 1.0), series, [1.0], SPEC)
-        b = velocity_profile(GasParameters(0.0, 1.0, 2.5), series, [1.0], SPEC)
+        a = velocity_profile(GasParameters(0.0, 1.0, 1.0), series, [1.0])
+        b = velocity_profile(GasParameters(0.0, 1.0, 2.5), series, [1.0])
         assert b.u_continuum[0] == pytest.approx(
             2.5 * a.u_continuum[0], rel=1e-12
         )
@@ -145,11 +143,11 @@ class TestVelocityProfile:
         s2 = series_cache(0.0, 2)
         s1 = series_cache(0.0, 1)
         for x in (0.0, 1.0, 4.0):
-            full = velocity_profile(params, s2, [x], SPEC).u_continuum[0]
-            part = velocity_profile(params, s1, [x], SPEC).u_continuum[0]
+            full = velocity_profile(params, s2, [x]).u_continuum[0]
+            part = velocity_profile(params, s1, [x]).u_continuum[0]
             term = (
                 params.g_v * (2.0 - params.q) * params.q**2 / math.pi
-                * _osc_transform(s2.e_funcs[2], x, SPEC, ("cos",),
+                * _osc_transform(s2.e_funcs[2], x, ("cos",),
                                  label="order-2 term")[0]
             )
             assert full - part == pytest.approx(term, abs=1e-9)
@@ -157,46 +155,25 @@ class TestVelocityProfile:
     def test_negative_coordinates_rejected(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         with pytest.raises(ValueError):
-            velocity_profile(params, series_cache(0.0, 0), [-1.0], SPEC)
+            velocity_profile(params, series_cache(0.0, 0), [-1.0])
 
     def test_far_field_finite(self, series_cache):
         """The head costs the same at every x1, so far coordinates just work."""
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
-        profile = velocity_profile(params, series_cache(0.0, 0), [600.0, 1e5], SPEC)
+        profile = velocity_profile(params, series_cache(0.0, 0), [600.0, 1e5])
         assert np.all(np.isfinite(profile.u_continuum))
         assert np.all(np.abs(profile.u_continuum) < 1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coordinates_rejected(self, series_cache, bad):
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        with pytest.raises(ValueError, match="x_nodes must be finite"):
+            velocity_profile(params, series_cache(0.0, 0), [1.0, bad])
 
     def test_overflowing_coordinate_rejected(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         with pytest.raises(ValueError, match="overflows"):
-            velocity_profile(params, series_cache(0.0, 0), [1e306], SPEC)
-
-
-class TestSpecAgainstSeries:
-    def test_k_max_above_grid_rejected(self, series_cache):
-        series = series_cache(0.0, 1)
-        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
-        wide = QuadratureSpec(k_max=1600.0)
-        with pytest.raises(ValueError, match="k_max"):
-            velocity_profile(params, series, [1.0], wide)
-        with pytest.raises(ValueError, match="k_max"):
-            distribution_function(params, series, 1.0, 0.5, wide)
-
-    def test_k_max_below_grid_clips_last_piece(self, series_cache):
-        from kramers.transport import _combined_density, _head_pieces
-
-        series = series_cache(0.0, 1)
-        density = _combined_density(series, 1.0)
-        lo, hi, _ = _head_pieces(density, 3.0, 500.0, ("cos",))
-        assert hi[-1] == 500.0 and lo[-1] < 500.0 < density.k_max
-        np.testing.assert_array_equal(hi[:-1], lo[1:])
-        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
-        x = [0.5, 3.0]
-        narrow = velocity_profile(params, series, x, QuadratureSpec(k_max=500.0))
-        full = velocity_profile(params, series, x, SPEC)
-        np.testing.assert_allclose(
-            narrow.u_continuum, full.u_continuum, rtol=0, atol=1e-6
-        )
+            velocity_profile(params, series_cache(0.0, 0), [1e306])
 
 
 class TestCombinedDensity:
@@ -225,7 +202,7 @@ class TestClosedFormHead:
     KINDS = ("cos", "damped_cos", "damped_ksin")
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    @pytest.mark.parametrize("x", [0.05, 0.5, 2.5, 20.0, 450.0, 5000.0])
+    @pytest.mark.parametrize("x", [0.0, 0.05, 0.5, 2.5, 20.0, 450.0, 5000.0])
     def test_matches_quadpack_on_each_knot_interval(self, series_cache, x):
         """Every piece of every transform against QUADPACK's weighted rules."""
         from kramers.transport import _combined_density, _head_pieces
@@ -236,7 +213,7 @@ class TestClosedFormHead:
             return float(density(k))
 
         for mu in (0.25, 2.0, -1.0):
-            lo, hi, heads = _head_pieces(density, x, SPEC.k_max, self.KINDS, mu=mu)
+            lo, hi, heads = _head_pieces(density, x, self.KINDS, mu=mu)
             assert lo[0] == 0.0 and hi[-1] == SPEC.k_max
 
             def damp(k):
@@ -256,6 +233,37 @@ class TestClosedFormHead:
                 np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
 
 
+class TestWallTransform:
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("case", [(0.0, 2, 1.0), (0.25, 4, 0.9)])
+    @pytest.mark.parametrize("mu", [0.5, -1.0])
+    def test_matches_quadpack_plus_fitted_tail(self, series_cache, case, mu):
+        """x = 0: QUADPACK on each knot interval, then the exact integral of
+        (alpha + beta ln k)/k^2 through the integrand at 0.7 k_max and k_max."""
+        from kramers.transport import _combined_density, _osc_transform
+
+        gamma, order, q = case
+        density = _combined_density(series_cache(gamma, order), q)
+        knots, k_max = density.poly.x, density.k_max
+
+        def damp(k):
+            return 1.0 / (1.0 + (k * mu) ** 2)
+
+        values = _osc_transform(density, 0.0, ("cos", "damped_cos"), mu)
+        for value, f in zip(values, (density, lambda k: density(k) * damp(k))):
+            head = math.fsum(
+                quad(lambda k: float(f(k)), a, b, epsabs=1e-17, epsrel=1e-14,
+                     limit=200)[0]
+                for a, b in zip(knots[:-1], knots[1:])
+            )
+            ka = 0.7 * k_max
+            fa, fb = (float(f(k)) * k**2 for k in (ka, k_max))
+            beta = (fb - fa) / math.log(k_max / ka)
+            alpha = fb - beta * math.log(k_max)
+            tail = (alpha + beta * (math.log(k_max) + 1.0)) / k_max
+            assert value == pytest.approx(head + tail, abs=1e-13)
+
+
 class TestSharedTransforms:
     KINDS = ("cos", "damped_cos", "damped_ksin")
 
@@ -265,24 +273,27 @@ class TestSharedTransforms:
         from kramers.transport import _combined_density, _osc_transform
 
         density = _combined_density(series_cache(0.0, 2), 0.8)
-        shared = _osc_transform(density, x, SPEC, self.KINDS, mu=mu)
+        shared = _osc_transform(density, x, self.KINDS, mu=mu)
         assert len(shared) == 3
         for kind, value in zip(self.KINDS, shared):
-            (single,) = _osc_transform(density, x, SPEC, (kind,), mu=mu)
+            (single,) = _osc_transform(density, x, (kind,), mu=mu)
             assert value == pytest.approx(single, abs=1e-15)
 
 
 class TestDistributionFunction:
     # h(x1, mu) recorded with B-spline evaluation and one density sampling
-    # per transform; the shared samples must reproduce it to rounding
+    # per transform; the shared samples must reproduce it to rounding.  The
+    # x1 = 0 values at mu = -1 (and gamma = 0.25, mu = 0.5) were re-recorded
+    # when the head at x = 0 became closed form: the adaptive head they came
+    # from was off by up to 4e-11 against QUADPACK (TestWallTransform)
     H_POINTS = [(0.0, 0.5), (0.0, -1.0), (2.5, 0.5), (2.5, -1.0), (17.0, 0.0), (17.0, 0.7)]
     H_RECORDED = {
         (0.0, 2, 1.0): [
-            -0.0013213039775366031, 1.9026210827485055, 2.978012440009719,
+            -0.0013213039775366031, 1.9026210827561119, 2.978012440009719,
             4.5025147285240665, 18.01518042957993, 17.315174490143097,
         ],
         (0.25, 4, 0.9): [
-            0.11666142745955754, 1.5769071615473986, 3.094516345939715,
+            0.11666142750357433, 1.5769071615561872, 3.094516345939715,
             4.239841872505229, 18.00618679767323, 17.481181882839284,
         ],
     }
@@ -293,7 +304,7 @@ class TestDistributionFunction:
         series = series_cache(gamma, order)
         params = GasParameters(gamma=gamma, q=q, g_v=1.0)
         for (x1, mu), expected in zip(self.H_POINTS, self.H_RECORDED[case]):
-            h = distribution_function(params, series, x1, mu, SPEC)
+            h = distribution_function(params, series, x1, mu)
             assert h == pytest.approx(expected, abs=1e-12)
 
     def test_asymptotic_antisymmetry(self, series_cache):
@@ -301,8 +312,8 @@ class TestDistributionFunction:
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         x = 30.0  # wall part negligible here
         mu = 0.8
-        h_plus = distribution_function(params, series, x, mu, SPEC)
-        h_minus = distribution_function(params, series, x, -mu, SPEC)
+        h_plus = distribution_function(params, series, x, mu)
+        h_minus = distribution_function(params, series, x, -mu)
         assert h_plus - h_minus == pytest.approx(
             -2.0 * params.g_v * (1.0 - params.gamma) * mu, abs=1e-4
         )
@@ -312,11 +323,11 @@ class TestDistributionFunction:
         series = series_cache(0.0, 2)
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         x = 1.0
-        profile = velocity_profile(params, series, [x], SPEC)
+        profile = velocity_profile(params, series, [x])
 
         def h_c(mu):
             h_as = profile.u_sl + params.g_v * (x - mu)
-            return distribution_function(params, series, x, mu, SPEC) - h_as
+            return distribution_function(params, series, x, mu) - h_as
 
         def folded(t):
             return np.array([h_c(v) + h_c(-v) for v in np.atleast_1d(t)])
@@ -334,18 +345,27 @@ class TestDistributionFunction:
                 slip_velocity(params, series)
                 + params.g_v * (x - (1.0 - params.gamma) * mu)
             )
-            return distribution_function(params, series, x, mu, SPEC) - h_as
+            return distribution_function(params, series, x, mu) - h_as
 
         assert abs(h_c(25.0)) < 1e-3 * abs(h_c(0.0))
 
     def test_half_space_only(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         with pytest.raises(ValueError):
-            distribution_function(params, series_cache(0.0, 0), -1.0, 0.5, SPEC)
+            distribution_function(params, series_cache(0.0, 0), -1.0, 0.5)
+
+    @pytest.mark.parametrize("name, x1, mu", [
+        ("x1", math.nan, 0.5), ("x1", math.inf, 0.5),
+        ("mu", 1.0, math.nan), ("mu", 1.0, math.inf), ("mu", 1.0, -math.inf),
+    ])
+    def test_non_finite_arguments_rejected(self, series_cache, name, x1, mu):
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            distribution_function(params, series_cache(0.0, 0), x1, mu)
 
     def test_zero_velocity_allowed(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
-        value = distribution_function(params, series_cache(0.0, 2), 1.0, 0.0, SPEC)
+        value = distribution_function(params, series_cache(0.0, 2), 1.0, 0.0)
         assert math.isfinite(value)
 
 
