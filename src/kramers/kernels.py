@@ -19,9 +19,11 @@ Applying the operator means sampling
 
     psi(k) = ((1 - gamma)/pi) int_0^inf S_1(k, k1) phi(k1) / T_2(k1) dk1
 
-on a fixed composite grid and interpolating between nodes.  The node
-integrals form one family in the lockstep quadrature of
-:mod:`kramers.quadrature`, so the k1 points they share are evaluated once.
+on a fixed composite grid and interpolating between nodes.  A fixed
+G7/K15 pair on every knot interval of phi (one quintic each) integrates
+the head to rounding, and the log-tail model of :mod:`kramers.quadrature`
+closes it.  The rule with its moments and the S_1 rows of the grid nodes
+is one table, free of gamma and phi, that every order of the series shares.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PPoly, make_interp_spline
 
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_spectral
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _gk_rule, _log_tail
+# perfbench/tracing.py rebinds integrate_spectral here, though nothing here
+# calls it any more
+from .quadrature import integrate_spectral  # noqa: F401
 from .special_integrals import MomentBatch, SQRT_PI, fixed_row, j_n, t_n, t_n_vec
 
 __all__ = [
@@ -185,6 +190,76 @@ def _next_label(label: str) -> str:
     return f"K[{label}]"
 
 
+#: most k1 points in one MomentBatch of a kernel table
+_CHUNK = 256
+
+
+class _KernelTable:
+    """Fixed G7/K15 rule on a density's knot intervals, with its moments.
+
+    The pair's points ``k`` on every [knots[i], knots[i+1]], both weight
+    sets scaled to the intervals (``w_k``, ``w_g``), T_1 and T_2 at the
+    points and, with ``nodes``, the kernel rows ``s[j, i] = S_1(nodes[i],
+    k[j])``, built in MomentBatches of at most ``_CHUNK`` points so that
+    ``s`` is the one large array.  ``k_max`` is the last knot.
+    """
+
+    def __init__(self, knots: np.ndarray, nodes: np.ndarray | None = None):
+        pts, half, w_k, w_g = _gk_rule(knots[:-1], knots[1:])
+        self.k, self.k_max, self.nodes = pts.ravel(), float(knots[-1]), nodes
+        self.intervals = len(half)
+        self.w_k = (half[:, None] * w_k).ravel()
+        self.w_g = (half[:, None] * w_g).ravel()
+        self.t1, self.t2 = np.empty(self.k.size), np.empty(self.k.size)
+        if nodes is not None:
+            self._rows3 = np.stack([fixed_row(3, float(k)) for k in nodes], axis=1)
+            self._t3 = SQRT_PI * t_n_vec(3, nodes)
+            self.s = np.empty((self.k.size, len(nodes)))
+        for start in range(0, self.k.size, _CHUNK):
+            part = slice(start, start + _CHUNK)
+            batch = MomentBatch(self.k[part])
+            self.t1[part], self.t2[part] = batch.t(1), batch.t(2)
+            if nodes is not None:
+                self.s[part] = self._s_rows(batch)
+
+    def _s_rows(self, batch: MomentBatch) -> np.ndarray:
+        return batch.against(self._rows3) - np.outer(batch.t(1), self._t3)
+
+    def density(self, phi: SpectralFunction) -> np.ndarray:
+        """phi/T_2 at the points, the factor every integral here weights."""
+        return phi(self.k) / self.t2
+
+    def error(self, values: np.ndarray) -> float:
+        """Sum over the knot intervals of |K15 - G7| for values at the points."""
+        diff = ((self.w_k - self.w_g) * values).reshape(self.intervals, -1)
+        return float(np.abs(diff.sum(axis=1)).sum())
+
+    def kernel_integrand(self, phi: SpectralFunction):
+        """k1 -> S_1(nodes, k1) phi(k1)/T_2(k1), one column per node."""
+
+        def integrand(k1):
+            batch = MomentBatch(k1)
+            return self._s_rows(batch) * (phi(batch.k) / batch.t(2))[:, None]
+
+        return integrand
+
+
+def _apply_table(
+    table: _KernelTable, phi: SpectralFunction, v: np.ndarray, gamma: float
+) -> SpectralFunction:
+    """apply_kernel on a table on the knots of phi; v = table.density(phi)."""
+    label = _next_label(phi.label)
+    head = (table.w_k * v) @ table.s
+    tail = _log_tail(
+        table.kernel_integrand(phi), table.k_max, 2, head,
+        [f"{label} grid node k={k:.3g}" for k in table.nodes],
+    )
+    values = (1.0 - gamma) * (head + tail) / np.pi
+    return SpectralFunction(
+        nodes=table.nodes.copy(), values=values, tail_exponent=2, label=label
+    )
+
+
 def apply_kernel(
     phi: SpectralFunction,
     gamma: float,
@@ -193,34 +268,17 @@ def apply_kernel(
     """Advance a spectral iterate: psi(k) = (1/pi) int S(k,k1) phi(k1)/T_2(k1) dk1.
 
     Each node integrates S_1 and scales by the exact factor (1 - gamma).
-    All nodes are integrated together, as one family with a member per
-    node (labelled ``phi_n grid node k=...`` in errors): a sweep builds one
-    :class:`MomentBatch` on the distinct k1 points its unconverged nodes
-    need and contracts it once against the ``(rule size, nodes)`` stack of
-    ``fixed_row(3, k)``.  The positive sign is used throughout: it is the
-    convention under which the second-order slip coefficient assembled
-    from the iterates matches the independent double-integral route (see
-    the oracle module).  Output is sampled on the grid of ``phi`` with
-    tail exponent 2.
+    The head up to the density's last node is a fixed G7/K15 rule on the
+    knot intervals of ``phi`` (one quintic each), converged to rounding:
+    its accuracy is fixed and ``spec`` does not enter.  The tail is the
+    fitted log model of :mod:`kramers.quadrature`, with its 10% guard
+    (errors name the ``phi_n grid node k=...``).  The positive sign is
+    used throughout: it is the convention under which the second-order
+    slip coefficient assembled from the iterates matches the independent
+    double-integral route (see the oracle module).  Output is sampled on
+    the grid of ``phi`` with tail exponent 2.
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
-    label = _next_label(phi.label)
-    nodes = phi.nodes
-    t3 = t_n_vec(3, nodes)
-    rows3 = np.stack([fixed_row(3, float(k)) for k in nodes], axis=1)
-
-    def integrand(k1):
-        batch = MomentBatch(k1)
-        s_rows = batch.against(rows3) - np.outer(batch.t(1), SQRT_PI * t3)
-        return s_rows * phi(batch.k)[:, None] / batch.t(2)[:, None]
-
-    values = (1.0 - gamma) * integrate_spectral(
-        integrand,
-        spec,
-        tail_exponent=2,
-        label=[f"{label} grid node k={k:.3g}" for k in nodes],
-    ) / np.pi
-    return SpectralFunction(
-        nodes=nodes.copy(), values=values, tail_exponent=2, label=label
-    )
+    table = _KernelTable(phi.nodes, phi.nodes)
+    return _apply_table(table, phi, table.density(phi), gamma)

@@ -25,13 +25,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .kernels import SpectralFunction, apply_kernel, standard_grid
-from .quadrature import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    _integrate_spectral_detail,
-    integrate_spectral,
-)
+import numpy as np
+
+from .kernels import SpectralFunction, _KernelTable, _apply_table, standard_grid
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _log_tail, integrate_spectral
+# perfbench/tracing.py rebinds these here, though nothing here calls them
+from .kernels import apply_kernel  # noqa: F401
+from .quadrature import _integrate_spectral_detail  # noqa: F401
 from .special_integrals import MomentBatch, SQRT_PI, fixed_row, phi0_vec, t_n, t_n_vec
 
 __all__ = ["SeriesExpansion", "u0", "u_coefficient", "e_n", "build_series",
@@ -96,15 +96,20 @@ def _pole_integrand(
 
 
 def _u_detail(
-    n: int, gamma: float, phi_prev: SpectralFunction, spec: QuadratureSpec
+    n: int, gamma: float, phi_prev: SpectralFunction, table: _KernelTable,
+    v: np.ndarray, spec: QuadratureSpec,
 ) -> tuple[float, float, float]:
-    """U_n with its quadrature error estimate and fitted-tail part."""
-    integral, err, tail = _integrate_spectral_detail(
-        _pole_integrand(0.0, gamma, phi_prev, spec), spec, 2,
-        f"U_{n} pole-elimination integral",
-    )
+    """U_n, error estimate and fitted-tail part; v = table.density(phi_prev).
+
+    The head is the table's K15 sum, with the table's |K15 - G7| error.
+    """
+    pole = _pole_integrand(0.0, gamma, phi_prev, spec)
+    values = (gamma * t_n(1, 0.0, spec) + (1.0 - gamma) * table.t1) * v
+    head = table.w_k @ values
+    err = table.error(values)
+    tail = _log_tail(pole, table.k_max, 2, head, f"U_{n} pole-elimination integral")[0]
     scale = SQRT_PI * (1.0 - gamma) ** n
-    return float(-integral / scale), err / scale, tail / scale
+    return float(-(head + tail) / scale), float(err / scale), float(tail / scale)
 
 
 def u_coefficient(
@@ -122,12 +127,14 @@ def u_coefficient(
               int J^(1)(0, k) phi_{n-1}(k) / T_2(k) dk.
 
     Computed from this closed form rather than by probing the k->0 limit,
-    which would amplify quadrature noise by 1/k^2.
+    which would amplify quadrature noise by 1/k^2.  It takes the fixed rule
+    of :func:`kramers.kernels.apply_kernel`, so ``spec.rel_tol`` does not enter.
     """
     if n < 1:
         raise ValueError("u_coefficient is defined for n >= 1; use u0()")
     _check_gamma(gamma)
-    return _u_detail(n, gamma, phi_prev, spec)[0]
+    table = _KernelTable(phi_prev.nodes)
+    return _u_detail(n, gamma, phi_prev, table, table.density(phi_prev), spec)[0]
 
 
 def e_n(
@@ -163,10 +170,12 @@ def build_series(
 ) -> SeriesExpansion:
     """Build U_0..U_order with their iterates and densities.
 
-    Each order costs one kernel application (one lockstep family of grid
-    node integrals) and one pole integral, so the cost is linear in the
-    order; orders beyond 4 are refused as outside the method's intended
-    range.  The default order used by the CLI is 2.
+    One kernel table on the grid (2,385 points, see
+    :func:`kramers.kernels.apply_kernel`) serves all orders, each then
+    costing one evaluation of phi_{n-1}/T_2 at its points, one product with
+    its S_1 rows and two fitted tails.  Orders beyond 4 are refused as
+    outside the method's intended range.  The default order used by the CLI
+    is 2.
     """
     if not (0 <= order <= MAX_ORDER):
         raise ValueError(f"order must be in [0, {MAX_ORDER}]")
@@ -193,10 +202,12 @@ def build_series(
     ]
     u_coeffs = [u0()]
     diagnostics: list[dict] = [{"order": 0, "u_error": 0.0}]
+    table = _KernelTable(grid, grid) if order else None
     for n in range(1, order + 1):
-        u_n, u_error, u_tail = _u_detail(n, gamma, phi_funcs[-1], spec)
+        phi, v = phi_funcs[-1], table.density(phi_funcs[-1])
+        u_n, u_error, u_tail = _u_detail(n, gamma, phi, table, v, spec)
         u_coeffs.append(u_n)
-        phi_funcs.append(apply_kernel(phi_funcs[-1], gamma, spec))
+        phi_funcs.append(_apply_table(table, phi, v, gamma))
         diagnostics.append({"order": n, "u_error": u_error, "u_tail": u_tail})
     e_funcs = [e_n(n, gamma, phi_funcs[n], spec) for n in range(order + 1)]
     return SeriesExpansion(

@@ -9,17 +9,13 @@ Two integral families cover everything the solver needs:
 
 The engine is an adaptive Gauss-Kronrod (G7/K15) bisection scheme that
 evaluates the integrand on whole batches of nodes at once: integrands must
-be numpy-vectorised and pay one call per refinement sweep.  It integrates
-a family of m integrands in lockstep as readily as one (a spectral
-integrand returning one column per member, see :func:`integrate_spectral`):
-every member keeps its own intervals, convergence test, subdivision budget
-and tail fit, so its value is the one it would get alone, while a sweep
-evaluates the family once on the distinct nodes that its unconverged
-members need.  The members start from one partition and bisect it, so
-they share most nodes.  Accuracy is set by the two fields of
-:class:`QuadratureSpec`; the absolute floor, the Gaussian truncation point
-and the subdivision budget are module constants.  All functions are pure;
-nothing here holds mutable state beyond one call.
+be numpy-vectorised and pay one call per refinement sweep.  The same G7/K15
+pair, as a fixed rule on given intervals (:func:`_gk_rule`), is the
+kernel table of :mod:`kramers.kernels`, which shares the fitted tail of
+:func:`_log_tail` for its per-node tails.  Accuracy is set by the two
+fields of :class:`QuadratureSpec`; the absolute floor, the Gaussian
+truncation point and the subdivision budget are module constants.  All
+functions are pure; nothing here holds mutable state beyond one call.
 """
 
 from __future__ import annotations
@@ -79,7 +75,13 @@ MAX_SUBDIVISIONS = 200
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Relative tolerance and spectral truncation governing every integral.
+    """Relative tolerance and spectral truncation of the adaptive integrals.
+
+    ``rel_tol`` governs every adaptive integral.  The kernel table of
+    :mod:`kramers.kernels` (``apply_kernel`` and the ``U_n`` pole
+    integrals) is a fixed rule on the density's knot intervals: its
+    accuracy does not depend on ``rel_tol``, and its truncation point is
+    the density's last node.
 
     ``k_max`` defaults to 800: the spectral integrands of this problem decay
     like ``(a + b ln k)/k^2``, and the fitted tail correction of
@@ -154,83 +156,41 @@ def _eval_batch(
     return vals
 
 
-def _labels(label: str | Sequence[str]) -> tuple[str, ...]:
-    return (label,) if isinstance(label, str) else tuple(label)
+def _gk_rule(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The G7/K15 pair on each interval [lo[i], hi[i]].
 
-
-def _shared_nodes(f: Callable, labels: tuple[str, ...]) -> Callable:
-    """Node evaluator of a family that evaluates each distinct node once.
-
-    The returned ``values(pts, owner)`` maps rows of G7/K15 nodes ``pts``,
-    row i belonging to member ``owner[i]``, to that member's integrand
-    values.  Members that start from one partition and bisect it share
-    most of their nodes, within a sweep and across sweeps, so nodes are
-    deduplicated and every evaluated row of member values is kept for the
-    rest of the call.
+    Returns the ``(len(lo), 15)`` points, the half-widths and the Kronrod
+    and Gauss weights on [-1, 1] (the Gauss weight is 0 at the 8
+    Kronrod-only points): the K15 and G7 sums of interval i are
+    ``half[i]`` times the weighted sums of its 15 values.
     """
-    known_x = np.empty(0)
-    known_vals = np.empty((0, len(labels)))
-
-    def values(pts: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        nonlocal known_x, known_vals
-        x, inverse = np.unique(pts.ravel(), return_inverse=True)
-        at = np.searchsorted(known_x, x)
-        seen = at < known_x.size
-        seen[seen] = known_x[at[seen]] == x[seen]
-        if not seen.all():
-            fresh = x[~seen]
-            known_x = np.concatenate([known_x, fresh])
-            known_vals = np.concatenate(
-                [known_vals, _eval_batch(f, fresh, labels)]
-            )
-            order = np.argsort(known_x)
-            known_x, known_vals = known_x[order], known_vals[order]
-            at = np.searchsorted(known_x, x)
-        return known_vals[at[inverse].reshape(pts.shape), owner[:, None]]
-
-    return values
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * _NODES, half, _WK_FULL, _WG_FULL
 
 
 def _adaptive_gk(
-    f: Callable,
-    breakpoints: np.ndarray,
-    rel_tol: float,
-    label: str | Sequence[str],
-) -> tuple[np.ndarray, np.ndarray]:
+    f: Callable, breakpoints: np.ndarray, rel_tol: float, label: str
+) -> tuple[float, float]:
     """Adaptive G7/K15 over the union of [breakpoints[i], breakpoints[i+1]].
 
-    Integrates one integrand or, when ``label`` is a sequence of m labels,
-    a family of m (see :func:`_eval_batch`), and returns (values, error
-    estimates), one entry per member.  Each member refines on its own
-    intervals: it splits every interval whose error exceeds a quarter of
-    its current worst, within its own ``MAX_SUBDIVISIONS`` budget, and
-    stops once its total error meets its tolerance.  A sweep evaluates the
-    new intervals of all unconverged members together, each distinct node
-    once, so a member's value does not depend on the others.
+    Returns (value, error estimate).  Every sweep splits each interval
+    whose error exceeds a quarter of the current worst, within the
+    ``MAX_SUBDIVISIONS`` budget, until the total error meets the tolerance.
     Deterministic.
     """
-    labels = _labels(label)
-    m = len(labels)
-    if m == 1:
-        # one member never revisits a node: nothing to share
-        def node_values(pts, owner):
-            return _eval_batch(f, pts.ravel(), label).reshape(pts.shape)
-    else:
-        node_values = _shared_nodes(f, labels)
 
-    def rate(lo_a: np.ndarray, hi_a: np.ndarray, owner: np.ndarray):
-        mid = 0.5 * (lo_a + hi_a)
-        half = 0.5 * (hi_a - lo_a)
-        pts = mid[:, None] + half[:, None] * _NODES[None, :]
-        vals = node_values(pts, owner)
+    def rate(lo_a: np.ndarray, hi_a: np.ndarray):
+        pts, half, w_k, w_g = _gk_rule(lo_a, hi_a)
+        vals = _eval_batch(f, pts.ravel(), label).reshape(pts.shape)
         # np.add.reduce is sum() without its Python wrapper, which counts
         # in the many small scalar integrals
-        resk = np.add.reduce(vals * _WK_FULL, axis=1) * half
-        resg = np.add.reduce(vals * _WG_FULL, axis=1) * half
+        resk = np.add.reduce(vals * w_k, axis=1) * half
+        resg = np.add.reduce(vals * w_g, axis=1) * half
         # QUADPACK-style sharpened error estimate
         reskh = resk / (hi_a - lo_a)
         resasc = np.add.reduce(
-            np.abs(vals - reskh[:, None]) * _WK_FULL, axis=1
+            np.abs(vals - reskh[:, None]) * w_k, axis=1
         ) * half
         raw = np.abs(resk - resg)
         positive = resasc > 0.0
@@ -241,57 +201,36 @@ def _adaptive_gk(
         )
         return resk, scaled
 
-    # The intervals of all members, each tagged with its member (owner).  A
-    # member's intervals keep the order a one-member run gives them, and a
-    # converged member's intervals stay as they are, so its sums do too.
     breakpoints = np.asarray(breakpoints, dtype=float)
-    lo = np.concatenate([breakpoints[:-1]] * m)
-    hi = np.concatenate([breakpoints[1:]] * m)
-    owner = np.arange(m).repeat(len(breakpoints) - 1)
-    vals, errs = rate(lo, hi, owner)
+    lo, hi = breakpoints[:-1], breakpoints[1:]
+    vals, errs = rate(lo, hi)
     while True:
-        total = np.bincount(owner, vals, m)
-        err_total = np.bincount(owner, errs, m)
-        tol = np.maximum(ABS_TOL, rel_tol * np.abs(total))
-        busy = ~(err_total <= tol)
-        if not busy.any():
-            return total, err_total
-        # no member holds MAX_SUBDIVISIONS intervals unless all do together
+        # sums in interval order: np.add.reduce would add pairwise
+        total = np.add.accumulate(vals)[-1]
+        err_total = np.add.accumulate(errs)[-1]
+        tol = max(ABS_TOL, rel_tol * abs(total))
+        if err_total <= tol:
+            return float(total), float(err_total)
         if len(lo) >= MAX_SUBDIVISIONS:
-            count = np.bincount(owner, minlength=m)
-            exhausted = busy & (count >= MAX_SUBDIVISIONS)
-            if exhausted.any():
-                j = exhausted.argmax()
-                raise BudgetExhaustedError(
-                    labels[j],
-                    f"subdivision limit {MAX_SUBDIVISIONS} reached (error "
-                    f"{err_total[j]:.3e} > tolerance {tol[j]:.3e})",
-                )
-        worst = np.zeros(m)
-        np.maximum.at(worst, owner, errs)
-        split = busy[owner] & (errs >= 0.25 * worst[owner])
+            raise BudgetExhaustedError(
+                label,
+                f"subdivision limit {MAX_SUBDIVISIONS} reached (error "
+                f"{err_total:.3e} > tolerance {tol:.3e})",
+            )
+        split = errs >= 0.25 * errs.max()
         if len(lo) + np.count_nonzero(split) > MAX_SUBDIVISIONS:
-            count = np.bincount(owner, minlength=m)
-            over = count + np.bincount(owner, split, m) > MAX_SUBDIVISIONS
-            for j in over.nonzero()[0]:
-                # split only as many of the member's worst intervals as its
-                # budget allows
-                mine = (owner == j).nonzero()[0]
-                order = np.argsort(errs[mine])[::-1]
-                split[mine] = False
-                split[mine[order[: MAX_SUBDIVISIONS - count[j]]]] = True
+            # split only as many of the worst intervals as the budget allows
+            order = np.argsort(errs)[::-1]
+            split[:] = False
+            split[order[: MAX_SUBDIVISIONS - len(lo)]] = True
         keep = ~split
         mid = 0.5 * (lo[split] + hi[split])
-        parents = owner[split]
-        halves = np.concatenate([parents, parents])
         new_vals, new_errs = rate(
             np.concatenate([lo[split], mid]),
             np.concatenate([mid, hi[split]]),
-            halves,
         )
         lo = np.concatenate([lo[keep], lo[split], mid])
         hi = np.concatenate([hi[keep], mid, hi[split]])
-        owner = np.concatenate([owner[keep], halves])
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
 
@@ -313,7 +252,7 @@ def integrate_gaussian_weighted(
 
     breaks = np.linspace(0.0, T_MAX, 5)
     value, _ = _adaptive_gk(g, breaks, spec.rel_tol, label)
-    return float(value[0])
+    return value
 
 
 def _fit_log_tail(
@@ -351,7 +290,7 @@ def _log_tail(
     if dominant.any():
         j = dominant.argmax()
         raise TailEstimateDominatesError(
-            _labels(label)[j],
+            label if isinstance(label, str) else label[j],
             f"tail estimate {tail[j]:.3e} exceeds 10% of the truncated part "
             f"{np.atleast_1d(head)[j]:.3e}; k_max={k_max} too small",
         )
@@ -359,15 +298,9 @@ def _log_tail(
 
 
 def _integrate_spectral_detail(
-    f: Callable,
-    spec: QuadratureSpec,
-    tail_exponent: int,
-    label: str | Sequence[str],
-) -> tuple:
-    """integrate_spectral returning (value, error estimate, tail part).
-
-    For a family each of the three is an array, one entry per member.
-    """
+    f: Callable, spec: QuadratureSpec, tail_exponent: int, label: str
+) -> tuple[float, float, float]:
+    """integrate_spectral returning (value, error estimate, tail part)."""
     if tail_exponent < 2:
         raise ValueError("tail_exponent must be >= 2")
     # geometric initial partition suits decaying integrands
@@ -375,18 +308,16 @@ def _integrate_spectral_detail(
     while pts[-1] < spec.k_max:
         pts.append(min(pts[-1] * 4.0, spec.k_max))
     head, err = _adaptive_gk(f, np.array(pts), spec.rel_tol, label)
-    tail = _log_tail(f, spec.k_max, tail_exponent, head, label)
-    if isinstance(label, str):
-        return float(head[0] + tail[0]), float(err[0]), float(tail[0])
-    return head + tail, err, tail
+    tail = _log_tail(f, spec.k_max, tail_exponent, head, label)[0]
+    return float(head + tail), err, float(tail)
 
 
 def integrate_spectral(
     f: Callable,
     spec: QuadratureSpec = DEFAULT_SPEC,
     tail_exponent: int = 2,
-    label: str | Sequence[str] = "spectral integral",
-) -> float | np.ndarray:
+    label: str = "spectral integral",
+) -> float:
     """Integrate ``f(k)`` over k in [0, inf) for algebraically decaying f.
 
     The domain is truncated at ``spec.k_max`` and the remainder estimated by
@@ -395,13 +326,6 @@ def integrate_spectral(
     log-augmented model is required here: with a pure power fit, integrands
     of this problem (which all carry ``ln k / k^2`` tails) would be biased at
     the 1e-3 level however large ``k_max`` is chosen.
-
-    With a sequence of m labels instead of one, ``f`` is a family: it maps
-    the k points to a ``(len(k), m)`` array, column j being member j, and
-    the result is an array of the m integrals.  Each member refines, fits
-    its tail and meets its budget and tail guard as it would alone, and an
-    error names the member that raised it; one call of ``f`` per sweep
-    serves all members, on the distinct points they need.
     """
     value, _, _ = _integrate_spectral_detail(f, spec, tail_exponent, label)
     return value

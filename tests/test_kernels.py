@@ -7,12 +7,16 @@ from scipy.interpolate import make_interp_spline
 
 from kramers.kernels import (
     SpectralFunction,
+    _KernelTable,
+    _apply_table,
     apply_kernel,
     s_kernel,
     standard_grid,
     weighted_sum,
 )
-from kramers.quadrature import QuadratureSpec, integrate_spectral
+from kramers.quadrature import (
+    QuadratureSpec, TailEstimateDominatesError, _log_tail,
+)
 from kramers.special_integrals import (
     SQRT_PI, MomentBatch, fixed_row, j_m, phi0_vec, t_n, t_n_vec,
 )
@@ -223,34 +227,71 @@ class TestApplyKernel:
         with pytest.raises(ValueError):
             apply_kernel(phi_seed(), 1.0, SPEC)
 
-    def test_lockstep_matches_per_node_integrals(self):
-        """Every 10th node against its own integral of one kernel column.
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_heads_match_quadpack_per_knot_interval(self):
+        """The table's heads against QUADPACK on every knot interval.
 
-        The family contracts all kernel rows in one matrix product, whose
-        rounding differs from the one-row product at 4e-16.  S_1 cancels
-        where k1 is small against k, so relative to a small node value
-        that becomes up to 1.4e-13 (6.6e-12 at the last nodes, ~1e-12 in
-        size); the tolerance is therefore relative to the largest value.
+        Both sides share the tail and the moment rule, so the comparison
+        is of the heads.  S_1 = J_3 - sqrt(pi) T_3(k) T_1(k1) cancels where
+        k1 is small against k (at node 150, k = 367, to 1e-4 of the J_3
+        term), and the rounding of that difference differs between one
+        point and a batch of them; so the tolerance is relative to the
+        integral of the J_3 term, which is 3.4 to 4.6 times the value at
+        nodes 0 to 20.
         """
         phi = phi_seed()
         gamma = 0.25
         psi = apply_kernel(phi, gamma, SPEC)
-        scale = np.abs(psi.values).max()
-        t3 = t_n_vec(3, phi.nodes)
-        for i in range(0, len(phi.nodes), 10):
-            k = float(phi.nodes[i])
-            t3k = t3[i]
-            row3 = fixed_row(3, k)
+        nodes = phi.nodes
+        t3 = t_n_vec(3, nodes)
+        for i in (0, 8, 20, 100, 150):
+            row3 = fixed_row(3, float(nodes[i]))
 
-            def integrand(k1):
+            def integrand(k1, i=i, row3=row3):
                 batch = MomentBatch(k1)
-                s_row = batch.against(row3) - SQRT_PI * t3k * batch.t(1)
+                s_row = batch.against(row3) - SQRT_PI * t3[i] * batch.t(1)
                 return s_row * phi(batch.k) / batch.t(2)
 
-            alone = (1.0 - gamma) * integrate_spectral(
-                integrand, SPEC, tail_exponent=2, label=f"node {i}"
-            ) / np.pi
-            assert psi.values[i] == pytest.approx(alone, rel=0.0, abs=1e-14 * scale)
+            def j3_term(k1, row3=row3):
+                batch = MomentBatch(k1)
+                return np.abs(batch.against(row3) * phi(batch.k) / batch.t(2))[0]
+
+            head = sum(
+                quad(lambda k1: integrand(k1)[0], a, b, epsabs=0.0,
+                     epsrel=1e-13, limit=200)[0]
+                for a, b in zip(nodes[:-1], nodes[1:])
+            )
+            scale = quad(j3_term, 0.0, SPEC.k_max, epsrel=1e-6, limit=200)[0]
+            tail = _log_tail(integrand, SPEC.k_max, 2, head, f"node {i}")[0]
+            want = (1.0 - gamma) * (head + tail) / np.pi
+            assert psi.values[i] == pytest.approx(
+                want, rel=0.0, abs=1e-14 * (1.0 - gamma) * scale / np.pi
+            )
+
+    def test_halved_knot_intervals(self):
+        """The fixed rule is converged: halving its intervals moves nothing."""
+        phi = phi_seed()
+        nodes = phi.nodes
+        halved = np.sort(np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])]))
+        psi = apply_kernel(phi, 0.25, SPEC)
+        table = _KernelTable(halved, nodes)
+        fine = _apply_table(table, phi, table.density(phi), 0.25)
+        scale = np.abs(psi.values).max()
+        assert np.abs(fine.values - psi.values).max() < 1e-14 * scale
+
+    def test_tail_dominating_node(self):
+        """A density whose image at one node is all tail names that node."""
+        phi_1 = apply_kernel(phi_seed(), 0.0, SPEC)
+        phi_2 = apply_kernel(phi_1, 0.0, SPEC)
+        psi_1, psi_2 = apply_kernel(phi_1, 0.0, SPEC), apply_kernel(phi_2, 0.0, SPEC)
+        j = 100
+        # head + tail vanishes at node j, so there the tail is minus the head
+        mixed = weighted_sum(
+            [1.0, -psi_2.values[j] / psi_1.values[j]], [phi_2, phi_1], "phi_2"
+        )
+        with pytest.raises(TailEstimateDominatesError) as err:
+            apply_kernel(mixed, 0.0, SPEC)
+        assert err.value.label == f"phi_3 grid node k={phi_1.nodes[j]:.3g}"
 
 
 class TestStandardGrid:

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from kramers.kernels import apply_kernel
 from kramers.neumann import (
     SeriesExpansion,
+    _pole_integrand,
     build_series,
     e_n,
     pole_residual,
     u0,
     u_coefficient,
 )
-from kramers.quadrature import QuadratureSpec
+from kramers.quadrature import QuadratureSpec, _log_tail
 from kramers.special_integrals import phi0, t_n
 
 SPEC = QuadratureSpec()
@@ -126,6 +128,33 @@ class TestBuildSeries:
         assert len(series.diagnostics) == 3
         assert series.diagnostics[1]["u_error"] >= 0.0
 
+    def test_diagnostics_bound_every_order(self, series_cache):
+        """u_error bounds U_n at rel_tol; u_tail is U_n's fitted tail part."""
+        gamma = 0.25
+        series = series_cache(gamma, 4)
+        for n in range(1, 5):
+            diag = series.diagnostics[n]
+            u_n = series.u_coeffs[n]
+            assert diag["order"] == n
+            assert math.isfinite(diag["u_error"])
+            assert 0.0 <= diag["u_error"] <= SPEC.rel_tol * abs(u_n)
+            pole = _pole_integrand(0.0, gamma, series.phi_funcs[n - 1], SPEC)
+            tail = _log_tail(pole, SPEC.k_max, 2, 1.0, "tail")[0]
+            scale = SQPI * (1.0 - gamma) ** n
+            assert diag["u_tail"] == pytest.approx(tail / scale, rel=1e-14)
+            assert abs(diag["u_tail"]) < 0.1 * abs(u_n)
+
+    def test_shared_table_changes_nothing(self, series_cache):
+        """build_series shares one kernel table; the outputs are bit-identical
+        to apply_kernel and u_coefficient, which build their own."""
+        gamma = 0.25
+        series = series_cache(gamma, 4)
+        for n in range(1, 5):
+            phi_prev = series.phi_funcs[n - 1]
+            alone = apply_kernel(phi_prev, gamma, SPEC)
+            np.testing.assert_array_equal(series.phi_funcs[n].values, alone.values)
+            assert series.u_coeffs[n] == u_coefficient(n, gamma, phi_prev, SPEC)
+
     def test_expansion_invariant(self):
         with pytest.raises(ValueError, match="sqrt"):
             SeriesExpansion(
@@ -135,41 +164,44 @@ class TestBuildSeries:
 
 
 class TestRecordedSeries:
-    """Order-4 series recorded when every grid node was integrated alone.
+    """Order-4 series recorded from the kernel table.
 
     U_1..U_4 to 1e-12 relative; phi_4 and E_4 at every 16th node to 1e-12
-    of their largest value (the last nodes hold values near 1e-13).
+    of their largest value (the last nodes hold values near 1e-13).  These
+    values replaced ones recorded from adaptive integrals that were off by
+    up to 1.4e-10 in U_n; the recorded U_n match QUADPACK on every knot
+    interval of phi_{n-1} to 3.4e-15 relative.
     """
 
     U = {
-        0.0: [0.1405234316942604, -0.011555351976562833,
-              0.0010925167140026673, -0.00010544498005860478],
-        0.25: [0.254340741515391, -0.023416084658733537,
-               0.0022683275909644914, -0.00021993930272291842],
+        0.0: [0.14052343167416917, -0.011555351976047956,
+              0.0010925167139592966, -0.00010544498006890559],
+        0.25: [0.25434074150913416, -0.02341608466104926,
+               0.00226832759151726, -0.00021993930281852652],
     }
     PHI_4 = {
-        0.0: [-1.538694626622049e-05, -9.101914353263536e-06,
-              -4.131819985154322e-06, -2.0598635874142534e-06,
-              -1.0559886622920664e-06, -1.386973896592966e-07,
-              -1.2611551390689045e-08, -9.102308876007977e-10,
-              -4.984597642560131e-11, -3.3456084615122587e-13],
-        0.25: [-4.868525965736366e-06, -2.8799025881675107e-06,
-               -1.307333667099137e-06, -6.51753713156172e-07,
-               -3.341214126526255e-07, -4.388472094430172e-08,
-               -3.99037368539938e-09, -2.8800274176583084e-10,
-               -1.5771578477774016e-11, -1.058571427243642e-13],
+        0.0: [-1.5386946269951104e-05, -9.10191435783262e-06,
+              -4.131819987545551e-06, -2.0598635887603586e-06,
+              -1.0559886630661077e-06, -1.386973898055073e-07,
+              -1.2611551410573792e-08, -9.102308889013681e-10,
+              -4.9845976531086005e-11, -3.345608470508107e-13],
+        0.25: [-4.86852596822671e-06, -2.8799025897829813e-06,
+               -1.3073336679343328e-06, -6.517537136312067e-07,
+               -3.3412141292325995e-07, -4.388472099314873e-08,
+               -3.990373688501864e-09, -2.8800274219144856e-10,
+               -1.5771578511788943e-11, -1.0585714301217065e-13],
     }
     E_4 = {
-        0.0: [-3.077389253244098e-05, -2.4208654521487084e-05,
-              -1.730145144880117e-05, -1.3006966212479465e-05,
-              -9.93097441009255e-06, -4.389148482493643e-06,
-              -1.6443731693669853e-06, -5.422621539333776e-07,
-              -1.5306740843294432e-07, -1.604420069709858e-08],
-        0.25: [-4.103185669888098e-05, -3.227820602674654e-05,
-               -2.3068601930348003e-05, -1.7342621615332265e-05,
-               -1.3241299212437302e-05, -5.852197976313457e-06,
-               -2.192497560908262e-06, -7.230162052090834e-07,
-               -2.0408987790232485e-07, -2.1392267595490393e-08],
+        0.0: [-3.0773892539902214e-05, -2.4208654533639622e-05,
+              -1.730145145881413e-05, -1.300696622097942e-05,
+              -9.93097441737197e-06, -4.389148487120554e-06,
+              -1.6443731719596835e-06, -5.422621547081811e-07,
+              -1.5306740875686754e-07, -1.6044200740239065e-08],
+        0.25: [-4.103185671986957e-05, -3.2278206044852877e-05,
+               -2.3068601945085475e-05, -1.734262162797255e-05,
+               -1.3241299223162597e-05, -5.852197982827397e-06,
+               -2.192497562612912e-06, -7.230162062775748e-07,
+               -2.0408987834249015e-07, -2.1392267653652106e-08],
     }
 
     @pytest.mark.parametrize("gamma", [0.0, 0.25])
