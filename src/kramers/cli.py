@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--x", default="0:10:0.5",
                            help="coordinate range start:stop:step")
     p_profile.add_argument("--mu", default=None,
-                           help="comma list of velocities for h(x1, mu) columns")
+                           help="comma list of velocities in [-10, 10] for "
+                                "h(x1, mu) columns")
     _add_common(p_profile)
     p_profile.set_defaults(func=_cmd_profile)
 

@@ -21,9 +21,13 @@ Applying the operator means sampling
 
 on a fixed composite grid and interpolating between nodes.  A fixed
 G7/K15 pair on every knot interval of phi (one quintic each) integrates
-the head to rounding, and the log-tail model of :mod:`kramers.quadrature`
-closes it.  The rule with its moments and the S_1 rows of the grid nodes
-is one table, free of gamma and phi, that every order of the series shares.
+the head to rounding, and the log-tail model of :mod:`kramers.quadrature`,
+fitted at its two tail points 0.7 k_max and k_max, closes it.  One table
+holds the rule's points followed by the two tail points, with the moments
+and the S_1 rows of the grid nodes at all of them, so a head and its tail
+read the same arrays.  The table is free of gamma and phi, and every order
+of the series shares it.  Spectral functions are defined on [0, k_max]
+only: past k_max each integral uses its own fitted tail.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PPoly, make_interp_spline
 
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _gk_rule, _log_tail
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _gk_rule, _log_tail, _tail_points
 # perfbench/tracing.py rebinds integrate_spectral here, though nothing here
 # calls it any more
 from .quadrature import integrate_spectral  # noqa: F401
@@ -48,7 +52,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    """A sampled, interpolable even function of k >= 0 with an algebraic tail.
+    """A sampled, interpolable even function of k, defined on [0, k_max].
 
     Evaluation between nodes is by a quintic spline whose odd derivatives
     are clamped to zero at k=0 (evenness forces a flat start), so at least
@@ -61,17 +65,17 @@ class SpectralFunction:
     is the read-only attribute ``poly``: breakpoints ``poly.x`` (the nodes,
     with the end knots repeated as empty intervals) and coefficients
     ``poly.c[m, i]`` of ``(k - poly.x[i])^(5-m)``.
-    Beyond the last node the function follows C / k^tail_exponent anchored
-    at the last sample.  Instances are immutable; the sample and coefficient
-    arrays are frozen on construction.
+    The function is defined on [0, k_max], ``k_max`` being the last node,
+    and evaluation past it raises ``ValueError``: each integral over it
+    closes its own tail with a fitted model (see :mod:`kramers.quadrature`).
+    Instances are immutable; the sample and coefficient arrays are frozen
+    on construction.
     """
 
     nodes: np.ndarray
     values: np.ndarray
-    tail_exponent: int
     label: str
     poly: PPoly = field(init=False, repr=False, compare=False)
-    _tail_coeff: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -82,8 +86,6 @@ class SpectralFunction:
             raise ValueError("nodes must start at 0 and increase strictly")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{self.label}: non-finite sample values")
-        if self.tail_exponent < 2:
-            raise ValueError("tail_exponent must be >= 2")
         if len(nodes) < 8:
             raise ValueError(
                 f"{self.label}: a quintic spline needs at least 8 nodes, "
@@ -101,9 +103,6 @@ class SpectralFunction:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "poly", poly)
-        object.__setattr__(
-            self, "_tail_coeff", values[-1] * nodes[-1] ** self.tail_exponent
-        )
 
     @property
     def k_max(self) -> float:
@@ -113,14 +112,13 @@ class SpectralFunction:
         k = np.asarray(k, dtype=float)
         if not np.all(k >= 0.0):  # also catches NaN
             raise ValueError("spectral functions are defined for k >= 0")
-        scalar = k.ndim == 0
-        k = np.atleast_1d(k)
-        k_max = self.nodes[-1]
-        out = self.poly(np.minimum(k, k_max))
-        tail = k > k_max
-        if tail.any():
-            out[tail] = self._tail_coeff / k[tail] ** self.tail_exponent
-        return out[0] if scalar else out
+        if not np.all(k <= self.nodes[-1]):
+            raise ValueError(
+                f"{self.label} is defined for k <= k_max={self.k_max:g}, "
+                f"got k={k.max():g}"
+            )
+        out = self.poly(k)
+        return out[()] if k.ndim == 0 else out
 
 
 def weighted_sum(
@@ -129,21 +127,16 @@ def weighted_sum(
     """sum_i weights[i] funcs[i] on the shared grid, without a refit.
 
     The clamped quintic interpolant is linear in the node values, so the
-    sum's node values, polynomial coefficients and tail coefficient are the
-    weighted sums of the terms'.  The terms must share their nodes and tail
-    exponent.
+    sum's node values and polynomial coefficients are the weighted sums of
+    the terms'.  The terms must share their nodes.
     """
     first = funcs[0]
     for f in funcs[1:]:
-        if (f.tail_exponent != first.tail_exponent
-                or not np.array_equal(f.nodes, first.nodes)):
-            raise ValueError(
-                f"{label}: {f.label} and {first.label} differ in grid or tail"
-            )
+        if not np.array_equal(f.nodes, first.nodes):
+            raise ValueError(f"{label}: {f.label} and {first.label} differ in grid")
     values = sum(w * f.values for w, f in zip(weights, funcs))
     coeffs = sum(w * f.poly.c for w, f in zip(weights, funcs))
     total = object.__new__(SpectralFunction)
-    object.__setattr__(total, "tail_exponent", first.tail_exponent)
     object.__setattr__(total, "label", label)
     total._freeze(first.nodes, values, PPoly.construct_fast(coeffs, first.poly.x))
     return total
@@ -195,35 +188,32 @@ _CHUNK = 256
 
 
 class _KernelTable:
-    """Fixed G7/K15 rule on a density's knot intervals, with its moments.
+    """Fixed G7/K15 rule on the knot intervals of a grid, with its moments.
 
-    The pair's points ``k`` on every [knots[i], knots[i+1]], both weight
-    sets scaled to the intervals (``w_k``, ``w_g``), T_1 and T_2 at the
-    points and, with ``nodes``, the kernel rows ``s[j, i] = S_1(nodes[i],
-    k[j])``, built in MomentBatches of at most ``_CHUNK`` points so that
-    ``s`` is the one large array.  ``k_max`` is the last knot.
+    The points ``k`` are the pair's points on every [grid[i], grid[i+1]]
+    followed by the two tail points of :func:`_tail_points`, where every
+    tail of this module is fitted; the Kronrod weights ``w_k`` are scaled
+    to the intervals and 0 at the tail points.  With them come T_1 and
+    T_2 at the points and the kernel rows ``s[j, i] = S_1(grid[i], k[j])``,
+    built in MomentBatches of at most ``_CHUNK`` points so that ``s`` is
+    the one large array.  ``k_max`` is the last node.
     """
 
-    def __init__(self, knots: np.ndarray, nodes: np.ndarray | None = None):
-        pts, half, w_k, w_g = _gk_rule(knots[:-1], knots[1:])
-        self.k, self.k_max, self.nodes = pts.ravel(), float(knots[-1]), nodes
-        self.intervals = len(half)
-        self.w_k = (half[:, None] * w_k).ravel()
-        self.w_g = (half[:, None] * w_g).ravel()
+    def __init__(self, grid: np.ndarray):
+        pts, half, w_k, w_g = _gk_rule(grid[:-1], grid[1:])
+        self.nodes, self.k_max = grid, float(grid[-1])
+        self.k = np.concatenate([pts.ravel(), _tail_points(self.k_max)])
+        self.w_k = np.concatenate([(half[:, None] * w_k).ravel(), [0.0, 0.0]])
+        self._w_err = half[:, None] * (w_k - w_g)
+        rows3 = np.stack([fixed_row(3, float(k)) for k in grid], axis=1)
+        t3 = SQRT_PI * t_n_vec(3, grid)
         self.t1, self.t2 = np.empty(self.k.size), np.empty(self.k.size)
-        if nodes is not None:
-            self._rows3 = np.stack([fixed_row(3, float(k)) for k in nodes], axis=1)
-            self._t3 = SQRT_PI * t_n_vec(3, nodes)
-            self.s = np.empty((self.k.size, len(nodes)))
+        self.s = np.empty((self.k.size, len(grid)))
         for start in range(0, self.k.size, _CHUNK):
             part = slice(start, start + _CHUNK)
             batch = MomentBatch(self.k[part])
             self.t1[part], self.t2[part] = batch.t(1), batch.t(2)
-            if nodes is not None:
-                self.s[part] = self._s_rows(batch)
-
-    def _s_rows(self, batch: MomentBatch) -> np.ndarray:
-        return batch.against(self._rows3) - np.outer(batch.t(1), self._t3)
+            self.s[part] = batch.against(rows3) - np.outer(self.t1[part], t3)
 
     def density(self, phi: SpectralFunction) -> np.ndarray:
         """phi/T_2 at the points, the factor every integral here weights."""
@@ -231,33 +221,22 @@ class _KernelTable:
 
     def error(self, values: np.ndarray) -> float:
         """Sum over the knot intervals of |K15 - G7| for values at the points."""
-        diff = ((self.w_k - self.w_g) * values).reshape(self.intervals, -1)
+        diff = self._w_err * values[:-2].reshape(self._w_err.shape)
         return float(np.abs(diff.sum(axis=1)).sum())
-
-    def kernel_integrand(self, phi: SpectralFunction):
-        """k1 -> S_1(nodes, k1) phi(k1)/T_2(k1), one column per node."""
-
-        def integrand(k1):
-            batch = MomentBatch(k1)
-            return self._s_rows(batch) * (phi(batch.k) / batch.t(2))[:, None]
-
-        return integrand
 
 
 def _apply_table(
     table: _KernelTable, phi: SpectralFunction, v: np.ndarray, gamma: float
 ) -> SpectralFunction:
-    """apply_kernel on a table on the knots of phi; v = table.density(phi)."""
+    """apply_kernel on the table of the grid of phi; v = table.density(phi)."""
     label = _next_label(phi.label)
     head = (table.w_k * v) @ table.s
     tail = _log_tail(
-        table.kernel_integrand(phi), table.k_max, 2, head,
+        v[-2:, None] * table.s[-2:], table.k_max, 2, head,
         [f"{label} grid node k={k:.3g}" for k in table.nodes],
     )
     values = (1.0 - gamma) * (head + tail) / np.pi
-    return SpectralFunction(
-        nodes=table.nodes.copy(), values=values, tail_exponent=2, label=label
-    )
+    return SpectralFunction(nodes=table.nodes.copy(), values=values, label=label)
 
 
 def apply_kernel(
@@ -276,9 +255,9 @@ def apply_kernel(
     used throughout: it is the convention under which the second-order
     slip coefficient assembled from the iterates matches the independent
     double-integral route (see the oracle module).  Output is sampled on
-    the grid of ``phi`` with tail exponent 2.
+    the grid of ``phi``.
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
-    table = _KernelTable(phi.nodes, phi.nodes)
+    table = _KernelTable(phi.nodes)
     return _apply_table(table, phi, table.density(phi), gamma)

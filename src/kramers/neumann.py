@@ -17,6 +17,10 @@ J_1(k, k1) (see :mod:`kramers.special_integrals`) makes it
 with J_1(0, k1) = T_1(k1) and T_1(0) = 1/sqrt(pi) for U_n.  Because the
 kernel is exactly (1 - gamma) S_1 (see :mod:`kramers.kernels`), phi_n is
 (1 - gamma)^n times its gamma=0 value, so (1 - gamma) U_n is linear in gamma.
+
+U_n and phi_n take their heads and fitted tails from one kernel table per
+series; the pole residuals B_n, which check U_n, integrate adaptively up to
+the series' own k_max.
 """
 
 from __future__ import annotations
@@ -83,7 +87,10 @@ def _check_gamma(gamma: float) -> None:
 def _pole_integrand(
     k: float, gamma: float, phi: SpectralFunction, spec: QuadratureSpec
 ):
-    """Batched integrand k1 -> J^(1)(k, k1) phi(k1) / T_2(k1) of U_n and B_n."""
+    """Batched integrand k1 -> J^(1)(k, k1) phi(k1) / T_2(k1) of B_n.
+
+    At k = 0 it is the integrand of U_n, which the kernel table integrates.
+    """
     t1k = t_n(1, k, spec)
     row = fixed_row(1, k)
 
@@ -96,18 +103,19 @@ def _pole_integrand(
 
 
 def _u_detail(
-    n: int, gamma: float, phi_prev: SpectralFunction, table: _KernelTable,
-    v: np.ndarray, spec: QuadratureSpec,
+    n: int, gamma: float, table: _KernelTable, v: np.ndarray
 ) -> tuple[float, float, float]:
-    """U_n, error estimate and fitted-tail part; v = table.density(phi_prev).
+    """U_n, error estimate and fitted-tail part; v = table.density(phi_{n-1}).
 
-    The head is the table's K15 sum, with the table's |K15 - G7| error.
+    The head is the table's K15 sum, with the table's |K15 - G7| error,
+    and the tail is fitted to the values at the table's two tail points.
     """
-    pole = _pole_integrand(0.0, gamma, phi_prev, spec)
-    values = (gamma * t_n(1, 0.0, spec) + (1.0 - gamma) * table.t1) * v
+    values = (gamma / SQRT_PI + (1.0 - gamma) * table.t1) * v
     head = table.w_k @ values
     err = table.error(values)
-    tail = _log_tail(pole, table.k_max, 2, head, f"U_{n} pole-elimination integral")[0]
+    tail = _log_tail(
+        values[-2:], table.k_max, 2, head, f"U_{n} pole-elimination integral"
+    )[0]
     scale = SQRT_PI * (1.0 - gamma) ** n
     return float(-(head + tail) / scale), float(err / scale), float(tail / scale)
 
@@ -134,7 +142,7 @@ def u_coefficient(
         raise ValueError("u_coefficient is defined for n >= 1; use u0()")
     _check_gamma(gamma)
     table = _KernelTable(phi_prev.nodes)
-    return _u_detail(n, gamma, phi_prev, table, table.density(phi_prev), spec)[0]
+    return _u_detail(n, gamma, table, table.density(phi_prev))[0]
 
 
 def e_n(
@@ -155,12 +163,7 @@ def e_n(
     values = phi_n(phi_n.nodes) / (
         (1.0 - gamma) ** (n + 1) * t_n_vec(2, phi_n.nodes)
     )
-    return SpectralFunction(
-        nodes=phi_n.nodes.copy(),
-        values=values,
-        tail_exponent=2,
-        label=f"E_{n}",
-    )
+    return SpectralFunction(nodes=phi_n.nodes.copy(), values=values, label=f"E_{n}")
 
 
 def build_series(
@@ -170,7 +173,7 @@ def build_series(
 ) -> SeriesExpansion:
     """Build U_0..U_order with their iterates and densities.
 
-    One kernel table on the grid (2,385 points, see
+    One kernel table on the grid (2,385 rule and 2 tail points, see
     :func:`kramers.kernels.apply_kernel`) serves all orders, each then
     costing one evaluation of phi_{n-1}/T_2 at its points, one product with
     its S_1 rows and two fitted tails.  Orders beyond 4 are refused as
@@ -192,20 +195,13 @@ def build_series(
         )
 
     grid = standard_grid(spec)
-    phi_funcs = [
-        SpectralFunction(
-            nodes=grid,
-            values=phi0_vec(grid),
-            tail_exponent=4,
-            label="phi_0",
-        )
-    ]
+    phi_funcs = [SpectralFunction(nodes=grid, values=phi0_vec(grid), label="phi_0")]
     u_coeffs = [u0()]
     diagnostics: list[dict] = [{"order": 0, "u_error": 0.0}]
-    table = _KernelTable(grid, grid) if order else None
+    table = _KernelTable(grid) if order else None
     for n in range(1, order + 1):
         phi, v = phi_funcs[-1], table.density(phi_funcs[-1])
-        u_n, u_error, u_tail = _u_detail(n, gamma, phi, table, v, spec)
+        u_n, u_error, u_tail = _u_detail(n, gamma, table, v)
         u_coeffs.append(u_n)
         phi_funcs.append(_apply_table(table, phi, v, gamma))
         diagnostics.append({"order": n, "u_error": u_error, "u_tail": u_tail})
@@ -233,8 +229,11 @@ def pole_residual(
         B_n(k) = U_n T_1(k) + (1/pi) int J^(1)(k, k1) E_{n-1}(k1) dk1.
 
     With the correct U_n this scales as k^2 near zero (it equals
-    -E_n(k) L(k)); a constant leftover means the pole survived.
+    -E_n(k) L(k)); a constant leftover means the pole survived.  The
+    integral ends at the series' own k_max, like the profile layer's;
+    ``spec`` supplies only ``rel_tol``.
     """
+    spec = QuadratureSpec(rel_tol=spec.rel_tol, k_max=series.phi_funcs[0].k_max)
     if n == 0:
         return u0() * t_n(1, k, spec) - t_n(2, k, spec)
     if n > series.order:

@@ -11,9 +11,15 @@ The engine is an adaptive Gauss-Kronrod (G7/K15) bisection scheme that
 evaluates the integrand on whole batches of nodes at once: integrands must
 be numpy-vectorised and pay one call per refinement sweep.  The same G7/K15
 pair, as a fixed rule on given intervals (:func:`_gk_rule`), is the
-kernel table of :mod:`kramers.kernels`, which shares the fitted tail of
-:func:`_log_tail` for its per-node tails.  Accuracy is set by the two
-fields of :class:`QuadratureSpec`; the absolute floor, the Gaussian
+kernel table of :mod:`kramers.kernels`.
+
+Every tail past ``k_max`` is the model (alpha + beta ln k)/k^p through
+the integrand's values at the two points of :func:`_tail_points`
+(:func:`_log_model`), integrated exactly by :func:`_log_tail` under a 10%
+guard.  The spectral integrals sample those points through
+:func:`_eval_batch`; the kernel table carries them among its own points,
+and the profile layer samples its density there.  Accuracy is set by the
+two fields of :class:`QuadratureSpec`; the absolute floor, the Gaussian
 truncation point and the subdivision budget are module constants.  All
 functions are pure; nothing here holds mutable state beyond one call.
 """
@@ -131,27 +137,15 @@ _WG_FULL = np.zeros(15)
 _WG_FULL[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
 
 
-def _eval_batch(
-    f: Callable, x: np.ndarray, label: str | Sequence[str]
-) -> np.ndarray:
-    """Evaluate the vectorised integrand ``f`` on a flat array of nodes.
-
-    ``label`` is one label, for an integrand with one value per node, or a
-    sequence of m labels, for a family whose values form a
-    ``(len(x), m)`` array; a non-finite value is reported under the label
-    of its member.
-    """
-    family = not isinstance(label, str)
-    shape = (x.size, len(label)) if family else x.shape
+def _eval_batch(f: Callable, x: np.ndarray, label: str) -> np.ndarray:
+    """Evaluate the vectorised integrand ``f`` on a flat array of nodes."""
     vals = np.asarray(f(x), dtype=float)
-    if vals.shape != shape:
-        vals = np.broadcast_to(vals, shape)
+    if vals.shape != x.shape:
+        vals = np.broadcast_to(vals, x.shape)
     finite = np.isfinite(vals)
     if not finite.all():
-        i, *member = np.unravel_index(np.argmin(finite), shape)
         raise NonFiniteIntegrandError(
-            label[member[0]] if family else label,
-            f"integrand not finite near x={x[i]:.6g}",
+            label, f"integrand not finite near x={x[np.argmin(finite)]:.6g}"
         )
     return vals
 
@@ -255,33 +249,42 @@ def integrate_gaussian_weighted(
     return value
 
 
-def _fit_log_tail(
-    f: Callable, k_max: float, p: int, label: str | Sequence[str]
-) -> tuple:
-    """Fit f(k) ~ (alpha + beta ln k)/k^p from samples at 0.7*k_max and k_max.
+def _tail_points(k_max: float) -> np.ndarray:
+    """The two wavenumbers, 0.7 k_max and k_max, that every tail is fitted at."""
+    return np.array([0.7 * k_max, k_max])
 
-    For a family (``label`` a sequence) alpha and beta are arrays, one
-    entry per member.
+
+def _log_model(samples, k_max: float, p: int) -> tuple:
+    """(alpha, beta) of (alpha + beta ln k)/k^p through samples at _tail_points.
+
+    ``samples`` holds the values at 0.7 k_max and k_max along its first
+    axis; a second axis gives one (alpha, beta) per column.
     """
-    ka, kb = 0.7 * k_max, k_max
-    fa, fb = _eval_batch(f, np.array([ka, kb]), label)
+    (ka, kb), (fa, fb) = _tail_points(k_max), samples
     la, lb = math.log(ka), math.log(kb)
     beta = (fb * kb**p - fa * ka**p) / (lb - la)
     alpha = fb * kb**p - beta * lb
     return alpha, beta
 
 
-def _log_tail(
-    f: Callable, k_max: float, p: int, head, label: str | Sequence[str]
-) -> np.ndarray:
-    """Exact integral over [k_max, inf) of the log-tail model fitted to ``f``.
+def _fit_log_tail(f: Callable, k_max: float, p: int, label: str) -> tuple:
+    """Fit f(k) ~ (alpha + beta ln k)/k^p from f at 0.7*k_max and k_max."""
+    return _log_model(_eval_batch(f, _tail_points(k_max), label), k_max, p)
 
-    The model (alpha + beta ln k)/k^p is fitted by :func:`_fit_log_tail`.
-    Raises :class:`TailEstimateDominatesError` when the tail exceeds 10% of
-    the truncated part ``head``.  Returns one entry per member (a family
-    when ``label`` is a sequence), as does ``head``.
+
+def _log_tail(
+    samples, k_max: float, p: int, head, label: str | Sequence[str]
+) -> np.ndarray:
+    """Exact integral over [k_max, inf) of the log-tail model of ``samples``.
+
+    ``samples`` are the integrand's values at :func:`_tail_points`, one
+    column per member when ``head`` has one entry per member; the model is
+    that of :func:`_log_model`.  Raises :class:`TailEstimateDominatesError`
+    when a tail exceeds 10% of its truncated part ``head``, under the
+    member's entry of ``label`` when that is a sequence.  Returns one
+    entry per member.
     """
-    alpha, beta = _fit_log_tail(f, k_max, p, label)
+    alpha, beta = _log_model(samples, k_max, p)
     lb = math.log(k_max)
     tail = np.atleast_1d(
         (alpha + beta * (lb + 1.0 / (p - 1))) * k_max ** (1 - p) / (p - 1)
@@ -308,7 +311,8 @@ def _integrate_spectral_detail(
     while pts[-1] < spec.k_max:
         pts.append(min(pts[-1] * 4.0, spec.k_max))
     head, err = _adaptive_gk(f, np.array(pts), spec.rel_tol, label)
-    tail = _log_tail(f, spec.k_max, tail_exponent, head, label)[0]
+    samples = _eval_batch(f, _tail_points(spec.k_max), label)
+    tail = _log_tail(samples, spec.k_max, tail_exponent, head, label)[0]
     return float(head + tail), err, float(tail)
 
 

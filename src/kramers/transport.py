@@ -30,9 +30,10 @@ from numpy.polynomial import chebyshev as C
 
 from .kernels import SpectralFunction, weighted_sum
 from .neumann import SeriesExpansion, u0
+from .quadrature import _fit_log_tail, _log_tail, _tail_points
 # perfbench/tracing.py rebinds integrate_spectral here, though nothing here
 # calls it; the import goes once the tracer tolerates absent names (ROADMAP)
-from .quadrature import _fit_log_tail, _log_tail, integrate_spectral  # noqa: F401
+from .quadrature import integrate_spectral  # noqa: F401
 from .special_integrals import SQRT_PI, GasParameters
 
 __all__ = [
@@ -192,6 +193,11 @@ _GL_CHEB = (C.chebvander(_GL_X, _N_CHEB - 1) * _GL_W[:, None]).T
 #: below x h = 2 omega = 1 the closed-form moments cancel; Gauss-Legendre
 #: takes those pieces (exact there to rounding up to omega ~ 3)
 _CLOSED_FORM_MIN_OMEGA = 0.5
+#: largest |mu| of h(x1, mu): the 9-point damping fit must resolve the width
+#: 1/|mu| on the first knot interval (0.032).  At 10 the damped cosine head
+#: there is exact to rounding at x1 = 0 and off by up to 1.3e-12 elsewhere
+#: (worst near x1 = 680); at 100 it is off by 6.5e-8, at 1e4 by 16%.
+_MU_MAX = 10.0
 
 
 def _chebyshev_moments(omega: np.ndarray) -> np.ndarray:
@@ -309,9 +315,11 @@ def _osc_transform(
         # The model is fitted to the integrand, damping included, although
         # a damped integrand decays like /k^4: the known x1 = 0 defect
         # (ROADMAP), kept until the profile references are re-pinned.
+        k_tail = _tail_points(k_max)
+        samples = density(k_tail)
         return tuple(
             float(value) if wave == "ksin" else float(value + _log_tail(
-                (lambda k: density(k) * damp(k)) if damped else density,
+                samples * damp(k_tail) if damped else samples,
                 k_max, 2, value, label)[0])
             for (wave, damped), value in zip(forms, heads)
         )
@@ -410,13 +418,15 @@ def distribution_function(
     R_q(mu) e^{-x1/mu} for mu > 0 (zero for mu < 0); the density part is
     carried by the cosine and k-sine transforms of E_q at x1.  The integral
     in R_q is the plain and damped cosine transform at x = 0 of
-    sum_{n<N} q^n E_n, so it does not depend on x1.  Non-finite x1 or mu
-    is rejected.
+    sum_{n<N} q^n E_n, so it does not depend on x1.  Non-finite x1 and
+    |mu| > 10 are rejected.
     """
     _check_pair(params, series)
     for name, value in (("x1", x1), ("mu", mu)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if abs(mu) > _MU_MAX:
+        raise ValueError(f"mu must lie in [-{_MU_MAX:g}, {_MU_MAX:g}], got {mu:g}")
     if x1 < 0.0:
         raise ValueError("x1 must be >= 0 (profiles live in the half-space)")
     gamma, q, g_v = params.gamma, params.q, params.g_v

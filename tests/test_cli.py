@@ -162,6 +162,14 @@ class TestProfile:
         assert code == 2
         assert "mu must be finite" in err and out == ""
 
+    @pytest.mark.parametrize("mu", ["1e200", "100"])
+    def test_large_mu_rejected(self, capsys, mu):
+        code, out, err = run_cli(
+            capsys, "profile", "--x", "0:2:1", "--order", "1", f"--mu={mu}",
+        )
+        assert code == 2
+        assert "mu must lie in [-10, 10]" in err and out == ""
+
     def test_distribution_columns(self, capsys):
         code, out, _ = run_cli(
             capsys, "profile", "--x", "0:1:1", "--order", "1",

@@ -15,7 +15,7 @@ from kramers.kernels import (
     weighted_sum,
 )
 from kramers.quadrature import (
-    QuadratureSpec, TailEstimateDominatesError, _log_tail,
+    QuadratureSpec, TailEstimateDominatesError, _log_tail, _tail_points,
 )
 from kramers.special_integrals import (
     SQRT_PI, MomentBatch, fixed_row, j_m, phi0_vec, t_n, t_n_vec,
@@ -27,7 +27,7 @@ SPEC = QuadratureSpec()
 def phi_seed(spec=SPEC, grid=None):
     grid = standard_grid(spec) if grid is None else grid
     return SpectralFunction(
-        nodes=grid, values=phi0_vec(grid), tail_exponent=4, label="phi_0"
+        nodes=grid, values=phi0_vec(grid), label="phi_0"
     )
 
 
@@ -36,35 +36,28 @@ class TestSpectralFunction:
         with pytest.raises(ValueError):
             SpectralFunction(
                 nodes=np.array([0.5, 1.0]), values=np.array([1.0, 2.0]),
-                tail_exponent=2, label="bad",
+                label="bad",
             )
 
     def test_requires_strict_increase(self):
         with pytest.raises(ValueError):
             SpectralFunction(
                 nodes=np.array([0.0, 1.0, 1.0]), values=np.zeros(3),
-                tail_exponent=2, label="bad",
+                label="bad",
             )
 
     def test_requires_finite_values(self):
         with pytest.raises(ValueError, match="bad"):
             SpectralFunction(
                 nodes=np.array([0.0, 1.0]), values=np.array([1.0, np.nan]),
-                tail_exponent=2, label="bad",
-            )
-
-    def test_requires_tail_exponent(self):
-        with pytest.raises(ValueError):
-            SpectralFunction(
-                nodes=np.array([0.0, 1.0]), values=np.ones(2),
-                tail_exponent=1, label="bad",
+                label="bad",
             )
 
     def test_requires_eight_nodes(self):
         nodes = np.linspace(0.0, 1.0, 7)
         with pytest.raises(ValueError, match="8 nodes"):
             SpectralFunction(
-                nodes=nodes, values=np.ones(7), tail_exponent=2, label="short",
+                nodes=nodes, values=np.ones(7), label="short",
             )
 
     def test_immutable_samples(self):
@@ -97,11 +90,13 @@ class TestSpectralFunction:
         f = phi_seed()
         np.testing.assert_allclose(f(f.nodes), f.values, rtol=0, atol=1e-13)
 
-    def test_algebraic_tail(self):
+    def test_defined_up_to_k_max(self):
         f = phi_seed()
-        k_max = f.nodes[-1]
-        expected = f.values[-1] * (k_max / (2 * k_max)) ** f.tail_exponent
-        assert f(2 * k_max) == pytest.approx(expected, rel=1e-14)
+        assert f(f.k_max) == pytest.approx(f.values[-1], rel=1e-13)
+        beyond = math.nextafter(f.k_max, math.inf)
+        for k in (beyond, np.array([1.0, beyond]), 2.0 * f.k_max):
+            with pytest.raises(ValueError, match="phi_0.*k_max"):
+                f(k)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -127,13 +122,10 @@ class TestSpectralFunction:
         ])
         scale = np.max(np.abs(f.values))
         np.testing.assert_allclose(f(probe), spline(probe), rtol=0, atol=1e-14 * scale)
-        beyond = f.k_max * np.array([1.0 + 1e-12, 1.5, 4.0, 1e3])
-        expected = f.values[-1] * f.k_max**f.tail_exponent / beyond**f.tail_exponent
-        np.testing.assert_allclose(f(beyond), expected, rtol=1e-15, atol=0)
 
     def test_deterministic_evaluation(self):
         f = phi_seed()
-        probe = np.linspace(0.0, 900.0, 57)
+        probe = np.linspace(0.0, 800.0, 57)
         np.testing.assert_array_equal(f(probe), f(probe))
 
 
@@ -167,7 +159,7 @@ class TestApplyKernel:
     def test_zero_function_maps_to_zero(self):
         grid = standard_grid(SPEC)
         zero = SpectralFunction(
-            nodes=grid, values=np.zeros_like(grid), tail_exponent=2, label="zero"
+            nodes=grid, values=np.zeros_like(grid), label="zero"
         )
         out = apply_kernel(zero, 0.3, SPEC)
         np.testing.assert_allclose(out.values, 0.0, atol=1e-14)
@@ -175,8 +167,7 @@ class TestApplyKernel:
     def test_homogeneous_scaling(self):
         phi = phi_seed()
         scaled = SpectralFunction(
-            nodes=phi.nodes.copy(), values=3.0 * phi.values,
-            tail_exponent=4, label="phi_0",
+            nodes=phi.nodes.copy(), values=3.0 * phi.values, label="phi_0",
         )
         a = apply_kernel(phi, 0.25, SPEC)
         b = apply_kernel(scaled, 0.25, SPEC)
@@ -185,7 +176,6 @@ class TestApplyKernel:
     def test_label_advances(self):
         out = apply_kernel(phi_seed(), 0.0, SPEC)
         assert out.label == "phi_1"
-        assert out.tail_exponent == 2
 
     def test_seed_image_at_origin_against_brute_force(self):
         """phi_1(0) cross-checked with a from-scratch scipy computation."""
@@ -262,7 +252,8 @@ class TestApplyKernel:
                 for a, b in zip(nodes[:-1], nodes[1:])
             )
             scale = quad(j3_term, 0.0, SPEC.k_max, epsrel=1e-6, limit=200)[0]
-            tail = _log_tail(integrand, SPEC.k_max, 2, head, f"node {i}")[0]
+            samples = integrand(_tail_points(SPEC.k_max))
+            tail = _log_tail(samples, SPEC.k_max, 2, head, f"node {i}")[0]
             want = (1.0 - gamma) * (head + tail) / np.pi
             assert psi.values[i] == pytest.approx(
                 want, rel=0.0, abs=1e-14 * (1.0 - gamma) * scale / np.pi
@@ -274,10 +265,33 @@ class TestApplyKernel:
         nodes = phi.nodes
         halved = np.sort(np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])]))
         psi = apply_kernel(phi, 0.25, SPEC)
-        table = _KernelTable(halved, nodes)
+        table = _KernelTable(halved)
         fine = _apply_table(table, phi, table.density(phi), 0.25)
+        np.testing.assert_array_equal(fine.nodes[::2], nodes)
         scale = np.abs(psi.values).max()
-        assert np.abs(fine.values - psi.values).max() < 1e-14 * scale
+        assert np.abs(fine.values[::2] - psi.values).max() < 1e-14 * scale
+
+    def test_table_ends_with_tail_points(self):
+        """The last two table points are the tail points, with weight 0, and
+        their moments and rows match a MomentBatch of those points alone.
+
+        A batch of 2 points and the table's last chunk round the rule sums
+        differently, and S_1 cancels, so its rows are compared relative to
+        their largest entry (elementwise they agree to 6e-15).
+        """
+        grid = standard_grid(SPEC)
+        table = _KernelTable(grid)
+        k_tail = _tail_points(SPEC.k_max)
+        np.testing.assert_array_equal(table.k[-2:], k_tail)
+        np.testing.assert_array_equal(table.w_k[-2:], 0.0)
+        batch = MomentBatch(k_tail)
+        np.testing.assert_allclose(table.t1[-2:], batch.t(1), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(table.t2[-2:], batch.t(2), rtol=1e-15, atol=0)
+        rows3 = np.stack([fixed_row(3, float(k)) for k in grid], axis=1)
+        s = batch.against(rows3) - np.outer(batch.t(1), SQRT_PI * t_n_vec(3, grid))
+        np.testing.assert_allclose(
+            table.s[-2:], s, rtol=0, atol=1e-15 * np.abs(s).max()
+        )
 
     def test_tail_dominating_node(self):
         """A density whose image at one node is all tail names that node."""

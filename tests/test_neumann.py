@@ -13,7 +13,7 @@ from kramers.neumann import (
     u0,
     u_coefficient,
 )
-from kramers.quadrature import QuadratureSpec, _log_tail
+from kramers.quadrature import QuadratureSpec, _log_tail, _tail_points
 from kramers.special_integrals import phi0, t_n
 
 SPEC = QuadratureSpec()
@@ -139,7 +139,8 @@ class TestBuildSeries:
             assert math.isfinite(diag["u_error"])
             assert 0.0 <= diag["u_error"] <= SPEC.rel_tol * abs(u_n)
             pole = _pole_integrand(0.0, gamma, series.phi_funcs[n - 1], SPEC)
-            tail = _log_tail(pole, SPEC.k_max, 2, 1.0, "tail")[0]
+            samples = pole(_tail_points(SPEC.k_max))
+            tail = _log_tail(samples, SPEC.k_max, 2, 1.0, "tail")[0]
             scale = SQPI * (1.0 - gamma) ** n
             assert diag["u_tail"] == pytest.approx(tail / scale, rel=1e-14)
             assert abs(diag["u_tail"]) < 0.1 * abs(u_n)
@@ -232,6 +233,15 @@ class TestPoleResidual:
         vals = np.array([abs(pole_residual(series, 1, k, SPEC)) for k in ks])
         slope = np.polyfit(np.log(ks), np.log(vals), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
+
+    def test_integrates_to_the_series_k_max(self, series_cache):
+        """spec supplies only rel_tol: a wider k_max changes nothing."""
+        series = series_cache(0.25, 2)
+        wide = QuadratureSpec(k_max=2.0 * SPEC.k_max)
+        for n in (1, 2):
+            assert pole_residual(series, n, 0.3, wide) == pole_residual(
+                series, n, 0.3, SPEC
+            )
 
     def test_out_of_range_order(self, series_cache):
         with pytest.raises(ValueError):

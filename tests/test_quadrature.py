@@ -15,6 +15,7 @@ from kramers.quadrature import (
     QuadratureSpec,
     TailEstimateDominatesError,
     _log_tail,
+    _tail_points,
     integrate_gaussian_weighted,
     integrate_spectral,
 )
@@ -195,35 +196,6 @@ class TestSpectral:
             )
         assert "wide lorentzian" in str(err.value)
 
-
-def _lorentzian(a):
-    return lambda k: 1.0 / (1.0 + (a * np.asarray(k)) ** 2)
-
-
-def _family(members):
-    return lambda k: np.stack([f(k) for f in members], axis=1)
-
-
-class TestFamilyFailures:
-    """A failing member of a family tail fit raises under its own label.
-
-    The kernel of :mod:`kramers.kernels` fits the log tail of all its grid
-    nodes at once, one member per node.
-    """
-
-    def test_non_finite_member(self):
-        def bad(k):
-            return np.where(np.asarray(k) > 2.0, np.nan, 1.0)
-
-        members = [_lorentzian(1.0), bad, _lorentzian(3.0)]
-        with pytest.raises(NonFiniteIntegrandError) as err:
-            _log_tail(
-                _family(members), SPEC.k_max, 2, np.ones(3),
-                ["good one", "bad member", "good two"],
-            )
-        assert err.value.label == "bad member"
-        assert "bad member" in str(err.value)
-
     def test_budget_exhausted_member(self):
         def spiky(k):
             return np.cos(1e5 * np.asarray(k))
@@ -241,15 +213,37 @@ class TestFamilyFailures:
         # intervals: 7 initial ones, each split adding one and rating two
         assert sum(seen) == 15 * (2 * MAX_SUBDIVISIONS - 7)
 
+    def test_log_tail_integrates_its_model_per_column(self):
+        """Samples of (alpha + beta ln k)/k^p, one column per member, give
+        the exact integral of each member past k_max."""
+        k_max, p = SPEC.k_max, 3
+        k_tail = _tail_points(k_max)[:, None]
+        alpha, beta = np.array([1.0, 0.5]), np.array([-2.0, 3.0])
+        samples = (alpha + beta * np.log(k_tail)) / k_tail**p
+        tail = _log_tail(samples, k_max, p, np.ones(2), ["first", "second"])
+        want = [
+            quad(lambda k, a=a, b=b: (a + b * math.log(k)) / k**p, k_max, math.inf,
+                 epsabs=0.0, epsrel=1e-13)[0]
+            for a, b in zip(alpha, beta)
+        ]
+        np.testing.assert_allclose(tail, want, rtol=1e-12, atol=0)
+
+
+class TestFamilyFailures:
+    """A member of a tail fit with one column per member fails under its
+    own label, as the kernel table's tails of all grid nodes do."""
+
     def test_tail_dominating_member(self):
         k_max = 5.0
-        members = [lambda k: np.exp(-np.asarray(k)), _lorentzian(1.0),
-                   lambda k: np.exp(-2.0 * np.asarray(k))]
+        members = [lambda k: np.exp(-k), lambda k: 1.0 / (1.0 + k**2),
+                   lambda k: np.exp(-2.0 * k)]
+        k_tail = _tail_points(k_max)
+        samples = np.stack([f(k_tail) for f in members], axis=1)
         heads = np.array([1.0 - math.exp(-k_max), math.atan(k_max),
                           (1.0 - math.exp(-2.0 * k_max)) / 2.0])
         with pytest.raises(TailEstimateDominatesError) as err:
             _log_tail(
-                _family(members), k_max, 2, heads,
+                samples, k_max, 2, heads,
                 ["decaying one", "wide lorentzian", "decaying two"],
             )
         assert err.value.label == "wide lorentzian"

@@ -184,8 +184,7 @@ class TestCombinedDensity:
         for upto in (None, 3):
             summed = _combined_density(series, 0.9, upto=upto)
             refit = SpectralFunction(
-                nodes=summed.nodes, values=summed.values, tail_exponent=2,
-                label="refit",
+                nodes=summed.nodes, values=summed.values, label="refit",
             )
             probe = np.concatenate(
                 [summed.nodes, 0.5 * (summed.nodes[:-1] + summed.nodes[1:])]
@@ -194,8 +193,6 @@ class TestCombinedDensity:
             np.testing.assert_allclose(
                 summed(probe), refit(probe), rtol=0, atol=1e-14 * scale
             )
-            beyond = summed.k_max * np.array([1.5, 10.0])
-            np.testing.assert_allclose(summed(beyond), refit(beyond), rtol=1e-15)
 
 
 class TestClosedFormHead:
@@ -204,7 +201,12 @@ class TestClosedFormHead:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("x", [0.0, 0.05, 0.5, 2.5, 20.0, 450.0, 5000.0])
     def test_matches_quadpack_on_each_knot_interval(self, series_cache, x):
-        """Every piece of every transform against QUADPACK's weighted rules."""
+        """Every piece of every transform against QUADPACK's weighted rules.
+
+        At |mu| = 10, the largest h(x1, mu) accepts, the 9-point damping fit
+        on the first knot interval (0.032 wide) leaves up to 3e-13 here (at
+        x = 450; 1.3e-12 at x near 680), and rounding at x = 0.
+        """
         from kramers.transport import _combined_density, _head_pieces
 
         density = _combined_density(series_cache(0.0, 2), 0.8)
@@ -212,7 +214,7 @@ class TestClosedFormHead:
         def e(k):
             return float(density(k))
 
-        for mu in (0.25, 2.0, -1.0):
+        for mu in (0.25, 2.0, -1.0, 10.0, -10.0):
             lo, hi, heads = _head_pieces(density, x, self.KINDS, mu=mu)
             assert lo[0] == 0.0 and hi[-1] == SPEC.k_max
 
@@ -230,7 +232,9 @@ class TestClosedFormHead:
                          epsrel=1e-14, limit=200)[0]
                     for a, b in zip(lo, hi)
                 ]
-                np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(
+                    row, expected, rtol=0, atol=1e-13 if abs(mu) < 10.0 else 1e-12
+                )
 
 
 class TestWallTransform:
@@ -365,6 +369,18 @@ class TestDistributionFunction:
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             distribution_function(params, series_cache(0.0, 0), x1, mu)
+
+    @pytest.mark.parametrize("mu", [10.5, -10.5, 100.0, 1e200])
+    def test_large_velocity_rejected(self, series_cache, mu):
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        with pytest.raises(ValueError, match=r"mu must lie in \[-10, 10\]"):
+            distribution_function(params, series_cache(0.0, 1), 1.0, mu)
+
+    @pytest.mark.parametrize("mu", [10.0, -10.0])
+    def test_velocity_bound_allowed(self, series_cache, mu):
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        value = distribution_function(params, series_cache(0.0, 1), 1.0, mu)
+        assert math.isfinite(value)
 
     def test_zero_velocity_allowed(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
