@@ -3,11 +3,15 @@
 The solver expands the slip velocity, the velocity spectral density and the
 distribution function in powers of the wall diffusion coefficient, fixing
 each expansion coefficient by eliminating the second-order pole of the
-density at zero wavenumber.  See the README for the command-line surface.
+density at zero wavenumber.  :func:`build_series` is the one producer of the
+coefficients U_n and densities E_n.  This namespace holds what the CLI and
+the README workflows use; the kernel, moment and quadrature building blocks
+stay importable from their own modules.  See the README for the
+command-line surface.
 """
 
-from .kernels import SpectralFunction, apply_kernel, s_kernel, standard_grid
-from .neumann import SeriesExpansion, build_series, e_n, pole_residual, u0, u_coefficient
+from .kernels import SpectralFunction
+from .neumann import SeriesExpansion, build_series, pole_residual, u0
 from .quadrature import (
     BudgetExhaustedError,
     DEFAULT_SPEC,
@@ -15,18 +19,8 @@ from .quadrature import (
     QuadratureError,
     QuadratureSpec,
     TailEstimateDominatesError,
-    integrate_gaussian_weighted,
-    integrate_spectral,
 )
-from .special_integrals import (
-    GasParameters,
-    MOMENTS,
-    dispersion_l,
-    j_m,
-    j_n,
-    phi0,
-    t_n,
-)
+from .special_integrals import GasParameters, dispersion_l, t_n
 from .transport import (
     DimensionalContext,
     VelocityProfile,
@@ -47,23 +41,12 @@ __all__ = [
     "BudgetExhaustedError",
     "NonFiniteIntegrandError",
     "TailEstimateDominatesError",
-    "integrate_gaussian_weighted",
-    "integrate_spectral",
     "GasParameters",
-    "MOMENTS",
     "t_n",
-    "j_n",
-    "j_m",
     "dispersion_l",
-    "phi0",
     "SpectralFunction",
-    "standard_grid",
-    "s_kernel",
-    "apply_kernel",
     "SeriesExpansion",
     "u0",
-    "u_coefficient",
-    "e_n",
     "build_series",
     "pole_residual",
     "VelocityProfile",

@@ -33,12 +33,19 @@ def _fmt(value: float) -> str:
 MAX_RANGE_NODES = 10_000
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_number(flag: str, entry: str) -> float:
+    try:
+        return float(entry)
+    except ValueError:
+        raise ValueError(f"{flag}: {entry!r} is not a number") from None
+
+
+def _parse_range(flag: str, text: str) -> np.ndarray:
     """Parse 'start:stop:step' into an inclusive, deterministic grid."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"range must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+        raise ValueError(f"{flag} range must be start:stop:step, got {text!r}")
+    start, stop, step = (_parse_number(flag, p) for p in parts)
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"range {text!r}: start, stop and step must be finite")
     if stop < start:
@@ -126,7 +133,7 @@ def _cmd_slip(args: argparse.Namespace) -> int:
 
 def _cmd_curves(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    grid = _parse_range(args.k)
+    grid = _parse_range("--k", args.k)
     if grid.size == 0:
         raise ValueError("empty k range")
     if args.what == "dispersion":
@@ -145,23 +152,23 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     params = GasParameters(gamma=args.gamma, q=args.q, g_v=1.0)
-    x_nodes = _parse_range(args.x)
+    x_nodes = _parse_range("--x", args.x)
     if x_nodes.size == 0:
         raise ValueError("empty x range")
+    mu_values = ([_parse_number("--mu", v) for v in args.mu.split(",")]
+                 if args.mu else [])
     series = build_series(args.gamma, args.order, spec)
     profile = velocity_profile(params, series, x_nodes)
     header = ["x1", "u_total", "u_continuum"]
     columns = [profile.x_nodes, profile.u_total, profile.u_continuum]
-    if args.mu:
-        mu_values = [float(v) for v in args.mu.split(",")]
-        for mu in mu_values:
-            header.append(f"h_mu_{_fmt(mu)}")
-            columns.append(
-                np.array([
-                    distribution_function(params, series, x, mu)
-                    for x in profile.x_nodes
-                ])
-            )
+    for mu in mu_values:
+        header.append(f"h_mu_{_fmt(mu)}")
+        columns.append(
+            np.array([
+                distribution_function(params, series, x, mu)
+                for x in profile.x_nodes
+            ])
+        )
     rows = [list(row) for row in zip(*columns)]
     _emit_table(args, spec, header, rows)
     return 0

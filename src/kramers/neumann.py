@@ -18,9 +18,10 @@ with J_1(0, k1) = T_1(k1) and T_1(0) = 1/sqrt(pi) for U_n.  Because the
 kernel is exactly (1 - gamma) S_1 (see :mod:`kramers.kernels`), phi_n is
 (1 - gamma)^n times its gamma=0 value, so (1 - gamma) U_n is linear in gamma.
 
-U_n and phi_n take their heads and fitted tails from one kernel table per
-series; the pole residuals B_n, which check U_n, integrate adaptively up to
-the series' own k_max.
+:func:`build_series` is the one way in: U_n and phi_n take their heads and
+fitted tails from one kernel table per series, and E_n divides phi_n by T_2
+sampled once on the grid.  The pole residuals B_n, which check U_n,
+integrate adaptively up to the series' own k_max.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from .kernels import apply_kernel  # noqa: F401
 from .quadrature import _integrate_spectral_detail  # noqa: F401
 from .special_integrals import MomentBatch, SQRT_PI, fixed_row, phi0_vec, t_n, t_n_vec
 
-__all__ = ["SeriesExpansion", "u0", "u_coefficient", "e_n", "build_series",
-           "pole_residual"]
+__all__ = ["SeriesExpansion", "u0", "build_series", "pole_residual"]
 
 #: the density-series convergence claim is only evidenced at small gamma;
 #: values above this trigger a warning, values above 0.95 are rejected.
@@ -77,13 +77,6 @@ def u0() -> float:
     return SQRT_PI / 2.0
 
 
-def _check_gamma(gamma: float) -> None:
-    if gamma >= 1.0:
-        raise ValueError("gamma must be < 1: every order divides by (1 - gamma)")
-    if gamma < 0.0:
-        raise ValueError("gamma must be >= 0")
-
-
 def _pole_integrand(
     k: float, gamma: float, phi: SpectralFunction, spec: QuadratureSpec
 ):
@@ -107,8 +100,15 @@ def _u_detail(
 ) -> tuple[float, float, float]:
     """U_n, error estimate and fitted-tail part; v = table.density(phi_{n-1}).
 
-    The head is the table's K15 sum, with the table's |K15 - G7| error,
-    and the tail is fitted to the values at the table's two tail points.
+    Killing the constant term of the order-n density requires
+
+        U_n = -(1-gamma)^{-n} (1/sqrt(pi))
+              int J^(1)(0, k) phi_{n-1}(k) / T_2(k) dk,
+
+    taken in this closed form rather than by probing the k->0 limit, which
+    would amplify quadrature noise by 1/k^2.  The head is the table's K15
+    sum, with the table's |K15 - G7| error, and the tail is fitted to the
+    values at the table's two tail points.
     """
     values = (gamma / SQRT_PI + (1.0 - gamma) * table.t1) * v
     head = table.w_k @ values
@@ -120,52 +120,6 @@ def _u_detail(
     return float(-(head + tail) / scale), float(err / scale), float(tail / scale)
 
 
-def u_coefficient(
-    n: int,
-    gamma: float,
-    phi_prev: SpectralFunction,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """Slip coefficient U_n from the pole-elimination integral.
-
-    ``phi_prev`` is the previous-order iterate phi_{n-1} (the seed phi_0 for
-    n=1): killing the constant term of the order-n density requires
-
-        U_n = -(1-gamma)^{-n} (1/sqrt(pi))
-              int J^(1)(0, k) phi_{n-1}(k) / T_2(k) dk.
-
-    Computed from this closed form rather than by probing the k->0 limit,
-    which would amplify quadrature noise by 1/k^2.  It takes the fixed rule
-    of :func:`kramers.kernels.apply_kernel`, so ``spec.rel_tol`` does not enter.
-    """
-    if n < 1:
-        raise ValueError("u_coefficient is defined for n >= 1; use u0()")
-    _check_gamma(gamma)
-    table = _KernelTable(phi_prev.nodes)
-    return _u_detail(n, gamma, table, table.density(phi_prev))[0]
-
-
-def e_n(
-    n: int,
-    gamma: float,
-    phi_n: SpectralFunction,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> SpectralFunction:
-    """Pole-free spectral density E_n = phi_n / ((1-gamma)^{n+1} T_2).
-
-    Always evaluated through this quotient, never through the raw
-    numerator / L(k) form whose k=0 limit is 0/0.  T_2(0) enters as the
-    exact moment 1/2, so E_n(0) is finite by construction.
-    """
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    _check_gamma(gamma)
-    values = phi_n(phi_n.nodes) / (
-        (1.0 - gamma) ** (n + 1) * t_n_vec(2, phi_n.nodes)
-    )
-    return SpectralFunction(nodes=phi_n.nodes.copy(), values=values, label=f"E_{n}")
-
-
 def build_series(
     gamma: float,
     order: int,
@@ -173,17 +127,17 @@ def build_series(
 ) -> SeriesExpansion:
     """Build U_0..U_order with their iterates and densities.
 
-    One kernel table on the grid (2,385 rule and 2 tail points, see
-    :func:`kramers.kernels.apply_kernel`) serves all orders, each then
-    costing one evaluation of phi_{n-1}/T_2 at its points, one product with
-    its S_1 rows and two fitted tails.  Orders beyond 4 are refused as
+    This is the one producer of the slip coefficients U_n and the pole-free
+    densities E_n.  One kernel table on the grid (2,385 rule and 2 tail
+    points, see :func:`kramers.kernels.apply_kernel`) serves all orders,
+    each then costing one evaluation of phi_{n-1}/T_2 at its points, one
+    product with its S_1 rows and two fitted tails.  Orders beyond 4 are refused as
     outside the method's intended range.  The default order used by the CLI
     is 2.
     """
     if not (0 <= order <= MAX_ORDER):
         raise ValueError(f"order must be in [0, {MAX_ORDER}]")
-    _check_gamma(gamma)
-    if gamma > GAMMA_MAX:
+    if not (0.0 <= gamma <= GAMMA_MAX):  # also rejects NaN
         raise ValueError(
             f"gamma={gamma} outside the supported domain [0, {GAMMA_MAX}]"
         )
@@ -205,7 +159,17 @@ def build_series(
         u_coeffs.append(u_n)
         phi_funcs.append(_apply_table(table, phi, v, gamma))
         diagnostics.append({"order": n, "u_error": u_error, "u_tail": u_tail})
-    e_funcs = [e_n(n, gamma, phi_funcs[n], spec) for n in range(order + 1)]
+    # E_n = phi_n / ((1-gamma)^{n+1} T_2), never the raw numerator / L(k)
+    # whose k=0 limit is 0/0: T_2(0) is the exact moment 1/2, so E_n(0) is
+    # finite by construction.
+    t2 = t_n_vec(2, grid)
+    e_funcs = [
+        SpectralFunction(
+            nodes=grid, values=phi.values / ((1.0 - gamma) ** (n + 1) * t2),
+            label=f"E_{n}",
+        )
+        for n, phi in enumerate(phi_funcs)
+    ]
     return SeriesExpansion(
         gamma=gamma,
         order=order,

@@ -81,11 +81,13 @@ class GasParameters:
     def __post_init__(self) -> None:
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if not (0.0 < self.q <= 1.0):
+        if self.q == 0.0:
             raise ValueError(
-                f"q must be in (0, 1]: q=0 is the pure-specular limit where "
-                f"the slip expansion in (2-q)/q diverges (got {self.q})"
+                "q must be in (0, 1], got 0.0: q=0 is the pure-specular "
+                "limit where the slip expansion in (2-q)/q diverges"
             )
+        if not (0.0 < self.q <= 1.0):
+            raise ValueError(f"q must be in (0, 1], got {self.q}")
         if not math.isfinite(self.g_v):
             raise ValueError("g_v must be finite")
 

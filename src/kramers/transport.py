@@ -77,6 +77,17 @@ class VelocityProfile:
             raise ValueError("profile coordinates must be >= 0")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (0.0 < value < math.inf):  # also false for NaN
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _mean_free_path(nu: float, beta: float) -> float:
+    # divided in steps, so a subnormal nu overflows to inf (rejected by
+    # name) instead of underflowing the denominator to 0
+    return SQRT_PI / 2.0 / nu / math.sqrt(beta)
+
+
 @dataclass(frozen=True)
 class DimensionalContext:
     """Collision frequency, beta = m/(2kT), and the mean free path.
@@ -91,9 +102,9 @@ class DimensionalContext:
     mean_free_path: float
 
     def __post_init__(self) -> None:
-        if not (self.nu > 0 and self.beta > 0 and self.mean_free_path > 0):
-            raise ValueError("all dimensional parameters must be positive")
-        expected = SQRT_PI / (2.0 * self.nu * math.sqrt(self.beta))
+        for name in ("nu", "beta", "mean_free_path"):
+            _check_positive(name, getattr(self, name))
+        expected = _mean_free_path(self.nu, self.beta)
         if not math.isclose(self.mean_free_path, expected, rel_tol=1e-9):
             raise ValueError(
                 f"inconsistent mean free path: got {self.mean_free_path:.6g}, "
@@ -103,8 +114,9 @@ class DimensionalContext:
     @classmethod
     def from_frequency(cls, nu: float, beta: float) -> "DimensionalContext":
         """Build a consistent context from frequency and beta alone."""
-        return cls(nu=nu, beta=beta,
-                   mean_free_path=SQRT_PI / (2.0 * nu * math.sqrt(beta)))
+        _check_positive("nu", nu)
+        _check_positive("beta", beta)
+        return cls(nu=nu, beta=beta, mean_free_path=_mean_free_path(nu, beta))
 
 
 def _check_pair(params: GasParameters, series: SeriesExpansion) -> None:
@@ -467,8 +479,11 @@ def distribution_function(
 
 def gamma_from_physical(number_density: float, diameter: float) -> float:
     """Density parameter (4/15) pi n sigma^3 from physical inputs."""
-    if number_density < 0.0 or diameter < 0.0:
-        raise ValueError("number density and diameter must be >= 0")
+    for name, value in (
+        ("number_density", number_density), ("diameter", diameter),
+    ):
+        if not (0.0 <= value < math.inf):  # also false for NaN
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     gamma = 4.0 / 15.0 * math.pi * number_density * diameter**3
     if gamma >= 1.0:
         raise ValueError(

@@ -48,8 +48,21 @@ class TestSlip:
         assert code == 2
         assert "q" in err
 
+    @pytest.mark.parametrize("q", ["1.5", "nan"])
+    def test_q_outside_domain_message(self, capsys, q):
+        code, _, err = run_cli(capsys, "slip", "--q", q)
+        assert code == 2
+        assert f"q must be in (0, 1], got {float(q)}" in err
+        assert "specular" not in err
+
     def test_bad_flag_exit_code(self, capsys):
         assert main(["slip", "--order", "eleven"]) == 2
+
+    def test_budget_failure_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "slip", "--kmax", "10")
+        assert code == 3
+        assert "numerical failure: phi_1 grid node k=8.82" in err
+        assert out == "" and "Traceback" not in err
 
     def test_infinite_kmax_rejected(self, capsys):
         code, _, err = run_cli(capsys, "slip", "--kmax", "inf")
@@ -112,6 +125,11 @@ class TestCurves:
         assert code == 2
         assert "range" in err
 
+    def test_non_numeric_range_entry_named(self, capsys):
+        code, _, err = run_cli(capsys, "curves", "--k", "a:1:1")
+        assert code == 2
+        assert "--k: 'a' is not a number" in err
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run_cli(capsys, "curves", "--what", "tn", "--k", "0:3:0.5")
         _, out2, _ = run_cli(capsys, "curves", "--what", "tn", "--k", "0:3:0.5")
@@ -153,6 +171,40 @@ class TestProfile:
         code, _, err = run_cli(capsys, "profile", "--x", bad)
         assert code == 2
         assert "range" in err
+
+    @pytest.mark.parametrize("flag, value, entry", [
+        ("--mu", "0.5,,1", "''"), ("--mu", "abc", "'abc'"),
+        ("--x", "0:b:1", "'b'"),
+    ])
+    def test_non_numeric_entry_rejected_before_series(
+        self, capsys, monkeypatch, flag, value, entry,
+    ):
+        def no_series(*args):
+            raise AssertionError("series built before the flags were parsed")
+
+        monkeypatch.setattr(cli, "build_series", no_series)
+        code, _, err = run_cli(capsys, "profile", f"{flag}={value}")
+        assert code == 2
+        assert f"{flag}: {entry} is not a number" in err
+
+    @pytest.mark.parametrize("args, failing", [
+        (["--x", "0:1:1"], "U_c cosine transform at x1=0"),
+        (["--x", "1:2:1", "--mu", "0.5"], "source bracket at mu=0.5"),
+    ])
+    def test_budget_failure_exit_code(self, capsys, args, failing):
+        code, out, err = run_cli(capsys, "profile", "--kmax", "30", *args)
+        assert code == 3
+        assert f"numerical failure: {failing}" in err
+        assert out == "" and "Traceback" not in err
+
+    def test_small_kmax_without_source_bracket(self, capsys):
+        """mu < 0 has no wall source term, so k_max=30 suffices past x1=0."""
+        code, out, err = run_cli(
+            capsys, "profile", "--kmax", "30", "--x", "1:2:1", "--mu", "-0.5",
+        )
+        assert code == 0 and err == ""
+        _, rows = csv_rows(out)
+        assert len(rows) == 2
 
     @pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
     def test_non_finite_mu_rejected(self, capsys, mu):

@@ -8,10 +8,8 @@ from kramers.neumann import (
     SeriesExpansion,
     _pole_integrand,
     build_series,
-    e_n,
     pole_residual,
     u0,
-    u_coefficient,
 )
 from kramers.quadrature import QuadratureSpec, _log_tail, _tail_points
 from kramers.special_integrals import phi0, t_n
@@ -31,8 +29,7 @@ class TestU0:
 
 class TestUCoefficient:
     def test_first_order_value(self, series_cache):
-        series = series_cache(0.0, 1)
-        u1 = u_coefficient(1, 0.0, series.phi_funcs[0], SPEC)
+        u1 = series_cache(0.0, 1).u_coeffs[1]
         assert u1 == pytest.approx(0.1405, abs=5e-4)
         # frozen from three independent quadrature routes
         assert u1 == pytest.approx(0.14052350, abs=2e-7)
@@ -49,31 +46,27 @@ class TestUCoefficient:
         )
         slope = np.polyfit(gammas, scaled[:, 0], 1)[0]
         assert slope == pytest.approx(0.2009, abs=1e-3)
-        phi_0 = series_cache(0.0, 1).phi_funcs[0]
-        u1 = u_coefficient(1, 0.25, phi_0, SPEC)
-        assert u1 == series_cache(0.25, 4).u_coeffs[1]
 
     def test_second_order_value(self, series_cache):
-        series = series_cache(0.0, 2)
-        u2 = u_coefficient(2, 0.0, series.phi_funcs[1], SPEC)
+        u2 = series_cache(0.0, 2).u_coeffs[2]
         assert u2 == pytest.approx(-0.0116, abs=5e-4)
 
-    def test_domain(self, series_cache):
-        phi_0 = series_cache(0.0, 1).phi_funcs[0]
-        with pytest.raises(ValueError):
-            u_coefficient(0, 0.0, phi_0, SPEC)
-        with pytest.raises(ValueError):
-            u_coefficient(1, 1.0, phi_0, SPEC)
+    def test_domain(self):
+        """Every order divides by (1 - gamma): gamma = 1, negative gamma and
+        NaN are refused before any work."""
+        for gamma in (1.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="supported domain"):
+                build_series(gamma, 1, SPEC)
 
 
 class TestEn:
     def test_seed_density_at_origin(self, series_cache):
-        phi_0 = series_cache(0.0, 1).phi_funcs[0]
-        assert e_n(0, 0.0, phi_0, SPEC).values[0] == pytest.approx(-0.5, abs=1e-12)
+        e_0 = series_cache(0.0, 1).e_funcs[0]
+        assert e_0.values[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_density_scaling(self, series_cache):
-        phi_0 = series_cache(0.0, 1).phi_funcs[0]
-        assert e_n(0, 0.5, phi_0, SPEC).values[0] == pytest.approx(-1.0, abs=1e-12)
+        e_0 = series_cache(0.5, 4).e_funcs[0]
+        assert e_0.values[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_first_density_finite_and_decaying(self, series_cache):
         series = series_cache(0.0, 2)
@@ -146,15 +139,16 @@ class TestBuildSeries:
             assert abs(diag["u_tail"]) < 0.1 * abs(u_n)
 
     def test_shared_table_changes_nothing(self, series_cache):
-        """build_series shares one kernel table; the outputs are bit-identical
-        to apply_kernel and u_coefficient, which build their own."""
+        """build_series shares one kernel table across orders; phi_n is
+        bit-identical to apply_kernel, which builds its own, and U_n to a
+        series built only up to order n."""
         gamma = 0.25
         series = series_cache(gamma, 4)
         for n in range(1, 5):
             phi_prev = series.phi_funcs[n - 1]
             alone = apply_kernel(phi_prev, gamma, SPEC)
             np.testing.assert_array_equal(series.phi_funcs[n].values, alone.values)
-            assert series.u_coeffs[n] == u_coefficient(n, gamma, phi_prev, SPEC)
+            assert series.u_coeffs[n] == series_cache(gamma, n).u_coeffs[n]
 
     def test_expansion_invariant(self):
         with pytest.raises(ValueError, match="sqrt"):

@@ -409,6 +409,24 @@ class TestPhysicalConversions:
         ctx = DimensionalContext.from_frequency(nu=1e9, beta=2e-6)
         assert ctx.mean_free_path == pytest.approx(6.2666e-7, rel=1e-4)
 
+    @pytest.mark.parametrize("density, diameter, name", [
+        (math.nan, 1.0, "number_density"), (math.inf, 0.0, "number_density"),
+        (1.0, math.nan, "diameter"), (1.0, math.inf, "diameter"),
+        (-1.0, 1.0, "number_density"),
+    ])
+    def test_gamma_bad_input_named(self, density, diameter, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            gamma_from_physical(density, diameter)
+
+    @pytest.mark.parametrize("nu, beta, name", [
+        (0.0, 2e-6, "nu"), (1e9, 0.0, "beta"), (math.nan, 2e-6, "nu"),
+        (1e9, -1.0, "beta"), (1e9, math.inf, "beta"),
+        (5e-324, 1e-10, "mean_free_path"),
+    ])
+    def test_context_bad_input_named(self, nu, beta, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            DimensionalContext.from_frequency(nu=nu, beta=beta)
+
     def test_context_consistency_enforced(self):
         with pytest.raises(ValueError, match="mean free path"):
             DimensionalContext(nu=1e9, beta=2e-6, mean_free_path=1e-6)
