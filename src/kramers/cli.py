@@ -20,7 +20,14 @@ from . import verification
 from .neumann import build_series
 from .quadrature import QuadratureSpec, QuadratureError
 from .special_integrals import GasParameters, dispersion_l, t_n
-from .transport import distribution_function, slip_coefficient_kv, slip_velocity, velocity_profile
+from .transport import (
+    MU_MAX,
+    check_mu,
+    distribution_function,
+    slip_coefficient_kv,
+    slip_velocity,
+    velocity_profile,
+)
 
 __all__ = ["main"]
 
@@ -134,8 +141,6 @@ def _cmd_slip(args: argparse.Namespace) -> int:
 def _cmd_curves(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     grid = _parse_range("--k", args.k)
-    if grid.size == 0:
-        raise ValueError("empty k range")
     if args.what == "dispersion":
         header = ["k", "L"]
         rows = [[k, dispersion_l(k, args.gamma, spec)] for k in grid]
@@ -153,22 +158,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     params = GasParameters(gamma=args.gamma, q=args.q, g_v=1.0)
     x_nodes = _parse_range("--x", args.x)
-    if x_nodes.size == 0:
-        raise ValueError("empty x range")
     mu_values = ([_parse_number("--mu", v) for v in args.mu.split(",")]
                  if args.mu else [])
+    for mu in mu_values:
+        check_mu(mu)
     series = build_series(args.gamma, args.order, spec)
     profile = velocity_profile(params, series, x_nodes)
     header = ["x1", "u_total", "u_continuum"]
     columns = [profile.x_nodes, profile.u_total, profile.u_continuum]
     for mu in mu_values:
         header.append(f"h_mu_{_fmt(mu)}")
-        columns.append(
-            np.array([
-                distribution_function(params, series, x, mu)
-                for x in profile.x_nodes
-            ])
-        )
+        columns.append(distribution_function(params, series, profile.x_nodes, mu))
     rows = [list(row) for row in zip(*columns)]
     _emit_table(args, spec, header, rows)
     return 0
@@ -242,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--x", default="0:10:0.5",
                            help="coordinate range start:stop:step")
     p_profile.add_argument("--mu", default=None,
-                           help="comma list of velocities in [-10, 10] for "
-                                "h(x1, mu) columns")
+                           help=f"comma list of velocities in [-{MU_MAX:g}, "
+                                f"{MU_MAX:g}] for h(x1, mu) columns")
     _add_common(p_profile)
     p_profile.set_defaults(func=_cmd_profile)
 

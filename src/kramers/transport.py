@@ -13,16 +13,21 @@ knot interval, and the integral of a polynomial times e^{ikx} has a closed
 form (Filon's method), so the head of each transform costs the same at
 every x1 >= 0.  Beyond k_max the fitted density model is integrated
 exactly at x1 = 0 and summed as an alternating series over half periods
-with iterated averaging at x1 > 0.  The transforms needed at one x1 (the
-plain and damped cosine and the damped k-sine of h(x1, mu)) share the
-polynomial pieces and the oscillatory moments; the k-integrals of the
-source bracket of h are the plain and damped cosine transforms at 0.
-Nothing here integrates adaptively.
+with iterated averaging at x1 > 0.  One transform call covers any number
+of coordinates and any of the plain and damped cosine and the damped
+k-sine of h(x1, mu): the polynomial pieces, their moment tables and the
+tail fit are made once per call, and the coordinates then go through one
+vectorised pass, in bounded chunks.  So velocity_profile makes one call
+for all its nodes, and distribution_function takes one coordinate or an
+array of them.  The k-integrals of the source bracket of h are the plain
+and damped cosine transforms at 0, computed once per call.  Nothing here
+integrates adaptively.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,77 +184,106 @@ _DEGREE = 5  # of the density's pieces
 _DAMP_POINTS = 9  # Chebyshev points of the interpolated damping factor
 _N_CHEB = _DEGREE + _DAMP_POINTS  # coefficients of a damped piece (degree 13)
 _DAMP_T = C.chebpts1(_DAMP_POINTS)
-#: damping samples at _DAMP_T -> Chebyshev coefficients of their interpolant
-_DAMP_FIT = np.linalg.inv(C.chebvander(_DAMP_T, _DAMP_POINTS - 1))
 #: column n: Chebyshev coefficients of (1 + t)^n = (T_0 + T_1)^n, which turn
 #: the local coefficients of p(a + s), s = r (1 + t), into Chebyshev ones
 _FROM_LOCAL = np.zeros((_DEGREE + 1, _DEGREE + 1))
-#: T_i T_j = (T_{i+j} + T_|i-j|)/2: the product of a piece and a damping
-#: interpolant from the flattened outer product of their coefficients
-_PRODUCT = np.zeros((_N_CHEB, _DEGREE + 1, _DAMP_POINTS))
 for _i in range(_DEGREE + 1):
     _FROM_LOCAL[:_i + 1, _i] = C.chebpow([1.0, 1.0], _i)
-    for _j in range(_DAMP_POINTS):
-        _PRODUCT[_i + _j, _i, _j] += 0.5
-        _PRODUCT[abs(_i - _j), _i, _j] += 0.5
-_PRODUCT = _PRODUCT.reshape(_N_CHEB, -1)
+# A piece times the damping interpolant has degree 13, so it is exactly the
+# interpolant of its values at 14 Chebyshev points.
+_PRODUCT_T = C.chebpts1(_N_CHEB)
+#: damping samples at _DAMP_T -> their interpolant at _PRODUCT_T
+_DAMP_VALUES = C.chebvander(_PRODUCT_T, _DAMP_POINTS - 1) @ np.linalg.inv(
+    C.chebvander(_DAMP_T, _DAMP_POINTS - 1))
+#: Chebyshev coefficients of a piece -> its values at _PRODUCT_T
+_PIECE_VALUES = C.chebvander(_PRODUCT_T, _DEGREE)
+#: values at _PRODUCT_T -> Chebyshev coefficients of their interpolant
+_FROM_VALUES = np.linalg.inv(C.chebvander(_PRODUCT_T, _N_CHEB - 1))
 #: [j, n]: T_n^(j)(1) = prod_{l<j} (n^2 - l^2)/(2l + 1), and
 #: T_n^(j)(-1) = (-1)^(n+j) T_n^(j)(1)
 _ENDPOINT_DERIVS = np.ones((_N_CHEB, _N_CHEB))
 for _j in range(1, _N_CHEB):
     _ENDPOINT_DERIVS[_j] = (_ENDPOINT_DERIVS[_j - 1]
                             * (np.arange(_N_CHEB) ** 2 - (_j - 1) ** 2) / (2 * _j - 1))
-_ALTERNATING = (-1.0) ** np.arange(_N_CHEB)
-#: [n, g]: T_n at the Gauss-Legendre points, times the weights
-_GL_CHEB = (C.chebvander(_GL_X, _N_CHEB - 1) * _GL_W[:, None]).T
-#: below x h = 2 omega = 1 the closed-form moments cancel; Gauss-Legendre
-#: takes those pieces (exact there to rounding up to omega ~ 3)
+#: [m, part, n]: coefficients, in 1/w^2, of the parts R_-, R_+, I_+ and I_-
+#: of the closed-form moment sum (see _head_pieces): 2 (-1)^m T_n^(j)(1),
+#: negated for the I parts, with j = 2m + 1 for R and 2m for I, even n for
+#: R_- and I_+ and odd n for R_+ and I_-
+_ODD = np.arange(_N_CHEB) % 2
+_SIGNS = 2.0 * (-1.0) ** np.arange(_N_CHEB // 2)[:, None]
+_HORNER = np.stack([
+    _SIGNS * _ENDPOINT_DERIVS[1::2] * (1 - _ODD),
+    _SIGNS * _ENDPOINT_DERIVS[1::2] * _ODD,
+    -_SIGNS * _ENDPOINT_DERIVS[0::2] * (1 - _ODD),
+    -_SIGNS * _ENDPOINT_DERIVS[0::2] * _ODD,
+], axis=1)
+#: [n, p]: int_{-1}^{1} T_n(t) t^p dt, exact by 16-point Gauss-Legendre
+_POWER_MOMENTS = (C.chebvander(_GL_X, _N_CHEB - 1) * _GL_W[:, None]).T @ np.vander(
+    _GL_X, 16, increasing=True)
+#: [p, n]: the Taylor coefficients (-1)^(p//2)/p! int T_n(t) t^p dt of
+#: int T_n(t) e^{iwt} dt, real for even p and imaginary for odd p
+_SERIES = (_POWER_MOMENTS * (-1.0) ** (np.arange(16) // 2)
+           / [math.factorial(p) for p in range(16)]).T
+#: [q, part, n]: the series of the real part (even n) and of the imaginary
+#: part over w (odd n) of the moment sum (see _head_pieces), in w^2.  Below
+#: w = 0.5 the first term left out is under 1e-19.
+_TAYLOR = np.stack([_SERIES[0::2] * (1 - _ODD), _SERIES[1::2] * _ODD], axis=1)
+#: below x h = 2 w = 1 the closed-form moment sum cancels; the Taylor series
+#: takes those pieces
 _CLOSED_FORM_MIN_OMEGA = 0.5
 #: largest |mu| of h(x1, mu): the 9-point damping fit must resolve the width
 #: 1/|mu| on the first knot interval (0.032).  At 10 the damped cosine head
 #: there is exact to rounding at x1 = 0 and off by up to 1.3e-12 elsewhere
 #: (worst near x1 = 680); at 100 it is off by 6.5e-8, at 1e4 by 16%.
-_MU_MAX = 10.0
+MU_MAX = 10.0
+#: coordinates per pass of the x-dependent work, which bounds its
+#: (kinds, coordinates, knot intervals) and tail arrays on long ranges
+_X_CHUNK = 128
 
 
-def _chebyshev_moments(omega: np.ndarray) -> np.ndarray:
-    """K[n, i] = int_{-1}^{1} T_n(t) e^{i omega_i t} dt for n < _N_CHEB.
+def check_mu(mu: float) -> None:
+    """Reject, by name, a velocity outside the domain of h(x1, mu)."""
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
+    if abs(mu) > MU_MAX:
+        raise ValueError(f"mu must lie in [-{MU_MAX:g}, {MU_MAX:g}], got {mu:g}")
 
-    Repeated integration by parts gives the closed form
-    K_n = sum_j (-1)^j [T_n^(j)(t) e^{i omega t}]_{-1}^{1} / (i omega)^(j+1),
-    which ends after j = n.  Small omega uses 16-point Gauss-Legendre.
-    """
-    moments = np.empty((_N_CHEB, omega.size), dtype=complex)
-    small = omega < _CLOSED_FORM_MIN_OMEGA
-    moments[:, small] = _GL_CHEB @ np.exp(1j * np.outer(_GL_X, omega[small]))
-    w = omega[~small]
-    powers = np.cumprod(np.broadcast_to(1.0 / (1j * w), (_N_CHEB, w.size)), axis=0)
-    at_plus = _ENDPOINT_DERIVS.T @ (_ALTERNATING[:, None] * powers)
-    at_minus = _ENDPOINT_DERIVS.T @ powers
-    moments[:, ~small] = (
-        np.exp(1j * w) * at_plus - _ALTERNATING[:, None] * np.exp(-1j * w) * at_minus
-    )
-    return moments
+
+def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_m coeffs[m] u^m, with the interval axis of ``coeffs`` last."""
+    total = np.zeros(coeffs.shape[1:-1] + u.shape)
+    for c in coeffs[::-1, ..., None, :]:
+        total *= u
+        total += c
+    return total
 
 
 def _head_pieces(
-    density: SpectralFunction,
-    x: float,
-    kinds: tuple[str, ...],
-    mu: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Head of each transform in ``kinds`` on every knot interval below k_max.
+    density: SpectralFunction, kinds: tuple[str, ...], mu: float = 0.0
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Heads of ``kinds`` on every knot interval below k_max, as a function of x.
 
-    Returns the interval bounds ``lo``, ``hi`` and the integrals, one row per
-    kind.  Each piece of ``density.poly`` is expanded in Chebyshev
-    polynomials; the damping factor, times k for the k-sine, is interpolated
-    at 9 Chebyshev points of the interval and multiplied in exactly.  Then
-    int_a^b P(k) e^{ikx} dk = r e^{ixm} sum_n e_n K_n(x r) with the moments
-    of :func:`_chebyshev_moments` (Gauss-Legendre, exact for these pieces,
-    at x = 0): the cosine transforms take the real part, the k-sine one the
-    imaginary part.  This is Filon's method with the density's own knots
-    (Iserles & Norsett, Proc. R. Soc. A 461, 2005).
+    The function returned maps an array of coordinates to the heads
+    [kind, coordinate, knot interval].  Each piece of ``density.poly`` is expanded in Chebyshev polynomials; the
+    damping factor, times k for the k-sine, is interpolated at 9 Chebyshev
+    points of the interval and multiplied in exactly (degree 5 suffices
+    when no kind is damped).  Then int_a^b P(k) e^{ikx} dk =
+    r e^{ixm} sum_n e_n K_n(x r) with the moments K_n(w) = int_{-1}^{1}
+    T_n(t) e^{iwt} dt.  Repeated integration by parts gives K_n =
+    sum_j (-1)^j [T_n^(j)(t) e^{iwt}]_{-1}^{1} / (iw)^(j+1), which ends after
+    j = n.  Summed over n, the even n give the real part
+    cos(w) R_- - sin(w) I_+ and the odd n the imaginary part
+    sin(w) R_+ + cos(w) I_-, where R_-, R_+ are w^-2 and I_+, I_- are w^-1
+    times polynomials in 1/w^2 (``_HORNER``).  Below w = 0.5, where that
+    form cancels, the Taylor series of e^{iwt} gives polynomials in w^2
+    instead (``_TAYLOR``; exact at x = 0).  Both contractions with the
+    Chebyshev coefficients are made here, once, so each coordinate and
+    interval costs one real Horner pass.  The cosine transforms take the
+    real part, the k-sine one the imaginary part.  This is Filon's method
+    with the density's own knots (Iserles & Norsett, Proc. R. Soc. A 461,
+    2005).
     """
+    forms = [_KINDS[kind] for kind in kinds]
     poly = density.poly
     lo, hi = poly.x[:-1], poly.x[1:]
     r = 0.5 * (hi - lo)
@@ -257,120 +291,155 @@ def _head_pieces(
     # poly.c holds the coefficients of (k - lo)^(5-m); k - lo = r (1 + t)
     local = poly.c[::-1] * r ** np.arange(_DEGREE + 1)[:, None]
     piece = _FROM_LOCAL @ local
-    moments = _chebyshev_moments(x * r)
-    phase = r * np.exp(1j * x * mid)
+    size = _N_CHEB if any(damped for _, damped in forms) else _DEGREE + 1
+    coeffs = np.zeros((size, len(kinds), lo.size))
     k_fit = mid + r * _DAMP_T[:, None]
     damp = 1.0 / (1.0 + (k_fit * mu) ** 2)
-    values = []
-    for wave, damped in (_KINDS[kind] for kind in kinds):
+    piece_values = _PIECE_VALUES @ piece
+    for kind, (wave, damped) in enumerate(forms):
         if wave == "cos" and not damped:
-            coeffs = piece
+            coeffs[:_DEGREE + 1, kind] = piece
         else:
             factor = (k_fit if wave == "ksin" else 1.0) * (damp if damped else 1.0)
-            fit = _DAMP_FIT @ factor
-            coeffs = _PRODUCT @ (piece[:, None, :] * fit[None, :, :]).reshape(
-                -1, piece.shape[1])
-        integral = phase * (coeffs * moments[:len(coeffs)]).sum(axis=0)
-        values.append(integral.real if wave == "cos" else integral.imag)
-    return lo, hi, np.array(values)
+            coeffs[:, kind] = _FROM_VALUES @ (piece_values * (_DAMP_VALUES @ factor))
+    closed = (_HORNER[:size // 2, :, :size] @ coeffs.reshape(size, -1)).reshape(
+        size // 2, 4, len(kinds), -1)
+    taylor = (_TAYLOR[:, :, :size] @ coeffs.reshape(size, -1)).reshape(
+        _TAYLOR.shape[0], 2, len(kinds), -1)
+    sine = np.array([wave == "ksin" for wave, _ in forms])[:, None, None]
+
+    def heads(x: np.ndarray) -> np.ndarray:
+        omega = x[:, None] * r
+        small = omega < _CLOSED_FORM_MIN_OMEGA
+        real = imag = 0.0
+        if not small.all():
+            inverse = 1.0 / np.where(small, 1.0, omega)
+            r_minus, r_plus, i_plus, i_minus = _horner(closed, inverse * inverse)
+            cos_w, sin_w = np.cos(omega), np.sin(omega)
+            real = inverse * (cos_w * r_minus * inverse - sin_w * i_plus)
+            imag = inverse * (sin_w * r_plus * inverse + cos_w * i_minus)
+        if small.any():
+            even, odd = _horner(taylor, omega * omega)
+            real = np.where(small, even, real)
+            imag = np.where(small, omega * odd, imag)
+        theta = x[:, None] * mid
+        cos_m, sin_m = np.cos(theta), np.sin(theta)
+        return r * np.where(sine, sin_m * real + cos_m * imag,
+                            cos_m * real - sin_m * imag)
+
+    return heads
 
 
-def _gl_sums(f, edges: np.ndarray) -> np.ndarray:
-    """16-point Gauss-Legendre integrals of ``f`` over consecutive edges."""
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (f(mid + half * _GL_X) * (half * _GL_W)).sum(axis=1)
+def _alternating_tails(
+    alpha: float, beta: float, x: np.ndarray, forms: list, mu: float, k_max: float
+) -> np.ndarray:
+    """Tails [kind, coordinate] past k_max of the fitted density model, x > 0.
 
-
-def _averaged_alternating(terms: np.ndarray) -> float:
-    """Iterated averaging of partial sums (alternating-series acceleration).
-
-    Averaging neighbours until one value is left weights partial sum i by
-    C(n-1, i) / 2^(n-1); the weights are exact in floating point.
+    Each is a stub from k_max to the first multiple of pi/(2x) past it,
+    geometrically split in case x is tiny, and then _TAIL_TERMS half periods
+    summed with iterated averaging of their partial sums (alternating-series
+    acceleration): averaging neighbours until one value is left weights
+    partial sum i by C(n-1, i) / 2^(n-1).  Every interval takes 16-point
+    Gauss-Legendre, on one (coordinate, interval, point) array of
+    wavenumbers that all kinds share.
     """
-    return float(_AVERAGING_WEIGHTS @ np.cumsum(terms))
+    quarter = math.pi / (2.0 * x)
+    half = 2.0 * quarter
+    zero = quarter * np.ceil(k_max / quarter + 1e-12)
+    zero = np.where(zero <= k_max, zero + half, zero)
+    # stub intervals [k_max 2^i, k_max 2^(i+1)] below zero, then [., zero];
+    # the ones past zero have zero width and add nothing
+    stubs = 1
+    while k_max * 2.0**stubs < zero.max():
+        stubs += 1
+    edges = np.concatenate([
+        np.minimum(k_max * 2.0 ** np.arange(stubs), zero[:, None]),
+        zero[:, None] + half[:, None] * np.arange(_TAIL_TERMS + 1),
+    ], axis=1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])[..., None]
+    width = 0.5 * (edges[:, 1:] - edges[:, :-1])[..., None]
+    k = mid + width * _GL_X
+    weights = width * _GL_W
+    model = (alpha + beta * np.log(k)) / k**2
+    xk = k * x[:, None, None]
+    oscillators = {
+        wave: np.cos(xk) if wave == "cos" else k * np.sin(xk)
+        for wave in {wave for wave, _ in forms}
+    }
+    if any(damped for _, damped in forms):
+        damped_model = model * (1.0 / (1.0 + (k * mu) ** 2))
+    tails = np.empty((len(forms), x.size))
+    for row, (wave, damped) in enumerate(forms):
+        amp = damped_model if damped else model
+        if wave == "ksin":
+            # k sin(kx) already carries k: the known k-sine tail defect
+            # (ROADMAP), kept until the profile references are re-pinned
+            amp = k * amp
+        sums = (oscillators[wave] * amp * weights).sum(axis=-1)
+        tails[row] = (sums[:, :stubs].sum(axis=-1)
+                      + np.cumsum(sums[:, stubs:], axis=-1) @ _AVERAGING_WEIGHTS)
+    return tails
 
 
 def _osc_transform(
     density: SpectralFunction,
-    x: float,
+    x: np.ndarray,
     kinds: tuple[str, ...],
     mu: float = 0.0,
-    label: str = "oscillatory transform",
-) -> tuple[float, ...]:
-    """int_0^inf w(k x) density(k) dk for each of ``kinds``, in that order.
+    label: str = "oscillatory transform at x={x:.4g}",
+) -> np.ndarray:
+    """int_0^inf w(k x) density(k) dk, one row per kind, one column per x.
 
     ``"cos"`` has w = cos; ``"damped_cos"`` and ``"damped_ksin"`` have
     w = cos and k*sin times the damping factor 1/(1 + k^2 mu^2) carried by
     the distribution-function integrands.  At every x >= 0 the head on
     [0, density.k_max] is integrated exactly, knot interval by knot
-    interval, from the density's polynomial pieces (:func:`_head_pieces`),
-    at a cost that does not grow with x; all kinds share the pieces and the
-    oscillatory moments, and the k-sine head vanishes at x = 0.  Past k_max
-    each transform continues the fitted (a + b ln k)/k^2 density model: at
-    x = 0 as its exact integral, under the 10% tail guard of
+    interval, from the density's polynomial pieces, at a cost that does not
+    grow with x.  The pieces, their moment tables (:func:`_head_pieces`) and
+    the tail fit are made once per call; the coordinates are then taken in
+    chunks of _X_CHUNK, each in one vectorised pass (the heads and
+    :func:`_alternating_tails`).  The k-sine head vanishes at x = 0.  Past
+    k_max each transform continues the fitted (a + b ln k)/k^2 density
+    model: at x = 0 as its exact integral, under the 10% tail guard of
     :mod:`kramers.quadrature`, and at x > 0 as an accelerated alternating
-    series over half periods.
+    series over half periods.  ``label`` is formatted with ``x=`` the
+    coordinate an error is raised at.
     """
+    x = np.asarray(x, dtype=float)
     forms = [_KINDS[kind] for kind in kinds]
     k_max = density.k_max
-
-    def damp(k):
-        return 1.0 / (1.0 + (k * mu) ** 2)
-
-    if x < 0.0:
+    if (x < 0.0).any():
         raise ValueError("transform coordinate must be >= 0")
-    if not math.isfinite(float(x) * k_max):
-        raise ValueError(f"{label}: x * k_max overflows at x={x:g}")
-    heads = _head_pieces(density, x, kinds, mu)[2].sum(axis=1)
-    if x == 0.0:
+    if not math.isfinite(float(x.max(initial=0.0)) * k_max):
+        at = next(v for v in map(float, x) if not math.isfinite(v * k_max))
+        raise ValueError(f"{label.format(x=at)}: x * k_max overflows at x={at:g}")
+    heads = _head_pieces(density, kinds, mu)
+    positive = x > 0.0
+    if positive.any():
+        # continue the fitted density model beyond k_max
+        alpha, beta = _fit_log_tail(density, k_max, 2, label.format(x=x[positive][0]))
+    values = np.empty((len(kinds), x.size))
+    for start in range(0, x.size, _X_CHUNK):
+        chunk = x[start:start + _X_CHUNK]
+        block = heads(chunk).sum(axis=-1)
+        far = chunk > 0.0
+        if far.any():
+            block[:, far] += _alternating_tails(alpha, beta, chunk[far], forms, mu, k_max)
+        values[:, start:start + _X_CHUNK] = block
+    if not positive.all():
         # The model is fitted to the integrand, damping included, although
         # a damped integrand decays like /k^4: the known x1 = 0 defect
         # (ROADMAP), kept until the profile references are re-pinned.
+        wall = ~positive
         k_tail = _tail_points(k_max)
         samples = density(k_tail)
-        return tuple(
-            float(value) if wave == "ksin" else float(value + _log_tail(
-                samples * damp(k_tail) if damped else samples,
-                k_max, 2, value, label)[0])
-            for (wave, damped), value in zip(forms, heads)
-        )
-
-    def oscillator(wave, k):
-        return np.cos(k * x) if wave == "cos" else k * np.sin(k * x)
-
-    # continue the fitted density model beyond k_max
-    alpha, beta = _fit_log_tail(density, k_max, 2, label)
-    quarter = math.pi / (2.0 * x)
-    half = 2.0 * quarter
-    results = []
-    for (wave, damped), value in zip(forms, heads):
-        def g(k, wave=wave, damped=damped):
-            amp = (alpha + beta * np.log(k)) / k**2
-            if damped:
-                amp = amp * damp(k)
-            if wave == "ksin":
-                # k sin(kx) already carries k: the known k-sine tail defect
-                # (ROADMAP), kept until the profile references are re-pinned
-                amp = k * amp
-            return oscillator(wave, k) * amp
-
-        # cos(kx) vanishes at odd multiples of pi/(2x), sin(kx) at multiples of pi/x
-        first_zero = quarter if wave == "cos" else half
-        zero = first_zero * math.ceil(k_max / first_zero + 1e-12)
-        if zero <= k_max:
-            zero += half
-        # stub [k_max, zero], geometrically split in case x is tiny
-        stub_bounds = [k_max]
-        while stub_bounds[-1] * 2.0 < zero:
-            stub_bounds.append(stub_bounds[-1] * 2.0)
-        stub_bounds.append(zero)
-        tail = float(_gl_sums(g, np.asarray(stub_bounds)).sum())
-        # alternating half-period terms, iterated-averaging acceleration
-        edges = zero + half * np.arange(_TAIL_TERMS + 1)
-        tail += _averaged_alternating(_gl_sums(g, edges))
-        results.append(float(value) + tail)
-    return tuple(results)
+        for row, (wave, damped) in enumerate(forms):
+            if wave == "cos":
+                damp = 1.0 / (1.0 + (k_tail * mu) ** 2) if damped else 1.0
+                values[row, wall] += _log_tail(
+                    samples * damp, k_max, 2, values[row, wall.argmax()],
+                    label.format(x=0.0))[0]
+    return values
 
 
 def _combined_density(
@@ -387,7 +456,10 @@ def _combined_density(
 def velocity_profile(
     params: GasParameters, series: SeriesExpansion, x_nodes
 ) -> VelocityProfile:
-    """Sample U(x1) = U_sl + G_v x1 + U_c(x1) on the given coordinates."""
+    """Sample U(x1) = U_sl + G_v x1 + U_c(x1) on the given coordinates.
+
+    U_c at all of them comes from one transform call.
+    """
     _check_pair(params, series)
     x_nodes = np.atleast_1d(np.asarray(x_nodes, dtype=float))
     if not np.all(np.isfinite(x_nodes)):
@@ -397,13 +469,9 @@ def velocity_profile(
     u_sl = slip_velocity(params, series)
     density = _combined_density(series, params.q)
     pref = params.g_v * (1.0 - params.gamma) * (2.0 - params.q)
-    u_c = np.array([
-        pref * _osc_transform(
-            density, x, ("cos",),
-            label=f"U_c cosine transform at x1={x:.4g}",
-        )[0] / math.pi
-        for x in x_nodes
-    ])
+    u_c = pref * _osc_transform(
+        density, x_nodes, ("cos",), label="U_c cosine transform at x1={x:.4g}",
+    )[0] / math.pi
     u_total = u_sl + params.g_v * x_nodes + u_c
     return VelocityProfile(
         x_nodes=x_nodes, u_total=u_total, u_continuum=u_c,
@@ -414,9 +482,9 @@ def velocity_profile(
 def distribution_function(
     params: GasParameters,
     series: SeriesExpansion,
-    x1: float,
+    x1: float | np.ndarray,
     mu: float,
-) -> float:
+) -> float | np.ndarray:
     """Velocity distribution h(x1, mu) = h_as + h_c in the half-space x1 >= 0.
 
     The asymptotic part is U_sl + G_v [x1 - (1-gamma) mu].  The wall part is
@@ -430,51 +498,49 @@ def distribution_function(
     R_q(mu) e^{-x1/mu} for mu > 0 (zero for mu < 0); the density part is
     carried by the cosine and k-sine transforms of E_q at x1.  The integral
     in R_q is the plain and damped cosine transform at x = 0 of
-    sum_{n<N} q^n E_n, so it does not depend on x1.  Non-finite x1 and
-    |mu| > 10 are rejected.
+    sum_{n<N} q^n E_n, so it does not depend on x1: it is computed once per
+    call.  ``x1`` is a coordinate, which gives a float, or an array of them,
+    which gives an array of that shape from one transform pass.  Non-finite
+    x1 and |mu| > 10 are rejected.
     """
     _check_pair(params, series)
-    for name, value in (("x1", x1), ("mu", mu)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if abs(mu) > _MU_MAX:
-        raise ValueError(f"mu must lie in [-{_MU_MAX:g}, {_MU_MAX:g}], got {mu:g}")
-    if x1 < 0.0:
+    x = np.asarray(x1, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"x1 must be finite, got {x1}")
+    check_mu(mu)
+    if (x < 0.0).any():
         raise ValueError("x1 must be >= 0 (profiles live in the half-space)")
     gamma, q, g_v = params.gamma, params.q, params.g_v
     pref = g_v * (1.0 - gamma) * (2.0 - q)
     u_sl = slip_velocity(params, series)
-    h_as = u_sl + g_v * (x1 - (1.0 - gamma) * mu)
+    h_as = u_sl + g_v * (x - (1.0 - gamma) * mu)
 
     density = _combined_density(series, q)
     kinds = ("cos",) if mu == 0.0 else ("cos", "damped_cos", "damped_ksin")
-    transforms = [
-        value / math.pi
-        for value in _osc_transform(
-            density, x1, kinds, mu=mu,
-            label=f"h_c transforms at x1={x1:.4g}, mu={mu:.4g}",
-        )
-    ]
+    transforms = _osc_transform(
+        density, x.reshape(-1), kinds, mu=mu,
+        label=f"h_c transforms at x1={{x:.4g}}, mu={mu:.4g}",
+    ).reshape((len(kinds),) + x.shape) / math.pi
     if mu == 0.0:
-        return h_as + pref * transforms[0]
-
-    c0, c1, s1 = transforms
-    h_c = pref * (gamma * c0 + (1.0 - gamma) * c1 + (1.0 - gamma) * mu * s1)
-
-    if mu > 0.0:
-        r = abs(mu) - u0()
-        if series.order >= 1:
-            plain, damped = _osc_transform(
-                _combined_density(series, q, upto=series.order - 1), 0.0,
-                ("cos", "damped_cos"), mu,
-                label=f"source bracket at mu={mu:.4g}",
-            )
-            r -= sum(
-                series.u_coeffs[n] * q**n for n in range(1, series.order + 1)
-            )
-            r -= q * (gamma * plain + (1.0 - gamma) * damped) / math.pi
-        h_c += pref * r * math.exp(-x1 / mu)
-    return h_as + h_c
+        h = h_as + pref * transforms[0]
+    else:
+        c0, c1, s1 = transforms
+        h_c = pref * (gamma * c0 + (1.0 - gamma) * c1 + (1.0 - gamma) * mu * s1)
+        if mu > 0.0:
+            r = abs(mu) - u0()
+            if series.order >= 1:
+                plain, damped = _osc_transform(
+                    _combined_density(series, q, upto=series.order - 1),
+                    np.zeros(1), ("cos", "damped_cos"), mu,
+                    label=f"source bracket at mu={mu:.4g}",
+                )[:, 0]
+                r -= sum(
+                    series.u_coeffs[n] * q**n for n in range(1, series.order + 1)
+                )
+                r -= q * (gamma * plain + (1.0 - gamma) * damped) / math.pi
+            h_c = h_c + pref * r * np.exp(-x / mu)
+        h = h_as + h_c
+    return float(h) if h.ndim == 0 else h
 
 
 def gamma_from_physical(number_density: float, diameter: float) -> float:

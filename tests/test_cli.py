@@ -187,6 +187,22 @@ class TestProfile:
         assert code == 2
         assert f"{flag}: {entry} is not a number" in err
 
+    @pytest.mark.parametrize("value, message", [
+        ("20", "mu must lie in [-10, 10]"), ("-10.5", "mu must lie in [-10, 10]"),
+        ("nan", "mu must be finite"),
+    ])
+    def test_velocity_domain_checked_before_series(
+        self, capsys, monkeypatch, value, message,
+    ):
+        def no_series(*args):
+            raise AssertionError("series built before --mu was checked")
+
+        monkeypatch.setattr(cli, "build_series", no_series)
+        code, out, err = run_cli(capsys, "profile", "--x", "0:200:0.25",
+                                 f"--mu=0.5,{value}")
+        assert code == 2
+        assert message in err and out == ""
+
     @pytest.mark.parametrize("args, failing", [
         (["--x", "0:1:1"], "U_c cosine transform at x1=0"),
         (["--x", "1:2:1", "--mu", "0.5"], "source bracket at mu=0.5"),

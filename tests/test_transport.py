@@ -147,8 +147,8 @@ class TestVelocityProfile:
             part = velocity_profile(params, s1, [x]).u_continuum[0]
             term = (
                 params.g_v * (2.0 - params.q) * params.q**2 / math.pi
-                * _osc_transform(s2.e_funcs[2], x, ("cos",),
-                                 label="order-2 term")[0]
+                * _osc_transform(s2.e_funcs[2], np.array([x]), ("cos",),
+                                 label="order-2 term")[0, 0]
             )
             assert full - part == pytest.approx(term, abs=1e-9)
 
@@ -215,7 +215,8 @@ class TestClosedFormHead:
             return float(density(k))
 
         for mu in (0.25, 2.0, -1.0, 10.0, -10.0):
-            lo, hi, heads = _head_pieces(density, x, self.KINDS, mu=mu)
+            lo, hi = density.poly.x[:-1], density.poly.x[1:]
+            heads = _head_pieces(density, self.KINDS, mu=mu)(np.array([x]))[:, 0]
             assert lo[0] == 0.0 and hi[-1] == SPEC.k_max
 
             def damp(k):
@@ -253,7 +254,7 @@ class TestWallTransform:
         def damp(k):
             return 1.0 / (1.0 + (k * mu) ** 2)
 
-        values = _osc_transform(density, 0.0, ("cos", "damped_cos"), mu)
+        values = _osc_transform(density, np.zeros(1), ("cos", "damped_cos"), mu)[:, 0]
         for value, f in zip(values, (density, lambda k: density(k) * damp(k))):
             head = math.fsum(
                 quad(lambda k: float(f(k)), a, b, epsabs=1e-17, epsrel=1e-14,
@@ -277,10 +278,10 @@ class TestSharedTransforms:
         from kramers.transport import _combined_density, _osc_transform
 
         density = _combined_density(series_cache(0.0, 2), 0.8)
-        shared = _osc_transform(density, x, self.KINDS, mu=mu)
+        shared = _osc_transform(density, np.array([x]), self.KINDS, mu=mu)[:, 0]
         assert len(shared) == 3
         for kind, value in zip(self.KINDS, shared):
-            (single,) = _osc_transform(density, x, (kind,), mu=mu)
+            (single,) = _osc_transform(density, np.array([x]), (kind,), mu=mu)[:, 0]
             assert value == pytest.approx(single, abs=1e-15)
 
 
@@ -386,6 +387,68 @@ class TestDistributionFunction:
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         value = distribution_function(params, series_cache(0.0, 2), 1.0, 0.0)
         assert math.isfinite(value)
+
+
+class TestBatchedCoordinates:
+    """One transform pass over many coordinates equals one per coordinate."""
+
+    X1 = [0.0, 1e-4, 1e-3, 0.3, 7.0, 39.0, 600.0, 1e5]
+    PARAMS = GasParameters(gamma=0.25, q=0.9, g_v=1.0)
+
+    def test_profile_matches_single_nodes(self, series_cache):
+        series = series_cache(0.25, 4)
+        batch = velocity_profile(self.PARAMS, series, self.X1).u_continuum
+        single = [velocity_profile(self.PARAMS, series, [x]).u_continuum[0]
+                  for x in self.X1]
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, -0.5, 10.0, -10.0])
+    def test_distribution_matches_scalar_calls(self, series_cache, mu):
+        series = series_cache(0.25, 4)
+        batch = distribution_function(self.PARAMS, series, np.array(self.X1), mu)
+        single = [distribution_function(self.PARAMS, series, x, mu) for x in self.X1]
+        assert batch.shape == (len(self.X1),)
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-15)
+
+    def test_scalar_coordinate_gives_float(self, series_cache):
+        series = series_cache(0.25, 4)
+        assert type(distribution_function(self.PARAMS, series, 2.5, 0.5)) is float
+        assert type(distribution_function(self.PARAMS, series, 2, 0.0)) is float
+        column = distribution_function(self.PARAMS, series, [[2.5], [3.0]], -0.5)
+        assert isinstance(column, np.ndarray) and column.shape == (2, 1)
+
+    def test_chunk_boundaries_change_nothing(self, series_cache, monkeypatch):
+        import kramers.transport as transport
+
+        series = series_cache(0.25, 4)
+        x = np.array(self.X1 + [2.5, 3.0, 17.0])
+
+        def run():
+            return (velocity_profile(self.PARAMS, series, x).u_continuum,
+                    distribution_function(self.PARAMS, series, x, 0.5))
+
+        whole = run()
+        monkeypatch.setattr(transport, "_X_CHUNK", 3)
+        for chunked, expected in zip(run(), whole):
+            np.testing.assert_allclose(chunked, expected, rtol=0, atol=1e-15)
+
+    def test_one_tail_fit_per_call(self, series_cache, monkeypatch):
+        import kramers.transport as transport
+
+        series = series_cache(0.25, 4)
+        fit = transport._fit_log_tail
+        labels = []
+
+        def counted(f, k_max, p, label):
+            labels.append(label)
+            return fit(f, k_max, p, label)
+
+        monkeypatch.setattr(transport, "_fit_log_tail", counted)
+        x = np.linspace(0.0, 30.0, 301)
+        velocity_profile(self.PARAMS, series, x)
+        distribution_function(self.PARAMS, series, x, 0.5)
+        assert labels == ["U_c cosine transform at x1=0.1",
+                          "h_c transforms at x1=0.1, mu=0.5"]
 
 
 class TestPhysicalConversions:
