@@ -25,9 +25,11 @@ the head to rounding, and the log-tail model of :mod:`kramers.quadrature`,
 fitted at its two tail points 0.7 k_max and k_max, closes it.  One table
 holds the rule's points followed by the two tail points, with the moments
 and the S_1 rows of the grid nodes at all of them, so a head and its tail
-read the same arrays.  The table is free of gamma and phi, and every order
-of the series shares it.  Spectral functions are defined on [0, k_max]
-only: past k_max each integral uses its own fitted tail.
+read the same arrays.  The table is free of gamma and phi, and its arrays
+are read-only: :func:`kramers.neumann.build_series` keeps one per k_max
+for the whole process, and every order of every series on that grid
+shares it.  Spectral functions are defined on [0, k_max] only: past k_max
+each integral uses its own fitted tail.
 """
 
 from __future__ import annotations
@@ -196,7 +198,8 @@ class _KernelTable:
     to the intervals and 0 at the tail points.  With them come T_1 and
     T_2 at the points and the kernel rows ``s[j, i] = S_1(grid[i], k[j])``,
     built in MomentBatches of at most ``_CHUNK`` points so that ``s`` is
-    the one large array.  ``k_max`` is the last node.
+    the one large array.  ``k_max`` is the last node.  The arrays are
+    read-only once built, so one table can serve any number of threads.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -214,6 +217,8 @@ class _KernelTable:
             batch = MomentBatch(self.k[part])
             self.t1[part], self.t2[part] = batch.t(1), batch.t(2)
             self.s[part] = batch.against(rows3) - np.outer(self.t1[part], t3)
+        for arr in (self.k, self.w_k, self._w_err, self.t1, self.t2, self.s):
+            arr.setflags(write=False)
 
     def density(self, phi: SpectralFunction) -> np.ndarray:
         """phi/T_2 at the points, the factor every integral here weights."""
@@ -233,10 +238,10 @@ def _apply_table(
     head = (table.w_k * v) @ table.s
     tail = _log_tail(
         v[-2:, None] * table.s[-2:], table.k_max, 2, head,
-        [f"{label} grid node k={k:.3g}" for k in table.nodes],
+        lambda j: f"{label} grid node k={table.nodes[j]:.3g}",
     )
     values = (1.0 - gamma) * (head + tail) / np.pi
-    return SpectralFunction(nodes=table.nodes.copy(), values=values, label=label)
+    return SpectralFunction(nodes=table.nodes, values=values, label=label)
 
 
 def apply_kernel(

@@ -19,9 +19,12 @@ kernel is exactly (1 - gamma) S_1 (see :mod:`kramers.kernels`), phi_n is
 (1 - gamma)^n times its gamma=0 value, so (1 - gamma) U_n is linear in gamma.
 
 :func:`build_series` is the one way in: U_n and phi_n take their heads and
-fitted tails from one kernel table per series, and E_n divides phi_n by T_2
-sampled once on the grid.  The pole residuals B_n, which check U_n,
-integrate adaptively up to the series' own k_max.
+fitted tails from a kernel table, and E_n divides phi_n by T_2 sampled on
+the grid.  The grid, phi_0, T_2 and the table depend on k_max alone, so
+:func:`_grid_parts` builds them once per process for each k_max (a bounded
+cache of read-only arrays) and every series on that grid shares them.  The
+pole residuals B_n, which check U_n, integrate adaptively up to the
+series' own k_max.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,6 +99,25 @@ def _pole_integrand(
     return integrand
 
 
+@lru_cache(maxsize=4)
+def _grid_parts(
+    k_max: float,
+) -> tuple[np.ndarray, SpectralFunction, np.ndarray, _KernelTable]:
+    """Standard grid, phi_0, T_2 on the grid and the kernel table for k_max.
+
+    None of them depends on gamma, the order or rel_tol, so each k_max
+    builds them once per process (about 3 MB, nearly all of it the table's
+    S_1 rows) and up to four k_max stay cached.  Every array is read-only,
+    so the series that share them cannot change them.
+    """
+    grid = standard_grid(QuadratureSpec(k_max=k_max))
+    t2 = t_n_vec(2, grid)
+    for arr in (grid, t2):
+        arr.setflags(write=False)
+    phi0 = SpectralFunction(nodes=grid, values=phi0_vec(grid), label="phi_0")
+    return grid, phi0, t2, _KernelTable(grid)
+
+
 def _u_detail(
     n: int, gamma: float, table: _KernelTable, v: np.ndarray
 ) -> tuple[float, float, float]:
@@ -131,9 +154,11 @@ def build_series(
     densities E_n.  One kernel table on the grid (2,385 rule and 2 tail
     points, see :func:`kramers.kernels.apply_kernel`) serves all orders,
     each then costing one evaluation of phi_{n-1}/T_2 at its points, one
-    product with its S_1 rows and two fitted tails.  Orders beyond 4 are refused as
-    outside the method's intended range.  The default order used by the CLI
-    is 2.
+    product with its S_1 rows and two fitted tails.  The table, the grid,
+    phi_0 and T_2 come from :func:`_grid_parts`, built by the first series
+    on each ``spec.k_max`` and shared by the later ones.  Orders beyond 4
+    are refused as outside the method's intended range.  The default order
+    used by the CLI is 2.
     """
     if not (0 <= order <= MAX_ORDER):
         raise ValueError(f"order must be in [0, {MAX_ORDER}]")
@@ -148,11 +173,10 @@ def build_series(
             stacklevel=2,
         )
 
-    grid = standard_grid(spec)
-    phi_funcs = [SpectralFunction(nodes=grid, values=phi0_vec(grid), label="phi_0")]
+    grid, phi0, t2, table = _grid_parts(spec.k_max)
+    phi_funcs = [phi0]
     u_coeffs = [u0()]
     diagnostics: list[dict] = [{"order": 0, "u_error": 0.0}]
-    table = _KernelTable(grid) if order else None
     for n in range(1, order + 1):
         phi, v = phi_funcs[-1], table.density(phi_funcs[-1])
         u_n, u_error, u_tail = _u_detail(n, gamma, table, v)
@@ -162,7 +186,6 @@ def build_series(
     # E_n = phi_n / ((1-gamma)^{n+1} T_2), never the raw numerator / L(k)
     # whose k=0 limit is 0/0: T_2(0) is the exact moment 1/2, so E_n(0) is
     # finite by construction.
-    t2 = t_n_vec(2, grid)
     e_funcs = [
         SpectralFunction(
             nodes=grid, values=phi.values / ((1.0 - gamma) ** (n + 1) * t2),

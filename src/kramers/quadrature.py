@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
 
@@ -273,16 +273,17 @@ def _fit_log_tail(f: Callable, k_max: float, p: int, label: str) -> tuple:
 
 
 def _log_tail(
-    samples, k_max: float, p: int, head, label: str | Sequence[str]
+    samples, k_max: float, p: int, head, label: str | Callable[[int], str]
 ) -> np.ndarray:
     """Exact integral over [k_max, inf) of the log-tail model of ``samples``.
 
     ``samples`` are the integrand's values at :func:`_tail_points`, one
     column per member when ``head`` has one entry per member; the model is
     that of :func:`_log_model`.  Raises :class:`TailEstimateDominatesError`
-    when a tail exceeds 10% of its truncated part ``head``, under the
-    member's entry of ``label`` when that is a sequence.  Returns one
-    entry per member.
+    when a tail exceeds 10% of its truncated part ``head``, under
+    ``label(j)`` for member j when ``label`` is callable, so a family of
+    members formats the one label it raises under.  Returns one entry per
+    member.
     """
     alpha, beta = _log_model(samples, k_max, p)
     lb = math.log(k_max)
@@ -293,7 +294,7 @@ def _log_tail(
     if dominant.any():
         j = dominant.argmax()
         raise TailEstimateDominatesError(
-            label if isinstance(label, str) else label[j],
+            label if isinstance(label, str) else label(j),
             f"tail estimate {tail[j]:.3e} exceeds 10% of the truncated part "
             f"{np.atleast_1d(head)[j]:.3e}; k_max={k_max} too small",
         )

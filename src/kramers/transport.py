@@ -239,6 +239,11 @@ MU_MAX = 10.0
 #: coordinates per pass of the x-dependent work, which bounds its
 #: (kinds, coordinates, knot intervals) and tail arrays on long ranges
 _X_CHUNK = 128
+#: below x k_max = eps, cos(k x) is 1 to rounding on the whole head and the
+#: transforms are at their x = 0 limit (the k-sine one at 0), while the
+#: half periods pi/x past k_max overflow for subnormal x: such coordinates
+#: are transformed as x = 0
+_WALL_OMEGA = float(np.finfo(float).eps)
 
 
 def check_mu(mu: float) -> None:
@@ -402,8 +407,10 @@ def _osc_transform(
     k_max each transform continues the fitted (a + b ln k)/k^2 density
     model: at x = 0 as its exact integral, under the 10% tail guard of
     :mod:`kramers.quadrature`, and at x > 0 as an accelerated alternating
-    series over half periods.  ``label`` is formatted with ``x=`` the
-    coordinate an error is raised at.
+    series over half periods.  Coordinates with x k_max below
+    ``_WALL_OMEGA`` (machine epsilon; x < 2.8e-19 at k_max = 800) take the
+    x = 0 value.  ``label`` is formatted with ``x=`` the coordinate an
+    error is raised at.
     """
     x = np.asarray(x, dtype=float)
     forms = [_KINDS[kind] for kind in kinds]
@@ -413,6 +420,7 @@ def _osc_transform(
     if not math.isfinite(float(x.max(initial=0.0)) * k_max):
         at = next(v for v in map(float, x) if not math.isfinite(v * k_max))
         raise ValueError(f"{label.format(x=at)}: x * k_max overflows at x={at:g}")
+    x = np.where(x * k_max < _WALL_OMEGA, 0.0, x)
     heads = _head_pieces(density, kinds, mu)
     positive = x > 0.0
     if positive.any():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,23 @@ class TestProfile:
         assert code == 0
         _, rows = csv_rows(out)
         assert len(rows) == 1 and math.isfinite(float(rows[0][2]))
+
+    def test_subnormal_coordinate_takes_wall_limit(self, capsys):
+        """x1 = 1e-310 prints the x1 = 0 row: pi/(2 x1) past k_max would
+        overflow to nan with a RuntimeWarning."""
+        rows = {}
+        for x in ("1e-310", "0"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(
+                    capsys, "profile", "--x", f"{x}:{x}:1", "--order", "1",
+                    "--mu", "0.5,-0.5",
+                )
+            assert code == 0 and err == ""
+            (rows[x],) = csv_rows(out)[1]
+        tiny, wall = (np.array(rows[x][1:], dtype=float) for x in ("1e-310", "0"))
+        assert np.all(np.isfinite(tiny))
+        np.testing.assert_allclose(tiny, wall, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bad", ["0:inf:1", "0:1e9:1"])
     def test_bad_range_rejected_before_series(self, capsys, monkeypatch, bad):

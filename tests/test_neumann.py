@@ -1,11 +1,14 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from kramers import kernels, neumann
 from kramers.kernels import apply_kernel
 from kramers.neumann import (
     SeriesExpansion,
+    _grid_parts,
     _pole_integrand,
     build_series,
     pole_residual,
@@ -156,6 +159,70 @@ class TestBuildSeries:
                 gamma=0.0, order=0, u_coeffs=(0.5,), phi_funcs=(),
                 e_funcs=(), diagnostics=(),
             )
+
+
+def _series_arrays(series):
+    return (
+        series.u_coeffs,
+        [phi.values for phi in series.phi_funcs],
+        [e.values for e in series.e_funcs],
+        series.diagnostics,
+    )
+
+
+def _assert_same_series(a, b):
+    a, b = _series_arrays(a), _series_arrays(b)
+    assert a[0] == b[0] and a[3] == b[3]
+    for got, want in zip(a[1] + a[2], b[1] + b[2]):
+        np.testing.assert_array_equal(got, want)
+
+
+class TestGridPartsCache:
+    """build_series takes the grid, phi_0, T_2 and the kernel table of its
+    k_max from one bounded per-process cache."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    def test_cold_build_equals_warm_build(self, gamma):
+        _grid_parts.cache_clear()
+        cold = [build_series(gamma, order) for order in range(1, 5)]
+        warm = [build_series(gamma, order) for order in range(1, 5)]
+        for a, b in zip(cold, warm):
+            _assert_same_series(a, b)
+
+    def test_cached_arrays_are_read_only(self):
+        grid, phi0, t2, table = _grid_parts(SPEC.k_max)
+        arrays = (grid, phi0.nodes, phi0.values, t2, table.k, table.w_k,
+                  table.t1, table.t2, table.s)
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_distinct_k_max_get_distinct_parts(self):
+        small, large = _grid_parts(400.0), _grid_parts(800.0)
+        assert small[0][-1] == 400.0 and large[0][-1] == 800.0
+        assert small[3].k_max == 400.0 and large[3].k_max == 800.0
+        assert _grid_parts(400.0) is small
+        series = build_series(0.0, 1, QuadratureSpec(k_max=400.0))
+        assert series.phi_funcs[0] is small[1]
+
+    def test_threads_build_the_same_series(self):
+        _grid_parts.cache_clear()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first, second = pool.map(lambda _: build_series(0.25, 3), range(2))
+        _assert_same_series(first, second)
+
+    def test_warm_build_makes_no_table(self, monkeypatch):
+        made = []
+
+        def counted(grid):
+            made.append(grid)
+            return kernels._KernelTable(grid)
+
+        monkeypatch.setattr(neumann, "_KernelTable", counted)
+        _grid_parts.cache_clear()
+        build_series(0.1, 2)
+        build_series(0.3, 4)
+        assert len(made) == 1
 
 
 class TestRecordedSeries:

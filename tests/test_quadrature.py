@@ -220,7 +220,8 @@ class TestSpectral:
         k_tail = _tail_points(k_max)[:, None]
         alpha, beta = np.array([1.0, 0.5]), np.array([-2.0, 3.0])
         samples = (alpha + beta * np.log(k_tail)) / k_tail**p
-        tail = _log_tail(samples, k_max, p, np.ones(2), ["first", "second"])
+        labels = ("first", "second")
+        tail = _log_tail(samples, k_max, p, np.ones(2), labels.__getitem__)
         want = [
             quad(lambda k, a=a, b=b: (a + b * math.log(k)) / k**p, k_max, math.inf,
                  epsabs=0.0, epsrel=1e-13)[0]
@@ -244,7 +245,7 @@ class TestFamilyFailures:
         with pytest.raises(TailEstimateDominatesError) as err:
             _log_tail(
                 samples, k_max, 2, heads,
-                ["decaying one", "wide lorentzian", "decaying two"],
+                ("decaying one", "wide lorentzian", "decaying two").__getitem__,
             )
         assert err.value.label == "wide lorentzian"
         assert "wide lorentzian" in str(err.value)

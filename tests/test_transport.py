@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,26 @@ class TestWallTransform:
             alpha = fb - beta * math.log(k_max)
             tail = (alpha + beta * (math.log(k_max) + 1.0)) / k_max
             assert value == pytest.approx(head + tail, abs=1e-13)
+
+
+    @pytest.mark.parametrize("mu", [0.5, -1.0])
+    def test_tiny_coordinates_take_the_wall_limit(self, series_cache, mu):
+        """Below x k_max = eps every transform is its x = 0 value, so tiny
+        and subnormal x1 give finite output without a warning; just above
+        the cutoff the cosine transform still agrees with it."""
+        from kramers.transport import _WALL_OMEGA
+
+        series = series_cache(0.25, 2)
+        params = GasParameters(gamma=0.25, q=0.6)
+        cutoff = _WALL_OMEGA / series.phi_funcs[0].k_max
+        x = np.array([0.0, 1e-310, 1e-300, 0.5 * cutoff, 4.0 * cutoff])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u_c = velocity_profile(params, series, x).u_continuum
+            h = distribution_function(params, series, x[:-1], mu)
+        assert np.all(np.isfinite(u_c)) and np.all(np.isfinite(h))
+        np.testing.assert_allclose(u_c, u_c[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h, h[0], rtol=0, atol=1e-12)
 
 
 class TestSharedTransforms:
