@@ -26,10 +26,9 @@ fitted at its two tail points 0.7 k_max and k_max, closes it.  One table
 holds the rule's points followed by the two tail points, with the moments
 and the S_1 rows of the grid nodes at all of them, so a head and its tail
 read the same arrays.  The table is free of gamma and phi, and its arrays
-are read-only: :func:`kramers.neumann.build_series` keeps one per k_max
-for the whole process, and every order of every series on that grid
-shares it.  Spectral functions are defined on [0, k_max] only: past k_max
-each integral uses its own fitted tail.
+are read-only, so :mod:`kramers.neumann` iterates on one per k_max for the
+whole process.  Spectral functions are defined on [0, k_max] only: past
+k_max each integral uses its own fitted tail.
 """
 
 from __future__ import annotations

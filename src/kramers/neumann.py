@@ -18,25 +18,25 @@ with J_1(0, k1) = T_1(k1) and T_1(0) = 1/sqrt(pi) for U_n.  Because the
 kernel is exactly (1 - gamma) S_1 (see :mod:`kramers.kernels`), phi_n is
 (1 - gamma)^n times its gamma=0 value, so (1 - gamma) U_n is linear in gamma.
 
-:func:`build_series` is the one way in: U_n and phi_n take their heads and
-fitted tails from a kernel table, and E_n divides phi_n by T_2 sampled on
-the grid.  The grid, phi_0, T_2 and the table depend on k_max alone, so
-:func:`_grid_parts` builds them once per process for each k_max (a bounded
-cache of read-only arrays) and every series on that grid shares them.  The
-pole residuals B_n, which check U_n, integrate adaptively up to the
-series' own k_max.
+:func:`build_series` is the one way in.  The iteration runs once per
+k_max, at gamma 0: :func:`_order` (a bounded cache of read-only arrays)
+holds the kernel table, each phi_n and E_n = phi_n / T_2.  A series at any
+gamma scales them exactly and takes U_n from the table.  The pole
+residuals B_n, which check U_n, integrate adaptively up to the series'
+own k_max.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .kernels import SpectralFunction, _KernelTable, _apply_table, standard_grid
+from .kernels import (
+    SpectralFunction, _KernelTable, _apply_table, standard_grid, weighted_sum,
+)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, _log_tail, integrate_spectral
 # perfbench/tracing.py rebinds these here, though nothing here calls them
 from .kernels import apply_kernel  # noqa: F401
@@ -74,6 +74,9 @@ class SeriesExpansion:
             raise ValueError("u_coeffs must hold orders 0..order")
         if self.u_coeffs[0] != u0():
             raise ValueError("u_coeffs[0] must be sqrt(pi)/2 exactly")
+        for name in ("phi_funcs", "e_funcs", "diagnostics"):
+            if len(getattr(self, name)) != self.order + 1:
+                raise ValueError(f"{name} must hold orders 0..order")
 
 
 def u0() -> float:
@@ -99,29 +102,35 @@ def _pole_integrand(
     return integrand
 
 
-@lru_cache(maxsize=4)
-def _grid_parts(
-    k_max: float,
-) -> tuple[np.ndarray, SpectralFunction, np.ndarray, _KernelTable]:
-    """Standard grid, phi_0, T_2 on the grid and the kernel table for k_max.
+@lru_cache(maxsize=4 * (MAX_ORDER + 1))
+def _order(k_max: float, n: int) -> tuple:
+    """Kernel table, phi_n, E_n = phi_n/T_2 and table.density(phi_n) at gamma 0.
 
-    None of them depends on gamma, the order or rel_tol, so each k_max
-    builds them once per process (about 3 MB, nearly all of it the table's
-    S_1 rows) and up to four k_max stay cached.  Every array is read-only,
-    so the series that share them cannot change them.
+    Order 0 builds the standard grid, its table and phi_0; order n applies
+    the shared table to order n - 1.  Nothing here depends on gamma or
+    rel_tol, so each order is built once per process for up to four k_max
+    (about 3 MB each, nearly all the table's S_1 rows).  Every array is
+    read-only, so the series that share them cannot change them.
     """
-    grid = standard_grid(QuadratureSpec(k_max=k_max))
-    t2 = t_n_vec(2, grid)
-    for arr in (grid, t2):
-        arr.setflags(write=False)
-    phi0 = SpectralFunction(nodes=grid, values=phi0_vec(grid), label="phi_0")
-    return grid, phi0, t2, _KernelTable(grid)
+    if n == 0:
+        grid = standard_grid(QuadratureSpec(k_max=k_max))
+        table = _KernelTable(grid)
+        phi = SpectralFunction(nodes=grid, values=phi0_vec(grid), label="phi_0")
+    else:
+        table, prev, _, v = _order(k_max, n - 1)
+        phi = _apply_table(table, prev, v, 0.0)
+    # never the raw numerator / L(k), whose k=0 limit is 0/0: T_2(0) = 1/2
+    t2 = t_n_vec(2, table.nodes)
+    e_n = SpectralFunction(nodes=table.nodes, values=phi.values / t2, label=f"E_{n}")
+    v = table.density(phi)
+    v.setflags(write=False)
+    return table, phi, e_n, v
 
 
 def _u_detail(
     n: int, gamma: float, table: _KernelTable, v: np.ndarray
 ) -> tuple[float, float, float]:
-    """U_n, error estimate and fitted-tail part; v = table.density(phi_{n-1}).
+    """U_n, error estimate and fitted-tail part; v = phi_{n-1}/T_2 at gamma 0.
 
     Killing the constant term of the order-n density requires
 
@@ -129,9 +138,10 @@ def _u_detail(
               int J^(1)(0, k) phi_{n-1}(k) / T_2(k) dk,
 
     taken in this closed form rather than by probing the k->0 limit, which
-    would amplify quadrature noise by 1/k^2.  The head is the table's K15
-    sum, with the table's |K15 - G7| error, and the tail is fitted to the
-    values at the table's two tail points.
+    would amplify quadrature noise by 1/k^2.  As phi_{n-1}(gamma) is
+    (1-gamma)^{n-1} phi_{n-1}(0), the scale is sqrt(pi) (1-gamma).  The head
+    is the table's K15 sum, with the table's |K15 - G7| error, and the tail
+    is fitted to the values at the table's two tail points.
     """
     values = (gamma / SQRT_PI + (1.0 - gamma) * table.t1) * v
     head = table.w_k @ values
@@ -139,7 +149,7 @@ def _u_detail(
     tail = _log_tail(
         values[-2:], table.k_max, 2, head, f"U_{n} pole-elimination integral"
     )[0]
-    scale = SQRT_PI * (1.0 - gamma) ** n
+    scale = SQRT_PI * (1.0 - gamma)
     return float(-(head + tail) / scale), float(err / scale), float(tail / scale)
 
 
@@ -151,14 +161,13 @@ def build_series(
     """Build U_0..U_order with their iterates and densities.
 
     This is the one producer of the slip coefficients U_n and the pole-free
-    densities E_n.  One kernel table on the grid (2,385 rule and 2 tail
-    points, see :func:`kramers.kernels.apply_kernel`) serves all orders,
-    each then costing one evaluation of phi_{n-1}/T_2 at its points, one
-    product with its S_1 rows and two fitted tails.  The table, the grid,
-    phi_0 and T_2 come from :func:`_grid_parts`, built by the first series
-    on each ``spec.k_max`` and shared by the later ones.  Orders beyond 4
-    are refused as outside the method's intended range.  The default order
-    used by the CLI is 2.
+    densities E_n.  The iteration is free of gamma: :func:`_order` builds
+    phi_n and E_n at gamma 0 on one kernel table per ``spec.k_max`` (see
+    :func:`kramers.kernels.apply_kernel`), shared by every series on that
+    grid.  A series scales them exactly, phi_n by (1-gamma)^n and E_n by
+    1/(1-gamma), without a refit, and takes each U_n from the table's
+    points.  Orders beyond 4 are refused as outside the method's intended
+    range.  The default order used by the CLI is 2.
     """
     if not (0 <= order <= MAX_ORDER):
         raise ValueError(f"order must be in [0, {MAX_ORDER}]")
@@ -173,32 +182,24 @@ def build_series(
             stacklevel=2,
         )
 
-    grid, phi0, t2, table = _grid_parts(spec.k_max)
-    phi_funcs = [phi0]
+    parts = [_order(spec.k_max, 0)]
     u_coeffs = [u0()]
     diagnostics: list[dict] = [{"order": 0, "u_error": 0.0}]
     for n in range(1, order + 1):
-        phi, v = phi_funcs[-1], table.density(phi_funcs[-1])
-        u_n, u_error, u_tail = _u_detail(n, gamma, table, v)
+        # U_n before phi_n, so that U_n's tail guard fires first
+        u_n, u_error, u_tail = _u_detail(n, gamma, parts[0][0], parts[-1][3])
         u_coeffs.append(u_n)
-        phi_funcs.append(_apply_table(table, phi, v, gamma))
         diagnostics.append({"order": n, "u_error": u_error, "u_tail": u_tail})
-    # E_n = phi_n / ((1-gamma)^{n+1} T_2), never the raw numerator / L(k)
-    # whose k=0 limit is 0/0: T_2(0) is the exact moment 1/2, so E_n(0) is
-    # finite by construction.
-    e_funcs = [
-        SpectralFunction(
-            nodes=grid, values=phi.values / ((1.0 - gamma) ** (n + 1) * t2),
-            label=f"E_{n}",
-        )
-        for n, phi in enumerate(phi_funcs)
-    ]
+        parts.append(_order(spec.k_max, n))
     return SeriesExpansion(
-        gamma=gamma,
-        order=order,
-        u_coeffs=tuple(u_coeffs),
-        phi_funcs=tuple(phi_funcs),
-        e_funcs=tuple(e_funcs),
+        gamma=gamma, order=order, u_coeffs=tuple(u_coeffs),
+        phi_funcs=tuple(
+            weighted_sum([(1.0 - gamma) ** n], [p[1]], p[1].label)
+            for n, p in enumerate(parts)
+        ),
+        e_funcs=tuple(
+            weighted_sum([1.0 / (1.0 - gamma)], [p[2]], p[2].label) for p in parts
+        ),
         diagnostics=tuple(diagnostics),
     )
 
@@ -220,11 +221,11 @@ def pole_residual(
     integral ends at the series' own k_max, like the profile layer's;
     ``spec`` supplies only ``rel_tol``.
     """
+    if not (0 <= n <= series.order):
+        raise ValueError(f"n={n}: series does not hold this order")
     spec = QuadratureSpec(rel_tol=spec.rel_tol, k_max=series.phi_funcs[0].k_max)
     if n == 0:
         return u0() * t_n(1, k, spec) - t_n(2, k, spec)
-    if n > series.order:
-        raise ValueError("series does not hold this order")
     # E_{n-1} enters through its pole-free quotient phi_{n-1}/T_2, the same
     # discretisation that fixed U_n; a resampled density interpolant would
     # leave a spurious k-independent floor under B_n.
@@ -233,5 +234,5 @@ def pole_residual(
         spec, tail_exponent=2,
         label=f"B_{n} pole residual at k={k:.3g}",
     )
-    scale = (1.0 - series.gamma) ** n * math.pi
+    scale = (1.0 - series.gamma) ** n * np.pi
     return series.u_coeffs[n] * t_n(1, k, spec) + integral / scale

@@ -7,14 +7,17 @@ import pytest
 from kramers import kernels, neumann
 from kramers.kernels import apply_kernel
 from kramers.neumann import (
+    MAX_ORDER,
     SeriesExpansion,
-    _grid_parts,
+    _order,
     _pole_integrand,
     build_series,
     pole_residual,
     u0,
 )
-from kramers.quadrature import QuadratureSpec, _log_tail, _tail_points
+from kramers.quadrature import (
+    QuadratureSpec, TailEstimateDominatesError, _log_tail, _tail_points,
+)
 from kramers.special_integrals import phi0, t_n
 
 SPEC = QuadratureSpec()
@@ -38,15 +41,16 @@ class TestUCoefficient:
         assert u1 == pytest.approx(0.14052350, abs=2e-7)
 
     def test_density_slope(self, series_cache):
-        """(1-gamma) U_n is linear in gamma: the kernel is (1-gamma) S_1."""
-        gammas = np.array([0.0, 0.25, 0.5])
+        """(1-gamma) U_n is affine in gamma: the kernel is (1-gamma) S_1, so
+        every U_n integrates the gamma-0 iterates and is affine to
+        rounding, not to quadrature error."""
+        gammas = np.array([0.0, 0.1, 0.25, 0.5])
         scaled = np.array([
             [(1.0 - g) * u for u in series_cache(g, 4).u_coeffs[1:]]
             for g in gammas
         ])
-        np.testing.assert_allclose(
-            scaled[1], 0.5 * (scaled[0] + scaled[2]), rtol=0, atol=1e-10
-        )
+        chord = scaled[0] + np.outer(gammas, (scaled[-1] - scaled[0]) / 0.5)
+        np.testing.assert_allclose(scaled, chord, rtol=0, atol=1e-15)
         slope = np.polyfit(gammas, scaled[:, 0], 1)[0]
         assert slope == pytest.approx(0.2009, abs=1e-3)
 
@@ -142,22 +146,63 @@ class TestBuildSeries:
             assert abs(diag["u_tail"]) < 0.1 * abs(u_n)
 
     def test_shared_table_changes_nothing(self, series_cache):
-        """build_series shares one kernel table across orders; phi_n is
-        bit-identical to apply_kernel, which builds its own, and U_n to a
-        series built only up to order n."""
+        """phi_n at gamma is (1-gamma)^n times apply_kernel of phi_{n-1} at
+        gamma 0, bit for bit, though apply_kernel builds its own table; U_n
+        is bit-identical to a series built only up to order n.  Iterating at
+        gamma itself agrees to rounding: the S_1 rows cancel, so a node
+        moves by up to 4.1e-15 relative."""
         gamma = 0.25
-        series = series_cache(gamma, 4)
+        series, base = series_cache(gamma, 4), series_cache(0.0, 4)
         for n in range(1, 5):
-            phi_prev = series.phi_funcs[n - 1]
-            alone = apply_kernel(phi_prev, gamma, SPEC)
-            np.testing.assert_array_equal(series.phi_funcs[n].values, alone.values)
+            alone = apply_kernel(base.phi_funcs[n - 1], 0.0, SPEC)
+            np.testing.assert_array_equal(
+                series.phi_funcs[n].values, (1.0 - gamma) ** n * alone.values
+            )
+            at_gamma = apply_kernel(series.phi_funcs[n - 1], gamma, SPEC)
+            np.testing.assert_allclose(
+                series.phi_funcs[n].values, at_gamma.values, rtol=1e-14, atol=0
+            )
             assert series.u_coeffs[n] == series_cache(gamma, n).u_coeffs[n]
+
+    @pytest.mark.parametrize(
+        "k_max, gamma, order, label",
+        [
+            (8.0, 0.3, 1, "U_1 pole-elimination integral"),
+            (15.0, 0.3, 2, "U_2 pole-elimination integral"),
+            (30.0, 0.3, 3, "U_3 pole-elimination integral"),
+            (15.0, 0.0, 2, "phi_2 grid node k=15"),
+        ],
+    )
+    def test_u_guarded_before_phi(self, k_max, gamma, order, label):
+        """U_n's 10% tail guard fires before phi_n's, so a short k range
+        names the first integral whose tail dominates."""
+        with pytest.raises(TailEstimateDominatesError) as info:
+            build_series(gamma, order, QuadratureSpec(k_max=k_max))
+        assert info.value.label == label
+
+    def test_short_range_that_builds(self):
+        series = build_series(0.0, 4, QuadratureSpec(k_max=20.0))
+        assert series.phi_funcs[4].k_max == 20.0
 
     def test_expansion_invariant(self):
         with pytest.raises(ValueError, match="sqrt"):
             SeriesExpansion(
                 gamma=0.0, order=0, u_coeffs=(0.5,), phi_funcs=(),
                 e_funcs=(), diagnostics=(),
+            )
+
+    @pytest.mark.parametrize("field", ["phi_funcs", "e_funcs", "diagnostics"])
+    def test_expansion_lengths_match_order(self, series_cache, field):
+        """A short tuple would make weighted sums drop orders silently."""
+        built = series_cache(0.0, 2)
+        parts = {
+            "phi_funcs": built.phi_funcs, "e_funcs": built.e_funcs,
+            "diagnostics": built.diagnostics,
+        }
+        parts[field] = parts[field][:1]
+        with pytest.raises(ValueError, match=f"{field} must hold orders"):
+            SeriesExpansion(
+                gamma=0.0, order=2, u_coeffs=built.u_coeffs, **parts
             )
 
 
@@ -178,51 +223,73 @@ def _assert_same_series(a, b):
 
 
 class TestGridPartsCache:
-    """build_series takes the grid, phi_0, T_2 and the kernel table of its
-    k_max from one bounded per-process cache."""
+    """build_series takes the parts of its grid, the kernel table and the
+    gamma-0 phi_n, E_n and phi_n/T_2 of every order, from one bounded
+    per-process cache, neumann._order."""
 
     @pytest.mark.parametrize("gamma", [0.0, 0.25])
     def test_cold_build_equals_warm_build(self, gamma):
-        _grid_parts.cache_clear()
+        _order.cache_clear()
         cold = [build_series(gamma, order) for order in range(1, 5)]
         warm = [build_series(gamma, order) for order in range(1, 5)]
         for a, b in zip(cold, warm):
             _assert_same_series(a, b)
 
     def test_cached_arrays_are_read_only(self):
-        grid, phi0, t2, table = _grid_parts(SPEC.k_max)
-        arrays = (grid, phi0.nodes, phi0.values, t2, table.k, table.w_k,
-                  table.t1, table.t2, table.s)
-        for arr in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
+        for n in range(MAX_ORDER + 1):
+            table, phi, e_n, v = _order(SPEC.k_max, n)
+            arrays = (table.k, table.w_k, table.t1, table.t2, table.s,
+                      phi.nodes, phi.values, phi.poly.c, e_n.values,
+                      e_n.poly.c, v)
+            for arr in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
 
     def test_distinct_k_max_get_distinct_parts(self):
-        small, large = _grid_parts(400.0), _grid_parts(800.0)
-        assert small[0][-1] == 400.0 and large[0][-1] == 800.0
-        assert small[3].k_max == 400.0 and large[3].k_max == 800.0
-        assert _grid_parts(400.0) is small
+        small, large = _order(400.0, 0), _order(800.0, 0)
+        assert small[0].k_max == 400.0 and large[0].k_max == 800.0
+        assert small[1].k_max == 400.0 and large[1].k_max == 800.0
+        assert _order(400.0, 0) is small
+        assert _order(400.0, 1)[0] is small[0]
         series = build_series(0.0, 1, QuadratureSpec(k_max=400.0))
-        assert series.phi_funcs[0] is small[1]
+        assert series.phi_funcs[0].nodes is small[1].nodes
 
     def test_threads_build_the_same_series(self):
-        _grid_parts.cache_clear()
+        _order.cache_clear()
         with ThreadPoolExecutor(max_workers=2) as pool:
             first, second = pool.map(lambda _: build_series(0.25, 3), range(2))
         _assert_same_series(first, second)
 
     def test_warm_build_makes_no_table(self, monkeypatch):
-        made = []
+        """The first series on a grid makes its one kernel table, and new
+        orders reuse it; a series at a new gamma then makes no table,
+        applies no kernel and fits no spline."""
+        calls = []
 
-        def counted(grid):
-            made.append(grid)
-            return kernels._KernelTable(grid)
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(neumann, "_KernelTable", counted)
-        _grid_parts.cache_clear()
+        for module, name in ((neumann, "_KernelTable"), (neumann, "_apply_table"),
+                             (kernels, "make_interp_spline")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        _order.cache_clear()
         build_series(0.1, 2)
         build_series(0.3, 4)
-        assert len(made) == 1
+        assert calls.count("_KernelTable") == 1
+        assert calls.count("_apply_table") == 4
+        calls.clear()
+        series = build_series(0.37, 4)
+        assert calls == []
+        assert series.u_coeffs == build_series(0.37, 4).u_coeffs
+
+    def test_one_module_level_cache(self):
+        cached = [name for name, obj in vars(neumann).items()
+                  if hasattr(obj, "cache_info")]
+        assert cached == ["_order"]
+        assert _order.cache_info().maxsize == 4 * (MAX_ORDER + 1)
 
 
 class TestRecordedSeries:
@@ -305,5 +372,10 @@ class TestPoleResidual:
             )
 
     def test_out_of_range_order(self, series_cache):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n=2: series does not hold"):
             pole_residual(series_cache(0.0, 1), 2, 0.001, SPEC)
+
+    def test_negative_order_rejected(self, series_cache):
+        """A negative n would index u_coeffs from the end."""
+        with pytest.raises(ValueError, match="n=-1: series does not hold"):
+            pole_residual(series_cache(0.0, 2), -1, 0.001, SPEC)
