@@ -14,10 +14,8 @@ from .kernels import SpectralFunction
 from .neumann import SeriesExpansion, build_series, pole_residual, u0
 from .quadrature import (
     BudgetExhaustedError,
-    DEFAULT_SPEC,
     NonFiniteIntegrandError,
     QuadratureError,
-    QuadratureSpec,
     TailEstimateDominatesError,
 )
 from .special_integrals import GasParameters, dispersion_l, t_n
@@ -35,8 +33,6 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_SPEC",
     "QuadratureError",
     "BudgetExhaustedError",
     "NonFiniteIntegrandError",

@@ -3,8 +3,8 @@
 Commands emit CSV (default) or JSON with a metadata block; numbers are
 printed with six significant digits and the byte output is deterministic
 for fixed flags.  Exit codes: 0 success, 1 failed verification checks,
-2 invalid flags or domain errors, 3 numerical-budget failures (the message
-names the failing integral).
+2 invalid flags, domain errors or an output path that cannot be written,
+3 numerical-budget failures (the message names the failing integral).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import verification
 from .neumann import build_series
-from .quadrature import QuadratureSpec, QuadratureError
+from .quadrature import K_MAX, REL_TOL, QuadratureError, check_k_max, check_rel_tol
 from .special_integrals import GasParameters, dispersion_l, t_n
 from .transport import (
     MU_MAX,
@@ -71,22 +71,13 @@ def _parse_range(flag: str, text: str) -> np.ndarray:
     return grid[grid <= stop + 1e-12 * max(1.0, abs(stop))]
 
 
-def _spec_from_args(args: argparse.Namespace) -> QuadratureSpec:
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["rel_tol"] = args.tol
-    if args.kmax is not None:
-        kwargs["k_max"] = args.kmax
-    return QuadratureSpec(**kwargs)
-
-
-def _meta(args: argparse.Namespace, spec: QuadratureSpec) -> dict:
+def _meta(args: argparse.Namespace) -> dict:
     return {
         "gamma": getattr(args, "gamma", None),
         "q": getattr(args, "q", None),
         "order": getattr(args, "order", None),
-        "rel_tol": spec.rel_tol,
-        "k_max": spec.k_max,
+        "rel_tol": args.tol,
+        "k_max": args.kmax,
     }
 
 
@@ -99,10 +90,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_table(
-    args: argparse.Namespace,
-    spec: QuadratureSpec,
-    header: list[str],
-    rows: list[list[float]],
+    args: argparse.Namespace, header: list[str], rows: list[list[float]]
 ) -> None:
     if args.format == "csv":
         lines = [",".join(header)]
@@ -114,14 +102,13 @@ def _emit_table(
             name: [float(_fmt(v)) for v in col]
             for name, col in zip(header, columns)
         }
-        doc = {"meta": _meta(args, spec), "data": data}
+        doc = {"meta": _meta(args), "data": data}
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
 
 
 def _cmd_slip(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
     params = GasParameters(gamma=args.gamma, q=args.q, g_v=1.0)
-    series = build_series(args.gamma, args.order, spec)
+    series = build_series(args.gamma, args.order, args.kmax)
     rows = [[f"U_{n}", u] for n, u in enumerate(series.u_coeffs)]
     rows.append(["U_sl_over_Gv", slip_velocity(params, series)])
     rows.append(["K_v", slip_coefficient_kv(params, series)])
@@ -131,7 +118,7 @@ def _cmd_slip(args: argparse.Namespace) -> int:
         _emit("\n".join(lines) + "\n", args.output)
     else:
         doc = {
-            "meta": _meta(args, spec),
+            "meta": _meta(args),
             "data": {name: float(_fmt(v)) for name, v in rows},
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
@@ -139,30 +126,28 @@ def _cmd_slip(args: argparse.Namespace) -> int:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
     grid = _parse_range("--k", args.k)
     if args.what == "dispersion":
         header = ["k", "L"]
-        rows = [[k, dispersion_l(k, args.gamma, spec)] for k in grid]
+        rows = [[k, dispersion_l(k, args.gamma, args.tol)] for k in grid]
     else:
         header = ["k", "T1", "T2", "T3"]
         rows = [
-            [k, t_n(1, k, spec), t_n(2, k, spec), t_n(3, k, spec)]
+            [k, t_n(1, k, args.tol), t_n(2, k, args.tol), t_n(3, k, args.tol)]
             for k in grid
         ]
-    _emit_table(args, spec, header, rows)
+    _emit_table(args, header, rows)
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
     params = GasParameters(gamma=args.gamma, q=args.q, g_v=1.0)
     x_nodes = _parse_range("--x", args.x)
     mu_values = ([_parse_number("--mu", v) for v in args.mu.split(",")]
                  if args.mu else [])
     for mu in mu_values:
         check_mu(mu)
-    series = build_series(args.gamma, args.order, spec)
+    series = build_series(args.gamma, args.order, args.kmax)
     profile = velocity_profile(params, series, x_nodes)
     header = ["x1", "u_total", "u_continuum"]
     columns = [profile.x_nodes, profile.u_total, profile.u_continuum]
@@ -170,14 +155,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         header.append(f"h_mu_{_fmt(mu)}")
         columns.append(distribution_function(params, series, profile.x_nodes, mu))
     rows = [list(row) for row in zip(*columns)]
-    _emit_table(args, spec, header, rows)
+    _emit_table(args, header, rows)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
     only = tuple(args.only.split(",")) if args.only else None
-    results = verification.run_checks(spec, only)
+    results = verification.run_checks(args.tol, args.kmax, only)
     width = max(len(r.name) for r in results) + 2
     lines = []
     for r in results:
@@ -195,10 +179,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=None,
-                        help="relative quadrature tolerance")
-    parser.add_argument("--kmax", type=float, default=None,
-                        help="spectral truncation wavenumber in (2, 16384]")
+    parser.add_argument("--tol", type=float, default=REL_TOL,
+                        help=f"relative quadrature tolerance (default {REL_TOL:g})")
+    parser.add_argument("--kmax", type=float, default=K_MAX,
+                        help="spectral truncation wavenumber in (2, 16384] "
+                             f"(default {K_MAX:g})")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None,
                         help="write to this path instead of stdout")
@@ -264,12 +249,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        check_rel_tol(args.tol)
+        check_k_max(args.kmax)
         return args.func(args)
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write {args.output or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 2
 
 

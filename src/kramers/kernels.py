@@ -27,8 +27,11 @@ holds the rule's points followed by the two tail points, with the moments
 and the S_1 rows of the grid nodes at all of them, so a head and its tail
 read the same arrays.  The table is free of gamma and phi, and its arrays
 are read-only, so :mod:`kramers.neumann` iterates on one per k_max for the
-whole process.  Spectral functions are defined on [0, k_max] only: past
-k_max each integral uses its own fitted tail.
+whole process.  The rule is fixed, so no tolerance enters: a table's
+accuracy is that of the rule on the density's knot intervals, and its
+truncation point is the density's last node.  Spectral functions are
+defined on [0, k_max] only: past k_max each integral uses its own fitted
+tail.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PPoly, make_interp_spline
 
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _gk_rule, _log_tail, _tail_points
+from .quadrature import K_MAX, REL_TOL, _gk_rule, _log_tail, _tail_points, check_k_max
 # perfbench/tracing.py rebinds integrate_spectral here, though nothing here
 # calls it any more
 from .quadrature import integrate_spectral  # noqa: F401
@@ -143,34 +146,33 @@ def weighted_sum(
     return total
 
 
-def standard_grid(spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+def standard_grid(k_max: float = K_MAX) -> np.ndarray:
     """Composite k-grid: dense where the pole physics lives, sparse beyond.
 
     64 uniform nodes on [0, 2], 64 log-spaced on [2, 50], and (when k_max
     exceeds 50) 32 more log-spaced nodes out to k_max so the interpolants
     cover the full truncation range of the spectral integrals.
     """
-    inner_top = min(50.0, spec.k_max)
+    check_k_max(k_max)
+    inner_top = min(50.0, k_max)
     sections = [
         np.linspace(0.0, 2.0, 64),
         np.geomspace(2.0, inner_top, 65)[1:],
     ]
-    if spec.k_max > 50.0:
-        sections.append(np.geomspace(50.0, spec.k_max, 33)[1:])
+    if k_max > 50.0:
+        sections.append(np.geomspace(50.0, k_max, 33)[1:])
     grid = np.concatenate(sections)
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError(
-            f"k_max={spec.k_max!r} is too close to 2: the 64 grid nodes on "
-            "(2, k_max] do not increase strictly"
+            f"k_max={k_max!r} is too close to {2 if k_max <= 50.0 else 50}: "
+            "the grid nodes past it do not increase strictly"
         )
     return grid
 
 
-def s_kernel(
-    k: float, k1: float, gamma: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
+def s_kernel(k: float, k1: float, gamma: float, rel_tol: float = REL_TOL) -> float:
     """Kernel value S(k, k1) = (1 - gamma) S_1(k, k1) (adaptive scalar path)."""
-    s1 = j_n(3, k, k1, spec) - SQRT_PI * t_n(3, k, spec) * t_n(1, k1, spec)
+    s1 = j_n(3, k, k1, rel_tol) - SQRT_PI * t_n(3, k, rel_tol) * t_n(1, k1, rel_tol)
     return (1.0 - gamma) * s1
 
 
@@ -243,23 +245,20 @@ def _apply_table(
     return SpectralFunction(nodes=table.nodes, values=values, label=label)
 
 
-def apply_kernel(
-    phi: SpectralFunction,
-    gamma: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> SpectralFunction:
+def apply_kernel(phi: SpectralFunction, gamma: float) -> SpectralFunction:
     """Advance a spectral iterate: psi(k) = (1/pi) int S(k,k1) phi(k1)/T_2(k1) dk1.
 
     Each node integrates S_1 and scales by the exact factor (1 - gamma).
     The head up to the density's last node is a fixed G7/K15 rule on the
     knot intervals of ``phi`` (one quintic each), converged to rounding:
-    its accuracy is fixed and ``spec`` does not enter.  The tail is the
-    fitted log model of :mod:`kramers.quadrature`, with its 10% guard
-    (errors name the ``phi_n grid node k=...``).  The positive sign is
-    used throughout: it is the convention under which the second-order
-    slip coefficient assembled from the iterates matches the independent
-    double-integral route (see the oracle module).  Output is sampled on
-    the grid of ``phi``.
+    its accuracy is fixed, so no tolerance enters, and the truncation point
+    is the density's own k_max.  The tail is the fitted log model of
+    :mod:`kramers.quadrature`, with its 10% guard (errors name the
+    ``phi_n grid node k=...``).  The positive sign is used throughout: it
+    is the convention under which the second-order slip coefficient
+    assembled from the iterates matches the independent double-integral
+    route (see the oracle module).  Output is sampled on the grid of
+    ``phi``.
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")

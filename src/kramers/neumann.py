@@ -37,7 +37,7 @@ import numpy as np
 from .kernels import (
     SpectralFunction, _KernelTable, _apply_table, standard_grid, weighted_sum,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _log_tail, integrate_spectral
+from .quadrature import K_MAX, REL_TOL, _log_tail, integrate_spectral
 # perfbench/tracing.py rebinds these here, though nothing here calls them
 from .kernels import apply_kernel  # noqa: F401
 from .quadrature import _integrate_spectral_detail  # noqa: F401
@@ -84,14 +84,12 @@ def u0() -> float:
     return SQRT_PI / 2.0
 
 
-def _pole_integrand(
-    k: float, gamma: float, phi: SpectralFunction, spec: QuadratureSpec
-):
+def _pole_integrand(k: float, gamma: float, phi: SpectralFunction, rel_tol: float):
     """Batched integrand k1 -> J^(1)(k, k1) phi(k1) / T_2(k1) of B_n.
 
     At k = 0 it is the integrand of U_n, which the kernel table integrates.
     """
-    t1k = t_n(1, k, spec)
+    t1k = t_n(1, k, rel_tol)
     row = fixed_row(1, k)
 
     def integrand(k1):
@@ -113,7 +111,7 @@ def _order(k_max: float, n: int) -> tuple:
     read-only, so the series that share them cannot change them.
     """
     if n == 0:
-        grid = standard_grid(QuadratureSpec(k_max=k_max))
+        grid = standard_grid(k_max)
         table = _KernelTable(grid)
         phi = SpectralFunction(nodes=grid, values=phi0_vec(grid), label="phi_0")
     else:
@@ -153,16 +151,12 @@ def _u_detail(
     return float(-(head + tail) / scale), float(err / scale), float(tail / scale)
 
 
-def build_series(
-    gamma: float,
-    order: int,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> SeriesExpansion:
+def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpansion:
     """Build U_0..U_order with their iterates and densities.
 
     This is the one producer of the slip coefficients U_n and the pole-free
     densities E_n.  The iteration is free of gamma: :func:`_order` builds
-    phi_n and E_n at gamma 0 on one kernel table per ``spec.k_max`` (see
+    phi_n and E_n at gamma 0 on one kernel table per ``k_max`` (see
     :func:`kramers.kernels.apply_kernel`), shared by every series on that
     grid.  A series scales them exactly, phi_n by (1-gamma)^n and E_n by
     1/(1-gamma), without a refit, and takes each U_n from the table's
@@ -182,7 +176,7 @@ def build_series(
             stacklevel=2,
         )
 
-    parts = [_order(spec.k_max, 0)]
+    parts = [_order(k_max, 0)]
     u_coeffs = [u0()]
     diagnostics: list[dict] = [{"order": 0, "u_error": 0.0}]
     for n in range(1, order + 1):
@@ -190,7 +184,7 @@ def build_series(
         u_n, u_error, u_tail = _u_detail(n, gamma, parts[0][0], parts[-1][3])
         u_coeffs.append(u_n)
         diagnostics.append({"order": n, "u_error": u_error, "u_tail": u_tail})
-        parts.append(_order(spec.k_max, n))
+        parts.append(_order(k_max, n))
     return SeriesExpansion(
         gamma=gamma, order=order, u_coeffs=tuple(u_coeffs),
         phi_funcs=tuple(
@@ -205,10 +199,7 @@ def build_series(
 
 
 def pole_residual(
-    series: SeriesExpansion,
-    n: int,
-    k: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    series: SeriesExpansion, n: int, k: float, rel_tol: float = REL_TOL
 ) -> float:
     """Numerator function B_n(k) whose k^2 vanishing certifies U_n.
 
@@ -218,21 +209,21 @@ def pole_residual(
 
     With the correct U_n this scales as k^2 near zero (it equals
     -E_n(k) L(k)); a constant leftover means the pole survived.  The
-    integral ends at the series' own k_max, like the profile layer's;
-    ``spec`` supplies only ``rel_tol``.
+    integral is adaptive to ``rel_tol`` and ends at the series' own k_max,
+    like the profile layer's.
     """
     if not (0 <= n <= series.order):
         raise ValueError(f"n={n}: series does not hold this order")
-    spec = QuadratureSpec(rel_tol=spec.rel_tol, k_max=series.phi_funcs[0].k_max)
     if n == 0:
-        return u0() * t_n(1, k, spec) - t_n(2, k, spec)
+        return u0() * t_n(1, k, rel_tol) - t_n(2, k, rel_tol)
     # E_{n-1} enters through its pole-free quotient phi_{n-1}/T_2, the same
     # discretisation that fixed U_n; a resampled density interpolant would
     # leave a spurious k-independent floor under B_n.
+    phi = series.phi_funcs[n - 1]
     integral = integrate_spectral(
-        _pole_integrand(k, series.gamma, series.phi_funcs[n - 1], spec),
-        spec, tail_exponent=2,
+        _pole_integrand(k, series.gamma, phi, rel_tol), rel_tol, phi.k_max,
+        tail_exponent=2,
         label=f"B_{n} pole residual at k={k:.3g}",
     )
     scale = (1.0 - series.gamma) ** n * np.pi
-    return series.u_coeffs[n] * t_n(1, k, spec) + integral / scale
+    return series.u_coeffs[n] * t_n(1, k, rel_tol) + integral / scale

@@ -9,7 +9,7 @@ decay exponentially in s, and the exact remainder of a fitted log-power
 model past the top of the far range.  So these values are accurate
 references rather than truncation-limited estimates.  The only setting read
 from the main path is the Gaussian truncation point ``T_MAX``; its own
-tolerances are fixed here, so no function takes a QuadratureSpec.
+tolerances are fixed here, so no function takes ``rel_tol`` or ``k_max``.
 """
 
 from __future__ import annotations

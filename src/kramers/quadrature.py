@@ -18,23 +18,27 @@ the integrand's values at the two points of :func:`_tail_points`
 (:func:`_log_model`), integrated exactly by :func:`_log_tail` under a 10%
 guard.  The spectral integrals sample those points through
 :func:`_eval_batch`; the kernel table carries them among its own points,
-and the profile layer samples its density there.  Accuracy is set by the
-two fields of :class:`QuadratureSpec`; the absolute floor, the Gaussian
-truncation point and the subdivision budget are module constants.  All
-functions are pure; nothing here holds mutable state beyond one call.
+and the profile layer samples its density there.  Accuracy is set by two
+plain floats, each passed only to the functions that read it: ``rel_tol``
+(default ``REL_TOL``) to every adaptive integral and ``k_max`` (default
+``K_MAX``) to the spectral ones, checked by :func:`check_rel_tol` and
+:func:`check_k_max`; the absolute floor, the Gaussian truncation point and
+the subdivision budget are module constants.  All functions are pure;
+nothing here holds mutable state beyond one call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Callable
 
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_SPEC",
+    "REL_TOL",
+    "K_MAX",
+    "check_rel_tol",
+    "check_k_max",
     "QuadratureError",
     "BudgetExhaustedError",
     "NonFiniteIntegrandError",
@@ -79,40 +83,30 @@ T_MAX = 8.0
 MAX_SUBDIVISIONS = 200
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Relative tolerance and spectral truncation of the adaptive integrals.
+#: default relative tolerance of every adaptive integral
+REL_TOL = 1e-10
+#: default spectral truncation wavenumber.  The spectral integrands of this
+#: problem decay like (a + b ln k)/k^2, and the fitted tail correction of
+#: integrate_spectral leaves a residual ~ln(k_max)/k_max^2 that only drops
+#: below 1e-5 around this truncation point.
+K_MAX = 800.0
 
-    ``rel_tol`` governs every adaptive integral.  The kernel table of
-    :mod:`kramers.kernels` (``apply_kernel`` and the ``U_n`` pole
-    integrals) is a fixed rule on the density's knot intervals: its
-    accuracy does not depend on ``rel_tol``, and its truncation point is
-    the density's last node.
 
-    ``k_max`` defaults to 800: the spectral integrands of this problem decay
-    like ``(a + b ln k)/k^2``, and the fitted tail correction of
-    :func:`integrate_spectral` leaves a residual ~``ln(k_max)/k_max^2`` that
-    only drops below 1e-5 around this truncation point.  It must lie in
-    (2, 16384]: the standard grid needs k_max above its [0, 2] section, and
-    the graded moment rule of :mod:`kramers.special_integrals` is measured
-    exact to 2e-11 up to k = 2^14 but not beyond.
+def check_rel_tol(rel_tol: float) -> None:
+    """Reject a relative tolerance that is not finite and positive."""
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+
+
+def check_k_max(k_max: float) -> None:
+    """Reject a truncation point outside (2, 16384].
+
+    The standard grid needs k_max above its [0, 2] section, and the graded
+    moment rule of :mod:`kramers.special_integrals` is measured exact to
+    2e-11 up to k = 2^14 but not beyond.
     """
-
-    rel_tol: float = 1e-10
-    k_max: float = 800.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError(
-                f"rel_tol must be finite and positive, got {self.rel_tol}"
-            )
-        if not 2.0 < self.k_max <= 16384.0:
-            raise ValueError(
-                f"k_max must be finite and in (2, 16384], got {self.k_max}"
-            )
-
-
-DEFAULT_SPEC = QuadratureSpec()
+    if not 2.0 < k_max <= 16384.0:  # also false for NaN
+        raise ValueError(f"k_max must be finite and in (2, 16384], got {k_max}")
 
 # Gauss-Kronrod 7/15 pair on [-1, 1] (QUADPACK dqk15 values).
 _XK = np.array([
@@ -173,6 +167,7 @@ def _adaptive_gk(
     ``MAX_SUBDIVISIONS`` budget, until the total error meets the tolerance.
     Deterministic.
     """
+    check_rel_tol(rel_tol)
 
     def rate(lo_a: np.ndarray, hi_a: np.ndarray):
         pts, half, w_k, w_g = _gk_rule(lo_a, hi_a)
@@ -231,7 +226,7 @@ def _adaptive_gk(
 
 def integrate_gaussian_weighted(
     f: Callable,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    rel_tol: float = REL_TOL,
     label: str = "gaussian-weighted integral",
 ) -> float:
     """Integrate ``exp(-t^2) f(t)`` over t in [0, inf).
@@ -245,7 +240,7 @@ def integrate_gaussian_weighted(
         return np.exp(-np.asarray(t) ** 2) * f(t)
 
     breaks = np.linspace(0.0, T_MAX, 5)
-    value, _ = _adaptive_gk(g, breaks, spec.rel_tol, label)
+    value, _ = _adaptive_gk(g, breaks, rel_tol, label)
     return value
 
 
@@ -302,35 +297,37 @@ def _log_tail(
 
 
 def _integrate_spectral_detail(
-    f: Callable, spec: QuadratureSpec, tail_exponent: int, label: str
+    f: Callable, rel_tol: float, k_max: float, tail_exponent: int, label: str
 ) -> tuple[float, float, float]:
     """integrate_spectral returning (value, error estimate, tail part)."""
+    check_k_max(k_max)
     if tail_exponent < 2:
         raise ValueError("tail_exponent must be >= 2")
     # geometric initial partition suits decaying integrands
     pts = [0.0, 0.5, 1.0]
-    while pts[-1] < spec.k_max:
-        pts.append(min(pts[-1] * 4.0, spec.k_max))
-    head, err = _adaptive_gk(f, np.array(pts), spec.rel_tol, label)
-    samples = _eval_batch(f, _tail_points(spec.k_max), label)
-    tail = _log_tail(samples, spec.k_max, tail_exponent, head, label)[0]
+    while pts[-1] < k_max:
+        pts.append(min(pts[-1] * 4.0, k_max))
+    head, err = _adaptive_gk(f, np.array(pts), rel_tol, label)
+    samples = _eval_batch(f, _tail_points(k_max), label)
+    tail = _log_tail(samples, k_max, tail_exponent, head, label)[0]
     return float(head + tail), err, float(tail)
 
 
 def integrate_spectral(
     f: Callable,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    rel_tol: float = REL_TOL,
+    k_max: float = K_MAX,
     tail_exponent: int = 2,
     label: str = "spectral integral",
 ) -> float:
     """Integrate ``f(k)`` over k in [0, inf) for algebraically decaying f.
 
-    The domain is truncated at ``spec.k_max`` and the remainder estimated by
+    The domain is truncated at ``k_max`` and the remainder estimated by
     fitting ``(alpha + beta ln k)/k^tail_exponent`` through the integrand at
     ``0.7 k_max`` and ``k_max`` and integrating that model exactly.  The
     log-augmented model is required here: with a pure power fit, integrands
     of this problem (which all carry ``ln k / k^2`` tails) would be biased at
     the 1e-3 level however large ``k_max`` is chosen.
     """
-    value, _, _ = _integrate_spectral_detail(f, spec, tail_exponent, label)
+    value, _, _ = _integrate_spectral_detail(f, rel_tol, k_max, tail_exponent, label)
     return value

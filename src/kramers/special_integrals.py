@@ -20,12 +20,12 @@ which is how the solver evaluates it; :func:`j_m` integrates the
 (1 + gamma k1^2 t^2) weight directly and serves as the reference.
 
 Two evaluation paths are provided.  The scalar functions (`t_n`, `j_n`, ...)
-go through the adaptive engine in :mod:`kramers.quadrature` and honour the
-QuadratureSpec contract.  :class:`MomentBatch` (with `fixed_row`,
+go through the adaptive engine in :mod:`kramers.quadrature` and take its
+relative tolerance ``rel_tol``.  :class:`MomentBatch` (with `fixed_row`,
 `t_n_vec` and `phi0_vec`) evaluates on arrays of k via one fixed graded
 Gauss-Legendre rule on [0, T_MAX], built at import, whose panels are
 geometrically refined toward t=0 to resolve the Lorentzian knee at t ~ 1/k
-for every supported k_max (up to 2^14); it takes no QuadratureSpec, is
+for every supported k_max (up to 2^14); it takes no tolerance, is
 cross-checked against the scalar path in the test suite and exists purely
 for speed in the grid/kernel machinery.
 """
@@ -38,12 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import (
-    DEFAULT_SPEC,
-    T_MAX,
-    QuadratureSpec,
-    integrate_gaussian_weighted,
-)
+from .quadrature import REL_TOL, T_MAX, check_rel_tol, integrate_gaussian_weighted
 
 __all__ = [
     "GasParameters",
@@ -199,29 +194,34 @@ def _check_order(n: int) -> None:
 
 
 @lru_cache(maxsize=65536)
-def _t_n_cached(n: int, k: float, spec: QuadratureSpec) -> float:
+def _t_n_cached(n: int, k: float, rel_tol: float) -> float:
     return integrate_gaussian_weighted(
         lambda t: 2.0 / SQRT_PI * np.asarray(t) ** n / (1.0 + k * k * np.asarray(t) ** 2),
-        spec,
+        rel_tol,
         label=f"T_{n}(k={k:.6g})",
     )
 
 
-def t_n(n: int, k: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def t_n(n: int, k: float, rel_tol: float = REL_TOL) -> float:
     """Moment T_n(k); the k=0 values come from the exact moment table."""
     _check_order(n)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_rel_tol(rel_tol)
+    if not k >= 0:  # also catches NaN
+        raise ValueError(f"wavenumber must be >= 0, got k={k}")
     if k == 0.0:
         return MOMENTS[n]
-    return _t_n_cached(n, float(k), spec)
+    return _t_n_cached(n, float(k), rel_tol)
 
 
-def j_n(n: int, k: float, k1: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def _check_wavenumbers(k: float, k1: float) -> None:
+    if not (k >= 0 and k1 >= 0):  # also catches NaN
+        raise ValueError(f"wavenumbers must be >= 0, got k={k}, k1={k1}")
+
+
+def j_n(n: int, k: float, k1: float, rel_tol: float = REL_TOL) -> float:
     """Double-Lorentzian moment J_n(k, k1); symmetric in (k, k1)."""
     _check_order(n)
-    if k < 0 or k1 < 0:
-        raise ValueError("wavenumbers must be >= 0")
+    _check_wavenumbers(k, k1)
 
     def f(t):
         t = np.asarray(t)
@@ -231,12 +231,12 @@ def j_n(n: int, k: float, k1: float, spec: QuadratureSpec = DEFAULT_SPEC) -> flo
         )
 
     return integrate_gaussian_weighted(
-        f, spec, label=f"J_{n}(k={k:.6g}, k1={k1:.6g})"
+        f, rel_tol, label=f"J_{n}(k={k:.6g}, k1={k1:.6g})"
     )
 
 
 def j_m(
-    m: int, k: float, k1: float, gamma: float, spec: QuadratureSpec = DEFAULT_SPEC
+    m: int, k: float, k1: float, gamma: float, rel_tol: float = REL_TOL
 ) -> float:
     """Density-weighted kernel moment J^(m)(k, k1).
 
@@ -246,6 +246,7 @@ def j_m(
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
+    _check_wavenumbers(k, k1)
 
     def f(t):
         t = np.asarray(t)
@@ -255,11 +256,11 @@ def j_m(
         )
 
     return integrate_gaussian_weighted(
-        f, spec, label=f"J^({m})(k={k:.6g}, k1={k1:.6g}, gamma={gamma:.4g})"
+        f, rel_tol, label=f"J^({m})(k={k:.6g}, k1={k1:.6g}, gamma={gamma:.4g})"
     )
 
 
-def dispersion_l(k: float, gamma: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def dispersion_l(k: float, gamma: float, rel_tol: float = REL_TOL) -> float:
     """Dispersion function L(k) = (1 - gamma) k^2 T_2(k).
 
     The pole-free product form is used rather than 1 - T_0 - gamma k^2 T_2;
@@ -267,14 +268,14 @@ def dispersion_l(k: float, gamma: float, spec: QuadratureSpec = DEFAULT_SPEC) ->
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
-    return (1.0 - gamma) * k * k * t_n(2, k, spec)
+    return (1.0 - gamma) * k * k * t_n(2, k, rel_tol)
 
 
-def phi0(k: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def phi0(k: float, rel_tol: float = REL_TOL) -> float:
     """Seed function phi_0(k) = (sqrt(pi)/2) T_3(k) - T_4(k).
 
     Equal to int_0^inf (1 - 2t/sqrt(pi)) exp(-t^2) t^3/(1+k^2 t^2) dt; it is
     negative for all k and its 1/k^2 tail coefficient vanishes, leaving a
     ~ln(k)/k^4 tail (register tail_exponent 4 when integrating it).
     """
-    return SQRT_PI / 2.0 * t_n(3, k, spec) - t_n(4, k, spec)
+    return SQRT_PI / 2.0 * t_n(3, k, rel_tol) - t_n(4, k, rel_tol)

@@ -130,8 +130,6 @@ def _check_pair(params: GasParameters, series: SeriesExpansion) -> None:
             f"series was built for gamma={series.gamma}, "
             f"parameters carry gamma={params.gamma}"
         )
-    if params.q <= 0.0:
-        raise ValueError("q must be positive: (2-q)/q diverges at q=0")
 
 
 def _series_sum(params: GasParameters, series: SeriesExpansion) -> float:
@@ -470,6 +468,8 @@ def velocity_profile(
     """
     _check_pair(params, series)
     x_nodes = np.atleast_1d(np.asarray(x_nodes, dtype=float))
+    if x_nodes.ndim != 1:
+        raise ValueError(f"x_nodes must be 1-d, got shape {x_nodes.shape}")
     if not np.all(np.isfinite(x_nodes)):
         raise ValueError("x_nodes must be finite")
     if np.any(x_nodes < 0.0):

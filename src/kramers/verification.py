@@ -19,7 +19,7 @@ import numpy as np
 
 from . import neumann, oracle
 from .kernels import s_kernel
-from .quadrature import QuadratureSpec
+from .quadrature import K_MAX, REL_TOL, check_k_max, check_rel_tol
 from .special_integrals import MOMENTS, SQRT_PI, dispersion_l, j_m, j_n, t_n
 
 __all__ = ["CheckResult", "run_checks", "GROUPS"]
@@ -41,22 +41,22 @@ class CheckResult:
         return self.deviation <= self.threshold
 
 
-def _identity_checks(spec: QuadratureSpec) -> list[CheckResult]:
+def _identity_checks(rel_tol: float) -> list[CheckResult]:
     out = []
     dev = max(
-        abs(t_n(n, k, spec) + k * k * t_n(n + 2, k, spec) - MOMENTS[n])
+        abs(t_n(n, k, rel_tol) + k * k * t_n(n + 2, k, rel_tol) - MOMENTS[n])
         for n in range(0, 7)
         for k in _K_GRID
     )
     out.append(CheckResult("identities", "T_n recurrence", dev, 1e-10))
     dev = max(
-        abs(1.0 - t_n(0, k, spec) - k * k * t_n(2, k, spec)) for k in _K_GRID
+        abs(1.0 - t_n(0, k, rel_tol) - k * k * t_n(2, k, rel_tol)) for k in _K_GRID
     )
     out.append(CheckResult("identities", "1 - T_0 = k^2 T_2", dev, 1e-10))
     dev = max(
         abs(
-            dispersion_l(k, g, spec)
-            - (1.0 - t_n(0, k, spec) - g * k * k * t_n(2, k, spec))
+            dispersion_l(k, g, rel_tol)
+            - (1.0 - t_n(0, k, rel_tol) - g * k * k * t_n(2, k, rel_tol))
         )
         for g in (0.0, 0.25, 0.5)
         for k in _K_GRID
@@ -64,15 +64,15 @@ def _identity_checks(spec: QuadratureSpec) -> list[CheckResult]:
     out.append(CheckResult("identities", "L = 1 - T_0 - gamma k^2 T_2", dev, 1e-10))
     pairs = [(0.3, 1.1), (0.7, 1.3), (2.0, 5.0), (0.05, 9.0)]
     dev = max(
-        abs(j_n(n, a, b, spec) - j_n(n, b, a, spec))
+        abs(j_n(n, a, b, rel_tol) - j_n(n, b, a, rel_tol))
         for n in (1, 3, 5)
         for a, b in pairs
     )
     out.append(CheckResult("identities", "J_n symmetry", dev, 1e-10))
     dev = max(
         max(
-            abs(j_n(n, k, 0.0, spec) - t_n(n, k, spec)),
-            abs(j_n(n, 0.0, k, spec) - t_n(n, k, spec)),
+            abs(j_n(n, k, 0.0, rel_tol) - t_n(n, k, rel_tol)),
+            abs(j_n(n, 0.0, k, rel_tol) - t_n(n, k, rel_tol)),
         )
         for n in (1, 3, 5)
         for k in _K_GRID
@@ -81,16 +81,16 @@ def _identity_checks(spec: QuadratureSpec) -> list[CheckResult]:
     dev = 0.0
     for g in (0.0, 0.2, 0.5):
         for a, b in pairs:
-            via_jm = j_m(3, a, b, g, spec) - SQRT_PI * t_n(3, a, spec) * j_m(
-                1, 0.0, b, g, spec
+            via_jm = j_m(3, a, b, g, rel_tol) - SQRT_PI * t_n(3, a, rel_tol) * j_m(
+                1, 0.0, b, g, rel_tol
             )
-            dev = max(dev, abs(s_kernel(a, b, g, spec) - via_jm))
+            dev = max(dev, abs(s_kernel(a, b, g, rel_tol) - via_jm))
     out.append(CheckResult("identities", "S kernel dual route", dev, 1e-10))
     return out
 
 
-def _constants_checks(spec: QuadratureSpec) -> list[CheckResult]:
-    series = neumann.build_series(0.0, 2, spec)
+def _constants_checks(k_max: float) -> list[CheckResult]:
+    series = neumann.build_series(0.0, 2, k_max)
     u_0, u_1, u_2 = series.u_coeffs
     return [
         CheckResult("constants", "U_0 = 0.8862", abs(u_0 - 0.8862269), 1e-4),
@@ -105,14 +105,14 @@ def _constants_checks(spec: QuadratureSpec) -> list[CheckResult]:
     ]
 
 
-def _pole_checks(spec: QuadratureSpec) -> list[CheckResult]:
+def _pole_checks(rel_tol: float, k_max: float) -> list[CheckResult]:
     out = []
     ks = np.array([1e-3, 2e-3, 4e-3])
     for gamma in (0.0, 0.25):
-        series = neumann.build_series(gamma, 2, spec)
+        series = neumann.build_series(gamma, 2, k_max)
         for n in (0, 1, 2):
             b_vals = np.array(
-                [abs(neumann.pole_residual(series, n, k, spec)) for k in ks]
+                [abs(neumann.pole_residual(series, n, k, rel_tol)) for k in ks]
             )
             slope = np.polyfit(np.log(ks), np.log(b_vals), 1)[0]
             out.append(
@@ -126,10 +126,10 @@ def _pole_checks(spec: QuadratureSpec) -> list[CheckResult]:
     return out
 
 
-def _oracle_checks(spec: QuadratureSpec) -> list[CheckResult]:
+def _oracle_checks(k_max: float) -> list[CheckResult]:
     out = []
     for gamma in (0.0, 0.25, 0.5):
-        series = neumann.build_series(gamma, 1, spec)
+        series = neumann.build_series(gamma, 1, k_max)
         dev = abs(series.u_coeffs[1] - oracle.u1_direct(gamma))
         out.append(
             CheckResult("oracle", f"U_1 cross-path at gamma={gamma}", dev, 1e-5)
@@ -154,7 +154,7 @@ def _oracle_checks(spec: QuadratureSpec) -> list[CheckResult]:
         )
     )
     for gamma in (0.0, 0.25):
-        series = neumann.build_series(gamma, 2, spec)
+        series = neumann.build_series(gamma, 2, k_max)
         dev = abs(
             series.u_coeffs[2] - oracle.u2_direct(gamma, j_values=j_values)
         )
@@ -164,25 +164,28 @@ def _oracle_checks(spec: QuadratureSpec) -> list[CheckResult]:
     return out
 
 
-_RUNNERS = {
-    "identities": _identity_checks,
-    "constants": _constants_checks,
-    "pole": _pole_checks,
-    "oracle": _oracle_checks,
-}
-
-
 def run_checks(
-    spec: QuadratureSpec, only: tuple[str, ...] | None = None
+    rel_tol: float = REL_TOL,
+    k_max: float = K_MAX,
+    only: tuple[str, ...] | None = None,
 ) -> list[CheckResult]:
-    """Run the selected groups (all by default) and return their results."""
+    """Run the selected groups (all by default) and return their results.
+
+    ``rel_tol`` goes to every adaptive integral and ``k_max`` to every
+    series; both are checked before any group runs.
+    """
+    check_rel_tol(rel_tol)
+    check_k_max(k_max)
     groups = GROUPS if not only else only
     unknown = set(groups) - set(GROUPS)
     if unknown:
         raise ValueError(
             f"unknown check group(s) {sorted(unknown)}; choose from {GROUPS}"
         )
-    results: list[CheckResult] = []
-    for group in groups:
-        results.extend(_RUNNERS[group](spec))
-    return results
+    runners = {
+        "identities": lambda: _identity_checks(rel_tol),
+        "constants": lambda: _constants_checks(k_max),
+        "pole": lambda: _pole_checks(rel_tol, k_max),
+        "oracle": lambda: _oracle_checks(k_max),
+    }
+    return [result for group in groups for result in runners[group]()]

@@ -1,13 +1,7 @@
 import pytest
 
 from kramers import build_series
-from kramers.quadrature import DEFAULT_SPEC
 from kramers import oracle
-
-
-@pytest.fixture(scope="session")
-def spec():
-    return DEFAULT_SPEC
 
 
 @pytest.fixture(scope="session")

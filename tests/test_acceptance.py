@@ -28,10 +28,8 @@ from kramers import (
 )
 from kramers.cli import main as cli_main
 from kramers.oracle import u1_direct, u2_direct
-from kramers.quadrature import DEFAULT_SPEC
 from kramers.special_integrals import MOMENTS, dispersion_l, j_n, t_n
 
-SPEC = DEFAULT_SPEC
 SQPI = math.sqrt(math.pi)
 
 
@@ -172,7 +170,7 @@ def test_a6_pole_elimination(series_cache):
         series = series_cache(gamma, 2)
         for n in (0, 1, 2):
             vals = np.array([
-                abs(pole_residual(series, n, k, SPEC)) for k in ks
+                abs(pole_residual(series, n, k)) for k in ks
             ])
             exponent = np.polyfit(np.log(ks), np.log(vals), 1)[0]
             checks.append(
@@ -219,7 +217,7 @@ def test_a7_profile_decay_and_moment(series_cache):
             def folded(t, x=x):
                 return np.array([h_c(v) + h_c(-v) for v in np.atleast_1d(t)])
 
-            moment = integrate_gaussian_weighted(folded, SPEC) / SQPI
+            moment = integrate_gaussian_weighted(folded) / SQPI
             dev = abs(moment - u_c)
             checks.append(
                 (f"moment of h_c = U_c at x={x:g} (gamma={gamma}) +- 1e-6",

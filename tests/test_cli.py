@@ -305,3 +305,43 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--only", "nonsense")
         assert code == 2
         assert "group" in err
+
+
+class TestAccuracyFlags:
+    """--tol and --kmax are checked for every command before any work."""
+
+    @pytest.mark.parametrize("command", ["slip", "curves", "profile", "verify"])
+    @pytest.mark.parametrize("flag, field, value", [
+        *[("--tol", "rel_tol", v) for v in ("0", "-1e-3", "inf", "nan")],
+        *[("--kmax", "k_max", v)
+          for v in ("0", "-1", "1", "2", "16385", "inf", "nan", "1e300")],
+    ])
+    def test_bad_value_rejected_before_work(
+        self, capsys, monkeypatch, command, flag, field, value,
+    ):
+        def no_work(*args):
+            raise AssertionError(f"work started before {flag} was checked")
+
+        for name in ("build_series", "t_n", "dispersion_l"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(cli.verification, "run_checks", no_work)
+        code, out, err = run_cli(capsys, command, f"{flag}={value}")
+        assert code == 2
+        assert f"invalid request: {field} must be finite" in err
+        assert out == ""
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("command", [
+        ["slip", "--order", "0"], ["curves", "--k", "0:1:1"],
+    ])
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/out.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unwritable_output_named(self, capsys, tmp_path, command, target, reason):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, *command, "--output", str(path))
+        assert code == 2
+        assert err == f"cannot write {path}: {reason}\n"
+        assert out == ""

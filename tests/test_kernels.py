@@ -15,17 +15,16 @@ from kramers.kernels import (
     weighted_sum,
 )
 from kramers.quadrature import (
-    QuadratureSpec, TailEstimateDominatesError, _log_tail, _tail_points,
+    K_MAX, TailEstimateDominatesError, _log_tail, _tail_points,
 )
 from kramers.special_integrals import (
     SQRT_PI, MomentBatch, fixed_row, j_m, phi0_vec, t_n, t_n_vec,
 )
 
-SPEC = QuadratureSpec()
 
 
-def phi_seed(spec=SPEC, grid=None):
-    grid = standard_grid(spec) if grid is None else grid
+def phi_seed(grid=None):
+    grid = standard_grid() if grid is None else grid
     return SpectralFunction(
         nodes=grid, values=phi0_vec(grid), label="phi_0"
     )
@@ -76,7 +75,7 @@ class TestSpectralFunction:
 
     def test_weighted_sum_needs_one_grid(self):
         f = phi_seed()
-        other = phi_seed(grid=standard_grid(QuadratureSpec(k_max=400.0)))
+        other = phi_seed(grid=standard_grid(400.0))
         with pytest.raises(ValueError, match="grid"):
             weighted_sum([1.0, 1.0], [f, other], label="mixed")
         total = weighted_sum([2.0, -0.5], [f, f], label="1.5 phi_0")
@@ -157,11 +156,11 @@ class TestSKernel:
 
 class TestApplyKernel:
     def test_zero_function_maps_to_zero(self):
-        grid = standard_grid(SPEC)
+        grid = standard_grid()
         zero = SpectralFunction(
             nodes=grid, values=np.zeros_like(grid), label="zero"
         )
-        out = apply_kernel(zero, 0.3, SPEC)
+        out = apply_kernel(zero, 0.3)
         np.testing.assert_allclose(out.values, 0.0, atol=1e-14)
 
     def test_homogeneous_scaling(self):
@@ -169,12 +168,12 @@ class TestApplyKernel:
         scaled = SpectralFunction(
             nodes=phi.nodes.copy(), values=3.0 * phi.values, label="phi_0",
         )
-        a = apply_kernel(phi, 0.25, SPEC)
-        b = apply_kernel(scaled, 0.25, SPEC)
+        a = apply_kernel(phi, 0.25)
+        b = apply_kernel(scaled, 0.25)
         np.testing.assert_allclose(b.values, 3.0 * a.values, atol=1e-9)
 
     def test_label_advances(self):
-        out = apply_kernel(phi_seed(), 0.0, SPEC)
+        out = apply_kernel(phi_seed(), 0.0)
         assert out.label == "phi_1"
 
     def test_seed_image_at_origin_against_brute_force(self):
@@ -195,27 +194,26 @@ class TestApplyKernel:
         head, _ = quad(integrand, 0.0, 400.0, epsabs=1e-12, epsrel=1e-10,
                        limit=400)
         brute = head / math.pi  # integrand decays like ln^2/k^4: tail < 1e-9
-        psi = apply_kernel(phi_seed(), 0.0, SPEC)
+        psi = apply_kernel(phi_seed(), 0.0)
         assert psi.values[0] == pytest.approx(brute, abs=2e-8)
         assert psi.values[0] == pytest.approx(0.0178300, abs=2e-7)
 
     def test_grid_refinement_stability(self):
-        spec = SPEC
-        grid = standard_grid(spec)
+        grid = standard_grid()
         doubled = np.concatenate([
             np.linspace(0.0, 2.0, 127),
             np.geomspace(2.0, 50.0, 129)[1:],
-            np.geomspace(50.0, spec.k_max, 65)[1:],
+            np.geomspace(50.0, K_MAX, 65)[1:],
         ])
-        psi = apply_kernel(phi_seed(spec, grid), 0.0, spec)
-        psi_fine = apply_kernel(phi_seed(spec, doubled), 0.0, spec)
+        psi = apply_kernel(phi_seed(grid), 0.0)
+        psi_fine = apply_kernel(phi_seed(doubled), 0.0)
         scale = np.abs(psi.values).max()
         rel = np.abs(psi_fine(grid) - psi.values).max() / scale
         assert rel < 1e-8
 
     def test_gamma_domain(self):
         with pytest.raises(ValueError):
-            apply_kernel(phi_seed(), 1.0, SPEC)
+            apply_kernel(phi_seed(), 1.0)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_heads_match_quadpack_per_knot_interval(self):
@@ -231,7 +229,7 @@ class TestApplyKernel:
         """
         phi = phi_seed()
         gamma = 0.25
-        psi = apply_kernel(phi, gamma, SPEC)
+        psi = apply_kernel(phi, gamma)
         nodes = phi.nodes
         t3 = t_n_vec(3, nodes)
         for i in (0, 8, 20, 100, 150):
@@ -251,9 +249,9 @@ class TestApplyKernel:
                      epsrel=1e-13, limit=200)[0]
                 for a, b in zip(nodes[:-1], nodes[1:])
             )
-            scale = quad(j3_term, 0.0, SPEC.k_max, epsrel=1e-6, limit=200)[0]
-            samples = integrand(_tail_points(SPEC.k_max))
-            tail = _log_tail(samples, SPEC.k_max, 2, head, f"node {i}")[0]
+            scale = quad(j3_term, 0.0, K_MAX, epsrel=1e-6, limit=200)[0]
+            samples = integrand(_tail_points(K_MAX))
+            tail = _log_tail(samples, K_MAX, 2, head, f"node {i}")[0]
             want = (1.0 - gamma) * (head + tail) / np.pi
             assert psi.values[i] == pytest.approx(
                 want, rel=0.0, abs=1e-14 * (1.0 - gamma) * scale / np.pi
@@ -264,7 +262,7 @@ class TestApplyKernel:
         phi = phi_seed()
         nodes = phi.nodes
         halved = np.sort(np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])]))
-        psi = apply_kernel(phi, 0.25, SPEC)
+        psi = apply_kernel(phi, 0.25)
         table = _KernelTable(halved)
         fine = _apply_table(table, phi, table.density(phi), 0.25)
         np.testing.assert_array_equal(fine.nodes[::2], nodes)
@@ -279,9 +277,9 @@ class TestApplyKernel:
         differently, and S_1 cancels, so its rows are compared relative to
         their largest entry (elementwise they agree to 6e-15).
         """
-        grid = standard_grid(SPEC)
+        grid = standard_grid()
         table = _KernelTable(grid)
-        k_tail = _tail_points(SPEC.k_max)
+        k_tail = _tail_points(K_MAX)
         np.testing.assert_array_equal(table.k[-2:], k_tail)
         np.testing.assert_array_equal(table.w_k[-2:], 0.0)
         batch = MomentBatch(k_tail)
@@ -295,34 +293,36 @@ class TestApplyKernel:
 
     def test_tail_dominating_node(self):
         """A density whose image at one node is all tail names that node."""
-        phi_1 = apply_kernel(phi_seed(), 0.0, SPEC)
-        phi_2 = apply_kernel(phi_1, 0.0, SPEC)
-        psi_1, psi_2 = apply_kernel(phi_1, 0.0, SPEC), apply_kernel(phi_2, 0.0, SPEC)
+        phi_1 = apply_kernel(phi_seed(), 0.0)
+        phi_2 = apply_kernel(phi_1, 0.0)
+        psi_1, psi_2 = apply_kernel(phi_1, 0.0), apply_kernel(phi_2, 0.0)
         j = 100
         # head + tail vanishes at node j, so there the tail is minus the head
         mixed = weighted_sum(
             [1.0, -psi_2.values[j] / psi_1.values[j]], [phi_2, phi_1], "phi_2"
         )
         with pytest.raises(TailEstimateDominatesError) as err:
-            apply_kernel(mixed, 0.0, SPEC)
+            apply_kernel(mixed, 0.0)
         assert err.value.label == f"phi_3 grid node k={phi_1.nodes[j]:.3g}"
 
 
 class TestStandardGrid:
     def test_starts_at_zero_strictly_increasing(self):
-        grid = standard_grid(SPEC)
+        grid = standard_grid()
         assert grid[0] == 0.0
         assert np.all(np.diff(grid) > 0)
-        assert grid[-1] == SPEC.k_max
+        assert grid[-1] == K_MAX
 
     def test_sections(self):
-        grid = standard_grid(SPEC)
+        grid = standard_grid()
         assert np.sum(grid <= 2.0) == 64
         assert np.sum((grid > 2.0) & (grid <= 50.0)) == 64
         assert np.sum(grid > 50.0) == 32
 
     def test_k_max_too_close_to_two_names_k_max(self):
-        # accepted by QuadratureSpec, but the 64 nodes on (2, k_max] collide
-        spec = QuadratureSpec(k_max=math.nextafter(2.0, 3.0))
-        with pytest.raises(ValueError, match="k_max"):
-            standard_grid(spec)
+        # inside (2, 16384], but the 64 nodes on (2, k_max] collide
+        with pytest.raises(ValueError, match="k_max=.* too close to 2"):
+            standard_grid(math.nextafter(2.0, 3.0))
+        # the same for the 32 nodes on (50, k_max]
+        with pytest.raises(ValueError, match="k_max=.* too close to 50"):
+            standard_grid(math.nextafter(50.0, 51.0))

@@ -16,11 +16,11 @@ from kramers.neumann import (
     u0,
 )
 from kramers.quadrature import (
-    QuadratureSpec, TailEstimateDominatesError, _log_tail, _tail_points,
+    K_MAX, REL_TOL, TailEstimateDominatesError, _log_tail, _tail_points,
+    integrate_spectral,
 )
 from kramers.special_integrals import phi0, t_n
 
-SPEC = QuadratureSpec()
 SQPI = math.sqrt(math.pi)
 
 
@@ -63,7 +63,7 @@ class TestUCoefficient:
         NaN are refused before any work."""
         for gamma in (1.0, -0.1, math.nan):
             with pytest.raises(ValueError, match="supported domain"):
-                build_series(gamma, 1, SPEC)
+                build_series(gamma, 1)
 
 
 class TestEn:
@@ -94,7 +94,7 @@ class TestBuildSeries:
 
     def test_zero_order_any_gamma(self):
         for gamma in (0.0, 0.3):
-            series = build_series(gamma, 0, SPEC)
+            series = build_series(gamma, 0)
             assert series.u_coeffs == (SQPI / 2.0,)
 
     def test_order_consistency(self, series_cache):
@@ -113,15 +113,15 @@ class TestBuildSeries:
 
     def test_order_domain(self):
         with pytest.raises(ValueError):
-            build_series(0.0, 5, SPEC)
+            build_series(0.0, 5)
         with pytest.raises(ValueError):
-            build_series(0.0, -1, SPEC)
+            build_series(0.0, -1)
 
     def test_gamma_domain_and_warning(self):
         with pytest.raises(ValueError):
-            build_series(0.96, 0, SPEC)
+            build_series(0.96, 0)
         with pytest.warns(UserWarning, match="convergence"):
-            build_series(0.6, 0, SPEC)
+            build_series(0.6, 0)
 
     def test_diagnostics_present(self, series_cache):
         series = series_cache(0.0, 2)
@@ -137,10 +137,10 @@ class TestBuildSeries:
             u_n = series.u_coeffs[n]
             assert diag["order"] == n
             assert math.isfinite(diag["u_error"])
-            assert 0.0 <= diag["u_error"] <= SPEC.rel_tol * abs(u_n)
-            pole = _pole_integrand(0.0, gamma, series.phi_funcs[n - 1], SPEC)
-            samples = pole(_tail_points(SPEC.k_max))
-            tail = _log_tail(samples, SPEC.k_max, 2, 1.0, "tail")[0]
+            assert 0.0 <= diag["u_error"] <= REL_TOL * abs(u_n)
+            pole = _pole_integrand(0.0, gamma, series.phi_funcs[n - 1], REL_TOL)
+            samples = pole(_tail_points(K_MAX))
+            tail = _log_tail(samples, K_MAX, 2, 1.0, "tail")[0]
             scale = SQPI * (1.0 - gamma) ** n
             assert diag["u_tail"] == pytest.approx(tail / scale, rel=1e-14)
             assert abs(diag["u_tail"]) < 0.1 * abs(u_n)
@@ -154,11 +154,11 @@ class TestBuildSeries:
         gamma = 0.25
         series, base = series_cache(gamma, 4), series_cache(0.0, 4)
         for n in range(1, 5):
-            alone = apply_kernel(base.phi_funcs[n - 1], 0.0, SPEC)
+            alone = apply_kernel(base.phi_funcs[n - 1], 0.0)
             np.testing.assert_array_equal(
                 series.phi_funcs[n].values, (1.0 - gamma) ** n * alone.values
             )
-            at_gamma = apply_kernel(series.phi_funcs[n - 1], gamma, SPEC)
+            at_gamma = apply_kernel(series.phi_funcs[n - 1], gamma)
             np.testing.assert_allclose(
                 series.phi_funcs[n].values, at_gamma.values, rtol=1e-14, atol=0
             )
@@ -177,11 +177,11 @@ class TestBuildSeries:
         """U_n's 10% tail guard fires before phi_n's, so a short k range
         names the first integral whose tail dominates."""
         with pytest.raises(TailEstimateDominatesError) as info:
-            build_series(gamma, order, QuadratureSpec(k_max=k_max))
+            build_series(gamma, order, k_max)
         assert info.value.label == label
 
     def test_short_range_that_builds(self):
-        series = build_series(0.0, 4, QuadratureSpec(k_max=20.0))
+        series = build_series(0.0, 4, 20.0)
         assert series.phi_funcs[4].k_max == 20.0
 
     def test_expansion_invariant(self):
@@ -237,7 +237,7 @@ class TestGridPartsCache:
 
     def test_cached_arrays_are_read_only(self):
         for n in range(MAX_ORDER + 1):
-            table, phi, e_n, v = _order(SPEC.k_max, n)
+            table, phi, e_n, v = _order(K_MAX, n)
             arrays = (table.k, table.w_k, table.t1, table.t2, table.s,
                       phi.nodes, phi.values, phi.poly.c, e_n.values,
                       e_n.poly.c, v)
@@ -251,7 +251,7 @@ class TestGridPartsCache:
         assert small[1].k_max == 400.0 and large[1].k_max == 800.0
         assert _order(400.0, 0) is small
         assert _order(400.0, 1)[0] is small[0]
-        series = build_series(0.0, 1, QuadratureSpec(k_max=400.0))
+        series = build_series(0.0, 1, 400.0)
         assert series.phi_funcs[0].nodes is small[1].nodes
 
     def test_threads_build_the_same_series(self):
@@ -351,31 +351,39 @@ class TestPoleResidual:
         series = series_cache(0.0, 1)
         for k in (1e-3, 0.1, 1.0):
             expected = -k * k * phi0(k)
-            assert pole_residual(series, 0, k, SPEC) == pytest.approx(
+            assert pole_residual(series, 0, k) == pytest.approx(
                 expected, abs=1e-12
             )
 
     def test_first_order_quadratic_scaling(self, series_cache):
         series = series_cache(0.0, 2)
         ks = np.array([1e-3, 2e-3, 4e-3])
-        vals = np.array([abs(pole_residual(series, 1, k, SPEC)) for k in ks])
+        vals = np.array([abs(pole_residual(series, 1, k)) for k in ks])
         slope = np.polyfit(np.log(ks), np.log(vals), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
-    def test_integrates_to_the_series_k_max(self, series_cache):
-        """spec supplies only rel_tol: a wider k_max changes nothing."""
-        series = series_cache(0.25, 2)
-        wide = QuadratureSpec(k_max=2.0 * SPEC.k_max)
+    def test_integrates_to_the_series_k_max(self):
+        """B_n integrates to the k_max of the series it checks: at k_max 400
+        it is the integral written out to 400, bit for bit."""
+        gamma, k = 0.25, 0.3
+        series = build_series(gamma, 2, 400.0)
         for n in (1, 2):
-            assert pole_residual(series, n, 0.3, wide) == pole_residual(
-                series, n, 0.3, SPEC
-            )
+            pole = _pole_integrand(k, gamma, series.phi_funcs[n - 1], REL_TOL)
+            integral = integrate_spectral(pole, REL_TOL, 400.0)
+            expected = (series.u_coeffs[n] * t_n(1, k)
+                        + integral / ((1.0 - gamma) ** n * np.pi))
+            assert pole_residual(series, n, k) == expected
+
+    def test_nan_wavenumber_named(self, series_cache):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="k=nan"):
+                pole_residual(series_cache(0.0, 1), n, math.nan)
 
     def test_out_of_range_order(self, series_cache):
         with pytest.raises(ValueError, match="n=2: series does not hold"):
-            pole_residual(series_cache(0.0, 1), 2, 0.001, SPEC)
+            pole_residual(series_cache(0.0, 1), 2, 0.001)
 
     def test_negative_order_rejected(self, series_cache):
         """A negative n would index u_coeffs from the end."""
         with pytest.raises(ValueError, match="n=-1: series does not hold"):
-            pole_residual(series_cache(0.0, 2), -1, 0.001, SPEC)
+            pole_residual(series_cache(0.0, 2), -1, 0.001)

@@ -4,7 +4,6 @@ import kramers
 import kramers.neumann
 
 PUBLIC = sorted([
-    "QuadratureSpec", "DEFAULT_SPEC",
     "QuadratureError", "BudgetExhaustedError", "NonFiniteIntegrandError",
     "TailEstimateDominatesError",
     "GasParameters", "t_n", "dispersion_l",

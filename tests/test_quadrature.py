@@ -6,29 +6,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from kramers.kernels import s_kernel, standard_grid
+from kramers.neumann import build_series, pole_residual
 from kramers.quadrature import (
     ABS_TOL,
+    K_MAX,
     MAX_SUBDIVISIONS,
+    REL_TOL,
     T_MAX,
     BudgetExhaustedError,
     NonFiniteIntegrandError,
-    QuadratureSpec,
     TailEstimateDominatesError,
     _log_tail,
     _tail_points,
+    check_k_max,
+    check_rel_tol,
     integrate_gaussian_weighted,
     integrate_spectral,
 )
+from kramers.special_integrals import dispersion_l, j_m, j_n, phi0, t_n
+from kramers.verification import run_checks
 
 SQPI = math.sqrt(math.pi)
-SPEC = QuadratureSpec()
 
 
 class TestSpecValidation:
+    """The accuracy settings rel_tol and k_max are plain floats, checked by
+    every function that reads them."""
+
     def test_defaults_valid(self):
-        assert (SPEC.rel_tol, SPEC.k_max) == (1e-10, 800.0)
+        assert (REL_TOL, K_MAX) == (1e-10, 800.0)
         assert MAX_SUBDIVISIONS == 200
-        assert QuadratureSpec(k_max=16384.0).k_max == 16384.0
+        check_k_max(16384.0)
+        assert standard_grid(16384.0)[-1] == 16384.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -47,9 +57,36 @@ class TestSpecValidation:
             {"k_max": 1e300},
         ],
     )
-    def test_invariants_rejected(self, kwargs):
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            QuadratureSpec(**kwargs)
+    def test_invariants_rejected(self, kwargs, series_cache):
+        (name, value), = kwargs.items()
+        series = series_cache(0.0, 1)
+        if name == "rel_tol":
+            calls = [
+                lambda: check_rel_tol(value),
+                lambda: integrate_gaussian_weighted(lambda t: t, value),
+                lambda: integrate_spectral(lambda k: np.exp(-k), value),
+                lambda: t_n(1, 0.0, value),  # before the k = 0 shortcut
+                lambda: t_n(1, 0.5, value),
+                lambda: j_n(1, 0.5, 0.7, value),
+                lambda: j_m(1, 0.5, 0.7, 0.2, value),
+                lambda: dispersion_l(0.5, 0.2, value),
+                lambda: phi0(0.5, value),
+                lambda: s_kernel(0.5, 0.7, 0.2, value),
+                lambda: pole_residual(series, 0, 0.1, value),
+                lambda: pole_residual(series, 1, 0.1, value),
+                lambda: run_checks(rel_tol=value, only=("constants",)),
+            ]
+        else:
+            calls = [
+                lambda: check_k_max(value),
+                lambda: standard_grid(value),
+                lambda: integrate_spectral(lambda k: np.exp(-k), k_max=value),
+                lambda: build_series(0.0, 1, value),
+                lambda: run_checks(k_max=value, only=("identities",)),
+            ]
+        for call in calls:
+            with pytest.raises(ValueError, match=name):
+                call()
 
     def test_weight_truncation_invariant(self):
         assert math.exp(-T_MAX**2) < ABS_TOL
@@ -57,17 +94,17 @@ class TestSpecValidation:
 
 class TestGaussianWeighted:
     def test_constant_moment(self):
-        assert integrate_gaussian_weighted(lambda t: 1.0, SPEC) == pytest.approx(
+        assert integrate_gaussian_weighted(lambda t: 1.0) == pytest.approx(
             SQPI / 2.0, abs=1e-12
         )
 
     def test_first_moment(self):
-        assert integrate_gaussian_weighted(lambda t: t, SPEC) == pytest.approx(
+        assert integrate_gaussian_weighted(lambda t: t) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_second_moment(self):
-        assert integrate_gaussian_weighted(lambda t: t * t, SPEC) == pytest.approx(
+        assert integrate_gaussian_weighted(lambda t: t * t) == pytest.approx(
             SQPI / 4.0, abs=1e-12
         )
 
@@ -77,22 +114,20 @@ class TestGaussianWeighted:
             return math.cos(float(t))
 
         with pytest.raises(TypeError):
-            integrate_gaussian_weighted(f, SPEC)
+            integrate_gaussian_weighted(f)
 
     def test_deterministic(self):
         def f(t):
             return t**2 / (1.0 + 4.0 * t**2)
 
-        assert integrate_gaussian_weighted(f, SPEC) == integrate_gaussian_weighted(
-            f, SPEC
-        )
+        assert integrate_gaussian_weighted(f) == integrate_gaussian_weighted(f)
 
     def test_non_finite_integrand(self):
         def f(t):
             return np.where(np.asarray(t) > 0.5, np.nan, 1.0)
 
         with pytest.raises(NonFiniteIntegrandError):
-            integrate_gaussian_weighted(f, SPEC, label="bad integrand")
+            integrate_gaussian_weighted(f, label="bad integrand")
 
     def test_budget_exhausted_names_label(self):
         # ~1.3e5 periods on [0, T_MAX]: more than MAX_SUBDIVISIONS G7/K15
@@ -101,19 +136,18 @@ class TestGaussianWeighted:
             return np.cos(1e5 * np.asarray(t))
 
         with pytest.raises(BudgetExhaustedError) as err:
-            integrate_gaussian_weighted(spiky, SPEC, label="spiky one")
+            integrate_gaussian_weighted(spiky, label="spiky one")
         assert "spiky one" in str(err.value)
 
     def test_halving_rel_tol_stable(self):
-        loose = QuadratureSpec(rel_tol=1e-6)
-        tight = QuadratureSpec(rel_tol=5e-7)
+        loose, tight = 1e-6, 5e-7
 
         def f(t):
             return t**2 / (1.0 + 2500.0 * t**2)
 
         a = integrate_gaussian_weighted(f, loose)
         b = integrate_gaussian_weighted(f, tight)
-        assert abs(a - b) <= loose.rel_tol * abs(a) + ABS_TOL
+        assert abs(a - b) <= loose * abs(a) + ABS_TOL
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -129,27 +163,19 @@ class TestGaussianWeighted:
         def g(t):
             return coeffs_g[0] + coeffs_g[1] * np.sin(t) + coeffs_g[2] * t**2
 
-        combined = integrate_gaussian_weighted(
-            lambda t: a * f(t) + b * g(t), SPEC
-        )
-        split = a * integrate_gaussian_weighted(f, SPEC) + b * integrate_gaussian_weighted(
-            g, SPEC
-        )
-        tol = 2.0 * (SPEC.rel_tol * max(abs(combined), 1.0) + ABS_TOL)
+        combined = integrate_gaussian_weighted(lambda t: a * f(t) + b * g(t))
+        split = a * integrate_gaussian_weighted(f) + b * integrate_gaussian_weighted(g)
+        tol = 2.0 * (REL_TOL * max(abs(combined), 1.0) + ABS_TOL)
         assert abs(combined - split) <= tol + 1e-13
 
 
 class TestSpectral:
     def test_lorentzian(self):
-        value = integrate_spectral(
-            lambda k: 1.0 / (1.0 + np.asarray(k) ** 2), SPEC, tail_exponent=2
-        )
+        value = integrate_spectral(lambda k: 1.0 / (1.0 + np.asarray(k) ** 2))
         assert value == pytest.approx(math.pi / 2.0, abs=1e-6)
 
     def test_exponential(self):
-        value = integrate_spectral(
-            lambda k: np.exp(-np.asarray(k)), SPEC, tail_exponent=2
-        )
+        value = integrate_spectral(lambda k: np.exp(-np.asarray(k)))
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_t2_against_nested_brute_force(self):
@@ -167,32 +193,29 @@ class TestSpectral:
                        limit=500)
         brute = head + t2_scipy(3000.0) * 3000.0  # pure 1/k^2 tail closure
         value = integrate_spectral(
-            lambda k: t_n_vec(2, k), SPEC, tail_exponent=2
+            lambda k: t_n_vec(2, k), tail_exponent=2
         )
         assert value == pytest.approx(brute, abs=5e-6)
         # the analytic value of this particular integral is sqrt(pi)/2
         assert value == pytest.approx(SQPI / 2.0, abs=1e-5)
 
     def test_doubling_k_max_invariant(self):
-        wide = QuadratureSpec(k_max=1600.0)
-
         def f(k):
             return 1.0 / (1.0 + np.asarray(k) ** 2) ** 1.5
 
-        a = integrate_spectral(f, SPEC, tail_exponent=3)
-        b = integrate_spectral(f, wide, tail_exponent=3)
+        a = integrate_spectral(f, tail_exponent=3)
+        b = integrate_spectral(f, k_max=1600.0, tail_exponent=3)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_tail_exponent_validated(self):
         with pytest.raises(ValueError):
-            integrate_spectral(lambda k: 1.0 / (1.0 + k * k), SPEC, tail_exponent=1)
+            integrate_spectral(lambda k: 1.0 / (1.0 + k * k), tail_exponent=1)
 
     def test_tail_dominates(self):
-        small = QuadratureSpec(k_max=5.0)
         with pytest.raises(TailEstimateDominatesError) as err:
             integrate_spectral(
                 lambda k: 1.0 / (1.0 + np.asarray(k) ** 2),
-                small, tail_exponent=2, label="wide lorentzian",
+                k_max=5.0, tail_exponent=2, label="wide lorentzian",
             )
         assert "wide lorentzian" in str(err.value)
 
@@ -207,7 +230,7 @@ class TestSpectral:
             return spiky(k)
 
         with pytest.raises(BudgetExhaustedError) as err:
-            integrate_spectral(counted, SPEC, 2, "spiky member")
+            integrate_spectral(counted, label="spiky member")
         assert err.value.label == "spiky member"
         # the capped split lands the integral on exactly MAX_SUBDIVISIONS
         # intervals: 7 initial ones, each split adding one and rating two
@@ -216,7 +239,7 @@ class TestSpectral:
     def test_log_tail_integrates_its_model_per_column(self):
         """Samples of (alpha + beta ln k)/k^p, one column per member, give
         the exact integral of each member past k_max."""
-        k_max, p = SPEC.k_max, 3
+        k_max, p = K_MAX, 3
         k_tail = _tail_points(k_max)[:, None]
         alpha, beta = np.array([1.0, 0.5]), np.array([-2.0, 3.0])
         samples = (alpha + beta * np.log(k_tail)) / k_tail**p

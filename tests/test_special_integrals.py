@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kramers.quadrature import QuadratureSpec
 from kramers.special_integrals import (
     GasParameters,
     MOMENTS,
@@ -22,7 +21,6 @@ from kramers.special_integrals import (
 )
 
 SQPI = math.sqrt(math.pi)
-SPEC = QuadratureSpec()
 K_GRID = np.concatenate([np.linspace(0.0, 2.0, 9), [3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0]])
 
 
@@ -64,7 +62,7 @@ class TestMoments:
             from kramers.quadrature import integrate_gaussian_weighted
 
             direct = integrate_gaussian_weighted(
-                lambda t, n=n: 2.0 / SQPI * np.asarray(t) ** n, SPEC
+                lambda t, n=n: 2.0 / SQPI * np.asarray(t) ** n
             )
             assert t_moment(n) == pytest.approx(direct, abs=1e-12)
 
@@ -97,6 +95,18 @@ class TestTn:
             t_n(9, 1.0)
         with pytest.raises(ValueError):
             t_n(0, -1.0)
+
+    def test_nan_wavenumber_named(self):
+        """NaN passes a `k < 0` test; it is a bad request, not a numerical failure."""
+        calls = [
+            lambda: t_n(1, math.nan), lambda: j_n(1, math.nan, 0.3),
+            lambda: j_n(1, 0.3, math.nan), lambda: j_m(1, math.nan, 0.3, 0.1),
+            lambda: j_m(1, 0.3, math.nan, 0.1), lambda: dispersion_l(math.nan, 0.0),
+            lambda: phi0(math.nan),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"k=nan|k1=nan"):
+                call()
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(0, 6), k=st.floats(0.0, 120.0))
@@ -198,7 +208,7 @@ class TestVectorisedAgainstScalar:
     def test_t_n(self):
         for n in range(9):
             vec = t_n_vec(n, K_GRID)
-            ref = np.array([t_n(n, k, SPEC) for k in K_GRID])
+            ref = np.array([t_n(n, k) for k in K_GRID])
             np.testing.assert_allclose(vec, ref, atol=5e-12, rtol=5e-12)
 
     def test_j_n(self):
@@ -207,7 +217,7 @@ class TestVectorisedAgainstScalar:
         for n in (1, 3, 5):
             for k in (0.0, 0.9, 12.0):
                 vec = batch.against(fixed_row(n, k))
-                ref = np.array([j_n(n, k, v, SPEC) for v in k1])
+                ref = np.array([j_n(n, k, v) for v in k1])
                 np.testing.assert_allclose(vec, ref, atol=5e-12)
 
     def test_j_m(self):
@@ -215,16 +225,16 @@ class TestVectorisedAgainstScalar:
         k1 = np.array([0.0, 0.8, 3.0])
         batch = MomentBatch(k1)
         for m, k, gamma in ((1, 0.6, 0.3), (1, 0.0, 0.5), (3, 2.5, 0.2)):
-            vec = gamma * t_n(m, k, SPEC) + (1.0 - gamma) * batch.against(
+            vec = gamma * t_n(m, k) + (1.0 - gamma) * batch.against(
                 fixed_row(m, k)
             )
-            ref = np.array([j_m(m, k, v, gamma, SPEC) for v in k1])
+            ref = np.array([j_m(m, k, v, gamma) for v in k1])
             np.testing.assert_allclose(vec, ref, atol=5e-12)
 
     def test_phi0(self):
         np.testing.assert_allclose(
             phi0_vec(K_GRID),
-            [phi0(k, SPEC) for k in K_GRID],
+            [phi0(k) for k in K_GRID],
             atol=5e-12,
         )
 

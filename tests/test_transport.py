@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from kramers.kernels import SpectralFunction
-from kramers.quadrature import QuadratureSpec, integrate_gaussian_weighted
+from kramers.quadrature import K_MAX, integrate_gaussian_weighted
 from kramers.special_integrals import GasParameters
 from kramers.transport import (
     DimensionalContext,
@@ -18,7 +18,6 @@ from kramers.transport import (
     velocity_profile,
 )
 
-SPEC = QuadratureSpec()
 SQPI = math.sqrt(math.pi)
 
 
@@ -171,6 +170,11 @@ class TestVelocityProfile:
         with pytest.raises(ValueError, match="x_nodes must be finite"):
             velocity_profile(params, series_cache(0.0, 0), [1.0, bad])
 
+    def test_non_vector_coordinates_rejected(self, series_cache):
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        with pytest.raises(ValueError, match=r"x_nodes must be 1-d, got shape \(2, 2\)"):
+            velocity_profile(params, series_cache(0.0, 0), [[0.0, 1.0], [2.0, 3.0]])
+
     def test_overflowing_coordinate_rejected(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         with pytest.raises(ValueError, match="overflows"):
@@ -218,7 +222,7 @@ class TestClosedFormHead:
         for mu in (0.25, 2.0, -1.0, 10.0, -10.0):
             lo, hi = density.poly.x[:-1], density.poly.x[1:]
             heads = _head_pieces(density, self.KINDS, mu=mu)(np.array([x]))[:, 0]
-            assert lo[0] == 0.0 and hi[-1] == SPEC.k_max
+            assert lo[0] == 0.0 and hi[-1] == K_MAX
 
             def damp(k):
                 return 1.0 / (1.0 + (k * mu) ** 2)
@@ -361,7 +365,7 @@ class TestDistributionFunction:
         def folded(t):
             return np.array([h_c(v) + h_c(-v) for v in np.atleast_1d(t)])
 
-        moment = integrate_gaussian_weighted(folded, SPEC) / SQPI
+        moment = integrate_gaussian_weighted(folded) / SQPI
         assert moment == pytest.approx(profile.u_continuum[0], abs=1e-6)
 
     def test_wall_layer_vanishes_far_away(self, series_cache):
