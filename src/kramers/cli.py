@@ -10,8 +10,10 @@ for fixed flags.  Exit codes: 0 success, 1 failed verification checks,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -72,13 +74,21 @@ def _parse_range(flag: str, text: str) -> np.ndarray:
 
 
 def _meta(args: argparse.Namespace) -> dict:
-    return {
-        "gamma": getattr(args, "gamma", None),
-        "q": getattr(args, "q", None),
-        "order": getattr(args, "order", None),
-        "rel_tol": args.tol,
-        "k_max": args.kmax,
-    }
+    meta = {name: getattr(args, name, None) for name in ("gamma", "q", "order")}
+    meta["rel_tol"] = args.tol
+    if args.command != "curves":  # no curve reads the truncation
+        meta["k_max"] = args.kmax
+    return meta
+
+
+def _check_output(output: str | None) -> None:
+    """Raise, before any work, the error that writing to ``output`` would."""
+    if output is None:
+        return
+    if os.path.isdir(output):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    # the trailing separator also rejects a parent that is a file
+    os.stat(os.path.join(os.path.dirname(output) or ".", ""))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -251,6 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         check_rel_tol(args.tol)
         check_k_max(args.kmax)
+        _check_output(args.output)
         return args.func(args)
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 """Independent validation path: direct nested quadrature, no shared machinery.
 
 Everything here is computed with scipy's QUADPACK integrator and inline
-moment closures: no spectral grid, no interpolation, no code shared with
+moment quadratures, whose gamma-free values at each wavenumber are computed
+once per process (:func:`_moments`) for ``u1_direct`` at every gamma and for
+``j_constants``: no spectral grid, no interpolation, no code shared with
 the kernel/series modules beyond the problem's formulas.  Every integral
 over a wavenumber runs to infinity in three parts: a head in k, a far range
 in s = ln k, where the slow ln(k)/k^p tails become smooth integrands that
@@ -15,9 +17,9 @@ tolerances are fixed here, so no function takes ``rel_tol`` or ``k_max``.
 from __future__ import annotations
 
 import math
-import warnings
+from functools import lru_cache
 
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .quadrature import T_MAX
 from .special_integrals import SQRT_PI
@@ -29,12 +31,13 @@ def _quiet_quad(*args, **kwargs):
     """quad with QUADPACK roundoff chatter silenced.
 
     Relative-mode tolerances near machine precision trigger advisory
-    roundoff warnings; the achieved accuracy is asserted independently by
-    the cross-path tests, so the warnings carry no signal here.
+    roundoff messages; the achieved accuracy is asserted independently by
+    the cross-path tests, so they carry no signal here.  With ``full_output``
+    quad returns the message instead of warning, which, unlike changing the
+    process-wide warning filters, is safe when threads share the oracle.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(*args, **kwargs)
+    value, error, *_ = quad(*args, full_output=1, **kwargs)
+    return value, error
 
 _OUTER_SPLIT = 10.0  # outer integrals: in k below, in ln k above
 _K_HIGH = 1e4        # top of the outer far range: above this the inline
@@ -99,6 +102,14 @@ def _phi0_inline(k: float, t_max: float) -> float:
     return val
 
 
+@lru_cache(maxsize=4096)
+def _moments(k: float) -> tuple[float, float, float, float]:
+    """(T_1, T_2, T_3, phi_0) at k; an immutable entry every gamma and thread
+    shares (a race at most computes one k twice)."""
+    return (_t_inline(1, k, T_MAX), _t_inline(2, k, T_MAX),
+            _t_inline(3, k, T_MAX), _phi0_inline(k, T_MAX))
+
+
 def _log_closure(f, k_top: float, p: int) -> float:
     """Exact remainder of (alpha + beta ln k)/k^p fitted at 0.7 k_top, k_top."""
     fa, fb = f(0.7 * k_top), f(k_top)
@@ -146,16 +157,14 @@ def u1_direct(gamma: float) -> float:
 
     U_1 = -(1-gamma)^{-1} (1/sqrt(pi))
           int [T_1(k) + gamma k^2 T_3(k)] phi_0(k)/T_2(k) dk,
-    with every moment evaluated inline at each point.
+    with the moments at each point from the inline quadratures (cached).
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
 
     def integrand(k: float) -> float:
-        t1 = _t_inline(1, k, T_MAX)
-        t2 = _t_inline(2, k, T_MAX)
-        t3 = _t_inline(3, k, T_MAX)
-        return (t1 + gamma * k * k * t3) * _phi0_inline(k, T_MAX) / t2
+        t1, t2, t3, phi0 = _moments(k)
+        return (t1 + gamma * k * k * t3) * phi0 / t2
 
     integral = _split_integral(integrand, epsabs=1e-12, epsrel=1e-10)
     return -integral / ((1.0 - gamma) * SQRT_PI)
@@ -172,38 +181,26 @@ def j_constants() -> tuple[float, float, float]:
 
     and so on.  Tensorized adaptive 1-D passes, inner (k2) tolerance ten
     times tighter than the outer; inner results are reused across the three
-    outer integrals via an exact-argument table (values only, no grids).
+    outer integrals via an exact-argument table (values only, no grids), and
+    the moments come from :func:`_moments`.
     """
-    t_memo: dict[tuple[int, float], float] = {}
-
-    def T(n: int, k: float) -> float:
-        key = (n, k)
-        if key not in t_memo:
-            t_memo[key] = _t_inline(n, k, T_MAX)
-        return t_memo[key]
-
-    phi_memo: dict[float, float] = {}
-
-    def phi0(k: float) -> float:
-        if k not in phi_memo:
-            phi_memo[k] = _phi0_inline(k, T_MAX)
-        return phi_memo[k]
-
     ab_memo: dict[float, tuple[float, float]] = {}
 
     def inner_ab(k1: float) -> tuple[float, float]:
         """A = int S_1(k1,k2) phi_0/T_2 dk2, B = int k2^2 S_2(k1,k2) phi_0/T_2 dk2."""
         if k1 in ab_memo:
             return ab_memo[k1]
-        t3k1 = T(3, k1)
+        t3k1 = _moments(k1)[2]
 
         def fa(k2: float) -> float:
-            s1 = _j_inline(3, k1, k2, T_MAX) - SQRT_PI * t3k1 * T(1, k2)
-            return s1 * phi0(k2) / T(2, k2)
+            t1, t2, _, phi0 = _moments(k2)
+            s1 = _j_inline(3, k1, k2, T_MAX) - SQRT_PI * t3k1 * t1
+            return s1 * phi0 / t2
 
         def fb(k2: float) -> float:
-            s2 = _j_inline(5, k1, k2, T_MAX) - SQRT_PI * t3k1 * T(3, k2)
-            return k2 * k2 * s2 * phi0(k2) / T(2, k2)
+            _, t2, t3, phi0 = _moments(k2)
+            s2 = _j_inline(5, k1, k2, T_MAX) - SQRT_PI * t3k1 * t3
+            return k2 * k2 * s2 * phi0 / t2
 
         a_val, b_val = (
             _half_line_integral(f, _INNER_SPLIT, _INNER_KMAX, 4, _EPS_ABS, 1e-9)
@@ -213,22 +210,21 @@ def j_constants() -> tuple[float, float, float]:
         return a_val, b_val
 
     def f_j0(k1: float) -> float:
-        a_val, _ = inner_ab(k1)
-        return T(1, k1) * a_val / T(2, k1)
+        t1, t2, _, _ = _moments(k1)
+        return t1 * inner_ab(k1)[0] / t2
 
     def f_j1(k1: float) -> float:
+        t1, t2, t3, _ = _moments(k1)
         a_val, b_val = inner_ab(k1)
-        return (k1 * k1 * T(3, k1) * a_val + T(1, k1) * b_val) / T(2, k1)
+        return (k1 * k1 * t3 * a_val + t1 * b_val) / t2
 
     def f_j2(k1: float) -> float:
-        _, b_val = inner_ab(k1)
-        return k1 * k1 * T(3, k1) * b_val / T(2, k1)
+        _, t2, t3, _ = _moments(k1)
+        return k1 * k1 * t3 * inner_ab(k1)[1] / t2
 
     norm = math.pi**1.5
-    j0 = _split_integral(f_j0, epsabs=1e-13, epsrel=1e-8) / norm
-    j1 = _split_integral(f_j1, epsabs=1e-13, epsrel=1e-8) / norm
-    j2 = _split_integral(f_j2, epsabs=1e-13, epsrel=1e-8) / norm
-    return j0, j1, j2
+    return tuple(_split_integral(f, epsabs=1e-13, epsrel=1e-8) / norm
+                 for f in (f_j0, f_j1, f_j2))
 
 
 def u2_direct(

@@ -136,6 +136,14 @@ class TestCurves:
         _, out2, _ = run_cli(capsys, "curves", "--what", "tn", "--k", "0:3:0.5")
         assert out1 == out2
 
+    def test_meta_claims_no_truncation(self, capsys):
+        """No curve reads --kmax, so the JSON meta does not name one."""
+        code, out, _ = run_cli(
+            capsys, "curves", "--k", "0:1:1", "--kmax", "300", "--format", "json",
+        )
+        assert code == 0
+        assert set(json.loads(out)["meta"]) == {"gamma", "q", "order", "rel_tol"}
+
 
 class TestProfile:
     def test_wall_layer_decay(self, capsys):
@@ -345,3 +353,39 @@ class TestOutputPath:
         assert code == 2
         assert err == f"cannot write {path}: {reason}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/out.txt", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_checked_before_work(
+        self, capsys, monkeypatch, tmp_path, target, reason,
+    ):
+        def no_work(*args):
+            raise AssertionError("work started before --output was checked")
+
+        monkeypatch.setattr(cli, "build_series", no_work)
+        monkeypatch.setattr(cli.verification, "run_checks", no_work)
+        path = tmp_path / target
+        for command in (["verify"], ["slip"]):
+            code, out, err = run_cli(capsys, *command, "--output", str(path))
+            assert code == 2
+            assert err == f"cannot write {path}: {reason}\n"
+            assert out == ""
+
+    def test_parent_that_is_a_file_rejected(self, capsys, tmp_path):
+        parent = tmp_path / "file.txt"
+        parent.write_text("")
+        path = parent / "out.csv"
+        code, _, err = run_cli(capsys, "curves", "--output", str(path))
+        assert code == 2
+        assert err == f"cannot write {path}: Not a directory\n"
+
+    def test_file_written_only_after_success(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "curves", "--k", "5:1:1", "--output", str(path))
+        assert code == 2
+        assert not path.exists()
+        code, _, _ = run_cli(capsys, "curves", "--k", "0:1:1", "--output", str(path))
+        assert code == 0
+        assert path.read_text().startswith("k,L\n")

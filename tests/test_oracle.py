@@ -1,4 +1,7 @@
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -43,6 +46,39 @@ class TestPinnedValues:
     def test_j_constants(self, oracle_j):
         for value, pinned in zip(oracle_j, PINNED_J):
             assert abs(value - pinned) <= PIN_TOL
+
+
+class TestMomentCache:
+    """u1_direct and j_constants share one bounded cache of the moments at
+    each wavenumber; what it holds must not change any value."""
+
+    def test_call_order_does_not_change_bits(self):
+        values = {}
+        for order in ((0.5, 0.15), (0.15, 0.5)):
+            oracle._moments.cache_clear()
+            values[order] = {gamma: u1_direct(gamma) for gamma in order}
+        assert values[(0.5, 0.15)] == values[(0.15, 0.5)]
+        for gamma, value in values[(0.5, 0.15)].items():
+            assert abs(value - PINNED_U1[gamma]) <= PIN_TOL
+
+    def test_cache_is_bounded(self):
+        assert oracle._moments.cache_info().maxsize is not None
+
+    def test_threads_agree(self):
+        """Threads that fill the cold cache at once get the same floats as a
+        later warm call, and no QUADPACK message escapes as a warning."""
+        oracle._moments.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with ThreadPoolExecutor(max_workers=3) as pool:
+                    values = list(pool.map(u1_direct, [0.25] * 3, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert values == [u1_direct(0.25)] * 3
+        assert [str(w.message) for w in caught] == []
 
 
 class TestU1Direct:

@@ -9,6 +9,7 @@ names breaks the benchmark.  These tests fail first.  They import from
 from pathlib import Path
 
 import kramers.neumann
+import kramers.oracle
 import kramers.special_integrals
 import kramers.transport
 from kramers.special_integrals import GasParameters
@@ -63,3 +64,20 @@ def test_tracer_counts_real_calls(monkeypatch):
     self_s = tracer.layer_totals()["self_s"]
     for layer in ("quadrature", "special_integrals", "neumann", "transport"):
         assert self_s[layer] > 0.0, layer
+
+
+def test_tracer_counts_cold_oracle_quadrature(monkeypatch):
+    """The oracle's moment cache does not hide its QUADPACK calls: a cold
+    u1_direct, traced, counts them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    kramers.oracle._moments.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.root(0):
+            kramers.oracle.u1_direct(0.25)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["oracle.quad_calls"] > 0
