@@ -75,8 +75,10 @@ def _parse_range(flag: str, text: str) -> np.ndarray:
 
 def _meta(args: argparse.Namespace) -> dict:
     meta = {name: getattr(args, name, None) for name in ("gamma", "q", "order")}
-    meta["rel_tol"] = args.tol
-    if args.command != "curves":  # no curve reads the truncation
+    # curves read only --tol, slip and profile only --kmax
+    if args.command == "curves":
+        meta["rel_tol"] = args.tol
+    else:
         meta["k_max"] = args.kmax
     return meta
 

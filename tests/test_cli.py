@@ -77,15 +77,15 @@ class TestSlip:
         assert "k_max" in err
 
     def test_json_metadata(self, capsys):
+        """slip reads --kmax and no --tol, so the meta names only k_max."""
         code, out, _ = run_cli(
             capsys, "slip", "--q", "0.8", "--gamma", "0.1", "--order", "1",
-            "--format", "json",
+            "--tol", "1e-3", "--format", "json",
         )
         assert code == 0
         doc = json.loads(out)
         assert set(doc) == {"meta", "data"}
-        for key in ("gamma", "q", "order", "rel_tol", "k_max"):
-            assert key in doc["meta"]
+        assert set(doc["meta"]) == {"gamma", "q", "order", "k_max"}
         assert doc["meta"]["q"] == 0.8
 
 
@@ -284,7 +284,8 @@ class TestProfile:
         doc = json.loads(target.read_text())
         assert set(doc) == {"meta", "data"}
         assert doc["meta"]["order"] == 0
-        assert doc["meta"]["rel_tol"] == 1e-10
+        assert set(doc["meta"]) == {"gamma", "q", "order", "k_max"}
+        assert doc["meta"]["k_max"] == 800.0
         assert len(doc["data"]["x1"]) == 3
         total = np.array(doc["data"]["u_total"])
         cont = np.array(doc["data"]["u_continuum"])

@@ -180,6 +180,18 @@ class TestVelocityProfile:
         with pytest.raises(ValueError, match="overflows"):
             velocity_profile(params, series_cache(0.0, 0), [1e306])
 
+    @pytest.mark.parametrize("x", [1e100, 1e300])
+    def test_huge_coordinates_give_no_warning(self, series_cache, x):
+        """The zero-width end intervals put the Taylor branch of the head
+        next to huge coordinates, whose w^2 it must not form: a
+        RuntimeWarning fails this test."""
+        series = series_cache(0.0, 1)
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        u_c = velocity_profile(params, series, [x]).u_continuum
+        assert abs(u_c[0]) < 1e-12
+        for mu in (0.5, -0.5):
+            assert math.isfinite(distribution_function(params, series, x, mu))
+
 
 class TestCombinedDensity:
     def test_summed_pieces_match_refit(self, series_cache):
@@ -204,13 +216,14 @@ class TestClosedFormHead:
     KINDS = ("cos", "damped_cos", "damped_ksin")
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    @pytest.mark.parametrize("x", [0.0, 0.05, 0.5, 2.5, 20.0, 450.0, 5000.0])
+    @pytest.mark.parametrize("x", [0.0, 0.05, 0.5, 2.5, 20.0, 450.0, 680.0, 5000.0])
     def test_matches_quadpack_on_each_knot_interval(self, series_cache, x):
         """Every piece of every transform against QUADPACK's weighted rules.
 
-        At |mu| = 10, the largest h(x1, mu) accepts, the 9-point damping fit
-        on the first knot interval (0.032 wide) leaves up to 3e-13 here (at
-        x = 450; 1.3e-12 at x near 680), and rounding at x = 0.
+        The same bound holds at every mu, |mu| = 10 included, the largest
+        h(x1, mu) accepts: the 14-point interpolant of the damped piece must
+        resolve the damping width 1/|mu| on the first knot interval (0.032
+        wide) at every x, x = 680 included.
         """
         from kramers.transport import _combined_density, _head_pieces
 
@@ -238,9 +251,7 @@ class TestClosedFormHead:
                          epsrel=1e-14, limit=200)[0]
                     for a, b in zip(lo, hi)
                 ]
-                np.testing.assert_allclose(
-                    row, expected, rtol=0, atol=1e-13 if abs(mu) < 10.0 else 1e-12
-                )
+                np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
 
 
 class TestWallTransform:
@@ -412,6 +423,17 @@ class TestDistributionFunction:
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         value = distribution_function(params, series_cache(0.0, 2), 1.0, 0.0)
         assert math.isfinite(value)
+
+    def test_subnormal_velocity_decays_without_warning(self, series_cache):
+        """At mu = 1e-310, x1/mu overflows and the wall source e^{-x1/mu} is
+        0 without a RuntimeWarning; h is then its mu = 0 value."""
+        series = series_cache(0.0, 2)
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        x = np.array([0.5, 5.0])
+        tiny = distribution_function(params, series, x, 1e-310)
+        np.testing.assert_allclose(
+            tiny, distribution_function(params, series, x, 0.0), rtol=0, atol=1e-14
+        )
 
 
 class TestBatchedCoordinates:
