@@ -192,10 +192,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=REL_TOL,
-                        help=f"relative quadrature tolerance (default {REL_TOL:g})")
+                        help="relative quadrature tolerance, read by curves and "
+                             f"verify (default {REL_TOL:g})")
     parser.add_argument("--kmax", type=float, default=K_MAX,
-                        help="spectral truncation wavenumber in (2, 16384] "
-                             f"(default {K_MAX:g})")
+                        help="spectral truncation wavenumber in (2, 16384], read "
+                             f"by slip, profile and verify (default {K_MAX:g})")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None,
                         help="write to this path instead of stdout")

@@ -99,14 +99,15 @@ class SpectralFunction:
             nodes, values, k=5,
             bc_type=([(1, 0.0), (3, 0.0)], [(3, 0.0), (4, 0.0)]),
         )
-        self._freeze(nodes, values, PPoly.from_spline(spline))
+        poly = PPoly.from_spline(spline)
+        self._freeze(nodes, values, poly.c, poly.x)
 
-    def _freeze(self, nodes: np.ndarray, values: np.ndarray, poly: PPoly) -> None:
-        for arr in (nodes, values, poly.x, poly.c):
+    def _freeze(self, nodes, values, c, x) -> None:
+        for arr in (nodes, values, c, x):
             arr.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "poly", PPoly.construct_fast(c, x))
 
     @property
     def k_max(self) -> float:
@@ -135,14 +136,16 @@ def weighted_sum(
     the terms'.  The terms must share their nodes.
     """
     first = funcs[0]
-    for f in funcs[1:]:
-        if not np.array_equal(f.nodes, first.nodes):
+    nodes, x = first.nodes, first.poly.x
+    values, coeffs = weights[0] * first.values, weights[0] * first.poly.c
+    for w, f in zip(weights[1:], funcs[1:]):
+        if f.nodes is not nodes and not np.array_equal(f.nodes, nodes):
             raise ValueError(f"{label}: {f.label} and {first.label} differ in grid")
-    values = sum(w * f.values for w, f in zip(weights, funcs))
-    coeffs = sum(w * f.poly.c for w, f in zip(weights, funcs))
+        values += w * f.values
+        coeffs += w * f.poly.c
     total = object.__new__(SpectralFunction)
     object.__setattr__(total, "label", label)
-    total._freeze(first.nodes, values, PPoly.construct_fast(coeffs, first.poly.x))
+    total._freeze(nodes, values, coeffs, x)
     return total
 
 
@@ -196,7 +199,8 @@ class _KernelTable:
     The points ``k`` are the pair's points on every [grid[i], grid[i+1]]
     followed by the two tail points of :func:`_tail_points`, where every
     tail of this module is fitted; the Kronrod weights ``w_k`` are scaled
-    to the intervals and 0 at the tail points.  With them come T_1 and
+    to the intervals and 0 at the tail points, and row i of ``w_err``
+    holds interval i's K15 - G7 weights.  With them come T_1 and
     T_2 at the points and the kernel rows ``s[j, i] = S_1(grid[i], k[j])``,
     built in MomentBatches of at most ``_CHUNK`` points so that ``s`` is
     the one large array.  ``k_max`` is the last node.  The arrays are
@@ -208,7 +212,7 @@ class _KernelTable:
         self.nodes, self.k_max = grid, float(grid[-1])
         self.k = np.concatenate([pts.ravel(), _tail_points(self.k_max)])
         self.w_k = np.concatenate([(half[:, None] * w_k).ravel(), [0.0, 0.0]])
-        self._w_err = half[:, None] * (w_k - w_g)
+        self.w_err = half[:, None] * (w_k - w_g)
         rows3 = np.stack([fixed_row(3, float(k)) for k in grid], axis=1)
         t3 = SQRT_PI * t_n_vec(3, grid)
         self.t1, self.t2 = np.empty(self.k.size), np.empty(self.k.size)
@@ -218,17 +222,12 @@ class _KernelTable:
             batch = MomentBatch(self.k[part])
             self.t1[part], self.t2[part] = batch.t(1), batch.t(2)
             self.s[part] = batch.against(rows3) - np.outer(self.t1[part], t3)
-        for arr in (self.k, self.w_k, self._w_err, self.t1, self.t2, self.s):
+        for arr in (self.k, self.w_k, self.w_err, self.t1, self.t2, self.s):
             arr.setflags(write=False)
 
     def density(self, phi: SpectralFunction) -> np.ndarray:
         """phi/T_2 at the points, the factor every integral here weights."""
         return phi(self.k) / self.t2
-
-    def error(self, values: np.ndarray) -> float:
-        """Sum over the knot intervals of |K15 - G7| for values at the points."""
-        diff = self._w_err * values[:-2].reshape(self._w_err.shape)
-        return float(np.abs(diff.sum(axis=1)).sum())
 
 
 def _apply_table(

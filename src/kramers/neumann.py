@@ -16,14 +16,16 @@ J_1(k, k1) (see :mod:`kramers.special_integrals`) makes it
 
 with J_1(0, k1) = T_1(k1) and T_1(0) = 1/sqrt(pi) for U_n.  Because the
 kernel is exactly (1 - gamma) S_1 (see :mod:`kramers.kernels`), phi_n is
-(1 - gamma)^n times its gamma=0 value, so (1 - gamma) U_n is linear in gamma.
+(1 - gamma)^n times its gamma=0 value, and with the gamma-free integrals
+c_n = int phi_{n-1}/T_2 dk and d_n = int T_1 phi_{n-1}/T_2 dk of the gamma=0
+iterate, U_n = -(gamma c_n/sqrt(pi) + (1 - gamma) d_n)/(sqrt(pi)(1 - gamma)).
 
 :func:`build_series` is the one way in.  The iteration runs once per
 k_max, at gamma 0: :func:`_order` (a bounded cache of read-only arrays)
-holds the kernel table, each phi_n and E_n = phi_n / T_2.  A series at any
-gamma scales them exactly and takes U_n from the table.  The pole
-residuals B_n, which check U_n, integrate adaptively up to the series'
-own k_max.
+holds the kernel table, each phi_n, E_n = phi_n / T_2 and the parts of
+c_{n+1} and d_{n+1}.  A series scales the densities exactly and forms U_n
+from the parts.  The pole residuals B_n, which check U_n, integrate
+adaptively up to the series' own k_max.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .kernels import (
     SpectralFunction, _KernelTable, _apply_table, standard_grid, weighted_sum,
 )
-from .quadrature import K_MAX, REL_TOL, _log_tail, integrate_spectral
+from .quadrature import K_MAX, REL_TOL, _log_integral, _tail_guard, integrate_spectral
 # perfbench/tracing.py rebinds these here, though nothing here calls them
 from .kernels import apply_kernel  # noqa: F401
 from .quadrature import _integrate_spectral_detail  # noqa: F401
@@ -102,33 +104,42 @@ def _pole_integrand(k: float, gamma: float, phi: SpectralFunction, rel_tol: floa
 
 @lru_cache(maxsize=4 * (MAX_ORDER + 1))
 def _order(k_max: float, n: int) -> tuple:
-    """Kernel table, phi_n, E_n = phi_n/T_2 and table.density(phi_n) at gamma 0.
+    """Kernel table, phi_n, E_n, v = phi_n/T_2 at the table points and the
+    parts of c_{n+1}, d_{n+1} (:func:`_u_detail`), all at gamma 0.
 
     Order 0 builds the standard grid, its table and phi_0; order n applies
-    the shared table to order n - 1.  Nothing here depends on gamma or
-    rel_tol, so each order is built once per process for up to four k_max
-    (about 3 MB each, nearly all the table's S_1 rows).  Every array is
-    read-only, so the series that share them cannot change them.
+    the shared table to order n - 1.  The parts integrate the rows (v, T_1 v)
+    on the table: two K15 heads, two per-interval K15 - G7 vectors and two
+    exact fitted tails.  Nothing here depends on gamma or rel_tol, so each
+    order is built once per process for up to four k_max (about 3 MB each,
+    nearly all the table's S_1 rows).  Every array is read-only, so the
+    series that share them cannot change them.
     """
     if n == 0:
         grid = standard_grid(k_max)
         table = _KernelTable(grid)
         phi = SpectralFunction(nodes=grid, values=phi0_vec(grid), label="phi_0")
     else:
-        table, prev, _, v = _order(k_max, n - 1)
+        table, prev, _, v, _ = _order(k_max, n - 1)
         phi = _apply_table(table, prev, v, 0.0)
     # never the raw numerator / L(k), whose k=0 limit is 0/0: T_2(0) = 1/2
     t2 = t_n_vec(2, table.nodes)
     e_n = SpectralFunction(nodes=table.nodes, values=phi.values / t2, label=f"E_{n}")
     v = table.density(phi)
-    v.setflags(write=False)
-    return table, phi, e_n, v
+    rows = np.stack([v, table.t1 * v])
+    err = table.w_err * rows[:, :-2].reshape(2, *table.w_err.shape)
+    # pairwise sums: a matrix-vector product rounds U_n up to 1.5e-15 off
+    parts = ((rows * table.w_k).sum(axis=1), err.sum(axis=2),
+             _log_integral(rows[:, -2:].T, table.k_max, 2))
+    for arr in (v, *parts):
+        arr.setflags(write=False)
+    return table, phi, e_n, v, parts
 
 
 def _u_detail(
-    n: int, gamma: float, table: _KernelTable, v: np.ndarray
+    n: int, gamma: float, k_max: float, parts: tuple
 ) -> tuple[float, float, float]:
-    """U_n, error estimate and fitted-tail part; v = phi_{n-1}/T_2 at gamma 0.
+    """U_n, error estimate and fitted-tail part from the parts of c_n and d_n.
 
     Killing the constant term of the order-n density requires
 
@@ -137,16 +148,15 @@ def _u_detail(
 
     taken in this closed form rather than by probing the k->0 limit, which
     would amplify quadrature noise by 1/k^2.  As phi_{n-1}(gamma) is
-    (1-gamma)^{n-1} phi_{n-1}(0), the scale is sqrt(pi) (1-gamma).  The head
-    is the table's K15 sum, with the table's |K15 - G7| error, and the tail
-    is fitted to the values at the table's two tail points.
+    (1-gamma)^{n-1} phi_{n-1}(0), the scale is sqrt(pi) (1-gamma), and the
+    head, the per-interval |K15 - G7| error and the guarded tail are the
+    gamma/sqrt(pi) and (1-gamma) weighted sums of the parts.
     """
-    values = (gamma / SQRT_PI + (1.0 - gamma) * table.t1) * v
-    head = table.w_k @ values
-    err = table.error(values)
-    tail = _log_tail(
-        values[-2:], table.k_max, 2, head, f"U_{n} pole-elimination integral"
-    )[0]
+    (c_head, d_head), (c_err, d_err), (c_tail, d_tail) = parts
+    a, b = gamma / SQRT_PI, 1.0 - gamma
+    head, tail = a * c_head + b * d_head, a * c_tail + b * d_tail
+    _tail_guard(tail, head, k_max, f"U_{n} pole-elimination integral")
+    err = np.abs(a * c_err + b * d_err).sum()
     scale = SQRT_PI * (1.0 - gamma)
     return float(-(head + tail) / scale), float(err / scale), float(tail / scale)
 
@@ -159,9 +169,10 @@ def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpans
     phi_n and E_n at gamma 0 on one kernel table per ``k_max`` (see
     :func:`kramers.kernels.apply_kernel`), shared by every series on that
     grid.  A series scales them exactly, phi_n by (1-gamma)^n and E_n by
-    1/(1-gamma), without a refit, and takes each U_n from the table's
-    points.  Orders beyond 4 are refused as outside the method's intended
-    range.  The default order used by the CLI is 2.
+    1/(1-gamma), without a refit (at gamma 0 it returns them as they are),
+    and forms each U_n from the cached parts of c_n and d_n.  Orders beyond
+    4 are refused as outside the method's intended range.  The default
+    order used by the CLI is 2.
     """
     if not (0 <= order <= MAX_ORDER):
         raise ValueError(f"order must be in [0, {MAX_ORDER}]")
@@ -181,19 +192,18 @@ def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpans
     diagnostics: list[dict] = [{"order": 0, "u_error": 0.0}]
     for n in range(1, order + 1):
         # U_n before phi_n, so that U_n's tail guard fires first
-        u_n, u_error, u_tail = _u_detail(n, gamma, parts[0][0], parts[-1][3])
+        u_n, u_error, u_tail = _u_detail(n, gamma, parts[0][0].k_max, parts[-1][4])
         u_coeffs.append(u_n)
         diagnostics.append({"order": n, "u_error": u_error, "u_tail": u_tail})
         parts.append(_order(k_max, n))
+
+    def scaled(func: SpectralFunction, w: float) -> SpectralFunction:
+        return func if w == 1.0 else weighted_sum([w], [func], func.label)
+
     return SeriesExpansion(
         gamma=gamma, order=order, u_coeffs=tuple(u_coeffs),
-        phi_funcs=tuple(
-            weighted_sum([(1.0 - gamma) ** n], [p[1]], p[1].label)
-            for n, p in enumerate(parts)
-        ),
-        e_funcs=tuple(
-            weighted_sum([1.0 / (1.0 - gamma)], [p[2]], p[2].label) for p in parts
-        ),
+        phi_funcs=tuple(scaled(p[1], (1.0 - gamma) ** n) for n, p in enumerate(parts)),
+        e_funcs=tuple(scaled(p[2], 1.0 / (1.0 - gamma)) for p in parts),
         diagnostics=tuple(diagnostics),
     )
 

@@ -3,8 +3,9 @@
 Everything here is computed with scipy's QUADPACK integrator and inline
 moment quadratures, whose gamma-free values at each wavenumber are computed
 once per process (:func:`_moments`) for ``u1_direct`` at every gamma and for
-``j_constants``: no spectral grid, no interpolation, no code shared with
-the kernel/series modules beyond the problem's formulas.  Every integral
+``j_constants``, itself computed once per process: no spectral grid, no
+interpolation, no code shared with the kernel/series modules beyond the
+problem's formulas.  Every integral
 over a wavenumber runs to infinity in three parts: a head in k, a far range
 in s = ln k, where the slow ln(k)/k^p tails become smooth integrands that
 decay exponentially in s, and the exact remainder of a fitted log-power
@@ -170,6 +171,7 @@ def u1_direct(gamma: float) -> float:
     return -integral / ((1.0 - gamma) * SQRT_PI)
 
 
+@lru_cache(maxsize=1)
 def j_constants() -> tuple[float, float, float]:
     """(J_0, J_1, J_2): the double integrals behind the second-order slip.
 
@@ -182,7 +184,8 @@ def j_constants() -> tuple[float, float, float]:
     and so on.  Tensorized adaptive 1-D passes, inner (k2) tolerance ten
     times tighter than the outer; inner results are reused across the three
     outer integrals via an exact-argument table (values only, no grids), and
-    the moments come from :func:`_moments`.
+    the moments come from :func:`_moments`.  The result is computed once
+    per process: every later call returns the same tuple.
     """
     ab_memo: dict[float, tuple[float, float]] = {}
 

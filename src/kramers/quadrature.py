@@ -15,8 +15,9 @@ kernel table of :mod:`kramers.kernels`.
 
 Every tail past ``k_max`` is the model (alpha + beta ln k)/k^p through
 the integrand's values at the two points of :func:`_tail_points`
-(:func:`_log_model`), integrated exactly by :func:`_log_tail` under a 10%
-guard.  The spectral integrals sample those points through
+(:func:`_log_model`), integrated exactly by :func:`_log_integral`; one
+10% guard, :func:`_tail_guard`, checks every tail (:func:`_log_tail` is
+the two in one).  The spectral integrals sample those points through
 :func:`_eval_batch`; the kernel table carries them among its own points,
 and the profile layer samples its density there.  Accuracy is set by two
 plain floats, each passed only to the functions that read it: ``rel_tol``
@@ -267,32 +268,38 @@ def _fit_log_tail(f: Callable, k_max: float, p: int, label: str) -> tuple:
     return _log_model(_eval_batch(f, _tail_points(k_max), label), k_max, p)
 
 
-def _log_tail(
-    samples, k_max: float, p: int, head, label: str | Callable[[int], str]
-) -> np.ndarray:
-    """Exact integral over [k_max, inf) of the log-tail model of ``samples``.
-
-    ``samples`` are the integrand's values at :func:`_tail_points`, one
-    column per member when ``head`` has one entry per member; the model is
-    that of :func:`_log_model`.  Raises :class:`TailEstimateDominatesError`
-    when a tail exceeds 10% of its truncated part ``head``, under
-    ``label(j)`` for member j when ``label`` is callable, so a family of
-    members formats the one label it raises under.  Returns one entry per
-    member.
-    """
+def _log_integral(samples, k_max: float, p: int) -> np.ndarray:
+    """Exact integral over [k_max, inf) of the :func:`_log_model` of
+    ``samples`` (values at :func:`_tail_points`, one column per member),
+    one entry per member: linear in the samples."""
     alpha, beta = _log_model(samples, k_max, p)
     lb = math.log(k_max)
-    tail = np.atleast_1d(
+    return np.atleast_1d(
         (alpha + beta * (lb + 1.0 / (p - 1))) * k_max ** (1 - p) / (p - 1)
     )
+
+
+def _tail_guard(tail, head, k_max: float, label: str | Callable[[int], str]) -> None:
+    """Raise :class:`TailEstimateDominatesError` when a tail exceeds 10% of
+    its truncated part ``head`` (scalars, or one entry per member j, named
+    ``label(j)`` when ``label`` is callable so that a family formats only
+    the one label it raises under)."""
     dominant = np.abs(tail) > 0.1 * (np.abs(head) + ABS_TOL)
     if dominant.any():
         j = dominant.argmax()
         raise TailEstimateDominatesError(
             label if isinstance(label, str) else label(j),
-            f"tail estimate {tail[j]:.3e} exceeds 10% of the truncated part "
-            f"{np.atleast_1d(head)[j]:.3e}; k_max={k_max} too small",
+            f"tail estimate {np.atleast_1d(tail)[j]:.3e} exceeds 10% of the "
+            f"truncated part {np.atleast_1d(head)[j]:.3e}; k_max={k_max} too small",
         )
+
+
+def _log_tail(
+    samples, k_max: float, p: int, head, label: str | Callable[[int], str]
+) -> np.ndarray:
+    """:func:`_log_integral` of ``samples`` under :func:`_tail_guard`."""
+    tail = _log_integral(samples, k_max, p)
+    _tail_guard(tail, head, k_max, label)
     return tail
 
 

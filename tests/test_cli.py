@@ -340,6 +340,15 @@ class TestAccuracyFlags:
         assert out == ""
 
 
+    def test_help_names_the_commands_that_read_each_flag(self, capsys):
+        """Every command takes both flags; the help says which ones read them."""
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["profile", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "relative quadrature tolerance, read by curves and verify" in text
+        assert "read by slip, profile and verify (default 800)" in text
+
+
 class TestOutputPath:
     @pytest.mark.parametrize("command", [
         ["slip", "--order", "0"], ["curves", "--k", "0:1:1"],

@@ -1,10 +1,11 @@
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from kramers import kernels, neumann
+from kramers import kernels, neumann, quadrature
 from kramers.kernels import apply_kernel
 from kramers.neumann import (
     MAX_ORDER,
@@ -180,6 +181,18 @@ class TestBuildSeries:
             build_series(gamma, order, k_max)
         assert info.value.label == label
 
+    def test_guard_near_its_threshold(self):
+        """At k_max 30 and gamma 0.3 U_2's fitted tail is 9.3% of its head,
+        so order 2 builds, and U_3's is 10.4%, so order 3 names U_3."""
+        series = build_series(0.3, 2, 30.0)
+        u_2, u_tail = series.u_coeffs[2], series.diagnostics[2]["u_tail"]
+        assert 0.092 < abs(u_tail / (u_2 + u_tail)) < 0.094
+        with pytest.raises(TailEstimateDominatesError) as info:
+            build_series(0.3, 3, 30.0)
+        assert info.value.label == "U_3 pole-elimination integral"
+        assert ("tail estimate -2.995e-04 exceeds 10% of the truncated part "
+                "-2.866e-03") in str(info.value)
+
     def test_short_range_that_builds(self):
         series = build_series(0.0, 4, 20.0)
         assert series.phi_funcs[4].k_max == 20.0
@@ -237,10 +250,10 @@ class TestGridPartsCache:
 
     def test_cached_arrays_are_read_only(self):
         for n in range(MAX_ORDER + 1):
-            table, phi, e_n, v = _order(K_MAX, n)
-            arrays = (table.k, table.w_k, table.t1, table.t2, table.s,
-                      phi.nodes, phi.values, phi.poly.c, e_n.values,
-                      e_n.poly.c, v)
+            table, phi, e_n, v, (heads, errors, tails) = _order(K_MAX, n)
+            arrays = (table.k, table.w_k, table.w_err, table.t1, table.t2,
+                      table.s, phi.nodes, phi.values, phi.poly.c, e_n.values,
+                      e_n.poly.c, v, heads, errors, tails)
             for arr in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 1.0
@@ -263,7 +276,8 @@ class TestGridPartsCache:
     def test_warm_build_makes_no_table(self, monkeypatch):
         """The first series on a grid makes its one kernel table, and new
         orders reuse it; a series at a new gamma then makes no table,
-        applies no kernel and fits no spline."""
+        applies no kernel, fits no spline, samples no density and fits no
+        tail model: U_n comes from the cached parts."""
         calls = []
 
         def counted(name, original):
@@ -273,17 +287,46 @@ class TestGridPartsCache:
             return wrapper
 
         for module, name in ((neumann, "_KernelTable"), (neumann, "_apply_table"),
-                             (kernels, "make_interp_spline")):
+                             (kernels, "make_interp_spline"),
+                             (kernels._KernelTable, "density"),
+                             (quadrature, "_log_model")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         _order.cache_clear()
         build_series(0.1, 2)
         build_series(0.3, 4)
         assert calls.count("_KernelTable") == 1
         assert calls.count("_apply_table") == 4
+        assert calls.count("density") == MAX_ORDER + 1
         calls.clear()
         series = build_series(0.37, 4)
         assert calls == []
         assert series.u_coeffs == build_series(0.37, 4).u_coeffs
+
+    def test_gamma_zero_returns_the_cached_densities(self):
+        """A scale of 1 is exact, so a gamma-0 series holds the cached,
+        immutable densities themselves."""
+        for order in range(MAX_ORDER + 1):
+            series = build_series(0.0, order)
+            for n in range(order + 1):
+                assert series.phi_funcs[n] is _order(K_MAX, n)[1]
+                assert series.e_funcs[n] is _order(K_MAX, n)[2]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.25, 0.5, 0.9])
+    def test_u_equals_the_combined_integrand(self, gamma):
+        """U_n from the cached parts of c_n and d_n equals one K15 sum and
+        one fitted tail of the combined integrand
+        (gamma/sqrt(pi) + (1-gamma) T_1) phi_{n-1}/T_2 on the table."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # gamma > GAMMA_WARN
+            series = build_series(gamma, MAX_ORDER)
+        table = _order(K_MAX, 0)[0]
+        for n in range(1, MAX_ORDER + 1):
+            v = _order(K_MAX, n - 1)[3]
+            values = (gamma / SQPI + (1.0 - gamma) * table.t1) * v
+            head = table.w_k @ values
+            tail = _log_tail(values[-2:], K_MAX, 2, head, "combined")[0]
+            expected = -(head + tail) / (SQPI * (1.0 - gamma))
+            assert series.u_coeffs[n] == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_one_module_level_cache(self):
         cached = [name for name, obj in vars(neumann).items()

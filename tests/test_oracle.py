@@ -114,6 +114,21 @@ class TestJConstants:
         j0, j1, j2 = oracle_j
         assert j2 == pytest.approx(-(j0 + j1), abs=1e-5)
 
+    def test_computed_once_per_process(self, oracle_j, monkeypatch):
+        """A second call returns the first call's tuple and integrates
+        nothing: no inner J_n double integral runs again."""
+        calls = []
+        inline = oracle._j_inline
+
+        def counted(*args):
+            calls.append(args)
+            return inline(*args)
+
+        monkeypatch.setattr(oracle, "_j_inline", counted)
+        assert oracle.j_constants() is oracle_j
+        assert calls == []
+        assert oracle.j_constants.cache_info().maxsize == 1
+
 
 class TestU2Direct:
     def test_rarefied_value(self, oracle_j):
