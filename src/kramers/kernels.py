@@ -47,7 +47,9 @@ from .quadrature import K_MAX, REL_TOL, _gk_rule, _log_tail, _tail_points, check
 # perfbench/tracing.py rebinds integrate_spectral here, though nothing here
 # calls it any more
 from .quadrature import integrate_spectral  # noqa: F401
-from .special_integrals import MomentBatch, SQRT_PI, fixed_row, j_n, t_n, t_n_vec
+from .special_integrals import (
+    MomentBatch, SQRT_PI, _check_gamma, fixed_row, j_n, t_n, t_n_vec,
+)
 
 __all__ = [
     "SpectralFunction", "weighted_sum", "standard_grid", "s_kernel", "apply_kernel",
@@ -173,10 +175,19 @@ def standard_grid(k_max: float = K_MAX) -> np.ndarray:
     return grid
 
 
-def s_kernel(k: float, k1: float, gamma: float, rel_tol: float = REL_TOL) -> float:
-    """Kernel value S(k, k1) = (1 - gamma) S_1(k, k1) (adaptive scalar path)."""
-    s1 = j_n(3, k, k1, rel_tol) - SQRT_PI * t_n(3, k, rel_tol) * t_n(1, k1, rel_tol)
-    return (1.0 - gamma) * s1
+def s_kernel(k, k1, gamma, rel_tol: float = REL_TOL) -> float | np.ndarray:
+    """Kernel value S(k, k1) = (1 - gamma) S_1(k, k1) (adaptive path).
+
+    ``k``, ``k1`` and ``gamma`` broadcast together: arrays give an array,
+    whose J_3 values are integrated as one family, and scalars a float.
+    """
+    _check_gamma(gamma)
+    j3 = j_n(3, k, k1, rel_tol)
+    k, k1, gamma = np.broadcast_arrays(k, k1, gamma)
+    t3 = np.reshape([t_n(3, a, rel_tol) for a in k.flat], k.shape)
+    t1 = np.reshape([t_n(1, b, rel_tol) for b in k1.flat], k.shape)
+    s = (1.0 - gamma) * (j3 - SQRT_PI * t3 * t1)
+    return float(s) if s.ndim == 0 else s
 
 
 _PHI_LABEL = re.compile(r"^phi_(\d+)$")

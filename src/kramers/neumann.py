@@ -105,7 +105,8 @@ def _pole_integrand(k: float, gamma: float, phi: SpectralFunction, rel_tol: floa
 @lru_cache(maxsize=4 * (MAX_ORDER + 1))
 def _order(k_max: float, n: int) -> tuple:
     """Kernel table, phi_n, E_n, v = phi_n/T_2 at the table points and the
-    parts of c_{n+1}, d_{n+1} (:func:`_u_detail`), all at gamma 0.
+    parts of c_{n+1}, d_{n+1} (:func:`_u_detail`), all at gamma 0; v and
+    the parts are None at ``MAX_ORDER``, where nothing reads them.
 
     Order 0 builds the standard grid, its table and phi_0; order n applies
     the shared table to order n - 1.  The parts integrate the rows (v, T_1 v)
@@ -125,6 +126,8 @@ def _order(k_max: float, n: int) -> tuple:
     # never the raw numerator / L(k), whose k=0 limit is 0/0: T_2(0) = 1/2
     t2 = t_n_vec(2, table.nodes)
     e_n = SpectralFunction(nodes=table.nodes, values=phi.values / t2, label=f"E_{n}")
+    if n == MAX_ORDER:  # no series reads phi_{n+1} or U_{n+1}
+        return table, phi, e_n, None, None
     v = table.density(phi)
     rows = np.stack([v, table.t1 * v])
     err = table.w_err * rows[:, :-2].reshape(2, *table.w_err.shape)

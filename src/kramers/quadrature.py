@@ -9,9 +9,13 @@ Two integral families cover everything the solver needs:
 
 The engine is an adaptive Gauss-Kronrod (G7/K15) bisection scheme that
 evaluates the integrand on whole batches of nodes at once: integrands must
-be numpy-vectorised and pay one call per refinement sweep.  The same G7/K15
-pair, as a fixed rule on given intervals (:func:`_gk_rule`), is the
-kernel table of :mod:`kramers.kernels`.
+be numpy-vectorised and pay one call per refinement sweep.  It integrates a
+family of integrands, one member per set of parameter values, in one loop:
+each member keeps its own intervals, sums, stop test and subdivision
+budget, so its value is the one its own call gives, bit for bit, and a
+single integral is a family of one.  The same G7/K15 pair, as a fixed rule
+on given intervals (:func:`_gk_rule`), is the kernel table of
+:mod:`kramers.kernels`.
 
 Every tail past ``k_max`` is the model (alpha + beta ln k)/k^p through
 the integrand's values at the two points of :func:`_tail_points`
@@ -132,15 +136,23 @@ _WG_FULL = np.zeros(15)
 _WG_FULL[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
 
 
-def _eval_batch(f: Callable, x: np.ndarray, label: str) -> np.ndarray:
-    """Evaluate the vectorised integrand ``f`` on a flat array of nodes."""
+def _eval_batch(
+    f: Callable, x: np.ndarray, label: str | Callable[[int], str]
+) -> np.ndarray:
+    """Evaluate the vectorised integrand ``f`` on a flat array of nodes.
+
+    A callable ``label`` is given the index of the first non-finite value,
+    so that a family of integrals names the member that point belongs to.
+    """
     vals = np.asarray(f(x), dtype=float)
     if vals.shape != x.shape:
         vals = np.broadcast_to(vals, x.shape)
     finite = np.isfinite(vals)
     if not finite.all():
+        i = int(np.argmin(finite))
         raise NonFiniteIntegrandError(
-            label, f"integrand not finite near x={x[np.argmin(finite)]:.6g}"
+            label if isinstance(label, str) else label(i),
+            f"integrand not finite near x={x[i]:.6g}",
         )
     return vals
 
@@ -159,22 +171,43 @@ def _gk_rule(lo: np.ndarray, hi: np.ndarray) -> tuple:
 
 
 def _adaptive_gk(
-    f: Callable, breakpoints: np.ndarray, rel_tol: float, label: str
-) -> tuple[float, float]:
-    """Adaptive G7/K15 over the union of [breakpoints[i], breakpoints[i+1]].
+    f: Callable,
+    breakpoints: np.ndarray,
+    rel_tol: float,
+    label: str | Callable[[int], str],
+    params: tuple = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive G7/K15 of a family of integrands over the union of
+    [breakpoints[i], breakpoints[i+1]].
 
-    Returns (value, error estimate).  Every sweep splits each interval
-    whose error exceeds a quarter of the current worst, within the
-    ``MAX_SUBDIVISIONS`` budget, until the total error meets the tolerance.
-    Deterministic.
+    ``params`` holds equal-length 1-d arrays; member j of the family is
+    ``f(x, params[0][j], params[1][j], ...)``, and without parameters the
+    family is the one integrand ``f(x)``.  Returns the values and error
+    estimates, one entry per member.  Each member runs the scalar algorithm
+    on intervals of its own: every sweep splits each interval whose error
+    exceeds a quarter of the member's current worst, within the member's
+    ``MAX_SUBDIVISIONS`` budget, until its total error meets the tolerance.
+    A sweep evaluates ``f`` once, on the split intervals of every member not
+    yet converged.  A callable ``label`` names member j ``label(j)``, so
+    failures name the failing member.  Deterministic: a member's result is
+    the same to the bit in any family, and as a family of one.
     """
     check_rel_tol(rel_tol)
+    size = len(params[0]) if params else 1
+    if any(np.ndim(p) != 1 or len(p) != size for p in params):
+        raise ValueError("params must be 1-d arrays of one length")
 
-    def rate(lo_a: np.ndarray, hi_a: np.ndarray):
+    name = label if callable(label) else lambda j: label
+
+    def rate(lo_a: np.ndarray, hi_a: np.ndarray, owner_a: np.ndarray):
         pts, half, w_k, w_g = _gk_rule(lo_a, hi_a)
-        vals = _eval_batch(f, pts.ravel(), label).reshape(pts.shape)
+        values = [np.repeat(p[owner_a], pts.shape[1]) for p in params]
+        vals = _eval_batch(
+            lambda x: f(x, *values), pts.ravel(),
+            lambda i: name(owner_a[i // pts.shape[1]]),
+        ).reshape(pts.shape)
         # np.add.reduce is sum() without its Python wrapper, which counts
-        # in the many small scalar integrals
+        # in the many small integrals
         resk = np.add.reduce(vals * w_k, axis=1) * half
         resg = np.add.reduce(vals * w_g, axis=1) * half
         # QUADPACK-style sharpened error estimate
@@ -192,33 +225,61 @@ def _adaptive_gk(
         return resk, scaled
 
     breakpoints = np.asarray(breakpoints, dtype=float)
-    lo, hi = breakpoints[:-1], breakpoints[1:]
-    vals, errs = rate(lo, hi)
+    # the intervals of all members, interval i belonging to member owner[i];
+    # each member's intervals come in the order the scalar algorithm keeps
+    owner = np.repeat(np.arange(size), len(breakpoints) - 1)
+    lo, hi = np.tile(breakpoints[:-1], size), np.tile(breakpoints[1:], size)
+    vals, errs = rate(lo, hi, owner)
+    value, error = np.empty(size), np.empty(size)
+    going = np.ones(size, dtype=bool)  # members not yet converged
     while True:
-        # sums in interval order: np.add.reduce would add pairwise
-        total = np.add.accumulate(vals)[-1]
-        err_total = np.add.accumulate(errs)[-1]
-        tol = max(ABS_TOL, rel_tol * abs(total))
-        if err_total <= tol:
-            return float(total), float(err_total)
-        if len(lo) >= MAX_SUBDIVISIONS:
-            raise BudgetExhaustedError(
-                label,
-                f"subdivision limit {MAX_SUBDIVISIONS} reached (error "
-                f"{err_total:.3e} > tolerance {tol:.3e})",
-            )
-        split = errs >= 0.25 * errs.max()
-        if len(lo) + np.count_nonzero(split) > MAX_SUBDIVISIONS:
-            # split only as many of the worst intervals as the budget allows
-            order = np.argsort(errs)[::-1]
-            split[:] = False
-            split[order[: MAX_SUBDIVISIONS - len(lo)]] = True
+        # sums in interval order, as the scalar's np.add.accumulate adds:
+        # bincount adds in index order, np.add.reduce would add pairwise
+        total = np.bincount(owner, vals, size)
+        err_total = np.bincount(owner, errs, size)
+        tol = np.maximum(ABS_TOL, rel_tol * np.abs(total))
+        done = going & (err_total <= tol)
+        if done.any():
+            value[done], error[done] = total[done], err_total[done]
+            going &= ~done
+            if not going.any():
+                return value, error
+            live = going[owner]
+            lo, hi, owner = lo[live], hi[live], owner[live]
+            vals, errs = vals[live], errs[live]
+        if len(owner) >= MAX_SUBDIVISIONS:
+            spent = np.bincount(owner, minlength=size) >= MAX_SUBDIVISIONS
+            if spent.any():
+                j = spent.argmax()
+                raise BudgetExhaustedError(
+                    name(j),
+                    f"subdivision limit {MAX_SUBDIVISIONS} reached (error "
+                    f"{err_total[j]:.3e} > tolerance {tol[j]:.3e})",
+                )
+        worst = np.zeros(size)
+        np.maximum.at(worst, owner, errs)
+        split = errs >= 0.25 * worst[owner]
+        if len(owner) + np.count_nonzero(split) > MAX_SUBDIVISIONS:
+            count = np.bincount(owner, minlength=size)
+            grown = count + np.bincount(owner[split], minlength=size)
+            for j in np.flatnonzero(grown > MAX_SUBDIVISIONS):
+                # split only as many of the member's worst intervals as its
+                # budget allows
+                mine = np.flatnonzero(owner == j)
+                order = np.argsort(errs[mine])[::-1]
+                split[mine] = False
+                split[mine[order[: MAX_SUBDIVISIONS - count[j]]]] = True
         keep = ~split
         mid = 0.5 * (lo[split] + hi[split])
+        halves = np.concatenate([owner[split], owner[split]])
         new_vals, new_errs = rate(
             np.concatenate([lo[split], mid]),
             np.concatenate([mid, hi[split]]),
+            halves,
         )
+        # kept intervals, then left halves, then right halves: in each
+        # member's own subsequence, the scalar algorithm's order
+        owner = np.concatenate([owner[keep], halves])
         lo = np.concatenate([lo[keep], lo[split], mid])
         hi = np.concatenate([hi[keep], mid, hi[split]])
         vals = np.concatenate([vals[keep], new_vals])
@@ -228,21 +289,27 @@ def _adaptive_gk(
 def integrate_gaussian_weighted(
     f: Callable,
     rel_tol: float = REL_TOL,
-    label: str = "gaussian-weighted integral",
-) -> float:
+    label: str | Callable[[int], str] = "gaussian-weighted integral",
+    params: tuple = (),
+) -> float | np.ndarray:
     """Integrate ``exp(-t^2) f(t)`` over t in [0, inf).
 
     The weight is folded into the integrand and the domain truncated at
     ``T_MAX``, where the truncated mass is below the absolute floor
-    ``ABS_TOL``.  ``f`` must accept and return numpy arrays.
+    ``ABS_TOL``.  ``f`` must accept and return numpy arrays.  With
+    ``params``, a tuple of equal-length 1-d arrays, the call integrates the
+    family ``f(t, params[0][j], ...)`` in one adaptive loop and returns one
+    value per member j: ``f`` receives the flat points with each parameter
+    repeated per point, and a callable ``label`` names member j
+    ``label(j)``.  Each value equals that of the member's own call.
     """
 
-    def g(t):
-        return np.exp(-np.asarray(t) ** 2) * f(t)
+    def g(t, *p):
+        return np.exp(-np.asarray(t) ** 2) * f(t, *p)
 
     breaks = np.linspace(0.0, T_MAX, 5)
-    value, _ = _adaptive_gk(g, breaks, rel_tol, label)
-    return value
+    values, _ = _adaptive_gk(g, breaks, rel_tol, label, params)
+    return values if params else float(values[0])
 
 
 def _tail_points(k_max: float) -> np.ndarray:
@@ -314,10 +381,10 @@ def _integrate_spectral_detail(
     pts = [0.0, 0.5, 1.0]
     while pts[-1] < k_max:
         pts.append(min(pts[-1] * 4.0, k_max))
-    head, err = _adaptive_gk(f, np.array(pts), rel_tol, label)
+    (head,), (err,) = _adaptive_gk(f, np.array(pts), rel_tol, label)
     samples = _eval_batch(f, _tail_points(k_max), label)
     tail = _log_tail(samples, k_max, tail_exponent, head, label)[0]
-    return float(head + tail), err, float(tail)
+    return float(head + tail), float(err), float(tail)
 
 
 def integrate_spectral(

@@ -19,9 +19,11 @@ weight an exact blend,
 which is how the solver evaluates it; :func:`j_m` integrates the
 (1 + gamma k1^2 t^2) weight directly and serves as the reference.
 
-Two evaluation paths are provided.  The scalar functions (`t_n`, `j_n`, ...)
-go through the adaptive engine in :mod:`kramers.quadrature` and take its
-relative tolerance ``rel_tol``.  :class:`MomentBatch` (with `fixed_row`,
+Two evaluation paths are provided.  The adaptive functions (`t_n`, `j_n`,
+...) go through the engine in :mod:`kramers.quadrature` and take its
+relative tolerance ``rel_tol``; `t_n` is scalar and cached, while `j_n` and
+`j_m` take broadcastable arrays and integrate them as one family, each value
+equal to its scalar call's.  :class:`MomentBatch` (with `fixed_row`,
 `t_n_vec` and `phi0_vec`) evaluates on arrays of k via one fixed graded
 Gauss-Legendre rule on [0, T_MAX], built at import, whose panels are
 geometrically refined toward t=0 to resolve the Lorentzian knee at t ~ 1/k
@@ -33,6 +35,7 @@ for speed in the grid/kernel machinery.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -189,8 +192,13 @@ def phi0_vec(k) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_order(n: int) -> None:
-    if not (0 <= n <= _MAX_ORDER):
-        raise ValueError(f"moment order must be in [0, {_MAX_ORDER}], got {n}")
+    # bool is an int, but not a moment order
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not (
+        0 <= n <= _MAX_ORDER
+    ):
+        raise ValueError(
+            f"moment order must be an integer in [0, {_MAX_ORDER}], got {n!r}"
+        )
 
 
 @lru_cache(maxsize=65536)
@@ -213,50 +221,71 @@ def t_n(n: int, k: float, rel_tol: float = REL_TOL) -> float:
     return _t_n_cached(n, float(k), rel_tol)
 
 
-def _check_wavenumbers(k: float, k1: float) -> None:
-    if not (k >= 0 and k1 >= 0):  # also catches NaN
+def _check_wavenumbers(k, k1) -> None:
+    if not (np.all(np.asarray(k) >= 0) and np.all(np.asarray(k1) >= 0)):
         raise ValueError(f"wavenumbers must be >= 0, got k={k}, k1={k1}")
 
 
-def j_n(n: int, k: float, k1: float, rel_tol: float = REL_TOL) -> float:
-    """Double-Lorentzian moment J_n(k, k1); symmetric in (k, k1)."""
+def _check_gamma(gamma) -> None:
+    if not np.all((np.asarray(gamma) >= 0.0) & (np.asarray(gamma) < 1.0)):
+        raise ValueError("gamma must be in [0, 1)")
+
+
+def _family(f, args: tuple, rel_tol: float, name) -> float | np.ndarray:
+    """The Gaussian-weighted integrals of ``f(t, *a)`` for each member ``a``
+    of the broadcast ``args``, integrated as one family: an array of the
+    broadcast shape, or a float when every argument is a scalar.  Member
+    ``a`` fails under the label ``name(*a)``."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    flat = tuple(np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in args)
+    values = integrate_gaussian_weighted(
+        f, rel_tol, label=lambda j: name(*(a[j] for a in flat)), params=flat
+    )
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def j_n(n: int, k, k1, rel_tol: float = REL_TOL) -> float | np.ndarray:
+    """Double-Lorentzian moment J_n(k, k1); symmetric in (k, k1).
+
+    ``k`` and ``k1`` broadcast together: arrays give an array, integrated
+    as one family, and scalars a float.
+    """
     _check_order(n)
     _check_wavenumbers(k, k1)
 
-    def f(t):
-        t = np.asarray(t)
+    def f(t, k, k1):
         return (
             2.0 / SQRT_PI * t**n
             / ((1.0 + k * k * t**2) * (1.0 + k1 * k1 * t**2))
         )
 
-    return integrate_gaussian_weighted(
-        f, rel_tol, label=f"J_{n}(k={k:.6g}, k1={k1:.6g})"
+    return _family(
+        f, (k, k1), rel_tol, lambda k, k1: f"J_{n}(k={k:.6g}, k1={k1:.6g})"
     )
 
 
-def j_m(
-    m: int, k: float, k1: float, gamma: float, rel_tol: float = REL_TOL
-) -> float:
+def j_m(m: int, k, k1, gamma, rel_tol: float = REL_TOL) -> float | np.ndarray:
     """Density-weighted kernel moment J^(m)(k, k1).
 
     Carries the factor (1 + gamma k1^2 t^2) on the second argument, the one
     that is integrated against the spectral density; equals
-    J_m + gamma k1^2 J_{m+2}.
+    J_m + gamma k1^2 J_{m+2}.  ``k``, ``k1`` and ``gamma`` broadcast
+    together: arrays give an array, integrated as one family, and scalars
+    a float.
     """
-    if not (0.0 <= gamma < 1.0):
-        raise ValueError("gamma must be in [0, 1)")
+    _check_order(m)
+    _check_gamma(gamma)
     _check_wavenumbers(k, k1)
 
-    def f(t):
-        t = np.asarray(t)
+    def f(t, k, k1, gamma):
         return (
             2.0 / SQRT_PI * t**m * (1.0 + gamma * k1 * k1 * t**2)
             / ((1.0 + k * k * t**2) * (1.0 + k1 * k1 * t**2))
         )
 
-    return integrate_gaussian_weighted(
-        f, rel_tol, label=f"J^({m})(k={k:.6g}, k1={k1:.6g}, gamma={gamma:.4g})"
+    return _family(
+        f, (k, k1, gamma), rel_tol,
+        lambda k, k1, gamma: f"J^({m})(k={k:.6g}, k1={k1:.6g}, gamma={gamma:.4g})",
     )
 
 
@@ -266,8 +295,7 @@ def dispersion_l(k: float, gamma: float, rel_tol: float = REL_TOL) -> float:
     The pole-free product form is used rather than 1 - T_0 - gamma k^2 T_2;
     the two agree identically (tested) but this one is exact at k=0.
     """
-    if not (0.0 <= gamma < 1.0):
-        raise ValueError("gamma must be in [0, 1)")
+    _check_gamma(gamma)
     return (1.0 - gamma) * k * k * t_n(2, k, rel_tol)
 
 

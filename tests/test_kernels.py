@@ -153,6 +153,21 @@ class TestSKernel:
                         via_jm, abs=1e-10
                     )
 
+    def test_arrays_equal_their_scalar_calls(self):
+        k, k1 = np.array([0.0, 0.5, 7.0]), np.array([1.3, 0.0, 40.0])
+        gamma = np.array([0.0, 0.5])[:, None]
+        values = s_kernel(k, k1, gamma)
+        assert values.shape == (2, 3)
+        expected = [[s_kernel(float(a), float(b), g) for a, b in zip(k, k1)]
+                    for g in (0.0, 0.5)]
+        assert (values == np.array(expected)).all()
+        assert type(s_kernel(0.5, 1.3, 0.2)) is float
+
+    @pytest.mark.parametrize("gamma", [1.5, -0.1, math.nan, [0.2, 1.0]])
+    def test_gamma_domain(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            s_kernel(0.5, 0.7, gamma)
+
 
 class TestApplyKernel:
     def test_zero_function_maps_to_zero(self):

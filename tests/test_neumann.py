@@ -250,10 +250,15 @@ class TestGridPartsCache:
 
     def test_cached_arrays_are_read_only(self):
         for n in range(MAX_ORDER + 1):
-            table, phi, e_n, v, (heads, errors, tails) = _order(K_MAX, n)
+            table, phi, e_n, v, parts = _order(K_MAX, n)
             arrays = (table.k, table.w_k, table.w_err, table.t1, table.t2,
                       table.s, phi.nodes, phi.values, phi.poly.c, e_n.values,
-                      e_n.poly.c, v, heads, errors, tails)
+                      e_n.poly.c)
+            if n == MAX_ORDER:
+                # phi_{n+1} and U_{n+1} are never built, so neither are their inputs
+                assert v is None and parts is None
+            else:
+                arrays += (v, *parts)
             for arr in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 1.0
@@ -296,7 +301,8 @@ class TestGridPartsCache:
         build_series(0.3, 4)
         assert calls.count("_KernelTable") == 1
         assert calls.count("_apply_table") == 4
-        assert calls.count("density") == MAX_ORDER + 1
+        # orders 0..3 sample their density for the next order; order 4 does not
+        assert calls.count("density") == MAX_ORDER
         calls.clear()
         series = build_series(0.37, 4)
         assert calls == []

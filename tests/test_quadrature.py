@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from kramers import quadrature
 from kramers.kernels import s_kernel, standard_grid
 from kramers.neumann import build_series, pole_residual
 from kramers.quadrature import (
@@ -272,3 +273,115 @@ class TestFamilyFailures:
             )
         assert err.value.label == "wide lorentzian"
         assert "wide lorentzian" in str(err.value)
+
+
+class TestFamilyEngine:
+    """One adaptive loop integrates a family of integrands: each member
+    keeps the scalar algorithm (its own intervals, sums, stop test, split
+    rule and budget), so its value is that of its own call, bit for bit."""
+
+    @staticmethod
+    def lorentz(t, k):
+        return t**2 / (1.0 + k * k * t**2)
+
+    def test_mixed_members_equal_their_scalar_calls(self):
+        # k = 0 (a polynomial), large k (a sharp knee at t = 1/k), easy and
+        # hard members, at two tolerances
+        k = np.array([0.0, 5e3, 0.3, 2.0, 80.0, 1e-3, 700.0])
+        for rel_tol in (REL_TOL, 1e-6):
+            family = integrate_gaussian_weighted(self.lorentz, rel_tol, params=(k,))
+            scalar = [
+                integrate_gaussian_weighted(lambda t, k=float(kj): self.lorentz(t, k), rel_tol)
+                for kj in k
+            ]
+            assert (family == np.array(scalar)).all()
+            assert (family[1:] == integrate_gaussian_weighted(
+                self.lorentz, rel_tol, params=(k[1:],))).all()
+
+    def test_values_recorded_one_integral_at_a_time(self):
+        """Values recorded, as exact hex floats, from the engine that
+        integrated one integral per call, each after 10 to 14 sweeps: a
+        family gives the same bits."""
+        assert j_n(1, [1e3, 0.3], [700.0, 2.0])[0].hex() == "0x1.a7a9665be1d3ap-21"
+        assert j_n(0, [0.5, 4e3], 0.0)[1].hex() == "0x1.d081d142edd7bp-12"
+        gamma = np.array([0.0, 0.5])
+        assert j_m(3, 2e3, 50.0, gamma)[1].hex() == "0x1.2fc612f910384p-24"
+
+    def test_hard_members_keep_their_own_budget(self):
+        """Two members that need about 140 intervals each finish, though
+        together they hold more than MAX_SUBDIVISIONS."""
+        w = np.array([100.0, 110.0, 5.0])
+        family = integrate_gaussian_weighted(lambda t, w: np.cos(w * t), params=(w,))
+        scalar = [integrate_gaussian_weighted(lambda t, w=wj: np.cos(w * t)) for wj in w]
+        assert (family == np.array(scalar)).all()
+
+    def test_one_evaluation_per_sweep(self, monkeypatch):
+        calls = []
+        original = quadrature._eval_batch
+
+        def counted(f, x, label):
+            calls.append(x.size)
+            return original(f, x, label)
+
+        monkeypatch.setattr(quadrature, "_eval_batch", counted)
+        k = np.array([0.0, 0.3, 2.0, 80.0, 5e3])
+        integrate_gaussian_weighted(self.lorentz, params=(k,))
+        family, points = len(calls), sum(calls)
+        sweeps = []
+        for kj in k:
+            calls.clear()
+            integrate_gaussian_weighted(lambda t, k=kj: self.lorentz(t, k))
+            sweeps.append(len(calls))
+            points -= sum(calls)
+        # the slowest member sets the sweeps; every member is rated on the
+        # same points as in its own call
+        assert family == max(sweeps) and points == 0
+
+    def test_budget_failure_names_its_member(self):
+        seen = []
+
+        def f(t, w):
+            seen.append(np.count_nonzero(w == 1e5))
+            return np.cos(w * t)
+
+        labels = ("smooth", "spiky", "slow").__getitem__
+        with pytest.raises(BudgetExhaustedError) as err:
+            integrate_gaussian_weighted(
+                f, label=labels, params=(np.array([1.0, 1e5, 3.0]),)
+            )
+        assert err.value.label == "spiky"
+        # the spiky member alone spends its budget, capped split included:
+        # 4 initial intervals, each split adding one and rating two
+        assert sum(seen) == 15 * (2 * MAX_SUBDIVISIONS - 4)
+
+    def test_non_finite_value_names_its_member(self):
+        def f(t, cut):
+            return np.where(t > cut, np.nan, 1.0)
+
+        labels = ("first", "second", "third").__getitem__
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            integrate_gaussian_weighted(
+                f, label=labels, params=(np.array([np.inf, 0.5, np.inf]),)
+            )
+        assert err.value.label == "second"
+
+    def test_params_must_match(self):
+        with pytest.raises(ValueError, match="params"):
+            integrate_gaussian_weighted(
+                self.lorentz, params=(np.ones(3), np.ones(2))
+            )
+
+    def test_warm_identities_sweep_as_families(self, monkeypatch):
+        """The identities group integrates each J_n, J^(m) and S check as
+        families; one integral at a time, it made 588 sweeps."""
+        run_checks(only=("identities",))  # fill the T_n cache
+        calls = []
+        original = quadrature._eval_batch
+
+        def counted(f, x, label):
+            calls.append(x.size)
+            return original(f, x, label)
+
+        monkeypatch.setattr(quadrature, "_eval_batch", counted)
+        assert all(r.passed for r in run_checks(only=("identities",)))
+        assert len(calls) <= 100

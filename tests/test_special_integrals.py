@@ -96,6 +96,23 @@ class TestTn:
         with pytest.raises(ValueError):
             t_n(0, -1.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: t_n(1.5, 0.0),  # was a TypeError from the moment table
+            lambda: t_n_vec(1.5, [0.3]),  # was a KeyError
+            lambda: t_n(1.5, 0.3),  # silently integrated t^1.5
+            lambda: t_n(True, 0.3),
+            lambda: j_n(2.0, 0.3, 0.5),
+            lambda: j_m(-1, 0.5, 0.5, 0.1),  # ran out of subdivisions
+            lambda: j_m(20, 0.5, 0.5, 0.1),  # returned 69287.1
+            lambda: j_m(1.5, 0.5, 0.5, 0.1),
+        ],
+    )
+    def test_order_must_be_an_integer_in_range(self, call):
+        with pytest.raises(ValueError, match="moment order must be an integer"):
+            call()
+
     def test_nan_wavenumber_named(self):
         """NaN passes a `k < 0` test; it is a bad request, not a numerical failure."""
         calls = [
@@ -148,6 +165,40 @@ class TestJm:
         direct = j_m(1, 0.5, 0.5, 0.1)
         split = j_n(1, 0.5, 0.5) + 0.1 * 0.25 * j_n(3, 0.5, 0.5)
         assert direct == pytest.approx(split, abs=1e-10)
+
+
+class TestArrayArguments:
+    """Arrays of wavenumbers (and, for J^(m), gamma) broadcast and are
+    integrated as one family; each value is its scalar call's, bit for bit."""
+
+    def test_j_n_equals_its_scalar_calls(self):
+        k = np.array([[0.0, 1e-3, 0.3], [2.0, 60.0, 5e3]])
+        k1 = np.array([0.7, 0.0, 9.0])
+        for n in (0, 3, 8):
+            values = j_n(n, k, k1)
+            assert values.shape == (2, 3)
+            expected = [[j_n(n, float(a), float(b)) for a, b in zip(row, k1)]
+                        for row in k]
+            assert (values == np.array(expected)).all()
+
+    def test_j_m_equals_its_scalar_calls(self):
+        k, k1 = np.array([0.0, 0.4, 30.0]), np.array([1.3, 0.0, 700.0])
+        gamma = np.array([0.0, 0.5])[:, None]
+        values = j_m(3, k, k1, gamma)
+        assert values.shape == (2, 3)
+        for i, g in enumerate((0.0, 0.5)):
+            for j in range(3):
+                assert values[i, j] == j_m(3, float(k[j]), float(k1[j]), g)
+
+    def test_scalars_give_floats(self):
+        assert type(j_n(1, 0.3, 0.5)) is float
+        assert type(j_m(1, 0.3, 0.5, 0.2)) is float
+
+    def test_bad_member_rejected(self):
+        with pytest.raises(ValueError, match="wavenumbers"):
+            j_n(1, [0.3, -1.0], 0.5)
+        with pytest.raises(ValueError, match="gamma"):
+            j_m(1, 0.3, 0.5, [0.2, 1.0])
 
 
 class TestDispersion:
