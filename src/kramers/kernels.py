@@ -68,9 +68,10 @@ class SpectralFunction:
     on construction, to its piecewise-polynomial form (one set of monomial
     coefficients per knot interval), which evaluates several times faster
     than the B-spline recurrence and agrees with it to rounding.  That form
-    is the read-only attribute ``poly``: breakpoints ``poly.x`` (the nodes,
-    with the end knots repeated as empty intervals) and coefficients
-    ``poly.c[m, i]`` of ``(k - poly.x[i])^(5-m)``.
+    is two read-only arrays: the breakpoints ``x`` (the nodes, with the end
+    knots repeated as empty intervals) and the coefficients ``c[m, i]`` of
+    ``(k - x[i])^(5-m)``, evaluated in the order and to the bits of scipy's
+    ``PPoly``.
     The function is defined on [0, k_max], ``k_max`` being the last node,
     and evaluation past it raises ``ValueError``: each integral over it
     closes its own tail with a fitted model (see :mod:`kramers.quadrature`).
@@ -81,7 +82,8 @@ class SpectralFunction:
     nodes: np.ndarray
     values: np.ndarray
     label: str
-    poly: PPoly = field(init=False, repr=False, compare=False)
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -105,11 +107,9 @@ class SpectralFunction:
         self._freeze(nodes, values, poly.c, poly.x)
 
     def _freeze(self, nodes, values, c, x) -> None:
-        for arr in (nodes, values, c, x):
+        for name, arr in (("nodes", nodes), ("values", values), ("c", c), ("x", x)):
             arr.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "poly", PPoly.construct_fast(c, x))
+            object.__setattr__(self, name, arr)
 
     @property
     def k_max(self) -> float:
@@ -117,14 +117,24 @@ class SpectralFunction:
 
     def __call__(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=float)
-        if not np.all(k >= 0.0):  # also catches NaN
+        if not k.min(initial=0.0) >= 0.0:  # also catches NaN
             raise ValueError("spectral functions are defined for k >= 0")
-        if not np.all(k <= self.nodes[-1]):
+        if not k.max(initial=0.0) <= self.nodes[-1]:
             raise ValueError(
                 f"{self.label} is defined for k <= k_max={self.k_max:g}, "
                 f"got k={k.max():g}"
             )
-        out = self.poly(k)
+        x, c = self.x, self.c
+        # the interval x[i] <= k < x[i+1], closed at k_max, as PPoly finds it
+        i = np.minimum(np.searchsorted(x, k, "right") - 1, len(x) - 2)
+        s = k - x[i]
+        g = c.take(i, axis=1)
+        # PPoly's ascending power sum c[5] + c[4] s + c[3] s^2 + ..., its
+        # powers built as z *= s, so the values are PPoly's to the bit
+        out, z = g[5].copy(), np.ones_like(s)
+        for row in g[4::-1]:
+            z *= s
+            out += row * z
         return out[()] if k.ndim == 0 else out
 
 
@@ -138,13 +148,13 @@ def weighted_sum(
     the terms'.  The terms must share their nodes.
     """
     first = funcs[0]
-    nodes, x = first.nodes, first.poly.x
-    values, coeffs = weights[0] * first.values, weights[0] * first.poly.c
+    nodes, x = first.nodes, first.x
+    values, coeffs = weights[0] * first.values, weights[0] * first.c
     for w, f in zip(weights[1:], funcs[1:]):
         if f.nodes is not nodes and not np.array_equal(f.nodes, nodes):
             raise ValueError(f"{label}: {f.label} and {first.label} differ in grid")
         values += w * f.values
-        coeffs += w * f.poly.c
+        coeffs += w * f.c
     total = object.__new__(SpectralFunction)
     object.__setattr__(total, "label", label)
     total._freeze(nodes, values, coeffs, x)

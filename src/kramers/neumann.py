@@ -25,7 +25,9 @@ k_max, at gamma 0: :func:`_order` (a bounded cache of read-only arrays)
 holds the kernel table, each phi_n, E_n = phi_n / T_2 and the parts of
 c_{n+1} and d_{n+1}.  A series scales the densities exactly and forms U_n
 from the parts.  The pole residuals B_n, which check U_n, integrate
-adaptively up to the series' own k_max.
+adaptively up to the series' own k_max: all orders n >= 1 at all
+wavenumbers of one call as one family, each sweep one MomentBatch on the
+distinct points of every member.
 """
 
 from __future__ import annotations
@@ -86,18 +88,31 @@ def u0() -> float:
     return SQRT_PI / 2.0
 
 
-def _pole_integrand(k: float, gamma: float, phi: SpectralFunction, rel_tol: float):
-    """Batched integrand k1 -> J^(1)(k, k1) phi(k1) / T_2(k1) of B_n.
+def _pole_integrand(series: SeriesExpansion, rel_tol: float):
+    """Family integrand (k1, n, k) -> J^(1)(k, k1) phi_{n-1}(k1) / T_2(k1) of
+    the B_n (n >= 1) of ``series``, one member per (n, k).
 
-    At k = 0 it is the integrand of U_n, which the kernel table integrates.
+    A sweep builds one MomentBatch on the distinct k1 of all its members and
+    takes T_2, each order's phi_{n-1} and each wavenumber's J_1 row once
+    there; every point then gets the scalar product j1 * phi / T_2.  At
+    k = 0 it is the integrand of U_n, which the kernel table integrates.
     """
-    t1k = t_n(1, k, rel_tol)
-    row = fixed_row(1, k)
+    gamma = series.gamma
 
-    def integrand(k1):
-        batch = MomentBatch(k1)
-        j1 = gamma * t1k + (1.0 - gamma) * batch.against(row)
-        return j1 * phi(batch.k) / batch.t(2)
+    def integrand(k1, n, k):
+        keys, inv = np.unique(k1, return_inverse=True)
+        batch = MomentBatch(keys)
+        j1, phi = np.empty_like(k1), np.empty_like(k1)
+        for kv in np.unique(k):
+            at = k == kv
+            j1_kv = gamma * t_n(1, kv, rel_tol) + (1.0 - gamma) * batch.against(
+                fixed_row(1, kv)
+            )
+            j1[at] = j1_kv[inv[at]]
+        for m in np.unique(n):
+            at = n == m
+            phi[at] = series.phi_funcs[m - 1](batch.k)[inv[at]]
+        return j1 * phi / batch.t(2)[inv]
 
     return integrand
 
@@ -212,8 +227,8 @@ def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpans
 
 
 def pole_residual(
-    series: SeriesExpansion, n: int, k: float, rel_tol: float = REL_TOL
-) -> float:
+    series: SeriesExpansion, n, k, rel_tol: float = REL_TOL
+) -> float | np.ndarray:
     """Numerator function B_n(k) whose k^2 vanishing certifies U_n.
 
     B_0(k) = U_0 T_1(k) - T_2(k); for n >= 1,
@@ -222,21 +237,51 @@ def pole_residual(
 
     With the correct U_n this scales as k^2 near zero (it equals
     -E_n(k) L(k)); a constant leftover means the pole survived.  The
-    integral is adaptive to ``rel_tol`` and ends at the series' own k_max,
-    like the profile layer's.
+    integer orders ``n`` and wavenumbers ``k`` broadcast together: arrays
+    give an array and scalars a float.  The n = 0 members are closed form;
+    all others are integrated as one family (see :func:`_pole_integrand`),
+    adaptive to ``rel_tol`` and ending at the series' own k_max, like the
+    profile layer's, each with the value of its own scalar call.
     """
-    if not (0 <= n <= series.order):
-        raise ValueError(f"n={n}: series does not hold this order")
-    if n == 0:
-        return u0() * t_n(1, k, rel_tol) - t_n(2, k, rel_tol)
+    n, k = np.broadcast_arrays(np.asarray(n), np.asarray(k, dtype=float))
+    if n.size and n.dtype.kind not in "iu":
+        # name the first entry that is not a whole number (else the first)
+        values = n.ravel().tolist()
+        bad = next(
+            (v for v in values if not (isinstance(v, float) and v.is_integer())),
+            values[0],
+        )
+        raise ValueError(f"n={bad!r}: pole residual orders must be integers")
+    outside = (n < 0) | (n > series.order)
+    if outside.any():
+        raise ValueError(
+            f"n={n.flat[outside.argmax()]}: series does not hold this order"
+        )
+    bad = ~(np.isfinite(k) & (k >= 0.0))
+    if bad.any():
+        raise ValueError(
+            f"wavenumber must be finite and >= 0, got k={k.flat[bad.argmax()]}"
+        )
+    orders, ks = n.ravel(), k.ravel()
+    family = np.flatnonzero(orders > 0)
     # E_{n-1} enters through its pole-free quotient phi_{n-1}/T_2, the same
     # discretisation that fixed U_n; a resampled density interpolant would
     # leave a spurious k-independent floor under B_n.
-    phi = series.phi_funcs[n - 1]
-    integral = integrate_spectral(
-        _pole_integrand(k, series.gamma, phi, rel_tol), rel_tol, phi.k_max,
-        tail_exponent=2,
-        label=f"B_{n} pole residual at k={k:.3g}",
-    )
-    scale = (1.0 - series.gamma) ** n * np.pi
-    return series.u_coeffs[n] * t_n(1, k, rel_tol) + integral / scale
+    integrals = {}
+    if family.size:  # B_0 alone needs no integral
+        integrals = dict(zip(family.tolist(), integrate_spectral(
+            _pole_integrand(series, rel_tol), rel_tol, series.phi_funcs[0].k_max,
+            tail_exponent=2,
+            label=lambda j: (
+                f"B_{orders[family[j]]} pole residual at k={ks[family[j]]:.3g}"
+            ),
+            params=(orders[family], ks[family]),
+        )))
+    out = np.empty(orders.size)
+    for j, (m, kv) in enumerate(zip(orders.tolist(), ks.tolist())):
+        if m == 0:
+            out[j] = u0() * t_n(1, kv, rel_tol) - t_n(2, kv, rel_tol)
+        else:
+            scale = (1.0 - series.gamma) ** m * np.pi
+            out[j] = series.u_coeffs[m] * t_n(1, kv, rel_tol) + integrals[j] / scale
+    return float(out[0]) if n.ndim == 0 else out.reshape(n.shape)

@@ -13,9 +13,10 @@ be numpy-vectorised and pay one call per refinement sweep.  It integrates a
 family of integrands, one member per set of parameter values, in one loop:
 each member keeps its own intervals, sums, stop test and subdivision
 budget, so its value is the one its own call gives, bit for bit, and a
-single integral is a family of one.  The same G7/K15 pair, as a fixed rule
-on given intervals (:func:`_gk_rule`), is the kernel table of
-:mod:`kramers.kernels`.
+single integral is a family of one.  Both integrators take such a family;
+a spectral member also keeps its own tail samples and tail guard.  The
+same G7/K15 pair, as a fixed rule on given intervals (:func:`_gk_rule`),
+is the kernel table of :mod:`kramers.kernels`.
 
 Every tail past ``k_max`` is the model (alpha + beta ln k)/k^p through
 the integrand's values at the two points of :func:`_tail_points`
@@ -224,6 +225,8 @@ def _adaptive_gk(
         )
         return resk, scaled
 
+    if size == 0:  # the loop below would wait forever for a member
+        return np.empty(0), np.empty(0)
     breakpoints = np.asarray(breakpoints, dtype=float)
     # the intervals of all members, interval i belonging to member owner[i];
     # each member's intervals come in the order the scalar algorithm keeps
@@ -291,12 +294,15 @@ def integrate_gaussian_weighted(
     rel_tol: float = REL_TOL,
     label: str | Callable[[int], str] = "gaussian-weighted integral",
     params: tuple = (),
+    knees: tuple = (),
 ) -> float | np.ndarray:
     """Integrate ``exp(-t^2) f(t)`` over t in [0, inf).
 
     The weight is folded into the integrand and the domain truncated at
     ``T_MAX``, where the truncated mass is below the absolute floor
-    ``ABS_TOL``.  ``f`` must accept and return numpy arrays.  With
+    ``ABS_TOL``.  ``f`` must accept and return numpy arrays.  Each of the
+    ``knees`` inside (0, T_MAX), points where ``f`` bends sharply, is
+    added to the four equal initial intervals as a breakpoint.  With
     ``params``, a tuple of equal-length 1-d arrays, the call integrates the
     family ``f(t, params[0][j], ...)`` in one adaptive loop and returns one
     value per member j: ``f`` receives the flat points with each parameter
@@ -307,7 +313,9 @@ def integrate_gaussian_weighted(
     def g(t, *p):
         return np.exp(-np.asarray(t) ** 2) * f(t, *p)
 
-    breaks = np.linspace(0.0, T_MAX, 5)
+    breaks = np.union1d(
+        np.linspace(0.0, T_MAX, 5), [t for t in knees if 0.0 < t < T_MAX]
+    )
     values, _ = _adaptive_gk(g, breaks, rel_tol, label, params)
     return values if params else float(values[0])
 
@@ -371,9 +379,15 @@ def _log_tail(
 
 
 def _integrate_spectral_detail(
-    f: Callable, rel_tol: float, k_max: float, tail_exponent: int, label: str
-) -> tuple[float, float, float]:
-    """integrate_spectral returning (value, error estimate, tail part)."""
+    f: Callable,
+    rel_tol: float,
+    k_max: float,
+    tail_exponent: int,
+    label: str | Callable[[int], str],
+    params: tuple = (),
+) -> tuple:
+    """integrate_spectral returning (value, error estimate, tail part):
+    floats, or one array entry per member of a family."""
     check_k_max(k_max)
     if tail_exponent < 2:
         raise ValueError("tail_exponent must be >= 2")
@@ -381,10 +395,18 @@ def _integrate_spectral_detail(
     pts = [0.0, 0.5, 1.0]
     while pts[-1] < k_max:
         pts.append(min(pts[-1] * 4.0, k_max))
-    (head,), (err,) = _adaptive_gk(f, np.array(pts), rel_tol, label)
-    samples = _eval_batch(f, _tail_points(k_max), label)
-    tail = _log_tail(samples, k_max, tail_exponent, head, label)[0]
-    return float(head + tail), float(err), float(tail)
+    head, err = _adaptive_gk(f, np.array(pts), rel_tol, label, params)
+    # every member at both tail points, member j's pair in row j
+    size = len(head)
+    values = [np.repeat(p, 2) for p in params]
+    samples = _eval_batch(
+        lambda x: f(x, *values), np.tile(_tail_points(k_max), size),
+        label if isinstance(label, str) else lambda i: label(i // 2),
+    ).reshape(size, 2)
+    tail = _log_tail(samples.T, k_max, tail_exponent, head, label)
+    if params:
+        return head + tail, err, tail
+    return float(head[0] + tail[0]), float(err[0]), float(tail[0])
 
 
 def integrate_spectral(
@@ -392,8 +414,9 @@ def integrate_spectral(
     rel_tol: float = REL_TOL,
     k_max: float = K_MAX,
     tail_exponent: int = 2,
-    label: str = "spectral integral",
-) -> float:
+    label: str | Callable[[int], str] = "spectral integral",
+    params: tuple = (),
+) -> float | np.ndarray:
     """Integrate ``f(k)`` over k in [0, inf) for algebraically decaying f.
 
     The domain is truncated at ``k_max`` and the remainder estimated by
@@ -401,7 +424,15 @@ def integrate_spectral(
     ``0.7 k_max`` and ``k_max`` and integrating that model exactly.  The
     log-augmented model is required here: with a pure power fit, integrands
     of this problem (which all carry ``ln k / k^2`` tails) would be biased at
-    the 1e-3 level however large ``k_max`` is chosen.
+    the 1e-3 level however large ``k_max`` is chosen.  With ``params``, a
+    tuple of equal-length 1-d arrays, the call integrates the family
+    ``f(k, params[0][j], ...)`` and returns one value per member j, as
+    :func:`integrate_gaussian_weighted` does: each member has its own
+    adaptive run, tail samples and tail guard, a callable ``label`` names
+    member j ``label(j)``, and each value equals that of the member's own
+    call.
     """
-    value, _, _ = _integrate_spectral_detail(f, rel_tol, k_max, tail_exponent, label)
+    value, _, _ = _integrate_spectral_detail(
+        f, rel_tol, k_max, tail_exponent, label, params
+    )
     return value

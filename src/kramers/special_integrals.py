@@ -21,9 +21,10 @@ which is how the solver evaluates it; :func:`j_m` integrates the
 
 Two evaluation paths are provided.  The adaptive functions (`t_n`, `j_n`,
 ...) go through the engine in :mod:`kramers.quadrature` and take its
-relative tolerance ``rel_tol``; `t_n` is scalar and cached, while `j_n` and
-`j_m` take broadcastable arrays and integrate them as one family, each value
-equal to its scalar call's.  :class:`MomentBatch` (with `fixed_row`,
+relative tolerance ``rel_tol``; `t_n` is scalar and cached, and breaks its
+range at the Lorentzian knee t = 1/k when that lies below T_MAX, while
+`j_n` and `j_m` take broadcastable arrays and integrate them as one family,
+each value equal to its scalar call's.  :class:`MomentBatch` (with `fixed_row`,
 `t_n_vec` and `phi0_vec`) evaluates on arrays of k via one fixed graded
 Gauss-Legendre rule on [0, T_MAX], built at import, whose panels are
 geometrically refined toward t=0 to resolve the Lorentzian knee at t ~ 1/k
@@ -158,7 +159,10 @@ class MomentBatch:
 
     def __init__(self, k):
         self.k = np.atleast_1d(np.asarray(k, dtype=float))
-        self._weights = 1.0 / (1.0 + np.multiply.outer(self.k**2, _RULE.t_sq))
+        # 1/(1 + k^2 t^2) in place, in the bits of the plain expression
+        w = np.multiply.outer(self.k * self.k, _RULE.t_sq)
+        w += 1.0
+        self._weights = np.divide(1.0, w, out=w)
         self._zero = self.k == 0.0
 
     def t(self, n: int) -> np.ndarray:
@@ -203,10 +207,13 @@ def _check_order(n: int) -> None:
 
 @lru_cache(maxsize=65536)
 def _t_n_cached(n: int, k: float, rel_tol: float) -> float:
+    # the Lorentzian's knee t = 1/k is a breakpoint: without it the error
+    # estimate can miss the knee and stop early (T_4(85.625) was 2e-8 off)
     return integrate_gaussian_weighted(
         lambda t: 2.0 / SQRT_PI * np.asarray(t) ** n / (1.0 + k * k * np.asarray(t) ** 2),
         rel_tol,
         label=f"T_{n}(k={k:.6g})",
+        knees=(1.0 / k,),
     )
 
 

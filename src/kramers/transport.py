@@ -257,7 +257,7 @@ def _head_pieces(
 
     The function returned maps an array of coordinates to the heads
     [kind, coordinate, knot interval].  On each knot interval the piece of
-    ``density.poly`` is evaluated at 14 Chebyshev points straight from its
+    the density is evaluated at 14 Chebyshev points straight from its
     local coefficients and multiplied there by the kind's factor: 1, the
     damping, or k times the damping.  The interpolant of these values gives
     the Chebyshev coefficients e_n of the integrand P(k), to degree 13; when
@@ -279,12 +279,11 @@ def _head_pieces(
     2005).
     """
     forms = [_KINDS[kind] for kind in kinds]
-    poly = density.poly
-    lo, hi = poly.x[:-1], poly.x[1:]
+    lo, hi = density.x[:-1], density.x[1:]
     r = 0.5 * (hi - lo)
     mid = lo + r
-    # poly.c holds the coefficients of (k - lo)^(5-m); k - lo = r (1 + t)
-    values = _LOCAL_VALUES @ (poly.c[::-1] * r ** np.arange(_DEGREE + 1)[:, None])
+    # density.c holds the coefficients of (k - lo)^(5-m); k - lo = r (1 + t)
+    values = _LOCAL_VALUES @ (density.c[::-1] * r ** np.arange(_DEGREE + 1)[:, None])
     k = mid + r * _PRODUCT_T[:, None]
     damp = 1.0 / (1.0 + (k * mu) ** 2)
     products = np.stack([

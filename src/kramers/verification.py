@@ -8,7 +8,9 @@ threshold; the CLI renders the results as a pass/fail table.  Groups:
   ``J^(m)`` and ``S`` check runs its integrals as families (one adaptive
   loop per call), with the same values as one call per integral.
 * ``constants``   — series coefficients against their reference values.
-* ``pole``        — pole-elimination scaling of the order-n numerators.
+* ``pole``        — pole-elimination scaling of the order-n numerators;
+  one ``pole_residual`` call per series, whose n >= 1 members are one
+  adaptive family.
 * ``oracle``      — series path against the independent quadrature path.
 """
 
@@ -105,10 +107,9 @@ def _pole_checks(rel_tol: float, k_max: float) -> list[CheckResult]:
     ks = np.array([1e-3, 2e-3, 4e-3])
     for gamma in (0.0, 0.25):
         series = neumann.build_series(gamma, 2, k_max)
-        for n in (0, 1, 2):
-            b_vals = np.array(
-                [abs(neumann.pole_residual(series, n, k, rel_tol)) for k in ks]
-            )
+        # one family: row n holds B_n at the three wavenumbers
+        b_rows = np.abs(neumann.pole_residual(series, [[0], [1], [2]], ks, rel_tol))
+        for n, b_vals in enumerate(b_rows):
             slope = np.polyfit(np.log(ks), np.log(b_vals), 1)[0]
             out.append(
                 CheckResult(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import PPoly, make_interp_spline
 
 from kramers.kernels import (
     SpectralFunction,
@@ -67,11 +67,26 @@ class TestSpectralFunction:
     def test_read_only_polynomial(self):
         f = phi_seed()
         with pytest.raises(AttributeError):
-            f.poly = None
+            f.c = None
         with pytest.raises(ValueError):
-            f.poly.c[0, 0] = 1.0
+            f.c[0, 0] = 1.0
         with pytest.raises(ValueError):
-            f.poly.x[1] = 0.5
+            f.x[1] = 0.5
+
+    def test_evaluation_is_ppoly_to_the_bit(self):
+        """x and c come from PPoly.from_spline; evaluating them gives
+        PPoly's values bit for bit, at random points, every node, 0 and
+        k_max, as arrays and as scalars."""
+        f = phi_seed()
+        ppoly = PPoly.construct_fast(f.c, f.x)
+        rng = np.random.default_rng(5)
+        k = np.concatenate([rng.uniform(0.0, f.k_max, 20000), f.nodes,
+                            [0.0, f.k_max], rng.uniform(0.0, 2.0, 2000)])
+        assert np.array_equal(f(k), ppoly(k))
+        assert np.array_equal(f(k.reshape(-1, 2)), ppoly(k).reshape(-1, 2))
+        for point in (0.0, 1.25, f.k_max):
+            assert f(point) == ppoly(point)
+            assert np.ndim(f(point)) == 0
 
     def test_weighted_sum_needs_one_grid(self):
         f = phi_seed()

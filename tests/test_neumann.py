@@ -20,7 +20,8 @@ from kramers.quadrature import (
     K_MAX, REL_TOL, TailEstimateDominatesError, _log_tail, _tail_points,
     integrate_spectral,
 )
-from kramers.special_integrals import phi0, t_n
+from kramers.special_integrals import MomentBatch, phi0, t_n
+from kramers.verification import run_checks
 
 SQPI = math.sqrt(math.pi)
 
@@ -139,8 +140,8 @@ class TestBuildSeries:
             assert diag["order"] == n
             assert math.isfinite(diag["u_error"])
             assert 0.0 <= diag["u_error"] <= REL_TOL * abs(u_n)
-            pole = _pole_integrand(0.0, gamma, series.phi_funcs[n - 1], REL_TOL)
-            samples = pole(_tail_points(K_MAX))
+            pole = _pole_integrand(series, REL_TOL)
+            samples = pole(_tail_points(K_MAX), np.full(2, n), np.zeros(2))
             tail = _log_tail(samples, K_MAX, 2, 1.0, "tail")[0]
             scale = SQPI * (1.0 - gamma) ** n
             assert diag["u_tail"] == pytest.approx(tail / scale, rel=1e-14)
@@ -252,8 +253,8 @@ class TestGridPartsCache:
         for n in range(MAX_ORDER + 1):
             table, phi, e_n, v, parts = _order(K_MAX, n)
             arrays = (table.k, table.w_k, table.w_err, table.t1, table.t2,
-                      table.s, phi.nodes, phi.values, phi.poly.c, e_n.values,
-                      e_n.poly.c)
+                      table.s, phi.nodes, phi.values, phi.c, e_n.values,
+                      e_n.c)
             if n == MAX_ORDER:
                 # phi_{n+1} and U_{n+1} are never built, so neither are their inputs
                 assert v is None and parts is None
@@ -416,12 +417,62 @@ class TestPoleResidual:
         it is the integral written out to 400, bit for bit."""
         gamma, k = 0.25, 0.3
         series = build_series(gamma, 2, 400.0)
+        pole = _pole_integrand(series, REL_TOL)
         for n in (1, 2):
-            pole = _pole_integrand(k, gamma, series.phi_funcs[n - 1], REL_TOL)
-            integral = integrate_spectral(pole, REL_TOL, 400.0)
+            (integral,) = integrate_spectral(
+                pole, REL_TOL, 400.0, params=(np.array([n]), np.array([k]))
+            )
             expected = (series.u_coeffs[n] * t_n(1, k)
                         + integral / ((1.0 - gamma) ** n * np.pi))
             assert pole_residual(series, n, k) == expected
+
+    @pytest.mark.parametrize("gamma, k_max", [(0.0, K_MAX), (0.25, K_MAX), (0.25, 400.0)])
+    def test_family_equals_its_scalar_calls(self, gamma, k_max):
+        """One call for orders 0..2 at three wavenumbers integrates the
+        n >= 1 members as one family, on shared points; each value is
+        its scalar call's, bit for bit."""
+        series = build_series(gamma, 2, k_max)
+        ks = np.array([1e-3, 2e-3, 4e-3])
+        family = pole_residual(series, [[0], [1], [2]], ks)
+        assert family.shape == (3, 3)
+        for n in range(3):
+            for j, k in enumerate(ks):
+                scalar = pole_residual(series, n, float(k))
+                assert type(scalar) is float
+                assert family[n, j] == scalar
+
+    def test_bad_entries_named(self, series_cache):
+        series = series_cache(0.0, 2)
+        with pytest.raises(ValueError, match="k=nan"):
+            pole_residual(series, [[0], [1]], [1e-3, math.nan])
+        with pytest.raises(ValueError, match="n=3: series does not hold"):
+            pole_residual(series, [1, 3, 2], 1e-3)
+        with pytest.raises(ValueError, match=r"n=1\.5: pole residual orders must be integers"):
+            pole_residual(series, [1, 1.5], 1e-3)
+        with pytest.raises(ValueError, match="n=True: pole residual orders"):
+            pole_residual(series, True, 1e-3)
+
+    def test_warm_pole_group_is_one_family_per_series(self, monkeypatch):
+        """A warm pole group makes one pole_residual integral per series and
+        one MomentBatch per sweep: one integral per (n, k) made 12 calls
+        and 7,674 batch rows."""
+        run_checks(only=("pole",))  # fill the T_n cache and the series
+        calls, rows = [], []
+        original, init = neumann.integrate_spectral, MomentBatch.__init__
+
+        def counted_call(*args, **kwargs):
+            calls.append(kwargs["label"])
+            return original(*args, **kwargs)
+
+        def counted_batch(batch, k):
+            init(batch, k)
+            rows.append(len(batch.k))
+
+        monkeypatch.setattr(neumann, "integrate_spectral", counted_call)
+        monkeypatch.setattr(MomentBatch, "__init__", counted_batch)
+        assert all(r.passed for r in run_checks(only=("pole",)))
+        assert len(calls) <= 2
+        assert sum(rows) <= 3000
 
     def test_nan_wavenumber_named(self, series_cache):
         for n in (0, 1):

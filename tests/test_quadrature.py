@@ -275,6 +275,38 @@ class TestFamilyFailures:
         assert "wide lorentzian" in str(err.value)
 
 
+class TestSpectralFamily:
+    """integrate_spectral integrates a family in one adaptive loop: each
+    member keeps its own adaptive run, tail samples and tail guard."""
+
+    @staticmethod
+    def lorentz(k, a):
+        return 1.0 / (1.0 + (a * k) ** 2)
+
+    def test_members_equal_their_own_calls(self):
+        a = np.array([1.0, 0.3, 5.0, 40.0])
+        family = quadrature._integrate_spectral_detail(
+            self.lorentz, REL_TOL, K_MAX, 2, "lorentz", params=(a,)
+        )
+        for j, aj in enumerate(a):
+            alone = quadrature._integrate_spectral_detail(
+                lambda k, a=float(aj): self.lorentz(k, a), REL_TOL, K_MAX, 2,
+                "lorentz",
+            )
+            assert tuple(part[j] for part in family) == alone
+        assert (integrate_spectral(self.lorentz, params=(a,)) == family[0]).all()
+
+    def test_tail_guard_names_its_member(self):
+        labels = ("narrow", "wide", "narrower").__getitem__
+        with pytest.raises(TailEstimateDominatesError) as err:
+            integrate_spectral(
+                self.lorentz, k_max=5.0, label=labels,
+                params=(np.array([50.0, 1.0, 80.0]),),
+            )
+        assert err.value.label == "wide"
+        assert "wide" in str(err.value)
+
+
 class TestFamilyEngine:
     """One adaptive loop integrates a family of integrands: each member
     keeps the scalar algorithm (its own intervals, sums, stop test, split
@@ -364,6 +396,13 @@ class TestFamilyEngine:
                 f, label=labels, params=(np.array([np.inf, 0.5, np.inf]),)
             )
         assert err.value.label == "second"
+
+    def test_empty_family_gives_empty_values(self):
+        """A family without members used to loop forever."""
+        empty = (np.empty(0),)
+        assert integrate_gaussian_weighted(self.lorentz, params=empty).shape == (0,)
+        assert integrate_spectral(lambda k, a: a * k, params=empty).shape == (0,)
+        assert j_n(1, [], []).shape == (0,)
 
     def test_params_must_match(self):
         with pytest.raises(ValueError, match="params"):

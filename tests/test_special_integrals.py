@@ -132,6 +132,18 @@ class TestTn:
             MOMENTS[n], abs=1e-10
         )
 
+    @pytest.mark.parametrize("n, k", [(2, 85.625), (2, 42.8), (4, 10.9)])
+    def test_recurrence_where_the_knee_was_missed(self, n, k):
+        """Before t = 1/k became a breakpoint, the recurrence was off by
+        -1.05e-8, -8.4e-8 and 1.2e-10 here: the adaptive run stopped with
+        the knee inside one wide interval."""
+        assert abs(t_n(n, k) + k * k * t_n(n + 2, k) - MOMENTS[n]) <= 1e-12
+
+    def test_t4_at_large_k_against_mpmath(self):
+        """T_4(85.625) by mpmath at 40 digits, with breakpoints at 1/k; it
+        was 2.1e-8 relative off before the knee became a breakpoint."""
+        assert t_n(4, 85.625) == pytest.approx(6.817933625325422e-05, rel=1e-13)
+
 
 class TestJn:
     def test_collapse_to_t(self):
@@ -288,6 +300,15 @@ class TestVectorisedAgainstScalar:
             [phi0(k) for k in K_GRID],
             atol=5e-12,
         )
+
+    def test_moment_batch_weights_are_the_plain_expression(self):
+        """The weights are built in place, in the bits of the expression
+        1/(1 + k^2 t^2) written out."""
+        from kramers.special_integrals import _RULE
+
+        k = np.concatenate([[0.0], np.geomspace(1e-6, 16384.0, 300), K_GRID])
+        expected = 1.0 / (1.0 + np.multiply.outer(k**2, _RULE.t_sq))
+        assert np.array_equal(MomentBatch(k)._weights, expected)
 
     def test_moment_batch_consistency(self):
         batch = MomentBatch(K_GRID)

@@ -233,7 +233,7 @@ class TestClosedFormHead:
             return float(density(k))
 
         for mu in (0.25, 2.0, -1.0, 10.0, -10.0):
-            lo, hi = density.poly.x[:-1], density.poly.x[1:]
+            lo, hi = density.x[:-1], density.x[1:]
             heads = _head_pieces(density, self.KINDS, mu=mu)(np.array([x]))[:, 0]
             assert lo[0] == 0.0 and hi[-1] == K_MAX
 
@@ -265,7 +265,7 @@ class TestWallTransform:
 
         gamma, order, q = case
         density = _combined_density(series_cache(gamma, order), q)
-        knots, k_max = density.poly.x, density.k_max
+        knots, k_max = density.x, density.k_max
 
         def damp(k):
             return 1.0 / (1.0 + (k * mu) ** 2)
