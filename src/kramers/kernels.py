@@ -17,7 +17,7 @@ so the dual-route check still tests the identity.
 
 Applying the operator means sampling
 
-    psi(k) = ((1 - gamma)/pi) int_0^inf S_1(k, k1) phi(k1) / T_2(k1) dk1
+    psi(k) = (1/pi) int_0^inf S_1(k, k1) phi(k1) / T_2(k1) dk1
 
 on a fixed composite grid and interpolating between nodes.  A fixed
 G7/K15 pair on every knot interval of phi (one quintic each) integrates
@@ -252,7 +252,7 @@ class _KernelTable:
 
 
 def _apply_table(
-    table: _KernelTable, phi: SpectralFunction, v: np.ndarray, gamma: float
+    table: _KernelTable, phi: SpectralFunction, v: np.ndarray
 ) -> SpectralFunction:
     """apply_kernel on the table of the grid of phi; v = table.density(phi)."""
     label = _next_label(phi.label)
@@ -261,26 +261,24 @@ def _apply_table(
         v[-2:, None] * table.s[-2:], table.k_max, 2, head,
         lambda j: f"{label} grid node k={table.nodes[j]:.3g}",
     )
-    values = (1.0 - gamma) * (head + tail) / np.pi
+    values = (head + tail) / np.pi
     return SpectralFunction(nodes=table.nodes, values=values, label=label)
 
 
-def apply_kernel(phi: SpectralFunction, gamma: float) -> SpectralFunction:
-    """Advance a spectral iterate: psi(k) = (1/pi) int S(k,k1) phi(k1)/T_2(k1) dk1.
+def apply_kernel(phi: SpectralFunction) -> SpectralFunction:
+    """Advance a spectral iterate: psi(k) = (1/pi) int S_1(k,k1) phi(k1)/T_2(k1) dk1.
 
-    Each node integrates S_1 and scales by the exact factor (1 - gamma).
-    The head up to the density's last node is a fixed G7/K15 rule on the
-    knot intervals of ``phi`` (one quintic each), converged to rounding:
-    its accuracy is fixed, so no tolerance enters, and the truncation point
-    is the density's own k_max.  The tail is the fitted log model of
-    :mod:`kramers.quadrature`, with its 10% guard (errors name the
-    ``phi_n grid node k=...``).  The positive sign is used throughout: it
-    is the convention under which the second-order slip coefficient
-    assembled from the iterates matches the independent double-integral
-    route (see the oracle module).  Output is sampled on the grid of
-    ``phi``.
+    Only S_1 is applied: the image under the kernel at gamma, (1 - gamma)
+    S_1, is (1 - gamma) psi.  The head up to the density's last node is a
+    fixed G7/K15 rule on the knot intervals of ``phi`` (one quintic each),
+    converged to rounding: its accuracy is fixed, so no tolerance enters,
+    and the truncation point is the density's own k_max.  The tail is the
+    fitted log model of :mod:`kramers.quadrature`, with its 10% guard
+    (errors name the ``phi_n grid node k=...``).  The positive sign is used
+    throughout: it is the convention under which the second-order slip
+    coefficient assembled from the iterates matches the independent
+    double-integral route (see the oracle module).  Output is sampled on
+    the grid of ``phi``.
     """
-    if not (0.0 <= gamma < 1.0):
-        raise ValueError("gamma must be in [0, 1)")
     table = _KernelTable(phi.nodes)
-    return _apply_table(table, phi, table.density(phi), gamma)
+    return _apply_table(table, phi, table.density(phi))

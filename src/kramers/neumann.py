@@ -1,12 +1,9 @@
 """Neumann-series construction: coefficients U_n, densities E_n, assembly.
 
 Each order couples one new slip coefficient to one new spectral density:
-U_n is fixed by removing the second-order pole of E_n at k=0, after which
-
-    E_n(k) = phi_n(k) / ((1 - gamma)^{n+1} T_2(k))
-
-is finite everywhere.  The iterates phi_n come from repeated application of
-the kernel operator to the seed phi_0.
+U_n is fixed by removing the second-order pole of the order-n density at
+k=0, after which it is finite everywhere.  The iterates come from repeated
+application of the kernel operator to the seed phi_0.
 
 Both U_n and the pole residual B_n integrate one weight, J^(1)(k, k1) =
 J_1 + gamma k1^2 J_3.  The moment identity k1^2 J_3(k, k1) = T_1(k) -
@@ -14,20 +11,21 @@ J_1(k, k1) (see :mod:`kramers.special_integrals`) makes it
 
     J^(1)(k, k1) = gamma T_1(k) + (1 - gamma) J_1(k, k1),
 
-with J_1(0, k1) = T_1(k1) and T_1(0) = 1/sqrt(pi) for U_n.  Because the
-kernel is exactly (1 - gamma) S_1 (see :mod:`kramers.kernels`), phi_n is
-(1 - gamma)^n times its gamma=0 value, and with the gamma-free integrals
-c_n = int phi_{n-1}/T_2 dk and d_n = int T_1 phi_{n-1}/T_2 dk of the gamma=0
-iterate, U_n = -(gamma c_n/sqrt(pi) + (1 - gamma) d_n)/(sqrt(pi)(1 - gamma)).
+with J_1(0, k1) = T_1(k1) and T_1(0) = 1/sqrt(pi) for U_n.  The kernel is
+exactly (1 - gamma) S_1 (see :mod:`kramers.kernels`), so phi_n and
+E_n = phi_n / T_2 are free of gamma: at gamma the iterate is
+(1 - gamma)^n phi_n and the density E_n/(1 - gamma).  With the gamma-free
+c_n = int phi_{n-1}/T_2 dk and d_n = int T_1 phi_{n-1}/T_2 dk,
+U_n = -(gamma c_n/sqrt(pi) + (1 - gamma) d_n)/(sqrt(pi)(1 - gamma)).
 
 :func:`build_series` is the one way in.  The iteration runs once per
-k_max, at gamma 0: :func:`_order` (a bounded cache of read-only arrays)
-holds the kernel table, each phi_n, E_n = phi_n / T_2 and the parts of
-c_{n+1} and d_{n+1}.  A series scales the densities exactly and forms U_n
-from the parts.  The pole residuals B_n, which check U_n, integrate
-adaptively up to the series' own k_max: all orders n >= 1 at all
-wavenumbers of one call as one family, each sweep one MomentBatch on the
-distinct points of every member.
+k_max: :func:`_order` (a bounded cache of read-only arrays) holds the
+kernel table, each phi_n, E_n and the parts of c_{n+1} and d_{n+1}.  Every
+series holds those phi_n and E_n and forms U_n from the parts; its
+consumers apply the one gamma scalar where it cancels.  The pole residuals
+B_n, which check U_n, integrate adaptively up to the series' own k_max: all
+orders n >= 1 at all wavenumbers of one call as one family, each sweep one
+MomentBatch on the distinct points of every member.
 """
 
 from __future__ import annotations
@@ -38,9 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import (
-    SpectralFunction, _KernelTable, _apply_table, standard_grid, weighted_sum,
-)
+from .kernels import SpectralFunction, _KernelTable, _apply_table, standard_grid
 from .quadrature import K_MAX, REL_TOL, _log_integral, _tail_guard, integrate_spectral
 # perfbench/tracing.py rebinds these here, though nothing here calls them
 from .kernels import apply_kernel  # noqa: F401
@@ -60,10 +56,12 @@ MAX_ORDER = 4
 class SeriesExpansion:
     """Ordered expansion coefficients with their spectral companions.
 
-    ``u_coeffs[n]`` multiplies q^n in the slip series; ``phi_funcs[n]`` and
-    ``e_funcs[n]`` are the matching iterate and pole-free density.
-    ``diagnostics[n]`` records the quadrature error estimates accumulated
-    while building order n.
+    ``u_coeffs[n]`` multiplies q^n in the slip series.  ``phi_funcs[n]``
+    and ``e_funcs[n]`` are the gamma-free phi_n and E_n = phi_n / T_2,
+    cached and read-only, the same objects at every gamma: at the series'
+    gamma the iterate is (1-gamma)^n ``phi_funcs[n]`` and the pole-free
+    density ``e_funcs[n]``/(1-gamma).  ``diagnostics[n]`` records the
+    quadrature error estimates accumulated while building order n.
     """
 
     gamma: float
@@ -120,8 +118,8 @@ def _pole_integrand(series: SeriesExpansion, rel_tol: float):
 @lru_cache(maxsize=4 * (MAX_ORDER + 1))
 def _order(k_max: float, n: int) -> tuple:
     """Kernel table, phi_n, E_n, v = phi_n/T_2 at the table points and the
-    parts of c_{n+1}, d_{n+1} (:func:`_u_detail`), all at gamma 0; v and
-    the parts are None at ``MAX_ORDER``, where nothing reads them.
+    parts of c_{n+1}, d_{n+1} (:func:`_u_detail`), all free of gamma; v
+    and the parts are None at ``MAX_ORDER``, where nothing reads them.
 
     Order 0 builds the standard grid, its table and phi_0; order n applies
     the shared table to order n - 1.  The parts integrate the rows (v, T_1 v)
@@ -137,7 +135,7 @@ def _order(k_max: float, n: int) -> tuple:
         phi = SpectralFunction(nodes=grid, values=phi0_vec(grid), label="phi_0")
     else:
         table, prev, _, v, _ = _order(k_max, n - 1)
-        phi = _apply_table(table, prev, v, 0.0)
+        phi = _apply_table(table, prev, v)
     # never the raw numerator / L(k), whose k=0 limit is 0/0: T_2(0) = 1/2
     t2 = t_n_vec(2, table.nodes)
     e_n = SpectralFunction(nodes=table.nodes, values=phi.values / t2, label=f"E_{n}")
@@ -159,16 +157,15 @@ def _u_detail(
 ) -> tuple[float, float, float]:
     """U_n, error estimate and fitted-tail part from the parts of c_n and d_n.
 
-    Killing the constant term of the order-n density requires
+    Killing the constant term of the order-n density requires, with the
+    gamma-free phi_{n-1},
 
-        U_n = -(1-gamma)^{-n} (1/sqrt(pi))
-              int J^(1)(0, k) phi_{n-1}(k) / T_2(k) dk,
+        U_n = -(1/(sqrt(pi) (1-gamma))) int J^(1)(0, k) phi_{n-1}(k) / T_2(k) dk,
 
     taken in this closed form rather than by probing the k->0 limit, which
-    would amplify quadrature noise by 1/k^2.  As phi_{n-1}(gamma) is
-    (1-gamma)^{n-1} phi_{n-1}(0), the scale is sqrt(pi) (1-gamma), and the
-    head, the per-interval |K15 - G7| error and the guarded tail are the
-    gamma/sqrt(pi) and (1-gamma) weighted sums of the parts.
+    would amplify quadrature noise by 1/k^2.  The head, the per-interval
+    |K15 - G7| error and the guarded tail are the gamma/sqrt(pi) and
+    (1-gamma) weighted sums of the parts.
     """
     (c_head, d_head), (c_err, d_err), (c_tail, d_tail) = parts
     a, b = gamma / SQRT_PI, 1.0 - gamma
@@ -183,17 +180,15 @@ def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpans
     """Build U_0..U_order with their iterates and densities.
 
     This is the one producer of the slip coefficients U_n and the pole-free
-    densities E_n.  The iteration is free of gamma: :func:`_order` builds
-    phi_n and E_n at gamma 0 on one kernel table per ``k_max`` (see
-    :func:`kramers.kernels.apply_kernel`), shared by every series on that
-    grid.  A series scales them exactly, phi_n by (1-gamma)^n and E_n by
-    1/(1-gamma), without a refit (at gamma 0 it returns them as they are),
-    and forms each U_n from the cached parts of c_n and d_n.  Orders beyond
-    4 are refused as outside the method's intended range.  The default
-    order used by the CLI is 2.
+    densities E_n.  :func:`_order` builds the gamma-free phi_n and E_n once
+    per ``k_max`` on one kernel table (see :func:`kramers.kernels.apply_kernel`);
+    every series on that grid holds them (see :class:`SeriesExpansion`) and
+    forms each U_n from the cached parts of c_n and d_n.  ``order`` must be
+    an int in [0, 4]: higher orders are outside the method's intended
+    range.  The default order used by the CLI is 2.
     """
-    if not (0 <= order <= MAX_ORDER):
-        raise ValueError(f"order must be in [0, {MAX_ORDER}]")
+    if type(order) is not int or not (0 <= order <= MAX_ORDER):
+        raise ValueError(f"order must be an int in [0, {MAX_ORDER}], got {order!r}")
     if not (0.0 <= gamma <= GAMMA_MAX):  # also rejects NaN
         raise ValueError(
             f"gamma={gamma} outside the supported domain [0, {GAMMA_MAX}]"
@@ -215,13 +210,9 @@ def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpans
         diagnostics.append({"order": n, "u_error": u_error, "u_tail": u_tail})
         parts.append(_order(k_max, n))
 
-    def scaled(func: SpectralFunction, w: float) -> SpectralFunction:
-        return func if w == 1.0 else weighted_sum([w], [func], func.label)
-
     return SeriesExpansion(
         gamma=gamma, order=order, u_coeffs=tuple(u_coeffs),
-        phi_funcs=tuple(scaled(p[1], (1.0 - gamma) ** n) for n, p in enumerate(parts)),
-        e_funcs=tuple(scaled(p[2], 1.0 / (1.0 - gamma)) for p in parts),
+        phi_funcs=tuple(p[1] for p in parts), e_funcs=tuple(p[2] for p in parts),
         diagnostics=tuple(diagnostics),
     )
 
@@ -233,15 +224,16 @@ def pole_residual(
 
     B_0(k) = U_0 T_1(k) - T_2(k); for n >= 1,
 
-        B_n(k) = U_n T_1(k) + (1/pi) int J^(1)(k, k1) E_{n-1}(k1) dk1.
+        B_n(k) = U_n T_1(k) + (1/pi) int J^(1)(k, k1) E_{n-1}(k1) dk1,
 
-    With the correct U_n this scales as k^2 near zero (it equals
-    -E_n(k) L(k)); a constant leftover means the pole survived.  The
-    integer orders ``n`` and wavenumbers ``k`` broadcast together: arrays
-    give an array and scalars a float.  The n = 0 members are closed form;
-    all others are integrated as one family (see :func:`_pole_integrand`),
-    adaptive to ``rel_tol`` and ending at the series' own k_max, like the
-    profile layer's, each with the value of its own scalar call.
+    E_{n-1} being the density at gamma, phi_{n-1}/((1-gamma) T_2).  With
+    the correct U_n this scales as k^2 near zero (it equals -E_n(k) L(k));
+    a constant leftover means the pole survived.  The integer orders ``n``
+    and wavenumbers ``k`` broadcast together: arrays give an array and
+    scalars a float.  The n = 0 members are closed form; all others are
+    integrated as one family (see :func:`_pole_integrand`), adaptive to
+    ``rel_tol`` and ending at the series' own k_max, like the profile
+    layer's, each with the value of its own scalar call.
     """
     n, k = np.broadcast_arrays(np.asarray(n), np.asarray(k, dtype=float))
     if n.size and n.dtype.kind not in "iu":
@@ -277,11 +269,10 @@ def pole_residual(
             ),
             params=(orders[family], ks[family]),
         )))
-    out = np.empty(orders.size)
+    out, scale = np.empty(orders.size), (1.0 - series.gamma) * np.pi
     for j, (m, kv) in enumerate(zip(orders.tolist(), ks.tolist())):
         if m == 0:
             out[j] = u0() * t_n(1, kv, rel_tol) - t_n(2, kv, rel_tol)
         else:
-            scale = (1.0 - series.gamma) ** m * np.pi
             out[j] = series.u_coeffs[m] * t_n(1, kv, rel_tol) + integrals[j] / scale
     return float(out[0]) if n.ndim == 0 else out.reshape(n.shape)

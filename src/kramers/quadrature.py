@@ -173,13 +173,13 @@ def _gk_rule(lo: np.ndarray, hi: np.ndarray) -> tuple:
 
 def _adaptive_gk(
     f: Callable,
-    breakpoints: np.ndarray,
+    breakpoints: list,
     rel_tol: float,
     label: str | Callable[[int], str],
     params: tuple = (),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive G7/K15 of a family of integrands over the union of
-    [breakpoints[i], breakpoints[i+1]].
+    """Adaptive G7/K15 of a family of integrands, member j over the union of
+    [breakpoints[j][i], breakpoints[j][i+1]].
 
     ``params`` holds equal-length 1-d arrays; member j of the family is
     ``f(x, params[0][j], params[1][j], ...)``, and without parameters the
@@ -227,11 +227,11 @@ def _adaptive_gk(
 
     if size == 0:  # the loop below would wait forever for a member
         return np.empty(0), np.empty(0)
-    breakpoints = np.asarray(breakpoints, dtype=float)
     # the intervals of all members, interval i belonging to member owner[i];
     # each member's intervals come in the order the scalar algorithm keeps
-    owner = np.repeat(np.arange(size), len(breakpoints) - 1)
-    lo, hi = np.tile(breakpoints[:-1], size), np.tile(breakpoints[1:], size)
+    owner = np.repeat(np.arange(size), [len(b) - 1 for b in breakpoints])
+    lo = np.concatenate([b[:-1] for b in breakpoints])
+    hi = np.concatenate([b[1:] for b in breakpoints])
     vals, errs = rate(lo, hi, owner)
     value, error = np.empty(size), np.empty(size)
     going = np.ones(size, dtype=bool)  # members not yet converged
@@ -306,16 +306,19 @@ def integrate_gaussian_weighted(
     ``params``, a tuple of equal-length 1-d arrays, the call integrates the
     family ``f(t, params[0][j], ...)`` in one adaptive loop and returns one
     value per member j: ``f`` receives the flat points with each parameter
-    repeated per point, and a callable ``label`` names member j
-    ``label(j)``.  Each value equals that of the member's own call.
+    repeated per point, a knee is one value or one per member, and a
+    callable ``label`` names member j ``label(j)``, each value that of the
+    member's own call.
     """
 
     def g(t, *p):
         return np.exp(-np.asarray(t) ** 2) * f(t, *p)
 
-    breaks = np.union1d(
-        np.linspace(0.0, T_MAX, 5), [t for t in knees if 0.0 < t < T_MAX]
-    )
+    size = len(params[0]) if params else 1
+    knees = [np.broadcast_to(t, size).tolist() for t in knees]
+    base = set(np.linspace(0.0, T_MAX, 5).tolist())
+    breaks = [np.array(sorted(base.union(t[j] for t in knees if 0.0 < t[j] < T_MAX)))
+              for j in range(size)]
     values, _ = _adaptive_gk(g, breaks, rel_tol, label, params)
     return values if params else float(values[0])
 
@@ -395,9 +398,9 @@ def _integrate_spectral_detail(
     pts = [0.0, 0.5, 1.0]
     while pts[-1] < k_max:
         pts.append(min(pts[-1] * 4.0, k_max))
-    head, err = _adaptive_gk(f, np.array(pts), rel_tol, label, params)
+    size = len(params[0]) if params else 1
+    head, err = _adaptive_gk(f, [np.array(pts)] * size, rel_tol, label, params)
     # every member at both tail points, member j's pair in row j
-    size = len(head)
     values = [np.repeat(p, 2) for p in params]
     samples = _eval_batch(
         lambda x: f(x, *values), np.tile(_tail_points(k_max), size),

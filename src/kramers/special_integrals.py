@@ -24,13 +24,14 @@ Two evaluation paths are provided.  The adaptive functions (`t_n`, `j_n`,
 relative tolerance ``rel_tol``; `t_n` is scalar and cached, and breaks its
 range at the Lorentzian knee t = 1/k when that lies below T_MAX, while
 `j_n` and `j_m` take broadcastable arrays and integrate them as one family,
-each value equal to its scalar call's.  :class:`MomentBatch` (with `fixed_row`,
-`t_n_vec` and `phi0_vec`) evaluates on arrays of k via one fixed graded
-Gauss-Legendre rule on [0, T_MAX], built at import, whose panels are
-geometrically refined toward t=0 to resolve the Lorentzian knee at t ~ 1/k
-for every supported k_max (up to 2^14); it takes no tolerance, is
-cross-checked against the scalar path in the test suite and exists purely
-for speed in the grid/kernel machinery.
+each member with its own knees 1/k and 1/k1 and each value equal to its
+scalar call's.  :class:`MomentBatch` (with `fixed_row`, `t_n_vec` and
+`phi0_vec`) evaluates on arrays of k via one fixed graded Gauss-Legendre
+rule on [0, T_MAX], built at import, whose panels are geometrically refined
+toward t=0 to resolve the Lorentzian knee at t ~ 1/k for every supported
+k_max (up to 2^14); it takes no tolerance, is cross-checked against the
+scalar path in the test suite and exists purely for speed in the
+grid/kernel machinery.
 """
 
 from __future__ import annotations
@@ -241,12 +242,15 @@ def _check_gamma(gamma) -> None:
 def _family(f, args: tuple, rel_tol: float, name) -> float | np.ndarray:
     """The Gaussian-weighted integrals of ``f(t, *a)`` for each member ``a``
     of the broadcast ``args``, integrated as one family: an array of the
-    broadcast shape, or a float when every argument is a scalar.  Member
-    ``a`` fails under the label ``name(*a)``."""
+    broadcast shape, or a float when every argument is a scalar.  The first
+    two are k and k1, whose knees t = 1/k and 1/k1 are the member's
+    breakpoints.  Member ``a`` fails under the label ``name(*a)``."""
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     flat = tuple(np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in args)
+    with np.errstate(divide="ignore", over="ignore"):  # 1/k is inf at k = 0
+        knees = (1.0 / flat[0], 1.0 / flat[1])
     values = integrate_gaussian_weighted(
-        f, rel_tol, label=lambda j: name(*(a[j] for a in flat)), params=flat
+        f, rel_tol, label=lambda j: name(*(a[j] for a in flat)), params=flat, knees=knees
     )
     return float(values[0]) if shape == () else values.reshape(shape)
 

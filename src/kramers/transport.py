@@ -4,14 +4,15 @@ Everything here is assembled from a built :class:`SeriesExpansion`.  The
 wall-layer velocity is the inverse Fourier transform of the spectral
 density; evenness reduces it to a cosine integral,
 
-    U_c(x) = G_v (1-gamma) (2-q) (1/pi) int_0^inf cos(k x) E_q(k) dk,
+    U_c(x) = G_v (2-q) (1/pi) int_0^inf cos(k x) E_q(k) dk,
 
-with E_q = sum_n q^n E_n, summed from the per-order polynomial pieces (the
-interpolant is linear in its node values, so nothing is refitted).  Up to
-k_max, the last node of the series grid, the density is a quintic on each
-knot interval, and the integral of a polynomial times e^{ikx} has a closed
-form (Filon's method), so the head of each transform costs the same at
-every x1 >= 0.  Beyond k_max the fitted density model is integrated
+with E_q = sum_n q^n E_n of the gamma-free E_n (the density at gamma,
+E_n/(1-gamma), cancels the 1-gamma of G_v (1-gamma) (2-q)), summed from the
+per-order polynomial pieces (the interpolant is linear in its node values,
+so nothing is refitted).  Up to k_max, the last node of the series grid,
+the density is a quintic on each knot interval, and the integral of a
+polynomial times e^{ikx} has a closed form (Filon's method), so the head of
+each transform costs the same at every x1 >= 0.  Beyond k_max the fitted density model is integrated
 exactly at x1 = 0 and summed as an alternating series over half periods
 with iterated averaging at x1 > 0.  One transform call covers any number
 of coordinates and any of the plain and damped cosine and the damped
@@ -466,7 +467,7 @@ def velocity_profile(
         raise ValueError("x_nodes must be >= 0")
     u_sl = slip_velocity(params, series)
     density = _combined_density(series, params.q)
-    pref = params.g_v * (1.0 - params.gamma) * (2.0 - params.q)
+    pref = params.g_v * (2.0 - params.q)
     u_c = pref * _osc_transform(
         density, x_nodes, ("cos",), label="U_c cosine transform at x1={x:.4g}",
     )[0] / math.pi
@@ -497,8 +498,10 @@ def distribution_function(
     carried by the cosine and k-sine transforms of E_q at x1.  The integral
     in R_q is the plain and damped cosine transform at x = 0 of
     sum_{n<N} q^n E_n, so it does not depend on x1: it is computed once per
-    call.  ``x1`` is a coordinate, which gives a float, or an array of them,
-    which gives an array of that shape from one transform pass.  Non-finite
+    call.  Both parts carry G_v (1-gamma) (2-q), which the density at gamma,
+    E_n/(1-gamma), cancels in the transforms; only R_q's integral divides by
+    1-gamma.  ``x1`` is a coordinate (giving a float) or an array of them
+    (giving an array of that shape, from one transform pass).  Non-finite
     x1 and |mu| > 10 are rejected.
     """
     _check_pair(params, series)
@@ -509,7 +512,7 @@ def distribution_function(
     if (x < 0.0).any():
         raise ValueError("x1 must be >= 0 (profiles live in the half-space)")
     gamma, q, g_v = params.gamma, params.q, params.g_v
-    pref = g_v * (1.0 - gamma) * (2.0 - q)
+    pref = g_v * (2.0 - q)
     u_sl = slip_velocity(params, series)
     h_as = u_sl + g_v * (x - (1.0 - gamma) * mu)
 
@@ -535,12 +538,12 @@ def distribution_function(
                 r -= sum(
                     series.u_coeffs[n] * q**n for n in range(1, series.order + 1)
                 )
-                r -= q * (gamma * plain + (1.0 - gamma) * damped) / math.pi
+                r -= q * (gamma / (1.0 - gamma) * plain + damped) / math.pi
             # x / mu overflows to inf for a subnormal mu, and e^{-inf} = 0
             # is the right decay
             with np.errstate(over="ignore"):
                 decay = np.exp(-x / mu)
-            h_c = h_c + pref * r * decay
+            h_c = h_c + (1.0 - gamma) * pref * r * decay
         h = h_as + h_c
     return float(h) if h.ndim == 0 else h
 

@@ -190,7 +190,7 @@ class TestApplyKernel:
         zero = SpectralFunction(
             nodes=grid, values=np.zeros_like(grid), label="zero"
         )
-        out = apply_kernel(zero, 0.3)
+        out = apply_kernel(zero)
         np.testing.assert_allclose(out.values, 0.0, atol=1e-14)
 
     def test_homogeneous_scaling(self):
@@ -198,12 +198,12 @@ class TestApplyKernel:
         scaled = SpectralFunction(
             nodes=phi.nodes.copy(), values=3.0 * phi.values, label="phi_0",
         )
-        a = apply_kernel(phi, 0.25)
-        b = apply_kernel(scaled, 0.25)
+        a = apply_kernel(phi)
+        b = apply_kernel(scaled)
         np.testing.assert_allclose(b.values, 3.0 * a.values, atol=1e-9)
 
     def test_label_advances(self):
-        out = apply_kernel(phi_seed(), 0.0)
+        out = apply_kernel(phi_seed())
         assert out.label == "phi_1"
 
     def test_seed_image_at_origin_against_brute_force(self):
@@ -224,7 +224,7 @@ class TestApplyKernel:
         head, _ = quad(integrand, 0.0, 400.0, epsabs=1e-12, epsrel=1e-10,
                        limit=400)
         brute = head / math.pi  # integrand decays like ln^2/k^4: tail < 1e-9
-        psi = apply_kernel(phi_seed(), 0.0)
+        psi = apply_kernel(phi_seed())
         assert psi.values[0] == pytest.approx(brute, abs=2e-8)
         assert psi.values[0] == pytest.approx(0.0178300, abs=2e-7)
 
@@ -235,15 +235,11 @@ class TestApplyKernel:
             np.geomspace(2.0, 50.0, 129)[1:],
             np.geomspace(50.0, K_MAX, 65)[1:],
         ])
-        psi = apply_kernel(phi_seed(grid), 0.0)
-        psi_fine = apply_kernel(phi_seed(doubled), 0.0)
+        psi = apply_kernel(phi_seed(grid))
+        psi_fine = apply_kernel(phi_seed(doubled))
         scale = np.abs(psi.values).max()
         rel = np.abs(psi_fine(grid) - psi.values).max() / scale
         assert rel < 1e-8
-
-    def test_gamma_domain(self):
-        with pytest.raises(ValueError):
-            apply_kernel(phi_seed(), 1.0)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_heads_match_quadpack_per_knot_interval(self):
@@ -258,8 +254,7 @@ class TestApplyKernel:
         nodes 0 to 20.
         """
         phi = phi_seed()
-        gamma = 0.25
-        psi = apply_kernel(phi, gamma)
+        psi = apply_kernel(phi)
         nodes = phi.nodes
         t3 = t_n_vec(3, nodes)
         for i in (0, 8, 20, 100, 150):
@@ -282,9 +277,9 @@ class TestApplyKernel:
             scale = quad(j3_term, 0.0, K_MAX, epsrel=1e-6, limit=200)[0]
             samples = integrand(_tail_points(K_MAX))
             tail = _log_tail(samples, K_MAX, 2, head, f"node {i}")[0]
-            want = (1.0 - gamma) * (head + tail) / np.pi
+            want = (head + tail) / np.pi
             assert psi.values[i] == pytest.approx(
-                want, rel=0.0, abs=1e-14 * (1.0 - gamma) * scale / np.pi
+                want, rel=0.0, abs=1e-14 * scale / np.pi
             )
 
     def test_halved_knot_intervals(self):
@@ -292,9 +287,9 @@ class TestApplyKernel:
         phi = phi_seed()
         nodes = phi.nodes
         halved = np.sort(np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])]))
-        psi = apply_kernel(phi, 0.25)
+        psi = apply_kernel(phi)
         table = _KernelTable(halved)
-        fine = _apply_table(table, phi, table.density(phi), 0.25)
+        fine = _apply_table(table, phi, table.density(phi))
         np.testing.assert_array_equal(fine.nodes[::2], nodes)
         scale = np.abs(psi.values).max()
         assert np.abs(fine.values[::2] - psi.values).max() < 1e-14 * scale
@@ -323,16 +318,16 @@ class TestApplyKernel:
 
     def test_tail_dominating_node(self):
         """A density whose image at one node is all tail names that node."""
-        phi_1 = apply_kernel(phi_seed(), 0.0)
-        phi_2 = apply_kernel(phi_1, 0.0)
-        psi_1, psi_2 = apply_kernel(phi_1, 0.0), apply_kernel(phi_2, 0.0)
+        phi_1 = apply_kernel(phi_seed())
+        phi_2 = apply_kernel(phi_1)
+        psi_1, psi_2 = apply_kernel(phi_1), apply_kernel(phi_2)
         j = 100
         # head + tail vanishes at node j, so there the tail is minus the head
         mixed = weighted_sum(
             [1.0, -psi_2.values[j] / psi_1.values[j]], [phi_2, phi_1], "phi_2"
         )
         with pytest.raises(TailEstimateDominatesError) as err:
-            apply_kernel(mixed, 0.0)
+            apply_kernel(mixed)
         assert err.value.label == f"phi_3 grid node k={phi_1.nodes[j]:.3g}"
 
 

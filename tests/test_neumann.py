@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -74,8 +75,12 @@ class TestEn:
         assert e_0.values[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_density_scaling(self, series_cache):
-        e_0 = series_cache(0.5, 4).e_funcs[0]
-        assert e_0.values[0] == pytest.approx(-1.0, abs=1e-12)
+        """A series holds the gamma-free E_0 = phi_0/T_2; its density at
+        gamma 0.5 is E_0/(1-gamma), -1 at the origin."""
+        series = series_cache(0.5, 4)
+        assert series.e_funcs[0] is series_cache(0.0, 1).e_funcs[0]
+        assert series.e_funcs[0].values[0] / (1.0 - series.gamma) == pytest.approx(
+            -1.0, abs=1e-12)
 
     def test_first_density_finite_and_decaying(self, series_cache):
         series = series_cache(0.0, 2)
@@ -119,6 +124,14 @@ class TestBuildSeries:
         with pytest.raises(ValueError):
             build_series(0.0, -1)
 
+    @pytest.mark.parametrize("order", [2.0, True, np.int64(2), "2"])
+    def test_order_must_be_an_int(self, order):
+        """2.0 ended in an unnamed TypeError from range, and True built a
+        series whose order was True."""
+        message = f"order must be an int in [0, 4], got {order!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_series(0.1, order)
+
     def test_gamma_domain_and_warning(self):
         with pytest.raises(ValueError):
             build_series(0.96, 0)
@@ -143,27 +156,21 @@ class TestBuildSeries:
             pole = _pole_integrand(series, REL_TOL)
             samples = pole(_tail_points(K_MAX), np.full(2, n), np.zeros(2))
             tail = _log_tail(samples, K_MAX, 2, 1.0, "tail")[0]
-            scale = SQPI * (1.0 - gamma) ** n
+            scale = SQPI * (1.0 - gamma)
             assert diag["u_tail"] == pytest.approx(tail / scale, rel=1e-14)
             assert abs(diag["u_tail"]) < 0.1 * abs(u_n)
 
     def test_shared_table_changes_nothing(self, series_cache):
-        """phi_n at gamma is (1-gamma)^n times apply_kernel of phi_{n-1} at
-        gamma 0, bit for bit, though apply_kernel builds its own table; U_n
-        is bit-identical to a series built only up to order n.  Iterating at
-        gamma itself agrees to rounding: the S_1 rows cancel, so a node
-        moves by up to 4.1e-15 relative."""
+        """phi_n is apply_kernel of phi_{n-1}, bit for bit, though
+        apply_kernel builds its own table, and a series at any gamma holds
+        that same phi_n; U_n is bit-identical to a series built only up to
+        order n."""
         gamma = 0.25
         series, base = series_cache(gamma, 4), series_cache(0.0, 4)
         for n in range(1, 5):
-            alone = apply_kernel(base.phi_funcs[n - 1], 0.0)
-            np.testing.assert_array_equal(
-                series.phi_funcs[n].values, (1.0 - gamma) ** n * alone.values
-            )
-            at_gamma = apply_kernel(series.phi_funcs[n - 1], gamma)
-            np.testing.assert_allclose(
-                series.phi_funcs[n].values, at_gamma.values, rtol=1e-14, atol=0
-            )
+            alone = apply_kernel(series.phi_funcs[n - 1])
+            np.testing.assert_array_equal(series.phi_funcs[n].values, alone.values)
+            assert series.phi_funcs[n] is base.phi_funcs[n]
             assert series.u_coeffs[n] == series_cache(gamma, n).u_coeffs[n]
 
     @pytest.mark.parametrize(
@@ -238,7 +245,7 @@ def _assert_same_series(a, b):
 
 class TestGridPartsCache:
     """build_series takes the parts of its grid, the kernel table and the
-    gamma-0 phi_n, E_n and phi_n/T_2 of every order, from one bounded
+    gamma-free phi_n, E_n and phi_n/T_2 of every order, from one bounded
     per-process cache, neumann._order."""
 
     @pytest.mark.parametrize("gamma", [0.0, 0.25])
@@ -282,8 +289,10 @@ class TestGridPartsCache:
     def test_warm_build_makes_no_table(self, monkeypatch):
         """The first series on a grid makes its one kernel table, and new
         orders reuse it; a series at a new gamma then makes no table,
-        applies no kernel, fits no spline, samples no density and fits no
-        tail model: U_n comes from the cached parts."""
+        applies no kernel, fits no spline, samples no density, fits no tail
+        model and makes no SpectralFunction or weighted_sum: U_n comes from
+        the cached parts, and phi_n and E_n are the cached ones (scaling
+        them made 9 weighted sums at order 4)."""
         calls = []
 
         def counted(name, original):
@@ -295,7 +304,9 @@ class TestGridPartsCache:
         for module, name in ((neumann, "_KernelTable"), (neumann, "_apply_table"),
                              (kernels, "make_interp_spline"),
                              (kernels._KernelTable, "density"),
-                             (quadrature, "_log_model")):
+                             (quadrature, "_log_model"),
+                             (kernels.SpectralFunction, "_freeze"),
+                             (kernels, "weighted_sum")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         _order.cache_clear()
         build_series(0.1, 2)
@@ -309,14 +320,15 @@ class TestGridPartsCache:
         assert calls == []
         assert series.u_coeffs == build_series(0.37, 4).u_coeffs
 
-    def test_gamma_zero_returns_the_cached_densities(self):
-        """A scale of 1 is exact, so a gamma-0 series holds the cached,
-        immutable densities themselves."""
-        for order in range(MAX_ORDER + 1):
-            series = build_series(0.0, order)
-            for n in range(order + 1):
-                assert series.phi_funcs[n] is _order(K_MAX, n)[1]
-                assert series.e_funcs[n] is _order(K_MAX, n)[2]
+    def test_every_gamma_holds_the_cached_densities(self):
+        """A series at any gamma holds the cached, immutable, gamma-free
+        phi_n and E_n themselves."""
+        for gamma in (0.0, 0.3):
+            for order in range(MAX_ORDER + 1):
+                series = build_series(gamma, order)
+                for n in range(order + 1):
+                    assert series.phi_funcs[n] is _order(K_MAX, n)[1]
+                    assert series.e_funcs[n] is _order(K_MAX, n)[2]
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.25, 0.5, 0.9])
     def test_u_equals_the_combined_integrand(self, gamma):
@@ -345,8 +357,10 @@ class TestGridPartsCache:
 class TestRecordedSeries:
     """Order-4 series recorded from the kernel table.
 
-    U_1..U_4 to 1e-12 relative; phi_4 and E_4 at every 16th node to 1e-12
-    of their largest value (the last nodes hold values near 1e-13).  These
+    U_1..U_4 to 1e-12 relative; the iterate and density of order 4 at every
+    16th node to 1e-12 of their largest value (the last nodes hold values
+    near 1e-13), recorded at gamma 0.25 as (1-gamma)^4 phi_4 and
+    E_4/(1-gamma) of the gamma-free phi_4 and E_4 a series holds.  These
     values replaced ones recorded from adaptive integrals that were off by
     up to 1.4e-10 in U_n; the recorded U_n match QUADPACK on every knot
     interval of phi_{n-1} to 3.4e-15 relative.
@@ -387,12 +401,13 @@ class TestRecordedSeries:
     def test_order_four(self, series_cache, gamma):
         series = series_cache(gamma, 4)
         assert series.u_coeffs[1:] == pytest.approx(self.U[gamma], rel=1e-12)
-        for recorded, func in ((self.PHI_4, series.phi_funcs[4]),
-                               (self.E_4, series.e_funcs[4])):
+        for recorded, values in (
+            (self.PHI_4, (1.0 - gamma) ** 4 * series.phi_funcs[4].values),
+            (self.E_4, series.e_funcs[4].values / (1.0 - gamma)),
+        ):
             expected = np.array(recorded[gamma])
             np.testing.assert_allclose(
-                func.values[::16], expected, rtol=0,
-                atol=1e-12 * np.abs(func.values).max(),
+                values[::16], expected, rtol=0, atol=1e-12 * np.abs(values).max(),
             )
 
 
@@ -423,7 +438,7 @@ class TestPoleResidual:
                 pole, REL_TOL, 400.0, params=(np.array([n]), np.array([k]))
             )
             expected = (series.u_coeffs[n] * t_n(1, k)
-                        + integral / ((1.0 - gamma) ** n * np.pi))
+                        + integral / ((1.0 - gamma) * np.pi))
             assert pole_residual(series, n, k) == expected
 
     @pytest.mark.parametrize("gamma, k_max", [(0.0, K_MAX), (0.25, K_MAX), (0.25, 400.0)])

@@ -331,13 +331,21 @@ class TestFamilyEngine:
                 self.lorentz, rel_tol, params=(k[1:],))).all()
 
     def test_values_recorded_one_integral_at_a_time(self):
-        """Values recorded, as exact hex floats, from the engine that
-        integrated one integral per call, each after 10 to 14 sweeps: a
-        family gives the same bits."""
-        assert j_n(1, [1e3, 0.3], [700.0, 2.0])[0].hex() == "0x1.a7a9665be1d3ap-21"
-        assert j_n(0, [0.5, 4e3], 0.0)[1].hex() == "0x1.d081d142edd7bp-12"
+        """Values recorded, as exact hex floats, from one integral per call,
+        with the member's own knees 1/k and 1/k1 as breakpoints: a family
+        gives the same bits.  Each lies within 1e-17 of an mpmath integral
+        at 40 digits (the engine's absolute floor is 1e-14)."""
         gamma = np.array([0.0, 0.5])
-        assert j_m(3, 2e3, 50.0, gamma)[1].hex() == "0x1.2fc612f910384p-24"
+        for value, recorded, reference in (
+            (j_n(1, [1e3, 0.3], [700.0, 2.0])[0], "0x1.a7a9665be1c21p-21",
+             7.891314441768224168e-07),
+            (j_n(0, [0.5, 4e3], 0.0)[1], "0x1.d081d142edd7cp-12",
+             4.429884904157629592e-04),
+            (j_m(3, 2e3, 50.0, gamma)[1], "0x1.2fc612f910158p-24",
+             7.072783238345647827e-08),
+        ):
+            assert value.hex() == recorded
+            assert abs(value - reference) < 1e-17
 
     def test_hard_members_keep_their_own_budget(self):
         """Two members that need about 140 intervals each finish, though

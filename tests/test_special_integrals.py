@@ -154,6 +154,19 @@ class TestJn:
     def test_symmetry_example(self):
         assert j_n(3, 0.7, 1.3) == pytest.approx(j_n(3, 1.3, 0.7), abs=1e-12)
 
+    def test_collapse_at_a_large_wavenumber(self):
+        """J_4(k, 0) = T_4(k), whose knee t = 1/k is a breakpoint; with one
+        breakpoint array for the family, j_n was 2.1e-8 relative off."""
+        assert j_n(4, 85.625, 0.0) == pytest.approx(t_n(4, 85.625), rel=1e-14)
+
+    @pytest.mark.parametrize("n, k", [(2, 85.625), (2, 42.8), (4, 10.9)])
+    def test_recurrence_where_the_knee_was_missed(self, n, k):
+        """J_n(k, 0) + k^2 J_{n+2}(k, 0) = T_n(0), each member with its own
+        knee; with one breakpoint array for the family, it was off by
+        -1.05e-8, -8.4e-8 and 1.2e-10 here."""
+        recurrence = j_n(n, k, 0.0) + k * k * j_n(n + 2, k, 0.0) - MOMENTS[n]
+        assert abs(recurrence) < 1e-14
+
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.sampled_from([1, 3, 5]),

@@ -152,6 +152,16 @@ class TestVelocityProfile:
             )
             assert full - part == pytest.approx(term, abs=1e-9)
 
+    def test_continuum_part_reads_no_gamma(self, series_cache):
+        """U_c = G_v (2-q) (1/pi) int cos(kx) E_q dk with the gamma-free E_n:
+        the same bits at every gamma (scaling E_n by 1/(1-gamma) and U_c by
+        1-gamma moved it by up to 1.1e-16 at gamma 0.25)."""
+        x = np.linspace(0.0, 30.0, 61)
+        u_c = [velocity_profile(GasParameters(gamma=g, q=0.7), series_cache(g, 4),
+                                x).u_continuum for g in (0.0, 0.25, 0.5)]
+        np.testing.assert_array_equal(u_c[1], u_c[0])
+        np.testing.assert_array_equal(u_c[2], u_c[0])
+
     def test_negative_coordinates_rejected(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         with pytest.raises(ValueError):
