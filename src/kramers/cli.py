@@ -20,7 +20,9 @@ import numpy as np
 
 from . import verification
 from .neumann import build_series
-from .quadrature import K_MAX, REL_TOL, QuadratureError, check_k_max, check_rel_tol
+from .quadrature import (
+    ABS_TOL, K_LIMIT, K_MAX, REL_TOL, QuadratureError, check_k_max, check_rel_tol,
+)
 from .special_integrals import GasParameters, dispersion_l, t_n
 from .transport import (
     MU_MAX,
@@ -47,6 +49,14 @@ def _parse_number(flag: str, entry: str) -> float:
         return float(entry)
     except ValueError:
         raise ValueError(f"{flag}: {entry!r} is not a number") from None
+
+
+def _split_list(flag: str, text: str) -> list[str]:
+    """The entries of a comma list; an empty list is a bad request, not
+    "all" or "none"."""
+    if not text:
+        raise ValueError(f"{flag}: empty list")
+    return text.split(",")
 
 
 def _parse_range(flag: str, text: str) -> np.ndarray:
@@ -139,6 +149,10 @@ def _cmd_slip(args: argparse.Namespace) -> int:
 
 def _cmd_curves(args: argparse.Namespace) -> int:
     grid = _parse_range("--k", args.k)
+    if grid[-1] > K_LIMIT:
+        raise ValueError(
+            f"--k: wavenumbers must be at most {K_LIMIT:g}, got {grid[-1]:g}"
+        )
     if args.what == "dispersion":
         header = ["k", "L"]
         rows = [[k, dispersion_l(k, args.gamma, args.tol)] for k in grid]
@@ -155,8 +169,8 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     params = GasParameters(gamma=args.gamma, q=args.q, g_v=1.0)
     x_nodes = _parse_range("--x", args.x)
-    mu_values = ([_parse_number("--mu", v) for v in args.mu.split(",")]
-                 if args.mu else [])
+    mu_values = ([_parse_number("--mu", v) for v in _split_list("--mu", args.mu)]
+                 if args.mu is not None else [])
     for mu in mu_values:
         check_mu(mu)
     series = build_series(args.gamma, args.order, args.kmax)
@@ -172,7 +186,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    only = tuple(args.only.split(",")) if args.only else None
+    only = tuple(_split_list("--only", args.only)) if args.only is not None else None
     results = verification.run_checks(args.tol, args.kmax, only)
     width = max(len(r.name) for r in results) + 2
     lines = []
@@ -193,10 +207,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=REL_TOL,
                         help="relative quadrature tolerance, read by curves and "
-                             f"verify (default {REL_TOL:g})")
+                             f"verify (default {REL_TOL:g}); an integral stops "
+                             f"at an error of max({ABS_TOL:g}, tol |value|), so "
+                             f"one below {ABS_TOL:g}/tol is held to {ABS_TOL:g} "
+                             "absolute only")
     parser.add_argument("--kmax", type=float, default=K_MAX,
-                        help="spectral truncation wavenumber in (2, 16384], read "
-                             f"by slip, profile and verify (default {K_MAX:g})")
+                        help=f"spectral truncation wavenumber in (2, {K_LIMIT:g}], "
+                             f"read by slip, profile and verify (default {K_MAX:g})")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None,
                         help="write to this path instead of stdout")

@@ -19,9 +19,9 @@ Applying the operator means sampling
 
     psi(k) = (1/pi) int_0^inf S_1(k, k1) phi(k1) / T_2(k1) dk1
 
-on a fixed composite grid and interpolating between nodes.  A fixed
-G7/K15 pair on every knot interval of phi (one quintic each) integrates
-the head to rounding, and the log-tail model of :mod:`kramers.quadrature`,
+on a fixed composite grid and interpolating between nodes.  A fixed K15
+rule on every knot interval of phi (one quintic each) integrates the
+head to rounding, and the log-tail model of :mod:`kramers.quadrature`,
 fitted at its two tail points 0.7 k_max and k_max, closes it.  One table
 holds the rule's points followed by the two tail points, with the moments
 and the S_1 rows of the grid nodes at all of them, so a head and its tail
@@ -215,13 +215,12 @@ _CHUNK = 256
 
 
 class _KernelTable:
-    """Fixed G7/K15 rule on the knot intervals of a grid, with its moments.
+    """Fixed K15 rule on the knot intervals of a grid, with its moments.
 
-    The points ``k`` are the pair's points on every [grid[i], grid[i+1]]
+    The points ``k`` are the Kronrod points on every [grid[i], grid[i+1]]
     followed by the two tail points of :func:`_tail_points`, where every
     tail of this module is fitted; the Kronrod weights ``w_k`` are scaled
-    to the intervals and 0 at the tail points, and row i of ``w_err``
-    holds interval i's K15 - G7 weights.  With them come T_1 and
+    to the intervals and 0 at the tail points.  With them come T_1 and
     T_2 at the points and the kernel rows ``s[j, i] = S_1(grid[i], k[j])``,
     built in MomentBatches of at most ``_CHUNK`` points so that ``s`` is
     the one large array.  ``k_max`` is the last node.  The arrays are
@@ -229,11 +228,10 @@ class _KernelTable:
     """
 
     def __init__(self, grid: np.ndarray):
-        pts, half, w_k, w_g = _gk_rule(grid[:-1], grid[1:])
+        pts, half, w_k, _ = _gk_rule(grid[:-1], grid[1:])
         self.nodes, self.k_max = grid, float(grid[-1])
         self.k = np.concatenate([pts.ravel(), _tail_points(self.k_max)])
         self.w_k = np.concatenate([(half[:, None] * w_k).ravel(), [0.0, 0.0]])
-        self.w_err = half[:, None] * (w_k - w_g)
         rows3 = np.stack([fixed_row(3, float(k)) for k in grid], axis=1)
         t3 = SQRT_PI * t_n_vec(3, grid)
         self.t1, self.t2 = np.empty(self.k.size), np.empty(self.k.size)
@@ -243,7 +241,7 @@ class _KernelTable:
             batch = MomentBatch(self.k[part])
             self.t1[part], self.t2[part] = batch.t(1), batch.t(2)
             self.s[part] = batch.against(rows3) - np.outer(self.t1[part], t3)
-        for arr in (self.k, self.w_k, self.w_err, self.t1, self.t2, self.s):
+        for arr in (self.k, self.w_k, self.t1, self.t2, self.s):
             arr.setflags(write=False)
 
     def density(self, phi: SpectralFunction) -> np.ndarray:
@@ -270,7 +268,7 @@ def apply_kernel(phi: SpectralFunction) -> SpectralFunction:
 
     Only S_1 is applied: the image under the kernel at gamma, (1 - gamma)
     S_1, is (1 - gamma) psi.  The head up to the density's last node is a
-    fixed G7/K15 rule on the knot intervals of ``phi`` (one quintic each),
+    fixed K15 rule on the knot intervals of ``phi`` (one quintic each),
     converged to rounding: its accuracy is fixed, so no tolerance enters,
     and the truncation point is the density's own k_max.  The tail is the
     fitted log model of :mod:`kramers.quadrature`, with its 10% guard

@@ -19,9 +19,9 @@ c_n = int phi_{n-1}/T_2 dk and d_n = int T_1 phi_{n-1}/T_2 dk,
 U_n = -(gamma c_n/sqrt(pi) + (1 - gamma) d_n)/(sqrt(pi)(1 - gamma)).
 
 :func:`build_series` is the one way in.  The iteration runs once per
-k_max: :func:`_order` (a bounded cache of read-only arrays) holds the
-kernel table, each phi_n, E_n and the parts of c_{n+1} and d_{n+1}.  Every
-series holds those phi_n and E_n and forms U_n from the parts; its
+k_max: :func:`_order` (a bounded cache) holds the kernel table, each phi_n,
+E_n and the four floats (K15 heads, fitted tails) of c_{n+1} and d_{n+1}.
+Every series holds those phi_n and E_n and forms U_n from the floats; its
 consumers apply the one gamma scalar where it cancels.  The pole residuals
 B_n, which check U_n, integrate adaptively up to the series' own k_max: all
 orders n >= 1 at all wavenumbers of one call as one family, each sweep one
@@ -37,7 +37,9 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import SpectralFunction, _KernelTable, _apply_table, standard_grid
-from .quadrature import K_MAX, REL_TOL, _log_integral, _tail_guard, integrate_spectral
+from .quadrature import (
+    K_LIMIT, K_MAX, REL_TOL, _log_integral, _tail_guard, integrate_spectral,
+)
 # perfbench/tracing.py rebinds these here, though nothing here calls them
 from .kernels import apply_kernel  # noqa: F401
 from .quadrature import _integrate_spectral_detail  # noqa: F401
@@ -60,8 +62,9 @@ class SeriesExpansion:
     and ``e_funcs[n]`` are the gamma-free phi_n and E_n = phi_n / T_2,
     cached and read-only, the same objects at every gamma: at the series'
     gamma the iterate is (1-gamma)^n ``phi_funcs[n]`` and the pole-free
-    density ``e_funcs[n]``/(1-gamma).  ``diagnostics[n]`` records the
-    quadrature error estimates accumulated while building order n.
+    density ``e_funcs[n]``/(1-gamma).  ``diagnostics[n]`` holds the
+    ``order`` n and ``u_tail``, the part of U_n from the fitted tail past
+    k_max (0.0 at order 0).
     """
 
     gamma: float
@@ -122,12 +125,12 @@ def _order(k_max: float, n: int) -> tuple:
     and the parts are None at ``MAX_ORDER``, where nothing reads them.
 
     Order 0 builds the standard grid, its table and phi_0; order n applies
-    the shared table to order n - 1.  The parts integrate the rows (v, T_1 v)
-    on the table: two K15 heads, two per-interval K15 - G7 vectors and two
-    exact fitted tails.  Nothing here depends on gamma or rel_tol, so each
-    order is built once per process for up to four k_max (about 3 MB each,
-    nearly all the table's S_1 rows).  Every array is read-only, so the
-    series that share them cannot change them.
+    the shared table to order n - 1.  The parts are four floats: the K15
+    heads and the exact fitted tails of c = int v and d = int T_1 v on the
+    table.  Nothing here depends on gamma or rel_tol, so each order is
+    built once per process for up to four k_max (about 3 MB each, nearly
+    all the table's S_1 rows).  Every array is read-only, so the series
+    that share them cannot change them.
     """
     if n == 0:
         grid = standard_grid(k_max)
@@ -142,20 +145,16 @@ def _order(k_max: float, n: int) -> tuple:
     if n == MAX_ORDER:  # no series reads phi_{n+1} or U_{n+1}
         return table, phi, e_n, None, None
     v = table.density(phi)
+    v.setflags(write=False)
     rows = np.stack([v, table.t1 * v])
-    err = table.w_err * rows[:, :-2].reshape(2, *table.w_err.shape)
     # pairwise sums: a matrix-vector product rounds U_n up to 1.5e-15 off
-    parts = ((rows * table.w_k).sum(axis=1), err.sum(axis=2),
-             _log_integral(rows[:, -2:].T, table.k_max, 2))
-    for arr in (v, *parts):
-        arr.setflags(write=False)
-    return table, phi, e_n, v, parts
+    heads = (rows * table.w_k).sum(axis=1)
+    tails = _log_integral(rows[:, -2:].T, table.k_max, 2)
+    return table, phi, e_n, v, (*heads.tolist(), *tails.tolist())
 
 
-def _u_detail(
-    n: int, gamma: float, k_max: float, parts: tuple
-) -> tuple[float, float, float]:
-    """U_n, error estimate and fitted-tail part from the parts of c_n and d_n.
+def _u_detail(n: int, gamma: float, k_max: float, parts: tuple) -> tuple[float, float]:
+    """U_n and its fitted-tail part from the parts of c_n and d_n.
 
     Killing the constant term of the order-n density requires, with the
     gamma-free phi_{n-1},
@@ -163,17 +162,15 @@ def _u_detail(
         U_n = -(1/(sqrt(pi) (1-gamma))) int J^(1)(0, k) phi_{n-1}(k) / T_2(k) dk,
 
     taken in this closed form rather than by probing the k->0 limit, which
-    would amplify quadrature noise by 1/k^2.  The head, the per-interval
-    |K15 - G7| error and the guarded tail are the gamma/sqrt(pi) and
-    (1-gamma) weighted sums of the parts.
+    would amplify quadrature noise by 1/k^2.  The head and the guarded tail
+    are the gamma/sqrt(pi) and (1-gamma) weighted sums of the parts.
     """
-    (c_head, d_head), (c_err, d_err), (c_tail, d_tail) = parts
+    c_head, d_head, c_tail, d_tail = parts
     a, b = gamma / SQRT_PI, 1.0 - gamma
     head, tail = a * c_head + b * d_head, a * c_tail + b * d_tail
     _tail_guard(tail, head, k_max, f"U_{n} pole-elimination integral")
-    err = np.abs(a * c_err + b * d_err).sum()
     scale = SQRT_PI * (1.0 - gamma)
-    return float(-(head + tail) / scale), float(err / scale), float(tail / scale)
+    return -(head + tail) / scale, tail / scale
 
 
 def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpansion:
@@ -183,7 +180,7 @@ def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpans
     densities E_n.  :func:`_order` builds the gamma-free phi_n and E_n once
     per ``k_max`` on one kernel table (see :func:`kramers.kernels.apply_kernel`);
     every series on that grid holds them (see :class:`SeriesExpansion`) and
-    forms each U_n from the cached parts of c_n and d_n.  ``order`` must be
+    forms each U_n from the four cached floats of c_n and d_n.  ``order`` must be
     an int in [0, 4]: higher orders are outside the method's intended
     range.  The default order used by the CLI is 2.
     """
@@ -202,12 +199,12 @@ def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpans
 
     parts = [_order(k_max, 0)]
     u_coeffs = [u0()]
-    diagnostics: list[dict] = [{"order": 0, "u_error": 0.0}]
+    diagnostics: list[dict] = [{"order": 0, "u_tail": 0.0}]
     for n in range(1, order + 1):
         # U_n before phi_n, so that U_n's tail guard fires first
-        u_n, u_error, u_tail = _u_detail(n, gamma, parts[0][0].k_max, parts[-1][4])
+        u_n, u_tail = _u_detail(n, gamma, parts[0][0].k_max, parts[-1][4])
         u_coeffs.append(u_n)
-        diagnostics.append({"order": n, "u_error": u_error, "u_tail": u_tail})
+        diagnostics.append({"order": n, "u_tail": u_tail})
         parts.append(_order(k_max, n))
 
     return SeriesExpansion(
@@ -229,7 +226,7 @@ def pole_residual(
     E_{n-1} being the density at gamma, phi_{n-1}/((1-gamma) T_2).  With
     the correct U_n this scales as k^2 near zero (it equals -E_n(k) L(k));
     a constant leftover means the pole survived.  The integer orders ``n``
-    and wavenumbers ``k`` broadcast together: arrays give an array and
+    and wavenumbers ``k`` in [0, K_LIMIT] broadcast together: arrays give an array and
     scalars a float.  The n = 0 members are closed form; all others are
     integrated as one family (see :func:`_pole_integrand`), adaptive to
     ``rel_tol`` and ending at the series' own k_max, like the profile
@@ -249,10 +246,10 @@ def pole_residual(
         raise ValueError(
             f"n={n.flat[outside.argmax()]}: series does not hold this order"
         )
-    bad = ~(np.isfinite(k) & (k >= 0.0))
+    bad = ~((k >= 0.0) & (k <= K_LIMIT))  # also true for NaN
     if bad.any():
         raise ValueError(
-            f"wavenumber must be finite and >= 0, got k={k.flat[bad.argmax()]}"
+            f"wavenumber must be in [0, {K_LIMIT:g}], got k={k.flat[bad.argmax()]}"
         )
     orders, ks = n.ravel(), k.ravel()
     family = np.flatnonzero(orders > 0)

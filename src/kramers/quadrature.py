@@ -15,8 +15,8 @@ each member keeps its own intervals, sums, stop test and subdivision
 budget, so its value is the one its own call gives, bit for bit, and a
 single integral is a family of one.  Both integrators take such a family;
 a spectral member also keeps its own tail samples and tail guard.  The
-same G7/K15 pair, as a fixed rule on given intervals (:func:`_gk_rule`),
-is the kernel table of :mod:`kramers.kernels`.
+pair's K15 rule, fixed on given intervals (:func:`_gk_rule`), is the
+kernel table of :mod:`kramers.kernels`.
 
 Every tail past ``k_max`` is the model (alpha + beta ln k)/k^p through
 the integrand's values at the two points of :func:`_tail_points`
@@ -29,7 +29,12 @@ plain floats, each passed only to the functions that read it: ``rel_tol``
 (default ``REL_TOL``) to every adaptive integral and ``k_max`` (default
 ``K_MAX``) to the spectral ones, checked by :func:`check_rel_tol` and
 :func:`check_k_max`; the absolute floor, the Gaussian truncation point and
-the subdivision budget are module constants.  All functions are pure;
+the subdivision budget are module constants.  ``rel_tol`` is relative only
+above that floor: an adaptive integral stops once its error estimate is at
+most ``max(ABS_TOL, rel_tol |value|)``, so one smaller than
+``ABS_TOL / rel_tol`` (1e-4 at the defaults) is held to ``ABS_TOL`` = 1e-14
+absolute, whatever ``rel_tol`` says.  ``t_n(3, 5000)``, about 2.3e-8, is
+1.5e-7 relative off at the default ``rel_tol``.  All functions are pure;
 nothing here holds mutable state beyond one call.
 """
 
@@ -96,6 +101,11 @@ REL_TOL = 1e-10
 #: integrate_spectral leaves a residual ~ln(k_max)/k_max^2 that only drops
 #: below 1e-5 around this truncation point.
 K_MAX = 800.0
+#: largest wavenumber any moment takes, and so the largest k_max: the graded
+#: moment rule of :mod:`kramers.special_integrals` is measured exact to 2e-11
+#: up to k = 2^14 but not beyond, and past it the adaptive moments lose their
+#: knee (T_1(1e8) would come out 65% low)
+K_LIMIT = 16384.0
 
 
 def check_rel_tol(rel_tol: float) -> None:
@@ -105,14 +115,13 @@ def check_rel_tol(rel_tol: float) -> None:
 
 
 def check_k_max(k_max: float) -> None:
-    """Reject a truncation point outside (2, 16384].
+    """Reject a truncation point outside (2, K_LIMIT].
 
-    The standard grid needs k_max above its [0, 2] section, and the graded
-    moment rule of :mod:`kramers.special_integrals` is measured exact to
-    2e-11 up to k = 2^14 but not beyond.
+    The standard grid needs k_max above its [0, 2] section, and its moments
+    are taken at wavenumbers up to k_max.
     """
-    if not 2.0 < k_max <= 16384.0:  # also false for NaN
-        raise ValueError(f"k_max must be finite and in (2, 16384], got {k_max}")
+    if not 2.0 < k_max <= K_LIMIT:  # also false for NaN
+        raise ValueError(f"k_max must be finite and in (2, {K_LIMIT:g}], got {k_max}")
 
 # Gauss-Kronrod 7/15 pair on [-1, 1] (QUADPACK dqk15 values).
 _XK = np.array([

@@ -31,7 +31,8 @@ rule on [0, T_MAX], built at import, whose panels are geometrically refined
 toward t=0 to resolve the Lorentzian knee at t ~ 1/k for every supported
 k_max (up to 2^14); it takes no tolerance, is cross-checked against the
 scalar path in the test suite and exists purely for speed in the
-grid/kernel machinery.
+grid/kernel machinery.  Wavenumbers are supported in [0, K_LIMIT] (2^14):
+`t_n`, `j_n` and `j_m` reject larger ones.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import REL_TOL, T_MAX, check_rel_tol, integrate_gaussian_weighted
+from .quadrature import (
+    K_LIMIT, REL_TOL, T_MAX, check_rel_tol, integrate_gaussian_weighted,
+)
 
 __all__ = [
     "GasParameters",
@@ -123,8 +126,8 @@ class _GradedRule:
     smooth factor-of-four variation of 1/(1 + k^2 t^2), so 20-point Gauss is
     exact to machine precision for every moment used here while the knee 1/k
     is resolved.  Measured against QUADPACK with a breakpoint at 1/k, T_0..T_6
-    agree to 2e-11 relative up to k = 2^14 (the largest supported k_max);
-    at k = 2^16, T_0 is off by 1.7e-6.
+    agree to 2e-11 relative up to k = 2^14 (``K_LIMIT``, the largest
+    supported wavenumber); at k = 2^16, T_0 is off by 1.7e-6.
     """
 
     def __init__(self, t_max: float):
@@ -219,19 +222,23 @@ def _t_n_cached(n: int, k: float, rel_tol: float) -> float:
 
 
 def t_n(n: int, k: float, rel_tol: float = REL_TOL) -> float:
-    """Moment T_n(k); the k=0 values come from the exact moment table."""
+    """Moment T_n(k), k in [0, K_LIMIT]; the k=0 values come from the exact
+    moment table."""
     _check_order(n)
     check_rel_tol(rel_tol)
-    if not k >= 0:  # also catches NaN
-        raise ValueError(f"wavenumber must be >= 0, got k={k}")
+    if not 0 <= k <= K_LIMIT:  # also catches NaN
+        raise ValueError(f"wavenumber must be in [0, {K_LIMIT:g}], got k={k}")
     if k == 0.0:
         return MOMENTS[n]
     return _t_n_cached(n, float(k), rel_tol)
 
 
 def _check_wavenumbers(k, k1) -> None:
-    if not (np.all(np.asarray(k) >= 0) and np.all(np.asarray(k1) >= 0)):
-        raise ValueError(f"wavenumbers must be >= 0, got k={k}, k1={k1}")
+    for w in (np.asarray(k), np.asarray(k1)):
+        if not np.all((w >= 0) & (w <= K_LIMIT)):  # also catches NaN
+            raise ValueError(
+                f"wavenumbers must be in [0, {K_LIMIT:g}], got k={k}, k1={k1}"
+            )
 
 
 def _check_gamma(gamma) -> None:
@@ -307,7 +314,8 @@ def dispersion_l(k: float, gamma: float, rel_tol: float = REL_TOL) -> float:
     the two agree identically (tested) but this one is exact at k=0.
     """
     _check_gamma(gamma)
-    return (1.0 - gamma) * k * k * t_n(2, k, rel_tol)
+    t2 = t_n(2, k, rel_tol)  # checks k before k * k can overflow
+    return (1.0 - gamma) * k * k * t2
 
 
 def phi0(k: float, rel_tol: float = REL_TOL) -> float:

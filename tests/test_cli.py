@@ -113,6 +113,25 @@ class TestCurves:
         sqpi = math.sqrt(math.pi)
         assert first == pytest.approx([0.0, 1 / sqpi, 0.5, 1 / sqpi], abs=1e-6)
 
+    @pytest.mark.parametrize("what, k", [
+        ("tn", "1e12:1e12:1"), ("dispersion", "1e200:1e200:1"),
+        ("tn", "0:20000:1000"),
+    ])
+    def test_wavenumber_above_the_limit_rejected(self, capsys, what, k):
+        """T1(1e12) printed 7.21781e-24 (3.0853e-23 is right) with exit 0, and
+        L(1e200) exited 3 after numpy overflow warnings."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "curves", "--what", what, "--k", k)
+        assert code == 2 and out == ""
+        assert "--k: wavenumbers must be at most 16384" in err
+
+    def test_moments_at_the_limit(self, capsys):
+        """At k = 16384, T1 = x e^x E_1(x)/sqrt(pi), x = 1/k^2 (3.95782e-08)."""
+        code, out, _ = run_cli(capsys, "curves", "--what", "tn", "--k", "16384:16384:1")
+        assert code == 0
+        assert csv_rows(out)[1][0][:2] == ["16384", "3.95782e-08"]
+
     def test_empty_range(self, capsys):
         code, _, err = run_cli(capsys, "curves", "--k", "5:1:0.5")
         assert code == 2
@@ -212,6 +231,16 @@ class TestProfile:
         code, _, err = run_cli(capsys, "profile", f"{flag}={value}")
         assert code == 2
         assert f"{flag}: {entry} is not a number" in err
+
+    def test_empty_mu_list_rejected_before_series(self, capsys, monkeypatch):
+        """--mu '' printed the profile without h columns."""
+        def no_series(*args):
+            raise AssertionError("series built before --mu was checked")
+
+        monkeypatch.setattr(cli, "build_series", no_series)
+        code, out, err = run_cli(capsys, "profile", "--mu", "")
+        assert code == 2 and out == ""
+        assert "--mu: empty list" in err
 
     @pytest.mark.parametrize("value, message", [
         ("20", "mu must lie in [-10, 10]"), ("-10.5", "mu must lie in [-10, 10]"),
@@ -314,6 +343,16 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--only", "nonsense")
         assert code == 2
         assert "group" in err
+
+    def test_empty_group_list_rejected_before_work(self, capsys, monkeypatch):
+        """--only '' ran all 24 checks."""
+        def no_checks(*args):
+            raise AssertionError("checks run before --only was checked")
+
+        monkeypatch.setattr(cli.verification, "run_checks", no_checks)
+        code, out, err = run_cli(capsys, "verify", "--only", "")
+        assert code == 2 and out == ""
+        assert "--only: empty list" in err
 
 
 class TestAccuracyFlags:

@@ -1,10 +1,14 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+from kramers.quadrature import K_LIMIT
 from kramers.special_integrals import (
     GasParameters,
     MOMENTS,
@@ -143,6 +147,51 @@ class TestTn:
         """T_4(85.625) by mpmath at 40 digits, with breakpoints at 1/k; it
         was 2.1e-8 relative off before the knee became a breakpoint."""
         assert t_n(4, 85.625) == pytest.approx(6.817933625325422e-05, rel=1e-13)
+
+
+class TestWavenumberLimit:
+    """Every moment takes k in [0, K_LIMIT]: past it the adaptive runs
+    lose their knee, and T_1(1e8) was 65% low, T_0(1e12) 50% low and
+    T_0(1.4e154) 0.0."""
+
+    @staticmethod
+    def closed_forms(k):
+        """T_0 = sqrt(pi x) e^x erfc(sqrt x) and T_1 = x e^x E_1(x)/sqrt(pi),
+        with x = 1/k^2."""
+        x = 1.0 / (k * k)
+        return (math.sqrt(math.pi * x) * special.erfcx(math.sqrt(x)),
+                x * math.exp(x) * special.exp1(x) / SQPI)
+
+    @pytest.mark.parametrize("k", [1000.0, K_LIMIT])
+    def test_closed_forms_up_to_the_limit(self, k):
+        t0, t1 = self.closed_forms(k)
+        assert t_n(0, k) == pytest.approx(t0, rel=5e-15)
+        assert t_n(1, k) == pytest.approx(t1, rel=5e-15)
+
+    @pytest.mark.parametrize("call, k", [
+        (lambda: t_n(1, 1e8), "k=100000000.0"),
+        (lambda: t_n(0, 1e12), "k=1000000000000.0"),
+        (lambda: t_n(0, 1.4e154), "k=1.4e+154"),
+        (lambda: t_n(2, math.inf), "k=inf"),
+        (lambda: t_n(0, np.nextafter(K_LIMIT, math.inf)), "k=16384.000000000004"),
+        (lambda: dispersion_l(1e200, 0.0), "k=1e+200"),
+        (lambda: phi0(2e4), "k=20000.0"),
+        (lambda: j_n(1, 1e8, 0.5), "k=100000000.0"),
+        (lambda: j_n(1, 0.5, [1.0, 2e4]), "k1=[1.0, 20000.0]"),
+        (lambda: j_m(3, 0.5, 1e8, 0.1), "k1=100000000.0"),
+        (lambda: j_m(1, [0.5, math.inf], 0.5, 0.1), "k=[0.5, inf]"),
+    ])
+    def test_larger_wavenumbers_rejected(self, call, k):
+        message = rf"must be in \[0, 16384\], got .*{re.escape(k)}"
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_dispersion_at_a_huge_wavenumber_warns_nothing(self):
+        """k * k overflowed with a RuntimeWarning before the moment was checked."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="16384"):
+                dispersion_l(np.float64(1e200), 0.0)
 
 
 class TestJn:
