@@ -187,6 +187,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     only = tuple(_split_list("--only", args.only)) if args.only is not None else None
+    if only is not None and "" in only:
+        raise ValueError("--only: empty group name")
     results = verification.run_checks(args.tol, args.kmax, only)
     width = max(len(r.name) for r in results) + 2
     lines = []

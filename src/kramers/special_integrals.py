@@ -152,6 +152,16 @@ class _GradedRule:
 _RULE = _GradedRule(T_MAX)
 
 
+def _check_batch(k: np.ndarray) -> None:
+    """Reject, by name, wavenumbers outside [0, K_LIMIT] (NaN included),
+    from one min and one max of the batch: past the limit the graded rule
+    misses the knee (``t_n_vec(1, [1e8])`` was 16% low)."""
+    lo, hi = k.min(initial=0.0), k.max(initial=0.0)
+    if not (lo >= 0.0 and hi <= K_LIMIT):  # min and max propagate NaN
+        bad = lo if not lo >= 0.0 else hi
+        raise ValueError(f"wavenumber must be in [0, {K_LIMIT:g}], got k={bad}")
+
+
 class MomentBatch:
     """Shared-denominator evaluator for several moments at one k batch.
 
@@ -163,6 +173,7 @@ class MomentBatch:
 
     def __init__(self, k):
         self.k = np.atleast_1d(np.asarray(k, dtype=float))
+        _check_batch(self.k)
         # 1/(1 + k^2 t^2) in place, in the bits of the plain expression
         w = np.multiply.outer(self.k * self.k, _RULE.t_sq)
         w += 1.0
@@ -182,6 +193,7 @@ class MomentBatch:
 def fixed_row(n: int, k_fixed: float) -> np.ndarray:
     """Rule row for J_n(k_fixed, .): contract with MomentBatch.against."""
     _check_order(n)
+    _check_batch(np.array([k_fixed], dtype=float))
     return _RULE.moment_weights[n] / (1.0 + k_fixed**2 * _RULE.t_sq)
 
 

@@ -12,17 +12,19 @@ per-order polynomial pieces (the interpolant is linear in its node values,
 so nothing is refitted).  Up to k_max, the last node of the series grid,
 the density is a quintic on each knot interval, and the integral of a
 polynomial times e^{ikx} has a closed form (Filon's method), so the head of
-each transform costs the same at every x1 >= 0.  Beyond k_max the fitted density model is integrated
-exactly at x1 = 0 and summed as an alternating series over half periods
-with iterated averaging at x1 > 0.  One transform call covers any number
-of coordinates and any of the plain and damped cosine and the damped
-k-sine of h(x1, mu): the polynomial pieces, their moment tables and the
-tail fit are made once per call, and the coordinates then go through one
-vectorised pass, in bounded chunks.  So velocity_profile makes one call
-for all its nodes, and distribution_function takes one coordinate or an
-array of them.  The k-integrals of the source bracket of h are the plain
-and damped cosine transforms at 0, computed once per call.  Nothing here
-integrates adaptively.
+each transform costs the same at every x1 >= 0.  Beyond k_max the fitted
+density model is integrated exactly at x1 = 0 and, at x1 > 0, summed as its
+asymptotic series in 1/(x1 k) (integration by parts), from k_max where
+x1 k_max >= 40 and past a short Gauss-Legendre stretch nearer the wall.
+One transform call covers any number of coordinates and any of the plain
+and damped cosine and the damped k-sine of h(x1, mu): the polynomial
+pieces, their moment tables, the tail fit and the tail series coefficients
+are made once per call, and the coordinates then go through one vectorised
+pass, in bounded chunks.  So velocity_profile makes one call for all its
+nodes, and distribution_function takes one coordinate or an array of them.
+The k-integrals of the source bracket of h are the plain and damped cosine
+transforms at 0 of a second density on the same knots, taken in the same
+pass.  Nothing here integrates adaptively.
 """
 
 from __future__ import annotations
@@ -52,13 +54,6 @@ __all__ = [
     "gamma_from_physical",
     "dimensional_slip",
 ]
-
-#: half periods summed, with iterated averaging, past k_max
-_TAIL_TERMS = 48
-_AVERAGING_WEIGHTS = np.array(
-    [math.comb(_TAIL_TERMS - 1, i) for i in range(_TAIL_TERMS)], dtype=float
-) / 2.0 ** (_TAIL_TERMS - 1)
-
 
 @dataclass(frozen=True)
 class VelocityProfile:
@@ -233,6 +228,41 @@ _X_CHUNK = 128
 #: are transformed as x = 0
 _WALL_OMEGA = float(np.finfo(float).eps)
 
+# Tails past k_max (see _tail_pieces): asymptotic series from the Taylor
+# coefficients in u of the amplitude at k = start (1 + u).
+#: terms of the series (at 22 the k-sine tail at k_max = 50, x k_max = 41
+#: is 1.04e-16 off, against mpmath)
+_SERIES_TERMS = 26
+#: smallest x start the series is used at: at 24 a 24-term series is 2e-8
+#: relative off, and at 8 it diverges
+_SERIES_MIN_PHASE = 40.0
+_TERMS = np.arange(_SERIES_TERMS)
+_LOG_SERIES = np.append(0.0, -(-1.0) ** _TERMS[1:] / _TERMS[1:])  # ln(1 + u)
+_INVERSE_SQUARE = (-1.0) ** _TERMS * (_TERMS + 1.0)  # (1 + u)^-2
+#: [wave, part, j]: the amplitude is A times part 0 plus beta times part 1
+#: (see _series_coefficients): (1 + u)^-2 (1, ln(1 + u)) for the cosine
+#: kinds and k^2 times that, (1, ln(1 + u)), for the k-sine one, whose
+#: k sin(kx) is taken times k: the known k-sine tail defect (ROADMAP), kept
+#: until the profile references are re-pinned
+_TAIL_PARTS = np.array([
+    [_INVERSE_SQUARE, np.convolve(_INVERSE_SQUARE, _LOG_SERIES)[:_SERIES_TERMS]],
+    [_TERMS == 0.0, _LOG_SERIES],
+])
+#: [wave, term, j]: j! i^j split into the weights of cos(x start) (term 0)
+#: and sin(x start) (term 1) in the tail's real part (cosine kinds) or
+#: imaginary part (k-sine kind); see _series_tails
+_PARITY = _TERMS % 2
+_PHASE_WEIGHTS = (np.array([math.factorial(j) for j in _TERMS], dtype=float)
+                  * (-1.0) ** (_TERMS // 2)
+                  * np.array([[-_PARITY, _PARITY - 1], [1 - _PARITY, -_PARITY]]))
+#: [wave, part, i, (term, j)]: the weighted coefficients of a series times a
+#: part are the series' @ this (the Cauchy product as a triangular Toeplitz
+#: matrix); row i = 0 holds those of the part itself
+_TAIL_PRODUCTS = (
+    np.triu(_TAIL_PARTS[..., (_TERMS - _TERMS[:, None]) % _SERIES_TERMS])[..., None, :]
+    * _PHASE_WEIGHTS[:, None, None]
+).reshape(2, 2, _SERIES_TERMS, 2 * _SERIES_TERMS)
+
 
 def check_mu(mu: float) -> None:
     """Reject, by name, a velocity outside the domain of h(x1, mu)."""
@@ -252,18 +282,21 @@ def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _head_pieces(
-    density: SpectralFunction, kinds: tuple[str, ...], mu: float = 0.0
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Heads of ``kinds`` on every knot interval below k_max, as a function of x.
+    densities: tuple[SpectralFunction, ...], kinds: tuple[str, ...], mu: float = 0.0
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """Heads of ``kinds`` on every knot interval below k_max.
 
-    The function returned maps an array of coordinates to the heads
-    [kind, coordinate, knot interval].  On each knot interval the piece of
-    the density is evaluated at 14 Chebyshev points straight from its
-    local coefficients and multiplied there by the kind's factor: 1, the
-    damping, or k times the damping.  The interpolant of these values gives
-    the Chebyshev coefficients e_n of the integrand P(k), to degree 13; when
-    no kind is damped, P is the quintic piece itself and only e_0..e_5 are
-    kept.  Then int_a^b P(k) e^{ikx} dk =
+    Returns ``(heads, integrals)``.  ``heads`` maps an array of coordinates
+    to the heads [kind, coordinate, knot interval] of ``densities[0]``;
+    ``integrals`` [kind, density] holds the heads at x = 0, summed over the
+    intervals, of every density (all on the same knots; 0 for the k-sine
+    kind).  On each knot interval the pieces of the densities are evaluated
+    at 14 Chebyshev points straight from their local coefficients and
+    multiplied there by the kind's factor: 1, the damping, or k times the
+    damping.  The interpolant of these values gives the Chebyshev
+    coefficients e_n of the integrand P(k), to degree 13; when no kind is
+    damped, P is the quintic piece itself and only e_0..e_5 are kept.  Then
+    int_a^b P(k) e^{ikx} dk =
     r e^{ixm} sum_n e_n K_n(x r) with the moments K_n(w) = int_{-1}^{1}
     T_n(t) e^{iwt} dt.  Repeated integration by parts gives K_n =
     sum_j (-1)^j [T_n^(j)(t) e^{iwt}]_{-1}^{1} / (iw)^(j+1), which ends after
@@ -272,7 +305,8 @@ def _head_pieces(
     sin(w) R_+ + cos(w) I_-, where R_-, R_+ are w^-2 and I_+, I_- are w^-1
     times polynomials in 1/w^2 (``_HORNER``).  Below w = 0.5, where that
     form cancels, the Taylor series of e^{iwt} gives polynomials in w^2
-    instead (``_TAYLOR``; exact at x = 0).  Both contractions with the
+    instead (``_TAYLOR``; exact at x = 0, where only its constant term is
+    left).  Both contractions with the
     Chebyshev coefficients are made here, once, so each coordinate and
     interval costs one real Horner pass.  The cosine transforms take the
     real part, the k-sine one the imaginary part.  This is Filon's method
@@ -280,20 +314,29 @@ def _head_pieces(
     2005).
     """
     forms = [_KINDS[kind] for kind in kinds]
-    lo, hi = density.x[:-1], density.x[1:]
+    lo, hi = densities[0].x[:-1], densities[0].x[1:]
     r = 0.5 * (hi - lo)
     mid = lo + r
-    # density.c holds the coefficients of (k - lo)^(5-m); k - lo = r (1 + t)
-    values = _LOCAL_VALUES @ (density.c[::-1] * r ** np.arange(_DEGREE + 1)[:, None])
-    k = mid + r * _PRODUCT_T[:, None]
-    damp = 1.0 / (1.0 + (k * mu) ** 2)
-    products = np.stack([
-        values * (k if wave == "ksin" else 1.0) * (damp if damped else 1.0)
-        for wave, damped in forms
-    ], axis=1)
+    # c holds the coefficients of (k - lo)^(5-m); k - lo = r (1 + t)
+    local = np.stack([d.c[::-1] for d in densities], axis=1)
+    values = (_LOCAL_VALUES @ (local * r ** np.arange(_DEGREE + 1)[:, None, None])
+              .reshape(_DEGREE + 1, -1)).reshape(_N_CHEB, len(densities), -1)
+    # [point, 1, interval], broadcast over the densities
+    k = (mid + r * _PRODUCT_T[:, None])[:, None]
+    if any(damped for _, damped in forms):
+        damped_values = values * (1.0 / (1.0 + (k * mu) ** 2))
+    products = []
+    for wave, damped in forms:
+        piece = damped_values if damped else values
+        products.append(piece * k if wave == "ksin" else piece)
     # an undamped piece has degree 5: its coefficients past T_5 are zero
     size = _N_CHEB if any(damped for _, damped in forms) else _DEGREE + 1
-    coeffs = _FROM_VALUES[:size] @ products.reshape(_N_CHEB, -1)
+    coeffs = _FROM_VALUES[:size] @ np.stack(products, axis=1).reshape(_N_CHEB, -1)
+    integrals = (r * (_TAYLOR[0, 0, :size] @ coeffs).reshape(
+        len(kinds), len(densities), -1)).sum(axis=-1)
+    integrals[[wave == "ksin" for wave, _ in forms]] = 0.0
+    coeffs = coeffs.reshape(size, len(kinds), len(densities), -1)[:, :, 0].reshape(
+        size, -1)
     closed = (_HORNER[:size // 2, :, :size] @ coeffs).reshape(
         size // 2, 4, len(kinds), -1)
     taylor = (_TAYLOR[:, :, :size] @ coeffs).reshape(
@@ -321,34 +364,37 @@ def _head_pieces(
         return r * np.where(sine, sin_m * real + cos_m * imag,
                             cos_m * real - sin_m * imag)
 
-    return heads
+    return heads, integrals
 
 
-def _alternating_tails(
+def _gauss_stretch(
     alpha: float, beta: float, x: np.ndarray, forms: list, mu: float, k_max: float
-) -> np.ndarray:
-    """Tails [kind, coordinate] past k_max of the fitted density model, x > 0.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Near-wall tails [kind, coordinate] from k_max to the series start.
 
-    Each is a stub from k_max to the first multiple of pi/(2x) past it,
-    geometrically split in case x is tiny, and then _TAIL_TERMS half periods
-    summed with iterated averaging of their partial sums (alternating-series
-    acceleration): averaging neighbours until one value is left weights
-    partial sum i by C(n-1, i) / 2^(n-1).  Every interval takes 16-point
-    Gauss-Legendre, on one (coordinate, interval, point) array of
-    wavenumbers that all kinds share.
+    For 0 < x k_max < _SERIES_MIN_PHASE the series of :func:`_tail_pieces`
+    starts at the first half-period zero past _SERIES_MIN_PHASE / x, which
+    is also returned, one per coordinate.  The stretch up to it is a stub
+    from k_max to the first multiple of pi/(2x) past it, geometrically split
+    in case x is tiny, and then at most 13 half periods; every interval
+    takes 16-point Gauss-Legendre, on one (coordinate, interval, point)
+    array of wavenumbers that all kinds share.
     """
     quarter = math.pi / (2.0 * x)
     half = 2.0 * quarter
     zero = quarter * np.ceil(k_max / quarter + 1e-12)
     zero = np.where(zero <= k_max, zero + half, zero)
-    # stub intervals [k_max 2^i, k_max 2^(i+1)] below zero, then [., zero];
-    # the ones past zero have zero width and add nothing
+    periods = np.maximum(np.ceil((_SERIES_MIN_PHASE / x - zero) / half), 0.0)
+    start = zero + periods * half
+    # stub intervals [k_max 2^i, k_max 2^(i+1)] below zero, then [., zero],
+    # then the half periods; those past zero or start have zero width
     stubs = 1
     while k_max * 2.0**stubs < zero.max():
         stubs += 1
     edges = np.concatenate([
         np.minimum(k_max * 2.0 ** np.arange(stubs), zero[:, None]),
-        zero[:, None] + half[:, None] * np.arange(_TAIL_TERMS + 1),
+        np.minimum(zero[:, None] + half[:, None] * np.arange(periods.max() + 1),
+                   start[:, None]),
     ], axis=1)
     mid = 0.5 * (edges[:, :-1] + edges[:, 1:])[..., None]
     width = 0.5 * (edges[:, 1:] - edges[:, :-1])[..., None]
@@ -362,16 +408,89 @@ def _alternating_tails(
     }
     if any(damped for _, damped in forms):
         damped_model = model * (1.0 / (1.0 + (k * mu) ** 2))
-    tails = np.empty((len(forms), x.size))
+    stretch = np.empty((len(forms), x.size))
     for row, (wave, damped) in enumerate(forms):
         amp = damped_model if damped else model
         if wave == "ksin":
             # k sin(kx) already carries k: the known k-sine tail defect
             # (ROADMAP), kept until the profile references are re-pinned
             amp = k * amp
-        sums = (oscillators[wave] * amp * weights).sum(axis=-1)
-        tails[row] = (sums[:, :stubs].sum(axis=-1)
-                      + np.cumsum(sums[:, stubs:], axis=-1) @ _AVERAGING_WEIGHTS)
+        stretch[row] = (oscillators[wave] * amp * weights).sum(axis=(-2, -1))
+    return stretch, start
+
+
+def _series_coefficients(
+    alpha: float, beta: float, start: np.ndarray, forms: list, mu: float
+) -> np.ndarray:
+    """[kind, start, term, j]: the weights of the series terms of each tail
+    from ``start`` on (see :func:`_series_tails`), from j! a_j, a_j the
+    Taylor coefficients in u of the amplitude at k = start (1 + u).
+
+    The model is (alpha + beta ln k)/k^2 = (A (1 + u)^-2 + beta (1 + u)^-2
+    ln(1 + u))/start^2 with A = alpha + beta ln(start); the k-sine kind
+    carries k^2 times it, A + beta ln(1 + u).  A damped kind multiplies
+    either by the series d_j of 1/(1 + s (1 + u)^2), s = (mu start)^2,
+    whose recurrence (1 + s) d_j + 2 s d_(j-1) + s d_(j-2) = 0 has the
+    roots -cos(e) e^(+-ie), tan e = 1/sqrt(s), of equal modulus below 1:
+    d_j = (-cos e)^j sin((j + 1) e) sin e, for every start at once.
+    """
+    level = (alpha + beta * np.log(start))[:, None, None]
+    inverse_square = (1.0 / (start * start))[:, None, None]
+    parts = {False: _TAIL_PRODUCTS[:, :, :1]}
+    if any(damped for _, damped in forms):
+        e = np.arctan2(1.0, abs(mu) * start)[:, None]
+        parts[True] = ((-np.cos(e)) ** _TERMS * np.sin((_TERMS + 1) * e) * np.sin(e)
+                       @ _TAIL_PRODUCTS)
+    rows = []
+    for wave, damped in forms:
+        own, log = parts[damped][int(wave == "ksin")].reshape(2, -1, 2, _SERIES_TERMS)
+        row = level * own + beta * log
+        rows.append(row if wave == "ksin" else row * inverse_square)
+    return np.array(rows)
+
+
+def _series_tails(
+    coefficients: np.ndarray, start: np.ndarray | float, x: np.ndarray
+) -> np.ndarray:
+    """[kind, coordinate]: int_start^inf of the amplitude against e^{ikx},
+    -(e^{i start x}/(ix)) sum_j (-1)^j j! a_j (i start x)^-j, its real part
+    for the cosine kinds and its imaginary part for the k-sine one, summed
+    as (c cos(x start) + s sin(x start))/x with c and s polynomials in
+    1/(x start) whose coefficients are ``coefficients`` (one start, or one
+    per coordinate)."""
+    phase = start * x
+    weights = (coefficients * ((1.0 / phase)[:, None, None] ** _TERMS)).sum(axis=-1)
+    return (weights[..., 0] * np.cos(phase) + weights[..., 1] * np.sin(phase)) / x
+
+
+def _tail_pieces(
+    alpha: float, beta: float, kinds: tuple[str, ...], mu: float, k_max: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Tails of ``kinds`` past k_max of the fitted density model, as a
+    function of x > 0.
+
+    The function returned maps coordinates to the tails [kind, coordinate]
+    of the model (alpha + beta ln k)/k^2, damped or times k as the kind
+    asks, against e^{ikx}.  Integration by parts gives each as an asymptotic
+    series in 1/(x start) from any start on (Iserles & Norsett, Proc. R. Soc.
+    A 461, 2005; Erdelyi, Asymptotic Expansions, 1956, section 2), which
+    converges fast once x start >= _SERIES_MIN_PHASE.  Where x k_max reaches
+    that, the series starts at k_max, from coefficients made once; nearer
+    the wall it starts past the stretch of :func:`_gauss_stretch`.
+    """
+    forms = [_KINDS[kind] for kind in kinds]
+    at_k_max = _series_coefficients(alpha, beta, np.array([k_max]), forms, mu)
+
+    def tails(x: np.ndarray) -> np.ndarray:
+        near = x * k_max < _SERIES_MIN_PHASE
+        values = np.empty((len(forms), x.size))
+        values[:, ~near] = _series_tails(at_k_max, k_max, x[~near])
+        if near.any():
+            stretch, start = _gauss_stretch(alpha, beta, x[near], forms, mu, k_max)
+            values[:, near] = stretch + _series_tails(
+                _series_coefficients(alpha, beta, start, forms, mu), start, x[near])
+        return values
+
     return tails
 
 
@@ -381,7 +500,8 @@ def _osc_transform(
     kinds: tuple[str, ...],
     mu: float = 0.0,
     label: str = "oscillatory transform at x={x:.4g}",
-) -> np.ndarray:
+    source: SpectralFunction | None = None,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """int_0^inf w(k x) density(k) dk, one row per kind, one column per x.
 
     ``"cos"`` has w = cos; ``"damped_cos"`` and ``"damped_ksin"`` have
@@ -389,17 +509,22 @@ def _osc_transform(
     the distribution-function integrands.  At every x >= 0 the head on
     [0, density.k_max] is integrated exactly, knot interval by knot
     interval, from the density's polynomial pieces, at a cost that does not
-    grow with x.  The pieces, their moment tables (:func:`_head_pieces`) and
-    the tail fit are made once per call; the coordinates are then taken in
-    chunks of _X_CHUNK, each in one vectorised pass (the heads and
-    :func:`_alternating_tails`).  The k-sine head vanishes at x = 0.  Past
-    k_max each transform continues the fitted (a + b ln k)/k^2 density
-    model: at x = 0 as its exact integral, under the 10% tail guard of
-    :mod:`kramers.quadrature`, and at x > 0 as an accelerated alternating
-    series over half periods.  Coordinates with x k_max below
-    ``_WALL_OMEGA`` (machine epsilon; x < 2.8e-19 at k_max = 800) take the
-    x = 0 value.  ``label`` is formatted with ``x=`` the coordinate an
-    error is raised at.
+    grow with x.  The pieces, their moment tables (:func:`_head_pieces`),
+    the tail fit and the tail series coefficients are made once per call;
+    the coordinates x > 0 are then taken in chunks of _X_CHUNK, each in one
+    vectorised pass (the heads and :func:`_tail_pieces`).  Past k_max each
+    transform continues the fitted (a + b ln k)/k^2 density model: at x > 0
+    as the model's asymptotic series past k_max (nearer the wall, past a
+    Gauss-Legendre stretch), and at x = 0 as its exact integral, under the
+    10% tail guard of :mod:`kramers.quadrature`; the k-sine transform
+    vanishes at x = 0.  Coordinates with x k_max below ``_WALL_OMEGA``
+    (machine epsilon; x < 2.8e-19 at k_max = 800) take the x = 0 value.
+    ``label`` is formatted with ``x=`` the coordinate an error is raised at.
+
+    ``source``, a second density on the same knots (that of the source
+    bracket of h), is taken through the same pass, k points and damping,
+    at x = 0 only: the call then returns ``(values, integrals)``, the
+    second holding the source's transforms at x = 0, one per kind.
     """
     x = np.asarray(x, dtype=float)
     forms = [_KINDS[kind] for kind in kinds]
@@ -410,33 +535,43 @@ def _osc_transform(
         at = next(v for v in map(float, x) if not math.isfinite(v * k_max))
         raise ValueError(f"{label.format(x=at)}: x * k_max overflows at x={at:g}")
     x = np.where(x * k_max < _WALL_OMEGA, 0.0, x)
-    heads = _head_pieces(density, kinds, mu)
+    densities = (density,) if source is None else (density, source)
+    heads, integrals = _head_pieces(densities, kinds, mu)
     positive = x > 0.0
+    values = np.empty((len(kinds), x.size))
     if positive.any():
         # continue the fitted density model beyond k_max
-        alpha, beta = _fit_log_tail(density, k_max, 2, label.format(x=x[positive][0]))
-    values = np.empty((len(kinds), x.size))
-    for start in range(0, x.size, _X_CHUNK):
-        chunk = x[start:start + _X_CHUNK]
-        block = heads(chunk).sum(axis=-1)
-        far = chunk > 0.0
-        if far.any():
-            block[:, far] += _alternating_tails(alpha, beta, chunk[far], forms, mu, k_max)
-        values[:, start:start + _X_CHUNK] = block
-    if not positive.all():
+        far = x[positive]
+        alpha, beta = _fit_log_tail(density, k_max, 2, label.format(x=far[0]))
+        tails = _tail_pieces(alpha, beta, kinds, mu, k_max)
+        values[:, positive] = np.concatenate([
+            heads(chunk).sum(axis=-1) + tails(chunk)
+            for chunk in np.split(far, range(_X_CHUNK, far.size, _X_CHUNK))
+        ], axis=1)
+    # the densities transformed at x = 0, where the k-sine transforms vanish
+    # and the cosine ones get the tail: this one at wall coordinates, and the
+    # source
+    members = [0] if not positive.all() else []
+    if source is not None:
+        members.append(1)
+    integrals = integrals[:, members]
+    rows = [row for row, (wave, _) in enumerate(forms) if wave == "cos"]
+    if members and rows:
         # The model is fitted to the integrand, damping included, although
         # a damped integrand decays like /k^4: the known x1 = 0 defect
         # (ROADMAP), kept until the profile references are re-pinned.
-        wall = ~positive
+        names = (label.format(x=0.0), f"source bracket at mu={mu:.4g}")
         k_tail = _tail_points(k_max)
-        samples = density(k_tail)
-        for row, (wave, damped) in enumerate(forms):
-            if wave == "cos":
-                damp = 1.0 / (1.0 + (k_tail * mu) ** 2) if damped else 1.0
-                values[row, wall] += _log_tail(
-                    samples * damp, k_max, 2, values[row, wall.argmax()],
-                    label.format(x=0.0))[0]
-    return values
+        samples = np.stack([densities[j](k_tail) for j in members], axis=1)
+        damp = (1.0 / (1.0 + (k_tail * mu) ** 2))[:, None]
+        integrals[rows] += _log_tail(
+            np.concatenate([samples * damp if forms[row][1] else samples
+                            for row in rows], axis=1),
+            k_max, 2, integrals[rows].ravel(),
+            lambda i: names[members[i % len(members)]],
+        ).reshape(len(rows), -1)
+    values[:, ~positive] = integrals[:, :1]
+    return values if source is None else (values, integrals[:, -1])
 
 
 def _combined_density(
@@ -497,10 +632,11 @@ def distribution_function(
     R_q(mu) e^{-x1/mu} for mu > 0 (zero for mu < 0); the density part is
     carried by the cosine and k-sine transforms of E_q at x1.  The integral
     in R_q is the plain and damped cosine transform at x = 0 of
-    sum_{n<N} q^n E_n, so it does not depend on x1: it is computed once per
-    call.  Both parts carry G_v (1-gamma) (2-q), which the density at gamma,
-    E_n/(1-gamma), cancels in the transforms; only R_q's integral divides by
-    1-gamma.  ``x1`` is a coordinate (giving a float) or an array of them
+    sum_{n<N} q^n E_n, so it does not depend on x1: it comes once per call,
+    from the same transform pass as the rest (``source`` of
+    :func:`_osc_transform`).  Both parts carry G_v (1-gamma) (2-q), which
+    the density at gamma, E_n/(1-gamma), cancels in the transforms; only
+    R_q's integral divides by 1-gamma.  ``x1`` is a coordinate (giving a float) or an array of them
     (giving an array of that shape, from one transform pass).  Non-finite
     x1 and |mu| > 10 are rejected.
     """
@@ -518,10 +654,14 @@ def distribution_function(
 
     density = _combined_density(series, q)
     kinds = ("cos",) if mu == 0.0 else ("cos", "damped_cos", "damped_ksin")
-    transforms = _osc_transform(
-        density, x.reshape(-1), kinds, mu=mu,
-        label=f"h_c transforms at x1={{x:.4g}}, mu={mu:.4g}",
-    ).reshape((len(kinds),) + x.shape) / math.pi
+    label = f"h_c transforms at x1={{x:.4g}}, mu={mu:.4g}"
+    if mu > 0.0 and series.order >= 1:
+        transforms, (plain, damped, _) = _osc_transform(
+            density, x.reshape(-1), kinds, mu, label,
+            source=_combined_density(series, q, upto=series.order - 1))
+    else:
+        transforms = _osc_transform(density, x.reshape(-1), kinds, mu, label)
+    transforms = transforms.reshape((len(kinds),) + x.shape) / math.pi
     if mu == 0.0:
         h = h_as + pref * transforms[0]
     else:
@@ -530,11 +670,6 @@ def distribution_function(
         if mu > 0.0:
             r = abs(mu) - u0()
             if series.order >= 1:
-                plain, damped = _osc_transform(
-                    _combined_density(series, q, upto=series.order - 1),
-                    np.zeros(1), ("cos", "damped_cos"), mu,
-                    label=f"source bracket at mu={mu:.4g}",
-                )[:, 0]
                 r -= sum(
                     series.u_coeffs[n] * q**n for n in range(1, series.order + 1)
                 )

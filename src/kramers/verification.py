@@ -168,11 +168,14 @@ def run_checks(
     """Run the selected groups (all by default) and return their results.
 
     ``rel_tol`` goes to every adaptive integral and ``k_max`` to every
-    series; both are checked before any group runs.
+    series; both are checked before any group runs.  ``only=None`` selects
+    every group; an empty ``only`` selects none and is rejected.
     """
     check_rel_tol(rel_tol)
     check_k_max(k_max)
-    groups = GROUPS if not only else only
+    if only is not None and not only:
+        raise ValueError(f"no check group selected; choose from {GROUPS}")
+    groups = GROUPS if only is None else only
     unknown = set(groups) - set(GROUPS)
     if unknown:
         raise ValueError(

@@ -354,6 +354,33 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "--only: empty list" in err
 
+    @pytest.mark.parametrize("only", ["--only=,", "--only=identities,,pole",
+                                      "--only=pole,"])
+    def test_empty_group_name_rejected_before_work(self, capsys, monkeypatch, only):
+        """An empty entry was rejected as unknown group [''], without naming
+        the flag."""
+        def no_checks(*args):
+            raise AssertionError("checks run before --only was checked")
+
+        monkeypatch.setattr(cli.verification, "run_checks", no_checks)
+        code, out, err = run_cli(capsys, "verify", only)
+        assert code == 2 and out == ""
+        assert "--only: empty group name" in err
+
+    def test_library_empty_selection_rejected(self, monkeypatch):
+        """run_checks(only=()) ran all four groups; only=None still does."""
+        verification = cli.verification
+        ran = []
+        for name in ("_identity_checks", "_constants_checks", "_pole_checks",
+                     "_oracle_checks"):
+            monkeypatch.setattr(verification, name,
+                                lambda *args, name=name: ran.append(name) or [])
+        with pytest.raises(ValueError, match="no check group selected"):
+            verification.run_checks(only=())
+        assert ran == []
+        assert verification.run_checks(only=None) == []
+        assert len(ran) == 4
+
 
 class TestAccuracyFlags:
     """--tol and --kmax are checked for every command before any work."""

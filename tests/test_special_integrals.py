@@ -180,11 +180,32 @@ class TestWavenumberLimit:
         (lambda: j_n(1, 0.5, [1.0, 2e4]), "k1=[1.0, 20000.0]"),
         (lambda: j_m(3, 0.5, 1e8, 0.1), "k1=100000000.0"),
         (lambda: j_m(1, [0.5, math.inf], 0.5, 0.1), "k=[0.5, inf]"),
+        pytest.param(lambda: t_n_vec(1, [1e5]), "k=100000.0", id="t_n_vec-1e5"),
+        pytest.param(lambda: t_n_vec(0, [1.0, np.nextafter(K_LIMIT, math.inf)]),
+                     "k=16384.000000000004", id="t_n_vec-above"),
+        pytest.param(lambda: t_n_vec(0, [2.0, -1.0]), "k=-1.0", id="t_n_vec-negative"),
+        pytest.param(lambda: t_n_vec(0, [2.0, math.nan]), "k=nan", id="t_n_vec-nan"),
+        pytest.param(lambda: MomentBatch([0.5, 1e8]), "k=100000000.0",
+                     id="MomentBatch-1e8"),
+        pytest.param(lambda: fixed_row(1, 2e4), "k=20000.0", id="fixed_row-2e4"),
+        pytest.param(lambda: fixed_row(1, math.nan), "k=nan", id="fixed_row-nan"),
     ])
     def test_larger_wavenumbers_rejected(self, call, k):
         message = rf"must be in \[0, 16384\], got .*{re.escape(k)}"
         with pytest.raises(ValueError, match=message):
             call()
+
+    def test_batches_up_to_the_limit(self):
+        """The batch moments take the whole range, the limit included; past
+        it, against the closed form, t_n_vec(1, [1e5]) was 2.4e-6 and
+        t_n_vec(1, [1e8]) 16% low, without an error."""
+        k = np.array([0.0, 1000.0, K_LIMIT])
+        t1 = t_n_vec(1, k)
+        assert t1[0] == MOMENTS[1]
+        for value, wavenumber in zip(t1[1:], k[1:]):
+            assert value == pytest.approx(self.closed_forms(wavenumber)[1], rel=1e-13)
+        assert np.all(np.isfinite(fixed_row(1, K_LIMIT)))
+        assert t_n_vec(0, np.array([])).size == 0
 
     def test_dispersion_at_a_huge_wavenumber_warns_nothing(self):
         """k * k overflowed with a RuntimeWarning before the moment was checked."""

@@ -244,7 +244,7 @@ class TestClosedFormHead:
 
         for mu in (0.25, 2.0, -1.0, 10.0, -10.0):
             lo, hi = density.x[:-1], density.x[1:]
-            heads = _head_pieces(density, self.KINDS, mu=mu)(np.array([x]))[:, 0]
+            heads = _head_pieces((density,), self.KINDS, mu=mu)[0](np.array([x]))[:, 0]
             assert lo[0] == 0.0 and hi[-1] == K_MAX
 
             def damp(k):
@@ -329,6 +329,126 @@ class TestSharedTransforms:
         for kind, value in zip(self.KINDS, shared):
             (single,) = _osc_transform(density, np.array([x]), (kind,), mu=mu)[:, 0]
             assert value == pytest.approx(single, abs=1e-15)
+
+
+class TestTailSeries:
+    """Tails past k_max of the fitted model (alpha + beta ln k)/k^2 against
+    30-digit references, across the x k_max = 40 start of the series.
+
+    Each reference is int_{k_max}^inf F(k) e^{ikx} dk, its real part for
+    the cosine kinds and its imaginary part for the k-sine one, with F the
+    model, the model times 1/(1 + k^2 mu^2), and k * k times that damped
+    model: the k-sine integrand k sin(kx) * k * model * damping written out
+    with its double k, the known k-sine tail defect (ROADMAP).  They were
+    computed with mpmath 1.3 at 30 digits by turning the contour up into the
+    half-plane, where F is analytic past k_max:
+    i e^{i k_max x} int_0^inf F(k_max + it) e^{-tx} dt.  Where x k_max <= 41
+    that agrees to 22 digits with mpmath.quadosc (quadrature on half
+    periods up to a zero past 60/x, then quadosc); at x k_max = 1e3 and 1e5
+    quadosc was off by orders of magnitude, as QUADPACK's QAWF can be.
+    mpmath is not a dependency, so the values are literals.  The damping
+    depends on mu^2 only, so -mu has the same references.
+    """
+
+    ALPHA, BETA = 0.8, -0.8  # near the fits of E_q at gamma 0.25, order 4
+    KINDS = ("cos", "damped_cos", "damped_ksin")
+    #: (k_max, x k_max): the cosine tail, then the damped cosine and k-sine
+    #: tails at |mu| = 0.25 and at |mu| = 10
+    REFERENCE = {
+        (50.0, 1e-3): (
+            -0.06233495970719875, -0.0001103685524436329, -0.012363004424268628,
+            -6.923398422608952e-08, -7.728618460080374e-06),
+        (50.0, 5): (
+            -0.008575558105807402, -4.522747016127667e-05, -0.0003151093921095722,
+            -2.840783605184723e-08, -7.181731361854688e-08),
+        (50.0, 39): (
+            0.00113476233404538, 7.057144991995999e-06, -0.005817725012811725,
+            4.438161118228275e-09, -3.6628302509365107e-06),
+        (50.0, 41): (
+            -0.00013471091263281406, -5.10372389756685e-07, 0.017908121056166418,
+            -3.196527537116345e-10, 1.1264189022560522e-05),
+        (50.0, 1e3): (
+            3.8482704225515605e-05, 2.4438889033880273e-07, -0.0004175802021688242,
+            1.5371864492393438e-10, -2.6266177230492664e-07),
+        (50.0, 1e5): (
+            1.6663925070632025e-08, 1.0602975100798254e-10, 7.402632621842797e-06,
+            6.669268334779777e-14, 4.656237272981768e-09),
+        (800.0, 1e-3): (
+            -0.006664169918053419, -5.014872314516555e-08, -0.0010980538653774779,
+            -3.134341140516391e-11, -6.862844384416128e-07),
+        (800.0, 5): (
+            -0.0010331995048215089, -2.1245567343762467e-08, 0.0003820198342161182,
+            -1.3278737175588722e-11, 2.388255691399744e-07),
+        (800.0, 39): (
+            0.00013820938852199624, 3.3769254517966446e-09, -0.0007241666780228555,
+            2.110629685866338e-12, -4.5261714942744376e-07),
+        (800.0, 41): (
+            -1.5874182875183798e-05, -2.2988237689707064e-10, 0.002199200129967978,
+            -1.436775139989912e-13, 1.374534420388407e-06),
+        (800.0, 1e3): (
+            4.69463369317002e-06, 1.172015156035863e-10, -5.1286143393611766e-05,
+            7.325277484656858e-14, -3.2054642804138964e-08),
+        (800.0, 1e5): (
+            2.03321662052838e-09, 5.08575481875579e-14, 9.089331897030735e-07,
+            3.17867622132822e-17, 5.680974367588145e-10),
+        (16384.0, 1e-3): (
+            -0.00047260143012035303, -8.767411539539774e-12, -7.090830696261068e-05,
+            -5.47963240516755e-15, -4.431769198548416e-08),
+        (16384.0, 5): (
+            -7.688953704012532e-05, -3.760069414101582e-12, 3.935921092881938e-05,
+            -2.3500434924219028e-15, 2.459951828561911e-08),
+        (16384.0, 39): (
+            1.0326517108979042e-05, 6.014793265580085e-13, -5.439239889619127e-05,
+            3.759246008713304e-16, -3.399525163184438e-08),
+        (16384.0, 41): (
+            -1.1715173121356356e-06, -4.0076444075891525e-14, 0.0001644339451157643,
+            -2.5047777951802465e-17, 1.0277122181796796e-07),
+        (16384.0, 1e3): (
+            3.5097378128861475e-07, 2.089089144941494e-14, -3.834782857091097e-06,
+            1.3056807932566831e-17, -2.3967394288661677e-09),
+        (16384.0, 1e5): (
+            1.5201351440819895e-10, 9.065774166023686e-18, 6.795695756403878e-08,
+            5.6661091914686306e-21, 4.2473101007534126e-11),
+    }
+
+    @pytest.mark.parametrize("k_max, phase", sorted(REFERENCE))
+    def test_matches_mpmath(self, k_max, phase):
+        from kramers.transport import _tail_pieces
+
+        plain, *damped = self.REFERENCE[k_max, phase]
+        x = np.array([phase / k_max])
+        for mu, pair in zip((0.25, 10.0), (damped[:2], damped[2:])):
+            expected = np.array([plain, *pair])
+            bound = 1e-16 * np.maximum(1.0, np.abs(expected) * k_max)
+            for sign in (1.0, -1.0):
+                tails = _tail_pieces(self.ALPHA, self.BETA, self.KINDS,
+                                     sign * mu, k_max)(x)[:, 0]
+                assert np.all(np.abs(tails - expected) <= bound), (mu, tails - expected)
+
+    def test_far_coordinates_take_no_gauss_points(self, series_cache, monkeypatch):
+        """Past x k_max = 40 the series starts at k_max: no Gauss-Legendre
+        stretch is evaluated for such a coordinate, in a profile or in h."""
+        import kramers.transport as transport
+
+        stretched = []
+        original = transport._gauss_stretch
+
+        def recorded(alpha, beta, x, *args):
+            stretched.extend(x)
+            return original(alpha, beta, x, *args)
+
+        monkeypatch.setattr(transport, "_gauss_stretch", recorded)
+        series = series_cache(0.25, 4)
+        params = GasParameters(gamma=0.25, q=0.9, g_v=1.0)
+        k_max = series.e_funcs[0].k_max
+        far = np.array([40.0, 41.0, 1e3, 1e5]) / k_max
+        velocity_profile(params, series, far)
+        for mu in (0.5, -0.5):
+            distribution_function(params, series, far, mu)
+        assert stretched == []
+        near = np.array([1e-3, 5.0, 39.0]) / k_max
+        velocity_profile(params, series, np.concatenate([near, far]))
+        assert stretched == list(near)
 
 
 class TestDistributionFunction:
@@ -490,22 +610,35 @@ class TestBatchedCoordinates:
             np.testing.assert_allclose(chunked, expected, rtol=0, atol=1e-15)
 
     def test_one_tail_fit_per_call(self, series_cache, monkeypatch):
+        """Each call makes one pass: its head pieces once and its tail fit
+        once, h at mu > 0 too (its source bracket made a second pass)."""
         import kramers.transport as transport
 
         series = series_cache(0.25, 4)
-        fit = transport._fit_log_tail
-        labels = []
+        fit, pieces = transport._fit_log_tail, transport._head_pieces
+        labels, stacks = [], []
 
         def counted(f, k_max, p, label):
             labels.append(label)
             return fit(f, k_max, p, label)
 
+        def counted_pieces(densities, *args):
+            stacks.append(len(densities))
+            return pieces(densities, *args)
+
         monkeypatch.setattr(transport, "_fit_log_tail", counted)
+        monkeypatch.setattr(transport, "_head_pieces", counted_pieces)
         x = np.linspace(0.0, 30.0, 301)
         velocity_profile(self.PARAMS, series, x)
         distribution_function(self.PARAMS, series, x, 0.5)
         assert labels == ["U_c cosine transform at x1=0.1",
                           "h_c transforms at x1=0.1, mu=0.5"]
+        assert stacks == [1, 2]
+        for mu, stacked in ((0.5, 2), (-0.5, 1), (0.0, 1)):
+            labels.clear(), stacks.clear()
+            distribution_function(self.PARAMS, series, 7.0, mu)
+            assert labels == [f"h_c transforms at x1=7, mu={mu:.4g}"]
+            assert stacks == [stacked]
 
 
 class TestPhysicalConversions:
