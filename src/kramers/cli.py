@@ -148,6 +148,8 @@ def _cmd_slip(args: argparse.Namespace) -> int:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.gamma < 1.0:  # also false for NaN
+        raise ValueError(f"--gamma must be in [0, 1), got {args.gamma}")
     grid = _parse_range("--k", args.k)
     if grid[-1] > K_LIMIT:
         raise ValueError(

@@ -16,15 +16,16 @@ each transform costs the same at every x1 >= 0.  Beyond k_max the fitted
 density model is integrated exactly at x1 = 0 and, at x1 > 0, summed as its
 asymptotic series in 1/(x1 k) (integration by parts), from k_max where
 x1 k_max >= 40 and past a short Gauss-Legendre stretch nearer the wall.
-One transform call covers any number of coordinates and any of the plain
-and damped cosine and the damped k-sine of h(x1, mu): the polynomial
+One transform call covers any number of coordinates, and its rows are
+fixed by mu: the cosine transform alone for U_c, or, given mu, the cosine,
+damped cosine and damped k-sine transforms of h(x1, mu).  The polynomial
 pieces, their moment tables, the tail fit and the tail series coefficients
 are made once per call, and the coordinates then go through one vectorised
 pass, in bounded chunks.  So velocity_profile makes one call for all its
 nodes, and distribution_function takes one coordinate or an array of them.
 The k-integrals of the source bracket of h are the plain and damped cosine
-transforms at 0 of a second density on the same knots, taken in the same
-pass.  Nothing here integrates adaptively.
+transforms at 0 of a second density on the same knots, passed to the same
+call.  Nothing here integrates adaptively.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class VelocityProfile:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if not np.isfinite(self.x_nodes).all():
+            raise ValueError("x_nodes must be finite")
         if np.any(self.x_nodes < 0.0):
             raise ValueError("profile coordinates must be >= 0")
 
@@ -163,14 +166,6 @@ def slip_coefficient_kv(params: GasParameters, series: SeriesExpansion) -> float
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
-#: the transforms _osc_transform can return: oscillator and whether the
-#: damping factor 1/(1 + k^2 mu^2) applies
-_KINDS = {
-    "cos": ("cos", False),
-    "damped_cos": ("cos", True),
-    "damped_ksin": ("ksin", True),
-}
-
 # Chebyshev tables of the head.  A knot interval [a, b] of the density is
 # mapped to t in [-1, 1] by k = m + r t (midpoint m, half-width r), and the
 # integrand on it is interpolated as sum_n e_n T_n(t) at 14 Chebyshev points.
@@ -220,7 +215,7 @@ _CLOSED_FORM_MIN_OMEGA = 0.5
 #: cosine head is off by at most 3e-16 at 10, 8e-13 at 20 and 9e-8 at 100.
 MU_MAX = 10.0
 #: coordinates per pass of the x-dependent work, which bounds its
-#: (kinds, coordinates, knot intervals) and tail arrays on long ranges
+#: (rows, coordinates, knot intervals) and tail arrays on long ranges
 _X_CHUNK = 128
 #: below x k_max = eps, cos(k x) is 1 to rounding on the whole head and the
 #: transforms are at their x = 0 limit (the k-sine one at 0), while the
@@ -241,7 +236,7 @@ _LOG_SERIES = np.append(0.0, -(-1.0) ** _TERMS[1:] / _TERMS[1:])  # ln(1 + u)
 _INVERSE_SQUARE = (-1.0) ** _TERMS * (_TERMS + 1.0)  # (1 + u)^-2
 #: [wave, part, j]: the amplitude is A times part 0 plus beta times part 1
 #: (see _series_coefficients): (1 + u)^-2 (1, ln(1 + u)) for the cosine
-#: kinds and k^2 times that, (1, ln(1 + u)), for the k-sine one, whose
+#: rows and k^2 times that, (1, ln(1 + u)), for the k-sine one, whose
 #: k sin(kx) is taken times k: the known k-sine tail defect (ROADMAP), kept
 #: until the profile references are re-pinned
 _TAIL_PARTS = np.array([
@@ -249,8 +244,8 @@ _TAIL_PARTS = np.array([
     [_TERMS == 0.0, _LOG_SERIES],
 ])
 #: [wave, term, j]: j! i^j split into the weights of cos(x start) (term 0)
-#: and sin(x start) (term 1) in the tail's real part (cosine kinds) or
-#: imaginary part (k-sine kind); see _series_tails
+#: and sin(x start) (term 1) in the tail's real part (cosine rows) or
+#: imaginary part (k-sine row); see _series_tails
 _PARITY = _TERMS % 2
 _PHASE_WEIGHTS = (np.array([math.factorial(j) for j in _TERMS], dtype=float)
                   * (-1.0) ** (_TERMS // 2)
@@ -282,20 +277,22 @@ def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _head_pieces(
-    densities: tuple[SpectralFunction, ...], kinds: tuple[str, ...], mu: float = 0.0
+    densities: tuple[SpectralFunction, ...], mu: float | None = None
 ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """Heads of ``kinds`` on every knot interval below k_max.
+    """Heads on every knot interval below k_max: of the cosine transform
+    alone when ``mu`` is None, else of the cosine, damped cosine and damped
+    k-sine transforms (the rows of :func:`_osc_transform`).
 
     Returns ``(heads, integrals)``.  ``heads`` maps an array of coordinates
-    to the heads [kind, coordinate, knot interval] of ``densities[0]``;
-    ``integrals`` [kind, density] holds the heads at x = 0, summed over the
+    to the heads [row, coordinate, knot interval] of ``densities[0]``;
+    ``integrals`` [row, density] holds the heads at x = 0, summed over the
     intervals, of every density (all on the same knots; 0 for the k-sine
-    kind).  On each knot interval the pieces of the densities are evaluated
+    row).  On each knot interval the pieces of the densities are evaluated
     at 14 Chebyshev points straight from their local coefficients and
-    multiplied there by the kind's factor: 1, the damping, or k times the
+    multiplied there by the row's factor: 1, the damping, or k times the
     damping.  The interpolant of these values gives the Chebyshev
-    coefficients e_n of the integrand P(k), to degree 13; when no kind is
-    damped, P is the quintic piece itself and only e_0..e_5 are kept.  Then
+    coefficients e_n of the integrand P(k), to degree 13; without ``mu``,
+    P is the quintic piece itself and only e_0..e_5 are kept.  Then
     int_a^b P(k) e^{ikx} dk =
     r e^{ixm} sum_n e_n K_n(x r) with the moments K_n(w) = int_{-1}^{1}
     T_n(t) e^{iwt} dt.  Repeated integration by parts gives K_n =
@@ -308,12 +305,11 @@ def _head_pieces(
     instead (``_TAYLOR``; exact at x = 0, where only its constant term is
     left).  Both contractions with the
     Chebyshev coefficients are made here, once, so each coordinate and
-    interval costs one real Horner pass.  The cosine transforms take the
+    interval costs one real Horner pass.  The cosine rows take the
     real part, the k-sine one the imaginary part.  This is Filon's method
     with the density's own knots (Iserles & Norsett, Proc. R. Soc. A 461,
     2005).
     """
-    forms = [_KINDS[kind] for kind in kinds]
     lo, hi = densities[0].x[:-1], densities[0].x[1:]
     r = 0.5 * (hi - lo)
     mid = lo + r
@@ -321,27 +317,22 @@ def _head_pieces(
     local = np.stack([d.c[::-1] for d in densities], axis=1)
     values = (_LOCAL_VALUES @ (local * r ** np.arange(_DEGREE + 1)[:, None, None])
               .reshape(_DEGREE + 1, -1)).reshape(_N_CHEB, len(densities), -1)
-    # [point, 1, interval], broadcast over the densities
-    k = (mid + r * _PRODUCT_T[:, None])[:, None]
-    if any(damped for _, damped in forms):
-        damped_values = values * (1.0 / (1.0 + (k * mu) ** 2))
-    products = []
-    for wave, damped in forms:
-        piece = damped_values if damped else values
-        products.append(piece * k if wave == "ksin" else piece)
-    # an undamped piece has degree 5: its coefficients past T_5 are zero
-    size = _N_CHEB if any(damped for _, damped in forms) else _DEGREE + 1
-    coeffs = _FROM_VALUES[:size] @ np.stack(products, axis=1).reshape(_N_CHEB, -1)
+    if mu is None:
+        # an undamped piece has degree 5: its coefficients past T_5 are zero
+        products, size = values[:, None], _DEGREE + 1
+    else:
+        # [point, 1, interval], broadcast over the densities
+        k = (mid + r * _PRODUCT_T[:, None])[:, None]
+        damped = values * (1.0 / (1.0 + (k * mu) ** 2))
+        products, size = np.stack([values, damped, damped * k], axis=1), _N_CHEB
+    rows = products.shape[1]
+    coeffs = _FROM_VALUES[:size] @ products.reshape(_N_CHEB, -1)
     integrals = (r * (_TAYLOR[0, 0, :size] @ coeffs).reshape(
-        len(kinds), len(densities), -1)).sum(axis=-1)
-    integrals[[wave == "ksin" for wave, _ in forms]] = 0.0
-    coeffs = coeffs.reshape(size, len(kinds), len(densities), -1)[:, :, 0].reshape(
-        size, -1)
-    closed = (_HORNER[:size // 2, :, :size] @ coeffs).reshape(
-        size // 2, 4, len(kinds), -1)
-    taylor = (_TAYLOR[:, :, :size] @ coeffs).reshape(
-        _TAYLOR.shape[0], 2, len(kinds), -1)
-    sine = np.array([wave == "ksin" for wave, _ in forms])[:, None, None]
+        rows, len(densities), -1)).sum(axis=-1)
+    integrals[2:] = 0.0  # the k-sine row
+    coeffs = coeffs.reshape(size, rows, len(densities), -1)[:, :, 0].reshape(size, -1)
+    closed = (_HORNER[:size // 2, :, :size] @ coeffs).reshape(size // 2, 4, rows, -1)
+    taylor = (_TAYLOR[:, :, :size] @ coeffs).reshape(_TAYLOR.shape[0], 2, rows, -1)
 
     def heads(x: np.ndarray) -> np.ndarray:
         omega = x[:, None] * r
@@ -361,16 +352,18 @@ def _head_pieces(
             imag = np.where(small, w * odd, imag)
         theta = x[:, None] * mid
         cos_m, sin_m = np.cos(theta), np.sin(theta)
-        return r * np.where(sine, sin_m * real + cos_m * imag,
-                            cos_m * real - sin_m * imag)
+        pieces = cos_m * real - sin_m * imag
+        # the k-sine row takes the imaginary part
+        pieces[2:] = sin_m * real[2:] + cos_m * imag[2:]
+        return r * pieces
 
     return heads, integrals
 
 
 def _gauss_stretch(
-    alpha: float, beta: float, x: np.ndarray, forms: list, mu: float, k_max: float
+    alpha: float, beta: float, x: np.ndarray, mu: float | None, k_max: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Near-wall tails [kind, coordinate] from k_max to the series start.
+    """Near-wall tails [row, coordinate] from k_max to the series start.
 
     For 0 < x k_max < _SERIES_MIN_PHASE the series of :func:`_tail_pieces`
     starts at the first half-period zero past _SERIES_MIN_PHASE / x, which
@@ -378,7 +371,7 @@ def _gauss_stretch(
     from k_max to the first multiple of pi/(2x) past it, geometrically split
     in case x is tiny, and then at most 13 half periods; every interval
     takes 16-point Gauss-Legendre, on one (coordinate, interval, point)
-    array of wavenumbers that all kinds share.
+    array of wavenumbers that all rows share.
     """
     quarter = math.pi / (2.0 * x)
     half = 2.0 * quarter
@@ -402,33 +395,26 @@ def _gauss_stretch(
     weights = width * _GL_W
     model = (alpha + beta * np.log(k)) / k**2
     xk = k * x[:, None, None]
-    oscillators = {
-        wave: np.cos(xk) if wave == "cos" else k * np.sin(xk)
-        for wave in {wave for wave, _ in forms}
-    }
-    if any(damped for _, damped in forms):
-        damped_model = model * (1.0 / (1.0 + (k * mu) ** 2))
-    stretch = np.empty((len(forms), x.size))
-    for row, (wave, damped) in enumerate(forms):
-        amp = damped_model if damped else model
-        if wave == "ksin":
-            # k sin(kx) already carries k: the known k-sine tail defect
-            # (ROADMAP), kept until the profile references are re-pinned
-            amp = k * amp
-        stretch[row] = (oscillators[wave] * amp * weights).sum(axis=(-2, -1))
-    return stretch, start
+    cos_xk = np.cos(xk)
+    integrands = [cos_xk * model]
+    if mu is not None:
+        damped = model * (1.0 / (1.0 + (k * mu) ** 2))
+        # k sin(kx) times k: the known k-sine tail defect (ROADMAP), kept
+        # until the profile references are re-pinned
+        integrands += [cos_xk * damped, k * np.sin(xk) * (k * damped)]
+    return np.array([(f * weights).sum(axis=(-2, -1)) for f in integrands]), start
 
 
 def _series_coefficients(
-    alpha: float, beta: float, start: np.ndarray, forms: list, mu: float
+    alpha: float, beta: float, start: np.ndarray, mu: float | None
 ) -> np.ndarray:
-    """[kind, start, term, j]: the weights of the series terms of each tail
+    """[row, start, term, j]: the weights of the series terms of each tail
     from ``start`` on (see :func:`_series_tails`), from j! a_j, a_j the
     Taylor coefficients in u of the amplitude at k = start (1 + u).
 
     The model is (alpha + beta ln k)/k^2 = (A (1 + u)^-2 + beta (1 + u)^-2
-    ln(1 + u))/start^2 with A = alpha + beta ln(start); the k-sine kind
-    carries k^2 times it, A + beta ln(1 + u).  A damped kind multiplies
+    ln(1 + u))/start^2 with A = alpha + beta ln(start); the k-sine row
+    carries k^2 times it, A + beta ln(1 + u).  The damped rows multiply
     either by the series d_j of 1/(1 + s (1 + u)^2), s = (mu start)^2,
     whose recurrence (1 + s) d_j + 2 s d_(j-1) + s d_(j-2) = 0 has the
     roots -cos(e) e^(+-ie), tan e = 1/sqrt(s), of equal modulus below 1:
@@ -436,25 +422,26 @@ def _series_coefficients(
     """
     level = (alpha + beta * np.log(start))[:, None, None]
     inverse_square = (1.0 / (start * start))[:, None, None]
-    parts = {False: _TAIL_PRODUCTS[:, :, :1]}
-    if any(damped for _, damped in forms):
+
+    def row(parts: np.ndarray) -> np.ndarray:
+        own, log = parts.reshape(2, -1, 2, _SERIES_TERMS)
+        return level * own + beta * log
+
+    rows = [row(_TAIL_PRODUCTS[0, :, :1]) * inverse_square]
+    if mu is not None:
         e = np.arctan2(1.0, abs(mu) * start)[:, None]
-        parts[True] = ((-np.cos(e)) ** _TERMS * np.sin((_TERMS + 1) * e) * np.sin(e)
-                       @ _TAIL_PRODUCTS)
-    rows = []
-    for wave, damped in forms:
-        own, log = parts[damped][int(wave == "ksin")].reshape(2, -1, 2, _SERIES_TERMS)
-        row = level * own + beta * log
-        rows.append(row if wave == "ksin" else row * inverse_square)
+        cosine, ksine = ((-np.cos(e)) ** _TERMS * np.sin((_TERMS + 1) * e) * np.sin(e)
+                         @ _TAIL_PRODUCTS)
+        rows += [row(cosine) * inverse_square, row(ksine)]
     return np.array(rows)
 
 
 def _series_tails(
     coefficients: np.ndarray, start: np.ndarray | float, x: np.ndarray
 ) -> np.ndarray:
-    """[kind, coordinate]: int_start^inf of the amplitude against e^{ikx},
+    """[row, coordinate]: int_start^inf of the amplitude against e^{ikx},
     -(e^{i start x}/(ix)) sum_j (-1)^j j! a_j (i start x)^-j, its real part
-    for the cosine kinds and its imaginary part for the k-sine one, summed
+    for the cosine rows and its imaginary part for the k-sine one, summed
     as (c cos(x start) + s sin(x start))/x with c and s polynomials in
     1/(x start) whose coefficients are ``coefficients`` (one start, or one
     per coordinate)."""
@@ -464,50 +451,51 @@ def _series_tails(
 
 
 def _tail_pieces(
-    alpha: float, beta: float, kinds: tuple[str, ...], mu: float, k_max: float
+    alpha: float, beta: float, mu: float | None, k_max: float
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Tails of ``kinds`` past k_max of the fitted density model, as a
-    function of x > 0.
+    """Tails past k_max of the fitted density model, as a function of x > 0.
 
-    The function returned maps coordinates to the tails [kind, coordinate]
-    of the model (alpha + beta ln k)/k^2, damped or times k as the kind
-    asks, against e^{ikx}.  Integration by parts gives each as an asymptotic
-    series in 1/(x start) from any start on (Iserles & Norsett, Proc. R. Soc.
-    A 461, 2005; Erdelyi, Asymptotic Expansions, 1956, section 2), which
-    converges fast once x start >= _SERIES_MIN_PHASE.  Where x k_max reaches
-    that, the series starts at k_max, from coefficients made once; nearer
-    the wall it starts past the stretch of :func:`_gauss_stretch`.
+    The function returned maps coordinates to the tails [row, coordinate]
+    of the model (alpha + beta ln k)/k^2, damped or times k as the row of
+    :func:`_osc_transform` asks, against e^{ikx}.  Integration by parts
+    gives each as an asymptotic series in 1/(x start) from any start on
+    (Iserles & Norsett, Proc. R. Soc. A 461, 2005; Erdelyi, Asymptotic
+    Expansions, 1956, section 2), which converges fast once
+    x start >= _SERIES_MIN_PHASE.  Where x k_max reaches that, the series
+    starts at k_max, from coefficients made once; nearer the wall it starts
+    past the stretch of :func:`_gauss_stretch`.
     """
-    forms = [_KINDS[kind] for kind in kinds]
-    at_k_max = _series_coefficients(alpha, beta, np.array([k_max]), forms, mu)
+    at_k_max = _series_coefficients(alpha, beta, np.array([k_max]), mu)
 
     def tails(x: np.ndarray) -> np.ndarray:
         near = x * k_max < _SERIES_MIN_PHASE
-        values = np.empty((len(forms), x.size))
+        values = np.empty((len(at_k_max), x.size))
         values[:, ~near] = _series_tails(at_k_max, k_max, x[~near])
         if near.any():
-            stretch, start = _gauss_stretch(alpha, beta, x[near], forms, mu, k_max)
+            stretch, start = _gauss_stretch(alpha, beta, x[near], mu, k_max)
             values[:, near] = stretch + _series_tails(
-                _series_coefficients(alpha, beta, start, forms, mu), start, x[near])
+                _series_coefficients(alpha, beta, start, mu), start, x[near])
         return values
 
     return tails
 
 
 def _osc_transform(
-    density: SpectralFunction,
+    densities: tuple[SpectralFunction, ...],
     x: np.ndarray,
-    kinds: tuple[str, ...],
-    mu: float = 0.0,
+    mu: float | None = None,
     label: str = "oscillatory transform at x={x:.4g}",
-    source: SpectralFunction | None = None,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """int_0^inf w(k x) density(k) dk, one row per kind, one column per x.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transforms int_0^inf w(k x) density(k) dk: ``(values, wall)``.
 
-    ``"cos"`` has w = cos; ``"damped_cos"`` and ``"damped_ksin"`` have
-    w = cos and k*sin times the damping factor 1/(1 + k^2 mu^2) carried by
-    the distribution-function integrands.  At every x >= 0 the head on
-    [0, density.k_max] is integrated exactly, knot interval by knot
+    The rows are fixed by ``mu``: without it the cosine transform alone
+    (w = cos), with it also the damped cosine and damped k-sine transforms
+    (w = cos and k*sin times the damping 1/(1 + k^2 mu^2) of the
+    distribution-function integrands).  ``values`` [row, coordinate] holds
+    the transforms of ``densities[0]`` at every x >= 0, and ``wall``
+    [row, density] those at x = 0 of every further density on the same
+    knots (the source bracket of h), from the same pass.  At every x the
+    head on [0, k_max] is integrated exactly, knot interval by knot
     interval, from the density's polynomial pieces, at a cost that does not
     grow with x.  The pieces, their moment tables (:func:`_head_pieces`),
     the tail fit and the tail series coefficients are made once per call;
@@ -520,58 +508,48 @@ def _osc_transform(
     vanishes at x = 0.  Coordinates with x k_max below ``_WALL_OMEGA``
     (machine epsilon; x < 2.8e-19 at k_max = 800) take the x = 0 value.
     ``label`` is formatted with ``x=`` the coordinate an error is raised at.
-
-    ``source``, a second density on the same knots (that of the source
-    bracket of h), is taken through the same pass, k points and damping,
-    at x = 0 only: the call then returns ``(values, integrals)``, the
-    second holding the source's transforms at x = 0, one per kind.
     """
     x = np.asarray(x, dtype=float)
-    forms = [_KINDS[kind] for kind in kinds]
-    k_max = density.k_max
+    k_max = densities[0].k_max
     if (x < 0.0).any():
         raise ValueError("transform coordinate must be >= 0")
     if not math.isfinite(float(x.max(initial=0.0)) * k_max):
         at = next(v for v in map(float, x) if not math.isfinite(v * k_max))
         raise ValueError(f"{label.format(x=at)}: x * k_max overflows at x={at:g}")
     x = np.where(x * k_max < _WALL_OMEGA, 0.0, x)
-    densities = (density,) if source is None else (density, source)
-    heads, integrals = _head_pieces(densities, kinds, mu)
+    heads, integrals = _head_pieces(densities, mu)
     positive = x > 0.0
-    values = np.empty((len(kinds), x.size))
+    values = np.empty((len(integrals), x.size))
     if positive.any():
         # continue the fitted density model beyond k_max
         far = x[positive]
-        alpha, beta = _fit_log_tail(density, k_max, 2, label.format(x=far[0]))
-        tails = _tail_pieces(alpha, beta, kinds, mu, k_max)
+        alpha, beta = _fit_log_tail(densities[0], k_max, 2, label.format(x=far[0]))
+        tails = _tail_pieces(alpha, beta, mu, k_max)
         values[:, positive] = np.concatenate([
             heads(chunk).sum(axis=-1) + tails(chunk)
             for chunk in np.split(far, range(_X_CHUNK, far.size, _X_CHUNK))
         ], axis=1)
     # the densities transformed at x = 0, where the k-sine transforms vanish
-    # and the cosine ones get the tail: this one at wall coordinates, and the
-    # source
-    members = [0] if not positive.all() else []
-    if source is not None:
-        members.append(1)
-    integrals = integrals[:, members]
-    rows = [row for row, (wave, _) in enumerate(forms) if wave == "cos"]
-    if members and rows:
+    # and the cosine ones get the tail: the first at wall coordinates, and
+    # every further one
+    members = list(range(1 if positive.all() else 0, len(densities)))
+    if members:
         # The model is fitted to the integrand, damping included, although
         # a damped integrand decays like /k^4: the known x1 = 0 defect
         # (ROADMAP), kept until the profile references are re-pinned.
-        names = (label.format(x=0.0), f"source bracket at mu={mu:.4g}")
         k_tail = _tail_points(k_max)
         samples = np.stack([densities[j](k_tail) for j in members], axis=1)
-        damp = (1.0 / (1.0 + (k_tail * mu) ** 2))[:, None]
-        integrals[rows] += _log_tail(
-            np.concatenate([samples * damp if forms[row][1] else samples
-                            for row in rows], axis=1),
-            k_max, 2, integrals[rows].ravel(),
-            lambda i: names[members[i % len(members)]],
-        ).reshape(len(rows), -1)
+        if mu is not None:
+            damp = (1.0 / (1.0 + (k_tail * mu) ** 2))[:, None]
+            samples = np.concatenate([samples, samples * damp], axis=1)
+        cosines = 1 if mu is None else 2
+        integrals[:cosines, members] += _log_tail(
+            samples, k_max, 2, integrals[:cosines, members].ravel(),
+            lambda i: (label.format(x=0.0) if members[i % len(members)] == 0
+                       else f"source bracket at mu={mu:.4g}"),
+        ).reshape(cosines, -1)
     values[:, ~positive] = integrals[:, :1]
-    return values if source is None else (values, integrals[:, -1])
+    return values, integrals[:, 1:]
 
 
 def _combined_density(
@@ -604,8 +582,8 @@ def velocity_profile(
     density = _combined_density(series, params.q)
     pref = params.g_v * (2.0 - params.q)
     u_c = pref * _osc_transform(
-        density, x_nodes, ("cos",), label="U_c cosine transform at x1={x:.4g}",
-    )[0] / math.pi
+        (density,), x_nodes, label="U_c cosine transform at x1={x:.4g}",
+    )[0][0] / math.pi
     u_total = u_sl + params.g_v * x_nodes + u_c
     return VelocityProfile(
         x_nodes=x_nodes, u_total=u_total, u_continuum=u_c,
@@ -633,7 +611,7 @@ def distribution_function(
     carried by the cosine and k-sine transforms of E_q at x1.  The integral
     in R_q is the plain and damped cosine transform at x = 0 of
     sum_{n<N} q^n E_n, so it does not depend on x1: it comes once per call,
-    from the same transform pass as the rest (``source`` of
+    from the same transform pass as the rest (the ``wall`` of
     :func:`_osc_transform`).  Both parts carry G_v (1-gamma) (2-q), which
     the density at gamma, E_n/(1-gamma), cancels in the transforms; only
     R_q's integral divides by 1-gamma.  ``x1`` is a coordinate (giving a float) or an array of them
@@ -652,16 +630,13 @@ def distribution_function(
     u_sl = slip_velocity(params, series)
     h_as = u_sl + g_v * (x - (1.0 - gamma) * mu)
 
-    density = _combined_density(series, q)
-    kinds = ("cos",) if mu == 0.0 else ("cos", "damped_cos", "damped_ksin")
-    label = f"h_c transforms at x1={{x:.4g}}, mu={mu:.4g}"
+    densities = (_combined_density(series, q),)
     if mu > 0.0 and series.order >= 1:
-        transforms, (plain, damped, _) = _osc_transform(
-            density, x.reshape(-1), kinds, mu, label,
-            source=_combined_density(series, q, upto=series.order - 1))
-    else:
-        transforms = _osc_transform(density, x.reshape(-1), kinds, mu, label)
-    transforms = transforms.reshape((len(kinds),) + x.shape) / math.pi
+        densities += (_combined_density(series, q, upto=series.order - 1),)
+    transforms, wall = _osc_transform(
+        densities, x.reshape(-1), None if mu == 0.0 else mu,
+        f"h_c transforms at x1={{x:.4g}}, mu={mu:.4g}")
+    transforms = transforms.reshape(transforms.shape[:1] + x.shape) / math.pi
     if mu == 0.0:
         h = h_as + pref * transforms[0]
     else:
@@ -673,6 +648,7 @@ def distribution_function(
                 r -= sum(
                     series.u_coeffs[n] * q**n for n in range(1, series.order + 1)
                 )
+                plain, damped = wall[:2, 0]
                 r -= q * (gamma / (1.0 - gamma) * plain + damped) / math.pi
             # x / mu overflows to inf for a subnormal mu, and e^{-inf} = 0
             # is the right decay

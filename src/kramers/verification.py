@@ -169,7 +169,8 @@ def run_checks(
 
     ``rel_tol`` goes to every adaptive integral and ``k_max`` to every
     series; both are checked before any group runs.  ``only=None`` selects
-    every group; an empty ``only`` selects none and is rejected.
+    every group; an empty ``only`` selects none and is rejected, and so is
+    a group named twice.
     """
     check_rel_tol(rel_tol)
     check_k_max(k_max)
@@ -181,6 +182,9 @@ def run_checks(
         raise ValueError(
             f"unknown check group(s) {sorted(unknown)}; choose from {GROUPS}"
         )
+    repeated = sorted({group for group in groups if groups.count(group) > 1})
+    if repeated:
+        raise ValueError(f"check group(s) {repeated} selected more than once")
     runners = {
         "identities": lambda: _identity_checks(rel_tol),
         "constants": lambda: _constants_checks(k_max),

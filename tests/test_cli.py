@@ -150,6 +150,21 @@ class TestCurves:
         assert code == 2
         assert "--k: 'a' is not a number" in err
 
+    @pytest.mark.parametrize("what", ["tn", "dispersion"])
+    @pytest.mark.parametrize("gamma", ["7", "nan", "-0.1", "1"])
+    def test_gamma_outside_domain_rejected_before_work(
+        self, capsys, monkeypatch, what, gamma,
+    ):
+        """--what tn --gamma 7 exited 0 and wrote gamma 7.0 into the meta."""
+        def no_work(*args):
+            raise AssertionError("work started before --gamma was checked")
+
+        for name in ("t_n", "dispersion_l"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run_cli(capsys, "curves", "--what", what, "--gamma", gamma)
+        assert code == 2 and out == ""
+        assert "invalid request: --gamma must be in [0, 1)" in err
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run_cli(capsys, "curves", "--what", "tn", "--k", "0:3:0.5")
         _, out2, _ = run_cli(capsys, "curves", "--what", "tn", "--k", "0:3:0.5")
@@ -366,6 +381,24 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", only)
         assert code == 2 and out == ""
         assert "--only: empty group name" in err
+
+    @pytest.mark.parametrize("only", ["identities,identities",
+                                      "pole,constants,pole"])
+    def test_repeated_group_rejected_before_work(self, capsys, monkeypatch, only):
+        """--only identities,identities ran the group twice (12/12 passed)."""
+        verification = cli.verification
+        ran = []
+        for name in ("_identity_checks", "_constants_checks", "_pole_checks",
+                     "_oracle_checks"):
+            monkeypatch.setattr(verification, name,
+                                lambda *args, name=name: ran.append(name) or [])
+        code, out, err = run_cli(capsys, "verify", "--only", only)
+        assert code == 2 and out == ""
+        repeated = only.split(",")[0]
+        assert f"check group(s) ['{repeated}'] selected more than once" in err
+        with pytest.raises(ValueError, match="selected more than once"):
+            verification.run_checks(only=tuple(only.split(",")))
+        assert ran == []
 
     def test_library_empty_selection_rejected(self, monkeypatch):
         """run_checks(only=()) ran all four groups; only=None still does."""

@@ -10,6 +10,7 @@ from kramers.quadrature import K_MAX, integrate_gaussian_weighted
 from kramers.special_integrals import GasParameters
 from kramers.transport import (
     DimensionalContext,
+    VelocityProfile,
     dimensional_slip,
     distribution_function,
     gamma_from_physical,
@@ -73,6 +74,12 @@ class TestSlipCoefficient:
 
 
 class TestVelocityProfile:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_constructor_rejects_non_finite_coordinates(self, bad):
+        with pytest.raises(ValueError, match="x_nodes must be finite"):
+            VelocityProfile(x_nodes=[bad], u_total=[0.0], u_continuum=[0.0],
+                            u_sl=0.0, g_v=1.0)
+
     def test_asymptote_split_exact(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.3)
         profile = velocity_profile(
@@ -147,8 +154,8 @@ class TestVelocityProfile:
             part = velocity_profile(params, s1, [x]).u_continuum[0]
             term = (
                 params.g_v * (2.0 - params.q) * params.q**2 / math.pi
-                * _osc_transform(s2.e_funcs[2], np.array([x]), ("cos",),
-                                 label="order-2 term")[0, 0]
+                * _osc_transform((s2.e_funcs[2],), np.array([x]),
+                                 label="order-2 term")[0][0, 0]
             )
             assert full - part == pytest.approx(term, abs=1e-9)
 
@@ -223,8 +230,6 @@ class TestCombinedDensity:
 
 
 class TestClosedFormHead:
-    KINDS = ("cos", "damped_cos", "damped_ksin")
-
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("x", [0.0, 0.05, 0.5, 2.5, 20.0, 450.0, 680.0, 5000.0])
     def test_matches_quadpack_on_each_knot_interval(self, series_cache, x):
@@ -244,7 +249,7 @@ class TestClosedFormHead:
 
         for mu in (0.25, 2.0, -1.0, 10.0, -10.0):
             lo, hi = density.x[:-1], density.x[1:]
-            heads = _head_pieces((density,), self.KINDS, mu=mu)[0](np.array([x]))[:, 0]
+            heads = _head_pieces((density,), mu)[0](np.array([x]))[:, 0]
             assert lo[0] == 0.0 and hi[-1] == K_MAX
 
             def damp(k):
@@ -280,7 +285,7 @@ class TestWallTransform:
         def damp(k):
             return 1.0 / (1.0 + (k * mu) ** 2)
 
-        values = _osc_transform(density, np.zeros(1), ("cos", "damped_cos"), mu)[:, 0]
+        values = _osc_transform((density,), np.zeros(1), mu)[0][:2, 0]
         for value, f in zip(values, (density, lambda k: density(k) * damp(k))):
             head = math.fsum(
                 quad(lambda k: float(f(k)), a, b, epsabs=1e-17, epsrel=1e-14,
@@ -316,19 +321,22 @@ class TestWallTransform:
 
 
 class TestSharedTransforms:
-    KINDS = ("cos", "damped_cos", "damped_ksin")
-
     @pytest.mark.parametrize("x", [0.0, 2.5, 17.0])
     @pytest.mark.parametrize("mu", [0.5, -1.0])
     def test_shared_samples_match_single_transforms(self, series_cache, x, mu):
+        """The cosine row of a pass with mu is the cosine-only pass: the same
+        bits at x = 0, and within rounding at x > 0, where the pass with mu
+        interpolates every row to degree 13 and the cosine row's
+        coefficients past T_5 are rounding (4e-17 apart at x = 2.5)."""
         from kramers.transport import _combined_density, _osc_transform
 
         density = _combined_density(series_cache(0.0, 2), 0.8)
-        shared = _osc_transform(density, np.array([x]), self.KINDS, mu=mu)[:, 0]
-        assert len(shared) == 3
-        for kind, value in zip(self.KINDS, shared):
-            (single,) = _osc_transform(density, np.array([x]), (kind,), mu=mu)[:, 0]
-            assert value == pytest.approx(single, abs=1e-15)
+        shared, wall = _osc_transform((density,), np.array([x]), mu)
+        (cosine,), _ = _osc_transform((density,), np.array([x]))
+        assert shared.shape == (3, 1) and wall.shape == (3, 0)
+        if x == 0.0:
+            assert shared[0, 0] == cosine[0]
+        assert shared[0, 0] == pytest.approx(cosine[0], abs=1e-15)
 
 
 class TestTailSeries:
@@ -336,7 +344,7 @@ class TestTailSeries:
     30-digit references, across the x k_max = 40 start of the series.
 
     Each reference is int_{k_max}^inf F(k) e^{ikx} dk, its real part for
-    the cosine kinds and its imaginary part for the k-sine one, with F the
+    the cosine rows and its imaginary part for the k-sine one, with F the
     model, the model times 1/(1 + k^2 mu^2), and k * k times that damped
     model: the k-sine integrand k sin(kx) * k * model * damping written out
     with its double k, the known k-sine tail defect (ROADMAP).  They were
@@ -351,7 +359,6 @@ class TestTailSeries:
     """
 
     ALPHA, BETA = 0.8, -0.8  # near the fits of E_q at gamma 0.25, order 4
-    KINDS = ("cos", "damped_cos", "damped_ksin")
     #: (k_max, x k_max): the cosine tail, then the damped cosine and k-sine
     #: tails at |mu| = 0.25 and at |mu| = 10
     REFERENCE = {
@@ -421,8 +428,7 @@ class TestTailSeries:
             expected = np.array([plain, *pair])
             bound = 1e-16 * np.maximum(1.0, np.abs(expected) * k_max)
             for sign in (1.0, -1.0):
-                tails = _tail_pieces(self.ALPHA, self.BETA, self.KINDS,
-                                     sign * mu, k_max)(x)[:, 0]
+                tails = _tail_pieces(self.ALPHA, self.BETA, sign * mu, k_max)(x)[:, 0]
                 assert np.all(np.abs(tails - expected) <= bound), (mu, tails - expected)
 
     def test_far_coordinates_take_no_gauss_points(self, series_cache, monkeypatch):
