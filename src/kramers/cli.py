@@ -59,14 +59,17 @@ def _split_list(flag: str, text: str) -> list[str]:
     return text.split(",")
 
 
-def _parse_range(flag: str, text: str) -> np.ndarray:
-    """Parse 'start:stop:step' into an inclusive, deterministic grid."""
+def _parse_range(flag: str, text: str, nodes: str) -> np.ndarray:
+    """Parse 'start:stop:step' into an inclusive, deterministic grid of
+    ``nodes`` (named in errors), which must be >= 0."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{flag} range must be start:stop:step, got {text!r}")
     start, stop, step = (_parse_number(flag, p) for p in parts)
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"range {text!r}: start, stop and step must be finite")
+    if start < 0.0:
+        raise ValueError(f"{flag}: {nodes} must be >= 0, got {start:g}")
     if stop < start:
         raise ValueError(f"empty range {text!r}: stop is below start")
     if stop > start and step <= 0.0:
@@ -150,7 +153,7 @@ def _cmd_slip(args: argparse.Namespace) -> int:
 def _cmd_curves(args: argparse.Namespace) -> int:
     if not 0.0 <= args.gamma < 1.0:  # also false for NaN
         raise ValueError(f"--gamma must be in [0, 1), got {args.gamma}")
-    grid = _parse_range("--k", args.k)
+    grid = _parse_range("--k", args.k, "wavenumbers")
     if grid[-1] > K_LIMIT:
         raise ValueError(
             f"--k: wavenumbers must be at most {K_LIMIT:g}, got {grid[-1]:g}"
@@ -170,17 +173,21 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     params = GasParameters(gamma=args.gamma, q=args.q, g_v=1.0)
-    x_nodes = _parse_range("--x", args.x)
-    mu_values = ([_parse_number("--mu", v) for v in _split_list("--mu", args.mu)]
-                 if args.mu is not None else [])
-    for mu in mu_values:
+    x_nodes = _parse_range("--x", args.x, "coordinates")
+    header = ["x1", "u_total", "u_continuum"]
+    mu_values = []
+    for entry in _split_list("--mu", args.mu) if args.mu is not None else []:
+        mu = _parse_number("--mu", entry)
         check_mu(mu)
+        name = f"h_mu_{_fmt(mu)}"
+        if name in header:  # JSON would keep only one of the two columns
+            raise ValueError(f"--mu: {entry!r} repeats the column {name}")
+        header.append(name)
+        mu_values.append(mu)
     series = build_series(args.gamma, args.order, args.kmax)
     profile = velocity_profile(params, series, x_nodes)
-    header = ["x1", "u_total", "u_continuum"]
     columns = [profile.x_nodes, profile.u_total, profile.u_continuum]
     for mu in mu_values:
-        header.append(f"h_mu_{_fmt(mu)}")
         columns.append(distribution_function(params, series, profile.x_nodes, mu))
     rows = [list(row) for row in zip(*columns)]
     _emit_table(args, header, rows)
@@ -218,9 +225,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kmax", type=float, default=K_MAX,
                         help=f"spectral truncation wavenumber in (2, {K_LIMIT:g}], "
                              f"read by slip, profile and verify (default {K_MAX:g})")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None,
                         help="write to this path instead of stdout")
+
+
+def _add_format(parser: argparse.ArgumentParser) -> None:
+    # verify prints its check report as text only
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_gas(parser: argparse.ArgumentParser) -> None:
@@ -245,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_slip = sub.add_parser("slip", help="slip velocity and coefficients")
     _add_gas(p_slip)
     _add_common(p_slip)
+    _add_format(p_slip)
     p_slip.set_defaults(func=_cmd_slip)
 
     p_curves = sub.add_parser("curves", help="dispersion/moment curve tables")
@@ -254,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--k", default="0:10:0.1",
                           help="wavenumber range start:stop:step")
     _add_common(p_curves)
+    _add_format(p_curves)
     p_curves.set_defaults(func=_cmd_curves)
 
     p_profile = sub.add_parser("profile", help="velocity profile and distribution")
@@ -264,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"comma list of velocities in [-{MU_MAX:g}, "
                                 f"{MU_MAX:g}] for h(x1, mu) columns")
     _add_common(p_profile)
+    _add_format(p_profile)
     p_profile.set_defaults(func=_cmd_profile)
 
     p_verify = sub.add_parser("verify", help="run identity and oracle checks")

@@ -13,19 +13,19 @@ so nothing is refitted).  Up to k_max, the last node of the series grid,
 the density is a quintic on each knot interval, and the integral of a
 polynomial times e^{ikx} has a closed form (Filon's method), so the head of
 each transform costs the same at every x1 >= 0.  Beyond k_max the fitted
-density model is integrated exactly at x1 = 0 and, at x1 > 0, summed as its
-asymptotic series in 1/(x1 k) (integration by parts), from k_max where
-x1 k_max >= 40 and past a short Gauss-Legendre stretch nearer the wall.
-One transform call covers any number of coordinates, and its rows are
-fixed by mu: the cosine transform alone for U_c, or, given mu, the cosine,
-damped cosine and damped k-sine transforms of h(x1, mu).  The polynomial
-pieces, their moment tables, the tail fit and the tail series coefficients
-are made once per call, and the coordinates then go through one vectorised
-pass, in bounded chunks.  So velocity_profile makes one call for all its
-nodes, and distribution_function takes one coordinate or an array of them.
-The k-integrals of the source bracket of h are the plain and damped cosine
-transforms at 0 of a second density on the same knots, passed to the same
-call.  Nothing here integrates adaptively.
+density model is integrated exactly at x1 = 0 and, at x1 > 0, along the
+ray turned up into the complex half-plane, by one 16-point Gauss-Laguerre
+sum (numerical steepest descent), from k_max where x1 k_max >= 40 and past
+a short Gauss-Legendre stretch nearer the wall.  One transform call covers
+any number of coordinates, and its rows are fixed by mu: the cosine
+transform alone for U_c, or, given mu, the cosine, damped cosine and damped
+k-sine transforms of h(x1, mu).  The polynomial pieces, their moment tables
+and the tail fit are made once per call, and the coordinates then go
+through one vectorised pass, in bounded chunks.  So velocity_profile makes
+one call for all its nodes, and distribution_function takes one coordinate
+or an array of them.  The k-integrals of the source bracket of h are the
+plain and damped cosine transforms at 0 of a second density on the same
+knots, passed to the same call.  Nothing here integrates adaptively.
 """
 
 from __future__ import annotations
@@ -223,40 +223,14 @@ _X_CHUNK = 128
 #: are transformed as x = 0
 _WALL_OMEGA = float(np.finfo(float).eps)
 
-# Tails past k_max (see _tail_pieces): asymptotic series from the Taylor
-# coefficients in u of the amplitude at k = start (1 + u).
-#: terms of the series (at 22 the k-sine tail at k_max = 50, x k_max = 41
-#: is 1.04e-16 off, against mpmath)
-_SERIES_TERMS = 26
-#: smallest x start the series is used at: at 24 a 24-term series is 2e-8
-#: relative off, and at 8 it diverges
-_SERIES_MIN_PHASE = 40.0
-_TERMS = np.arange(_SERIES_TERMS)
-_LOG_SERIES = np.append(0.0, -(-1.0) ** _TERMS[1:] / _TERMS[1:])  # ln(1 + u)
-_INVERSE_SQUARE = (-1.0) ** _TERMS * (_TERMS + 1.0)  # (1 + u)^-2
-#: [wave, part, j]: the amplitude is A times part 0 plus beta times part 1
-#: (see _series_coefficients): (1 + u)^-2 (1, ln(1 + u)) for the cosine
-#: rows and k^2 times that, (1, ln(1 + u)), for the k-sine one, whose
-#: k sin(kx) is taken times k: the known k-sine tail defect (ROADMAP), kept
-#: until the profile references are re-pinned
-_TAIL_PARTS = np.array([
-    [_INVERSE_SQUARE, np.convolve(_INVERSE_SQUARE, _LOG_SERIES)[:_SERIES_TERMS]],
-    [_TERMS == 0.0, _LOG_SERIES],
-])
-#: [wave, term, j]: j! i^j split into the weights of cos(x start) (term 0)
-#: and sin(x start) (term 1) in the tail's real part (cosine rows) or
-#: imaginary part (k-sine row); see _series_tails
-_PARITY = _TERMS % 2
-_PHASE_WEIGHTS = (np.array([math.factorial(j) for j in _TERMS], dtype=float)
-                  * (-1.0) ** (_TERMS // 2)
-                  * np.array([[-_PARITY, _PARITY - 1], [1 - _PARITY, -_PARITY]]))
-#: [wave, part, i, (term, j)]: the weighted coefficients of a series times a
-#: part are the series' @ this (the Cauchy product as a triangular Toeplitz
-#: matrix); row i = 0 holds those of the part itself
-_TAIL_PRODUCTS = (
-    np.triu(_TAIL_PARTS[..., (_TERMS - _TERMS[:, None]) % _SERIES_TERMS])[..., None, :]
-    * _PHASE_WEIGHTS[:, None, None]
-).reshape(2, 2, _SERIES_TERMS, 2 * _SERIES_TERMS)
+# Tails past k_max (see _tail_pieces): the ray from the start turned up into
+# the complex half-plane, where the decaying e^{ikx} leaves a smooth integrand.
+#: nodes and weights of the 16-point Gauss-Laguerre rule of those tails
+_LAGUERRE_T, _LAGUERRE_W = np.polynomial.laguerre.laggauss(16)
+#: smallest x start the tails are summed from (see _tail_pieces).  Against
+#: mpmath at k_max 50 and 800, the rule is at rounding from 24 on, 9e-15
+#: relative off at 16 and 6e-10 at 8 (the damped row), so 40 has a margin.
+_CONTOUR_MIN_PHASE = 40.0
 
 
 def check_mu(mu: float) -> None:
@@ -360,13 +334,30 @@ def _head_pieces(
     return heads, integrals
 
 
+def _amplitudes(
+    alpha: float, beta: float, k: np.ndarray, mu: float | None
+) -> np.ndarray:
+    """[row, ...]: the tail amplitudes at wavenumbers ``k``, real or complex,
+    against e^{ikx}: the fitted model (alpha + beta ln k)/k^2 alone without
+    ``mu``, else also the model damped by 1/(1 + k^2 mu^2) and, for the
+    k-sine row, k * k times that.  That row's k sin(kx) is taken times k: the
+    known k-sine tail defect (ROADMAP), kept until the profile references
+    are re-pinned.
+    """
+    model = (alpha + beta * np.log(k)) / k**2
+    if mu is None:
+        return model[None]
+    damped = model * (1.0 / (1.0 + (k * mu) ** 2))
+    return np.stack([model, damped, k * (k * damped)])
+
+
 def _gauss_stretch(
     alpha: float, beta: float, x: np.ndarray, mu: float | None, k_max: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Near-wall tails [row, coordinate] from k_max to the series start.
+    """Near-wall tails [row, coordinate] from k_max to the contour start.
 
-    For 0 < x k_max < _SERIES_MIN_PHASE the series of :func:`_tail_pieces`
-    starts at the first half-period zero past _SERIES_MIN_PHASE / x, which
+    For 0 < x k_max < _CONTOUR_MIN_PHASE the contour of :func:`_tail_pieces`
+    starts at the first half-period zero past _CONTOUR_MIN_PHASE / x, which
     is also returned, one per coordinate.  The stretch up to it is a stub
     from k_max to the first multiple of pi/(2x) past it, geometrically split
     in case x is tiny, and then at most 13 half periods; every interval
@@ -377,7 +368,7 @@ def _gauss_stretch(
     half = 2.0 * quarter
     zero = quarter * np.ceil(k_max / quarter + 1e-12)
     zero = np.where(zero <= k_max, zero + half, zero)
-    periods = np.maximum(np.ceil((_SERIES_MIN_PHASE / x - zero) / half), 0.0)
+    periods = np.maximum(np.ceil((_CONTOUR_MIN_PHASE / x - zero) / half), 0.0)
     start = zero + periods * half
     # stub intervals [k_max 2^i, k_max 2^(i+1)] below zero, then [., zero],
     # then the half periods; those past zero or start have zero width
@@ -392,91 +383,40 @@ def _gauss_stretch(
     mid = 0.5 * (edges[:, :-1] + edges[:, 1:])[..., None]
     width = 0.5 * (edges[:, 1:] - edges[:, :-1])[..., None]
     k = mid + width * _GL_X
-    weights = width * _GL_W
-    model = (alpha + beta * np.log(k)) / k**2
+    amplitudes = _amplitudes(alpha, beta, k, mu)
     xk = k * x[:, None, None]
-    cos_xk = np.cos(xk)
-    integrands = [cos_xk * model]
+    waves = amplitudes * np.cos(xk)
     if mu is not None:
-        damped = model * (1.0 / (1.0 + (k * mu) ** 2))
-        # k sin(kx) times k: the known k-sine tail defect (ROADMAP), kept
-        # until the profile references are re-pinned
-        integrands += [cos_xk * damped, k * np.sin(xk) * (k * damped)]
-    return np.array([(f * weights).sum(axis=(-2, -1)) for f in integrands]), start
-
-
-def _series_coefficients(
-    alpha: float, beta: float, start: np.ndarray, mu: float | None
-) -> np.ndarray:
-    """[row, start, term, j]: the weights of the series terms of each tail
-    from ``start`` on (see :func:`_series_tails`), from j! a_j, a_j the
-    Taylor coefficients in u of the amplitude at k = start (1 + u).
-
-    The model is (alpha + beta ln k)/k^2 = (A (1 + u)^-2 + beta (1 + u)^-2
-    ln(1 + u))/start^2 with A = alpha + beta ln(start); the k-sine row
-    carries k^2 times it, A + beta ln(1 + u).  The damped rows multiply
-    either by the series d_j of 1/(1 + s (1 + u)^2), s = (mu start)^2,
-    whose recurrence (1 + s) d_j + 2 s d_(j-1) + s d_(j-2) = 0 has the
-    roots -cos(e) e^(+-ie), tan e = 1/sqrt(s), of equal modulus below 1:
-    d_j = (-cos e)^j sin((j + 1) e) sin e, for every start at once.
-    """
-    level = (alpha + beta * np.log(start))[:, None, None]
-    inverse_square = (1.0 / (start * start))[:, None, None]
-
-    def row(parts: np.ndarray) -> np.ndarray:
-        own, log = parts.reshape(2, -1, 2, _SERIES_TERMS)
-        return level * own + beta * log
-
-    rows = [row(_TAIL_PRODUCTS[0, :, :1]) * inverse_square]
-    if mu is not None:
-        e = np.arctan2(1.0, abs(mu) * start)[:, None]
-        cosine, ksine = ((-np.cos(e)) ** _TERMS * np.sin((_TERMS + 1) * e) * np.sin(e)
-                         @ _TAIL_PRODUCTS)
-        rows += [row(cosine) * inverse_square, row(ksine)]
-    return np.array(rows)
-
-
-def _series_tails(
-    coefficients: np.ndarray, start: np.ndarray | float, x: np.ndarray
-) -> np.ndarray:
-    """[row, coordinate]: int_start^inf of the amplitude against e^{ikx},
-    -(e^{i start x}/(ix)) sum_j (-1)^j j! a_j (i start x)^-j, its real part
-    for the cosine rows and its imaginary part for the k-sine one, summed
-    as (c cos(x start) + s sin(x start))/x with c and s polynomials in
-    1/(x start) whose coefficients are ``coefficients`` (one start, or one
-    per coordinate)."""
-    phase = start * x
-    weights = (coefficients * ((1.0 / phase)[:, None, None] ** _TERMS)).sum(axis=-1)
-    return (weights[..., 0] * np.cos(phase) + weights[..., 1] * np.sin(phase)) / x
+        waves[2:] = amplitudes[2:] * np.sin(xk)  # the k-sine row
+    return (waves * (width * _GL_W)).sum(axis=(-2, -1)), start
 
 
 def _tail_pieces(
-    alpha: float, beta: float, mu: float | None, k_max: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Tails past k_max of the fitted density model, as a function of x > 0.
+    alpha: float, beta: float, x: np.ndarray, mu: float | None, k_max: float
+) -> np.ndarray:
+    """Tails [row, coordinate] past k_max of the fitted density model at x > 0.
 
-    The function returned maps coordinates to the tails [row, coordinate]
-    of the model (alpha + beta ln k)/k^2, damped or times k as the row of
-    :func:`_osc_transform` asks, against e^{ikx}.  Integration by parts
-    gives each as an asymptotic series in 1/(x start) from any start on
-    (Iserles & Norsett, Proc. R. Soc. A 461, 2005; Erdelyi, Asymptotic
-    Expansions, 1956, section 2), which converges fast once
-    x start >= _SERIES_MIN_PHASE.  Where x k_max reaches that, the series
-    starts at k_max, from coefficients made once; nearer the wall it starts
-    past the stretch of :func:`_gauss_stretch`.
+    Each is int_start^inf F(k) e^{ikx} dk, its real part for the cosine
+    rows and its imaginary part for the k-sine one, with F an amplitude of
+    :func:`_amplitudes`.  F is analytic in the right half-plane, so the ray
+    turns up to start + it, where e^{ikx} decays like e^{-tx}:
+    (i e^{i start x}/x) int_0^inf F(start + i tau/x) e^{-tau} dtau, summed
+    by the 16-point Gauss-Laguerre rule (numerical steepest descent:
+    Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006).  F changes on
+    the scale tau ~ x start, so the rule is used where x start >=
+    _CONTOUR_MIN_PHASE: from k_max where x k_max reaches that, and past the
+    stretch of :func:`_gauss_stretch` nearer the wall.
     """
-    at_k_max = _series_coefficients(alpha, beta, np.array([k_max]), mu)
-
-    def tails(x: np.ndarray) -> np.ndarray:
-        near = x * k_max < _SERIES_MIN_PHASE
-        values = np.empty((len(at_k_max), x.size))
-        values[:, ~near] = _series_tails(at_k_max, k_max, x[~near])
-        if near.any():
-            stretch, start = _gauss_stretch(alpha, beta, x[near], mu, k_max)
-            values[:, near] = stretch + _series_tails(
-                _series_coefficients(alpha, beta, start, mu), start, x[near])
-        return values
-
+    start = np.full(x.shape, k_max)
+    near = x * k_max < _CONTOUR_MIN_PHASE
+    if near.any():
+        stretch, start[near] = _gauss_stretch(alpha, beta, x[near], mu, k_max)
+    k = start[:, None] + 1j * _LAGUERRE_T / x[:, None]
+    waves = (1j * np.exp(1j * (start * x)) / x
+             * (_amplitudes(alpha, beta, k, mu) @ _LAGUERRE_W))
+    tails = np.concatenate([waves[:2].real, waves[2:].imag])
+    if near.any():
+        tails[:, near] += stretch
     return tails
 
 
@@ -497,13 +437,13 @@ def _osc_transform(
     knots (the source bracket of h), from the same pass.  At every x the
     head on [0, k_max] is integrated exactly, knot interval by knot
     interval, from the density's polynomial pieces, at a cost that does not
-    grow with x.  The pieces, their moment tables (:func:`_head_pieces`),
-    the tail fit and the tail series coefficients are made once per call;
-    the coordinates x > 0 are then taken in chunks of _X_CHUNK, each in one
-    vectorised pass (the heads and :func:`_tail_pieces`).  Past k_max each
-    transform continues the fitted (a + b ln k)/k^2 density model: at x > 0
-    as the model's asymptotic series past k_max (nearer the wall, past a
-    Gauss-Legendre stretch), and at x = 0 as its exact integral, under the
+    grow with x.  The pieces, their moment tables (:func:`_head_pieces`)
+    and the tail fit are made once per call; the coordinates x > 0 are then
+    taken in chunks of _X_CHUNK, each in one vectorised pass (the heads and
+    :func:`_tail_pieces`).  Past k_max each transform continues the fitted
+    (a + b ln k)/k^2 density model: at x > 0 as a Gauss-Laguerre sum on the
+    contour turned up from k_max (nearer the wall, past a Gauss-Legendre
+    stretch), and at x = 0 as its exact integral, under the
     10% tail guard of :mod:`kramers.quadrature`; the k-sine transform
     vanishes at x = 0.  Coordinates with x k_max below ``_WALL_OMEGA``
     (machine epsilon; x < 2.8e-19 at k_max = 800) take the x = 0 value.
@@ -524,9 +464,8 @@ def _osc_transform(
         # continue the fitted density model beyond k_max
         far = x[positive]
         alpha, beta = _fit_log_tail(densities[0], k_max, 2, label.format(x=far[0]))
-        tails = _tail_pieces(alpha, beta, mu, k_max)
         values[:, positive] = np.concatenate([
-            heads(chunk).sum(axis=-1) + tails(chunk)
+            heads(chunk).sum(axis=-1) + _tail_pieces(alpha, beta, chunk, mu, k_max)
             for chunk in np.split(far, range(_X_CHUNK, far.size, _X_CHUNK))
         ], axis=1)
     # the densities transformed at x = 0, where the k-sine transforms vanish

@@ -308,6 +308,25 @@ class TestProfile:
         assert code == 2
         assert "mu must lie in [-10, 10]" in err and out == ""
 
+    @pytest.mark.parametrize("mu, entry", [
+        ("0.5,0.5000001", "'0.5000001'"), ("0.5,0.5", "'0.5'"),
+        ("-0.5,1,-0.50000001", "'-0.50000001'"),
+    ])
+    def test_repeated_column_rejected_before_series(
+        self, capsys, monkeypatch, mu, entry,
+    ):
+        """Two --mu entries printed alike gave two h_mu_0.5 headers, and the
+        JSON document kept one of the columns."""
+        def no_series(*args):
+            raise AssertionError("series built before --mu was checked")
+
+        monkeypatch.setattr(cli, "build_series", no_series)
+        for extra in ([], ["--format", "json"]):
+            code, out, err = run_cli(capsys, "profile", "--x", "0:1:1",
+                                     f"--mu={mu}", *extra)
+            assert code == 2 and out == ""
+            assert f"--mu: {entry} repeats the column" in err
+
     def test_distribution_columns(self, capsys):
         code, out, _ = run_cli(
             capsys, "profile", "--x", "0:1:1", "--order", "1",
@@ -400,6 +419,16 @@ class TestVerify:
             verification.run_checks(only=tuple(only.split(",")))
         assert ran == []
 
+    def test_format_flag_rejected(self, capsys, monkeypatch):
+        """verify printed its text report under --format json."""
+        def no_checks(*args):
+            raise AssertionError("checks run on a flag verify does not read")
+
+        monkeypatch.setattr(cli.verification, "run_checks", no_checks)
+        code, out, err = run_cli(capsys, "verify", "--format", "json")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --format json" in err
+
     def test_library_empty_selection_rejected(self, monkeypatch):
         """run_checks(only=()) ran all four groups; only=None still does."""
         verification = cli.verification
@@ -446,6 +475,29 @@ class TestAccuracyFlags:
         text = " ".join(capsys.readouterr().out.split())
         assert "relative quadrature tolerance, read by curves and verify" in text
         assert "read by slip, profile and verify (default 800)" in text
+
+
+class TestRangeStart:
+    """A negative --x or --k start is rejected by its flag before any work."""
+
+    @pytest.mark.parametrize("command, flag, nodes", [
+        (["profile"], "--x", "coordinates"),
+        (["profile", "--mu", "0.5"], "--x", "coordinates"),
+        (["curves", "--what", "dispersion"], "--k", "wavenumbers"),
+        (["curves", "--what", "tn"], "--k", "wavenumbers"),
+    ])
+    @pytest.mark.parametrize("start", ["-1", "-1e-300"])
+    def test_negative_start_rejected_before_work(
+        self, capsys, monkeypatch, command, flag, nodes, start,
+    ):
+        def no_work(*args):
+            raise AssertionError(f"work started before {flag} was checked")
+
+        for name in ("build_series", "t_n", "dispersion_l"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run_cli(capsys, *command, f"{flag}={start}:1:0.5")
+        assert code == 2 and out == ""
+        assert f"invalid request: {flag}: {nodes} must be >= 0, got {start}" in err
 
 
 class TestOutputPath:

@@ -341,7 +341,9 @@ class TestSharedTransforms:
 
 class TestTailSeries:
     """Tails past k_max of the fitted model (alpha + beta ln k)/k^2 against
-    30-digit references, across the x k_max = 40 start of the series.
+    30-digit references, across x k_max = 40, where the Gauss-Laguerre sum
+    on the turned contour starts at k_max instead of past the near-wall
+    Gauss-Legendre stretch.
 
     Each reference is int_{k_max}^inf F(k) e^{ikx} dk, its real part for
     the cosine rows and its imaginary part for the k-sine one, with F the
@@ -350,8 +352,9 @@ class TestTailSeries:
     with its double k, the known k-sine tail defect (ROADMAP).  They were
     computed with mpmath 1.3 at 30 digits by turning the contour up into the
     half-plane, where F is analytic past k_max:
-    i e^{i k_max x} int_0^inf F(k_max + it) e^{-tx} dt.  Where x k_max <= 41
-    that agrees to 22 digits with mpmath.quadosc (quadrature on half
+    i e^{i k_max x} int_0^inf F(k_max + it) e^{-tx} dt, the integral the
+    code sums with 16 Gauss-Laguerre nodes and mpmath.quad integrated
+    adaptively.  Where x k_max <= 41 that agrees to 22 digits with mpmath.quadosc (quadrature on half
     periods up to a zero past 60/x, then quadosc); at x k_max = 1e3 and 1e5
     quadosc was off by orders of magnitude, as QUADPACK's QAWF can be.
     mpmath is not a dependency, so the values are literals.  The damping
@@ -428,11 +431,11 @@ class TestTailSeries:
             expected = np.array([plain, *pair])
             bound = 1e-16 * np.maximum(1.0, np.abs(expected) * k_max)
             for sign in (1.0, -1.0):
-                tails = _tail_pieces(self.ALPHA, self.BETA, sign * mu, k_max)(x)[:, 0]
+                tails = _tail_pieces(self.ALPHA, self.BETA, x, sign * mu, k_max)[:, 0]
                 assert np.all(np.abs(tails - expected) <= bound), (mu, tails - expected)
 
     def test_far_coordinates_take_no_gauss_points(self, series_cache, monkeypatch):
-        """Past x k_max = 40 the series starts at k_max: no Gauss-Legendre
+        """Past x k_max = 40 the contour starts at k_max: no Gauss-Legendre
         stretch is evaluated for such a coordinate, in a profile or in h."""
         import kramers.transport as transport
 
