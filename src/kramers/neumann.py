@@ -24,8 +24,9 @@ E_n and the four floats (K15 heads, fitted tails) of c_{n+1} and d_{n+1}.
 Every series holds those phi_n and E_n and forms U_n from the floats; its
 consumers apply the one gamma scalar where it cancels.  The pole residuals
 B_n, which check U_n, integrate adaptively up to the series' own k_max: all
-orders n >= 1 at all wavenumbers of one call as one family, each sweep one
-MomentBatch on the distinct points of every member.
+orders n >= 1 at all wavenumbers of one call as one family, with each
+wavenumber's J_1 row built once per call and each sweep one MomentBatch on
+the distinct points of every member.
 """
 
 from __future__ import annotations
@@ -89,31 +90,28 @@ def u0() -> float:
     return SQRT_PI / 2.0
 
 
-def _pole_integrand(series: SeriesExpansion, rel_tol: float):
-    """Family integrand (k1, n, k) -> J^(1)(k, k1) phi_{n-1}(k1) / T_2(k1) of
-    the B_n (n >= 1) of ``series``, one member per (n, k).
+def _pole_integrand(series: SeriesExpansion, orders, ks, rel_tol: float):
+    """Family integrand (k1, i, j) -> J^(1)(ks[j], k1) phi_{n-1}(k1) / T_2(k1),
+    n = orders[i], of the B_n (n >= 1) of ``series``: a member's parameters
+    are the indices of its order and wavenumber among the call's distinct
+    ``orders`` and ``ks``.
 
-    A sweep builds one MomentBatch on the distinct k1 of all its members and
-    takes T_2, each order's phi_{n-1} and each wavenumber's J_1 row once
-    there; every point then gets the scalar product j1 * phi / T_2.  At
-    k = 0 it is the integrand of U_n, which the kernel table integrates.
+    Each wavenumber's J_1 row and gamma T_1 are built once per call.  A sweep
+    builds one MomentBatch on the distinct k1 of all its members, contracts
+    it with each row (one matrix-vector product per row, as a scalar call
+    makes) and samples each order's phi_{n-1} and T_2 there; every point then
+    picks its J^(1) and phi by index.  At k = 0 it is the integrand of U_n,
+    which the kernel table integrates.
     """
-    gamma = series.gamma
+    gamma, phis = series.gamma, [series.phi_funcs[n - 1] for n in orders]
+    rows = [(gamma * t_n(1, kv, rel_tol), fixed_row(1, kv)) for kv in ks]
 
-    def integrand(k1, n, k):
+    def integrand(k1, i, j):
         keys, inv = np.unique(k1, return_inverse=True)
         batch = MomentBatch(keys)
-        j1, phi = np.empty_like(k1), np.empty_like(k1)
-        for kv in np.unique(k):
-            at = k == kv
-            j1_kv = gamma * t_n(1, kv, rel_tol) + (1.0 - gamma) * batch.against(
-                fixed_row(1, kv)
-            )
-            j1[at] = j1_kv[inv[at]]
-        for m in np.unique(n):
-            at = n == m
-            phi[at] = series.phi_funcs[m - 1](batch.k)[inv[at]]
-        return j1 * phi / batch.t(2)[inv]
+        j1 = np.array([t1 + (1.0 - gamma) * batch.against(row) for t1, row in rows])
+        phi = np.array([p(batch.k) for p in phis])
+        return j1[j, inv] * phi[i, inv] / batch.t(2)[inv]
 
     return integrand
 
@@ -258,13 +256,15 @@ def pole_residual(
     # leave a spurious k-independent floor under B_n.
     integrals = {}
     if family.size:  # B_0 alone needs no integral
+        n_set, n_at = np.unique(orders[family], return_inverse=True)
+        k_set, k_at = np.unique(ks[family], return_inverse=True)
         integrals = dict(zip(family.tolist(), integrate_spectral(
-            _pole_integrand(series, rel_tol), rel_tol, series.phi_funcs[0].k_max,
-            tail_exponent=2,
+            _pole_integrand(series, n_set.tolist(), k_set, rel_tol),
+            rel_tol, series.phi_funcs[0].k_max, tail_exponent=2,
             label=lambda j: (
                 f"B_{orders[family[j]]} pole residual at k={ks[family[j]]:.3g}"
             ),
-            params=(orders[family], ks[family]),
+            params=(n_at, k_at),
         )))
     out, scale = np.empty(orders.size), (1.0 - series.gamma) * np.pi
     for j, (m, kv) in enumerate(zip(orders.tolist(), ks.tolist())):

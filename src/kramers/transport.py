@@ -138,16 +138,27 @@ def _series_sum(params: GasParameters, series: SeriesExpansion) -> float:
     )
 
 
+def _finite_slip(name: str, value: float, params: GasParameters) -> float:
+    """``value``, the slip quantity ``name`` at ``params``, once it is
+    finite: (2-q)/q can be finite where the product overflows (K_v at
+    q = 1.2e-308)."""
+    if not math.isfinite(value):
+        raise ValueError(
+            f"q={params.q}, g_v={params.g_v}: {name} is not finite ({value})"
+        )
+    return value
+
+
 def slip_velocity(params: GasParameters, series: SeriesExpansion) -> float:
     """Dimensionless slip velocity G_v (1-gamma) ((2-q)/q) sum U_n q^n."""
     _check_pair(params, series)
-    return (
+    return _finite_slip("the slip velocity", (
         params.g_v
         * (1.0 - params.gamma)
         * (2.0 - params.q)
         / params.q
         * _series_sum(params, series)
-    )
+    ), params)
 
 
 def slip_coefficient_kv(params: GasParameters, series: SeriesExpansion) -> float:
@@ -157,7 +168,10 @@ def slip_coefficient_kv(params: GasParameters, series: SeriesExpansion) -> float
     velocity; independent of the gradient.
     """
     _check_pair(params, series)
-    return (2.0 - params.q) / params.q * _series_sum(params, series) * 2.0 / SQRT_PI
+    return _finite_slip(
+        "K_v", (2.0 - params.q) / params.q * _series_sum(params, series) * 2.0 / SQRT_PI,
+        params,
+    )
 
 
 # ---------------------------------------------------------------------------

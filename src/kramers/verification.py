@@ -4,9 +4,9 @@ Each check computes a measured deviation and compares it against a fixed
 threshold; the CLI renders the results as a pass/fail table.  Groups:
 
 * ``identities``  — moment recurrences, dispersion equivalence, kernel
-  symmetry and collapse, dual-route kernel equality; each ``J_n``,
-  ``J^(m)`` and ``S`` check runs its integrals as families (one adaptive
-  loop per call), with the same values as one call per integral.
+  symmetry and collapse, dual-route kernel equality; the ``J_n`` checks
+  of every order run as one adaptive family, the ``J^(m)`` and ``S``
+  checks as one each, with the same values as one call per integral.
 * ``constants``   — series coefficients against their reference values.
 * ``pole``        — pole-elimination scaling of the order-n numerators;
   one ``pole_residual`` call per series, whose n >= 1 members are one
@@ -66,21 +66,23 @@ def _identity_checks(rel_tol: float) -> list[CheckResult]:
         for k in _K_GRID
     )
     out.append(CheckResult("identities", "L = 1 - T_0 - gamma k^2 T_2", dev, 1e-10))
-    # each j_n, j_m and s_kernel call below integrates one family
+    # the j_n, j_m and s_kernel calls below integrate one family each: row
+    # n of j holds J_n(a, b), J_n(b, a), J_n(k, 0) and J_n(0, k)
     a, b = np.array([0.3, 0.7, 2.0, 0.05]), np.array([1.1, 1.3, 5.0, 9.0])
     zeros = np.zeros_like(_K_GRID)
-    symmetry = collapse = 0.0
-    for n in (1, 3, 5):
-        j_ab, j_ba = j_n(n, [a, b], [b, a], rel_tol)
-        symmetry = max(symmetry, float(np.max(np.abs(j_ab - j_ba))))
-        t = np.array([t_n(n, k, rel_tol) for k in _K_GRID])
-        j_k0 = j_n(n, [_K_GRID, zeros], [zeros, _K_GRID], rel_tol)
-        collapse = max(collapse, float(np.max(np.abs(j_k0 - t))))
+    orders = np.array([[1], [3], [5]])
+    j = j_n(orders, np.concatenate([a, b, _K_GRID, zeros]),
+            np.concatenate([b, a, zeros, _K_GRID]), rel_tol)
+    symmetry = float(np.max(np.abs(j[:, :4] - j[:, 4:8])))
+    t = np.array([[t_n(n, k, rel_tol) for k in _K_GRID] for n in orders.flat])
+    collapse = float(np.max(np.abs(j[:, 8:].reshape(3, 2, -1) - t[:, None])))
     out.append(CheckResult("identities", "J_n symmetry", symmetry, 1e-10))
     out.append(CheckResult("identities", "J_n boundary collapse", collapse, 1e-10))
     g = np.array([0.0, 0.2, 0.5])[:, None]
     t3 = np.array([t_n(3, k, rel_tol) for k in a])
-    via_jm = j_m(3, a, b, g, rel_tol) - SQRT_PI * t3 * j_m(1, 0.0, b, g, rel_tol)
+    # J^(3)(a, b) and J^(1)(0, b) at each gamma
+    jm3, jm1 = j_m([[[3]], [[1]]], [[a], [np.zeros(4)]], b, g, rel_tol)
+    via_jm = jm3 - SQRT_PI * t3 * jm1
     dev = float(np.max(np.abs(s_kernel(a, b, g, rel_tol) - via_jm)))
     out.append(CheckResult("identities", "S kernel dual route", dev, 1e-10))
     return out

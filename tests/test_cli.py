@@ -56,6 +56,26 @@ class TestSlip:
         assert f"q must be in (0, 1], got {float(q)}" in err
         assert "specular" not in err
 
+    @pytest.mark.parametrize("command", [["slip"], ["profile", "--x", "0:1:1"]])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_subnormal_q_rejected_before_work(self, capsys, monkeypatch, command, fmt):
+        """--q 1e-310 exited 0 with inf values, written as Infinity (not
+        JSON) by --format json."""
+        def no_series(*args):
+            raise AssertionError("series built before --q was checked")
+
+        monkeypatch.setattr(cli, "build_series", no_series)
+        code, out, err = run_cli(capsys, *command, "--q", "1e-310", "--format", fmt)
+        assert code == 2 and out == ""
+        assert "invalid request: q=1e-310 is too small: (2-q)/q is not finite" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_slip_coefficient_rejected(self, capsys, fmt):
+        """At q = 1.2e-308, (2-q)/q is finite but K_v was printed as inf."""
+        code, out, err = run_cli(capsys, "slip", "--q", "1.2e-308", "--format", fmt)
+        assert code == 2 and out == ""
+        assert "K_v is not finite" in err
+
     def test_bad_flag_exit_code(self, capsys):
         assert main(["slip", "--order", "eleven"]) == 2
 

@@ -152,8 +152,9 @@ class TestBuildSeries:
             diag = series.diagnostics[n]
             u_n = series.u_coeffs[n]
             assert diag["order"] == n
-            pole = _pole_integrand(series, REL_TOL)
-            samples = pole(_tail_points(K_MAX), np.full(2, n), np.zeros(2))
+            pole = _pole_integrand(series, [n], np.zeros(1), REL_TOL)
+            index = np.zeros(2, dtype=int)  # the one order and wavenumber
+            samples = pole(_tail_points(K_MAX), index, index)
             tail = _log_tail(samples, K_MAX, 2, 1.0, "tail")[0]
             scale = SQPI * (1.0 - gamma)
             assert diag["u_tail"] == pytest.approx(tail / scale, rel=1e-14)
@@ -433,10 +434,10 @@ class TestPoleResidual:
         it is the integral written out to 400, bit for bit."""
         gamma, k = 0.25, 0.3
         series = build_series(gamma, 2, 400.0)
-        pole = _pole_integrand(series, REL_TOL)
+        pole = _pole_integrand(series, [1, 2], np.array([k]), REL_TOL)
         for n in (1, 2):
             (integral,) = integrate_spectral(
-                pole, REL_TOL, 400.0, params=(np.array([n]), np.array([k]))
+                pole, REL_TOL, 400.0, params=(np.array([n - 1]), np.array([0]))
             )
             expected = (series.u_coeffs[n] * t_n(1, k)
                         + integral / ((1.0 - gamma) * np.pi))
@@ -489,6 +490,28 @@ class TestPoleResidual:
         assert all(r.passed for r in run_checks(only=("pole",)))
         assert len(calls) <= 2
         assert sum(rows) <= 3000
+
+    def test_warm_pole_group_builds_each_row_once(self, monkeypatch):
+        """A warm pole group builds the J_1 row of each of its 3 wavenumbers
+        once per series, 6 in all, for its 18 integrand evaluations; built
+        again on every sweep, it made 54."""
+        run_checks(only=("pole",))  # fill the T_n cache and the series
+        rows, sweeps = [], []
+        original, evaluate = neumann.fixed_row, quadrature._eval_batch
+
+        def counted_row(n, k):
+            rows.append((n, k))
+            return original(n, k)
+
+        def counted_sweep(f, x, label):
+            sweeps.append(x.size)
+            return evaluate(f, x, label)
+
+        monkeypatch.setattr(neumann, "fixed_row", counted_row)
+        monkeypatch.setattr(quadrature, "_eval_batch", counted_sweep)
+        assert all(r.passed for r in run_checks(only=("pole",)))
+        assert len(rows) <= 6
+        assert len(sweeps) <= 18
 
     def test_nan_wavenumber_named(self, series_cache):
         for n in (0, 1):

@@ -419,8 +419,10 @@ class TestFamilyEngine:
             )
 
     def test_warm_identities_sweep_as_families(self, monkeypatch):
-        """The identities group integrates each J_n, J^(m) and S check as
-        families; one integral at a time, it made 588 sweeps."""
+        """The identities group integrates its J_n checks as one family, its
+        J^(m) and S checks as one each, in 16 sweeps on 18,180 points; one
+        integral at a time, it made 588 sweeps, and as 9 families, one per
+        order and call, 45."""
         run_checks(only=("identities",))  # fill the T_n cache
         calls = []
         original = quadrature._eval_batch
@@ -431,4 +433,5 @@ class TestFamilyEngine:
 
         monkeypatch.setattr(quadrature, "_eval_batch", counted)
         assert all(r.passed for r in run_checks(only=("identities",)))
-        assert len(calls) <= 100
+        assert len(calls) <= 20
+        assert sum(calls) <= 18180

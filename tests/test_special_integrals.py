@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from kramers.quadrature import K_LIMIT
+from kramers import special_integrals
+from kramers.quadrature import K_LIMIT, integrate_gaussian_weighted
 from kramers.special_integrals import (
     GasParameters,
     MOMENTS,
@@ -51,6 +52,12 @@ class TestGasParameters:
         with pytest.raises(ValueError):
             GasParameters(gamma=0.0, q=1.0, g_v=math.inf)
 
+    @pytest.mark.parametrize("q", [1e-310, 5e-324, 1.1e-308])
+    def test_q_with_overflowing_slip_factor_named(self, q):
+        """A subnormal q made (2-q)/q, and every slip built from it, inf."""
+        with pytest.raises(ValueError, match=re.escape(f"q={q} is too small")):
+            GasParameters(gamma=0.0, q=q)
+
 
 class TestMoments:
     def test_table(self):
@@ -63,8 +70,6 @@ class TestMoments:
 
     def test_t_moment_matches_quadrature(self):
         for n in range(7):
-            from kramers.quadrature import integrate_gaussian_weighted
-
             direct = integrate_gaussian_weighted(
                 lambda t, n=n: 2.0 / SQPI * np.asarray(t) ** n
             )
@@ -285,15 +290,86 @@ class TestArrayArguments:
             for j in range(3):
                 assert values[i, j] == j_m(3, float(k[j]), float(k1[j]), g)
 
+    @staticmethod
+    def one_order(n, k, k1, gamma=0.0):
+        """J^(n)(k, k1) at gamma, J_n at gamma 0, integrated as a call for
+        the one order n did, with the scalar power t**n."""
+        with np.errstate(divide="ignore"):
+            knees = (1.0 / np.float64(k), 1.0 / np.float64(k1))
+        return integrate_gaussian_weighted(
+            lambda t: 2.0 / SQPI * t**n * (1.0 + gamma * k1 * k1 * t**2)
+            / ((1.0 + k * k * t**2) * (1.0 + k1 * k1 * t**2)),
+            knees=knees,
+        )
+
+    def test_j_n_orders_equal_their_one_order_and_scalar_calls(self):
+        """Order 2 at (0, 1e-3), (1e-3, 1e-3), (0.05, 0.7) and (2, 9) is 1 ulp
+        off with a plain array exponent t**n."""
+        k = np.array([0.0, 1e-3, 0.05, 2.0, 5e3, 0.0])
+        k1 = np.array([1e-3, 1e-3, 0.7, 9.0, 0.0, 5e3])
+        values = j_n(np.arange(9)[:, None], k, k1)
+        assert values.shape == (9, 6)
+        for n in range(9):
+            assert (values[n] == j_n(n, k, k1)).all()
+            for j in range(6):
+                assert values[n, j] == j_n(n, float(k[j]), float(k1[j]))
+                assert values[n, j] == self.one_order(n, k[j], k1[j])
+
+    def test_j_m_orders_equal_their_one_order_and_scalar_calls(self):
+        k, k1 = np.array([1e-3, 0.05, 0.0, 5e3]), np.array([0.0, 0.7, 5e3, 1e-3])
+        gamma = np.array([0.0, 0.5])[:, None]
+        values = j_m(np.arange(7)[:, None, None], k, k1, gamma)
+        assert values.shape == (7, 2, 4)
+        for m in range(7):
+            assert (values[m] == j_m(m, k, k1, gamma)).all()
+            for i, g in enumerate((0.0, 0.5)):
+                for j in range(4):
+                    scalar = j_m(m, float(k[j]), float(k1[j]), g)
+                    assert values[m, i, j] == scalar
+                    assert scalar == self.one_order(m, k[j], k1[j], g)
+
     def test_scalars_give_floats(self):
         assert type(j_n(1, 0.3, 0.5)) is float
         assert type(j_m(1, 0.3, 0.5, 0.2)) is float
+        assert type(j_n(np.int64(2), 0.3, 0.5)) is float
 
     def test_bad_member_rejected(self):
         with pytest.raises(ValueError, match="wavenumbers"):
             j_n(1, [0.3, -1.0], 0.5)
         with pytest.raises(ValueError, match="gamma"):
             j_m(1, 0.3, 0.5, [0.2, 1.0])
+
+    @pytest.mark.parametrize("orders, shown", [
+        ([1, 1.5], "1.5"), ([[3], [True]], "True"), (np.arange(10), "9"),
+        ([2, -1, 9], "-1"), (np.array([1.0, 2.0]), "1.0"),
+    ])
+    def test_bad_order_entry_named_before_any_integral(
+        self, monkeypatch, orders, shown
+    ):
+        def no_integral(*args, **kwargs):
+            raise AssertionError("integrated before checking the orders")
+
+        monkeypatch.setattr(special_integrals, "integrate_gaussian_weighted", no_integral)
+        message = re.escape(f"moment order must be an integer in [0, 8], got {shown}")
+        with pytest.raises(ValueError, match=message):
+            j_n(orders, 0.3, 0.5)
+        with pytest.raises(ValueError, match=message):
+            j_m(orders, 0.3, 0.5, 0.2)
+
+    def test_label_names_the_member_order(self, monkeypatch):
+        labels = []
+
+        def record(f, rel_tol, label, params, knees):
+            labels.extend(label(j) for j in range(len(params[0])))
+            return np.zeros(len(params[0]))
+
+        monkeypatch.setattr(special_integrals, "integrate_gaussian_weighted", record)
+        j_n([1, 3], 0.5, 2.0)
+        j_m([[0], [4]], 0.5, 2.0, 0.25)
+        assert labels == [
+            "J_1(k=0.5, k1=2)", "J_3(k=0.5, k1=2)",
+            "J^(0)(k=0.5, k1=2, gamma=0.25)", "J^(4)(k=0.5, k1=2, gamma=0.25)",
+        ]
 
 
 class TestDispersion:

@@ -72,6 +72,20 @@ class TestSlipCoefficient:
         exact = 1.0162 * 2.0 / SQPI
         assert abs(kv - exact) / exact <= 0.0015
 
+    def test_overflowing_slip_named(self, series_cache):
+        """(2-q)/q is finite at q = 1.2e-308, but K_v was inf; so was the
+        slip velocity at a large gradient."""
+        series = series_cache(0.0, 2)
+        tiny = GasParameters(gamma=0.0, q=1.2e-308)
+        assert math.isfinite(slip_velocity(tiny, series))
+        with pytest.raises(ValueError, match=r"q=1\.2e-308, g_v=1\.0: K_v is not finite"):
+            slip_coefficient_kv(tiny, series)
+        steep = GasParameters(gamma=0.0, q=1e-300, g_v=1e10)
+        with pytest.raises(ValueError, match="the slip velocity is not finite"):
+            slip_velocity(steep, series)
+        with pytest.raises(ValueError, match="the slip velocity is not finite"):
+            velocity_profile(steep, series, [0.0, 1.0])
+
 
 class TestVelocityProfile:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
