@@ -48,7 +48,7 @@ from .quadrature import K_MAX, REL_TOL, _gk_rule, _log_tail, _tail_points, check
 # calls it any more
 from .quadrature import integrate_spectral  # noqa: F401
 from .special_integrals import (
-    MomentBatch, SQRT_PI, _check_gamma, fixed_row, j_n, t_n, t_n_vec,
+    MomentBatch, SQRT_PI, check_gamma, fixed_row, j_n, t_n, t_n_vec,
 )
 
 __all__ = [
@@ -145,8 +145,11 @@ def weighted_sum(
 
     The clamped quintic interpolant is linear in the node values, so the
     sum's node values and polynomial coefficients are the weighted sums of
-    the terms'.  The terms must share their nodes.
+    the terms'.  There must be one weight per term, at least one term, and
+    the terms must share their nodes.
     """
+    if not funcs or len(weights) != len(funcs):
+        raise ValueError(f"{label}: {len(weights)} weights for {len(funcs)} terms")
     first = funcs[0]
     nodes, x = first.nodes, first.x
     values, coeffs = weights[0] * first.values, weights[0] * first.c
@@ -191,7 +194,7 @@ def s_kernel(k, k1, gamma, rel_tol: float = REL_TOL) -> float | np.ndarray:
     ``k``, ``k1`` and ``gamma`` broadcast together: arrays give an array,
     whose J_3 values are integrated as one family, and scalars a float.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     j3 = j_n(3, k, k1, rel_tol)
     k, k1, gamma = np.broadcast_arrays(k, k1, gamma)
     t3 = np.reshape([t_n(3, a, rel_tol) for a in k.flat], k.shape)
@@ -256,7 +259,7 @@ def _apply_table(
     label = _next_label(phi.label)
     head = (table.w_k * v) @ table.s
     tail = _log_tail(
-        v[-2:, None] * table.s[-2:], table.k_max, 2, head,
+        v[-2:, None] * table.s[-2:], table.k_max, head,
         lambda j: f"{label} grid node k={table.nodes[j]:.3g}",
     )
     values = (head + tail) / np.pi

@@ -26,7 +26,8 @@ consumers apply the one gamma scalar where it cancels.  The pole residuals
 B_n, which check U_n, integrate adaptively up to the series' own k_max: all
 orders n >= 1 at all wavenumbers of one call as one family, with each
 wavenumber's J_1 row built once per call and each sweep one MomentBatch on
-the distinct points of every member.
+the distinct points of every member; their orders and wavenumbers are
+checked by the rules of :mod:`kramers.special_integrals`.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import SpectralFunction, _KernelTable, _apply_table, standard_grid
-from .quadrature import (
-    K_LIMIT, K_MAX, REL_TOL, _log_integral, _tail_guard, integrate_spectral,
-)
+from .quadrature import K_MAX, REL_TOL, _log_integral, _tail_guard, integrate_spectral
 # perfbench/tracing.py rebinds these here, though nothing here calls them
 from .kernels import apply_kernel  # noqa: F401
 from .quadrature import _integrate_spectral_detail  # noqa: F401
-from .special_integrals import MomentBatch, SQRT_PI, fixed_row, phi0_vec, t_n, t_n_vec
+from .special_integrals import (
+    MomentBatch, SQRT_PI, check_orders, check_wavenumbers, fixed_row, phi0_vec, t_n, t_n_vec,
+)
 
 __all__ = ["SeriesExpansion", "u0", "build_series", "pole_residual"]
 
@@ -147,7 +148,7 @@ def _order(k_max: float, n: int) -> tuple:
     rows = np.stack([v, table.t1 * v])
     # pairwise sums: a matrix-vector product rounds U_n up to 1.5e-15 off
     heads = (rows * table.w_k).sum(axis=1)
-    tails = _log_integral(rows[:, -2:].T, table.k_max, 2)
+    tails = _log_integral(rows[:, -2:].T, table.k_max)
     return table, phi, e_n, v, (*heads.tolist(), *tails.tolist())
 
 
@@ -224,31 +225,17 @@ def pole_residual(
     E_{n-1} being the density at gamma, phi_{n-1}/((1-gamma) T_2).  With
     the correct U_n this scales as k^2 near zero (it equals -E_n(k) L(k));
     a constant leftover means the pole survived.  The integer orders ``n``
-    and wavenumbers ``k`` in [0, K_LIMIT] broadcast together: arrays give an array and
-    scalars a float.  The n = 0 members are closed form; all others are
+    in [0, series.order] and wavenumbers ``k`` in [0, K_LIMIT] broadcast
+    together: arrays give an array and scalars a float.  The moments' checks
+    in :mod:`kramers.special_integrals` name the first bad entry of each (True
+    and 1.5 are not orders).  The n = 0 members are closed form; all others are
     integrated as one family (see :func:`_pole_integrand`), adaptive to
     ``rel_tol`` and ending at the series' own k_max, like the profile
     layer's, each with the value of its own scalar call.
     """
-    n, k = np.broadcast_arrays(np.asarray(n), np.asarray(k, dtype=float))
-    if n.size and n.dtype.kind not in "iu":
-        # name the first entry that is not a whole number (else the first)
-        values = n.ravel().tolist()
-        bad = next(
-            (v for v in values if not (isinstance(v, float) and v.is_integer())),
-            values[0],
-        )
-        raise ValueError(f"n={bad!r}: pole residual orders must be integers")
-    outside = (n < 0) | (n > series.order)
-    if outside.any():
-        raise ValueError(
-            f"n={n.flat[outside.argmax()]}: series does not hold this order"
-        )
-    bad = ~((k >= 0.0) & (k <= K_LIMIT))  # also true for NaN
-    if bad.any():
-        raise ValueError(
-            f"wavenumber must be in [0, {K_LIMIT:g}], got k={k.flat[bad.argmax()]}"
-        )
+    n = check_orders(n, series.order, "pole residual order")
+    n, k = np.broadcast_arrays(n, np.asarray(k, dtype=float))
+    check_wavenumbers(k)
     orders, ks = n.ravel(), k.ravel()
     family = np.flatnonzero(orders > 0)
     # E_{n-1} enters through its pole-free quotient phi_{n-1}/T_2, the same
@@ -260,7 +247,7 @@ def pole_residual(
         k_set, k_at = np.unique(ks[family], return_inverse=True)
         integrals = dict(zip(family.tolist(), integrate_spectral(
             _pole_integrand(series, n_set.tolist(), k_set, rel_tol),
-            rel_tol, series.phi_funcs[0].k_max, tail_exponent=2,
+            rel_tol, series.phi_funcs[0].k_max,
             label=lambda j: (
                 f"B_{orders[family[j]]} pole residual at k={ks[family[j]]:.3g}"
             ),

@@ -18,7 +18,7 @@ a spectral member also keeps its own tail samples and tail guard.  The
 pair's K15 rule, fixed on given intervals (:func:`_gk_rule`), is the
 kernel table of :mod:`kramers.kernels`.
 
-Every tail past ``k_max`` is the model (alpha + beta ln k)/k^p through
+Every tail past ``k_max`` is the model (alpha + beta ln k)/k^2 through
 the integrand's values at the two points of :func:`_tail_points`
 (:func:`_log_model`), integrated exactly by :func:`_log_integral`; one
 10% guard, :func:`_tail_guard`, checks every tail (:func:`_log_tail` is
@@ -337,33 +337,30 @@ def _tail_points(k_max: float) -> np.ndarray:
     return np.array([0.7 * k_max, k_max])
 
 
-def _log_model(samples, k_max: float, p: int) -> tuple:
-    """(alpha, beta) of (alpha + beta ln k)/k^p through samples at _tail_points.
+def _log_model(samples, k_max: float) -> tuple:
+    """(alpha, beta) of (alpha + beta ln k)/k^2 through samples at _tail_points.
 
     ``samples`` holds the values at 0.7 k_max and k_max along its first
     axis; a second axis gives one (alpha, beta) per column.
     """
     (ka, kb), (fa, fb) = _tail_points(k_max), samples
     la, lb = math.log(ka), math.log(kb)
-    beta = (fb * kb**p - fa * ka**p) / (lb - la)
-    alpha = fb * kb**p - beta * lb
+    beta = (fb * kb**2 - fa * ka**2) / (lb - la)
+    alpha = fb * kb**2 - beta * lb
     return alpha, beta
 
 
-def _fit_log_tail(f: Callable, k_max: float, p: int, label: str) -> tuple:
-    """Fit f(k) ~ (alpha + beta ln k)/k^p from f at 0.7*k_max and k_max."""
-    return _log_model(_eval_batch(f, _tail_points(k_max), label), k_max, p)
+def _fit_log_tail(f: Callable, k_max: float, label: str) -> tuple:
+    """Fit f(k) ~ (alpha + beta ln k)/k^2 from f at 0.7*k_max and k_max."""
+    return _log_model(_eval_batch(f, _tail_points(k_max), label), k_max)
 
 
-def _log_integral(samples, k_max: float, p: int) -> np.ndarray:
+def _log_integral(samples, k_max: float) -> np.ndarray:
     """Exact integral over [k_max, inf) of the :func:`_log_model` of
     ``samples`` (values at :func:`_tail_points`, one column per member),
     one entry per member: linear in the samples."""
-    alpha, beta = _log_model(samples, k_max, p)
-    lb = math.log(k_max)
-    return np.atleast_1d(
-        (alpha + beta * (lb + 1.0 / (p - 1))) * k_max ** (1 - p) / (p - 1)
-    )
+    alpha, beta = _log_model(samples, k_max)
+    return np.atleast_1d((alpha + beta * (math.log(k_max) + 1.0)) * k_max**-1)
 
 
 def _tail_guard(tail, head, k_max: float, label: str | Callable[[int], str]) -> None:
@@ -382,10 +379,10 @@ def _tail_guard(tail, head, k_max: float, label: str | Callable[[int], str]) -> 
 
 
 def _log_tail(
-    samples, k_max: float, p: int, head, label: str | Callable[[int], str]
+    samples, k_max: float, head, label: str | Callable[[int], str]
 ) -> np.ndarray:
     """:func:`_log_integral` of ``samples`` under :func:`_tail_guard`."""
-    tail = _log_integral(samples, k_max, p)
+    tail = _log_integral(samples, k_max)
     _tail_guard(tail, head, k_max, label)
     return tail
 
@@ -394,15 +391,12 @@ def _integrate_spectral_detail(
     f: Callable,
     rel_tol: float,
     k_max: float,
-    tail_exponent: int,
     label: str | Callable[[int], str],
     params: tuple = (),
 ) -> tuple:
     """integrate_spectral returning (value, error estimate, tail part):
     floats, or one array entry per member of a family."""
     check_k_max(k_max)
-    if tail_exponent < 2:
-        raise ValueError("tail_exponent must be >= 2")
     # geometric initial partition suits decaying integrands
     pts = [0.0, 0.5, 1.0]
     while pts[-1] < k_max:
@@ -415,7 +409,7 @@ def _integrate_spectral_detail(
         lambda x: f(x, *values), np.tile(_tail_points(k_max), size),
         label if isinstance(label, str) else lambda i: label(i // 2),
     ).reshape(size, 2)
-    tail = _log_tail(samples.T, k_max, tail_exponent, head, label)
+    tail = _log_tail(samples.T, k_max, head, label)
     if params:
         return head + tail, err, tail
     return float(head[0] + tail[0]), float(err[0]), float(tail[0])
@@ -425,14 +419,13 @@ def integrate_spectral(
     f: Callable,
     rel_tol: float = REL_TOL,
     k_max: float = K_MAX,
-    tail_exponent: int = 2,
     label: str | Callable[[int], str] = "spectral integral",
     params: tuple = (),
 ) -> float | np.ndarray:
     """Integrate ``f(k)`` over k in [0, inf) for algebraically decaying f.
 
     The domain is truncated at ``k_max`` and the remainder estimated by
-    fitting ``(alpha + beta ln k)/k^tail_exponent`` through the integrand at
+    fitting ``(alpha + beta ln k)/k^2`` through the integrand at
     ``0.7 k_max`` and ``k_max`` and integrating that model exactly.  The
     log-augmented model is required here: with a pure power fit, integrands
     of this problem (which all carry ``ln k / k^2`` tails) would be biased at
@@ -444,7 +437,5 @@ def integrate_spectral(
     member j ``label(j)``, and each value equals that of the member's own
     call.
     """
-    value, _, _ = _integrate_spectral_detail(
-        f, rel_tol, k_max, tail_exponent, label, params
-    )
+    value, _, _ = _integrate_spectral_detail(f, rel_tol, k_max, label, params)
     return value

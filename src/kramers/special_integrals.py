@@ -31,8 +31,10 @@ fixed graded Gauss-Legendre rule on [0, T_MAX], built at import, whose
 panels are geometrically refined toward t=0 to resolve the Lorentzian knee
 at t ~ 1/k for every supported k_max (up to 2^14); it takes no tolerance, is cross-checked against the
 scalar path in the test suite and exists purely for speed in the
-grid/kernel machinery.  Wavenumbers are supported in [0, K_LIMIT] (2^14):
-`t_n`, `j_n` and `j_m` reject larger ones.
+grid/kernel machinery.  Wavenumbers are supported in [0, K_LIMIT] (2^14).
+:func:`check_orders`, :func:`check_wavenumbers` and :func:`check_gamma`, each
+naming the first bad entry, are the one copy of each input rule (the pole
+residuals use them too); only the cached `t_n` keeps its scalar comparison.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ __all__ = [
     "fixed_row",
     "t_n_vec",
     "phi0_vec",
+    "check_orders",
+    "check_wavenumbers",
+    "check_gamma",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -154,14 +159,14 @@ class _GradedRule:
 _RULE = _GradedRule(T_MAX)
 
 
-def _check_batch(k: np.ndarray) -> None:
-    """Reject, by name, wavenumbers outside [0, K_LIMIT] (NaN included),
-    from one min and one max of the batch: past the limit the graded rule
-    misses the knee (``t_n_vec(1, [1e8])`` was 16% low)."""
+def check_wavenumbers(k: np.ndarray, name: str = "k") -> None:
+    """Reject wavenumbers outside [0, K_LIMIT] (NaN included) by one min and
+    max of the float array ``k``, naming the first bad entry ``name=...``: past
+    the limit the graded rule misses the knee (t_n_vec(1, [1e8]) was 16% low)."""
     lo, hi = k.min(initial=0.0), k.max(initial=0.0)
     if not (lo >= 0.0 and hi <= K_LIMIT):  # min and max propagate NaN
-        bad = lo if not lo >= 0.0 else hi
-        raise ValueError(f"wavenumber must be in [0, {K_LIMIT:g}], got k={bad}")
+        bad = k.flat[np.argmin((k >= 0.0) & (k <= K_LIMIT))]
+        raise ValueError(f"wavenumber must be in [0, {K_LIMIT:g}], got {name}={bad}")
 
 
 class MomentBatch:
@@ -175,7 +180,7 @@ class MomentBatch:
 
     def __init__(self, k):
         self.k = np.atleast_1d(np.asarray(k, dtype=float))
-        _check_batch(self.k)
+        check_wavenumbers(self.k)
         # 1/(1 + k^2 t^2) in place, in the bits of the plain expression
         w = np.multiply.outer(self.k * self.k, _RULE.t_sq)
         w += 1.0
@@ -195,7 +200,7 @@ class MomentBatch:
 def fixed_row(n: int, k_fixed: float) -> np.ndarray:
     """Rule row for J_n(k_fixed, .): contract with MomentBatch.against."""
     _check_order(n)
-    _check_batch(np.array([k_fixed], dtype=float))
+    check_wavenumbers(np.array([k_fixed], dtype=float))
     return _RULE.moment_weights[n] / (1.0 + k_fixed**2 * _RULE.t_sq)
 
 
@@ -213,14 +218,10 @@ def phi0_vec(k) -> np.ndarray:
 # scalar contract functions (adaptive engine, cached)
 # ---------------------------------------------------------------------------
 
-def _check_order(n: int) -> None:
-    # bool is an int, but not a moment order
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not (
-        0 <= n <= _MAX_ORDER
-    ):
-        raise ValueError(
-            f"moment order must be an integer in [0, {_MAX_ORDER}], got {n!r}"
-        )
+def _check_order(n: int, top: int = _MAX_ORDER, name: str = "moment order") -> None:
+    # bool is an int, but not an order
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= top:
+        raise ValueError(f"{name} must be an integer in [0, {top}], got {n!r}")
 
 
 @lru_cache(maxsize=65536)
@@ -247,26 +248,19 @@ def t_n(n: int, k: float, rel_tol: float = REL_TOL) -> float:
     return _t_n_cached(n, float(k), rel_tol)
 
 
-def _check_wavenumbers(k, k1) -> None:
-    for w in (np.asarray(k), np.asarray(k1)):
-        if not np.all((w >= 0) & (w <= K_LIMIT)):  # also catches NaN
-            raise ValueError(
-                f"wavenumbers must be in [0, {K_LIMIT:g}], got k={k}, k1={k1}"
-            )
-
-
-def _check_gamma(gamma) -> None:
+def check_gamma(gamma) -> None:
+    """Reject a density parameter (or any entry) outside [0, 1), NaN included."""
     if not np.all((np.asarray(gamma) >= 0.0) & (np.asarray(gamma) < 1.0)):
         raise ValueError("gamma must be in [0, 1)")
 
 
-def _check_orders(n) -> np.ndarray:
-    """The moment orders ``n``, one or an array of them, as an int array;
-    each entry is checked as :func:`_check_order` checks one, and the first
-    bad entry is named."""
-    entries = np.asarray(n, dtype=object)  # each entry keeps its own type
+def check_orders(n, top: int = _MAX_ORDER, name: str = "moment order") -> np.ndarray:
+    """The orders ``n``, one or an array of them, as an int array.  Each
+    entry, keeping its own type (True and 1.5 are not orders), must be an
+    integer in [0, top]; the first bad one is named, after ``name``."""
+    entries = np.asarray(n, dtype=object)
     for v in entries.flat:
-        _check_order(v)
+        _check_order(v, top, name)
     return entries.astype(int)
 
 
@@ -305,8 +299,9 @@ def j_n(n, k, k1, rel_tol: float = REL_TOL) -> float | np.ndarray:
     together: arrays give an array, integrated as one family, and scalars a
     float.
     """
-    orders = _check_orders(n)
-    _check_wavenumbers(k, k1)
+    orders = check_orders(n)
+    check_wavenumbers(np.asarray(k, dtype=float))
+    check_wavenumbers(np.asarray(k1, dtype=float), "k1")
     distinct = np.unique(orders).tolist()
 
     def f(t, k, k1, n):
@@ -330,9 +325,10 @@ def j_m(m, k, k1, gamma, rel_tol: float = REL_TOL) -> float | np.ndarray:
     and ``gamma`` broadcast together: arrays give an array, integrated as
     one family, and scalars a float.
     """
-    orders = _check_orders(m)
-    _check_gamma(gamma)
-    _check_wavenumbers(k, k1)
+    orders = check_orders(m)
+    check_gamma(gamma)
+    check_wavenumbers(np.asarray(k, dtype=float))
+    check_wavenumbers(np.asarray(k1, dtype=float), "k1")
     distinct = np.unique(orders).tolist()
 
     def f(t, k, k1, gamma, m):
@@ -355,7 +351,7 @@ def dispersion_l(k: float, gamma: float, rel_tol: float = REL_TOL) -> float:
     The pole-free product form is used rather than 1 - T_0 - gamma k^2 T_2;
     the two agree identically (tested) but this one is exact at k=0.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     t2 = t_n(2, k, rel_tol)  # checks k before k * k can overflow
     return (1.0 - gamma) * k * k * t2
 
@@ -365,6 +361,6 @@ def phi0(k: float, rel_tol: float = REL_TOL) -> float:
 
     Equal to int_0^inf (1 - 2t/sqrt(pi)) exp(-t^2) t^3/(1+k^2 t^2) dt; it is
     negative for all k and its 1/k^2 tail coefficient vanishes, leaving a
-    ~ln(k)/k^4 tail (register tail_exponent 4 when integrating it).
+    ~ln(k)/k^4 tail.
     """
     return SQRT_PI / 2.0 * t_n(3, k, rel_tol) - t_n(4, k, rel_tol)

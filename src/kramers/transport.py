@@ -446,7 +446,8 @@ def _osc_transform(
     (w = cos), with it also the damped cosine and damped k-sine transforms
     (w = cos and k*sin times the damping 1/(1 + k^2 mu^2) of the
     distribution-function integrands).  ``values`` [row, coordinate] holds
-    the transforms of ``densities[0]`` at every x >= 0, and ``wall``
+    the transforms of ``densities[0]`` at every x (>= 0: the public callers
+    reject negative coordinates first), and ``wall``
     [row, density] those at x = 0 of every further density on the same
     knots (the source bracket of h), from the same pass.  At every x the
     head on [0, k_max] is integrated exactly, knot interval by knot
@@ -465,8 +466,6 @@ def _osc_transform(
     """
     x = np.asarray(x, dtype=float)
     k_max = densities[0].k_max
-    if (x < 0.0).any():
-        raise ValueError("transform coordinate must be >= 0")
     if not math.isfinite(float(x.max(initial=0.0)) * k_max):
         at = next(v for v in map(float, x) if not math.isfinite(v * k_max))
         raise ValueError(f"{label.format(x=at)}: x * k_max overflows at x={at:g}")
@@ -477,7 +476,7 @@ def _osc_transform(
     if positive.any():
         # continue the fitted density model beyond k_max
         far = x[positive]
-        alpha, beta = _fit_log_tail(densities[0], k_max, 2, label.format(x=far[0]))
+        alpha, beta = _fit_log_tail(densities[0], k_max, label.format(x=far[0]))
         values[:, positive] = np.concatenate([
             heads(chunk).sum(axis=-1) + _tail_pieces(alpha, beta, chunk, mu, k_max)
             for chunk in np.split(far, range(_X_CHUNK, far.size, _X_CHUNK))
@@ -497,7 +496,7 @@ def _osc_transform(
             samples = np.concatenate([samples, samples * damp], axis=1)
         cosines = 1 if mu is None else 2
         integrals[:cosines, members] += _log_tail(
-            samples, k_max, 2, integrals[:cosines, members].ravel(),
+            samples, k_max, integrals[:cosines, members].ravel(),
             lambda i: (label.format(x=0.0) if members[i % len(members)] == 0
                        else f"source bracket at mu={mu:.4g}"),
         ).reshape(cosines, -1)
@@ -628,5 +627,7 @@ def gamma_from_physical(number_density: float, diameter: float) -> float:
 
 
 def dimensional_slip(u_sl_dimensionless: float, ctx: DimensionalContext) -> float:
-    """Convert a dimensionless slip velocity to m/s via u = U / sqrt(beta)."""
+    """Convert a finite dimensionless slip velocity to m/s via u = U / sqrt(beta)."""
+    if not math.isfinite(u_sl_dimensionless):
+        raise ValueError(f"u_sl_dimensionless must be finite, got {u_sl_dimensionless}")
     return u_sl_dimensionless / math.sqrt(ctx.beta)

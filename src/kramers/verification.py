@@ -171,11 +171,13 @@ def run_checks(
 
     ``rel_tol`` goes to every adaptive integral and ``k_max`` to every
     series; both are checked before any group runs.  ``only=None`` selects
-    every group; an empty ``only`` selects none and is rejected, and so is
-    a group named twice.
+    every group; an empty ``only`` selects none and is rejected, and so are
+    a group named twice and a bare string (``only="pole"`` for ``("pole",)``).
     """
     check_rel_tol(rel_tol)
     check_k_max(k_max)
+    if isinstance(only, str):
+        raise ValueError(f"only={only!r} is a string; pass a tuple of group names")
     if only is not None and not only:
         raise ValueError(f"no check group selected; choose from {GROUPS}")
     groups = GROUPS if only is None else only

@@ -463,6 +463,15 @@ class TestVerify:
         assert verification.run_checks(only=None) == []
         assert len(ran) == 4
 
+    def test_library_bare_string_rejected(self, monkeypatch):
+        """run_checks(only="pole") read the string as the groups 'p', 'o',
+        'l' and 'e'; it is named, before any group runs."""
+        verification = cli.verification
+        monkeypatch.setattr(verification, "_pole_checks",
+                            lambda *args: pytest.fail("ran a group"))
+        with pytest.raises(ValueError, match=r"^only='pole' is a string; pass a tuple"):
+            verification.run_checks(only="pole")
+
 
 class TestAccuracyFlags:
     """--tol and --kmax are checked for every command before any work."""

@@ -100,6 +100,18 @@ class TestSpectralFunction:
         )
         assert total.label == "1.5 phi_0"
 
+    @pytest.mark.parametrize("weights, terms, counts", [
+        ([1.0], 2, "1 weights for 2 terms"),
+        ([1.0, 2.0], 1, "2 weights for 1 terms"),
+        ([], 0, "0 weights for 0 terms"),
+    ])
+    def test_weighted_sum_needs_one_weight_per_term(self, weights, terms, counts):
+        """zip dropped the unmatched terms (weighted_sum([1.0], [e0, e1]) was
+        e0 alone), and an empty sum ended in an unnamed IndexError."""
+        f = phi_seed()
+        with pytest.raises(ValueError, match=f"^E_q: {counts}$"):
+            weighted_sum(weights, [f] * terms, label="E_q")
+
     def test_interpolation_hits_nodes(self):
         f = phi_seed()
         np.testing.assert_allclose(f(f.nodes), f.values, rtol=0, atol=1e-13)
@@ -276,7 +288,7 @@ class TestApplyKernel:
             )
             scale = quad(j3_term, 0.0, K_MAX, epsrel=1e-6, limit=200)[0]
             samples = integrand(_tail_points(K_MAX))
-            tail = _log_tail(samples, K_MAX, 2, head, f"node {i}")[0]
+            tail = _log_tail(samples, K_MAX, head, f"node {i}")[0]
             want = (head + tail) / np.pi
             assert psi.values[i] == pytest.approx(
                 want, rel=0.0, abs=1e-14 * scale / np.pi

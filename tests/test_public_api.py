@@ -1,5 +1,8 @@
 """The package namespace holds the command-line and README surface only."""
 
+import ast
+from pathlib import Path
+
 import kramers
 import kramers.neumann
 
@@ -30,3 +33,32 @@ def test_series_has_one_producer():
     for name in ("u_coefficient", "e_n"):
         assert not hasattr(kramers.neumann, name), name
         assert name not in kramers.neumann.__all__
+
+
+#: every private name a module imports from a sibling, (module, source, name);
+#: the benchmark tracer rebinds some of them by name (see perfbench/tracing.py)
+PRIVATE_IMPORTS = sorted([
+    ("kernels", "quadrature", "_gk_rule"),
+    ("kernels", "quadrature", "_log_tail"),
+    ("kernels", "quadrature", "_tail_points"),
+    ("neumann", "kernels", "_KernelTable"),
+    ("neumann", "kernels", "_apply_table"),
+    ("neumann", "quadrature", "_log_integral"),
+    ("neumann", "quadrature", "_tail_guard"),
+    ("neumann", "quadrature", "_integrate_spectral_detail"),  # tracer-only
+    ("transport", "quadrature", "_fit_log_tail"),  # tracer-bound
+    ("transport", "quadrature", "_log_tail"),
+    ("transport", "quadrature", "_tail_points"),
+])
+
+
+def test_private_cross_module_imports_are_pinned():
+    """A new private coupling between modules fails here; removing one
+    shortens the list."""
+    found = []
+    for path in sorted(Path(kramers.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found += [(path.stem, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+    assert sorted(found) == PRIVATE_IMPORTS

@@ -182,9 +182,12 @@ class TestWavenumberLimit:
         (lambda: dispersion_l(1e200, 0.0), "k=1e+200"),
         (lambda: phi0(2e4), "k=20000.0"),
         (lambda: j_n(1, 1e8, 0.5), "k=100000000.0"),
-        (lambda: j_n(1, 0.5, [1.0, 2e4]), "k1=[1.0, 20000.0]"),
+        # the ids keep naming the input arrays; the message names the bad entry
+        pytest.param(lambda: j_n(1, 0.5, [1.0, 2e4]), "k1=20000.0",
+                     id="<lambda>-k1=[1.0, 20000.0]"),
         (lambda: j_m(3, 0.5, 1e8, 0.1), "k1=100000000.0"),
-        (lambda: j_m(1, [0.5, math.inf], 0.5, 0.1), "k=[0.5, inf]"),
+        pytest.param(lambda: j_m(1, [0.5, math.inf], 0.5, 0.1), "k=inf",
+                     id="<lambda>-k=[0.5, inf]"),
         pytest.param(lambda: t_n_vec(1, [1e5]), "k=100000.0", id="t_n_vec-1e5"),
         pytest.param(lambda: t_n_vec(0, [1.0, np.nextafter(K_LIMIT, math.inf)]),
                      "k=16384.000000000004", id="t_n_vec-above"),
@@ -334,7 +337,7 @@ class TestArrayArguments:
         assert type(j_n(np.int64(2), 0.3, 0.5)) is float
 
     def test_bad_member_rejected(self):
-        with pytest.raises(ValueError, match="wavenumbers"):
+        with pytest.raises(ValueError, match=r"wavenumber must be .*, got k=-1\.0$"):
             j_n(1, [0.3, -1.0], 0.5)
         with pytest.raises(ValueError, match="gamma"):
             j_m(1, 0.3, 0.5, [0.2, 1.0])

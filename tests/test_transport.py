@@ -641,9 +641,9 @@ class TestBatchedCoordinates:
         fit, pieces = transport._fit_log_tail, transport._head_pieces
         labels, stacks = [], []
 
-        def counted(f, k_max, p, label):
+        def counted(f, k_max, label):
             labels.append(label)
-            return fit(f, k_max, p, label)
+            return fit(f, k_max, label)
 
         def counted_pieces(densities, *args):
             stacks.append(len(densities))
@@ -717,6 +717,14 @@ class TestPhysicalConversions:
         assert dim / (ctx.mean_free_path * g_v_dim) == pytest.approx(
             slip_coefficient_kv(params, series), rel=1e-12
         )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slip_rejected(self, value):
+        """dimensional_slip(nan, ctx) was a silent nan, and inf passed too."""
+        ctx = DimensionalContext.from_frequency(nu=1e9, beta=2e-6)
+        with pytest.raises(ValueError, match=f"u_sl_dimensionless must be finite, got {value}"):
+            dimensional_slip(value, ctx)
+        assert dimensional_slip(-1.0, ctx) == -dimensional_slip(1.0, ctx)
 
     def test_beta_scaling(self):
         ctx1 = DimensionalContext.from_frequency(nu=1e9, beta=2e-6)
