@@ -87,19 +87,17 @@ def _parse_range(flag: str, text: str, nodes: str) -> np.ndarray:
 
 
 def _meta(args: argparse.Namespace) -> dict:
-    meta = {name: getattr(args, name, None) for name in ("gamma", "q", "order")}
-    # curves read only --tol, slip and profile only --kmax
-    if args.command == "curves":
-        meta["rel_tol"] = args.tol
-    else:
-        meta["k_max"] = args.kmax
-    return meta
+    """The numerical flags of the command, each of which it reads."""
+    keys = {"gamma": "gamma", "q": "q", "order": "order", "kmax": "k_max", "tol": "rel_tol"}
+    return {key: getattr(args, name) for name, key in keys.items() if name in args}
 
 
 def _check_output(output: str | None) -> None:
     """Raise, before any work, the error that writing to ``output`` would."""
     if output is None:
         return
+    if not output:
+        raise ValueError("--output: empty path")
     if os.path.isdir(output):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     # the trailing separator also rejects a parent that is a file
@@ -215,23 +213,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_tol(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=REL_TOL,
-                        help="relative quadrature tolerance, read by curves and "
-                             f"verify (default {REL_TOL:g}); an integral stops "
-                             f"at an error of max({ABS_TOL:g}, tol |value|), so "
-                             f"one below {ABS_TOL:g}/tol is held to {ABS_TOL:g} "
-                             "absolute only")
+                        help=f"relative quadrature tolerance (default {REL_TOL:g}); "
+                             f"an integral stops at an error of max({ABS_TOL:g}, "
+                             f"tol |value|), so one below {ABS_TOL:g}/tol is held "
+                             f"to {ABS_TOL:g} absolute only")
+
+
+def _add_kmax(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kmax", type=float, default=K_MAX,
-                        help=f"spectral truncation wavenumber in (2, {K_LIMIT:g}], "
-                             f"read by slip, profile and verify (default {K_MAX:g})")
+                        help=f"spectral truncation wavenumber in (2, {K_LIMIT:g}] "
+                             f"(default {K_MAX:g})")
+
+
+def _add_output(parser: argparse.ArgumentParser, formats: bool = True) -> None:
     parser.add_argument("--output", default=None,
                         help="write to this path instead of stdout")
-
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    # verify prints its check report as text only
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if formats:  # verify prints its check report as text only
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_gas(parser: argparse.ArgumentParser) -> None:
@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_slip = sub.add_parser("slip", help="slip velocity and coefficients")
     _add_gas(p_slip)
-    _add_common(p_slip)
-    _add_format(p_slip)
+    _add_kmax(p_slip)
+    _add_output(p_slip)
     p_slip.set_defaults(func=_cmd_slip)
 
     p_curves = sub.add_parser("curves", help="dispersion/moment curve tables")
@@ -265,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--gamma", type=float, default=0.0)
     p_curves.add_argument("--k", default="0:10:0.1",
                           help="wavenumber range start:stop:step")
-    _add_common(p_curves)
-    _add_format(p_curves)
+    _add_tol(p_curves)
+    _add_output(p_curves)
     p_curves.set_defaults(func=_cmd_curves)
 
     p_profile = sub.add_parser("profile", help="velocity profile and distribution")
@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--mu", default=None,
                            help=f"comma list of velocities in [-{MU_MAX:g}, "
                                 f"{MU_MAX:g}] for h(x1, mu) columns")
-    _add_common(p_profile)
-    _add_format(p_profile)
+    _add_kmax(p_profile)
+    _add_output(p_profile)
     p_profile.set_defaults(func=_cmd_profile)
 
     p_verify = sub.add_parser("verify", help="run identity and oracle checks")
@@ -285,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--only", default=None,
         help=f"comma list of check groups from {', '.join(verification.GROUPS)}",
     )
-    _add_common(p_verify)
+    _add_tol(p_verify)
+    _add_kmax(p_verify)
+    _add_output(p_verify, formats=False)
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 
@@ -297,8 +299,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        check_rel_tol(args.tol)
-        check_k_max(args.kmax)
+        if "tol" in args:
+            check_rel_tol(args.tol)
+        if "kmax" in args:
+            check_k_max(args.kmax)
         _check_output(args.output)
         return args.func(args)
     except QuadratureError as exc:
@@ -308,8 +312,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid request: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"cannot write {args.output or 'stdout'}: {exc.strerror or exc}",
-              file=sys.stderr)
+        target = "stdout" if args.output is None else args.output
+        print(f"cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

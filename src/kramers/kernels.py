@@ -68,10 +68,9 @@ class SpectralFunction:
     on construction, to its piecewise-polynomial form (one set of monomial
     coefficients per knot interval), which evaluates several times faster
     than the B-spline recurrence and agrees with it to rounding.  That form
-    is two read-only arrays: the breakpoints ``x`` (the nodes, with the end
-    knots repeated as empty intervals) and the coefficients ``c[m, i]`` of
-    ``(k - x[i])^(5-m)``, evaluated in the order and to the bits of scipy's
-    ``PPoly``.
+    is the read-only coefficients ``c[m, i]`` of ``(k - nodes[i])^(5-m)`` on
+    each knot interval, evaluated in the order and to the bits of scipy's
+    ``PPoly`` on ``(c, nodes)``.
     The function is defined on [0, k_max], ``k_max`` being the last node,
     and evaluation past it raises ``ValueError``: each integral over it
     closes its own tail with a fitted model (see :mod:`kramers.quadrature`).
@@ -82,7 +81,6 @@ class SpectralFunction:
     nodes: np.ndarray
     values: np.ndarray
     label: str
-    x: np.ndarray = field(init=False, repr=False, compare=False)
     c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -104,10 +102,11 @@ class SpectralFunction:
             bc_type=([(1, 0.0), (3, 0.0)], [(3, 0.0), (4, 0.0)]),
         )
         poly = PPoly.from_spline(spline)
-        self._freeze(nodes, values, poly.c, poly.x)
+        # from_spline repeats each end knot as empty intervals; drop them
+        self._freeze(nodes, values, poly.c[:, np.diff(poly.x) > 0.0])
 
-    def _freeze(self, nodes, values, c, x) -> None:
-        for name, arr in (("nodes", nodes), ("values", values), ("c", c), ("x", x)):
+    def _freeze(self, nodes, values, c) -> None:
+        for name, arr in (("nodes", nodes), ("values", values), ("c", c)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -124,11 +123,11 @@ class SpectralFunction:
                 f"{self.label} is defined for k <= k_max={self.k_max:g}, "
                 f"got k={k.max():g}"
             )
-        x, c = self.x, self.c
-        # the interval x[i] <= k < x[i+1], closed at k_max, as PPoly finds it
-        i = np.minimum(np.searchsorted(x, k, "right") - 1, len(x) - 2)
-        s = k - x[i]
-        g = c.take(i, axis=1)
+        nodes = self.nodes
+        # nodes[i] <= k < nodes[i+1], closed at k_max, as PPoly finds it
+        i = np.minimum(np.searchsorted(nodes, k, "right") - 1, len(nodes) - 2)
+        s = k - nodes[i]
+        g = self.c.take(i, axis=1)
         # PPoly's ascending power sum c[5] + c[4] s + c[3] s^2 + ..., its
         # powers built as z *= s, so the values are PPoly's to the bit
         out, z = g[5].copy(), np.ones_like(s)
@@ -151,7 +150,7 @@ def weighted_sum(
     if not funcs or len(weights) != len(funcs):
         raise ValueError(f"{label}: {len(weights)} weights for {len(funcs)} terms")
     first = funcs[0]
-    nodes, x = first.nodes, first.x
+    nodes = first.nodes
     values, coeffs = weights[0] * first.values, weights[0] * first.c
     for w, f in zip(weights[1:], funcs[1:]):
         if f.nodes is not nodes and not np.array_equal(f.nodes, nodes):
@@ -160,7 +159,7 @@ def weighted_sum(
         coeffs += w * f.c
     total = object.__new__(SpectralFunction)
     object.__setattr__(total, "label", label)
-    total._freeze(nodes, values, coeffs, x)
+    total._freeze(nodes, values, coeffs)
     return total
 
 

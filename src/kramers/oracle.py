@@ -56,20 +56,9 @@ _INNER_KMAX = 120.0  # inner integrals decay like ln^2(k)/k^4
 _EPS_ABS = 1e-30
 
 
-def _t_inline(n: int, k: float, t_max: float) -> float:
-    """T_n(k) by direct quadrature; no caching, no interpolation."""
-    pts = (1.0 / k,) if k > 1.0 / t_max else None
-
-    def f(t):
-        return math.exp(-t * t) * t**n / (1.0 + k * k * t * t)
-
-    val, _ = _quiet_quad(f, 0.0, t_max, epsabs=_EPS_ABS, epsrel=1e-11, limit=200,
-                  points=pts)
-    return 2.0 / SQRT_PI * val
-
-
 def _j_inline(n: int, k: float, k1: float, t_max: float) -> float:
-    """J_n(k, k1) by direct quadrature."""
+    """J_n(k, k1) by direct quadrature; J_n(k, 0) = T_n(k).  No caching, no
+    interpolation."""
     pts = sorted({1.0 / v for v in (k, k1) if v > 1.0 / t_max})
 
     def f(t):
@@ -107,8 +96,7 @@ def _phi0_inline(k: float, t_max: float) -> float:
 def _moments(k: float) -> tuple[float, float, float, float]:
     """(T_1, T_2, T_3, phi_0) at k; an immutable entry every gamma and thread
     shares (a race at most computes one k twice)."""
-    return (_t_inline(1, k, T_MAX), _t_inline(2, k, T_MAX),
-            _t_inline(3, k, T_MAX), _phi0_inline(k, T_MAX))
+    return (*(_j_inline(n, k, 0.0, T_MAX) for n in (1, 2, 3)), _phi0_inline(k, T_MAX))
 
 
 def _log_closure(f, k_top: float, p: int) -> float:

@@ -53,7 +53,6 @@ from .quadrature import (
 __all__ = [
     "GasParameters",
     "MOMENTS",
-    "t_moment",
     "t_n",
     "j_n",
     "j_m",
@@ -102,24 +101,14 @@ class GasParameters:
             raise ValueError("g_v must be finite")
 
 
-def t_moment(n: int) -> float:
-    """Exact half-range Gaussian moment T_n(0) = Gamma((n+1)/2)/sqrt(pi).
-
-    Even orders are dyadic rationals ((n-1)!!/2^(n/2)) and are returned
-    exactly, keeping the recurrence identities exact at k=0.
-    """
-    if n < 0:
-        raise ValueError("moment order must be >= 0")
-    if n % 2 == 0:
-        num = 1
-        for m in range(n - 1, 0, -2):
-            num *= m
-        return num / 2 ** (n // 2)
-    return math.factorial((n - 1) // 2) / SQRT_PI
-
-
-#: exact T_n(0) for the orders the method uses: {1, 1/sqrt(pi), 1/2, ...}
-MOMENTS = tuple(t_moment(n) for n in range(_MAX_ORDER + 1))
+#: exact T_n(0) = Gamma((n+1)/2)/sqrt(pi) for the orders the method uses:
+#: {1, 1/sqrt(pi), 1/2, ...}.  Even orders are the dyadic rationals
+#: (n-1)!!/2^(n/2), exact, so the recurrence identities are exact at k=0.
+MOMENTS = tuple(
+    math.prod(range(n - 1, 0, -2)) / 2 ** (n // 2) if n % 2 == 0
+    else math.factorial((n - 1) // 2) / SQRT_PI
+    for n in range(_MAX_ORDER + 1)
+)
 
 
 # ---------------------------------------------------------------------------

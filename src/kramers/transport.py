@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -60,25 +60,47 @@ __all__ = [
 class VelocityProfile:
     """Sampled velocity with its asymptote split off.
 
-    ``u_total - (u_sl + g_v x)`` equals ``u_continuum`` at every node by
-    construction; the continuum part decays to zero away from the wall.
+    ``u_total = u_sl + g_v x + u_continuum`` at every node by construction,
+    and must be finite; the continuum part decays to zero away from the wall.
     """
 
     x_nodes: np.ndarray
-    u_total: np.ndarray
     u_continuum: np.ndarray
     u_sl: float
     g_v: float
+    u_total: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("x_nodes", "u_total", "u_continuum"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        x = _coordinates(self.x_nodes)
+        u_c = np.asarray(self.u_continuum, dtype=float)
+        if u_c.shape != x.shape:
+            raise ValueError(f"u_continuum has shape {u_c.shape}, x_nodes {x.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_total = self.u_sl + self.g_v * x + u_c
+        _check_finite(f"g_v={self.g_v}: u_total", u_total, x)
+        for name, arr in (("x_nodes", x), ("u_continuum", u_c), ("u_total", u_total)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not np.isfinite(self.x_nodes).all():
-            raise ValueError("x_nodes must be finite")
-        if np.any(self.x_nodes < 0.0):
-            raise ValueError("profile coordinates must be >= 0")
+
+
+def _coordinates(x_nodes) -> np.ndarray:
+    """``x_nodes`` as a 1-d float array of finite coordinates >= 0."""
+    x = np.atleast_1d(np.asarray(x_nodes, dtype=float))
+    if x.ndim != 1:
+        raise ValueError(f"x_nodes must be 1-d, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x_nodes must be finite")
+    if np.any(x < 0.0):
+        raise ValueError("x_nodes must be >= 0")
+    return x
+
+
+def _check_finite(name: str, values: np.ndarray, x: np.ndarray) -> None:
+    """Reject non-finite ``values`` at coordinates ``x`` of the same shape,
+    naming the first."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{name} is not finite at x1={x[bad][0]:g}")
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -86,41 +108,27 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _mean_free_path(nu: float, beta: float) -> float:
-    # divided in steps, so a subnormal nu overflows to inf (rejected by
-    # name) instead of underflowing the denominator to 0
-    return SQRT_PI / 2.0 / nu / math.sqrt(beta)
-
-
 @dataclass(frozen=True)
 class DimensionalContext:
-    """Collision frequency, beta = m/(2kT), and the mean free path.
+    """Collision frequency nu, beta = m/(2kT), and the mean free path.
 
-    The three are linked: with viscosity eta = rho/(2 nu beta) and
-    l = eta sqrt(pi beta)/rho, the product l sqrt(beta) nu equals
-    sqrt(pi)/2.  Construction rejects inconsistent triples.
+    With viscosity eta = rho/(2 nu beta) and l = eta sqrt(pi beta)/rho, the
+    mean free path is l = sqrt(pi)/(2 nu sqrt(beta)), derived on
+    construction.
     """
 
     nu: float
     beta: float
-    mean_free_path: float
+    mean_free_path: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("nu", "beta", "mean_free_path"):
-            _check_positive(name, getattr(self, name))
-        expected = _mean_free_path(self.nu, self.beta)
-        if not math.isclose(self.mean_free_path, expected, rel_tol=1e-9):
-            raise ValueError(
-                f"inconsistent mean free path: got {self.mean_free_path:.6g}, "
-                f"l = sqrt(pi)/(2 nu sqrt(beta)) requires {expected:.6g}"
-            )
-
-    @classmethod
-    def from_frequency(cls, nu: float, beta: float) -> "DimensionalContext":
-        """Build a consistent context from frequency and beta alone."""
-        _check_positive("nu", nu)
-        _check_positive("beta", beta)
-        return cls(nu=nu, beta=beta, mean_free_path=_mean_free_path(nu, beta))
+        _check_positive("nu", self.nu)
+        _check_positive("beta", self.beta)
+        # divided in steps, so a subnormal nu overflows to inf (rejected by
+        # name) instead of underflowing the denominator to 0
+        path = SQRT_PI / 2.0 / self.nu / math.sqrt(self.beta)
+        _check_positive("mean_free_path", path)
+        object.__setattr__(self, "mean_free_path", path)
 
 
 def _check_pair(params: GasParameters, series: SeriesExpansion) -> None:
@@ -298,7 +306,7 @@ def _head_pieces(
     with the density's own knots (Iserles & Norsett, Proc. R. Soc. A 461,
     2005).
     """
-    lo, hi = densities[0].x[:-1], densities[0].x[1:]
+    lo, hi = densities[0].nodes[:-1], densities[0].nodes[1:]
     r = 0.5 * (hi - lo)
     mid = lo + r
     # c holds the coefficients of (k - lo)^(5-m); k - lo = r (1 + t)
@@ -523,24 +531,16 @@ def velocity_profile(
     U_c at all of them comes from one transform call.
     """
     _check_pair(params, series)
-    x_nodes = np.atleast_1d(np.asarray(x_nodes, dtype=float))
-    if x_nodes.ndim != 1:
-        raise ValueError(f"x_nodes must be 1-d, got shape {x_nodes.shape}")
-    if not np.all(np.isfinite(x_nodes)):
-        raise ValueError("x_nodes must be finite")
-    if np.any(x_nodes < 0.0):
-        raise ValueError("x_nodes must be >= 0")
+    x_nodes = _coordinates(x_nodes)
     u_sl = slip_velocity(params, series)
     density = _combined_density(series, params.q)
     pref = params.g_v * (2.0 - params.q)
-    u_c = pref * _osc_transform(
+    transform = _osc_transform(
         (density,), x_nodes, label="U_c cosine transform at x1={x:.4g}",
-    )[0][0] / math.pi
-    u_total = u_sl + params.g_v * x_nodes + u_c
-    return VelocityProfile(
-        x_nodes=x_nodes, u_total=u_total, u_continuum=u_c,
-        u_sl=u_sl, g_v=params.g_v,
-    )
+    )[0][0]
+    with np.errstate(over="ignore"):  # rejected by VelocityProfile
+        u_c = pref * transform / math.pi
+    return VelocityProfile(x_nodes=x_nodes, u_continuum=u_c, u_sl=u_sl, g_v=params.g_v)
 
 
 def distribution_function(
@@ -580,8 +580,6 @@ def distribution_function(
     gamma, q, g_v = params.gamma, params.q, params.g_v
     pref = g_v * (2.0 - q)
     u_sl = slip_velocity(params, series)
-    h_as = u_sl + g_v * (x - (1.0 - gamma) * mu)
-
     densities = (_combined_density(series, q),)
     if mu > 0.0 and series.order >= 1:
         densities += (_combined_density(series, q, upto=series.order - 1),)
@@ -589,25 +587,27 @@ def distribution_function(
         densities, x.reshape(-1), None if mu == 0.0 else mu,
         f"h_c transforms at x1={{x:.4g}}, mu={mu:.4g}")
     transforms = transforms.reshape(transforms.shape[:1] + x.shape) / math.pi
-    if mu == 0.0:
-        h = h_as + pref * transforms[0]
-    else:
-        c0, c1, s1 = transforms
-        h_c = pref * (gamma * c0 + (1.0 - gamma) * c1 + (1.0 - gamma) * mu * s1)
-        if mu > 0.0:
-            r = abs(mu) - u0()
-            if series.order >= 1:
-                r -= sum(
-                    series.u_coeffs[n] * q**n for n in range(1, series.order + 1)
-                )
-                plain, damped = wall[:2, 0]
-                r -= q * (gamma / (1.0 - gamma) * plain + damped) / math.pi
-            # x / mu overflows to inf for a subnormal mu, and e^{-inf} = 0
-            # is the right decay
-            with np.errstate(over="ignore"):
-                decay = np.exp(-x / mu)
-            h_c = h_c + (1.0 - gamma) * pref * r * decay
-        h = h_as + h_c
+    # a large g_v overflows to inf, rejected by name below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_as = u_sl + g_v * (x - (1.0 - gamma) * mu)
+        if mu == 0.0:
+            h = h_as + pref * transforms[0]
+        else:
+            c0, c1, s1 = transforms
+            h_c = pref * (gamma * c0 + (1.0 - gamma) * c1 + (1.0 - gamma) * mu * s1)
+            if mu > 0.0:
+                r = abs(mu) - u0()
+                if series.order >= 1:
+                    r -= sum(
+                        series.u_coeffs[n] * q**n for n in range(1, series.order + 1)
+                    )
+                    plain, damped = wall[:2, 0]
+                    r -= q * (gamma / (1.0 - gamma) * plain + damped) / math.pi
+                # x / mu overflows to inf for a subnormal mu, and e^{-inf} = 0
+                # is the right decay
+                h_c = h_c + (1.0 - gamma) * pref * r * np.exp(-x / mu)
+            h = h_as + h_c
+    _check_finite(f"q={q}, g_v={g_v}: h(x1, mu={mu:g})", h, x)
     return float(h) if h.ndim == 0 else h
 
 

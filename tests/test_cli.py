@@ -97,10 +97,10 @@ class TestSlip:
         assert "k_max" in err
 
     def test_json_metadata(self, capsys):
-        """slip reads --kmax and no --tol, so the meta names only k_max."""
+        """slip takes --kmax and no --tol, so the meta names only k_max."""
         code, out, _ = run_cli(
             capsys, "slip", "--q", "0.8", "--gamma", "0.1", "--order", "1",
-            "--tol", "1e-3", "--format", "json",
+            "--format", "json",
         )
         assert code == 0
         doc = json.loads(out)
@@ -191,12 +191,10 @@ class TestCurves:
         assert out1 == out2
 
     def test_meta_claims_no_truncation(self, capsys):
-        """No curve reads --kmax, so the JSON meta does not name one."""
-        code, out, _ = run_cli(
-            capsys, "curves", "--k", "0:1:1", "--kmax", "300", "--format", "json",
-        )
+        """No curve reads --kmax, --q or --order, so the JSON meta names none."""
+        code, out, _ = run_cli(capsys, "curves", "--k", "0:1:1", "--format", "json")
         assert code == 0
-        assert set(json.loads(out)["meta"]) == {"gamma", "q", "order", "rel_tol"}
+        assert json.loads(out)["meta"] == {"gamma": 0.0, "rel_tol": 1e-10}
 
 
 class TestProfile:
@@ -474,7 +472,12 @@ class TestVerify:
 
 
 class TestAccuracyFlags:
-    """--tol and --kmax are checked for every command before any work."""
+    """--tol belongs to curves and verify, --kmax to slip, profile and
+    verify; each is checked before any work, and a command rejects the one
+    it does not read."""
+
+    TAKES = {"slip": {"--kmax"}, "curves": {"--tol"}, "profile": {"--kmax"},
+             "verify": {"--tol", "--kmax"}}
 
     @pytest.mark.parametrize("command", ["slip", "curves", "profile", "verify"])
     @pytest.mark.parametrize("flag, field, value", [
@@ -493,17 +496,51 @@ class TestAccuracyFlags:
         monkeypatch.setattr(cli.verification, "run_checks", no_work)
         code, out, err = run_cli(capsys, command, f"{flag}={value}")
         assert code == 2
-        assert f"invalid request: {field} must be finite" in err
+        if flag in self.TAKES[command]:
+            assert f"invalid request: {field} must be finite" in err
+        else:
+            assert f"unrecognized arguments: {flag}={value}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command, flag", [
+        ("slip", "--tol"), ("profile", "--tol"), ("curves", "--kmax"),
+    ])
+    def test_unread_flag_rejected_before_work(self, capsys, monkeypatch, command, flag):
+        """slip and profile took --tol, and curves --kmax, checked them and
+        never read them."""
+        def no_work(*args):
+            raise AssertionError(f"work started on {flag}, which {command} does not read")
+
+        for name in ("build_series", "t_n", "dispersion_l"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run_cli(capsys, command, flag, "100")
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} 100" in err
 
     def test_help_names_the_commands_that_read_each_flag(self, capsys):
-        """Every command takes both flags; the help says which ones read them."""
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(["profile", "--help"])
-        text = " ".join(capsys.readouterr().out.split())
-        assert "relative quadrature tolerance, read by curves and verify" in text
-        assert "read by slip, profile and verify (default 800)" in text
+        """Each command's help lists the accuracy flags it reads, and no other."""
+        for command, flags in self.TAKES.items():
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            assert ("relative quadrature tolerance (default 1e-10)" in text) == (
+                "--tol" in flags)
+            assert ("spectral truncation wavenumber in (2, 16384] (default 800)"
+                    in text) == ("--kmax" in flags)
+
+
+class TestOptionSets:
+    """Each subcommand's options, so that an unread flag coming back fails."""
+
+    @pytest.mark.parametrize("argv, options", [
+        (["slip"], {"gamma", "q", "order", "kmax", "output", "format"}),
+        (["curves"], {"what", "gamma", "k", "tol", "output", "format"}),
+        (["profile"], {"gamma", "q", "order", "x", "mu", "kmax", "output", "format"}),
+        (["verify"], {"only", "tol", "kmax", "output"}),
+    ])
+    def test_options_of_each_command(self, argv, options):
+        args = vars(cli.build_parser().parse_args(argv))
+        assert set(args) == options | {"command", "func"}
 
 
 class TestRangeStart:
@@ -562,6 +599,19 @@ class TestOutputPath:
             assert code == 2
             assert err == f"cannot write {path}: {reason}\n"
             assert out == ""
+
+    @pytest.mark.parametrize("command", [["slip", "--order", "4"], ["verify"]])
+    def test_empty_path_rejected_before_work(self, capsys, monkeypatch, command):
+        """slip --output '' built the series, then named stdout as the
+        target it could not write."""
+        def no_work(*args):
+            raise AssertionError("work started before --output was checked")
+
+        monkeypatch.setattr(cli, "build_series", no_work)
+        monkeypatch.setattr(cli.verification, "run_checks", no_work)
+        code, out, err = run_cli(capsys, *command, "--output", "")
+        assert code == 2 and out == ""
+        assert err == "invalid request: --output: empty path\n"
 
     def test_parent_that_is_a_file_rejected(self, capsys, tmp_path):
         parent = tmp_path / "file.txt"

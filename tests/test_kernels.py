@@ -65,20 +65,23 @@ class TestSpectralFunction:
             f.values[0] = 3.0
 
     def test_read_only_polynomial(self):
+        """One quintic per knot interval, whose breakpoints are the nodes."""
         f = phi_seed()
+        assert f.c.shape == (6, len(f.nodes) - 1)
         with pytest.raises(AttributeError):
             f.c = None
         with pytest.raises(ValueError):
             f.c[0, 0] = 1.0
         with pytest.raises(ValueError):
-            f.x[1] = 0.5
+            f.nodes[1] = 0.5
 
     def test_evaluation_is_ppoly_to_the_bit(self):
-        """x and c come from PPoly.from_spline; evaluating them gives
-        PPoly's values bit for bit, at random points, every node, 0 and
-        k_max, as arrays and as scalars."""
+        """c comes from PPoly.from_spline, without its empty end intervals;
+        evaluating it gives the values of a PPoly on (c, nodes) bit for bit,
+        at random points, every node, 0 and k_max, as arrays and as
+        scalars, and those of the spline itself to rounding."""
         f = phi_seed()
-        ppoly = PPoly.construct_fast(f.c, f.x)
+        ppoly = PPoly.construct_fast(f.c, f.nodes)
         rng = np.random.default_rng(5)
         k = np.concatenate([rng.uniform(0.0, f.k_max, 20000), f.nodes,
                             [0.0, f.k_max], rng.uniform(0.0, 2.0, 2000)])
@@ -87,6 +90,10 @@ class TestSpectralFunction:
         for point in (0.0, 1.25, f.k_max):
             assert f(point) == ppoly(point)
             assert np.ndim(f(point)) == 0
+        spline = make_interp_spline(f.nodes, f.values, k=5, bc_type=(
+            [(1, 0.0), (3, 0.0)], [(3, 0.0), (4, 0.0)]))
+        np.testing.assert_allclose(f(k), spline(k), rtol=0,
+                                   atol=1e-14 * np.abs(f.values).max())
 
     def test_weighted_sum_needs_one_grid(self):
         f = phi_seed()

@@ -1,10 +1,15 @@
 """The package namespace holds the command-line and README surface only."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import pytest
 
 import kramers
 import kramers.neumann
+import kramers.oracle
+import kramers.special_integrals
 
 PUBLIC = sorted([
     "QuadratureError", "BudgetExhaustedError", "NonFiniteIntegrandError",
@@ -33,6 +38,30 @@ def test_series_has_one_producer():
     for name in ("u_coefficient", "e_n"):
         assert not hasattr(kramers.neumann, name), name
         assert name not in kramers.neumann.__all__
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (kramers.SpectralFunction, ["nodes", "values", "label", "(c)"]),
+    (kramers.VelocityProfile, ["x_nodes", "u_continuum", "u_sl", "g_v", "(u_total)"]),
+    (kramers.DimensionalContext, ["nu", "beta", "(mean_free_path)"]),
+    (kramers.GasParameters, ["gamma", "q", "g_v"]),
+    (kramers.SeriesExpansion,
+     ["gamma", "order", "u_coeffs", "phi_funcs", "e_funcs", "diagnostics"]),
+])
+def test_public_shapes(cls, fields):
+    """The fields of each public record, a derived one in parentheses: a
+    value stored twice or taken as a redundant input fails here first."""
+    assert [f.name if f.init else f"({f.name})" for f in dataclasses.fields(cls)] == fields
+
+
+def test_duplicate_paths_stay_gone():
+    """One T_n(0) table, one inline oracle T_n and a context built from nu
+    and beta alone."""
+    for owner, name in ((kramers.special_integrals, "t_moment"),
+                        (kramers.oracle, "_t_inline"),
+                        (kramers.DimensionalContext, "from_frequency")):
+        assert not hasattr(owner, name), name
+    assert "t_moment" not in kramers.special_integrals.__all__
 
 
 #: every private name a module imports from a sibling, (module, source, name);

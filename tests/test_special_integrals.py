@@ -20,7 +20,6 @@ from kramers.special_integrals import (
     j_n,
     phi0,
     phi0_vec,
-    t_moment,
     t_n,
     t_n_vec,
 )
@@ -69,11 +68,15 @@ class TestMoments:
         assert MOMENTS[5] == pytest.approx(2.0 / SQPI, rel=1e-15)
 
     def test_t_moment_matches_quadrature(self):
-        for n in range(7):
+        """Every T_n(0) of MOMENTS, the one table of them, against quadrature;
+        the even orders are the exact dyadic rationals (n-1)!!/2^(n/2)."""
+        assert len(MOMENTS) == 9
+        for n, moment in enumerate(MOMENTS):
             direct = integrate_gaussian_weighted(
                 lambda t, n=n: 2.0 / SQPI * np.asarray(t) ** n
             )
-            assert t_moment(n) == pytest.approx(direct, abs=1e-12)
+            assert moment == pytest.approx(direct, abs=1e-12)
+        assert MOMENTS[6::2] == (15 / 8, 105 / 16)
 
 
 class TestTn:

@@ -91,8 +91,7 @@ class TestVelocityProfile:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_constructor_rejects_non_finite_coordinates(self, bad):
         with pytest.raises(ValueError, match="x_nodes must be finite"):
-            VelocityProfile(x_nodes=[bad], u_total=[0.0], u_continuum=[0.0],
-                            u_sl=0.0, g_v=1.0)
+            VelocityProfile(x_nodes=[bad], u_continuum=[0.0], u_sl=0.0, g_v=1.0)
 
     def test_asymptote_split_exact(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.3)
@@ -213,15 +212,47 @@ class TestVelocityProfile:
 
     @pytest.mark.parametrize("x", [1e100, 1e300])
     def test_huge_coordinates_give_no_warning(self, series_cache, x):
-        """The zero-width end intervals put the Taylor branch of the head
-        next to huge coordinates, whose w^2 it must not form: a
-        RuntimeWarning fails this test."""
+        """The Taylor branch of the head must not form w^2 of huge
+        coordinates: a RuntimeWarning fails this test."""
         series = series_cache(0.0, 1)
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         u_c = velocity_profile(params, series, [x]).u_continuum
         assert abs(u_c[0]) < 1e-12
         for mu in (0.5, -0.5):
             assert math.isfinite(distribution_function(params, series, x, mu))
+
+    def test_total_is_derived_from_its_parts(self):
+        profile = VelocityProfile(x_nodes=[0.0, 1.0], u_continuum=[0.5, 0.25],
+                                  u_sl=1.0, g_v=2.0)
+        np.testing.assert_array_equal(profile.u_total, [1.5, 3.25])
+        with pytest.raises(ValueError):
+            profile.u_total[0] = 0.0
+        with pytest.raises(TypeError):
+            VelocityProfile(x_nodes=[0.0], u_total=[9.0], u_continuum=[0.0],
+                            u_sl=0.0, g_v=1.0)
+        with pytest.raises(ValueError, match=r"u_continuum has shape \(1,\), x_nodes \(3,\)"):
+            VelocityProfile(x_nodes=[0.0, 1.0, 2.0], u_continuum=[5.0], u_sl=0.0, g_v=1.0)
+
+    def test_overflowing_total_named(self, series_cache):
+        """g_v = 1e308 gave u_total [7.06e307, inf] at x1 = [0, 10], with
+        only a RuntimeWarning (which fails this test) to say so."""
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1e308)
+        with pytest.raises(ValueError, match=r"^g_v=1e\+308: u_total is not finite at x1=10$"):
+            velocity_profile(params, series_cache(0.0, 2), [0.0, 10.0, 20.0])
+        with pytest.raises(ValueError, match="u_total is not finite at x1=3"):
+            VelocityProfile(x_nodes=[0.0, 3.0], u_continuum=[0.0, math.nan],
+                            u_sl=0.0, g_v=1.0)
+
+    @pytest.mark.parametrize("mu, first", [(0.5, 10), (-5.0, 0), (0.0, 10)])
+    def test_overflowing_distribution_named(self, series_cache, mu, first):
+        """h(10, mu) at g_v = 1e308 was inf for mu 0.5 and -5; the first
+        bad coordinate is named."""
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1e308)
+        series = series_cache(0.0, 2)
+        for x1, at in ((10.0, 10), ([0.0, 10.0, 20.0], first)):
+            message = rf"^q=1.0, g_v=1e\+308: h\(x1, mu={mu:g}\) is not finite at x1={at}$"
+            with pytest.raises(ValueError, match=message):
+                distribution_function(params, series, x1, mu)
 
 
 class TestCombinedDensity:
@@ -262,7 +293,7 @@ class TestClosedFormHead:
             return float(density(k))
 
         for mu in (0.25, 2.0, -1.0, 10.0, -10.0):
-            lo, hi = density.x[:-1], density.x[1:]
+            lo, hi = density.nodes[:-1], density.nodes[1:]
             heads = _head_pieces((density,), mu)[0](np.array([x]))[:, 0]
             assert lo[0] == 0.0 and hi[-1] == K_MAX
 
@@ -294,7 +325,7 @@ class TestWallTransform:
 
         gamma, order, q = case
         density = _combined_density(series_cache(gamma, order), q)
-        knots, k_max = density.x, density.k_max
+        knots, k_max = density.nodes, density.k_max
 
         def damp(k):
             return 1.0 / (1.0 + (k * mu) ** 2)
@@ -682,8 +713,12 @@ class TestPhysicalConversions:
         assert value == pytest.approx(1.06e-3, rel=1e-2)
 
     def test_context_from_frequency(self):
-        ctx = DimensionalContext.from_frequency(nu=1e9, beta=2e-6)
+        """The mean free path is derived from nu and beta, never passed."""
+        ctx = DimensionalContext(nu=1e9, beta=2e-6)
         assert ctx.mean_free_path == pytest.approx(6.2666e-7, rel=1e-4)
+        assert ctx.mean_free_path == math.sqrt(math.pi) / 2.0 / 1e9 / math.sqrt(2e-6)
+        with pytest.raises(TypeError):
+            DimensionalContext(nu=1e9, beta=2e-6, mean_free_path=1e-6)
 
     @pytest.mark.parametrize("density, diameter, name", [
         (math.nan, 1.0, "number_density"), (math.inf, 0.0, "number_density"),
@@ -701,16 +736,12 @@ class TestPhysicalConversions:
     ])
     def test_context_bad_input_named(self, nu, beta, name):
         with pytest.raises(ValueError, match=f"{name} must be positive"):
-            DimensionalContext.from_frequency(nu=nu, beta=beta)
-
-    def test_context_consistency_enforced(self):
-        with pytest.raises(ValueError, match="mean free path"):
-            DimensionalContext(nu=1e9, beta=2e-6, mean_free_path=1e-6)
+            DimensionalContext(nu=nu, beta=beta)
 
     def test_round_trip_with_slip_coefficient(self, series_cache):
         params = GasParameters(gamma=0.0, q=0.7, g_v=1.0)
         series = series_cache(0.0, 2)
-        ctx = DimensionalContext.from_frequency(nu=3e8, beta=4e-6)
+        ctx = DimensionalContext(nu=3e8, beta=4e-6)
         u_sl = slip_velocity(params, series)
         dim = dimensional_slip(u_sl, ctx)
         g_v_dim = params.g_v * ctx.nu  # dimensional gradient du_y/dx
@@ -721,14 +752,14 @@ class TestPhysicalConversions:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_slip_rejected(self, value):
         """dimensional_slip(nan, ctx) was a silent nan, and inf passed too."""
-        ctx = DimensionalContext.from_frequency(nu=1e9, beta=2e-6)
+        ctx = DimensionalContext(nu=1e9, beta=2e-6)
         with pytest.raises(ValueError, match=f"u_sl_dimensionless must be finite, got {value}"):
             dimensional_slip(value, ctx)
         assert dimensional_slip(-1.0, ctx) == -dimensional_slip(1.0, ctx)
 
     def test_beta_scaling(self):
-        ctx1 = DimensionalContext.from_frequency(nu=1e9, beta=2e-6)
-        ctx4 = DimensionalContext.from_frequency(nu=1e9, beta=8e-6)
+        ctx1 = DimensionalContext(nu=1e9, beta=2e-6)
+        ctx4 = DimensionalContext(nu=1e9, beta=8e-6)
         assert dimensional_slip(1.0, ctx4) == pytest.approx(
             dimensional_slip(1.0, ctx1) / 2.0, rel=1e-14
         )
