@@ -69,13 +69,12 @@ class SpectralFunction:
     coefficients per knot interval), which evaluates several times faster
     than the B-spline recurrence and agrees with it to rounding.  That form
     is the read-only coefficients ``c[m, i]`` of ``(k - nodes[i])^(5-m)`` on
-    each knot interval, evaluated in the order and to the bits of scipy's
-    ``PPoly`` on ``(c, nodes)``.
+    each knot interval, evaluated by scipy's ``PPoly`` on ``(c, nodes)``.
     The function is defined on [0, k_max], ``k_max`` being the last node,
     and evaluation past it raises ``ValueError``: each integral over it
     closes its own tail with a fitted model (see :mod:`kramers.quadrature`).
-    Instances are immutable; the sample and coefficient arrays are frozen
-    on construction.
+    Instances are immutable: the sample and coefficient arrays are
+    read-only, and a writable input array is copied, not frozen.
     """
 
     nodes: np.ndarray
@@ -84,8 +83,9 @@ class SpectralFunction:
     c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        # copy a writable input, so as not to freeze its owner's array
+        nodes, values = (a.copy() if a.flags.writeable else a for a in (
+            np.asarray(self.nodes, dtype=float), np.asarray(self.values, dtype=float)))
         if nodes.ndim != 1 or nodes.shape != values.shape:
             raise ValueError("nodes and values must be matching 1-d arrays")
         if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
@@ -123,18 +123,7 @@ class SpectralFunction:
                 f"{self.label} is defined for k <= k_max={self.k_max:g}, "
                 f"got k={k.max():g}"
             )
-        nodes = self.nodes
-        # nodes[i] <= k < nodes[i+1], closed at k_max, as PPoly finds it
-        i = np.minimum(np.searchsorted(nodes, k, "right") - 1, len(nodes) - 2)
-        s = k - nodes[i]
-        g = self.c.take(i, axis=1)
-        # PPoly's ascending power sum c[5] + c[4] s + c[3] s^2 + ..., its
-        # powers built as z *= s, so the values are PPoly's to the bit
-        out, z = g[5].copy(), np.ones_like(s)
-        for row in g[4::-1]:
-            z *= s
-            out += row * z
-        return out[()] if k.ndim == 0 else out
+        return PPoly.construct_fast(self.c, self.nodes)(k)[()]
 
 
 def weighted_sum(
@@ -243,7 +232,7 @@ class _KernelTable:
             batch = MomentBatch(self.k[part])
             self.t1[part], self.t2[part] = batch.t(1), batch.t(2)
             self.s[part] = batch.against(rows3) - np.outer(self.t1[part], t3)
-        for arr in (self.k, self.w_k, self.t1, self.t2, self.s):
+        for arr in (self.nodes, self.k, self.w_k, self.t1, self.t2, self.s):
             arr.setflags(write=False)
 
     def density(self, phi: SpectralFunction) -> np.ndarray:

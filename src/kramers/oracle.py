@@ -18,7 +18,7 @@ tolerances are fixed here, so no function takes ``rel_tol`` or ``k_max``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from scipy.integrate import quad
 
@@ -170,17 +170,14 @@ def j_constants() -> tuple[float, float, float]:
               / (T_2(k1) T_2(k2)) dk1 dk2,
 
     and so on.  Tensorized adaptive 1-D passes, inner (k2) tolerance ten
-    times tighter than the outer; inner results are reused across the three
-    outer integrals via an exact-argument table (values only, no grids), and
-    the moments come from :func:`_moments`.  The result is computed once
-    per process: every later call returns the same tuple.
+    times tighter than the outer; the three outer integrals share the inner
+    results through a ``functools.cache`` for the call (values only, no
+    grids), and the moments come from :func:`_moments`.  The result is
+    computed once per process: every later call returns the same tuple.
     """
-    ab_memo: dict[float, tuple[float, float]] = {}
-
+    @cache
     def inner_ab(k1: float) -> tuple[float, float]:
         """A = int S_1(k1,k2) phi_0/T_2 dk2, B = int k2^2 S_2(k1,k2) phi_0/T_2 dk2."""
-        if k1 in ab_memo:
-            return ab_memo[k1]
         t3k1 = _moments(k1)[2]
 
         def fa(k2: float) -> float:
@@ -193,12 +190,10 @@ def j_constants() -> tuple[float, float, float]:
             s2 = _j_inline(5, k1, k2, T_MAX) - SQRT_PI * t3k1 * t3
             return k2 * k2 * s2 * phi0 / t2
 
-        a_val, b_val = (
+        return tuple(
             _half_line_integral(f, _INNER_SPLIT, _INNER_KMAX, 4, _EPS_ABS, 1e-9)
             for f in (fa, fb)
         )
-        ab_memo[k1] = (a_val, b_val)
-        return a_val, b_val
 
     def f_j0(k1: float) -> float:
         t1, t2, _, _ = _moments(k1)

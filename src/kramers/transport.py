@@ -62,6 +62,7 @@ class VelocityProfile:
 
     ``u_total = u_sl + g_v x + u_continuum`` at every node by construction,
     and must be finite; the continuum part decays to zero away from the wall.
+    The arrays are read-only, and a writable input array is copied, not frozen.
     """
 
     x_nodes: np.ndarray
@@ -78,6 +79,8 @@ class VelocityProfile:
         with np.errstate(over="ignore", invalid="ignore"):
             u_total = self.u_sl + self.g_v * x + u_c
         _check_finite(f"g_v={self.g_v}: u_total", u_total, x)
+        # copy a writable input, so as not to freeze its owner's array
+        x, u_c = (a.copy() if a.flags.writeable else a for a in (x, u_c))
         for name, arr in (("x_nodes", x), ("u_continuum", u_c), ("u_total", u_total)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -287,9 +290,9 @@ def _head_pieces(
     at 14 Chebyshev points straight from their local coefficients and
     multiplied there by the row's factor: 1, the damping, or k times the
     damping.  The interpolant of these values gives the Chebyshev
-    coefficients e_n of the integrand P(k), to degree 13; without ``mu``,
-    P is the quintic piece itself and only e_0..e_5 are kept.  Then
-    int_a^b P(k) e^{ikx} dk =
+    coefficients e_n of the integrand P(k), to degree 13, but only e_0..e_5
+    in the cosine row, where P is the quintic piece itself (so that row has
+    the same bits with and without ``mu``).  Then int_a^b P(k) e^{ikx} dk =
     r e^{ixm} sum_n e_n K_n(x r) with the moments K_n(w) = int_{-1}^{1}
     T_n(t) e^{iwt} dt.  Repeated integration by parts gives K_n =
     sum_j (-1)^j [T_n^(j)(t) e^{iwt}]_{-1}^{1} / (iw)^(j+1), which ends after
@@ -323,6 +326,8 @@ def _head_pieces(
         products, size = np.stack([values, damped, damped * k], axis=1), _N_CHEB
     rows = products.shape[1]
     coeffs = _FROM_VALUES[:size] @ products.reshape(_N_CHEB, -1)
+    # the cosine row is the quintic piece: its e_6..e_13 are rounding
+    coeffs.reshape(size, rows, -1)[_DEGREE + 1:, 0] = 0.0
     integrals = (r * (_TAYLOR[0, 0, :size] @ coeffs).reshape(
         rows, len(densities), -1)).sum(axis=-1)
     integrals[2:] = 0.0  # the k-sine row

@@ -16,7 +16,6 @@ threshold; the CLI renders the results as a pass/fail table.  Groups:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -75,6 +75,25 @@ class TestSpectralFunction:
         with pytest.raises(ValueError):
             f.nodes[1] = 0.5
 
+    def test_inputs_are_copied_not_frozen(self, series_cache):
+        """The caller's writable arrays stay writable and the record's copies
+        do not follow them; a read-only input, the grid the densities of a
+        series share, is shared and not copied."""
+        grid = standard_grid()
+        values = phi0_vec(grid)
+        f = SpectralFunction(nodes=grid, values=values, label="phi_0")
+        grid[0], values[0] = -1.0, 7.0
+        assert f.nodes[0] == 0.0 and f.values[0] != 7.0
+        for arr in (f.nodes, f.values, f.c):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        series = series_cache(0.0, 2)
+        nodes = series.e_funcs[0].nodes
+        assert series.e_funcs[1].nodes is nodes and series.phi_funcs[0].nodes is nodes
+        assert not nodes.flags.writeable
+        again = SpectralFunction(nodes=nodes, values=series.e_funcs[0].values, label="E")
+        assert again.nodes is nodes and again.values is series.e_funcs[0].values
+
     def test_evaluation_is_ppoly_to_the_bit(self):
         """c comes from PPoly.from_spline, without its empty end intervals;
         evaluating it gives the values of a PPoly on (c, nodes) bit for bit,

@@ -91,3 +91,41 @@ def test_private_cross_module_imports_are_pinned():
                 found += [(path.stem, node.module, alias.name) for alias in node.names
                           if alias.name.startswith("_")]
     assert sorted(found) == PRIVATE_IMPORTS
+
+
+#: the imports no module reads, which the benchmark tracer rebinds by name
+#: (see perfbench/tracing.py), each marked ``# noqa: F401``
+TRACER_ONLY = sorted([
+    ("kernels", "integrate_spectral"),
+    ("neumann", "apply_kernel"),
+    ("neumann", "_integrate_spectral_detail"),
+    ("transport", "integrate_spectral"),
+])
+
+
+def test_every_import_is_used():
+    """Each name a module imports is read there or listed in its __all__,
+    unless its import is marked ``# noqa: F401``."""
+    unused, exempt = [], []
+    for path in sorted(Path(kramers.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        noqa = {i for i, line in enumerate(source.splitlines(), 1) if "# noqa: F401" in line}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read.update(*(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and [getattr(t, "id", None) for t in node.targets] == ["__all__"]))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            marked = noqa.intersection(range(node.lineno, node.end_lineno + 1))
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if marked:
+                    exempt.append((path.stem, name))
+                elif name not in read:
+                    unused.append((path.stem, name))
+    assert unused == []
+    assert sorted(exempt) == TRACER_ONLY

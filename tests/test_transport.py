@@ -101,6 +101,26 @@ class TestVelocityProfile:
         recon = profile.u_sl + profile.g_v * profile.x_nodes + profile.u_continuum
         np.testing.assert_array_equal(profile.u_total, recon)
 
+    def test_inputs_are_copied_not_frozen(self, series_cache):
+        """velocity_profile and VelocityProfile leave the caller's arrays
+        writable; the record's arrays are read-only copies, and a read-only
+        input is shared."""
+        x, u_c = np.array([0.0, 1.0]), np.array([0.5, 0.25])
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        profile = velocity_profile(params, series_cache(0.0, 1), x)
+        record = VelocityProfile(x_nodes=x, u_continuum=u_c, u_sl=1.0, g_v=2.0)
+        x[0], u_c[0] = 3.0, 4.0
+        for p in (profile, record):
+            assert p.x_nodes[0] == 0.0
+            for arr in (p.x_nodes, p.u_continuum, p.u_total):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
+        assert record.u_continuum[0] == 0.5 and record.u_total[0] == 1.5
+        again = VelocityProfile(x_nodes=record.x_nodes, u_continuum=record.u_continuum,
+                                u_sl=1.0, g_v=2.0)
+        assert again.x_nodes is record.x_nodes
+        assert again.u_continuum is record.u_continuum
+
     def test_wall_layer_decays(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         profile = velocity_profile(params, series_cache(0.0, 2), [0.0, 20.0])
@@ -366,22 +386,20 @@ class TestWallTransform:
 
 
 class TestSharedTransforms:
-    @pytest.mark.parametrize("x", [0.0, 2.5, 17.0])
-    @pytest.mark.parametrize("mu", [0.5, -1.0])
+    @pytest.mark.parametrize("x", [0.0, 2.5, 17.0, 450.0])
+    @pytest.mark.parametrize("mu", [0.5, -1.0, 10.0])
     def test_shared_samples_match_single_transforms(self, series_cache, x, mu):
-        """The cosine row of a pass with mu is the cosine-only pass: the same
-        bits at x = 0, and within rounding at x > 0, where the pass with mu
-        interpolates every row to degree 13 and the cosine row's
-        coefficients past T_5 are rounding (4e-17 apart at x = 2.5)."""
+        """The cosine row of a pass with mu is the cosine-only pass, bit for
+        bit: its integrand is the quintic piece, whose Chebyshev coefficients
+        past T_5 are zero in both passes, while the damped rows go to
+        degree 13."""
         from kramers.transport import _combined_density, _osc_transform
 
         density = _combined_density(series_cache(0.0, 2), 0.8)
         shared, wall = _osc_transform((density,), np.array([x]), mu)
         (cosine,), _ = _osc_transform((density,), np.array([x]))
         assert shared.shape == (3, 1) and wall.shape == (3, 0)
-        if x == 0.0:
-            assert shared[0, 0] == cosine[0]
-        assert shared[0, 0] == pytest.approx(cosine[0], abs=1e-15)
+        assert shared[0, 0] == cosine[0]
 
 
 class TestTailSeries:
@@ -602,6 +620,21 @@ class TestDistributionFunction:
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         value = distribution_function(params, series_cache(0.0, 1), 1.0, mu)
         assert math.isfinite(value)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    @pytest.mark.parametrize("order", [0, 2, 4])
+    def test_zero_velocity_is_the_profile(self, series_cache, gamma, order):
+        """h(x1, 0) = U_sl + G_v x1 + U_c(x1) = u_total(x1) by construction:
+        the mu = 0 pass is the cosine transform of the profile, so the two
+        differ only in the order of their last roundings."""
+        series = series_cache(gamma, order)
+        x = np.concatenate([[0.0, 5e-324], np.linspace(0.0, 60.0, 619)[1:]])
+        for q in (0.3, 1.0):
+            for g_v in (1.0, -2.5):
+                params = GasParameters(gamma=gamma, q=q, g_v=g_v)
+                u = velocity_profile(params, series, x).u_total
+                h = distribution_function(params, series, x, 0.0)
+                assert (np.abs(h - u) <= 4.5e-16 * np.maximum(1.0, np.abs(u))).all()
 
     def test_zero_velocity_allowed(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
