@@ -37,7 +37,6 @@ tail.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +51,7 @@ from .special_integrals import (
 )
 
 __all__ = [
-    "SpectralFunction", "weighted_sum", "standard_grid", "s_kernel", "apply_kernel",
+    "SpectralFunction", "standard_grid", "s_kernel", "apply_kernel",
 ]
 
 
@@ -103,9 +102,7 @@ class SpectralFunction:
         )
         poly = PPoly.from_spline(spline)
         # from_spline repeats each end knot as empty intervals; drop them
-        self._freeze(nodes, values, poly.c[:, np.diff(poly.x) > 0.0])
-
-    def _freeze(self, nodes, values, c) -> None:
+        c = poly.c[:, np.diff(poly.x) > 0.0]
         for name, arr in (("nodes", nodes), ("values", values), ("c", c)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -124,32 +121,6 @@ class SpectralFunction:
                 f"got k={k.max():g}"
             )
         return PPoly.construct_fast(self.c, self.nodes)(k)[()]
-
-
-def weighted_sum(
-    weights: Sequence[float], funcs: Sequence[SpectralFunction], label: str
-) -> SpectralFunction:
-    """sum_i weights[i] funcs[i] on the shared grid, without a refit.
-
-    The clamped quintic interpolant is linear in the node values, so the
-    sum's node values and polynomial coefficients are the weighted sums of
-    the terms'.  There must be one weight per term, at least one term, and
-    the terms must share their nodes.
-    """
-    if not funcs or len(weights) != len(funcs):
-        raise ValueError(f"{label}: {len(weights)} weights for {len(funcs)} terms")
-    first = funcs[0]
-    nodes = first.nodes
-    values, coeffs = weights[0] * first.values, weights[0] * first.c
-    for w, f in zip(weights[1:], funcs[1:]):
-        if f.nodes is not nodes and not np.array_equal(f.nodes, nodes):
-            raise ValueError(f"{label}: {f.label} and {first.label} differ in grid")
-        values += w * f.values
-        coeffs += w * f.c
-    total = object.__new__(SpectralFunction)
-    object.__setattr__(total, "label", label)
-    total._freeze(nodes, values, coeffs)
-    return total
 
 
 def standard_grid(k_max: float = K_MAX) -> np.ndarray:

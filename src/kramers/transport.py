@@ -24,20 +24,21 @@ and the tail fit are made once per call, and the coordinates then go
 through one vectorised pass, in bounded chunks.  So velocity_profile makes
 one call for all its nodes, and distribution_function takes one coordinate
 or an array of them.  The k-integrals of the source bracket of h are the
-plain and damped cosine transforms at 0 of a second density on the same
-knots, passed to the same call.  Nothing here integrates adaptively.
+plain and damped cosine transforms at 0 of sum_{n<N} q^n E_n, a second row
+of weights in the same call.  Nothing here integrates adaptively.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
+from scipy.interpolate import PPoly
 
-from .kernels import SpectralFunction, weighted_sum
+from .kernels import SpectralFunction
 from .neumann import SeriesExpansion, u0
 from .quadrature import _fit_log_tail, _log_tail, _tail_points
 # perfbench/tracing.py rebinds integrate_spectral here, though nothing here
@@ -276,23 +277,25 @@ def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _head_pieces(
-    densities: tuple[SpectralFunction, ...], mu: float | None = None
+    nodes: np.ndarray, c: np.ndarray, mu: float | None = None
 ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
     """Heads on every knot interval below k_max: of the cosine transform
     alone when ``mu`` is None, else of the cosine, damped cosine and damped
     k-sine transforms (the rows of :func:`_osc_transform`).
 
-    Returns ``(heads, integrals)``.  ``heads`` maps an array of coordinates
-    to the heads [row, coordinate, knot interval] of ``densities[0]``;
+    Returns ``(heads, integrals)`` of the densities whose quintic pieces on
+    ``nodes`` are ``c`` [power, density, knot interval], each as in
+    ``SpectralFunction.c``.  ``heads`` maps an array of coordinates to the
+    heads [row, coordinate, knot interval] of the first density;
     ``integrals`` [row, density] holds the heads at x = 0, summed over the
-    intervals, of every density (all on the same knots; 0 for the k-sine
-    row).  On each knot interval the pieces of the densities are evaluated
-    at 14 Chebyshev points straight from their local coefficients and
-    multiplied there by the row's factor: 1, the damping, or k times the
-    damping.  The interpolant of these values gives the Chebyshev
-    coefficients e_n of the integrand P(k), to degree 13, but only e_0..e_5
-    in the cosine row, where P is the quintic piece itself (so that row has
-    the same bits with and without ``mu``).  Then int_a^b P(k) e^{ikx} dk =
+    intervals, of every density (0 for the k-sine row).  On each knot
+    interval the pieces of the densities are evaluated at 14 Chebyshev
+    points straight from their local coefficients and multiplied there by
+    the row's factor: 1, the damping, or k times the damping.  The
+    interpolant of these values gives the Chebyshev coefficients e_n of the
+    integrand P(k), to degree 13, but only e_0..e_5 in the cosine row, where
+    P is the quintic piece itself (so that row has the same bits with and
+    without ``mu``).  Then int_a^b P(k) e^{ikx} dk =
     r e^{ixm} sum_n e_n K_n(x r) with the moments K_n(w) = int_{-1}^{1}
     T_n(t) e^{iwt} dt.  Repeated integration by parts gives K_n =
     sum_j (-1)^j [T_n^(j)(t) e^{iwt}]_{-1}^{1} / (iw)^(j+1), which ends after
@@ -302,20 +305,19 @@ def _head_pieces(
     times polynomials in 1/w^2 (``_HORNER``).  Below w = 0.5, where that
     form cancels, the Taylor series of e^{iwt} gives polynomials in w^2
     instead (``_TAYLOR``; exact at x = 0, where only its constant term is
-    left).  Both contractions with the
-    Chebyshev coefficients are made here, once, so each coordinate and
-    interval costs one real Horner pass.  The cosine rows take the
-    real part, the k-sine one the imaginary part.  This is Filon's method
-    with the density's own knots (Iserles & Norsett, Proc. R. Soc. A 461,
-    2005).
+    left).  Both contractions with the Chebyshev coefficients are made
+    here, once, so each coordinate and interval costs one real Horner pass.
+    The cosine rows take the real part, the k-sine one the imaginary part.
+    This is Filon's method with the density's own knots (Iserles & Norsett,
+    Proc. R. Soc. A 461, 2005).
     """
-    lo, hi = densities[0].nodes[:-1], densities[0].nodes[1:]
+    lo, hi = nodes[:-1], nodes[1:]
     r = 0.5 * (hi - lo)
     mid = lo + r
+    densities = c.shape[1]
     # c holds the coefficients of (k - lo)^(5-m); k - lo = r (1 + t)
-    local = np.stack([d.c[::-1] for d in densities], axis=1)
-    values = (_LOCAL_VALUES @ (local * r ** np.arange(_DEGREE + 1)[:, None, None])
-              .reshape(_DEGREE + 1, -1)).reshape(_N_CHEB, len(densities), -1)
+    values = (_LOCAL_VALUES @ (c[::-1] * r ** np.arange(_DEGREE + 1)[:, None, None])
+              .reshape(_DEGREE + 1, -1)).reshape(_N_CHEB, densities, -1)
     if mu is None:
         # an undamped piece has degree 5: its coefficients past T_5 are zero
         products, size = values[:, None], _DEGREE + 1
@@ -329,9 +331,9 @@ def _head_pieces(
     # the cosine row is the quintic piece: its e_6..e_13 are rounding
     coeffs.reshape(size, rows, -1)[_DEGREE + 1:, 0] = 0.0
     integrals = (r * (_TAYLOR[0, 0, :size] @ coeffs).reshape(
-        rows, len(densities), -1)).sum(axis=-1)
+        rows, densities, -1)).sum(axis=-1)
     integrals[2:] = 0.0  # the k-sine row
-    coeffs = coeffs.reshape(size, rows, len(densities), -1)[:, :, 0].reshape(size, -1)
+    coeffs = coeffs.reshape(size, rows, densities, -1)[:, :, 0].reshape(size, -1)
     closed = (_HORNER[:size // 2, :, :size] @ coeffs).reshape(size // 2, 4, rows, -1)
     taylor = (_TAYLOR[:, :, :size] @ coeffs).reshape(_TAYLOR.shape[0], 2, rows, -1)
 
@@ -448,62 +450,74 @@ def _tail_pieces(
 
 
 def _osc_transform(
-    densities: tuple[SpectralFunction, ...],
+    densities: Sequence[SpectralFunction],
+    weights: Sequence[Sequence[float]],
     x: np.ndarray,
     mu: float | None = None,
     label: str = "oscillatory transform at x={x:.4g}",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Transforms int_0^inf w(k x) density(k) dk: ``(values, wall)``.
+    """Transforms int_0^inf w(k x) D(k) dk: ``(values, wall)``.
 
-    The rows are fixed by ``mu``: without it the cosine transform alone
-    (w = cos), with it also the damped cosine and damped k-sine transforms
-    (w = cos and k*sin times the damping 1/(1 + k^2 mu^2) of the
-    distribution-function integrands).  ``values`` [row, coordinate] holds
-    the transforms of ``densities[0]`` at every x (>= 0: the public callers
-    reject negative coordinates first), and ``wall``
-    [row, density] those at x = 0 of every further density on the same
-    knots (the source bracket of h), from the same pass.  At every x the
-    head on [0, k_max] is integrated exactly, knot interval by knot
-    interval, from the density's polynomial pieces, at a cost that does not
-    grow with x.  The pieces, their moment tables (:func:`_head_pieces`)
-    and the tail fit are made once per call; the coordinates x > 0 are then
-    taken in chunks of _X_CHUNK, each in one vectorised pass (the heads and
-    :func:`_tail_pieces`).  Past k_max each transform continues the fitted
-    (a + b ln k)/k^2 density model: at x > 0 as a Gauss-Laguerre sum on the
-    contour turned up from k_max (nearer the wall, past a Gauss-Legendre
-    stretch), and at x = 0 as its exact integral, under the
-    10% tail guard of :mod:`kramers.quadrature`; the k-sine transform
-    vanishes at x = 0.  Coordinates with x k_max below ``_WALL_OMEGA``
-    (machine epsilon; x < 2.8e-19 at k_max = 800) take the x = 0 value.
-    ``label`` is formatted with ``x=`` the coordinate an error is raised at.
+    Each row of ``weights`` gives one density D = sum_n w[n] densities[n]
+    (a short row sums the leading ones; all lie on one grid), summed piece by
+    piece in order: the interpolant is linear in its node values, so nothing is
+    refitted.  The rows of the result are fixed by ``mu``: without it the cosine
+    transform alone (w = cos), with it also the damped cosine and damped k-sine
+    transforms (w = cos and k*sin times the damping 1/(1 + k^2 mu^2) of the
+    distribution-function integrands).  ``values`` [row, coordinate] holds the
+    transforms of the first D at every x (>= 0: the public callers reject
+    negative coordinates first), and ``wall`` [row, D] those at x = 0 of every
+    further D (the source bracket of h), from the same pass.  At every x the
+    head on [0, k_max] is integrated exactly, knot interval by knot interval,
+    from the pieces, at a cost that does not grow with x.  The pieces, their
+    moment tables (:func:`_head_pieces`) and the tail fit are made once per
+    call; the coordinates x > 0 are then taken in chunks of _X_CHUNK, each in
+    one vectorised pass (the heads and :func:`_tail_pieces`).  Past k_max each
+    transform continues the (a + b ln k)/k^2 model fitted to D at the tail
+    points (one ``PPoly`` on the pieces): at x > 0 as a Gauss-Laguerre sum on
+    the contour turned up from k_max (nearer the wall, past a Gauss-Legendre
+    stretch), and at x = 0 as its exact integral, under the 10% tail guard of
+    :mod:`kramers.quadrature`; the k-sine transform vanishes at x = 0.
+    Coordinates with x k_max below ``_WALL_OMEGA`` (machine epsilon; x < 2.8e-19
+    at k_max = 800) take the x = 0 value.  ``label`` is formatted with ``x=``
+    the coordinate an error is raised at.
     """
+    nodes = densities[0].nodes
+    for d in densities[1:]:
+        if d.nodes is not nodes and not np.array_equal(d.nodes, nodes):
+            raise ValueError(f"{d.label} and {densities[0].label} differ in grid")
+    # [power, D, knot interval]
+    c = np.stack([sum(w * d.c for w, d in zip(row, densities)) for row in weights], 1)
     x = np.asarray(x, dtype=float)
     k_max = densities[0].k_max
     if not math.isfinite(float(x.max(initial=0.0)) * k_max):
         at = next(v for v in map(float, x) if not math.isfinite(v * k_max))
         raise ValueError(f"{label.format(x=at)}: x * k_max overflows at x={at:g}")
     x = np.where(x * k_max < _WALL_OMEGA, 0.0, x)
-    heads, integrals = _head_pieces(densities, mu)
+    heads, integrals = _head_pieces(nodes, c, mu)
+    # [point, D]: each D at any k in [0, k_max]
+    sums = PPoly.construct_fast(c.transpose(0, 2, 1), nodes)
     positive = x > 0.0
     values = np.empty((len(integrals), x.size))
     if positive.any():
         # continue the fitted density model beyond k_max
         far = x[positive]
-        alpha, beta = _fit_log_tail(densities[0], k_max, label.format(x=far[0]))
+        alpha, beta = _fit_log_tail(
+            lambda k: sums(k)[:, 0], k_max, label.format(x=far[0]))
         values[:, positive] = np.concatenate([
             heads(chunk).sum(axis=-1) + _tail_pieces(alpha, beta, chunk, mu, k_max)
             for chunk in np.split(far, range(_X_CHUNK, far.size, _X_CHUNK))
         ], axis=1)
-    # the densities transformed at x = 0, where the k-sine transforms vanish
-    # and the cosine ones get the tail: the first at wall coordinates, and
-    # every further one
-    members = list(range(1 if positive.all() else 0, len(densities)))
+    # each D transformed at x = 0, where the k-sine transforms vanish and
+    # the cosine ones get the tail: the first at wall coordinates, and every
+    # further one
+    members = list(range(1 if positive.all() else 0, len(weights)))
     if members:
         # The model is fitted to the integrand, damping included, although
         # a damped integrand decays like /k^4: the known x1 = 0 defect
         # (ROADMAP), kept until the profile references are re-pinned.
         k_tail = _tail_points(k_max)
-        samples = np.stack([densities[j](k_tail) for j in members], axis=1)
+        samples = sums(k_tail)[:, members]
         if mu is not None:
             damp = (1.0 / (1.0 + (k_tail * mu) ** 2))[:, None]
             samples = np.concatenate([samples, samples * damp], axis=1)
@@ -517,17 +531,6 @@ def _osc_transform(
     return values, integrals[:, 1:]
 
 
-def _combined_density(
-    series: SeriesExpansion, q: float, upto: int | None = None
-) -> SpectralFunction:
-    """sum_n q^n E_n(k) truncated at order ``upto`` (inclusive)."""
-    top = series.order if upto is None else upto
-    return weighted_sum(
-        [q**n for n in range(top + 1)], series.e_funcs[:top + 1],
-        label=f"E_q[0..{top}]",
-    )
-
-
 def velocity_profile(
     params: GasParameters, series: SeriesExpansion, x_nodes
 ) -> VelocityProfile:
@@ -538,11 +541,10 @@ def velocity_profile(
     _check_pair(params, series)
     x_nodes = _coordinates(x_nodes)
     u_sl = slip_velocity(params, series)
-    density = _combined_density(series, params.q)
     pref = params.g_v * (2.0 - params.q)
     transform = _osc_transform(
-        (density,), x_nodes, label="U_c cosine transform at x1={x:.4g}",
-    )[0][0]
+        series.e_funcs, [[params.q**n for n in range(series.order + 1)]], x_nodes,
+        label="U_c cosine transform at x1={x:.4g}")[0][0]
     with np.errstate(over="ignore"):  # rejected by VelocityProfile
         u_c = pref * transform / math.pi
     return VelocityProfile(x_nodes=x_nodes, u_continuum=u_c, u_sl=u_sl, g_v=params.g_v)
@@ -585,11 +587,12 @@ def distribution_function(
     gamma, q, g_v = params.gamma, params.q, params.g_v
     pref = g_v * (2.0 - q)
     u_sl = slip_velocity(params, series)
-    densities = (_combined_density(series, q),)
+    # E_q and, at mu > 0, the source bracket's density sum_{n<N} q^n E_n
+    weights = [[q**n for n in range(series.order + 1)]]
     if mu > 0.0 and series.order >= 1:
-        densities += (_combined_density(series, q, upto=series.order - 1),)
+        weights.append(weights[0][:-1])
     transforms, wall = _osc_transform(
-        densities, x.reshape(-1), None if mu == 0.0 else mu,
+        series.e_funcs, weights, x.reshape(-1), None if mu == 0.0 else mu,
         f"h_c transforms at x1={{x:.4g}}, mu={mu:.4g}")
     transforms = transforms.reshape(transforms.shape[:1] + x.shape) / math.pi
     # a large g_v overflows to inf, rejected by name below

@@ -12,7 +12,6 @@ from kramers.kernels import (
     apply_kernel,
     s_kernel,
     standard_grid,
-    weighted_sum,
 )
 from kramers.quadrature import (
     K_MAX, TailEstimateDominatesError, _log_tail, _tail_points,
@@ -113,30 +112,6 @@ class TestSpectralFunction:
             [(1, 0.0), (3, 0.0)], [(3, 0.0), (4, 0.0)]))
         np.testing.assert_allclose(f(k), spline(k), rtol=0,
                                    atol=1e-14 * np.abs(f.values).max())
-
-    def test_weighted_sum_needs_one_grid(self):
-        f = phi_seed()
-        other = phi_seed(grid=standard_grid(400.0))
-        with pytest.raises(ValueError, match="grid"):
-            weighted_sum([1.0, 1.0], [f, other], label="mixed")
-        total = weighted_sum([2.0, -0.5], [f, f], label="1.5 phi_0")
-        np.testing.assert_allclose(
-            total(f.nodes), 1.5 * f.values, rtol=0,
-            atol=1e-15 * np.max(np.abs(f.values)),
-        )
-        assert total.label == "1.5 phi_0"
-
-    @pytest.mark.parametrize("weights, terms, counts", [
-        ([1.0], 2, "1 weights for 2 terms"),
-        ([1.0, 2.0], 1, "2 weights for 1 terms"),
-        ([], 0, "0 weights for 0 terms"),
-    ])
-    def test_weighted_sum_needs_one_weight_per_term(self, weights, terms, counts):
-        """zip dropped the unmatched terms (weighted_sum([1.0], [e0, e1]) was
-        e0 alone), and an empty sum ended in an unnamed IndexError."""
-        f = phi_seed()
-        with pytest.raises(ValueError, match=f"^E_q: {counts}$"):
-            weighted_sum(weights, [f] * terms, label="E_q")
 
     def test_interpolation_hits_nodes(self):
         f = phi_seed()
@@ -361,8 +336,10 @@ class TestApplyKernel:
         psi_1, psi_2 = apply_kernel(phi_1), apply_kernel(phi_2)
         j = 100
         # head + tail vanishes at node j, so there the tail is minus the head
-        mixed = weighted_sum(
-            [1.0, -psi_2.values[j] / psi_1.values[j]], [phi_2, phi_1], "phi_2"
+        mixed = SpectralFunction(
+            nodes=phi_2.nodes,
+            values=phi_2.values - psi_2.values[j] / psi_1.values[j] * phi_1.values,
+            label="phi_2",
         )
         with pytest.raises(TailEstimateDominatesError) as err:
             apply_kernel(mixed)

@@ -291,10 +291,10 @@ class TestGridPartsCache:
     def test_warm_build_makes_no_table(self, monkeypatch):
         """The first series on a grid makes its one kernel table, and new
         orders reuse it; a series at a new gamma then makes no table,
-        applies no kernel, fits no spline, samples no density, fits no tail
-        model and makes no SpectralFunction or weighted_sum: U_n comes from
-        the cached parts, and phi_n and E_n are the cached ones (scaling
-        them made 9 weighted sums at order 4)."""
+        applies no kernel, fits no spline (so makes no SpectralFunction, whose
+        constructor fits one), samples no density and fits no tail model:
+        U_n comes from the cached parts, and phi_n and E_n are the cached
+        ones (scaling them made 9 weighted sums at order 4)."""
         calls = []
 
         def counted(name, original):
@@ -306,9 +306,7 @@ class TestGridPartsCache:
         for module, name in ((neumann, "_KernelTable"), (neumann, "_apply_table"),
                              (kernels, "make_interp_spline"),
                              (kernels._KernelTable, "density"),
-                             (quadrature, "_log_model"),
-                             (kernels.SpectralFunction, "_freeze"),
-                             (kernels, "weighted_sum")):
+                             (quadrature, "_log_model")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         _order.cache_clear()
         build_series(0.1, 2)

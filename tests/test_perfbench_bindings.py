@@ -37,7 +37,9 @@ def test_worker_cache_statistics_exist():
 
 def test_tracer_counts_real_calls(monkeypatch):
     """The wrapped names keep their call shapes: a series build, a profile,
-    h at mu > 0 and a pole residual run traced and leave non-zero counts."""
+    h at mu > 0 and a pole residual run traced and leave non-zero counts.
+    ``transport.density_points`` stays 0: the transforms sum the densities'
+    pieces and evaluate no SpectralFunction."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -56,7 +58,7 @@ def test_tracer_counts_real_calls(monkeypatch):
     for key in (
         "neumann.build_calls", "neumann.pole_residual_calls",
         "transport.profile_nodes", "transport.h_evals",
-        "transport.density_points", "quadrature.calls", "quadrature.points",
+        "quadrature.calls", "quadrature.points",
         "quadrature.sweeps", "special_integrals.batches",
         "special_integrals.batch_points", "kernels.spline_points",
     ):

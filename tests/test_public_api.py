@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import kramers
+import kramers.kernels
 import kramers.neumann
 import kramers.oracle
 import kramers.special_integrals
+import kramers.transport
 
 PUBLIC = sorted([
     "QuadratureError", "BudgetExhaustedError", "NonFiniteIntegrandError",
@@ -55,13 +57,25 @@ def test_public_shapes(cls, fields):
 
 
 def test_duplicate_paths_stay_gone():
-    """One T_n(0) table, one inline oracle T_n and a context built from nu
-    and beta alone."""
+    """One T_n(0) table, one inline oracle T_n, a context built from nu
+    and beta alone, and densities summed only inside the transforms, so
+    that every SpectralFunction is built and checked by its constructor."""
     for owner, name in ((kramers.special_integrals, "t_moment"),
                         (kramers.oracle, "_t_inline"),
-                        (kramers.DimensionalContext, "from_frequency")):
+                        (kramers.DimensionalContext, "from_frequency"),
+                        (kramers.kernels, "weighted_sum"),
+                        (kramers.SpectralFunction, "_freeze"),
+                        (kramers.transport, "_combined_density")):
         assert not hasattr(owner, name), name
     assert "t_moment" not in kramers.special_integrals.__all__
+    bypasses = [
+        path.stem
+        for path in sorted(Path(kramers.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert bypasses == []
 
 
 #: every private name a module imports from a sibling, (module, source, name);

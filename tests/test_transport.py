@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PPoly
 
 from kramers.kernels import SpectralFunction
 from kramers.quadrature import K_MAX, integrate_gaussian_weighted
@@ -20,6 +21,14 @@ from kramers.transport import (
 )
 
 SQPI = math.sqrt(math.pi)
+
+
+def e_q(series, q):
+    """The weights q^n of E_q = sum_n q^n E_n, and E_q itself: a PPoly on
+    the densities' pieces, summed in order as the transforms sum them."""
+    weights = [q**n for n in range(series.order + 1)]
+    c = sum(w * e.c for w, e in zip(weights, series.e_funcs))
+    return weights, PPoly.construct_fast(c, series.e_funcs[0].nodes)
 
 
 class TestSlipVelocity:
@@ -187,7 +196,7 @@ class TestVelocityProfile:
             part = velocity_profile(params, s1, [x]).u_continuum[0]
             term = (
                 params.g_v * (2.0 - params.q) * params.q**2 / math.pi
-                * _osc_transform((s2.e_funcs[2],), np.array([x]),
+                * _osc_transform(s2.e_funcs[2:], [[1.0]], np.array([x]),
                                  label="order-2 term")[0][0, 0]
             )
             assert full - part == pytest.approx(term, abs=1e-9)
@@ -276,22 +285,51 @@ class TestVelocityProfile:
 
 
 class TestCombinedDensity:
-    def test_summed_pieces_match_refit(self, series_cache):
-        from kramers.transport import _combined_density
+    def test_summed_pieces_match_refit(self, series_cache, monkeypatch):
+        """The PPoly on the summed pieces, which the tail fit samples, is
+        the interpolant refitted to the summed node values, to rounding."""
+        import kramers.transport as transport
 
         series = series_cache(0.25, 4)
-        for upto in (None, 3):
-            summed = _combined_density(series, 0.9, upto=upto)
-            refit = SpectralFunction(
-                nodes=summed.nodes, values=summed.values, label="refit",
-            )
-            probe = np.concatenate(
-                [summed.nodes, 0.5 * (summed.nodes[:-1] + summed.nodes[1:])]
-            )
-            scale = np.max(np.abs(summed.values))
+        nodes = series.e_funcs[0].nodes
+        fit, sampled = transport._fit_log_tail, []
+
+        def captured(f, k_max, label):
+            sampled.append(f)
+            return fit(f, k_max, label)
+
+        monkeypatch.setattr(transport, "_fit_log_tail", captured)
+        for top in (4, 3):
+            weights = [0.9**n for n in range(top + 1)]
+            transport._osc_transform(series.e_funcs, [weights], np.array([1.0]))
+            values = sum(w * e.values for w, e in zip(weights, series.e_funcs))
+            refit = SpectralFunction(nodes=nodes, values=values, label="refit")
+            probe = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])])
+            scale = np.max(np.abs(values))
             np.testing.assert_allclose(
-                summed(probe), refit(probe), rtol=0, atol=1e-14 * scale
+                sampled.pop()(probe), refit(probe), rtol=0, atol=1e-14 * scale
             )
+
+    def test_sums_need_one_grid(self, series_cache):
+        """Densities on two grids are rejected by name before any work,
+        by the profile and by h at mu > 0."""
+        from kramers.kernels import standard_grid
+        from kramers.neumann import SeriesExpansion
+        from kramers.special_integrals import phi0_vec
+
+        grids = (standard_grid(800.0), standard_grid(400.0))
+        funcs = tuple(SpectralFunction(nodes=g, values=phi0_vec(g), label=f"E_{n}")
+                      for n, g in enumerate(grids))
+        series = SeriesExpansion(
+            gamma=0.0, order=1, u_coeffs=series_cache(0.0, 1).u_coeffs,
+            phi_funcs=funcs, e_funcs=funcs,
+            diagnostics=({"order": 0, "u_tail": 0.0}, {"order": 1, "u_tail": 0.0}),
+        )
+        params = GasParameters(gamma=0.0, q=0.8)
+        with pytest.raises(ValueError, match="grid"):
+            velocity_profile(params, series, [0.0, 1.0])
+        with pytest.raises(ValueError, match="grid"):
+            distribution_function(params, series, 1.0, 0.5)
 
 
 class TestClosedFormHead:
@@ -305,16 +343,17 @@ class TestClosedFormHead:
         resolve the damping width 1/|mu| on the first knot interval (0.032
         wide) at every x, x = 680 included.
         """
-        from kramers.transport import _combined_density, _head_pieces
+        from kramers.transport import _head_pieces
 
-        density = _combined_density(series_cache(0.0, 2), 0.8)
+        _, density = e_q(series_cache(0.0, 2), 0.8)
 
         def e(k):
             return float(density(k))
 
         for mu in (0.25, 2.0, -1.0, 10.0, -10.0):
-            lo, hi = density.nodes[:-1], density.nodes[1:]
-            heads = _head_pieces((density,), mu)[0](np.array([x]))[:, 0]
+            lo, hi = density.x[:-1], density.x[1:]
+            heads = _head_pieces(density.x, density.c[:, None], mu)[0](
+                np.array([x]))[:, 0]
             assert lo[0] == 0.0 and hi[-1] == K_MAX
 
             def damp(k):
@@ -341,16 +380,18 @@ class TestWallTransform:
     def test_matches_quadpack_plus_fitted_tail(self, series_cache, case, mu):
         """x = 0: QUADPACK on each knot interval, then the exact integral of
         (alpha + beta ln k)/k^2 through the integrand at 0.7 k_max and k_max."""
-        from kramers.transport import _combined_density, _osc_transform
+        from kramers.transport import _osc_transform
 
         gamma, order, q = case
-        density = _combined_density(series_cache(gamma, order), q)
-        knots, k_max = density.nodes, density.k_max
+        series = series_cache(gamma, order)
+        weights, density = e_q(series, q)
+        knots = density.x
+        k_max = knots[-1]
 
         def damp(k):
             return 1.0 / (1.0 + (k * mu) ** 2)
 
-        values = _osc_transform((density,), np.zeros(1), mu)[0][:2, 0]
+        values = _osc_transform(series.e_funcs, [weights], np.zeros(1), mu)[0][:2, 0]
         for value, f in zip(values, (density, lambda k: density(k) * damp(k))):
             head = math.fsum(
                 quad(lambda k: float(f(k)), a, b, epsabs=1e-17, epsrel=1e-14,
@@ -393,13 +434,31 @@ class TestSharedTransforms:
         bit: its integrand is the quintic piece, whose Chebyshev coefficients
         past T_5 are zero in both passes, while the damped rows go to
         degree 13."""
-        from kramers.transport import _combined_density, _osc_transform
+        from kramers.transport import _osc_transform
 
-        density = _combined_density(series_cache(0.0, 2), 0.8)
-        shared, wall = _osc_transform((density,), np.array([x]), mu)
-        (cosine,), _ = _osc_transform((density,), np.array([x]))
+        series = series_cache(0.0, 2)
+        weights, _ = e_q(series, 0.8)
+        shared, wall = _osc_transform(series.e_funcs, [weights], np.array([x]), mu)
+        (cosine,), _ = _osc_transform(series.e_funcs, [weights], np.array([x]))
         assert shared.shape == (3, 1) and wall.shape == (3, 0)
         assert shared[0, 0] == cosine[0]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [0.3, 0.8, 1.0])
+    def test_source_bracket_row_is_the_partial_sum(self, series_cache, gamma, order, q):
+        """The second weight row of h at mu > 0 transforms at the wall to
+        the same bits as sum_{n<N} q^n E_n alone."""
+        from kramers.transport import _osc_transform
+
+        series = series_cache(gamma, order)
+        weights, _ = e_q(series, q)
+        for mu in (0.25, 0.5, 2.0, 10.0):
+            _, wall = _osc_transform(
+                series.e_funcs, [weights, weights[:-1]], np.array([7.0]), mu)
+            alone, _ = _osc_transform(
+                series.e_funcs[:order], [weights[:-1]], np.array([0.0]), mu)
+            assert np.array_equal(wall[:, 0], alone[:, 0])
 
 
 class TestTailSeries:
@@ -709,9 +768,9 @@ class TestBatchedCoordinates:
             labels.append(label)
             return fit(f, k_max, label)
 
-        def counted_pieces(densities, *args):
-            stacks.append(len(densities))
-            return pieces(densities, *args)
+        def counted_pieces(nodes, c, *args):
+            stacks.append(c.shape[1])
+            return pieces(nodes, c, *args)
 
         monkeypatch.setattr(transport, "_fit_log_tail", counted)
         monkeypatch.setattr(transport, "_head_pieces", counted_pieces)
