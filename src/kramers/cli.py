@@ -20,9 +20,7 @@ import numpy as np
 
 from . import verification
 from .neumann import build_series
-from .quadrature import (
-    ABS_TOL, K_LIMIT, K_MAX, REL_TOL, QuadratureError, check_k_max, check_rel_tol,
-)
+from .quadrature import K_LIMIT, K_MAX, QuadratureError, check_k_max
 from .special_integrals import GasParameters, dispersion_l, t_n
 from .transport import (
     MU_MAX,
@@ -88,7 +86,7 @@ def _parse_range(flag: str, text: str, nodes: str) -> np.ndarray:
 
 def _meta(args: argparse.Namespace) -> dict:
     """The numerical flags of the command, each of which it reads."""
-    keys = {"gamma": "gamma", "q": "q", "order": "order", "kmax": "k_max", "tol": "rel_tol"}
+    keys = {"gamma": "gamma", "q": "q", "order": "order", "kmax": "k_max"}
     return {key: getattr(args, name) for name, key in keys.items() if name in args}
 
 
@@ -158,13 +156,10 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         )
     if args.what == "dispersion":
         header = ["k", "L"]
-        rows = [[k, dispersion_l(k, args.gamma, args.tol)] for k in grid]
+        rows = [[k, dispersion_l(k, args.gamma)] for k in grid]
     else:
         header = ["k", "T1", "T2", "T3"]
-        rows = [
-            [k, t_n(1, k, args.tol), t_n(2, k, args.tol), t_n(3, k, args.tol)]
-            for k in grid
-        ]
+        rows = [[k, t_n(1, k), t_n(2, k), t_n(3, k)] for k in grid]
     _emit_table(args, header, rows)
     return 0
 
@@ -196,7 +191,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     only = tuple(_split_list("--only", args.only)) if args.only is not None else None
     if only is not None and "" in only:
         raise ValueError("--only: empty group name")
-    results = verification.run_checks(args.tol, args.kmax, only)
+    results = verification.run_checks(args.kmax, only)
     width = max(len(r.name) for r in results) + 2
     lines = []
     for r in results:
@@ -211,14 +206,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     _emit("\n".join(lines) + "\n", args.output)
     return 0 if failed == 0 else 1
-
-
-def _add_tol(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=REL_TOL,
-                        help=f"relative quadrature tolerance (default {REL_TOL:g}); "
-                             f"an integral stops at an error of max({ABS_TOL:g}, "
-                             f"tol |value|), so one below {ABS_TOL:g}/tol is held "
-                             f"to {ABS_TOL:g} absolute only")
 
 
 def _add_kmax(parser: argparse.ArgumentParser) -> None:
@@ -265,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--gamma", type=float, default=0.0)
     p_curves.add_argument("--k", default="0:10:0.1",
                           help="wavenumber range start:stop:step")
-    _add_tol(p_curves)
     _add_output(p_curves)
     p_curves.set_defaults(func=_cmd_curves)
 
@@ -285,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--only", default=None,
         help=f"comma list of check groups from {', '.join(verification.GROUPS)}",
     )
-    _add_tol(p_verify)
     _add_kmax(p_verify)
     _add_output(p_verify, formats=False)
     p_verify.set_defaults(func=_cmd_verify)
@@ -299,8 +284,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if "tol" in args:
-            check_rel_tol(args.tol)
         if "kmax" in args:
             check_k_max(args.kmax)
         _check_output(args.output)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PPoly, make_interp_spline
 
-from .quadrature import K_MAX, REL_TOL, _gk_rule, _log_tail, _tail_points, check_k_max
+from .quadrature import K_MAX, _gk_rule, _log_tail, _tail_points, check_k_max
 # perfbench/tracing.py rebinds integrate_spectral here, though nothing here
 # calls it any more
 from .quadrature import integrate_spectral  # noqa: F401
@@ -128,7 +128,11 @@ def standard_grid(k_max: float = K_MAX) -> np.ndarray:
 
     64 uniform nodes on [0, 2], 64 log-spaced on [2, 50], and (when k_max
     exceeds 50) 32 more log-spaced nodes out to k_max so the interpolants
-    cover the full truncation range of the spectral integrals.
+    cover the full truncation range of the spectral integrals.  A k_max in
+    (2, 50] must leave the 64 nodes past 2 increasing strictly, and one
+    past 50 must exceed 50.001: closer, the 32 outer nodes crowd into a
+    sliver and the series is silently wrong (U_1 470 times off at
+    50 + 1e-9, U_2..U_4 8e-4 off at 50 + 1e-6).
     """
     check_k_max(k_max)
     inner_top = min(50.0, k_max)
@@ -139,25 +143,25 @@ def standard_grid(k_max: float = K_MAX) -> np.ndarray:
     if k_max > 50.0:
         sections.append(np.geomspace(50.0, k_max, 33)[1:])
     grid = np.concatenate(sections)
-    if np.any(np.diff(grid) <= 0.0):
+    if np.any(np.diff(grid) <= 0.0) or 50.0 < k_max <= 50.001:
         raise ValueError(
             f"k_max={k_max!r} is too close to {2 if k_max <= 50.0 else 50}: "
-            "the grid nodes past it do not increase strictly"
+            "the grid nodes past it crowd together"
         )
     return grid
 
 
-def s_kernel(k, k1, gamma, rel_tol: float = REL_TOL) -> float | np.ndarray:
+def s_kernel(k, k1, gamma) -> float | np.ndarray:
     """Kernel value S(k, k1) = (1 - gamma) S_1(k, k1) (adaptive path).
 
     ``k``, ``k1`` and ``gamma`` broadcast together: arrays give an array,
     whose J_3 values are integrated as one family, and scalars a float.
     """
     check_gamma(gamma)
-    j3 = j_n(3, k, k1, rel_tol)
+    j3 = j_n(3, k, k1)
     k, k1, gamma = np.broadcast_arrays(k, k1, gamma)
-    t3 = np.reshape([t_n(3, a, rel_tol) for a in k.flat], k.shape)
-    t1 = np.reshape([t_n(1, b, rel_tol) for b in k1.flat], k.shape)
+    t3 = np.reshape([t_n(3, a) for a in k.flat], k.shape)
+    t1 = np.reshape([t_n(1, b) for b in k1.flat], k.shape)
     s = (1.0 - gamma) * (j3 - SQRT_PI * t3 * t1)
     return float(s) if s.ndim == 0 else s
 

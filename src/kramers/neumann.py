@@ -23,7 +23,8 @@ k_max: :func:`_order` (a bounded cache) holds the kernel table, each phi_n,
 E_n and the four floats (K15 heads, fitted tails) of c_{n+1} and d_{n+1}.
 Every series holds those phi_n and E_n and forms U_n from the floats; its
 consumers apply the one gamma scalar where it cancels.  The pole residuals
-B_n, which check U_n, integrate adaptively up to the series' own k_max: all
+B_n, which check U_n, integrate adaptively up to the series' own k_max,
+each to the engine's one stop rule max(ABS_TOL, REL_TOL |value|): all
 orders n >= 1 at all wavenumbers of one call as one family, with each
 wavenumber's J_1 row built once per call and each sweep one MomentBatch on
 the distinct points of every member; their orders and wavenumbers are
@@ -39,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import SpectralFunction, _KernelTable, _apply_table, standard_grid
-from .quadrature import K_MAX, REL_TOL, _log_integral, _tail_guard, integrate_spectral
+from .quadrature import K_MAX, _log_integral, _tail_guard, integrate_spectral
 # perfbench/tracing.py rebinds these here, though nothing here calls them
 from .kernels import apply_kernel  # noqa: F401
 from .quadrature import _integrate_spectral_detail  # noqa: F401
@@ -91,7 +92,7 @@ def u0() -> float:
     return SQRT_PI / 2.0
 
 
-def _pole_integrand(series: SeriesExpansion, orders, ks, rel_tol: float):
+def _pole_integrand(series: SeriesExpansion, orders, ks):
     """Family integrand (k1, i, j) -> J^(1)(ks[j], k1) phi_{n-1}(k1) / T_2(k1),
     n = orders[i], of the B_n (n >= 1) of ``series``: a member's parameters
     are the indices of its order and wavenumber among the call's distinct
@@ -105,7 +106,7 @@ def _pole_integrand(series: SeriesExpansion, orders, ks, rel_tol: float):
     which the kernel table integrates.
     """
     gamma, phis = series.gamma, [series.phi_funcs[n - 1] for n in orders]
-    rows = [(gamma * t_n(1, kv, rel_tol), fixed_row(1, kv)) for kv in ks]
+    rows = [(gamma * t_n(1, kv), fixed_row(1, kv)) for kv in ks]
 
     def integrand(k1, i, j):
         keys, inv = np.unique(k1, return_inverse=True)
@@ -126,7 +127,7 @@ def _order(k_max: float, n: int) -> tuple:
     Order 0 builds the standard grid, its table and phi_0; order n applies
     the shared table to order n - 1.  The parts are four floats: the K15
     heads and the exact fitted tails of c = int v and d = int T_1 v on the
-    table.  Nothing here depends on gamma or rel_tol, so each order is
+    table.  Nothing here depends on gamma, so each order is
     built once per process for up to four k_max (about 3 MB each, nearly
     all the table's S_1 rows).  Every array is read-only, so the series
     that share them cannot change them.
@@ -213,9 +214,7 @@ def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpans
     )
 
 
-def pole_residual(
-    series: SeriesExpansion, n, k, rel_tol: float = REL_TOL
-) -> float | np.ndarray:
+def pole_residual(series: SeriesExpansion, n, k) -> float | np.ndarray:
     """Numerator function B_n(k) whose k^2 vanishing certifies U_n.
 
     B_0(k) = U_0 T_1(k) - T_2(k); for n >= 1,
@@ -230,8 +229,8 @@ def pole_residual(
     in :mod:`kramers.special_integrals` name the first bad entry of each (True
     and 1.5 are not orders).  The n = 0 members are closed form; all others are
     integrated as one family (see :func:`_pole_integrand`), adaptive to
-    ``rel_tol`` and ending at the series' own k_max, like the profile
-    layer's, each with the value of its own scalar call.
+    the engine's fixed tolerance and ending at the series' own k_max, like
+    the profile layer's, each with the value of its own scalar call.
     """
     n = check_orders(n, series.order, "pole residual order")
     n, k = np.broadcast_arrays(n, np.asarray(k, dtype=float))
@@ -246,8 +245,7 @@ def pole_residual(
         n_set, n_at = np.unique(orders[family], return_inverse=True)
         k_set, k_at = np.unique(ks[family], return_inverse=True)
         integrals = dict(zip(family.tolist(), integrate_spectral(
-            _pole_integrand(series, n_set.tolist(), k_set, rel_tol),
-            rel_tol, series.phi_funcs[0].k_max,
+            _pole_integrand(series, n_set.tolist(), k_set), series.phi_funcs[0].k_max,
             label=lambda j: (
                 f"B_{orders[family[j]]} pole residual at k={ks[family[j]]:.3g}"
             ),
@@ -256,7 +254,7 @@ def pole_residual(
     out, scale = np.empty(orders.size), (1.0 - series.gamma) * np.pi
     for j, (m, kv) in enumerate(zip(orders.tolist(), ks.tolist())):
         if m == 0:
-            out[j] = u0() * t_n(1, kv, rel_tol) - t_n(2, kv, rel_tol)
+            out[j] = u0() * t_n(1, kv) - t_n(2, kv)
         else:
-            out[j] = series.u_coeffs[m] * t_n(1, kv, rel_tol) + integrals[j] / scale
+            out[j] = series.u_coeffs[m] * t_n(1, kv) + integrals[j] / scale
     return float(out[0]) if n.ndim == 0 else out.reshape(n.shape)

@@ -24,18 +24,16 @@ the integrand's values at the two points of :func:`_tail_points`
 10% guard, :func:`_tail_guard`, checks every tail (:func:`_log_tail` is
 the two in one).  The spectral integrals sample those points through
 :func:`_eval_batch`; the kernel table carries them among its own points,
-and the profile layer samples its density there.  Accuracy is set by two
-plain floats, each passed only to the functions that read it: ``rel_tol``
-(default ``REL_TOL``) to every adaptive integral and ``k_max`` (default
-``K_MAX``) to the spectral ones, checked by :func:`check_rel_tol` and
-:func:`check_k_max`; the absolute floor, the Gaussian truncation point and
-the subdivision budget are module constants.  ``rel_tol`` is relative only
-above that floor: an adaptive integral stops once its error estimate is at
-most ``max(ABS_TOL, rel_tol |value|)``, so one smaller than
-``ABS_TOL / rel_tol`` (1e-4 at the defaults) is held to ``ABS_TOL`` = 1e-14
-absolute, whatever ``rel_tol`` says.  ``t_n(3, 5000)``, about 2.3e-8, is
-1.5e-7 relative off at the default ``rel_tol``.  All functions are pure;
-nothing here holds mutable state beyond one call.
+and the profile layer samples its density there.  One stop rule holds
+every adaptive integral: it ends once its error estimate is at most
+``max(ABS_TOL, REL_TOL |value|)``, with ``ABS_TOL`` = 1e-14 and ``REL_TOL``
+= 1e-10, so it is relative above the crossover ``ABS_TOL / REL_TOL`` = 1e-4
+and absolute below it (``t_n(3, 5000)``, about 2.3e-8, is 1.5e-7 relative
+off).  The tolerances, the Gaussian truncation point and the subdivision
+budget are module constants; the only accuracy input is ``k_max`` (default
+``K_MAX``), passed to the spectral integrals and checked by
+:func:`check_k_max`.  All functions are pure; nothing here holds mutable
+state beyond one call.
 """
 
 from __future__ import annotations
@@ -46,9 +44,7 @@ from collections.abc import Callable
 import numpy as np
 
 __all__ = [
-    "REL_TOL",
     "K_MAX",
-    "check_rel_tol",
     "check_k_max",
     "QuadratureError",
     "BudgetExhaustedError",
@@ -88,14 +84,13 @@ class TailEstimateDominatesError(QuadratureError):
 
 #: absolute error floor of every adaptive integral
 ABS_TOL = 1e-14
+#: relative tolerance of every adaptive integral, above ABS_TOL / REL_TOL
+REL_TOL = 1e-10
 #: truncation point of the Gaussian weight: exp(-T_MAX^2) ~ 1.6e-28 < ABS_TOL
 T_MAX = 8.0
 #: most G7/K15 intervals one integral may split into
 MAX_SUBDIVISIONS = 200
 
-
-#: default relative tolerance of every adaptive integral
-REL_TOL = 1e-10
 #: default spectral truncation wavenumber.  The spectral integrands of this
 #: problem decay like (a + b ln k)/k^2, and the fitted tail correction of
 #: integrate_spectral leaves a residual ~ln(k_max)/k_max^2 that only drops
@@ -106,12 +101,6 @@ K_MAX = 800.0
 #: up to k = 2^14 but not beyond, and past it the adaptive moments lose their
 #: knee (T_1(1e8) would come out 65% low)
 K_LIMIT = 16384.0
-
-
-def check_rel_tol(rel_tol: float) -> None:
-    """Reject a relative tolerance that is not finite and positive."""
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
 
 
 def check_k_max(k_max: float) -> None:
@@ -183,7 +172,6 @@ def _gk_rule(lo: np.ndarray, hi: np.ndarray) -> tuple:
 def _adaptive_gk(
     f: Callable,
     breakpoints: list,
-    rel_tol: float,
     label: str | Callable[[int], str],
     params: tuple = (),
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -196,13 +184,13 @@ def _adaptive_gk(
     estimates, one entry per member.  Each member runs the scalar algorithm
     on intervals of its own: every sweep splits each interval whose error
     exceeds a quarter of the member's current worst, within the member's
-    ``MAX_SUBDIVISIONS`` budget, until its total error meets the tolerance.
+    ``MAX_SUBDIVISIONS`` budget, until its total error is at most
+    ``max(ABS_TOL, REL_TOL |value|)``.
     A sweep evaluates ``f`` once, on the split intervals of every member not
     yet converged.  A callable ``label`` names member j ``label(j)``, so
     failures name the failing member.  Deterministic: a member's result is
     the same to the bit in any family, and as a family of one.
     """
-    check_rel_tol(rel_tol)
     size = len(params[0]) if params else 1
     if any(np.ndim(p) != 1 or len(p) != size for p in params):
         raise ValueError("params must be 1-d arrays of one length")
@@ -249,7 +237,7 @@ def _adaptive_gk(
         # bincount adds in index order, np.add.reduce would add pairwise
         total = np.bincount(owner, vals, size)
         err_total = np.bincount(owner, errs, size)
-        tol = np.maximum(ABS_TOL, rel_tol * np.abs(total))
+        tol = np.maximum(ABS_TOL, REL_TOL * np.abs(total))
         done = going & (err_total <= tol)
         if done.any():
             value[done], error[done] = total[done], err_total[done]
@@ -300,7 +288,6 @@ def _adaptive_gk(
 
 def integrate_gaussian_weighted(
     f: Callable,
-    rel_tol: float = REL_TOL,
     label: str | Callable[[int], str] = "gaussian-weighted integral",
     params: tuple = (),
     knees: tuple = (),
@@ -328,7 +315,7 @@ def integrate_gaussian_weighted(
     base = set(np.linspace(0.0, T_MAX, 5).tolist())
     breaks = [np.array(sorted(base.union(t[j] for t in knees if 0.0 < t[j] < T_MAX)))
               for j in range(size)]
-    values, _ = _adaptive_gk(g, breaks, rel_tol, label, params)
+    values, _ = _adaptive_gk(g, breaks, label, params)
     return values if params else float(values[0])
 
 
@@ -389,7 +376,6 @@ def _log_tail(
 
 def _integrate_spectral_detail(
     f: Callable,
-    rel_tol: float,
     k_max: float,
     label: str | Callable[[int], str],
     params: tuple = (),
@@ -402,7 +388,7 @@ def _integrate_spectral_detail(
     while pts[-1] < k_max:
         pts.append(min(pts[-1] * 4.0, k_max))
     size = len(params[0]) if params else 1
-    head, err = _adaptive_gk(f, [np.array(pts)] * size, rel_tol, label, params)
+    head, err = _adaptive_gk(f, [np.array(pts)] * size, label, params)
     # every member at both tail points, member j's pair in row j
     values = [np.repeat(p, 2) for p in params]
     samples = _eval_batch(
@@ -417,7 +403,6 @@ def _integrate_spectral_detail(
 
 def integrate_spectral(
     f: Callable,
-    rel_tol: float = REL_TOL,
     k_max: float = K_MAX,
     label: str | Callable[[int], str] = "spectral integral",
     params: tuple = (),
@@ -437,5 +422,5 @@ def integrate_spectral(
     member j ``label(j)``, and each value equals that of the member's own
     call.
     """
-    value, _, _ = _integrate_spectral_detail(f, rel_tol, k_max, label, params)
+    value, _, _ = _integrate_spectral_detail(f, k_max, label, params)
     return value

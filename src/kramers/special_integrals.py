@@ -20,18 +20,20 @@ which is how the solver evaluates it; :func:`j_m` integrates the
 (1 + gamma k1^2 t^2) weight directly and serves as the reference.
 
 Two evaluation paths are provided.  The adaptive functions (`t_n`, `j_n`,
-...) go through the engine in :mod:`kramers.quadrature` and take its
-relative tolerance ``rel_tol``; `t_n` is scalar and cached, and breaks its
-range at the Lorentzian knee t = 1/k when that lies below T_MAX, while
-`j_n` and `j_m` take broadcastable arrays of orders and wavenumbers and
-integrate them as one family, each member with its own knees 1/k and 1/k1
-and each value equal to its scalar call's.  :class:`MomentBatch` (with
-`fixed_row`, `t_n_vec` and `phi0_vec`) evaluates on arrays of k via one
-fixed graded Gauss-Legendre rule on [0, T_MAX], built at import, whose
-panels are geometrically refined toward t=0 to resolve the Lorentzian knee
-at t ~ 1/k for every supported k_max (up to 2^14); it takes no tolerance, is cross-checked against the
-scalar path in the test suite and exists purely for speed in the
-grid/kernel machinery.  Wavenumbers are supported in [0, K_LIMIT] (2^14).
+...) go through the engine in :mod:`kramers.quadrature`, whose one stop
+rule is an error of at most max(ABS_TOL, REL_TOL |value|): 1e-14 absolute
+below 1e-4 and 1e-10 relative above.  `t_n` is scalar and cached, and
+breaks its range at the Lorentzian knee t = 1/k when that lies below
+T_MAX, while `j_n` and `j_m` take broadcastable arrays of orders and
+wavenumbers and integrate them as one family, each member with its own
+knees 1/k and 1/k1 and each value equal to its scalar call's.
+:class:`MomentBatch` (with `fixed_row`, `t_n_vec` and `phi0_vec`)
+evaluates on arrays of k via one fixed graded Gauss-Legendre rule on
+[0, T_MAX], built at import, whose panels are geometrically refined toward
+t=0 to resolve the Lorentzian knee at t ~ 1/k for every supported k_max
+(up to 2^14); it takes no tolerance, is cross-checked against the scalar
+path in the test suite and exists purely for speed in the grid/kernel
+machinery.  Wavenumbers are supported in [0, K_LIMIT] (2^14).
 :func:`check_orders`, :func:`check_wavenumbers` and :func:`check_gamma`, each
 naming the first bad entry, are the one copy of each input rule (the pole
 residuals use them too); only the cached `t_n` keeps its scalar comparison.
@@ -46,9 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import (
-    K_LIMIT, REL_TOL, T_MAX, check_rel_tol, integrate_gaussian_weighted,
-)
+from .quadrature import K_LIMIT, T_MAX, integrate_gaussian_weighted
 
 __all__ = [
     "GasParameters",
@@ -214,27 +214,30 @@ def _check_order(n: int, top: int = _MAX_ORDER, name: str = "moment order") -> N
 
 
 @lru_cache(maxsize=65536)
-def _t_n_cached(n: int, k: float, rel_tol: float) -> float:
+def _t_n_cached(n: int, k: float) -> float:
     # the Lorentzian's knee t = 1/k is a breakpoint: without it the error
     # estimate can miss the knee and stop early (T_4(85.625) was 2e-8 off)
     return integrate_gaussian_weighted(
         lambda t: 2.0 / SQRT_PI * np.asarray(t) ** n / (1.0 + k * k * np.asarray(t) ** 2),
-        rel_tol,
         label=f"T_{n}(k={k:.6g})",
         knees=(1.0 / k,),
     )
 
 
-def t_n(n: int, k: float, rel_tol: float = REL_TOL) -> float:
-    """Moment T_n(k), k in [0, K_LIMIT]; the k=0 values come from the exact
-    moment table."""
+def t_n(n: int, k: float) -> float:
+    """Moment T_n(k) at one wavenumber k in [0, K_LIMIT] (`t_n_vec` takes
+    arrays); the k=0 values come from the exact moment table."""
     _check_order(n)
-    check_rel_tol(rel_tol)
+    if np.ndim(k):
+        raise ValueError(
+            f"k must be one wavenumber, got an array of shape {np.shape(k)}; "
+            "t_n_vec takes arrays"
+        )
     if not 0 <= k <= K_LIMIT:  # also catches NaN
         raise ValueError(f"wavenumber must be in [0, {K_LIMIT:g}], got k={k}")
     if k == 0.0:
         return MOMENTS[n]
-    return _t_n_cached(n, float(k), rel_tol)
+    return _t_n_cached(n, float(k))
 
 
 def check_gamma(gamma) -> None:
@@ -264,7 +267,7 @@ def _powers(t: np.ndarray, n: np.ndarray, orders: list) -> np.ndarray:
     return out
 
 
-def _family(f, args: tuple, rel_tol: float, name) -> float | np.ndarray:
+def _family(f, args: tuple, name) -> float | np.ndarray:
     """The Gaussian-weighted integrals of ``f(t, *a)`` for each member ``a``
     of the broadcast ``args``, integrated as one family: an array of the
     broadcast shape, or a float when every argument is a scalar.  The first
@@ -276,12 +279,12 @@ def _family(f, args: tuple, rel_tol: float, name) -> float | np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):  # 1/k is inf at k = 0
         knees = (1.0 / flat[0], 1.0 / flat[1])
     values = integrate_gaussian_weighted(
-        f, rel_tol, label=lambda j: name(*(a[j] for a in flat)), params=flat, knees=knees
+        f, label=lambda j: name(*(a[j] for a in flat)), params=flat, knees=knees
     )
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
-def j_n(n, k, k1, rel_tol: float = REL_TOL) -> float | np.ndarray:
+def j_n(n, k, k1) -> float | np.ndarray:
     """Double-Lorentzian moment J_n(k, k1); symmetric in (k, k1).
 
     The integer orders ``n`` and the wavenumbers ``k`` and ``k1`` broadcast
@@ -300,12 +303,12 @@ def j_n(n, k, k1, rel_tol: float = REL_TOL) -> float | np.ndarray:
         )
 
     return _family(
-        f, (k, k1, orders), rel_tol,
+        f, (k, k1, orders),
         lambda k, k1, n: f"J_{n:.0f}(k={k:.6g}, k1={k1:.6g})",
     )
 
 
-def j_m(m, k, k1, gamma, rel_tol: float = REL_TOL) -> float | np.ndarray:
+def j_m(m, k, k1, gamma) -> float | np.ndarray:
     """Density-weighted kernel moment J^(m)(k, k1).
 
     Carries the factor (1 + gamma k1^2 t^2) on the second argument, the one
@@ -327,29 +330,29 @@ def j_m(m, k, k1, gamma, rel_tol: float = REL_TOL) -> float | np.ndarray:
         )
 
     return _family(
-        f, (k, k1, gamma, orders), rel_tol,
+        f, (k, k1, gamma, orders),
         lambda k, k1, gamma, m: (
             f"J^({m:.0f})(k={k:.6g}, k1={k1:.6g}, gamma={gamma:.4g})"
         ),
     )
 
 
-def dispersion_l(k: float, gamma: float, rel_tol: float = REL_TOL) -> float:
-    """Dispersion function L(k) = (1 - gamma) k^2 T_2(k).
+def dispersion_l(k: float, gamma: float) -> float:
+    """Dispersion function L(k) = (1 - gamma) k^2 T_2(k) at one wavenumber.
 
     The pole-free product form is used rather than 1 - T_0 - gamma k^2 T_2;
     the two agree identically (tested) but this one is exact at k=0.
     """
     check_gamma(gamma)
-    t2 = t_n(2, k, rel_tol)  # checks k before k * k can overflow
+    t2 = t_n(2, k)  # checks k before k * k can overflow
     return (1.0 - gamma) * k * k * t2
 
 
-def phi0(k: float, rel_tol: float = REL_TOL) -> float:
+def phi0(k: float) -> float:
     """Seed function phi_0(k) = (sqrt(pi)/2) T_3(k) - T_4(k).
 
     Equal to int_0^inf (1 - 2t/sqrt(pi)) exp(-t^2) t^3/(1+k^2 t^2) dt; it is
     negative for all k and its 1/k^2 tail coefficient vanishes, leaving a
     ~ln(k)/k^4 tail.
     """
-    return SQRT_PI / 2.0 * t_n(3, k, rel_tol) - t_n(4, k, rel_tol)
+    return SQRT_PI / 2.0 * t_n(3, k) - t_n(4, k)

@@ -12,6 +12,10 @@ threshold; the CLI renders the results as a pass/fail table.  Groups:
   one ``pole_residual`` call per series, whose n >= 1 members are one
   adaptive family.
 * ``oracle``      — series path against the independent quadrature path.
+
+The adaptive integrals of the first and third groups stop at the engine's
+one rule, an error of at most ``max(ABS_TOL, REL_TOL |value|)`` (absolute
+below 1e-4, relative above); ``k_max`` is the one accuracy input.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import neumann, oracle
 from .kernels import s_kernel
-from .quadrature import K_MAX, REL_TOL, check_k_max, check_rel_tol
+from .quadrature import K_MAX, check_k_max
 from .special_integrals import MOMENTS, SQRT_PI, dispersion_l, j_m, j_n, t_n
 
 __all__ = ["CheckResult", "run_checks", "GROUPS"]
@@ -44,23 +48,18 @@ class CheckResult:
         return self.deviation <= self.threshold
 
 
-def _identity_checks(rel_tol: float) -> list[CheckResult]:
+def _identity_checks() -> list[CheckResult]:
     out = []
     dev = max(
-        abs(t_n(n, k, rel_tol) + k * k * t_n(n + 2, k, rel_tol) - MOMENTS[n])
+        abs(t_n(n, k) + k * k * t_n(n + 2, k) - MOMENTS[n])
         for n in range(0, 7)
         for k in _K_GRID
     )
     out.append(CheckResult("identities", "T_n recurrence", dev, 1e-10))
-    dev = max(
-        abs(1.0 - t_n(0, k, rel_tol) - k * k * t_n(2, k, rel_tol)) for k in _K_GRID
-    )
+    dev = max(abs(1.0 - t_n(0, k) - k * k * t_n(2, k)) for k in _K_GRID)
     out.append(CheckResult("identities", "1 - T_0 = k^2 T_2", dev, 1e-10))
     dev = max(
-        abs(
-            dispersion_l(k, g, rel_tol)
-            - (1.0 - t_n(0, k, rel_tol) - g * k * k * t_n(2, k, rel_tol))
-        )
+        abs(dispersion_l(k, g) - (1.0 - t_n(0, k) - g * k * k * t_n(2, k)))
         for g in (0.0, 0.25, 0.5)
         for k in _K_GRID
     )
@@ -70,19 +69,18 @@ def _identity_checks(rel_tol: float) -> list[CheckResult]:
     a, b = np.array([0.3, 0.7, 2.0, 0.05]), np.array([1.1, 1.3, 5.0, 9.0])
     zeros = np.zeros_like(_K_GRID)
     orders = np.array([[1], [3], [5]])
-    j = j_n(orders, np.concatenate([a, b, _K_GRID, zeros]),
-            np.concatenate([b, a, zeros, _K_GRID]), rel_tol)
+    j = j_n(orders, np.concatenate([a, b, _K_GRID, zeros]), np.concatenate([b, a, zeros, _K_GRID]))
     symmetry = float(np.max(np.abs(j[:, :4] - j[:, 4:8])))
-    t = np.array([[t_n(n, k, rel_tol) for k in _K_GRID] for n in orders.flat])
+    t = np.array([[t_n(n, k) for k in _K_GRID] for n in orders.flat])
     collapse = float(np.max(np.abs(j[:, 8:].reshape(3, 2, -1) - t[:, None])))
     out.append(CheckResult("identities", "J_n symmetry", symmetry, 1e-10))
     out.append(CheckResult("identities", "J_n boundary collapse", collapse, 1e-10))
     g = np.array([0.0, 0.2, 0.5])[:, None]
-    t3 = np.array([t_n(3, k, rel_tol) for k in a])
+    t3 = np.array([t_n(3, k) for k in a])
     # J^(3)(a, b) and J^(1)(0, b) at each gamma
-    jm3, jm1 = j_m([[[3]], [[1]]], [[a], [np.zeros(4)]], b, g, rel_tol)
+    jm3, jm1 = j_m([[[3]], [[1]]], [[a], [np.zeros(4)]], b, g)
     via_jm = jm3 - SQRT_PI * t3 * jm1
-    dev = float(np.max(np.abs(s_kernel(a, b, g, rel_tol) - via_jm)))
+    dev = float(np.max(np.abs(s_kernel(a, b, g) - via_jm)))
     out.append(CheckResult("identities", "S kernel dual route", dev, 1e-10))
     return out
 
@@ -103,13 +101,13 @@ def _constants_checks(k_max: float) -> list[CheckResult]:
     ]
 
 
-def _pole_checks(rel_tol: float, k_max: float) -> list[CheckResult]:
+def _pole_checks(k_max: float) -> list[CheckResult]:
     out = []
     ks = np.array([1e-3, 2e-3, 4e-3])
     for gamma in (0.0, 0.25):
         series = neumann.build_series(gamma, 2, k_max)
         # one family: row n holds B_n at the three wavenumbers
-        b_rows = np.abs(neumann.pole_residual(series, [[0], [1], [2]], ks, rel_tol))
+        b_rows = np.abs(neumann.pole_residual(series, [[0], [1], [2]], ks))
         for n, b_vals in enumerate(b_rows):
             slope = np.polyfit(np.log(ks), np.log(b_vals), 1)[0]
             out.append(
@@ -162,18 +160,15 @@ def _oracle_checks(k_max: float) -> list[CheckResult]:
 
 
 def run_checks(
-    rel_tol: float = REL_TOL,
-    k_max: float = K_MAX,
-    only: tuple[str, ...] | None = None,
+    k_max: float = K_MAX, only: tuple[str, ...] | None = None
 ) -> list[CheckResult]:
     """Run the selected groups (all by default) and return their results.
 
-    ``rel_tol`` goes to every adaptive integral and ``k_max`` to every
-    series; both are checked before any group runs.  ``only=None`` selects
-    every group; an empty ``only`` selects none and is rejected, and so are
-    a group named twice and a bare string (``only="pole"`` for ``("pole",)``).
+    ``k_max`` goes to every series and is checked before any group runs.
+    ``only=None`` selects every group; an empty ``only`` selects none and is
+    rejected, and so are a group named twice and a bare string
+    (``only="pole"`` for ``("pole",)``).
     """
-    check_rel_tol(rel_tol)
     check_k_max(k_max)
     if isinstance(only, str):
         raise ValueError(f"only={only!r} is a string; pass a tuple of group names")
@@ -189,9 +184,9 @@ def run_checks(
     if repeated:
         raise ValueError(f"check group(s) {repeated} selected more than once")
     runners = {
-        "identities": lambda: _identity_checks(rel_tol),
+        "identities": _identity_checks,
         "constants": lambda: _constants_checks(k_max),
-        "pole": lambda: _pole_checks(rel_tol, k_max),
+        "pole": lambda: _pole_checks(k_max),
         "oracle": lambda: _oracle_checks(k_max),
     }
     return [result for group in groups for result in runners[group]()]

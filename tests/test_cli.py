@@ -90,14 +90,14 @@ class TestSlip:
         assert code == 2
         assert "k_max must be finite" in err
 
-    @pytest.mark.parametrize("kmax", ["1", "1e300", "2.0000000000000004"])
+    @pytest.mark.parametrize("kmax", ["1", "1e300", "2.0000000000000004", "50.0000000001"])
     def test_kmax_out_of_range_rejected(self, capsys, kmax):
         code, _, err = run_cli(capsys, "slip", "--kmax", kmax)
         assert code == 2
         assert "k_max" in err
 
     def test_json_metadata(self, capsys):
-        """slip takes --kmax and no --tol, so the meta names only k_max."""
+        """slip's meta names its gas flags and --kmax, the flags it reads."""
         code, out, _ = run_cli(
             capsys, "slip", "--q", "0.8", "--gamma", "0.1", "--order", "1",
             "--format", "json",
@@ -191,10 +191,11 @@ class TestCurves:
         assert out1 == out2
 
     def test_meta_claims_no_truncation(self, capsys):
-        """No curve reads --kmax, --q or --order, so the JSON meta names none."""
+        """No curve reads --kmax, --q or --order, so the JSON meta names none;
+        the tolerance is fixed, so the meta holds gamma alone."""
         code, out, _ = run_cli(capsys, "curves", "--k", "0:1:1", "--format", "json")
         assert code == 0
-        assert json.loads(out)["meta"] == {"gamma": 0.0, "rel_tol": 1e-10}
+        assert json.loads(out)["meta"] == {"gamma": 0.0}
 
 
 class TestProfile:
@@ -384,13 +385,6 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--only", "identities")
         assert code == 0
 
-    def test_degraded_tolerance_keeps_constants(self, capsys):
-        """Coarse quadrature budgets degrade deviations but not the constants."""
-        code, out, _ = run_cli(
-            capsys, "verify", "--only", "constants", "--tol", "1e-2"
-        )
-        assert code == 0
-
     def test_unknown_group_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--only", "nonsense")
         assert code == 2
@@ -472,12 +466,13 @@ class TestVerify:
 
 
 class TestAccuracyFlags:
-    """--tol belongs to curves and verify, --kmax to slip, profile and
-    verify; each is checked before any work, and a command rejects the one
-    it does not read."""
+    """--kmax, the one accuracy flag, belongs to slip, profile and verify
+    and is checked before any work; a command rejects a flag it does not
+    read.  --tol, which set the quadrature tolerance rel_tol, is gone from
+    every command, so argparse rejects it on all four."""
 
-    TAKES = {"slip": {"--kmax"}, "curves": {"--tol"}, "profile": {"--kmax"},
-             "verify": {"--tol", "--kmax"}}
+    TAKES = {"slip": {"--kmax"}, "curves": set(), "profile": {"--kmax"},
+             "verify": {"--kmax"}}
 
     @pytest.mark.parametrize("command", ["slip", "curves", "profile", "verify"])
     @pytest.mark.parametrize("flag, field, value", [
@@ -504,18 +499,20 @@ class TestAccuracyFlags:
 
     @pytest.mark.parametrize("command, flag", [
         ("slip", "--tol"), ("profile", "--tol"), ("curves", "--kmax"),
+        ("curves", "--tol"), ("verify", "--tol"),
     ])
     def test_unread_flag_rejected_before_work(self, capsys, monkeypatch, command, flag):
         """slip and profile took --tol, and curves --kmax, checked them and
-        never read them."""
+        never read them; no command takes --tol now."""
         def no_work(*args):
             raise AssertionError(f"work started on {flag}, which {command} does not read")
 
         for name in ("build_series", "t_n", "dispersion_l"):
             monkeypatch.setattr(cli, name, no_work)
-        code, out, err = run_cli(capsys, command, flag, "100")
+        monkeypatch.setattr(cli.verification, "run_checks", no_work)
+        code, out, err = run_cli(capsys, command, flag, "1e-10")
         assert code == 2 and out == ""
-        assert f"unrecognized arguments: {flag} 100" in err
+        assert f"unrecognized arguments: {flag} 1e-10" in err
 
     def test_help_names_the_commands_that_read_each_flag(self, capsys):
         """Each command's help lists the accuracy flags it reads, and no other."""
@@ -523,8 +520,7 @@ class TestAccuracyFlags:
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args([command, "--help"])
             text = " ".join(capsys.readouterr().out.split())
-            assert ("relative quadrature tolerance (default 1e-10)" in text) == (
-                "--tol" in flags)
+            assert "--tol" not in text
             assert ("spectral truncation wavenumber in (2, 16384] (default 800)"
                     in text) == ("--kmax" in flags)
 
@@ -534,9 +530,9 @@ class TestOptionSets:
 
     @pytest.mark.parametrize("argv, options", [
         (["slip"], {"gamma", "q", "order", "kmax", "output", "format"}),
-        (["curves"], {"what", "gamma", "k", "tol", "output", "format"}),
+        (["curves"], {"what", "gamma", "k", "output", "format"}),
         (["profile"], {"gamma", "q", "order", "x", "mu", "kmax", "output", "format"}),
-        (["verify"], {"only", "tol", "kmax", "output"}),
+        (["verify"], {"only", "kmax", "output"}),
     ])
     def test_options_of_each_command(self, argv, options):
         args = vars(cli.build_parser().parse_args(argv))

@@ -13,6 +13,7 @@ from kramers.kernels import (
     s_kernel,
     standard_grid,
 )
+from kramers.neumann import build_series
 from kramers.quadrature import (
     K_MAX, TailEstimateDominatesError, _log_tail, _tail_points,
 )
@@ -363,6 +364,17 @@ class TestStandardGrid:
         # inside (2, 16384], but the 64 nodes on (2, k_max] collide
         with pytest.raises(ValueError, match="k_max=.* too close to 2"):
             standard_grid(math.nextafter(2.0, 3.0))
-        # the same for the 32 nodes on (50, k_max]
-        with pytest.raises(ValueError, match="k_max=.* too close to 50"):
-            standard_grid(math.nextafter(50.0, 51.0))
+        # the same for the 32 nodes on (50, k_max], which up to 50.001 crowd
+        # into a sliver that gave silent wrong answers (U_1 470 times off at
+        # 50 + 1e-9, U_2..U_4 8e-4 off at 50 + 1e-6)
+        for k_max in (math.nextafter(50.0, 51.0), 50.0 + 1e-12, 50.0 + 1e-9,
+                      50.0 + 1e-6, 50.001):
+            with pytest.raises(ValueError, match="k_max=.* too close to 50"):
+                standard_grid(k_max)
+
+    def test_smallest_accepted_k_max_past_fifty_is_accurate(self):
+        """At the first k_max past the sliver, U_1..U_4 differ from a build
+        0.001 further out by the k_max drift alone (3.8e-7 for U_4)."""
+        edge = build_series(0.0, 4, math.nextafter(50.001, 51.0)).u_coeffs
+        near = build_series(0.0, 4, 50.002).u_coeffs
+        np.testing.assert_allclose(edge[1:], near[1:], rtol=1e-6, atol=0.0)

@@ -18,7 +18,7 @@ from kramers.neumann import (
     u0,
 )
 from kramers.quadrature import (
-    K_MAX, REL_TOL, TailEstimateDominatesError, _log_tail, _tail_points,
+    K_MAX, TailEstimateDominatesError, _log_tail, _tail_points,
     integrate_spectral,
 )
 from kramers.special_integrals import MomentBatch, phi0, t_n
@@ -152,7 +152,7 @@ class TestBuildSeries:
             diag = series.diagnostics[n]
             u_n = series.u_coeffs[n]
             assert diag["order"] == n
-            pole = _pole_integrand(series, [n], np.zeros(1), REL_TOL)
+            pole = _pole_integrand(series, [n], np.zeros(1))
             index = np.zeros(2, dtype=int)  # the one order and wavenumber
             samples = pole(_tail_points(K_MAX), index, index)
             tail = _log_tail(samples, K_MAX, 1.0, "tail")[0]
@@ -432,10 +432,10 @@ class TestPoleResidual:
         it is the integral written out to 400, bit for bit."""
         gamma, k = 0.25, 0.3
         series = build_series(gamma, 2, 400.0)
-        pole = _pole_integrand(series, [1, 2], np.array([k]), REL_TOL)
+        pole = _pole_integrand(series, [1, 2], np.array([k]))
         for n in (1, 2):
             (integral,) = integrate_spectral(
-                pole, REL_TOL, 400.0, params=(np.array([n - 1]), np.array([0]))
+                pole, 400.0, params=(np.array([n - 1]), np.array([0]))
             )
             expected = (series.u_coeffs[n] * t_n(1, k)
                         + integral / ((1.0 - gamma) * np.pi))

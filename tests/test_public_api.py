@@ -10,6 +10,7 @@ import kramers
 import kramers.kernels
 import kramers.neumann
 import kramers.oracle
+import kramers.quadrature
 import kramers.special_integrals
 import kramers.transport
 
@@ -58,9 +59,11 @@ def test_public_shapes(cls, fields):
 
 def test_duplicate_paths_stay_gone():
     """One T_n(0) table, one inline oracle T_n, a context built from nu
-    and beta alone, and densities summed only inside the transforms, so
-    that every SpectralFunction is built and checked by its constructor."""
+    and beta alone, densities summed only inside the transforms, so that
+    every SpectralFunction is built and checked by its constructor, and one
+    fixed quadrature tolerance, which no function takes as ``rel_tol``."""
     for owner, name in ((kramers.special_integrals, "t_moment"),
+                        (kramers.quadrature, "check_rel_tol"),
                         (kramers.oracle, "_t_inline"),
                         (kramers.DimensionalContext, "from_frequency"),
                         (kramers.kernels, "weighted_sum"),
@@ -76,6 +79,14 @@ def test_duplicate_paths_stay_gone():
         and isinstance(node.value, ast.Name) and node.value.id == "object"
     ]
     assert bypasses == []
+    takes_tol = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(Path(kramers.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and "rel_tol" in [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+    ]
+    assert takes_tol == []
 
 
 #: every private name a module imports from a sibling, (module, source, name);

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kramers import quadrature
-from kramers.kernels import s_kernel, standard_grid
-from kramers.neumann import build_series, pole_residual
+from kramers.kernels import standard_grid
+from kramers.neumann import build_series
 from kramers.quadrature import (
     ABS_TOL,
     K_MAX,
@@ -21,19 +21,18 @@ from kramers.quadrature import (
     _log_tail,
     _tail_points,
     check_k_max,
-    check_rel_tol,
     integrate_gaussian_weighted,
     integrate_spectral,
 )
-from kramers.special_integrals import dispersion_l, j_m, j_n, phi0, t_n
+from kramers.special_integrals import j_m, j_n
 from kramers.verification import run_checks
 
 SQPI = math.sqrt(math.pi)
 
 
 class TestSpecValidation:
-    """The accuracy settings rel_tol and k_max are plain floats, checked by
-    every function that reads them."""
+    """The one accuracy setting, k_max, is a plain float checked by every
+    function that reads it; the tolerances are module constants."""
 
     def test_defaults_valid(self):
         assert (REL_TOL, K_MAX) == (1e-10, 800.0)
@@ -44,47 +43,27 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"rel_tol": 0.0},
-            {"rel_tol": -1e-3},
             {"k_max": 0.0},
             {"k_max": -1.0},
             {"k_max": 1.0},  # standard_grid's [2, k_max] section runs backwards
             {"k_max": 2.0},
-            {"rel_tol": math.inf},
-            {"rel_tol": math.nan},
             {"k_max": 16385.0},  # beyond the graded rule's measured range
             {"k_max": math.inf},
             {"k_max": math.nan},
             {"k_max": 1e300},
+            {"k_max": -math.inf},
+            {"k_max": math.nextafter(16384.0, math.inf)},
         ],
     )
-    def test_invariants_rejected(self, kwargs, series_cache):
+    def test_invariants_rejected(self, kwargs):
         (name, value), = kwargs.items()
-        series = series_cache(0.0, 1)
-        if name == "rel_tol":
-            calls = [
-                lambda: check_rel_tol(value),
-                lambda: integrate_gaussian_weighted(lambda t: t, value),
-                lambda: integrate_spectral(lambda k: np.exp(-k), value),
-                lambda: t_n(1, 0.0, value),  # before the k = 0 shortcut
-                lambda: t_n(1, 0.5, value),
-                lambda: j_n(1, 0.5, 0.7, value),
-                lambda: j_m(1, 0.5, 0.7, 0.2, value),
-                lambda: dispersion_l(0.5, 0.2, value),
-                lambda: phi0(0.5, value),
-                lambda: s_kernel(0.5, 0.7, 0.2, value),
-                lambda: pole_residual(series, 0, 0.1, value),
-                lambda: pole_residual(series, 1, 0.1, value),
-                lambda: run_checks(rel_tol=value, only=("constants",)),
-            ]
-        else:
-            calls = [
-                lambda: check_k_max(value),
-                lambda: standard_grid(value),
-                lambda: integrate_spectral(lambda k: np.exp(-k), k_max=value),
-                lambda: build_series(0.0, 1, value),
-                lambda: run_checks(k_max=value, only=("identities",)),
-            ]
+        calls = [
+            lambda: check_k_max(value),
+            lambda: standard_grid(value),
+            lambda: integrate_spectral(lambda k: np.exp(-k), k_max=value),
+            lambda: build_series(0.0, 1, value),
+            lambda: run_checks(k_max=value, only=("identities",)),
+        ]
         for call in calls:
             with pytest.raises(ValueError, match=name):
                 call()
@@ -139,16 +118,6 @@ class TestGaussianWeighted:
         with pytest.raises(BudgetExhaustedError) as err:
             integrate_gaussian_weighted(spiky, label="spiky one")
         assert "spiky one" in str(err.value)
-
-    def test_halving_rel_tol_stable(self):
-        loose, tight = 1e-6, 5e-7
-
-        def f(t):
-            return t**2 / (1.0 + 2500.0 * t**2)
-
-        a = integrate_gaussian_weighted(f, loose)
-        b = integrate_gaussian_weighted(f, tight)
-        assert abs(a - b) <= loose * abs(a) + ABS_TOL
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -283,11 +252,11 @@ class TestSpectralFamily:
     def test_members_equal_their_own_calls(self):
         a = np.array([1.0, 0.3, 5.0, 40.0])
         family = quadrature._integrate_spectral_detail(
-            self.lorentz, REL_TOL, K_MAX, "lorentz", params=(a,)
+            self.lorentz, K_MAX, "lorentz", params=(a,)
         )
         for j, aj in enumerate(a):
             alone = quadrature._integrate_spectral_detail(
-                lambda k, a=float(aj): self.lorentz(k, a), REL_TOL, K_MAX, "lorentz",
+                lambda k, a=float(aj): self.lorentz(k, a), K_MAX, "lorentz",
             )
             assert tuple(part[j] for part in family) == alone
         assert (integrate_spectral(self.lorentz, params=(a,)) == family[0]).all()
@@ -314,17 +283,16 @@ class TestFamilyEngine:
 
     def test_mixed_members_equal_their_scalar_calls(self):
         # k = 0 (a polynomial), large k (a sharp knee at t = 1/k), easy and
-        # hard members, at two tolerances
+        # hard members
         k = np.array([0.0, 5e3, 0.3, 2.0, 80.0, 1e-3, 700.0])
-        for rel_tol in (REL_TOL, 1e-6):
-            family = integrate_gaussian_weighted(self.lorentz, rel_tol, params=(k,))
-            scalar = [
-                integrate_gaussian_weighted(lambda t, k=float(kj): self.lorentz(t, k), rel_tol)
-                for kj in k
-            ]
-            assert (family == np.array(scalar)).all()
-            assert (family[1:] == integrate_gaussian_weighted(
-                self.lorentz, rel_tol, params=(k[1:],))).all()
+        family = integrate_gaussian_weighted(self.lorentz, params=(k,))
+        scalar = [
+            integrate_gaussian_weighted(lambda t, k=float(kj): self.lorentz(t, k))
+            for kj in k
+        ]
+        assert (family == np.array(scalar)).all()
+        assert (family[1:] == integrate_gaussian_weighted(
+            self.lorentz, params=(k[1:],))).all()
 
     def test_values_recorded_one_integral_at_a_time(self):
         """Values recorded, as exact hex floats, from one integral per call,

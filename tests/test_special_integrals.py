@@ -137,6 +137,15 @@ class TestTn:
             with pytest.raises(ValueError, match=r"k=nan|k1=nan"):
                 call()
 
+    @pytest.mark.parametrize("k", [np.array([0.5, 2.0]), np.array([0.5]), [0.5]])
+    def test_array_wavenumber_named(self, k):
+        """An array got numpy's "truth value ... is ambiguous" ValueError, and
+        a 1-element one a TypeError; both now name the scalar rule."""
+        for call in (lambda: t_n(1, k), lambda: dispersion_l(k, 0.2), lambda: phi0(k)):
+            with pytest.raises(ValueError, match=r"^k must be one wavenumber, got an "
+                               r"array of shape \(\d?,?\); t_n_vec takes arrays$"):
+                call()
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(0, 6), k=st.floats(0.0, 120.0))
     def test_recurrence_property(self, n, k):
@@ -365,7 +374,7 @@ class TestArrayArguments:
     def test_label_names_the_member_order(self, monkeypatch):
         labels = []
 
-        def record(f, rel_tol, label, params, knees):
+        def record(f, label, params, knees):
             labels.extend(label(j) for j in range(len(params[0])))
             return np.zeros(len(params[0]))
 
