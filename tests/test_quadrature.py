@@ -49,10 +49,12 @@ class TestSpecValidation:
             {"k_max": 2.0},
             {"k_max": 16385.0},  # beyond the graded rule's measured range
             {"k_max": math.inf},
-            {"k_max": math.nan},
-            {"k_max": 1e300},
             {"k_max": -math.inf},
             {"k_max": math.nextafter(16384.0, math.inf)},
+            {"k_max": -0.0},
+            {"k_max": -1e300},
+            {"k_max": math.nan},
+            {"k_max": 1e300},
         ],
     )
     def test_invariants_rejected(self, kwargs):
