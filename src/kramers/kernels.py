@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralFunction:
     """A sampled, interpolable even function of k, defined on [0, k_max].
 
@@ -73,13 +73,14 @@ class SpectralFunction:
     and evaluation past it raises ``ValueError``: each integral over it
     closes its own tail with a fitted model (see :mod:`kramers.quadrature`).
     Instances are immutable: the sample and coefficient arrays are
-    read-only, and a writable input array is copied, not frozen.
+    read-only, and a writable input array is copied, not frozen.  They
+    compare and hash by identity, so a cache can key on them.
     """
 
     nodes: np.ndarray
     values: np.ndarray
     label: str
-    c: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # copy a writable input, so as not to freeze its owner's array

@@ -23,12 +23,19 @@ k_max: :func:`_order` (a bounded cache) holds the kernel table, each phi_n,
 E_n and the four floats (K15 heads, fitted tails) of c_{n+1} and d_{n+1}.
 Every series holds those phi_n and E_n and forms U_n from the floats; its
 consumers apply the one gamma scalar where it cancels.  The pole residuals
-B_n, which check U_n, integrate adaptively up to the series' own k_max,
-each to the engine's one stop rule max(ABS_TOL, REL_TOL |value|): all
-orders n >= 1 at all wavenumbers of one call as one family, with each
-wavenumber's J_1 row built once per call and each sweep one MomentBatch on
-the distinct points of every member; their orders and wavenumbers are
-checked by the rules of :mod:`kramers.special_integrals`.
+B_n, which check U_n, split the same way:
+
+    B_n(k) = U_n T_1(k) + (gamma T_1(k) C_n + (1 - gamma) I_n(k))/((1 - gamma) pi),
+
+with the gamma-free C_n = int phi_{n-1}/T_2 dk1 and I_n(k) = int J_1(k, k1)
+phi_{n-1}/T_2 dk1.  :func:`_pole_parts` (a bounded cache keyed by the
+phi_{n-1} objects and the wavenumbers, so shared by every gamma) integrates
+them adaptively up to the series' own k_max, each to the engine's one stop
+rule max(ABS_TOL, REL_TOL |value|): every order and wavenumber of one call
+as one family, with each wavenumber's J_1 row built once and each sweep one
+MomentBatch on the distinct points of every member.  Each series combines
+them at its gamma under the 10% tail guard; their orders and wavenumbers
+are checked by the rules of :mod:`kramers.special_integrals`.
 """
 
 from __future__ import annotations
@@ -40,10 +47,10 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import SpectralFunction, _KernelTable, _apply_table, standard_grid
-from .quadrature import K_MAX, _log_integral, _tail_guard, integrate_spectral
+from .quadrature import K_MAX, _integrate_spectral_detail, _log_integral, _tail_guard
 # perfbench/tracing.py rebinds these here, though nothing here calls them
 from .kernels import apply_kernel  # noqa: F401
-from .quadrature import _integrate_spectral_detail  # noqa: F401
+from .quadrature import integrate_spectral  # noqa: F401
 from .special_integrals import (
     MomentBatch, SQRT_PI, check_orders, check_wavenumbers, fixed_row, phi0_vec, t_n, t_n_vec,
 )
@@ -92,30 +99,57 @@ def u0() -> float:
     return SQRT_PI / 2.0
 
 
-def _pole_integrand(series: SeriesExpansion, orders, ks):
-    """Family integrand (k1, i, j) -> J^(1)(ks[j], k1) phi_{n-1}(k1) / T_2(k1),
-    n = orders[i], of the B_n (n >= 1) of ``series``: a member's parameters
-    are the indices of its order and wavenumber among the call's distinct
-    ``orders`` and ``ks``.
+def _pole_integrand(phis: tuple, ks: np.ndarray):
+    """Family integrand (k1, i, j) -> w_j(k1) phis[i](k1) / T_2(k1) of the
+    gamma-free parts of the pole residuals (:func:`_pole_parts`): the
+    weight w_j is J_1(ks[j], k1) for j < len(ks) and 1 for j = len(ks).
 
-    Each wavenumber's J_1 row and gamma T_1 are built once per call.  A sweep
-    builds one MomentBatch on the distinct k1 of all its members, contracts
-    it with each row (one matrix-vector product per row, as a scalar call
-    makes) and samples each order's phi_{n-1} and T_2 there; every point then
-    picks its J^(1) and phi by index.  At k = 0 it is the integrand of U_n,
-    which the kernel table integrates.
+    Each wavenumber's J_1 row is built once per call.  A sweep builds one
+    MomentBatch on the distinct k1 of all its members, contracts it with
+    each row (one matrix-vector product per row, as a scalar call makes) and
+    samples each phi and T_2 there; every point then picks its weight and
+    phi by index.
     """
-    gamma, phis = series.gamma, [series.phi_funcs[n - 1] for n in orders]
-    rows = [(gamma * t_n(1, kv), fixed_row(1, kv)) for kv in ks]
+    rows = [fixed_row(1, kv) for kv in ks]
 
     def integrand(k1, i, j):
         keys, inv = np.unique(k1, return_inverse=True)
         batch = MomentBatch(keys)
-        j1 = np.array([t1 + (1.0 - gamma) * batch.against(row) for t1, row in rows])
+        weights = np.array([batch.against(row) for row in rows] + [np.ones(keys.size)])
         phi = np.array([p(batch.k) for p in phis])
-        return j1[j, inv] * phi[i, inv] / batch.t(2)[inv]
+        return weights[j, inv] * phi[i, inv] / batch.t(2)[inv]
 
     return integrand
+
+
+@lru_cache(maxsize=32)
+def _pole_parts(phis: tuple, ks: tuple) -> tuple:
+    """Values and fitted tails of the gamma-free parts of B_n, for each
+    density phi = phi_{n-1} of ``phis`` and wavenumber k of ``ks``:
+
+        I_n(k) = int J_1(k, k1) phi(k1) / T_2(k1) dk1,  C_n = int phi / T_2 dk1,
+
+    each integrated adaptively up to the densities' k_max, unguarded
+    (:func:`pole_residual` guards their combination), all as one family.
+    Returns two read-only ``(len(phis), len(ks) + 1)`` arrays, the values
+    and the tails, with I_n(ks[j]) in column j and C_n in the last.  The
+    key is the densities themselves (compared by identity), so every series
+    that holds them, at any gamma, shares the entry.
+    """
+    columns = len(ks) + 1
+    i, j = np.divmod(np.arange(len(phis) * columns), columns)
+    value, _, tail = _integrate_spectral_detail(
+        _pole_integrand(phis, ks), phis[0].k_max,
+        label=lambda m: (
+            f"pole residual part of {phis[i[m]].label}"
+            + (f" at k={ks[j[m]]:.3g}" if j[m] < len(ks) else "")
+        ),
+        params=(i, j),
+    )
+    parts = value.reshape(-1, columns), tail.reshape(-1, columns)
+    for arr in parts:
+        arr.setflags(write=False)
+    return parts
 
 
 @lru_cache(maxsize=4 * (MAX_ORDER + 1))
@@ -223,38 +257,46 @@ def pole_residual(series: SeriesExpansion, n, k) -> float | np.ndarray:
 
     E_{n-1} being the density at gamma, phi_{n-1}/((1-gamma) T_2).  With
     the correct U_n this scales as k^2 near zero (it equals -E_n(k) L(k));
-    a constant leftover means the pole survived.  The integer orders ``n``
-    in [0, series.order] and wavenumbers ``k`` in [0, K_LIMIT] broadcast
-    together: arrays give an array and scalars a float.  The moments' checks
-    in :mod:`kramers.special_integrals` name the first bad entry of each (True
-    and 1.5 are not orders).  The n = 0 members are closed form; all others are
-    integrated as one family (see :func:`_pole_integrand`), adaptive to
-    the engine's fixed tolerance and ending at the series' own k_max, like
-    the profile layer's, each with the value of its own scalar call.
+    a constant leftover means the pole survived.  By J^(1) = gamma T_1(k) +
+    (1-gamma) J_1(k, k1) it is
+
+        B_n(k) = U_n T_1(k) + (gamma T_1(k) C_n + (1-gamma) I_n(k)) / ((1-gamma) pi)
+
+    with the gamma-free C_n = int phi_{n-1}/T_2 dk1 and I_n(k) = int
+    J_1(k, k1) phi_{n-1}/T_2 dk1, taken from :func:`_pole_parts`, which
+    integrates them once for all series holding the same phi_{n-1}.  The
+    10% tail guard applies to their combination at the series' gamma, as
+    it does to U_n's.  The integer orders ``n`` in [0, series.order] and
+    wavenumbers ``k`` in [0, K_LIMIT] broadcast together: arrays give an
+    array and scalars a float.  The moments' checks in
+    :mod:`kramers.special_integrals` name the first bad entry of each (True
+    and 1.5 are not orders).  The n = 0 members are closed form; the parts
+    of all others are integrated as one family, adaptive to the engine's
+    fixed tolerance and ending at the series' own k_max, like the profile
+    layer's, each with the value of its own scalar call.
     """
     n = check_orders(n, series.order, "pole residual order")
     n, k = np.broadcast_arrays(n, np.asarray(k, dtype=float))
     check_wavenumbers(k)
     orders, ks = n.ravel(), k.ravel()
+    t1 = np.array([t_n(1, kv) for kv in ks.tolist()])
+    out = u0() * t1 - np.array([t_n(2, kv) for kv in ks.tolist()])
     family = np.flatnonzero(orders > 0)
-    # E_{n-1} enters through its pole-free quotient phi_{n-1}/T_2, the same
-    # discretisation that fixed U_n; a resampled density interpolant would
-    # leave a spurious k-independent floor under B_n.
-    integrals = {}
     if family.size:  # B_0 alone needs no integral
+        # E_{n-1} enters through its pole-free quotient phi_{n-1}/T_2, the
+        # same discretisation that fixed U_n; a resampled density interpolant
+        # would leave a spurious k-independent floor under B_n.
         n_set, n_at = np.unique(orders[family], return_inverse=True)
         k_set, k_at = np.unique(ks[family], return_inverse=True)
-        integrals = dict(zip(family.tolist(), integrate_spectral(
-            _pole_integrand(series, n_set.tolist(), k_set), series.phi_funcs[0].k_max,
-            label=lambda j: (
-                f"B_{orders[family[j]]} pole residual at k={ks[family[j]]:.3g}"
-            ),
-            params=(n_at, k_at),
-        )))
-    out, scale = np.empty(orders.size), (1.0 - series.gamma) * np.pi
-    for j, (m, kv) in enumerate(zip(orders.tolist(), ks.tolist())):
-        if m == 0:
-            out[j] = u0() * t_n(1, kv) - t_n(2, kv)
-        else:
-            out[j] = series.u_coeffs[m] * t_n(1, kv) + integrals[j] / scale
+        value, tail = _pole_parts(
+            tuple(series.phi_funcs[m - 1] for m in n_set.tolist()), tuple(k_set.tolist()))
+        a, b = series.gamma * t1[family], 1.0 - series.gamma
+        total = a * value[n_at, -1] + b * value[n_at, k_at]
+        total_tail = a * tail[n_at, -1] + b * tail[n_at, k_at]
+        _tail_guard(
+            total_tail, total - total_tail, series.phi_funcs[0].k_max,
+            lambda j: f"B_{orders[family[j]]} pole residual at k={ks[family[j]]:.3g}",
+        )
+        u_n = np.array(series.u_coeffs)[orders[family]]
+        out[family] = u_n * t1[family] + total / (b * np.pi)
     return float(out[0]) if n.ndim == 0 else out.reshape(n.shape)

@@ -380,8 +380,9 @@ def _integrate_spectral_detail(
     label: str | Callable[[int], str],
     params: tuple = (),
 ) -> tuple:
-    """integrate_spectral returning (value, error estimate, tail part):
-    floats, or one array entry per member of a family."""
+    """integrate_spectral without its tail guard, returning (value, error
+    estimate, tail part): floats, or one array entry per member of a family.
+    A caller that combines members guards the combination instead."""
     check_k_max(k_max)
     # geometric initial partition suits decaying integrands
     pts = [0.0, 0.5, 1.0]
@@ -395,7 +396,7 @@ def _integrate_spectral_detail(
         lambda x: f(x, *values), np.tile(_tail_points(k_max), size),
         label if isinstance(label, str) else lambda i: label(i // 2),
     ).reshape(size, 2)
-    tail = _log_tail(samples.T, k_max, head, label)
+    tail = _log_integral(samples.T, k_max)
     if params:
         return head + tail, err, tail
     return float(head[0] + tail[0]), float(err[0]), float(tail[0])
@@ -422,5 +423,6 @@ def integrate_spectral(
     member j ``label(j)``, and each value equals that of the member's own
     call.
     """
-    value, _, _ = _integrate_spectral_detail(f, k_max, label, params)
+    value, _, tail = _integrate_spectral_detail(f, k_max, label, params)
+    _tail_guard(tail, value - tail, k_max, label)
     return value

@@ -57,13 +57,14 @@ __all__ = [
     "dimensional_slip",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocityProfile:
     """Sampled velocity with its asymptote split off.
 
     ``u_total = u_sl + g_v x + u_continuum`` at every node by construction,
     and must be finite; the continuum part decays to zero away from the wall.
-    The arrays are read-only, and a writable input array is copied, not frozen.
+    The arrays are read-only, and a writable input array is copied, not
+    frozen.  Instances compare and hash by identity.
     """
 
     x_nodes: np.ndarray

@@ -9,8 +9,9 @@ threshold; the CLI renders the results as a pass/fail table.  Groups:
   checks as one each, with the same values as one call per integral.
 * ``constants``   — series coefficients against their reference values.
 * ``pole``        — pole-elimination scaling of the order-n numerators;
-  one ``pole_residual`` call per series, whose n >= 1 members are one
-  adaptive family.
+  one ``pole_residual`` call per series.  The n >= 1 members' gamma-free
+  parts are one adaptive family for both series, integrated on the first
+  call and read from the cache by the second.
 * ``oracle``      — series path against the independent quadrature path.
 
 The adaptive integrals of the first and third groups stop at the engine's

@@ -385,6 +385,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--only", "identities")
         assert code == 0
 
+    def test_pole_group_passes_at_short_range(self, capsys):
+        """At k_max 50 each B_n's gamma combination passes its tail guard,
+        though its constant part alone would not."""
+        code, out, _ = run_cli(capsys, "verify", "--only", "pole", "--kmax", "50")
+        assert code == 0
+        assert out.strip().endswith("6/6 checks passed")
+
     def test_unknown_group_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--only", "nonsense")
         assert code == 2

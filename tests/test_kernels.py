@@ -64,6 +64,13 @@ class TestSpectralFunction:
         with pytest.raises(ValueError):
             f.values[0] = 3.0
 
+    def test_compares_and_hashes_by_identity(self):
+        """Two records on the same nodes raised numpy's ambiguous truth
+        value on ==, and hash() a TypeError."""
+        a, b = phi_seed(), phi_seed()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_read_only_polynomial(self):
         """One quintic per knot interval, whose breakpoints are the nodes."""
         f = phi_seed()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -152,9 +153,11 @@ class TestBuildSeries:
             diag = series.diagnostics[n]
             u_n = series.u_coeffs[n]
             assert diag["order"] == n
-            pole = _pole_integrand(series, [n], np.zeros(1))
-            index = np.zeros(2, dtype=int)  # the one order and wavenumber
-            samples = pole(_tail_points(K_MAX), index, index)
+            pole = _pole_integrand((series.phi_funcs[n - 1],), np.zeros(1))
+            index = np.zeros(2, dtype=int)  # the one density
+            # at both tail points I_n(0), weighted by J_1(0, k1), and C_n
+            i_n, c_n = (pole(_tail_points(K_MAX), index, index + j) for j in (0, 1))
+            samples = gamma * t_n(1, 0.0) * c_n + (1.0 - gamma) * i_n
             tail = _log_tail(samples, K_MAX, 1.0, "tail")[0]
             scale = SQPI * (1.0 - gamma)
             assert diag["u_tail"] == pytest.approx(tail / scale, rel=1e-14)
@@ -350,8 +353,9 @@ class TestGridPartsCache:
     def test_one_module_level_cache(self):
         cached = [name for name, obj in vars(neumann).items()
                   if hasattr(obj, "cache_info")]
-        assert cached == ["_order"]
+        assert sorted(cached) == ["_order", "_pole_parts"]
         assert _order.cache_info().maxsize == 4 * (MAX_ORDER + 1)
+        assert neumann._pole_parts.cache_info().maxsize == 32
 
 
 class TestRecordedSeries:
@@ -429,16 +433,18 @@ class TestPoleResidual:
 
     def test_integrates_to_the_series_k_max(self):
         """B_n integrates to the k_max of the series it checks: at k_max 400
-        it is the integral written out to 400, bit for bit."""
+        it is its gamma-free parts I_n(k) and C_n written out to 400 and
+        combined at the series' gamma, bit for bit."""
         gamma, k = 0.25, 0.3
         series = build_series(gamma, 2, 400.0)
-        pole = _pole_integrand(series, [1, 2], np.array([k]))
         for n in (1, 2):
-            (integral,) = integrate_spectral(
-                pole, 400.0, params=(np.array([n - 1]), np.array([0]))
+            pole = _pole_integrand((series.phi_funcs[n - 1],), np.array([k]))
+            i_n, c_n = integrate_spectral(
+                pole, 400.0, params=(np.zeros(2, dtype=int), np.array([0, 1]))
             )
             expected = (series.u_coeffs[n] * t_n(1, k)
-                        + integral / ((1.0 - gamma) * np.pi))
+                        + (gamma * t_n(1, k) * c_n + (1.0 - gamma) * i_n)
+                        / ((1.0 - gamma) * np.pi))
             assert pole_residual(series, n, k) == expected
 
     @pytest.mark.parametrize("gamma, k_max", [(0.0, K_MAX), (0.25, K_MAX), (0.25, 400.0)])
@@ -472,31 +478,39 @@ class TestPoleResidual:
             pole_residual(series, [1, True], 1e-3)
 
     def test_warm_pole_group_is_one_family_per_series(self, monkeypatch):
-        """A warm pole group makes one pole_residual integral per series and
-        one MomentBatch per sweep: one integral per (n, k) made 12 calls
-        and 7,674 batch rows."""
+        """A cold pole group integrates one family for both series, which
+        share the gamma-free parts of their B_n, on one MomentBatch per
+        sweep; a warm one makes no integral.  Two families, one per series
+        with gamma in the integrand, made 2,074 batch rows; one integral per
+        (n, k) made 12 calls and 7,674 rows."""
         run_checks(only=("pole",))  # fill the T_n cache and the series
         calls, rows = [], []
-        original, init = neumann.integrate_spectral, MomentBatch.__init__
+        original, init = neumann._integrate_spectral_detail, MomentBatch.__init__
 
         def counted_call(*args, **kwargs):
-            calls.append(kwargs["label"])
+            calls.append(kwargs["params"])
             return original(*args, **kwargs)
 
         def counted_batch(batch, k):
             init(batch, k)
             rows.append(len(batch.k))
 
-        monkeypatch.setattr(neumann, "integrate_spectral", counted_call)
+        monkeypatch.setattr(neumann, "_integrate_spectral_detail", counted_call)
         monkeypatch.setattr(MomentBatch, "__init__", counted_batch)
+        neumann._pole_parts.cache_clear()
         assert all(r.passed for r in run_checks(only=("pole",)))
-        assert len(calls) <= 2
-        assert sum(rows) <= 3000
+        # I_n at 3 wavenumbers and C_n for orders 1 and 2: 8 members
+        assert len(calls) == 1 and len(calls[0][0]) == 8
+        assert sum(rows) <= 1800
+        calls.clear(), rows.clear()
+        assert all(r.passed for r in run_checks(only=("pole",)))
+        assert calls == [] and rows == []
 
     def test_warm_pole_group_builds_each_row_once(self, monkeypatch):
-        """A warm pole group builds the J_1 row of each of its 3 wavenumbers
-        once per series, 6 in all, for its 18 integrand evaluations; built
-        again on every sweep, it made 54."""
+        """A cold pole group builds the J_1 row of each of its 3 wavenumbers
+        once, for both series, in 13 integrand evaluations, and a warm one
+        builds none; one family per series built 6 in 18 evaluations, and
+        built again on every sweep, 54."""
         run_checks(only=("pole",))  # fill the T_n cache and the series
         rows, sweeps = [], []
         original, evaluate = neumann.fixed_row, quadrature._eval_batch
@@ -511,9 +525,68 @@ class TestPoleResidual:
 
         monkeypatch.setattr(neumann, "fixed_row", counted_row)
         monkeypatch.setattr(quadrature, "_eval_batch", counted_sweep)
+        neumann._pole_parts.cache_clear()
         assert all(r.passed for r in run_checks(only=("pole",)))
-        assert len(rows) <= 6
-        assert len(sweeps) <= 18
+        assert len(rows) == 3
+        assert len(sweeps) <= 13
+        rows.clear(), sweeps.clear()
+        assert all(r.passed for r in run_checks(only=("pole",)))
+        assert rows == [] and sweeps == []
+
+    def test_cached_parts_do_not_hide_a_wrong_u(self):
+        """A series whose U_1 is 1e-6 off shares the cached gamma-free
+        parts of the series it was copied from, yet its B_1 keeps the
+        constant the wrong U_1 leaves, and fails the k^2 check that the
+        unperturbed series passes."""
+        ks = np.array([1e-3, 2e-3, 4e-3])
+        series = build_series(0.25, 2)
+        u = list(series.u_coeffs)
+        u[1] += 1e-6
+        wrong = dataclasses.replace(series, u_coeffs=tuple(u))
+        neumann._pole_parts.cache_clear()
+        slopes = []
+        for s in (series, wrong):
+            b_1 = np.abs(pole_residual(s, 1, ks))
+            slopes.append(np.polyfit(np.log(ks), np.log(b_1), 1)[0])
+        info = neumann._pole_parts.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert abs(slopes[0] - 2.0) < 0.1
+        assert abs(slopes[1] - 2.0) > 0.1
+
+    def test_threads_share_the_pole_parts(self, series_cache):
+        """Two threads that miss on one key at once get the same values as
+        one thread alone."""
+        ks = np.array([1e-3, 2e-3, 4e-3])
+        both = [series_cache(0.0, 2), series_cache(0.25, 2)]
+        neumann._pole_parts.cache_clear()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda s: pole_residual(s, [[1], [2]], ks), both))
+        neumann._pole_parts.cache_clear()
+        for s, got in zip(both, threaded):
+            np.testing.assert_array_equal(got, pole_residual(s, [[1], [2]], ks))
+
+    def test_pole_parts_are_read_only(self, series_cache):
+        series = series_cache(0.0, 2)
+        pole_residual(series, [1, 2], 1e-3)
+        phis = (series.phi_funcs[0], series.phi_funcs[1])
+        for arr in neumann._pole_parts(phis, (1e-3,)):
+            assert arr.shape == (2, 2)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+
+    def test_short_range_names_u_before_b(self):
+        """At k_max 20 U_2's tail guard fires while the pole group builds
+        its series; at k_max 50 the group passes, though the constant part
+        C_n alone has a dominant tail there: only the gamma combination is
+        guarded."""
+        with pytest.raises(TailEstimateDominatesError) as info:
+            run_checks(20.0, only=("pole",))
+        assert info.value.label == "U_2 pole-elimination integral"
+        assert all(r.passed for r in run_checks(50.0, only=("pole",)))
+        phis = build_series(0.0, 2, 50.0).phi_funcs[:2]
+        value, tail = neumann._pole_parts(phis, (1e-3, 2e-3, 4e-3))
+        c_2, c_2_tail = value[1, -1], tail[1, -1]
+        assert abs(c_2_tail) > 0.1 * abs(c_2 - c_2_tail)
 
     def test_nan_wavenumber_named(self, series_cache):
         for n in (0, 1):

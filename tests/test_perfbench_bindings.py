@@ -37,12 +37,14 @@ def test_worker_cache_statistics_exist():
 
 def test_tracer_counts_real_calls(monkeypatch):
     """The wrapped names keep their call shapes: a series build, a profile,
-    h at mu > 0 and a pole residual run traced and leave non-zero counts.
+    h at mu > 0 and a cold pole residual run traced and leave non-zero
+    counts.
     ``transport.density_points`` stays 0: the transforms sum the densities'
     pieces and evaluate no SpectralFunction."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
+    kramers.neumann._pole_parts.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -99,7 +99,7 @@ PRIVATE_IMPORTS = sorted([
     ("neumann", "kernels", "_apply_table"),
     ("neumann", "quadrature", "_log_integral"),
     ("neumann", "quadrature", "_tail_guard"),
-    ("neumann", "quadrature", "_integrate_spectral_detail"),  # tracer-only
+    ("neumann", "quadrature", "_integrate_spectral_detail"),
     ("transport", "quadrature", "_fit_log_tail"),  # tracer-bound
     ("transport", "quadrature", "_log_tail"),
     ("transport", "quadrature", "_tail_points"),
@@ -123,7 +123,7 @@ def test_private_cross_module_imports_are_pinned():
 TRACER_ONLY = sorted([
     ("kernels", "integrate_spectral"),
     ("neumann", "apply_kernel"),
-    ("neumann", "_integrate_spectral_detail"),
+    ("neumann", "integrate_spectral"),
     ("transport", "integrate_spectral"),
 ])
 

@@ -130,6 +130,15 @@ class TestVelocityProfile:
         assert again.x_nodes is record.x_nodes
         assert again.u_continuum is record.u_continuum
 
+    def test_compares_and_hashes_by_identity(self, series_cache):
+        """Two profiles from the same call raised numpy's ambiguous truth
+        value on ==, and hash() a TypeError."""
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        a, b = (velocity_profile(params, series_cache(0.0, 1), [0.0, 1.0])
+                for _ in range(2))
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_wall_layer_decays(self, series_cache):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
         profile = velocity_profile(params, series_cache(0.0, 2), [0.0, 20.0])
