@@ -1,11 +1,17 @@
 """Independent validation path: direct nested quadrature, no shared machinery.
 
-Everything here is computed with scipy's QUADPACK integrator and inline
-moment quadratures, whose gamma-free values at each wavenumber are computed
-once per process (:func:`_moments`) for ``u1_direct`` at every gamma and for
-``j_constants``, itself computed once per process: no spectral grid, no
+Every wavenumber integral is computed with scipy's QUADPACK integrator, and
+the moments inside it from their own formulas: no spectral grid, no
 interpolation, no code shared with the kernel/series modules beyond the
-problem's formulas.  Every integral
+problem's formulas.  The gamma-free moments at each wavenumber are computed
+once per process (:func:`_moments`) for ``u1_direct`` at every gamma and for
+``j_constants``, itself computed once per process.  ``T_1``, ``T_2`` and
+``T_3`` are exact closed forms in ``E_1`` and ``erfcx`` (Abramowitz & Stegun
+5.1 and 7.1) from ``_K_CLOSED`` up; below it, where those forms cancel, and
+for ``phi_0`` at every k, they are inline QUADPACK moments.  The kernel
+moments ``J_3`` and ``J_5`` are divided differences of the cached ``T_1`` and
+``T_3`` (partial fractions), again with an inline quadrature where the
+difference cancels.  Every integral
 over a wavenumber runs to infinity in three parts: a head in k, a far range
 in s = ln k, where the slow ln(k)/k^p tails become smooth integrands that
 decay exponentially in s, and the exact remainder of a fitted log-power
@@ -21,6 +27,7 @@ import math
 from functools import cache, lru_cache
 
 from scipy.integrate import quad
+from scipy.special import erfcx, exp1
 
 from .quadrature import T_MAX
 from .special_integrals import SQRT_PI
@@ -92,11 +99,57 @@ def _phi0_inline(k: float, t_max: float) -> float:
     return val
 
 
+# Crossover of the closed-form moments.  Against 40-digit values,
+# T_2 = (1 - T_0)/k^2 and T_3 = (1/sqrt(pi) - T_1)/k^2 lose about eps/k^2
+# to cancellation (3e-13 relative at k = 0.04, 6e-14 at 0.1, at most 4e-14
+# from 0.15 up), while the inline moments are within 4e-16 below k = 100.
+# Below about 0.0377, exp(1/k^2) overflows.
+_K_CLOSED = 0.15
+_J_BAND = 0.05    # J_n diagonal band, relative to max(k1^2, k2^2)
+
+
 @lru_cache(maxsize=4096)
 def _moments(k: float) -> tuple[float, float, float, float]:
     """(T_1, T_2, T_3, phi_0) at k; an immutable entry every gamma and thread
-    shares (a race at most computes one k twice)."""
-    return (*(_j_inline(n, k, 0.0, T_MAX) for n in (1, 2, 3)), _phi0_inline(k, T_MAX))
+    shares (a race at most computes one k twice).
+
+    From ``_K_CLOSED`` up, T_1..T_3 are the closed forms of :func:`_t_closed`,
+    which also mend the inline T_3's isolated QUADPACK misses (9e-10
+    relative near k = 1100); below it, where those forms cancel, they are
+    inline quadratures.  phi_0 is an inline quadrature at every k: its form
+    (sqrt(pi)/2) T_3 - T_4 cancels ~k^2 digits, and the pinned U_1 values
+    are those of the inline route.  Every entry holds Python floats, so no
+    scipy scalar leaks into the integrands.
+    """
+    if k >= _K_CLOSED:
+        ts = _t_closed(k)
+    else:
+        ts = tuple(_j_inline(n, k, 0.0, T_MAX) for n in (1, 2, 3))
+    return (*ts, _phi0_inline(k, T_MAX))
+
+
+def _t_closed(k: float) -> tuple[float, float, float]:
+    """(T_1, T_2, T_3) at k in closed form, as Python floats.
+
+    With x = 1/k^2: T_1 = x e^x E_1(x)/sqrt(pi) (A&S 5.1),
+    T_0 = (sqrt(pi)/k) erfcx(1/k) (A&S 7.1), and the moment recurrence
+    T_n + k^2 T_{n+2} = T_n(0) gives T_2 = (1 - T_0) x and
+    T_3 = (1/sqrt(pi) - T_1) x.
+    """
+    x = 1.0 / (k * k)
+    t1 = float(x * math.exp(x) * exp1(x)) / SQRT_PI
+    t0 = float(SQRT_PI / k * erfcx(1.0 / k))
+    return t1, (1.0 - t0) * x, (1.0 / SQRT_PI - t1) * x
+
+
+def _j_pair(n: int, k1: float, k2: float) -> float:
+    """J_n(k1, k2) for n = 3 or 5: the divided difference
+    (T_{n-2}(k2) - T_{n-2}(k1))/(k1^2 - k2^2) of the cached moments, or
+    :func:`_j_inline` where that difference cancels."""
+    a, b = k1 * k1, k2 * k2
+    if abs(a - b) < _J_BAND * max(a, b) or max(k1, k2) < _K_CLOSED:
+        return _j_inline(n, k1, k2, T_MAX)
+    return (_moments(k2)[n - 3] - _moments(k1)[n - 3]) / (a - b)
 
 
 def _log_closure(f, k_top: float, p: int) -> float:
@@ -172,7 +225,8 @@ def j_constants() -> tuple[float, float, float]:
     and so on.  Tensorized adaptive 1-D passes, inner (k2) tolerance ten
     times tighter than the outer; the three outer integrals share the inner
     results through a ``functools.cache`` for the call (values only, no
-    grids), and the moments come from :func:`_moments`.  The result is
+    grids), the moments come from :func:`_moments` and the kernel moments
+    J_3 and J_5 from :func:`_j_pair`.  The result is
     computed once per process: every later call returns the same tuple.
     """
     @cache
@@ -182,12 +236,12 @@ def j_constants() -> tuple[float, float, float]:
 
         def fa(k2: float) -> float:
             t1, t2, _, phi0 = _moments(k2)
-            s1 = _j_inline(3, k1, k2, T_MAX) - SQRT_PI * t3k1 * t1
+            s1 = _j_pair(3, k1, k2) - SQRT_PI * t3k1 * t1
             return s1 * phi0 / t2
 
         def fb(k2: float) -> float:
             _, t2, t3, phi0 = _moments(k2)
-            s2 = _j_inline(5, k1, k2, T_MAX) - SQRT_PI * t3k1 * t3
+            s2 = _j_pair(5, k1, k2) - SQRT_PI * t3k1 * t3
             return k2 * k2 * s2 * phi0 / t2
 
         return tuple(

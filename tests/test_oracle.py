@@ -1,12 +1,16 @@
+import ast
+import inspect
 import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from kramers import oracle
 from kramers.oracle import u1_direct, u2_direct
+from kramers.quadrature import T_MAX
 
 # The oracle's values pinned to 1e-10.  The J constants are those of
 # perfbench/reference.json (the benchmark's verify gate).
@@ -38,6 +42,87 @@ class TestHalfLineIntegral:
         assert value == pytest.approx(expected, abs=1e-9)
 
 
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+class TestIndependence:
+    def test_imports_only_two_constants_from_the_package(self):
+        """The oracle shares no numerical machinery with the main path: of
+        the package it reads only T_MAX and SQRT_PI."""
+        tree = ast.parse(inspect.getsource(oracle))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.startswith("kramers") for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("kramers")
+            ):
+                names.update(a.name for a in node.names)
+        assert names == {"T_MAX", "SQRT_PI"}
+
+
+def _j_misses(pairs):
+    """The (n, k1, k2) at which the routed J_n is off the inline one by more
+    than 1e-11 relative."""
+    return [
+        (n, k1, k2) for k1, k2 in pairs for n in (3, 5)
+        if _rel(oracle._j_pair(n, k1, k2), oracle._j_inline(n, k1, k2, T_MAX)) > 1e-11
+    ]
+
+
+class TestClosedFormMoments:
+    """The closed-form T_n and the partial-fraction J_n checked against the
+    oracle's own inline quadrature, so each route keeps an independent
+    check."""
+
+    def test_closed_forms_match_inline(self):
+        misses = [
+            (n, k)
+            for k in np.geomspace(oracle._K_CLOSED, oracle._K_HIGH, 40).tolist()
+            for n, value in zip((1, 2, 3), oracle._t_closed(k))
+            if _rel(value, oracle._j_inline(n, k, 0.0, T_MAX)) > 1e-13
+        ]
+        assert misses == []
+
+    @pytest.mark.parametrize("factor", [0.9, 1.0 - 1e-12, 1.0, 1.1])
+    def test_routes_agree_across_the_crossover(self, factor):
+        """Both routes agree on either side of the crossover, and _moments
+        takes the closed form from the crossover up."""
+        k = oracle._K_CLOSED * factor
+        closed = oracle._t_closed(k)
+        inline = tuple(oracle._j_inline(n, k, 0.0, T_MAX) for n in (1, 2, 3))
+        for a, b in zip(closed, inline):
+            assert _rel(a, b) <= 1e-13
+        assert oracle._moments(k)[:3] == (closed if factor >= 1.0 else inline)
+
+    def test_partial_fractions_off_diagonal(self):
+        """The inline reference has isolated misses of its own: against
+        30-digit values it puts J_5(0.2, 100) 1.1e-11 and J_5(55.7, 0.41)
+        1.5e-10 off, where the divided difference is within 1e-15."""
+        pairs = [(k1, k2) for k1 in (0.2, 0.5, 1.0, 3.0, 10.0, 40.0, 120.0, 1e3)
+                 for k2 in (1e-3, 0.05, 0.3, 2.0, 15.0, 120.0)]
+        assert _j_misses(pairs) == []
+
+    def test_partial_fractions_just_outside_the_band(self):
+        """k2^2 = (1 - band) k1^2, nudged out of the band, either way round:
+        where the divided difference cancels most."""
+        shrink = math.sqrt(1.0 - oracle._J_BAND * (1.0 + 1e-6))
+        pairs = [pair for k in np.geomspace(0.16, 120.0, 12).tolist()
+                 for pair in ((k, k * shrink), (k * shrink, k))]
+        assert _j_misses(pairs) == []
+
+    def test_diagonal_band(self):
+        """Inside the band, down to k1 = k2, J_n is an inline quadrature."""
+        pairs = [(k, k * f) for k in (0.2, 1.0, 30.0) for f in (1.0, 1.0 + 1e-8, 1.01)]
+        assert _j_misses(pairs) == []
+
+    def test_small_pairs(self):
+        """Below the crossover on both sides the divided difference would
+        lose ~1/k^2 digits; those pairs stay inline quadratures."""
+        assert _j_misses([(1e-4, 3e-4), (1e-3, 0.1), (0.01, 0.14)]) == []
+
+
 class TestPinnedValues:
     @pytest.mark.parametrize("gamma", sorted(PINNED_U1))
     def test_u1(self, gamma):
@@ -63,6 +148,13 @@ class TestMomentCache:
 
     def test_cache_is_bounded(self):
         assert oracle._moments.cache_info().maxsize is not None
+
+    def test_values_are_python_floats(self, oracle_j):
+        """No scipy scalar leaks into the cache or the results."""
+        for k in (0.01, oracle._K_CLOSED, 3.0):
+            assert [type(v) for v in oracle._moments(k)] == [float] * 4
+        assert type(u1_direct(0.25)) is float
+        assert [type(v) for v in oracle_j] == [float] * 3
 
     def test_threads_agree(self):
         """Threads that fill the cold cache at once get the same floats as a
@@ -108,23 +200,24 @@ class TestJConstants:
     def test_kernel_structure_identity(self, oracle_j):
         """The moment recurrences force S_2 = -S_1/k^2, hence J_2 = -(J_0+J_1).
 
-        An exact consequence of the kernel's definitions, reproduced here by
-        three independent double integrals that share no algebra.
+        Off the diagonal band the partial-fraction J_3 and J_5 obey that
+        recurrence by construction, so this checks how J_0..J_2 are
+        assembled from the shared inner integrals A and B.
         """
         j0, j1, j2 = oracle_j
         assert j2 == pytest.approx(-(j0 + j1), abs=1e-5)
 
     def test_computed_once_per_process(self, oracle_j, monkeypatch):
         """A second call returns the first call's tuple and integrates
-        nothing: no inner J_n double integral runs again."""
+        nothing: no QUADPACK call runs again."""
         calls = []
-        inline = oracle._j_inline
+        quad = oracle.quad
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return inline(*args)
+            return quad(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "_j_inline", counted)
+        monkeypatch.setattr(oracle, "quad", counted)
         assert oracle.j_constants() is oracle_j
         assert calls == []
         assert oracle.j_constants.cache_info().maxsize == 1
