@@ -19,20 +19,25 @@ sum (numerical steepest descent), from k_max where x1 k_max >= 40 and past
 a short Gauss-Legendre stretch nearer the wall.  One transform call covers
 any number of coordinates, and its rows are fixed by mu: the cosine
 transform alone for U_c, or, given mu, the cosine, damped cosine and damped
-k-sine transforms of h(x1, mu).  The polynomial pieces, their moment tables
-and the tail fit are made once per call, and the coordinates then go
-through one vectorised pass, in bounded chunks.  So velocity_profile makes
-one call for all its nodes, and distribution_function takes one coordinate
-or an array of them.  The k-integrals of the source bracket of h are the
-plain and damped cosine transforms at 0 of sum_{n<N} q^n E_n, a second row
-of weights in the same call.  Nothing here integrates adaptively.
+k-sine transforms of h(x1, mu).  Everything that does not depend on the
+coordinates (the summed pieces, their moment tables, the tail fit and the
+transforms at x1 = 0) is planned once per densities, weights and mu and
+kept in a bounded cache (_plan), so a call pays only for its coordinates,
+which go through one vectorised pass, in bounded chunks.  So
+velocity_profile makes one call for all its nodes, and distribution_function
+takes one coordinate or an array of them.  The k-integrals of the source
+bracket of h are the plain and damped cosine transforms at 0 of
+sum_{n<N} q^n E_n, a second row of weights in the same plan.  Nothing here
+integrates adaptively.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -40,7 +45,7 @@ from scipy.interpolate import PPoly
 
 from .kernels import SpectralFunction
 from .neumann import SeriesExpansion, u0
-from .quadrature import _fit_log_tail, _log_tail, _tail_points
+from .quadrature import _fit_log_tail, _log_integral, _tail_guard, _tail_points
 # perfbench/tracing.py rebinds integrate_spectral here, though nothing here
 # calls it; the import goes once the tracer tolerates absent names (ROADMAP)
 from .quadrature import integrate_spectral  # noqa: F401
@@ -260,12 +265,17 @@ _LAGUERRE_T, _LAGUERRE_W = np.polynomial.laguerre.laggauss(16)
 _CONTOUR_MIN_PHASE = 40.0
 
 
-def check_mu(mu: float) -> None:
-    """Reject, by name, a velocity outside the domain of h(x1, mu)."""
+def check_mu(mu: float) -> float:
+    """``mu`` as a float, once it is one velocity in the domain of
+    h(x1, mu); anything else is rejected by name."""
+    if np.ndim(mu):
+        raise ValueError(f"mu must be one velocity, got an array of shape {np.shape(mu)}")
+    mu = float(mu)
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
     if abs(mu) > MU_MAX:
         raise ValueError(f"mu must lie in [-{MU_MAX:g}, {MU_MAX:g}], got {mu:g}")
+    return mu
 
 
 def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -279,20 +289,21 @@ def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _head_pieces(
     nodes: np.ndarray, c: np.ndarray, mu: float | None = None
-) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Heads on every knot interval below k_max: of the cosine transform
     alone when ``mu`` is None, else of the cosine, damped cosine and damped
     k-sine transforms (the rows of :func:`_osc_transform`).
 
-    Returns ``(heads, integrals)`` of the densities whose quintic pieces on
+    Returns ``(tables, integrals)`` of the densities whose quintic pieces on
     ``nodes`` are ``c`` [power, density, knot interval], each as in
-    ``SpectralFunction.c``.  ``heads`` maps an array of coordinates to the
-    heads [row, coordinate, knot interval] of the first density;
-    ``integrals`` [row, density] holds the heads at x = 0, summed over the
-    intervals, of every density (0 for the k-sine row).  On each knot
-    interval the pieces of the densities are evaluated at 14 Chebyshev
-    points straight from their local coefficients and multiplied there by
-    the row's factor: 1, the damping, or k times the damping.  The
+    ``SpectralFunction.c``.  ``tables`` are the first density's moment
+    tables, from which :func:`_heads` makes its heads [row, coordinate,
+    knot interval] at any coordinates; ``integrals`` [row, density] holds
+    the heads at x = 0, summed over the intervals, of every density (0 for
+    the k-sine row).  On each knot interval the pieces of the densities are
+    evaluated at 14 Chebyshev points straight from their local coefficients
+    and multiplied there by the row's factor: 1, the damping, or k times
+    the damping.  The
     interpolant of these values gives the Chebyshev coefficients e_n of the
     integrand P(k), to degree 13, but only e_0..e_5 in the cosine row, where
     P is the quintic piece itself (so that row has the same bits with and
@@ -337,31 +348,34 @@ def _head_pieces(
     coeffs = coeffs.reshape(size, rows, densities, -1)[:, :, 0].reshape(size, -1)
     closed = (_HORNER[:size // 2, :, :size] @ coeffs).reshape(size // 2, 4, rows, -1)
     taylor = (_TAYLOR[:, :, :size] @ coeffs).reshape(_TAYLOR.shape[0], 2, rows, -1)
+    return (r, mid, closed, taylor), integrals
 
-    def heads(x: np.ndarray) -> np.ndarray:
-        omega = x[:, None] * r
-        small = omega < _CLOSED_FORM_MIN_OMEGA
-        real = imag = 0.0
-        if not small.all():
-            inverse = 1.0 / np.where(small, 1.0, omega)
-            r_minus, r_plus, i_plus, i_minus = _horner(closed, inverse * inverse)
-            cos_w, sin_w = np.cos(omega), np.sin(omega)
-            real = inverse * (cos_w * r_minus * inverse - sin_w * i_plus)
-            imag = inverse * (sin_w * r_plus * inverse + cos_w * i_minus)
-        if small.any():
-            # only the small pairs are kept; the rest would overflow w^2
-            w = np.where(small, omega, 0.0)
-            even, odd = _horner(taylor, w * w)
-            real = np.where(small, even, real)
-            imag = np.where(small, w * odd, imag)
-        theta = x[:, None] * mid
-        cos_m, sin_m = np.cos(theta), np.sin(theta)
-        pieces = cos_m * real - sin_m * imag
-        # the k-sine row takes the imaginary part
-        pieces[2:] = sin_m * real[2:] + cos_m * imag[2:]
-        return r * pieces
 
-    return heads, integrals
+def _heads(tables: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """Heads [row, coordinate, knot interval] at coordinates ``x`` from the
+    moment ``tables`` of :func:`_head_pieces`."""
+    r, mid, closed, taylor = tables
+    omega = x[:, None] * r
+    small = omega < _CLOSED_FORM_MIN_OMEGA
+    real = imag = 0.0
+    if not small.all():
+        inverse = 1.0 / np.where(small, 1.0, omega)
+        r_minus, r_plus, i_plus, i_minus = _horner(closed, inverse * inverse)
+        cos_w, sin_w = np.cos(omega), np.sin(omega)
+        real = inverse * (cos_w * r_minus * inverse - sin_w * i_plus)
+        imag = inverse * (sin_w * r_plus * inverse + cos_w * i_minus)
+    if small.any():
+        # only the small pairs are kept; the rest would overflow w^2
+        w = np.where(small, omega, 0.0)
+        even, odd = _horner(taylor, w * w)
+        real = np.where(small, even, real)
+        imag = np.where(small, w * odd, imag)
+    theta = x[:, None] * mid
+    cos_m, sin_m = np.cos(theta), np.sin(theta)
+    pieces = cos_m * real - sin_m * imag
+    # the k-sine row takes the imaginary part
+    pieces[2:] = sin_m * real[2:] + cos_m * imag[2:]
+    return r * pieces
 
 
 def _amplitudes(
@@ -450,6 +464,54 @@ def _tail_pieces(
     return tails
 
 
+class _Plan(NamedTuple):
+    """What a transform keeps of its densities, weights and mu (see
+    :func:`_plan`); every array is read-only."""
+
+    tables: tuple[np.ndarray, ...]  # the first D's moment tables (_head_pieces)
+    fit: tuple[float, float]  # (alpha, beta) of the first D's tail model
+    heads: np.ndarray  # [row, D]: the heads at x = 0 (0 in the k-sine row)
+    tails: np.ndarray  # [cosine row, D]: the fitted tails at x = 0, unguarded
+
+
+@lru_cache(maxsize=32)
+def _plan(densities: tuple, weights: tuple, mu: float | None) -> _Plan:
+    """The coordinate-free part of :func:`_osc_transform`, made once per
+    key: the series' own densities (compared by identity, so the series at
+    every gamma that hold them share an entry), the weight rows as tuples
+    of floats and mu as a float or None.
+
+    Checks that the densities share one grid, sums each row's density D
+    from their pieces, and keeps the first D's moment tables and tail fit
+    and every D's heads and fitted tails at x = 0.  The tails are
+    unguarded: each call guards the ones it reads.
+    """
+    nodes = densities[0].nodes
+    for d in densities[1:]:
+        if d.nodes is not nodes and not np.array_equal(d.nodes, nodes):
+            raise ValueError(f"{d.label} and {densities[0].label} differ in grid")
+    # [power, D, knot interval]
+    c = np.stack([sum(w * d.c for w, d in zip(row, densities)) for row in weights], 1)
+    k_max = densities[0].k_max
+    tables, heads = _head_pieces(nodes, c, mu)
+    # [point, D]: each D at any k in [0, k_max]
+    sums = PPoly.construct_fast(c.transpose(0, 2, 1), nodes)
+    fit = _fit_log_tail(lambda k: sums(k)[:, 0], k_max,
+                        f"transform tail fit at k_max={k_max:g}")
+    # The model is fitted to the integrand, damping included, although a
+    # damped integrand decays like /k^4: the known x1 = 0 defect (ROADMAP),
+    # kept until the profile references are re-pinned.
+    k_tail = _tail_points(k_max)
+    samples = sums(k_tail)
+    if mu is not None:
+        damp = (1.0 / (1.0 + (k_tail * mu) ** 2))[:, None]
+        samples = np.concatenate([samples, samples * damp], axis=1)
+    tails = _log_integral(samples, k_max).reshape(-1, len(weights))
+    for arr in (*tables, heads, tails):
+        arr.setflags(write=False)
+    return _Plan(tables, fit, heads, tails)
+
+
 def _osc_transform(
     densities: Sequence[SpectralFunction],
     weights: Sequence[Sequence[float]],
@@ -468,68 +530,55 @@ def _osc_transform(
     distribution-function integrands).  ``values`` [row, coordinate] holds the
     transforms of the first D at every x (>= 0: the public callers reject
     negative coordinates first), and ``wall`` [row, D] those at x = 0 of every
-    further D (the source bracket of h), from the same pass.  At every x the
-    head on [0, k_max] is integrated exactly, knot interval by knot interval,
-    from the pieces, at a cost that does not grow with x.  The pieces, their
-    moment tables (:func:`_head_pieces`) and the tail fit are made once per
-    call; the coordinates x > 0 are then taken in chunks of _X_CHUNK, each in
-    one vectorised pass (the heads and :func:`_tail_pieces`).  Past k_max each
-    transform continues the (a + b ln k)/k^2 model fitted to D at the tail
-    points (one ``PPoly`` on the pieces): at x > 0 as a Gauss-Laguerre sum on
-    the contour turned up from k_max (nearer the wall, past a Gauss-Legendre
-    stretch), and at x = 0 as its exact integral, under the 10% tail guard of
-    :mod:`kramers.quadrature`; the k-sine transform vanishes at x = 0.
-    Coordinates with x k_max below ``_WALL_OMEGA`` (machine epsilon; x < 2.8e-19
-    at k_max = 800) take the x = 0 value.  ``label`` is formatted with ``x=``
-    the coordinate an error is raised at.
+    further D (the source bracket of h).  At every x the head on [0, k_max] is
+    integrated exactly, knot interval by knot interval, from the pieces, at a
+    cost that does not grow with x.  Past k_max each transform continues the
+    (a + b ln k)/k^2 model fitted to D at the tail points: at x > 0 as a
+    Gauss-Laguerre sum on the contour turned up from k_max (nearer the wall,
+    past a Gauss-Legendre stretch), and at x = 0 as its exact integral; the
+    k-sine transform vanishes at x = 0.  Everything that does not depend on
+    x (the summed pieces, their moment tables, the tail fit and the
+    transforms at x = 0) comes from :func:`_plan`, made once per (densities,
+    weights, mu); a call then takes the coordinates x > 0 in chunks of
+    _X_CHUNK, each in one vectorised pass (:func:`_heads` and
+    :func:`_tail_pieces`), and puts the x = 0 tails it reads, the first D's
+    when a coordinate is at the wall and every further D's, under the 10%
+    tail guard of :mod:`kramers.quadrature`.  Coordinates with x k_max below
+    ``_WALL_OMEGA`` (machine epsilon; x < 2.8e-19 at k_max = 800) take the
+    x = 0 value.  ``label`` is formatted with ``x=`` the coordinate an error
+    is raised at.
     """
-    nodes = densities[0].nodes
-    for d in densities[1:]:
-        if d.nodes is not nodes and not np.array_equal(d.nodes, nodes):
-            raise ValueError(f"{d.label} and {densities[0].label} differ in grid")
-    # [power, D, knot interval]
-    c = np.stack([sum(w * d.c for w, d in zip(row, densities)) for row in weights], 1)
+    plan = _plan(tuple(densities), tuple(tuple(map(float, row)) for row in weights), mu)
     x = np.asarray(x, dtype=float)
     k_max = densities[0].k_max
     if not math.isfinite(float(x.max(initial=0.0)) * k_max):
         at = next(v for v in map(float, x) if not math.isfinite(v * k_max))
         raise ValueError(f"{label.format(x=at)}: x * k_max overflows at x={at:g}")
     x = np.where(x * k_max < _WALL_OMEGA, 0.0, x)
-    heads, integrals = _head_pieces(nodes, c, mu)
-    # [point, D]: each D at any k in [0, k_max]
-    sums = PPoly.construct_fast(c.transpose(0, 2, 1), nodes)
     positive = x > 0.0
-    values = np.empty((len(integrals), x.size))
+    values = np.empty((len(plan.heads), x.size))
     if positive.any():
         # continue the fitted density model beyond k_max
         far = x[positive]
-        alpha, beta = _fit_log_tail(
-            lambda k: sums(k)[:, 0], k_max, label.format(x=far[0]))
         values[:, positive] = np.concatenate([
-            heads(chunk).sum(axis=-1) + _tail_pieces(alpha, beta, chunk, mu, k_max)
+            _heads(plan.tables, chunk).sum(axis=-1)
+            + _tail_pieces(*plan.fit, chunk, mu, k_max)
             for chunk in np.split(far, range(_X_CHUNK, far.size, _X_CHUNK))
         ], axis=1)
-    # each D transformed at x = 0, where the k-sine transforms vanish and
-    # the cosine ones get the tail: the first at wall coordinates, and every
-    # further one
+    # the transforms at x = 0 that are read: the first D's at wall
+    # coordinates, and every further one's
+    cosines = len(plan.tails)
     members = list(range(1 if positive.all() else 0, len(weights)))
     if members:
-        # The model is fitted to the integrand, damping included, although
-        # a damped integrand decays like /k^4: the known x1 = 0 defect
-        # (ROADMAP), kept until the profile references are re-pinned.
-        k_tail = _tail_points(k_max)
-        samples = sums(k_tail)[:, members]
-        if mu is not None:
-            damp = (1.0 / (1.0 + (k_tail * mu) ** 2))[:, None]
-            samples = np.concatenate([samples, samples * damp], axis=1)
-        cosines = 1 if mu is None else 2
-        integrals[:cosines, members] += _log_tail(
-            samples, k_max, integrals[:cosines, members].ravel(),
+        _tail_guard(
+            plan.tails[:, members].ravel(), plan.heads[:cosines, members].ravel(), k_max,
             lambda i: (label.format(x=0.0) if members[i % len(members)] == 0
                        else f"source bracket at mu={mu:.4g}"),
-        ).reshape(cosines, -1)
-    values[:, ~positive] = integrals[:, :1]
-    return values, integrals[:, 1:]
+        )
+    wall = plan.heads.copy()
+    wall[:cosines] += plan.tails
+    values[:, ~positive] = wall[:, :1]
+    return values, wall[:, 1:]
 
 
 def velocity_profile(
@@ -570,19 +619,19 @@ def distribution_function(
     R_q(mu) e^{-x1/mu} for mu > 0 (zero for mu < 0); the density part is
     carried by the cosine and k-sine transforms of E_q at x1.  The integral
     in R_q is the plain and damped cosine transform at x = 0 of
-    sum_{n<N} q^n E_n, so it does not depend on x1: it comes once per call,
-    from the same transform pass as the rest (the ``wall`` of
-    :func:`_osc_transform`).  Both parts carry G_v (1-gamma) (2-q), which
-    the density at gamma, E_n/(1-gamma), cancels in the transforms; only
-    R_q's integral divides by 1-gamma.  ``x1`` is a coordinate (giving a float) or an array of them
+    sum_{n<N} q^n E_n, so it does not depend on x1: it comes from the same
+    transform plan as the rest (the ``wall`` of :func:`_osc_transform`).
+    Both parts carry G_v (1-gamma) (2-q), which the density at gamma,
+    E_n/(1-gamma), cancels in the transforms; only R_q's integral divides
+    by 1-gamma.  ``x1`` is a coordinate (giving a float) or an array of them
     (giving an array of that shape, from one transform pass).  Non-finite
-    x1 and |mu| > 10 are rejected.
+    x1, an array mu and |mu| > 10 are rejected.
     """
     _check_pair(params, series)
     x = np.asarray(x1, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"x1 must be finite, got {x1}")
-    check_mu(mu)
+    mu = check_mu(mu)
     if (x < 0.0).any():
         raise ValueError("x1 must be >= 0 (profiles live in the half-space)")
     gamma, q, g_v = params.gamma, params.q, params.g_v

@@ -85,3 +85,26 @@ def test_tracer_counts_cold_oracle_quadrature(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.counts["oracle.quad_calls"] > 0
+
+
+def test_tracer_counts_cold_plan_fit_only(monkeypatch):
+    """The transform plan calls its tail fit through ``transport``'s
+    tracer-bound ``_fit_log_tail``: a traced cold transform counts it as a
+    quadrature call, and a warm repeat, reading the cached plan, adds none."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    series = kramers.neumann.build_series(0.25, 2)
+    params = GasParameters(gamma=0.25, q=0.9)
+    kramers.transport._plan.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        calls = []
+        for _ in range(2):
+            with tracer.root(0):
+                kramers.transport.distribution_function(params, series, [0.0, 3.0], 0.5)
+            calls.append(tracer.counts["quadrature.calls"])
+    finally:
+        tracer.uninstall()
+    assert calls[0] > 0 and calls[1] == calls[0]

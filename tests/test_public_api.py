@@ -101,7 +101,8 @@ PRIVATE_IMPORTS = sorted([
     ("neumann", "quadrature", "_tail_guard"),
     ("neumann", "quadrature", "_integrate_spectral_detail"),
     ("transport", "quadrature", "_fit_log_tail"),  # tracer-bound
-    ("transport", "quadrature", "_log_tail"),
+    ("transport", "quadrature", "_log_integral"),
+    ("transport", "quadrature", "_tail_guard"),
     ("transport", "quadrature", "_tail_points"),
 ])
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -308,6 +309,7 @@ class TestCombinedDensity:
             return fit(f, k_max, label)
 
         monkeypatch.setattr(transport, "_fit_log_tail", captured)
+        transport._plan.cache_clear()
         for top in (4, 3):
             weights = [0.9**n for n in range(top + 1)]
             transport._osc_transform(series.e_funcs, [weights], np.array([1.0]))
@@ -352,7 +354,7 @@ class TestClosedFormHead:
         resolve the damping width 1/|mu| on the first knot interval (0.032
         wide) at every x, x = 680 included.
         """
-        from kramers.transport import _head_pieces
+        from kramers.transport import _head_pieces, _heads
 
         _, density = e_q(series_cache(0.0, 2), 0.8)
 
@@ -361,8 +363,8 @@ class TestClosedFormHead:
 
         for mu in (0.25, 2.0, -1.0, 10.0, -10.0):
             lo, hi = density.x[:-1], density.x[1:]
-            heads = _head_pieces(density.x, density.c[:, None], mu)[0](
-                np.array([x]))[:, 0]
+            heads = _heads(_head_pieces(density.x, density.c[:, None], mu)[0],
+                           np.array([x]))[:, 0]
             assert lo[0] == 0.0 and hi[-1] == K_MAX
 
             def damp(k):
@@ -683,6 +685,30 @@ class TestDistributionFunction:
         with pytest.raises(ValueError, match=r"mu must lie in \[-10, 10\]"):
             distribution_function(params, series_cache(0.0, 1), 1.0, mu)
 
+    @pytest.mark.parametrize("mu", [[0.5, 1.0], np.array([0.5, 1.0]), np.ones((1, 1))])
+    def test_velocity_array_rejected(self, series_cache, mu):
+        """An array mu raised an unnamed TypeError from math.isfinite."""
+        params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
+        shape = re.escape(str(np.shape(mu)))
+        with pytest.raises(ValueError, match=f"mu must be one velocity, got an array "
+                                             f"of shape {shape}"):
+            distribution_function(params, series_cache(0.0, 1), 1.0, mu)
+
+    @pytest.mark.parametrize("mu", [np.array(0.5), np.float64(0.5), np.float32(0.5)])
+    def test_numpy_velocity_is_a_float(self, series_cache, mu):
+        """A 0-d array or numpy scalar mu gives the float mu's bits and
+        reads its cached plan (an array key would be unhashable)."""
+        import kramers.transport as transport
+
+        assert type(transport.check_mu(mu)) is float
+        params = GasParameters(gamma=0.25, q=0.9)
+        series = series_cache(0.25, 2)
+        expected = distribution_function(params, series, [0.0, 2.0], 0.5)
+        hits = transport._plan.cache_info().hits
+        np.testing.assert_array_equal(
+            distribution_function(params, series, [0.0, 2.0], mu), expected)
+        assert transport._plan.cache_info().hits == hits + 1
+
     @pytest.mark.parametrize("mu", [10.0, -10.0])
     def test_velocity_bound_allowed(self, series_cache, mu):
         params = GasParameters(gamma=0.0, q=1.0, g_v=1.0)
@@ -764,9 +790,11 @@ class TestBatchedCoordinates:
         for chunked, expected in zip(run(), whole):
             np.testing.assert_allclose(chunked, expected, rtol=0, atol=1e-15)
 
-    def test_one_tail_fit_per_call(self, series_cache, monkeypatch):
-        """Each call makes one pass: its head pieces once and its tail fit
-        once, h at mu > 0 too (its source bracket made a second pass)."""
+    def test_one_tail_fit_per_plan(self, series_cache, monkeypatch):
+        """Each (densities, weights, mu) is planned once: its head pieces
+        and its tail fit once, h at mu > 0 with its source bracket as a
+        second row of the same plan; a warm repeat, at any coordinates,
+        makes neither, and h at mu = 0 reads the profile's plan."""
         import kramers.transport as transport
 
         series = series_cache(0.25, 4)
@@ -783,17 +811,111 @@ class TestBatchedCoordinates:
 
         monkeypatch.setattr(transport, "_fit_log_tail", counted)
         monkeypatch.setattr(transport, "_head_pieces", counted_pieces)
+        transport._plan.cache_clear()
         x = np.linspace(0.0, 30.0, 301)
-        velocity_profile(self.PARAMS, series, x)
-        distribution_function(self.PARAMS, series, x, 0.5)
-        assert labels == ["U_c cosine transform at x1=0.1",
-                          "h_c transforms at x1=0.1, mu=0.5"]
+        for _ in range(2):
+            velocity_profile(self.PARAMS, series, x)
+            distribution_function(self.PARAMS, series, x, 0.5)
+        assert labels == ["transform tail fit at k_max=800"] * 2
         assert stacks == [1, 2]
-        for mu, stacked in ((0.5, 2), (-0.5, 1), (0.0, 1)):
+        for mu, stacked in ((-0.5, [1]), (0.5, []), (0.0, [])):
             labels.clear(), stacks.clear()
             distribution_function(self.PARAMS, series, 7.0, mu)
-            assert labels == [f"h_c transforms at x1=7, mu={mu:.4g}"]
-            assert stacks == [stacked]
+            distribution_function(self.PARAMS, series, [0.0, 7.0], mu)
+            assert stacks == stacked and len(labels) == len(stacked)
+
+
+class TestPlan:
+    """The coordinate-free part of a transform, cached per (densities,
+    weights, mu): a warm call gives its cold call's bits."""
+
+    PARAMS = GasParameters(gamma=0.25, q=0.9)
+    X1 = [0.0, 1e-3, 0.3, 7.0, 39.0, 600.0]
+
+    @pytest.mark.parametrize("chunk", [128, 3])
+    @pytest.mark.parametrize("x1", [2.5, X1], ids=["scalar", "array"])
+    @pytest.mark.parametrize("mu", [None, 0.5, -0.5])
+    def test_warm_calls_repeat_cold_bits(self, series_cache, monkeypatch, chunk, x1, mu):
+        import kramers.transport as transport
+
+        series = series_cache(0.25, 4)
+        monkeypatch.setattr(transport, "_X_CHUNK", chunk)
+
+        def run():
+            if mu is None:
+                return velocity_profile(self.PARAMS, series, x1).u_continuum
+            return distribution_function(self.PARAMS, series, x1, mu)
+
+        transport._plan.cache_clear()
+        cold = run()
+        hits = transport._plan.cache_info().hits
+        np.testing.assert_array_equal(run(), cold)
+        assert transport._plan.cache_info().hits == hits + 1
+
+    def test_arrays_are_read_only(self, series_cache):
+        import kramers.transport as transport
+
+        series = series_cache(0.25, 2)
+        weights = tuple(self.PARAMS.q**n for n in range(3))
+        plan = transport._plan(tuple(series.e_funcs), (weights, weights[:-1]), 0.5)
+        arrays = [*plan.tables, plan.heads, plan.tails]
+        assert plan.heads.shape == (3, 2) and plan.tails.shape == (2, 2)
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 1.0
+
+    def test_series_at_every_gamma_share_an_entry(self):
+        """The densities are the series' own gamma-free E_n, so gamma 0 and
+        0.25 at the same q and mu read one plan."""
+        import kramers.transport as transport
+        from kramers.neumann import build_series
+
+        series = [build_series(gamma, 3) for gamma in (0.0, 0.25)]
+        assert series[0].e_funcs == series[1].e_funcs
+        transport._plan.cache_clear()
+        for s in series:
+            params = GasParameters(gamma=s.gamma, q=0.9)
+            distribution_function(params, s, 2.0, -0.5)
+        info = transport._plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_guard_fires_cold_and_warm(self):
+        """A density whose tail past k_max outweighs its head: at x1 = 0
+        the 10% guard fires on every call, cold or warm, and a profile
+        with every x1 > 0 reads no x = 0 tail.  At mu > 0 the source
+        bracket's tail is read at any x1."""
+        import kramers.transport as transport
+        from kramers.kernels import standard_grid
+        from kramers.neumann import SeriesExpansion, u0
+        from kramers.quadrature import TailEstimateDominatesError
+
+        k = standard_grid()
+        # int_0^inf (k^2 - 1)/(1 + k^2)^2 dk = 0: the head is -1/k_max
+        heavy = SpectralFunction(nodes=k, values=(k**2 - 1.0) / (1.0 + k**2) ** 2,
+                                 label="E_0")
+        series = SeriesExpansion(
+            gamma=0.0, order=1, u_coeffs=(u0(), 0.0), phi_funcs=(heavy, heavy),
+            e_funcs=(heavy, heavy), diagnostics=({"order": 0, "u_tail": 0.0},) * 2,
+        )
+        params = GasParameters(gamma=0.0, q=0.5)
+        transport._plan.cache_clear()
+        for _ in range(2):
+            with pytest.raises(TailEstimateDominatesError) as err:
+                velocity_profile(params, series, [1.0, 0.0])
+            assert err.value.label == "U_c cosine transform at x1=0"
+            velocity_profile(params, series, [1.0, 2.0])
+            with pytest.raises(TailEstimateDominatesError) as err:
+                distribution_function(params, series, 1.0, 0.5)
+            assert err.value.label == "source bracket at mu=0.5"
+            distribution_function(params, series, 1.0, -0.5)
+
+    def test_one_module_level_cache(self):
+        import kramers.transport as transport
+
+        cached = [name for name, obj in vars(transport).items()
+                  if hasattr(obj, "cache_info")]
+        assert cached == ["_plan"]
+        assert transport._plan.cache_info().maxsize == 32
 
 
 class TestPhysicalConversions:
