@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -230,7 +231,9 @@ def _add_gas(parser: argparse.ArgumentParser) -> None:
                         help="highest series order (0..4)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: handlers are bound when built."""
     parser = argparse.ArgumentParser(
         prog="kramers",
         description=(

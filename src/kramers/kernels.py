@@ -11,9 +11,9 @@ The collapse is exact: the moment recurrences give J^(m)(k, k1) =
 gamma T_m(k) + (1 - gamma) J_m(k, k1) (see :mod:`kramers.special_integrals`),
 and with sqrt(pi) T_1(0) = 1 the gamma T_3(k) parts of the two terms cancel.
 It is the README's identity S_2 = -S_1/k1^2 for the density term of
-S = S_1 + gamma k1^2 S_2.  The scalar reference
-:func:`kramers.special_integrals.j_m` keeps the (1 + gamma k1^2 t^2) weight,
-so the dual-route check still tests the identity.
+S = S_1 + gamma k1^2 S_2.  The dual-route check of ``verify`` builds S from
+the graded J^(m) = J_m + gamma k1^2 J_{m+2}, with the gamma terms kept, and
+compares it with :func:`s_kernel`, so it still tests the identity.
 
 Applying the operator means sampling
 
@@ -156,14 +156,16 @@ def s_kernel(k, k1, gamma) -> float | np.ndarray:
     """Kernel value S(k, k1) = (1 - gamma) S_1(k, k1) (adaptive path).
 
     ``k``, ``k1`` and ``gamma`` broadcast together: arrays give an array,
-    whose J_3 values are integrated as one family, and scalars a float.
+    whose J_3 values are integrated as one family, one member per distinct
+    (k, k1), and scalars a float.
     """
     check_gamma(gamma)
-    j3 = j_n(3, k, k1)
     k, k1, gamma = np.broadcast_arrays(k, k1, gamma)
-    t3 = np.reshape([t_n(3, a) for a in k.flat], k.shape)
-    t1 = np.reshape([t_n(1, b) for b in k1.flat], k.shape)
-    s = (1.0 - gamma) * (j3 - SQRT_PI * t3 * t1)
+    pairs, at = np.unique(np.stack([k.ravel(), k1.ravel()]), axis=1, return_inverse=True)
+    j3 = j_n(3, pairs[0], pairs[1])
+    t3 = np.array([t_n(3, a) for a in pairs[0].tolist()])
+    t1 = np.array([t_n(1, b) for b in pairs[1].tolist()])
+    s = (1.0 - gamma) * (j3 - SQRT_PI * t3 * t1)[at.reshape(k.shape)]
     return float(s) if s.ndim == 0 else s
 
 

@@ -194,22 +194,34 @@ def _split_integral(f, epsabs: float, epsrel: float) -> float:
                                breaks=(100.0, 1000.0))
 
 
+@lru_cache(maxsize=1)
+def _u1_parts() -> tuple[float, float]:
+    """(I_0, I_1) = (int T_1 phi_0/T_2 dk, int k^2 T_3 phi_0/T_2 dk), the
+    gamma-free parts of U_1, computed once per process."""
+    def f0(k: float) -> float:
+        t1, t2, _, phi0 = _moments(k)
+        return t1 * phi0 / t2
+
+    def f1(k: float) -> float:
+        _, t2, t3, phi0 = _moments(k)
+        return k * k * t3 * phi0 / t2
+
+    return tuple(_split_integral(f, epsabs=1e-12, epsrel=1e-10) for f in (f0, f1))
+
+
 def u1_direct(gamma: float) -> float:
     """First slip coefficient by single direct quadrature.
 
     U_1 = -(1-gamma)^{-1} (1/sqrt(pi))
-          int [T_1(k) + gamma k^2 T_3(k)] phi_0(k)/T_2(k) dk,
-    with the moments at each point from the inline quadratures (cached).
+          int [T_1(k) + gamma k^2 T_3(k)] phi_0(k)/T_2(k) dk
+        = -(I_0 + gamma I_1)/((1-gamma) sqrt(pi)),
+    with the moments at each point from :func:`_moments` and the two
+    integrals I_0 and I_1 from :func:`_u1_parts`.
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
-
-    def integrand(k: float) -> float:
-        t1, t2, t3, phi0 = _moments(k)
-        return (t1 + gamma * k * k * t3) * phi0 / t2
-
-    integral = _split_integral(integrand, epsabs=1e-12, epsrel=1e-10)
-    return -integral / ((1.0 - gamma) * SQRT_PI)
+    i_0, i_1 = _u1_parts()
+    return -(i_0 + gamma * i_1) / ((1.0 - gamma) * SQRT_PI)
 
 
 @lru_cache(maxsize=1)

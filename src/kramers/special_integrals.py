@@ -16,24 +16,26 @@ weight an exact blend,
 
     J^(m)(k, k1) = gamma T_m(k) + (1 - gamma) J_m(k, k1),
 
-which is how the solver evaluates it; :func:`j_m` integrates the
-(1 + gamma k1^2 t^2) weight directly and serves as the reference.
+which is how the solver evaluates it; the ``identities`` group of
+:mod:`kramers.verification` checks it on the graded rule against the
+adaptive S kernel.
 
 Two evaluation paths are provided.  The adaptive functions (`t_n`, `j_n`,
 ...) go through the engine in :mod:`kramers.quadrature`, whose one stop
 rule is an error of at most max(ABS_TOL, REL_TOL |value|): 1e-14 absolute
 below 1e-4 and 1e-10 relative above.  `t_n` is scalar and cached, and
 breaks its range at the Lorentzian knee t = 1/k when that lies below
-T_MAX, while `j_n` and `j_m` take broadcastable arrays of orders and
-wavenumbers and integrate them as one family, each member with its own
-knees 1/k and 1/k1 and each value equal to its scalar call's.
+T_MAX, while `j_n` takes broadcastable arrays of orders and wavenumbers
+and integrates them as one family, each member with its own knees 1/k and
+1/k1 and each value equal to its scalar call's.
 :class:`MomentBatch` (with `fixed_row`, `t_n_vec` and `phi0_vec`)
 evaluates on arrays of k via one fixed graded Gauss-Legendre rule on
 [0, T_MAX], built at import, whose panels are geometrically refined toward
 t=0 to resolve the Lorentzian knee at t ~ 1/k for every supported k_max
 (up to 2^14); it takes no tolerance, is cross-checked against the scalar
-path in the test suite and exists purely for speed in the grid/kernel
-machinery.  Wavenumbers are supported in [0, K_LIMIT] (2^14).
+path by ``verify``'s identities group and the test suite, and exists
+purely for speed in the grid/kernel machinery.  Wavenumbers are supported
+in [0, K_LIMIT] (2^14).
 :func:`check_orders`, :func:`check_wavenumbers` and :func:`check_gamma`, each
 naming the first bad entry, are the one copy of each input rule (the pole
 residuals use them too); only the cached `t_n` keeps its scalar comparison.
@@ -55,7 +57,6 @@ __all__ = [
     "MOMENTS",
     "t_n",
     "j_n",
-    "j_m",
     "dispersion_l",
     "phi0",
     "MomentBatch",
@@ -305,35 +306,6 @@ def j_n(n, k, k1) -> float | np.ndarray:
     return _family(
         f, (k, k1, orders),
         lambda k, k1, n: f"J_{n:.0f}(k={k:.6g}, k1={k1:.6g})",
-    )
-
-
-def j_m(m, k, k1, gamma) -> float | np.ndarray:
-    """Density-weighted kernel moment J^(m)(k, k1).
-
-    Carries the factor (1 + gamma k1^2 t^2) on the second argument, the one
-    that is integrated against the spectral density; equals
-    J_m + gamma k1^2 J_{m+2}.  The integer orders ``m`` and ``k``, ``k1``
-    and ``gamma`` broadcast together: arrays give an array, integrated as
-    one family, and scalars a float.
-    """
-    orders = check_orders(m)
-    check_gamma(gamma)
-    check_wavenumbers(np.asarray(k, dtype=float))
-    check_wavenumbers(np.asarray(k1, dtype=float), "k1")
-    distinct = np.unique(orders).tolist()
-
-    def f(t, k, k1, gamma, m):
-        return (
-            2.0 / SQRT_PI * _powers(t, m, distinct) * (1.0 + gamma * k1 * k1 * t**2)
-            / ((1.0 + k * k * t**2) * (1.0 + k1 * k1 * t**2))
-        )
-
-    return _family(
-        f, (k, k1, gamma, orders),
-        lambda k, k1, gamma, m: (
-            f"J^({m:.0f})(k={k:.6g}, k1={k1:.6g}, gamma={gamma:.4g})"
-        ),
     )
 
 

@@ -3,10 +3,10 @@
 Each check computes a measured deviation and compares it against a fixed
 threshold; the CLI renders the results as a pass/fail table.  Groups:
 
-* ``identities``  — moment recurrences, dispersion equivalence, kernel
-  symmetry and collapse, dual-route kernel equality; the ``J_n`` checks
-  of every order run as one adaptive family, the ``J^(m)`` and ``S``
-  checks as one each, with the same values as one call per integral.
+* ``identities``  — the graded moments ``slip`` and ``profile`` read
+  (``MomentBatch`` ``T_n``, ``fixed_row`` ``J_n`` rows) against the exact
+  moment table or, by identities mixing the routes, the adaptive path of
+  ``curves`` (cached ``t_n``, ``dispersion_l``; one ``s_kernel`` family).
 * ``constants``   — series coefficients against their reference values.
 * ``pole``        — pole-elimination scaling of the order-n numerators;
   one ``pole_residual`` call per series.  The n >= 1 members' gamma-free
@@ -28,13 +28,15 @@ import numpy as np
 from . import neumann, oracle
 from .kernels import s_kernel
 from .quadrature import K_MAX, check_k_max
-from .special_integrals import MOMENTS, SQRT_PI, dispersion_l, j_m, j_n, t_n
+from .special_integrals import MOMENTS, SQRT_PI, MomentBatch, dispersion_l, fixed_row, t_n
 
 __all__ = ["CheckResult", "run_checks", "GROUPS"]
 
 GROUPS = ("identities", "constants", "pole", "oracle")
 
 _K_GRID = np.concatenate([np.linspace(0.05, 2.0, 8), [3.0, 5.0, 10.0, 20.0]])
+#: the (k, k1) pairs of the S check as indices into _K_GRID; k of the J_n rows
+_PAIRS = ([0, 1, 3, 7], [4, 6, 9, 11])
 
 
 @dataclass(frozen=True)
@@ -49,41 +51,47 @@ class CheckResult:
         return self.deviation <= self.threshold
 
 
+def j_n(n: int, k: np.ndarray, batch: MomentBatch) -> np.ndarray:
+    """Graded J_n(k[j], k1[i]) at [i, j] for the k1 of ``batch``, from the
+    kernel table's rows ``fixed_row(n, k)``."""
+    return batch.against(np.stack([fixed_row(n, float(v)) for v in k], axis=1))
+
+
+def j_m(j: np.ndarray, j_2: np.ndarray, k1, gamma) -> np.ndarray:
+    """Density-weighted J^(m) = J_m + gamma k1^2 J_{m+2} from J_m and J_{m+2}."""
+    return j + gamma * k1 * k1 * j_2
+
+
 def _identity_checks() -> list[CheckResult]:
-    out = []
-    dev = max(
-        abs(t_n(n, k) + k * k * t_n(n + 2, k) - MOMENTS[n])
-        for n in range(0, 7)
-        for k in _K_GRID
-    )
-    out.append(CheckResult("identities", "T_n recurrence", dev, 1e-10))
-    dev = max(abs(1.0 - t_n(0, k) - k * k * t_n(2, k)) for k in _K_GRID)
-    out.append(CheckResult("identities", "1 - T_0 = k^2 T_2", dev, 1e-10))
-    dev = max(
-        abs(dispersion_l(k, g) - (1.0 - t_n(0, k) - g * k * k * t_n(2, k)))
-        for g in (0.0, 0.25, 0.5)
-        for k in _K_GRID
-    )
-    out.append(CheckResult("identities", "L = 1 - T_0 - gamma k^2 T_2", dev, 1e-10))
-    # the j_n, j_m and s_kernel calls below integrate one family each: row
-    # n of j holds J_n(a, b), J_n(b, a), J_n(k, 0) and J_n(0, k)
-    a, b = np.array([0.3, 0.7, 2.0, 0.05]), np.array([1.1, 1.3, 5.0, 9.0])
-    zeros = np.zeros_like(_K_GRID)
-    orders = np.array([[1], [3], [5]])
-    j = j_n(orders, np.concatenate([a, b, _K_GRID, zeros]), np.concatenate([b, a, zeros, _K_GRID]))
-    symmetry = float(np.max(np.abs(j[:, :4] - j[:, 4:8])))
-    t = np.array([[t_n(n, k) for k in _K_GRID] for n in orders.flat])
-    collapse = float(np.max(np.abs(j[:, 8:].reshape(3, 2, -1) - t[:, None])))
-    out.append(CheckResult("identities", "J_n symmetry", symmetry, 1e-10))
-    out.append(CheckResult("identities", "J_n boundary collapse", collapse, 1e-10))
-    g = np.array([0.0, 0.2, 0.5])[:, None]
-    t3 = np.array([t_n(3, k) for k in a])
-    # J^(3)(a, b) and J^(1)(0, b) at each gamma
-    jm3, jm1 = j_m([[[3]], [[1]]], [[a], [np.zeros(4)]], b, g)
-    via_jm = jm3 - SQRT_PI * t3 * jm1
-    dev = float(np.max(np.abs(s_kernel(a, b, g) - via_jm)))
-    out.append(CheckResult("identities", "S kernel dual route", dev, 1e-10))
-    return out
+    # adaptive: 28 cached t_n and one s_kernel family; perfbench/tracing.py
+    # binds j_n and j_m here by name
+    k, (ia, ib) = _K_GRID, _PAIRS
+    batch = MomentBatch(k)
+    t = [batch.t(n) for n in range(9)]
+    a, b, k1 = k[ia], k[ib], k[:, None]
+    j1, j3, j5 = (j_n(n, a, batch) for n in (1, 3, 5))
+    t1 = np.array([t_n(1, v) for v in k])
+    t1_a, t3_a = t1[ia], np.array([t_n(3, v) for v in a])
+    g, pair = np.array([0.0, 0.2, 0.5])[:, None], (ib, range(len(a)))
+    residuals = {
+        "T_n recurrence": [t[n] + k * k * t[n + 2] - MOMENTS[n] for n in range(7)],
+        "1/sqrt(pi) - T_1 = k^2 T_3": [MOMENTS[1] - t1 - k * k * t[3]],
+        "L = 1 - T_0 - gamma k^2 T_2": [
+            [dispersion_l(v, gam) for v in k.tolist()]
+            - (1.0 - t[0] - gam * k * k * t[2]) for gam in (0.0, 0.25, 0.5)],
+        "J_n + k1^2 J_{n+2} = T_n(k)": [
+            j_m(j1, j3, k1, 1.0) - t1_a, j_m(j3, j5, k1, 1.0) - t3_a],
+        # (k^2 - k1^2) / ((1 + k^2 t^2)(1 + k1^2 t^2)) in partial fractions
+        "J_n partial fractions": [
+            (a * a - k1 * k1) * j1 - (a * a * t1_a - k1 * k1 * t1[:, None]),
+            (a * a - k1 * k1) * j3 - (t1[:, None] - t1_a)],
+        # S = J^(3)(k, k1) - sqrt(pi) T_3(k) J^(1)(0, k1), where J_n(0, k1) = T_n(k1)
+        "S kernel dual route": [s_kernel(a, b, g) - (
+            j_m(j3[pair], j5[pair], b, g)
+            - SQRT_PI * t[3][ia] * j_m(t[1][ib], t[3][ib], b, g))],
+    }
+    return [CheckResult("identities", name, max(float(np.max(np.abs(r))) for r in rs), 1e-10)
+            for name, rs in residuals.items()]
 
 
 def _constants_checks(k_max: float) -> list[CheckResult]:

@@ -18,7 +18,7 @@ from kramers.quadrature import (
     K_MAX, TailEstimateDominatesError, _log_tail, _tail_points,
 )
 from kramers.special_integrals import (
-    SQRT_PI, MomentBatch, fixed_row, j_m, phi0_vec, t_n, t_n_vec,
+    SQRT_PI, MomentBatch, fixed_row, j_n, phi0_vec, t_n, t_n_vec,
 )
 
 
@@ -178,6 +178,11 @@ class TestSKernel:
         assert s_kernel(0.0, k1, 0.0) == pytest.approx(expected, abs=1e-11)
 
     def test_dual_route_lattice(self):
+        """S = J^(3)(k, k1) - sqrt(pi) T_3(k) J^(1)(0, k1), with the adaptive
+        J^(m) = J_m + gamma k1^2 J_{m+2} keeping its gamma terms."""
+        def j_m(m, k, k1, gamma):
+            return j_n(m, k, k1) + gamma * k1 * k1 * j_n(m + 2, k, k1)
+
         lattice = [0.0, 0.5, 1.0, 2.5, 7.0]
         for gamma in (0.0, 0.2, 0.5):
             for k in lattice:
@@ -198,6 +203,32 @@ class TestSKernel:
                     for g in (0.0, 0.5)]
         assert (values == np.array(expected)).all()
         assert type(s_kernel(0.5, 1.3, 0.2)) is float
+
+    def test_one_member_per_distinct_pair(self, monkeypatch):
+        """J_3 is free of gamma: 18 values at 3 distinct (k, k1) integrate 3
+        members, not the 6 of the (k, k1) broadcast, and each value is its
+        scalar call's, bit for bit."""
+        from kramers import kernels
+
+        k = np.array([[0.5, 0.5, 7.0], [0.0, 0.5, 7.0]])
+        k1 = np.array([1.3, 1.3, 40.0])
+        gamma = np.array([0.0, 0.2, 0.5])[:, None, None]
+        members = []
+        original = kernels.j_n
+
+        def counted(n, k, k1):
+            members.append(np.broadcast(k, k1).size)
+            return original(n, k, k1)
+
+        monkeypatch.setattr(kernels, "j_n", counted)
+        values = s_kernel(k, k1, gamma)
+        assert members == [3]
+        monkeypatch.undo()
+        assert values.shape == (3, 2, 3)
+        for index in np.ndindex(values.shape):
+            g, i, j = index
+            scalar = s_kernel(float(k[i, j]), float(k1[j]), float(gamma[g, 0, 0]))
+            assert values[index] == scalar
 
     @pytest.mark.parametrize("gamma", [1.5, -0.1, math.nan, [0.2, 1.0]])
     def test_gamma_domain(self, gamma):

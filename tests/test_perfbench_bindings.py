@@ -71,12 +71,13 @@ def test_tracer_counts_real_calls(monkeypatch):
 
 
 def test_tracer_counts_cold_oracle_quadrature(monkeypatch):
-    """The oracle's moment cache does not hide its QUADPACK calls: a cold
+    """The oracle's caches do not hide its QUADPACK calls: a cold
     u1_direct, traced, counts them."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
     kramers.oracle._moments.cache_clear()
+    kramers.oracle._u1_parts.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

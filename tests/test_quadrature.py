@@ -24,7 +24,7 @@ from kramers.quadrature import (
     integrate_gaussian_weighted,
     integrate_spectral,
 )
-from kramers.special_integrals import j_m, j_n
+from kramers.special_integrals import j_n
 from kramers.verification import run_checks
 
 SQPI = math.sqrt(math.pi)
@@ -301,14 +301,11 @@ class TestFamilyEngine:
         with the member's own knees 1/k and 1/k1 as breakpoints: a family
         gives the same bits.  Each lies within 1e-17 of an mpmath integral
         at 40 digits (the engine's absolute floor is 1e-14)."""
-        gamma = np.array([0.0, 0.5])
         for value, recorded, reference in (
             (j_n(1, [1e3, 0.3], [700.0, 2.0])[0], "0x1.a7a9665be1c21p-21",
              7.891314441768224168e-07),
             (j_n(0, [0.5, 4e3], 0.0)[1], "0x1.d081d142edd7cp-12",
              4.429884904157629592e-04),
-            (j_m(3, 2e3, 50.0, gamma)[1], "0x1.2fc612f910158p-24",
-             7.072783238345647827e-08),
         ):
             assert value.hex() == recorded
             assert abs(value - reference) < 1e-17
@@ -384,20 +381,26 @@ class TestFamilyEngine:
                 self.lorentz, params=(np.ones(3), np.ones(2))
             )
 
-    def test_warm_identities_sweep_as_families(self, monkeypatch):
-        """The identities group integrates its J_n checks as one family, its
-        J^(m) and S checks as one each, in 16 sweeps on 18,180 points; one
-        integral at a time, it made 588 sweeps, and as 9 families, one per
-        order and call, 45."""
+    def test_warm_identities_integrate_one_family(self, monkeypatch):
+        """Warm, the identities group integrates one adaptive family, the 4
+        J_3 members of its s_kernel call, in 5 sweeps on 615 points; it
+        read 3 families in 16 sweeps on 18,180 points when it checked the
+        adaptive moments against themselves."""
         run_checks(only=("identities",))  # fill the T_n cache
-        calls = []
-        original = quadrature._eval_batch
+        calls, families = [], []
+        original, engine = quadrature._eval_batch, quadrature._adaptive_gk
 
         def counted(f, x, label):
             calls.append(x.size)
             return original(f, x, label)
 
+        def family(f, breakpoints, label, params=()):
+            families.append(len(breakpoints))
+            return engine(f, breakpoints, label, params)
+
         monkeypatch.setattr(quadrature, "_eval_batch", counted)
+        monkeypatch.setattr(quadrature, "_adaptive_gk", family)
         assert all(r.passed for r in run_checks(only=("identities",)))
-        assert len(calls) <= 20
-        assert sum(calls) <= 18180
+        assert families == [4]
+        assert len(calls) == 5
+        assert sum(calls) == 615

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from kramers import special_integrals
+from kramers import special_integrals, verification
 from kramers.quadrature import K_LIMIT, integrate_gaussian_weighted
 from kramers.special_integrals import (
     GasParameters,
@@ -16,7 +16,6 @@ from kramers.special_integrals import (
     MomentBatch,
     dispersion_l,
     fixed_row,
-    j_m,
     j_n,
     phi0,
     phi0_vec,
@@ -116,9 +115,9 @@ class TestTn:
             lambda: t_n(1.5, 0.3),  # silently integrated t^1.5
             lambda: t_n(True, 0.3),
             lambda: j_n(2.0, 0.3, 0.5),
-            lambda: j_m(-1, 0.5, 0.5, 0.1),  # ran out of subdivisions
-            lambda: j_m(20, 0.5, 0.5, 0.1),  # returned 69287.1
-            lambda: j_m(1.5, 0.5, 0.5, 0.1),
+            lambda: fixed_row(-1, 0.5),
+            lambda: MomentBatch([0.5]).t(20),
+            lambda: j_n([1, 1.5], 0.5, 0.5),
         ],
     )
     def test_order_must_be_an_integer_in_range(self, call):
@@ -129,8 +128,7 @@ class TestTn:
         """NaN passes a `k < 0` test; it is a bad request, not a numerical failure."""
         calls = [
             lambda: t_n(1, math.nan), lambda: j_n(1, math.nan, 0.3),
-            lambda: j_n(1, 0.3, math.nan), lambda: j_m(1, math.nan, 0.3, 0.1),
-            lambda: j_m(1, 0.3, math.nan, 0.1), lambda: dispersion_l(math.nan, 0.0),
+            lambda: j_n(1, 0.3, math.nan), lambda: dispersion_l(math.nan, 0.0),
             lambda: phi0(math.nan),
         ]
         for call in calls:
@@ -197,8 +195,8 @@ class TestWavenumberLimit:
         # the ids keep naming the input arrays; the message names the bad entry
         pytest.param(lambda: j_n(1, 0.5, [1.0, 2e4]), "k1=20000.0",
                      id="<lambda>-k1=[1.0, 20000.0]"),
-        (lambda: j_m(3, 0.5, 1e8, 0.1), "k1=100000000.0"),
-        pytest.param(lambda: j_m(1, [0.5, math.inf], 0.5, 0.1), "k=inf",
+        (lambda: j_n(3, 0.5, 1e8), "k1=100000000.0"),
+        pytest.param(lambda: j_n(1, [0.5, math.inf], 0.5), "k=inf",
                      id="<lambda>-k=[0.5, inf]"),
         pytest.param(lambda: t_n_vec(1, [1e5]), "k=100000.0", id="t_n_vec-1e5"),
         pytest.param(lambda: t_n_vec(0, [1.0, np.nextafter(K_LIMIT, math.inf)]),
@@ -268,23 +266,33 @@ class TestJn:
 
 
 class TestJm:
+    """The graded density-weighted moment J^(m) = J_m + gamma k1^2 J_{m+2}
+    of the dual-route check, from the rows the kernel table reads, against
+    the adaptive J_n and T_n."""
+
+    @staticmethod
+    def graded(m, k, k1, gamma):
+        batch = MomentBatch([k1])
+        j, j_2 = (verification.j_n(n, [k], batch)[0, 0] for n in (m, m + 2))
+        return verification.j_m(j, j_2, k1, gamma)
+
     def test_gamma_zero_collapse(self):
-        assert j_m(1, 0.7, 1.9, 0.0) == pytest.approx(j_n(1, 0.7, 1.9), abs=1e-13)
+        assert self.graded(1, 0.7, 1.9, 0.0) == pytest.approx(j_n(1, 0.7, 1.9), abs=1e-13)
 
     def test_boundary_value(self):
         gamma, k1 = 0.35, 1.4
         expected = t_n(1, k1) + gamma * k1 * k1 * t_n(3, k1)
-        assert j_m(1, 0.0, k1, gamma) == pytest.approx(expected, abs=1e-11)
+        assert self.graded(1, 0.0, k1, gamma) == pytest.approx(expected, abs=1e-11)
 
     def test_decomposition_identity(self):
-        direct = j_m(1, 0.5, 0.5, 0.1)
-        split = j_n(1, 0.5, 0.5) + 0.1 * 0.25 * j_n(3, 0.5, 0.5)
-        assert direct == pytest.approx(split, abs=1e-10)
+        """J^(m) = gamma T_m(k) + (1 - gamma) J_m(k, k1), the solver's blend."""
+        blend = 0.1 * t_n(1, 0.5) + 0.9 * j_n(1, 0.5, 0.5)
+        assert self.graded(1, 0.5, 0.5, 0.1) == pytest.approx(blend, abs=1e-10)
 
 
 class TestArrayArguments:
-    """Arrays of wavenumbers (and, for J^(m), gamma) broadcast and are
-    integrated as one family; each value is its scalar call's, bit for bit."""
+    """Arrays of orders and wavenumbers broadcast and are integrated as one
+    family; each value is its scalar call's, bit for bit."""
 
     def test_j_n_equals_its_scalar_calls(self):
         k = np.array([[0.0, 1e-3, 0.3], [2.0, 60.0, 5e3]])
@@ -296,23 +304,14 @@ class TestArrayArguments:
                         for row in k]
             assert (values == np.array(expected)).all()
 
-    def test_j_m_equals_its_scalar_calls(self):
-        k, k1 = np.array([0.0, 0.4, 30.0]), np.array([1.3, 0.0, 700.0])
-        gamma = np.array([0.0, 0.5])[:, None]
-        values = j_m(3, k, k1, gamma)
-        assert values.shape == (2, 3)
-        for i, g in enumerate((0.0, 0.5)):
-            for j in range(3):
-                assert values[i, j] == j_m(3, float(k[j]), float(k1[j]), g)
-
     @staticmethod
-    def one_order(n, k, k1, gamma=0.0):
-        """J^(n)(k, k1) at gamma, J_n at gamma 0, integrated as a call for
-        the one order n did, with the scalar power t**n."""
+    def one_order(n, k, k1):
+        """J_n(k, k1) integrated as a call for the one order n did, with the
+        scalar power t**n."""
         with np.errstate(divide="ignore"):
             knees = (1.0 / np.float64(k), 1.0 / np.float64(k1))
         return integrate_gaussian_weighted(
-            lambda t: 2.0 / SQPI * t**n * (1.0 + gamma * k1 * k1 * t**2)
+            lambda t: 2.0 / SQPI * t**n
             / ((1.0 + k * k * t**2) * (1.0 + k1 * k1 * t**2)),
             knees=knees,
         )
@@ -330,29 +329,13 @@ class TestArrayArguments:
                 assert values[n, j] == j_n(n, float(k[j]), float(k1[j]))
                 assert values[n, j] == self.one_order(n, k[j], k1[j])
 
-    def test_j_m_orders_equal_their_one_order_and_scalar_calls(self):
-        k, k1 = np.array([1e-3, 0.05, 0.0, 5e3]), np.array([0.0, 0.7, 5e3, 1e-3])
-        gamma = np.array([0.0, 0.5])[:, None]
-        values = j_m(np.arange(7)[:, None, None], k, k1, gamma)
-        assert values.shape == (7, 2, 4)
-        for m in range(7):
-            assert (values[m] == j_m(m, k, k1, gamma)).all()
-            for i, g in enumerate((0.0, 0.5)):
-                for j in range(4):
-                    scalar = j_m(m, float(k[j]), float(k1[j]), g)
-                    assert values[m, i, j] == scalar
-                    assert scalar == self.one_order(m, k[j], k1[j], g)
-
     def test_scalars_give_floats(self):
         assert type(j_n(1, 0.3, 0.5)) is float
-        assert type(j_m(1, 0.3, 0.5, 0.2)) is float
         assert type(j_n(np.int64(2), 0.3, 0.5)) is float
 
     def test_bad_member_rejected(self):
         with pytest.raises(ValueError, match=r"wavenumber must be .*, got k=-1\.0$"):
             j_n(1, [0.3, -1.0], 0.5)
-        with pytest.raises(ValueError, match="gamma"):
-            j_m(1, 0.3, 0.5, [0.2, 1.0])
 
     @pytest.mark.parametrize("orders, shown", [
         ([1, 1.5], "1.5"), ([[3], [True]], "True"), (np.arange(10), "9"),
@@ -368,8 +351,6 @@ class TestArrayArguments:
         message = re.escape(f"moment order must be an integer in [0, 8], got {shown}")
         with pytest.raises(ValueError, match=message):
             j_n(orders, 0.3, 0.5)
-        with pytest.raises(ValueError, match=message):
-            j_m(orders, 0.3, 0.5, 0.2)
 
     def test_label_names_the_member_order(self, monkeypatch):
         labels = []
@@ -380,11 +361,7 @@ class TestArrayArguments:
 
         monkeypatch.setattr(special_integrals, "integrate_gaussian_weighted", record)
         j_n([1, 3], 0.5, 2.0)
-        j_m([[0], [4]], 0.5, 2.0, 0.25)
-        assert labels == [
-            "J_1(k=0.5, k1=2)", "J_3(k=0.5, k1=2)",
-            "J^(0)(k=0.5, k1=2, gamma=0.25)", "J^(4)(k=0.5, k1=2, gamma=0.25)",
-        ]
+        assert labels == ["J_1(k=0.5, k1=2)", "J_3(k=0.5, k1=2)"]
 
 
 class TestDispersion:
@@ -465,7 +442,8 @@ class TestVectorisedAgainstScalar:
             vec = gamma * t_n(m, k) + (1.0 - gamma) * batch.against(
                 fixed_row(m, k)
             )
-            ref = np.array([j_m(m, k, v, gamma) for v in k1])
+            ref = np.array([j_n(m, k, v) + gamma * v * v * j_n(m + 2, k, v)
+                            for v in k1])
             np.testing.assert_allclose(vec, ref, atol=5e-12)
 
     def test_phi0(self):
