@@ -33,9 +33,10 @@ phi_{n-1} objects and the wavenumbers, so shared by every gamma) integrates
 them adaptively up to the series' own k_max, each to the engine's one stop
 rule max(ABS_TOL, REL_TOL |value|): every order and wavenumber of one call
 as one family, with each wavenumber's J_1 row built once and each sweep one
-MomentBatch on the distinct points of every member.  Each series combines
-them at its gamma under the 10% tail guard; their orders and wavenumbers
-are checked by the rules of :mod:`kramers.special_integrals`.
+MomentBatch on the distinct points of every member.  :func:`pole_residual`
+gives every B_0..B_order of a series as rows, combined at its gamma under
+the 10% tail guard; its wavenumbers are checked by the rule of
+:mod:`kramers.special_integrals`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .quadrature import K_MAX, _integrate_spectral_detail, _log_integral, _tail_
 from .kernels import apply_kernel  # noqa: F401
 from .quadrature import integrate_spectral  # noqa: F401
 from .special_integrals import (
-    MomentBatch, SQRT_PI, check_orders, check_wavenumbers, fixed_row, phi0_vec, t_n, t_n_vec,
+    MomentBatch, SQRT_PI, check_wavenumbers, fixed_row, phi0_vec, t_n, t_n_vec,
 )
 
 __all__ = ["SeriesExpansion", "u0", "build_series", "pole_residual"]
@@ -248,8 +249,8 @@ def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpans
     )
 
 
-def pole_residual(series: SeriesExpansion, n, k) -> float | np.ndarray:
-    """Numerator function B_n(k) whose k^2 vanishing certifies U_n.
+def pole_residual(series: SeriesExpansion, k) -> np.ndarray:
+    """Numerator functions B_0..B_order(k) whose k^2 vanishing certifies U_n.
 
     B_0(k) = U_0 T_1(k) - T_2(k); for n >= 1,
 
@@ -264,39 +265,32 @@ def pole_residual(series: SeriesExpansion, n, k) -> float | np.ndarray:
 
     with the gamma-free C_n = int phi_{n-1}/T_2 dk1 and I_n(k) = int
     J_1(k, k1) phi_{n-1}/T_2 dk1, taken from :func:`_pole_parts`, which
-    integrates them once for all series holding the same phi_{n-1}.  The
-    10% tail guard applies to their combination at the series' gamma, as
-    it does to U_n's.  The integer orders ``n`` in [0, series.order] and
-    wavenumbers ``k`` in [0, K_LIMIT] broadcast together: arrays give an
-    array and scalars a float.  The moments' checks in
-    :mod:`kramers.special_integrals` name the first bad entry of each (True
-    and 1.5 are not orders).  The n = 0 members are closed form; the parts
-    of all others are integrated as one family, adaptive to the engine's
-    fixed tolerance and ending at the series' own k_max, like the profile
-    layer's, each with the value of its own scalar call.
+    integrates them once for all series holding the same densities,
+    adaptive to the engine's fixed tolerance and ending at the series' own
+    k_max, like the profile layer's.  The 10% tail guard applies to their
+    combination at the series' gamma, as it does to U_n's.  Returns row n
+    holding B_n at the wavenumbers ``k`` in [0, K_LIMIT], shape
+    ``(series.order + 1,) + np.shape(k)``; the first bad wavenumber is
+    named by :func:`kramers.special_integrals.check_wavenumbers`.
     """
-    n = check_orders(n, series.order, "pole residual order")
-    n, k = np.broadcast_arrays(n, np.asarray(k, dtype=float))
+    k = np.asarray(k, dtype=float)
     check_wavenumbers(k)
-    orders, ks = n.ravel(), k.ravel()
+    ks = k.ravel()
     t1 = np.array([t_n(1, kv) for kv in ks.tolist()])
-    out = u0() * t1 - np.array([t_n(2, kv) for kv in ks.tolist()])
-    family = np.flatnonzero(orders > 0)
-    if family.size:  # B_0 alone needs no integral
+    rows = [u0() * t1 - np.array([t_n(2, kv) for kv in ks.tolist()])]
+    if series.order:  # B_0 alone needs no integral
         # E_{n-1} enters through its pole-free quotient phi_{n-1}/T_2, the
         # same discretisation that fixed U_n; a resampled density interpolant
         # would leave a spurious k-independent floor under B_n.
-        n_set, n_at = np.unique(orders[family], return_inverse=True)
-        k_set, k_at = np.unique(ks[family], return_inverse=True)
-        value, tail = _pole_parts(
-            tuple(series.phi_funcs[m - 1] for m in n_set.tolist()), tuple(k_set.tolist()))
-        a, b = series.gamma * t1[family], 1.0 - series.gamma
-        total = a * value[n_at, -1] + b * value[n_at, k_at]
-        total_tail = a * tail[n_at, -1] + b * tail[n_at, k_at]
+        k_set, k_at = np.unique(ks, return_inverse=True)
+        value, tail = _pole_parts(series.phi_funcs[:-1], tuple(k_set.tolist()))
+        a, b = series.gamma * t1, 1.0 - series.gamma
+        total = a * value[:, -1:] + b * value[:, k_at]
+        total_tail = a * tail[:, -1:] + b * tail[:, k_at]
         _tail_guard(
-            total_tail, total - total_tail, series.phi_funcs[0].k_max,
-            lambda j: f"B_{orders[family[j]]} pole residual at k={ks[family[j]]:.3g}",
+            total_tail.ravel(), (total - total_tail).ravel(), series.phi_funcs[0].k_max,
+            lambda j: f"B_{j // ks.size + 1} pole residual at k={ks[j % ks.size]:.3g}",
         )
-        u_n = np.array(series.u_coeffs)[orders[family]]
-        out[family] = u_n * t1[family] + total / (b * np.pi)
-    return float(out[0]) if n.ndim == 0 else out.reshape(n.shape)
+        u_n = np.array(series.u_coeffs[1:])[:, None]
+        rows.extend(u_n * t1 + total / (b * np.pi))
+    return np.stack(rows).reshape((series.order + 1,) + k.shape)

@@ -25,20 +25,21 @@ Two evaluation paths are provided.  The adaptive functions (`t_n`, `j_n`,
 rule is an error of at most max(ABS_TOL, REL_TOL |value|): 1e-14 absolute
 below 1e-4 and 1e-10 relative above.  `t_n` is scalar and cached, and
 breaks its range at the Lorentzian knee t = 1/k when that lies below
-T_MAX, while `j_n` takes broadcastable arrays of orders and wavenumbers
+T_MAX, while `j_n` takes one order and broadcastable arrays of wavenumbers
 and integrates them as one family, each member with its own knees 1/k and
 1/k1 and each value equal to its scalar call's.
 :class:`MomentBatch` (with `fixed_row`, `t_n_vec` and `phi0_vec`)
 evaluates on arrays of k via one fixed graded Gauss-Legendre rule on
 [0, T_MAX], built at import, whose panels are geometrically refined toward
 t=0 to resolve the Lorentzian knee at t ~ 1/k for every supported k_max
-(up to 2^14); it takes no tolerance, is cross-checked against the scalar
-path by ``verify``'s identities group and the test suite, and exists
-purely for speed in the grid/kernel machinery.  Wavenumbers are supported
-in [0, K_LIMIT] (2^14).
-:func:`check_orders`, :func:`check_wavenumbers` and :func:`check_gamma`, each
-naming the first bad entry, are the one copy of each input rule (the pole
-residuals use them too); only the cached `t_n` keeps its scalar comparison.
+(up to 2^14); it takes no tolerance.  It is the path the solver reads:
+the kernel tables, `slip` and `profile` take their moments from it, and
+``verify``'s identities group checks it against the exact moment table
+and the adaptive path.  Wavenumbers are supported in [0, K_LIMIT] (2^14).
+Every function takes one integer order in [0, 8], checked by one rule.
+:func:`check_wavenumbers` and :func:`check_gamma`, each naming the first
+bad entry, are the one copy of each array rule (the pole residuals use
+them too); only the cached `t_n` keeps its scalar comparison.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "fixed_row",
     "t_n_vec",
     "phi0_vec",
-    "check_orders",
     "check_wavenumbers",
     "check_gamma",
 ]
@@ -208,10 +208,10 @@ def phi0_vec(k) -> np.ndarray:
 # scalar contract functions (adaptive engine, cached)
 # ---------------------------------------------------------------------------
 
-def _check_order(n: int, top: int = _MAX_ORDER, name: str = "moment order") -> None:
+def _check_order(n: int) -> None:
     # bool is an int, but not an order
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= top:
-        raise ValueError(f"{name} must be an integer in [0, {top}], got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= _MAX_ORDER:
+        raise ValueError(f"moment order must be an integer in [0, {_MAX_ORDER}], got {n!r}")
 
 
 @lru_cache(maxsize=65536)
@@ -243,70 +243,31 @@ def t_n(n: int, k: float) -> float:
 
 def check_gamma(gamma) -> None:
     """Reject a density parameter (or any entry) outside [0, 1), NaN included."""
-    if not np.all((np.asarray(gamma) >= 0.0) & (np.asarray(gamma) < 1.0)):
+    if not all(0.0 <= v < 1.0 for v in np.ravel(gamma).tolist()):
         raise ValueError("gamma must be in [0, 1)")
 
 
-def check_orders(n, top: int = _MAX_ORDER, name: str = "moment order") -> np.ndarray:
-    """The orders ``n``, one or an array of them, as an int array.  Each
-    entry, keeping its own type (True and 1.5 are not orders), must be an
-    integer in [0, top]; the first bad one is named, after ``name``."""
-    entries = np.asarray(n, dtype=object)
-    for v in entries.flat:
-        _check_order(v, top, name)
-    return entries.astype(int)
+def j_n(n: int, k, k1) -> float | np.ndarray:
+    """Double-Lorentzian moment J_n(k, k1) of one order; symmetric in (k, k1).
 
-
-def _powers(t: np.ndarray, n: np.ndarray, orders: list) -> np.ndarray:
-    """t**n at each point, raised as the scalar t**m for each distinct order
-    m of ``orders``: for an array exponent numpy calls pow where a Python 2
-    squares, which put 6 of 270 J_2 values 1 ulp off."""
-    out = np.empty_like(t)
-    for m in orders:
-        at = n == m
-        out[at] = t[at] ** m
-    return out
-
-
-def _family(f, args: tuple, name) -> float | np.ndarray:
-    """The Gaussian-weighted integrals of ``f(t, *a)`` for each member ``a``
-    of the broadcast ``args``, integrated as one family: an array of the
-    broadcast shape, or a float when every argument is a scalar.  The first
-    two are k and k1, whose knees t = 1/k and 1/k1 are the member's
-    breakpoints, and the last is the moment order.  Member ``a`` fails under
-    the label ``name(*a)``."""
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    flat = tuple(np.broadcast_to(np.asarray(a, dtype=float), shape).ravel() for a in args)
+    The wavenumbers ``k`` and ``k1`` broadcast together: arrays give an
+    array, integrated as one family, each member with its own knees 1/k and
+    1/k1 as breakpoints, and scalars a float.
+    """
+    _check_order(n)
+    k, k1 = np.asarray(k, dtype=float), np.asarray(k1, dtype=float)
+    check_wavenumbers(k)
+    check_wavenumbers(k1, "k1")
+    shape = np.broadcast_shapes(k.shape, k1.shape)
+    k, k1 = (np.broadcast_to(a, shape).ravel() for a in (k, k1))
     with np.errstate(divide="ignore", over="ignore"):  # 1/k is inf at k = 0
-        knees = (1.0 / flat[0], 1.0 / flat[1])
+        knees = (1.0 / k, 1.0 / k1)
     values = integrate_gaussian_weighted(
-        f, label=lambda j: name(*(a[j] for a in flat)), params=flat, knees=knees
+        lambda t, k, k1: 2.0 / SQRT_PI * t**n / ((1.0 + k * k * t**2) * (1.0 + k1 * k1 * t**2)),
+        label=lambda j: f"J_{n}(k={k[j]:.6g}, k1={k1[j]:.6g})",
+        params=(k, k1), knees=knees,
     )
     return float(values[0]) if shape == () else values.reshape(shape)
-
-
-def j_n(n, k, k1) -> float | np.ndarray:
-    """Double-Lorentzian moment J_n(k, k1); symmetric in (k, k1).
-
-    The integer orders ``n`` and the wavenumbers ``k`` and ``k1`` broadcast
-    together: arrays give an array, integrated as one family, and scalars a
-    float.
-    """
-    orders = check_orders(n)
-    check_wavenumbers(np.asarray(k, dtype=float))
-    check_wavenumbers(np.asarray(k1, dtype=float), "k1")
-    distinct = np.unique(orders).tolist()
-
-    def f(t, k, k1, n):
-        return (
-            2.0 / SQRT_PI * _powers(t, n, distinct)
-            / ((1.0 + k * k * t**2) * (1.0 + k1 * k1 * t**2))
-        )
-
-    return _family(
-        f, (k, k1, orders),
-        lambda k, k1, n: f"J_{n:.0f}(k={k:.6g}, k1={k1:.6g})",
-    )
 
 
 def dispersion_l(k: float, gamma: float) -> float:

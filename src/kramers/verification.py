@@ -116,7 +116,7 @@ def _pole_checks(k_max: float) -> list[CheckResult]:
     for gamma in (0.0, 0.25):
         series = neumann.build_series(gamma, 2, k_max)
         # one family: row n holds B_n at the three wavenumbers
-        b_rows = np.abs(neumann.pole_residual(series, [[0], [1], [2]], ks))
+        b_rows = np.abs(neumann.pole_residual(series, ks))
         for n, b_vals in enumerate(b_rows):
             slope = np.polyfit(np.log(ks), np.log(b_vals), 1)[0]
             out.append(

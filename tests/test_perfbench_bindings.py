@@ -53,7 +53,7 @@ def test_tracer_counts_real_calls(monkeypatch):
             params = GasParameters(gamma=0.25, q=0.9)
             kramers.transport.velocity_profile(params, series, [0.0, 1.0])
             kramers.transport.distribution_function(params, series, 1.0, 0.5)
-            kramers.neumann.pole_residual(series, 1, 0.01)
+            kramers.neumann.pole_residual(series, 0.01)
     finally:
         tracer.uninstall()
     counts = tracer.counts

@@ -60,17 +60,22 @@ def test_public_shapes(cls, fields):
 def test_duplicate_paths_stay_gone():
     """One T_n(0) table, one inline oracle T_n, a context built from nu
     and beta alone, densities summed only inside the transforms, so that
-    every SpectralFunction is built and checked by its constructor, and one
-    fixed quadrature tolerance, which no function takes as ``rel_tol``."""
+    every SpectralFunction is built and checked by its constructor, one
+    fixed quadrature tolerance, which no function takes as ``rel_tol``, and
+    one order per moment integral, checked by the one scalar order rule."""
     for owner, name in ((kramers.special_integrals, "t_moment"),
                         (kramers.quadrature, "check_rel_tol"),
                         (kramers.oracle, "_t_inline"),
                         (kramers.DimensionalContext, "from_frequency"),
                         (kramers.kernels, "weighted_sum"),
                         (kramers.SpectralFunction, "_freeze"),
-                        (kramers.transport, "_combined_density")):
+                        (kramers.transport, "_combined_density"),
+                        (kramers.special_integrals, "check_orders"),
+                        (kramers.special_integrals, "_powers"),
+                        (kramers.special_integrals, "_family")):
         assert not hasattr(owner, name), name
-    assert "t_moment" not in kramers.special_integrals.__all__
+    for name in ("t_moment", "check_orders"):
+        assert name not in kramers.special_integrals.__all__
     bypasses = [
         path.stem
         for path in sorted(Path(kramers.__file__).parent.glob("*.py"))

@@ -291,8 +291,8 @@ class TestJm:
 
 
 class TestArrayArguments:
-    """Arrays of orders and wavenumbers broadcast and are integrated as one
-    family; each value is its scalar call's, bit for bit."""
+    """Arrays of wavenumbers broadcast and are integrated as one family, of
+    one order; each value is its scalar call's, bit for bit."""
 
     def test_j_n_equals_its_scalar_calls(self):
         k = np.array([[0.0, 1e-3, 0.3], [2.0, 60.0, 5e3]])
@@ -317,17 +317,17 @@ class TestArrayArguments:
         )
 
     def test_j_n_orders_equal_their_one_order_and_scalar_calls(self):
-        """Order 2 at (0, 1e-3), (1e-3, 1e-3), (0.05, 0.7) and (2, 9) is 1 ulp
-        off with a plain array exponent t**n."""
+        """Each order's values are its one-order integrals with the scalar
+        power t**n: order 2 at (0, 1e-3), (1e-3, 1e-3), (0.05, 0.7) and
+        (2, 9) is 1 ulp off with an array exponent."""
         k = np.array([0.0, 1e-3, 0.05, 2.0, 5e3, 0.0])
         k1 = np.array([1e-3, 1e-3, 0.7, 9.0, 0.0, 5e3])
-        values = j_n(np.arange(9)[:, None], k, k1)
-        assert values.shape == (9, 6)
         for n in range(9):
-            assert (values[n] == j_n(n, k, k1)).all()
+            values = j_n(n, k, k1)
+            assert values.shape == (6,)
             for j in range(6):
-                assert values[n, j] == j_n(n, float(k[j]), float(k1[j]))
-                assert values[n, j] == self.one_order(n, k[j], k1[j])
+                assert values[j] == j_n(n, float(k[j]), float(k1[j]))
+                assert values[j] == self.one_order(n, k[j], k1[j])
 
     def test_scalars_give_floats(self):
         assert type(j_n(1, 0.3, 0.5)) is float
@@ -337,20 +337,20 @@ class TestArrayArguments:
         with pytest.raises(ValueError, match=r"wavenumber must be .*, got k=-1\.0$"):
             j_n(1, [0.3, -1.0], 0.5)
 
-    @pytest.mark.parametrize("orders, shown", [
-        ([1, 1.5], "1.5"), ([[3], [True]], "True"), (np.arange(10), "9"),
-        ([2, -1, 9], "-1"), (np.array([1.0, 2.0]), "1.0"),
-    ])
-    def test_bad_order_entry_named_before_any_integral(
-        self, monkeypatch, orders, shown
-    ):
+    @pytest.mark.parametrize(
+        "order", [1.5, True, 9, -1, np.float64(1.0), [1, 3]],
+        ids=lambda order: f"order={order!r}",
+    )
+    def test_bad_order_entry_named_before_any_integral(self, monkeypatch, order):
+        """One integer order: a float, a bool, one out of [0, 8] and a list
+        of orders are each named before any integral."""
         def no_integral(*args, **kwargs):
-            raise AssertionError("integrated before checking the orders")
+            raise AssertionError("integrated before checking the order")
 
         monkeypatch.setattr(special_integrals, "integrate_gaussian_weighted", no_integral)
-        message = re.escape(f"moment order must be an integer in [0, 8], got {shown}")
-        with pytest.raises(ValueError, match=message):
-            j_n(orders, 0.3, 0.5)
+        message = re.escape(f"moment order must be an integer in [0, 8], got {order!r}")
+        with pytest.raises(ValueError, match=f"{message}$"):
+            j_n(order, 0.3, 0.5)
 
     def test_label_names_the_member_order(self, monkeypatch):
         labels = []
@@ -360,8 +360,8 @@ class TestArrayArguments:
             return np.zeros(len(params[0]))
 
         monkeypatch.setattr(special_integrals, "integrate_gaussian_weighted", record)
-        j_n([1, 3], 0.5, 2.0)
-        assert labels == ["J_1(k=0.5, k1=2)", "J_3(k=0.5, k1=2)"]
+        j_n(3, [0.5, 1.0], 2.0)
+        assert labels == ["J_3(k=0.5, k1=2)", "J_3(k=1, k1=2)"]
 
 
 class TestDispersion:
