@@ -22,7 +22,7 @@ import numpy as np
 from . import verification
 from .neumann import build_series
 from .quadrature import K_LIMIT, K_MAX, QuadratureError, check_k_max
-from .special_integrals import GasParameters, dispersion_l, t_n
+from .special_integrals import GasParameters, check_wavenumbers, dispersion_l, t_n
 from .transport import (
     MU_MAX,
     check_mu,
@@ -151,10 +151,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     if not 0.0 <= args.gamma < 1.0:  # also false for NaN
         raise ValueError(f"--gamma must be in [0, 1), got {args.gamma}")
     grid = _parse_range("--k", args.k, "wavenumbers")
-    if grid[-1] > K_LIMIT:
-        raise ValueError(
-            f"--k: wavenumbers must be at most {K_LIMIT:g}, got {grid[-1]:g}"
-        )
+    check_wavenumbers(grid, "--k")
     if args.what == "dispersion":
         header = ["k", "L"]
         rows = [[k, dispersion_l(k, args.gamma)] for k in grid]

@@ -19,11 +19,11 @@ c_n = int phi_{n-1}/T_2 dk and d_n = int T_1 phi_{n-1}/T_2 dk,
 U_n = -(gamma c_n/sqrt(pi) + (1 - gamma) d_n)/(sqrt(pi)(1 - gamma)).
 
 :func:`build_series` is the one way in.  The iteration runs once per
-k_max: :func:`_order` (a bounded cache) holds the kernel table, each phi_n,
-E_n and the four floats (K15 heads, fitted tails) of c_{n+1} and d_{n+1}.
-Every series holds those phi_n and E_n and forms U_n from the floats; its
-consumers apply the one gamma scalar where it cancels.  The pole residuals
-B_n, which check U_n, split the same way:
+k_max: :func:`_order` (a bounded cache) holds the kernel table, T_2 at its
+nodes, each phi_n, E_n and the four floats (K15 heads, fitted tails) of
+c_{n+1} and d_{n+1}.  Every series holds those phi_n and E_n and forms U_n
+from the floats; its consumers apply the one gamma scalar where it cancels.
+The pole residuals B_n, which check U_n, split the same way:
 
     B_n(k) = U_n T_1(k) + (gamma T_1(k) C_n + (1 - gamma) I_n(k))/((1 - gamma) pi),
 
@@ -41,7 +41,6 @@ the 10% tail guard; its wavenumbers are checked by the rule of
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,9 +57,7 @@ from .special_integrals import (
 
 __all__ = ["SeriesExpansion", "u0", "build_series", "pole_residual"]
 
-#: the density-series convergence claim is only evidenced at small gamma;
-#: values above this trigger a warning, values above 0.95 are rejected.
-GAMMA_WARN = 0.5
+#: largest supported density parameter
 GAMMA_MAX = 0.95
 MAX_ORDER = 4
 
@@ -155,37 +152,37 @@ def _pole_parts(phis: tuple, ks: tuple) -> tuple:
 
 @lru_cache(maxsize=4 * (MAX_ORDER + 1))
 def _order(k_max: float, n: int) -> tuple:
-    """Kernel table, phi_n, E_n, v = phi_n/T_2 at the table points and the
-    parts of c_{n+1}, d_{n+1} (:func:`_u_detail`), all free of gamma; v
-    and the parts are None at ``MAX_ORDER``, where nothing reads them.
+    """Kernel table, phi_n, E_n, v = phi_n/T_2 at the table points, the
+    parts of c_{n+1}, d_{n+1} (:func:`_u_detail`) and T_2 at the grid
+    nodes, all free of gamma; v and the parts are None at ``MAX_ORDER``.
 
-    Order 0 builds the standard grid, its table and phi_0; order n applies
-    the shared table to order n - 1.  The parts are four floats: the K15
-    heads and the exact fitted tails of c = int v and d = int T_1 v on the
-    table.  Nothing here depends on gamma, so each order is
-    built once per process for up to four k_max (about 3 MB each, nearly
-    all the table's S_1 rows).  Every array is read-only, so the series
-    that share them cannot change them.
+    Order 0 builds the standard grid, its table, T_2 and phi_0; order n
+    applies the shared table to order n - 1.  The parts are four floats:
+    the K15 heads and the exact fitted tails of c = int v and d = int T_1 v
+    on the table.  Each order is built once per process for up to four
+    k_max (about 3 MB each, nearly all the table's S_1 rows).  Every array
+    is read-only, so the series that share them cannot change them.
     """
     if n == 0:
         grid = standard_grid(k_max)
         table = _KernelTable(grid)
+        t2 = t_n_vec(2, grid)
+        t2.setflags(write=False)
         phi = SpectralFunction(nodes=grid, values=phi0_vec(grid), label="phi_0")
     else:
-        table, prev, _, v, _ = _order(k_max, n - 1)
+        table, prev, _, v, _, t2 = _order(k_max, n - 1)
         phi = _apply_table(table, prev, v)
     # never the raw numerator / L(k), whose k=0 limit is 0/0: T_2(0) = 1/2
-    t2 = t_n_vec(2, table.nodes)
     e_n = SpectralFunction(nodes=table.nodes, values=phi.values / t2, label=f"E_{n}")
     if n == MAX_ORDER:  # no series reads phi_{n+1} or U_{n+1}
-        return table, phi, e_n, None, None
+        return table, phi, e_n, None, None, t2
     v = table.density(phi)
     v.setflags(write=False)
     rows = np.stack([v, table.t1 * v])
     # pairwise sums: a matrix-vector product rounds U_n up to 1.5e-15 off
     heads = (rows * table.w_k).sum(axis=1)
     tails = _log_integral(rows[:, -2:].T, table.k_max)
-    return table, phi, e_n, v, (*heads.tolist(), *tails.tolist())
+    return table, phi, e_n, v, (*heads.tolist(), *tails.tolist()), t2
 
 
 def _u_detail(n: int, gamma: float, k_max: float, parts: tuple) -> tuple[float, float]:
@@ -224,12 +221,6 @@ def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpans
     if not (0.0 <= gamma <= GAMMA_MAX):  # also rejects NaN
         raise ValueError(
             f"gamma={gamma} outside the supported domain [0, {GAMMA_MAX}]"
-        )
-    if gamma > GAMMA_WARN:
-        warnings.warn(
-            f"gamma={gamma} > {GAMMA_WARN}: series convergence in q is only "
-            "evidenced at small density parameters",
-            stacklevel=2,
         )
 
     parts = [_order(k_max, 0)]
@@ -275,6 +266,8 @@ def pole_residual(series: SeriesExpansion, k) -> np.ndarray:
     """
     k = np.asarray(k, dtype=float)
     check_wavenumbers(k)
+    if not k.size:  # no wavenumber, nothing to integrate
+        return np.empty((series.order + 1,) + k.shape)
     ks = k.ravel()
     t1 = np.array([t_n(1, kv) for kv in ks.tolist()])
     rows = [u0() * t1 - np.array([t_n(2, kv) for kv in ks.tolist()])]

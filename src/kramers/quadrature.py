@@ -104,13 +104,18 @@ K_LIMIT = 16384.0
 
 
 def check_k_max(k_max: float) -> None:
-    """Reject a truncation point outside (2, K_LIMIT].
+    """Reject a truncation point outside (2, K_LIMIT] or in (50, 50.001].
 
-    The standard grid needs k_max above its [0, 2] section, and its moments
-    are taken at wavenumbers up to k_max.
+    The standard grid needs k_max above its [0, 2] section and takes its
+    moments at wavenumbers up to k_max; up to 50.001 its 32 outer nodes
+    crowd into a sliver (U_1 was 470 times off at 50 + 1e-9).
     """
     if not 2.0 < k_max <= K_LIMIT:  # also false for NaN
         raise ValueError(f"k_max must be finite and in (2, {K_LIMIT:g}], got {k_max}")
+    if 50.0 < k_max <= 50.001:
+        raise ValueError(
+            f"k_max={k_max!r} is too close to 50: the grid nodes past it crowd together"
+        )
 
 # Gauss-Kronrod 7/15 pair on [-1, 1] (QUADPACK dqk15 values).
 _XK = np.array([

@@ -201,7 +201,8 @@ def t_n_vec(n: int, k) -> np.ndarray:
 
 def phi0_vec(k) -> np.ndarray:
     """Seed spectral numerator (sqrt(pi)/2) T_3 - T_4, vectorised."""
-    return SQRT_PI / 2.0 * t_n_vec(3, k) - t_n_vec(4, k)
+    batch = MomentBatch(k)
+    return SQRT_PI / 2.0 * batch.t(3) - batch.t(4)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kramers import cli
+from kramers import cli, special_integrals
 from kramers.cli import main
 
 
@@ -139,12 +139,15 @@ class TestCurves:
     ])
     def test_wavenumber_above_the_limit_rejected(self, capsys, what, k):
         """T1(1e12) printed 7.21781e-24 (3.0853e-23 is right) with exit 0, and
-        L(1e200) exited 3 after numpy overflow warnings."""
+        L(1e200) exited 3 after numpy overflow warnings.  The one wavenumber
+        rule names the first bad entry of the range."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "curves", "--what", what, "--k", k)
         assert code == 2 and out == ""
-        assert "--k: wavenumbers must be at most 16384" in err
+        bad = {"1e12:1e12:1": "1000000000000.0", "1e200:1e200:1": "1e+200",
+               "0:20000:1000": "17000.0"}[k]
+        assert f"wavenumber must be in [0, 16384], got --k={bad}\n" in err
 
     def test_moments_at_the_limit(self, capsys):
         """At k = 16384, T1 = x e^x E_1(x)/sqrt(pi), x = 1/k^2 (3.95782e-08)."""
@@ -503,6 +506,21 @@ class TestAccuracyFlags:
         else:
             assert f"unrecognized arguments: {flag}={value}" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify",), ("verify", "--only", "identities"), ("slip",), ("profile",),
+    ])
+    def test_kmax_in_the_sliver_rejected_before_work(self, capsys, monkeypatch, argv):
+        """k_max in (50, 50.001] was rejected by the standard grid alone:
+        verify integrated the identities group's 28 T_n first, and verify
+        --only identities, which builds no grid, exited 0."""
+        def no_work(*args):
+            raise AssertionError("a T_n integral ran before --kmax was checked")
+
+        monkeypatch.setattr(special_integrals, "_t_n_cached", no_work)
+        code, out, err = run_cli(capsys, *argv, "--kmax", "50.0005")
+        assert code == 2 and out == ""
+        assert "invalid request: k_max=50.0005 is too close to 50" in err
 
     @pytest.mark.parametrize("command, flag", [
         ("slip", "--tol"), ("profile", "--tol"), ("curves", "--kmax"),

@@ -133,11 +133,25 @@ class TestBuildSeries:
         with pytest.raises(ValueError, match=re.escape(message)):
             build_series(0.1, order)
 
-    def test_gamma_domain_and_warning(self):
+    def test_gamma_domain(self):
         with pytest.raises(ValueError):
             build_series(0.96, 0)
-        with pytest.warns(UserWarning, match="convergence"):
-            build_series(0.6, 0)
+
+    def test_no_warning_past_half(self):
+        """build_series warned above gamma 0.5 that convergence in q was
+        only evidenced at small gamma; the iteration is free of gamma."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_series(0.6, 2)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.95])
+    def test_q_series_ratio_free_of_gamma(self, gamma):
+        """U_4/U_3 is -0.0965 at gamma 0, -0.0972 at 0.5 and -0.0974 at
+        0.95: the series in q converges at one rate at every gamma, as the
+        gamma-free c_n and d_n imply."""
+        base = build_series(0.0, 4).u_coeffs
+        u = build_series(gamma, 4).u_coeffs
+        assert u[4] / u[3] == pytest.approx(base[4] / base[3], rel=0.02)
 
     def test_diagnostics_present(self, series_cache):
         series = series_cache(0.0, 2)
@@ -261,10 +275,10 @@ class TestGridPartsCache:
 
     def test_cached_arrays_are_read_only(self):
         for n in range(MAX_ORDER + 1):
-            table, phi, e_n, v, parts = _order(K_MAX, n)
+            table, phi, e_n, v, parts, t2 = _order(K_MAX, n)
             arrays = (table.k, table.w_k, table.t1, table.t2,
                       table.s, phi.nodes, phi.values, phi.c, e_n.values,
-                      e_n.c)
+                      e_n.c, t2)
             if n == MAX_ORDER:
                 # phi_{n+1} and U_{n+1} are never built, so neither are their inputs
                 assert v is None and parts is None
@@ -323,6 +337,23 @@ class TestGridPartsCache:
         assert calls == []
         assert series.u_coeffs == build_series(0.37, 4).u_coeffs
 
+    def test_cold_build_batch_count(self, monkeypatch):
+        """A cold build of orders 0..4 makes 13 MomentBatches: 11 for the
+        kernel table, one for phi_0 and one for T_2 at the grid nodes.  T_2
+        once per order and T_3, T_4 of phi_0 from two batches made 18."""
+        batches, init = [], MomentBatch.__init__
+
+        def counted(batch, k):
+            init(batch, k)
+            batches.append(batch)
+
+        monkeypatch.setattr(MomentBatch, "__init__", counted)
+        _order.cache_clear()
+        build_series(0.0, MAX_ORDER)
+        assert len(batches) == 13
+        assert all(_order(K_MAX, n)[5] is _order(K_MAX, 0)[5]
+                   for n in range(MAX_ORDER + 1))
+
     def test_every_gamma_holds_the_cached_densities(self):
         """A series at any gamma holds the cached, immutable, gamma-free
         phi_n and E_n themselves."""
@@ -338,9 +369,7 @@ class TestGridPartsCache:
         """U_n from the cached parts of c_n and d_n equals one K15 sum and
         one fitted tail of the combined integrand
         (gamma/sqrt(pi) + (1-gamma) T_1) phi_{n-1}/T_2 on the table."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # gamma > GAMMA_WARN
-            series = build_series(gamma, MAX_ORDER)
+        series = build_series(gamma, MAX_ORDER)
         table = _order(K_MAX, 0)[0]
         for n in range(1, MAX_ORDER + 1):
             v = _order(K_MAX, n - 1)[3]
@@ -480,6 +509,19 @@ class TestPoleResidual:
             scalar = pole_residual(series, float(k))
             assert scalar.shape == (3,)
             assert (family[:, j] == scalar).all()
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_no_wavenumber_integrates_nothing(self, monkeypatch, series_cache, shape):
+        """An empty k gives empty rows and makes no quadrature call; it
+        integrated the C_n family of the series for no wavenumber."""
+        series = series_cache(0.0, 2)
+
+        def no_integral(*args, **kwargs):
+            raise AssertionError("pole_residual integrated for no wavenumber")
+
+        monkeypatch.setattr(neumann, "_integrate_spectral_detail", no_integral)
+        neumann._pole_parts.cache_clear()
+        assert pole_residual(series, np.empty(shape)).shape == (3,) + shape
 
     def test_bad_entries_named(self, series_cache):
         series = series_cache(0.0, 2)

@@ -55,6 +55,7 @@ class TestSpecValidation:
             {"k_max": -1e300},
             {"k_max": math.nan},
             {"k_max": 1e300},
+            {"k_max": 50.0005},  # the grid's 32 outer nodes crowd into a sliver
         ],
     )
     def test_invariants_rejected(self, kwargs):

@@ -453,6 +453,12 @@ class TestVectorisedAgainstScalar:
             atol=5e-12,
         )
 
+    def test_phi0_reads_one_batch(self):
+        """phi0_vec takes T_3 and T_4 from one MomentBatch, in the bits of
+        the two t_n_vec calls it made."""
+        expected = SQPI / 2.0 * t_n_vec(3, K_GRID) - t_n_vec(4, K_GRID)
+        assert phi0_vec(K_GRID).tobytes() == expected.tobytes()
+
     def test_moment_batch_weights_are_the_plain_expression(self):
         """The weights are built in place, in the bits of the expression
         1/(1 + k^2 t^2) written out."""
