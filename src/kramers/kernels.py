@@ -155,8 +155,7 @@ def s_kernel(k, k1, gamma) -> float | np.ndarray:
     """Kernel value S(k, k1) = (1 - gamma) S_1(k, k1) (adaptive path).
 
     ``k``, ``k1`` and ``gamma`` broadcast together: arrays give an array,
-    whose J_3 values are integrated as one family, one member per distinct
-    (k, k1), and scalars a float.
+    with one cached J_3 value per distinct (k, k1), and scalars a float.
     """
     check_gamma(gamma)
     k, k1, gamma = np.broadcast_arrays(k, k1, gamma)

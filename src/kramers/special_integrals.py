@@ -26,8 +26,7 @@ rule is an error of at most max(ABS_TOL, REL_TOL |value|): 1e-14 absolute
 below 1e-4 and 1e-10 relative above.  `t_n` is scalar and cached, and
 breaks its range at the Lorentzian knee t = 1/k when that lies below
 T_MAX, while `j_n` takes one order and broadcastable arrays of wavenumbers
-and integrates them as one family, each member with its own knees 1/k and
-1/k1 and each value equal to its scalar call's.
+and caches each member the same way, with its own knees 1/k and 1/k1.
 :class:`MomentBatch` (with `fixed_row`, `t_n_vec` and `phi0_vec`)
 evaluates on arrays of k via one fixed graded Gauss-Legendre rule on
 [0, T_MAX], built at import, whose panels are geometrically refined toward
@@ -226,6 +225,16 @@ def _t_n_cached(n: int, k: float) -> float:
     )
 
 
+@lru_cache(maxsize=65536)
+def _j_n_cached(n: int, k: float, k1: float) -> float:
+    # both knees are breakpoints, as for T_n; at k = 0 there is none
+    return integrate_gaussian_weighted(
+        lambda t: 2.0 / SQRT_PI * t**n / ((1.0 + k * k * t**2) * (1.0 + k1 * k1 * t**2)),
+        label=f"J_{n}(k={k:.6g}, k1={k1:.6g})",
+        knees=tuple(1.0 / v for v in (k, k1) if v),
+    )
+
+
 def t_n(n: int, k: float) -> float:
     """Moment T_n(k) at one wavenumber k in [0, K_LIMIT] (`t_n_vec` takes
     arrays); the k=0 values come from the exact moment table."""
@@ -252,23 +261,18 @@ def j_n(n: int, k, k1) -> float | np.ndarray:
     """Double-Lorentzian moment J_n(k, k1) of one order; symmetric in (k, k1).
 
     The wavenumbers ``k`` and ``k1`` broadcast together: arrays give an
-    array, integrated as one family, each member with its own knees 1/k and
-    1/k1 as breakpoints, and scalars a float.
+    array and scalars a float.  Each member is one cached adaptive integral
+    with its own knees 1/k and 1/k1 as breakpoints, bit for bit the member
+    of a family call (``integrate_gaussian_weighted`` with ``params``).
     """
     _check_order(n)
     k, k1 = np.asarray(k, dtype=float), np.asarray(k1, dtype=float)
     check_wavenumbers(k)
     check_wavenumbers(k1, "k1")
     shape = np.broadcast_shapes(k.shape, k1.shape)
-    k, k1 = (np.broadcast_to(a, shape).ravel() for a in (k, k1))
-    with np.errstate(divide="ignore", over="ignore"):  # 1/k is inf at k = 0
-        knees = (1.0 / k, 1.0 / k1)
-    values = integrate_gaussian_weighted(
-        lambda t, k, k1: 2.0 / SQRT_PI * t**n / ((1.0 + k * k * t**2) * (1.0 + k1 * k1 * t**2)),
-        label=lambda j: f"J_{n}(k={k[j]:.6g}, k1={k1[j]:.6g})",
-        params=(k, k1), knees=knees,
-    )
-    return float(values[0]) if shape == () else values.reshape(shape)
+    k, k1 = (np.broadcast_to(a, shape).ravel().tolist() for a in (k, k1))
+    values = [_j_n_cached(int(n), a, b) for a, b in zip(k, k1)]
+    return values[0] if shape == () else np.array(values).reshape(shape)
 
 
 def dispersion_l(k: float, gamma: float) -> float:

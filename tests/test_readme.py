@@ -1,5 +1,6 @@
 """The README's Python examples and command lines run as written."""
 
+import ast
 import json
 import re
 import shlex
@@ -9,7 +10,8 @@ import pytest
 
 from kramers import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"```python\n(.*?)```", TEXT, re.S)
 COMMANDS = [
@@ -57,3 +59,34 @@ def test_command_line_runs(line, tmp_path, monkeypatch, capsys):
         if "--output" in argv:
             text = Path(argv[argv.index("--output") + 1]).read_text(encoding="utf-8")
         assert strict_json(text)["data"]
+
+
+COUNT_WORDS = ("Zero", "One", "Two", "Three", "Four", "Five", "Six", "Seven",
+               "Eight", "Nine", "Ten", "Eleven", "Twelve")
+
+
+def module_caches():
+    """``module.function`` of every module-level function of the package
+    under ``lru_cache`` or ``functools.cache``, with or without arguments."""
+    names = []
+    for path in sorted((ROOT / "src" / "kramers").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    names.append(f"{path.stem}.{node.name}")
+    return names
+
+
+def test_cache_paragraph_names_every_cache():
+    """The thread-safety paragraph counts the package's module-level caches
+    in words and names each one."""
+    caches = module_caches()
+    paragraph = next(p for p in TEXT.split("\n\n") if "outlive a call" in p)
+    count = re.search(r"(\w+) caches\s+outlive a call", paragraph).group(1)
+    assert count == COUNT_WORDS[len(caches)], caches
+    missing = [name for name in caches if f"`{name}`" not in paragraph]
+    assert not missing

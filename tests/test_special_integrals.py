@@ -291,16 +291,19 @@ class TestJm:
 
 
 class TestArrayArguments:
-    """Arrays of wavenumbers broadcast and are integrated as one family, of
-    one order; each value is its scalar call's, bit for bit."""
+    """Arrays of wavenumbers of one order broadcast, and each member is one
+    cached integral: each value is its direct integral's, bit for bit, and
+    the member of a family call."""
 
     def test_j_n_equals_its_scalar_calls(self):
+        """Each value is the direct integral of its member: a second j_n
+        call would read the same cache entry."""
         k = np.array([[0.0, 1e-3, 0.3], [2.0, 60.0, 5e3]])
         k1 = np.array([0.7, 0.0, 9.0])
         for n in (0, 3, 8):
             values = j_n(n, k, k1)
             assert values.shape == (2, 3)
-            expected = [[j_n(n, float(a), float(b)) for a, b in zip(row, k1)]
+            expected = [[self.one_order(n, a, b) for a, b in zip(row, k1)]
                         for row in k]
             assert (values == np.array(expected)).all()
 
@@ -355,13 +358,39 @@ class TestArrayArguments:
     def test_label_names_the_member_order(self, monkeypatch):
         labels = []
 
-        def record(f, label, params, knees):
-            labels.extend(label(j) for j in range(len(params[0])))
-            return np.zeros(len(params[0]))
+        def record(f, label, knees=()):
+            labels.append(label)
+            return 0.0
 
+        special_integrals._j_n_cached.cache_clear()
         monkeypatch.setattr(special_integrals, "integrate_gaussian_weighted", record)
-        j_n(3, [0.5, 1.0], 2.0)
+        try:
+            j_n(3, [0.5, 1.0], 2.0)
+        finally:
+            special_integrals._j_n_cached.cache_clear()  # drop the zeros
         assert labels == ["J_3(k=0.5, k1=2)", "J_3(k=1, k1=2)"]
+
+    def test_repeated_call_integrates_nothing_and_cold_values_are_a_family(
+            self, monkeypatch):
+        """A cold call's values are, bit for bit, the members of one family
+        of the same integrand with the same knees; a repeated call makes no
+        integral."""
+        n, k, k1 = 5, np.array([0.0, 1e-3, 0.3, 60.0, 5e3]), np.array([0.7, 9.0, 0.0, 0.3, 5e3])
+        special_integrals._j_n_cached.cache_clear()
+        cold = j_n(n, k, k1)
+        with np.errstate(divide="ignore"):
+            family = integrate_gaussian_weighted(
+                lambda t, k, k1: 2.0 / SQPI * t**n
+                / ((1.0 + k * k * t**2) * (1.0 + k1 * k1 * t**2)),
+                params=(k, k1), knees=(1.0 / k, 1.0 / k1),
+            )
+        assert (cold == family).all()
+
+        def no_integral(*args, **kwargs):
+            raise AssertionError("a repeated call integrated")
+
+        monkeypatch.setattr(special_integrals, "integrate_gaussian_weighted", no_integral)
+        assert (j_n(n, k, k1) == cold).all()
 
 
 class TestDispersion:
