@@ -20,9 +20,9 @@ U_n = -(gamma c_n/sqrt(pi) + (1 - gamma) d_n)/(sqrt(pi)(1 - gamma)).
 
 :func:`build_series` is the one way in.  The iteration runs once per
 k_max: :func:`_order` (a bounded cache) holds the kernel table, T_2 at its
-nodes, each phi_n, E_n and the four floats (K15 heads, fitted tails) of
-c_{n+1} and d_{n+1}.  Every series holds those phi_n and E_n and forms U_n
-from the floats; its consumers apply the one gamma scalar where it cancels.
+nodes, the tuples phi_0..phi_n, E_0..E_n and the four floats (K15 heads,
+fitted tails) of c_{n+1} and d_{n+1}.  A series holds its order's tuples and
+forms U_n from the floats without numpy; consumers apply the gamma scalar.
 The pole residuals B_n, which check U_n, split the same way:
 
     B_n(k) = U_n T_1(k) + (gamma T_1(k) C_n + (1 - gamma) I_n(k))/((1 - gamma) pi),
@@ -152,9 +152,9 @@ def _pole_parts(phis: tuple, ks: tuple) -> tuple:
 
 @lru_cache(maxsize=4 * (MAX_ORDER + 1))
 def _order(k_max: float, n: int) -> tuple:
-    """Kernel table, phi_n, E_n, v = phi_n/T_2 at the table points, the
-    parts of c_{n+1}, d_{n+1} (:func:`_u_detail`) and T_2 at the grid
-    nodes, all free of gamma; v and the parts are None at ``MAX_ORDER``.
+    """Kernel table, the tuples phi_0..phi_n and E_0..E_n, v = phi_n/T_2 at
+    the table points, the parts of c_{n+1}, d_{n+1} (:func:`_u_detail`) and
+    T_2 at the grid nodes, all free of gamma; v and parts None at MAX_ORDER.
 
     Order 0 builds the standard grid, its table, T_2 and phi_0; order n
     applies the shared table to order n - 1.  The parts are four floats:
@@ -169,20 +169,22 @@ def _order(k_max: float, n: int) -> tuple:
         t2 = t_n_vec(2, grid)
         t2.setflags(write=False)
         phi = SpectralFunction(nodes=grid, values=phi0_vec(grid), label="phi_0")
+        phis = es = ()
     else:
-        table, prev, _, v, _, t2 = _order(k_max, n - 1)
-        phi = _apply_table(table, prev, v)
+        table, phis, es, v, _, t2 = _order(k_max, n - 1)
+        phi = _apply_table(table, phis[-1], v)
     # never the raw numerator / L(k), whose k=0 limit is 0/0: T_2(0) = 1/2
     e_n = SpectralFunction(nodes=table.nodes, values=phi.values / t2, label=f"E_{n}")
+    phis, es = phis + (phi,), es + (e_n,)
     if n == MAX_ORDER:  # no series reads phi_{n+1} or U_{n+1}
-        return table, phi, e_n, None, None, t2
+        return table, phis, es, None, None, t2
     v = table.density(phi)
     v.setflags(write=False)
     rows = np.stack([v, table.t1 * v])
     # pairwise sums: a matrix-vector product rounds U_n up to 1.5e-15 off
     heads = (rows * table.w_k).sum(axis=1)
     tails = _log_integral(rows[:, -2:].T, table.k_max)
-    return table, phi, e_n, v, (*heads.tolist(), *tails.tolist()), t2
+    return table, phis, es, v, (*heads.tolist(), *tails.tolist()), t2
 
 
 def _u_detail(n: int, gamma: float, k_max: float, parts: tuple) -> tuple[float, float]:
@@ -223,20 +225,19 @@ def build_series(gamma: float, order: int, k_max: float = K_MAX) -> SeriesExpans
             f"gamma={gamma} outside the supported domain [0, {GAMMA_MAX}]"
         )
 
-    parts = [_order(k_max, 0)]
+    parts = _order(k_max, 0)
     u_coeffs = [u0()]
     diagnostics: list[dict] = [{"order": 0, "u_tail": 0.0}]
     for n in range(1, order + 1):
         # U_n before phi_n, so that U_n's tail guard fires first
-        u_n, u_tail = _u_detail(n, gamma, parts[0][0].k_max, parts[-1][4])
+        u_n, u_tail = _u_detail(n, gamma, parts[0].k_max, parts[4])
         u_coeffs.append(u_n)
         diagnostics.append({"order": n, "u_tail": u_tail})
-        parts.append(_order(k_max, n))
+        parts = _order(k_max, n)
 
     return SeriesExpansion(
         gamma=gamma, order=order, u_coeffs=tuple(u_coeffs),
-        phi_funcs=tuple(p[1] for p in parts), e_funcs=tuple(p[2] for p in parts),
-        diagnostics=tuple(diagnostics),
+        phi_funcs=parts[1], e_funcs=parts[2], diagnostics=tuple(diagnostics),
     )
 
 

@@ -357,12 +357,13 @@ def _log_integral(samples, k_max: float) -> np.ndarray:
 
 def _tail_guard(tail, head, k_max: float, label: str | Callable[[int], str]) -> None:
     """Raise :class:`TailEstimateDominatesError` when a tail exceeds 10% of
-    its truncated part ``head`` (scalars, or one entry per member j, named
-    ``label(j)`` when ``label`` is callable so that a family formats only
-    the one label it raises under)."""
-    dominant = np.abs(tail) > 0.1 * (np.abs(head) + ABS_TOL)
-    if dominant.any():
-        j = dominant.argmax()
+    its truncated part ``head`` (Python floats, compared as floats with no
+    numpy call, or arrays, one entry per member j, named ``label(j)`` when
+    ``label`` is callable so that a family formats only the one label it
+    raises under)."""
+    dominant = abs(tail) > 0.1 * (abs(head) + ABS_TOL)  # a bool for floats
+    if dominant is True or (dominant is not False and dominant.any()):
+        j = 0 if dominant is True else dominant.argmax()
         raise TailEstimateDominatesError(
             label if isinstance(label, str) else label(j),
             f"tail estimate {np.atleast_1d(tail)[j]:.3e} exceeds 10% of the "

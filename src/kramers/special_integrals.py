@@ -209,6 +209,8 @@ def phi0_vec(k) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_order(n: int) -> None:
+    if type(n) is int and 0 <= n <= _MAX_ORDER:  # the common case, no ABC check
+        return
     # bool is an int, but not an order
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= _MAX_ORDER:
         raise ValueError(f"moment order must be an integer in [0, {_MAX_ORDER}], got {n!r}")
@@ -253,6 +255,8 @@ def t_n(n: int, k: float) -> float:
 
 def check_gamma(gamma) -> None:
     """Reject a density parameter (or any entry) outside [0, 1), NaN included."""
+    if type(gamma) is float and 0.0 <= gamma < 1.0:  # the common case, no numpy
+        return
     if not all(0.0 <= v < 1.0 for v in np.ravel(gamma).tolist()):
         raise ValueError("gamma must be in [0, 1)")
 

@@ -275,7 +275,8 @@ class TestGridPartsCache:
 
     def test_cached_arrays_are_read_only(self):
         for n in range(MAX_ORDER + 1):
-            table, phi, e_n, v, parts, t2 = _order(K_MAX, n)
+            table, phis, es, v, parts, t2 = _order(K_MAX, n)
+            phi, e_n = phis[n], es[n]
             arrays = (table.k, table.w_k, table.t1, table.t2,
                       table.s, phi.nodes, phi.values, phi.c, e_n.values,
                       e_n.c, t2)
@@ -293,11 +294,11 @@ class TestGridPartsCache:
     def test_distinct_k_max_get_distinct_parts(self):
         small, large = _order(400.0, 0), _order(800.0, 0)
         assert small[0].k_max == 400.0 and large[0].k_max == 800.0
-        assert small[1].k_max == 400.0 and large[1].k_max == 800.0
+        assert small[1][0].k_max == 400.0 and large[1][0].k_max == 800.0
         assert _order(400.0, 0) is small
         assert _order(400.0, 1)[0] is small[0]
         series = build_series(0.0, 1, 400.0)
-        assert series.phi_funcs[0].nodes is small[1].nodes
+        assert series.phi_funcs[0].nodes is small[1][0].nodes
 
     def test_threads_build_the_same_series(self):
         _order.cache_clear()
@@ -337,6 +338,23 @@ class TestGridPartsCache:
         assert calls == []
         assert series.u_coeffs == build_series(0.37, 4).u_coeffs
 
+    def test_warm_build_calls_no_numpy(self, monkeypatch):
+        """A warm series forms each U_n from the cached floats by float
+        arithmetic: with numpy gone from neumann and quadrature it builds
+        the same coefficients and diagnostics, bit for bit."""
+        expected = build_series(0.37, MAX_ORDER)
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"a warm build called np.{name}")
+
+        monkeypatch.setattr(neumann, "np", NoNumpy())
+        monkeypatch.setattr(quadrature, "np", NoNumpy())
+        series = build_series(0.37, MAX_ORDER)
+        # a float's repr round-trips its bits, and tells -0.0 from 0.0
+        assert repr(series.u_coeffs) == repr(expected.u_coeffs)
+        assert repr(series.diagnostics) == repr(expected.diagnostics)
+
     def test_cold_build_batch_count(self, monkeypatch):
         """A cold build of orders 0..4 makes 13 MomentBatches: 11 for the
         kernel table, one for phi_0 and one for T_2 at the grid nodes.  T_2
@@ -356,13 +374,15 @@ class TestGridPartsCache:
 
     def test_every_gamma_holds_the_cached_densities(self):
         """A series at any gamma holds the cached, immutable, gamma-free
-        phi_n and E_n themselves."""
+        phi_n and E_n themselves, as the cached tuples of its order."""
         for gamma in (0.0, 0.3):
             for order in range(MAX_ORDER + 1):
                 series = build_series(gamma, order)
+                assert series.phi_funcs is _order(K_MAX, order)[1]
+                assert series.e_funcs is _order(K_MAX, order)[2]
                 for n in range(order + 1):
-                    assert series.phi_funcs[n] is _order(K_MAX, n)[1]
-                    assert series.e_funcs[n] is _order(K_MAX, n)[2]
+                    assert series.phi_funcs[n] is _order(K_MAX, n)[1][n]
+                    assert series.e_funcs[n] is _order(K_MAX, n)[2][n]
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.25, 0.5, 0.9])
     def test_u_equals_the_combined_integrand(self, gamma):

@@ -164,6 +164,33 @@ class TestTn:
         assert t_n(4, 85.625) == pytest.approx(6.817933625325422e-05, rel=1e-13)
 
 
+class TestOrderAndGammaChecks:
+    """`_check_order` and `check_gamma` try a plain int and a plain float
+    first; numpy scalars, other types and arrays take the general rule,
+    which accepts and rejects the same inputs (the rejected orders are
+    named by `TestArrayArguments::test_bad_order_entry_named_before_any_integral`)."""
+
+    @pytest.mark.parametrize("n", [0, 3, 8, np.int64(3), np.uint8(8)], ids=repr)
+    def test_order_accepted(self, n):
+        special_integrals._check_order(n)
+
+    @pytest.mark.parametrize(
+        "gamma", [0.0, 0.3, 0, np.float64(0.3), [0.2, 0.5], np.array([[0.1], [0.9]])],
+        ids=repr,
+    )
+    def test_gamma_accepted(self, gamma):
+        special_integrals.check_gamma(gamma)
+
+    @pytest.mark.parametrize(
+        "gamma", [True, 1.5, np.float64(1.0), math.nan, math.inf, 1.0, [0.2, 1.0],
+                  -0.1, np.array([0.1, 1.0]), np.array([[0.2], [math.nan]])],
+        ids=repr,
+    )
+    def test_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match=r"^gamma must be in \[0, 1\)$"):
+            special_integrals.check_gamma(gamma)
+
+
 class TestWavenumberLimit:
     """Every moment takes k in [0, K_LIMIT]: past it the adaptive runs
     lose their knee, and T_1(1e8) was 65% low, T_0(1e12) 50% low and
@@ -341,12 +368,14 @@ class TestArrayArguments:
             j_n(1, [0.3, -1.0], 0.5)
 
     @pytest.mark.parametrize(
-        "order", [1.5, True, 9, -1, np.float64(1.0), [1, 3]],
+        "order", [1.5, True, 9, -1, np.float64(1.0), [1, 3],
+                  math.nan, math.inf, 1.0, [0.2, 1.0], np.int64(9)],
         ids=lambda order: f"order={order!r}",
     )
     def test_bad_order_entry_named_before_any_integral(self, monkeypatch, order):
-        """One integer order: a float, a bool, one out of [0, 8] and a list
-        of orders are each named before any integral."""
+        """One integer order: a float (NaN and inf too), a bool, one out of
+        [0, 8], plain or numpy, and a list of orders are each named before
+        any integral."""
         def no_integral(*args, **kwargs):
             raise AssertionError("integrated before checking the order")
 
