@@ -31,16 +31,17 @@ whole process.  The rule is fixed, so no tolerance enters: a table's
 accuracy is that of the rule on the density's knot intervals, and its
 truncation point is the density's last node.  Spectral functions are
 defined on [0, k_max] only: past k_max each integral uses its own fitted
-tail.
+tail.  They are the clamped quintic splines of their samples, fitted
+through one cached map per grid and evaluated in numpy alone.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PPoly, make_interp_spline
 
 from .quadrature import K_MAX, _gk_rule, _log_tail, _tail_points, check_k_max
 # perfbench/tracing.py rebinds integrate_spectral here, though nothing here
@@ -54,23 +55,120 @@ __all__ = [
     "SpectralFunction", "standard_grid", "s_kernel", "apply_kernel",
 ]
 
+#: y''' h^3, y'''' h^4 at the left end and y''' h^3, y'''' h^4 at the right
+#: end of a quintic Hermite piece on an interval of width h, from its rise
+#: y1 - y0, then h y' and h^2 y'' at its left end and at its right end
+_HERMITE_ENDS = np.array([
+    [60.0, -36.0, -9.0, -24.0, 3.0],
+    [-360.0, 192.0, 36.0, 168.0, -24.0],
+    [60.0, -24.0, -3.0, -36.0, 9.0],
+    [360.0, -168.0, -24.0, -192.0, 36.0],
+])
+
+
+@lru_cache(maxsize=4)
+def _quintic_map(key: bytes) -> np.ndarray:
+    """Read-only [2N, N-1] map from the slopes (y1 - y0)/h of the N - 1
+    knot intervals of N nodes, given as the bytes of their float64 array, to
+    y' and then y'' at the nodes, for the spline of :class:`SpectralFunction`.
+
+    The 2N conditions are y'(0) = 0, the continuity of y''' and of y'''' at
+    the N - 2 inner nodes, where the Hermite pieces meet, y'''(0) = 0 and
+    y''' = y'''' = 0 at the last node.  The columns and then the rows are
+    scaled to a largest entry of 1 for the dense solve, and one step of
+    refinement (a second solve, on the residual) keeps the map accurate on
+    a grid whose knot intervals differ in width by 1e5 (the nodes just past
+    50 at k_max 50.001).  Slopes, unlike values, keep the map's entries
+    small on such a grid, so that applying it does not cancel.
+    """
+    nodes = np.frombuffer(key)
+    n = len(nodes)
+    h = np.diff(nodes)[:, None]
+    # [end condition, interval, (slope, y' and y'' at its left node, then at its right)]
+    ends = (_HERMITE_ENDS[:, None] * np.hstack([h, h, h * h, h, h * h])
+            / h ** np.array([3, 4, 3, 4])[:, None, None])
+    a, b = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, n - 1))
+    a[0, 0] = 1.0  # y'(0) = 0
+    inner = np.arange(n - 2)
+    for rows, pieces, end, sign in (
+        (1 + inner, inner, 2, 1.0), (1 + inner, inner + 1, 0, -1.0),  # y'''
+        (n - 1 + inner, inner, 3, 1.0), (n - 1 + inner, inner + 1, 1, -1.0),  # y''''
+        ([2 * n - 3], [0], 0, 1.0),  # y'''(0) = 0
+        ([2 * n - 2, 2 * n - 1], [n - 2, n - 2], [2, 3], 1.0),  # at k_max
+    ):
+        pieces = np.asarray(pieces)
+        e = sign * ends[end, pieces]
+        b[rows, pieces] = -e[:, 0]
+        for col, coef in zip((pieces, n + pieces, pieces + 1, n + pieces + 1), e[:, 1:].T):
+            a[rows, col] += coef
+    col_scale = 1.0 / np.abs(a).max(axis=0)
+    a *= col_scale
+    row_scale = 1.0 / np.abs(a).max(axis=1, keepdims=True)
+    a *= row_scale
+    b *= row_scale
+    m = np.linalg.solve(a, b)
+    b -= a @ m  # the residual, for one step of refinement
+    m += np.linalg.solve(a, b)
+    m *= col_scale[:, None]
+    m.setflags(write=False)
+    return m
+
+
+def _quintic_coefficients(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``c[m, i]`` of :class:`SpectralFunction`: on each knot interval the
+    quintic Hermite piece through y, y' and y'' at its two nodes, y' and
+    y'' from :func:`_quintic_map`."""
+    h, rise = np.diff(nodes), np.diff(values)
+    d, s = np.split(_quintic_map(nodes.tobytes()) @ (rise / h), 2)
+    d0, s0 = d[:-1], s[:-1]
+    # what the quadratic Taylor part from the left node misses at the right
+    # node in y, h y' and h^2 y''
+    dy = rise - h * (d0 + 0.5 * h * s0)
+    dd = h * (d[1:] - d0 - h * s0)
+    ds = h * h * (s[1:] - s0)
+    return np.stack([
+        (6.0 * dy - 3.0 * dd + 0.5 * ds) / h**5,
+        (-15.0 * dy + 7.0 * dd - ds) / h**4,
+        (10.0 * dy - 4.0 * dd + 0.5 * ds) / h**3,
+        0.5 * s0, d0, values[:-1],
+    ])
+
+
+def _piecewise(c: np.ndarray, nodes: np.ndarray, k) -> np.ndarray:
+    """sum_m c[m, i] (k - nodes[i])^(5-m) on the knot interval i of each k,
+    one result per k followed by the trailing axes of ``c[m, i]``.
+
+    Interval i holds nodes[i] <= k < nodes[i+1], and the last one also the
+    last node.  The powers are summed lowest first, as scipy's ``PPoly``
+    sums them, so the two agree bit for bit.
+    """
+    k = np.asarray(k, dtype=float)
+    i = np.clip(np.searchsorted(nodes, k, side="right") - 1, 0, len(nodes) - 2)
+    s = (k - nodes[i]).reshape(k.shape + (1,) * (c.ndim - 2))
+    value, power = 0.0, 1.0
+    for m in range(len(c) - 1, -1, -1):
+        value = value + c[m, i] * power
+        if m:
+            power = power * s
+    return value
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralFunction:
     """A sampled, interpolable even function of k, defined on [0, k_max].
 
-    Evaluation between nodes is by a quintic spline whose odd derivatives
-    are clamped to zero at k=0 (evenness forces a flat start), so at least
-    8 nodes are required.  On the standard grid at k_max 800 the spline of
-    phi_0 is off at the kernel-table points by up to 3.8e-9 relative on
-    [0, 2], 3.6e-7 on [2, 50] and 1.7e-3 on [50, 800], so the K15 head of
-    c_1 = int phi_0/T_2 is 4.4e-7 off (that of d_1, 6.6e-10).  The spline is
-    converted once, on construction, to its piecewise-polynomial form (one
-    set of monomial coefficients per knot interval), which evaluates several
-    times faster than the B-spline recurrence and agrees with it to
-    rounding.  That form is the read-only coefficients ``c[m, i]`` of
-    ``(k - nodes[i])^(5-m)`` on each knot interval, evaluated by scipy's
-    ``PPoly`` on ``(c, nodes)``.
+    Evaluation between nodes is by the quintic spline through the samples
+    that is C^4 at the inner nodes, with y' = y''' = 0 at k=0 (evenness
+    forces a flat start) and y''' = y'''' = 0 at k_max, so at least 8 nodes
+    are required: the clamped quintic B-spline interpolant (de Boor, *A
+    Practical Guide to Splines*), fitted in Hermite form by
+    :func:`_quintic_coefficients`.  On the standard grid at k_max 800 the
+    spline of phi_0 is off at the kernel-table points by up to 3.8e-9
+    relative on [0, 2], 3.6e-7 on [2, 50] and 1.7e-3 on [50, 800], so the
+    K15 head of c_1 = int phi_0/T_2 is 4.4e-7 off (that of d_1, 6.6e-10).
+    The fit is made once, on construction, as the read-only coefficients
+    ``c[m, i]`` of ``(k - nodes[i])^(5-m)`` on each knot interval, which
+    :func:`_piecewise` evaluates.
     The function is defined on [0, k_max], ``k_max`` being the last node,
     and evaluation past it raises ``ValueError``: each integral over it
     closes its own tail with a fitted model (see :mod:`kramers.quadrature`).
@@ -99,13 +197,7 @@ class SpectralFunction:
                 f"{self.label}: a quintic spline needs at least 8 nodes, "
                 f"got {len(nodes)}"
             )
-        spline = make_interp_spline(
-            nodes, values, k=5,
-            bc_type=([(1, 0.0), (3, 0.0)], [(3, 0.0), (4, 0.0)]),
-        )
-        poly = PPoly.from_spline(spline)
-        # from_spline repeats each end knot as empty intervals; drop them
-        c = poly.c[:, np.diff(poly.x) > 0.0]
+        c = _quintic_coefficients(nodes, values)
         for name, arr in (("nodes", nodes), ("values", values), ("c", c)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -123,7 +215,7 @@ class SpectralFunction:
                 f"{self.label} is defined for k <= k_max={self.k_max:g}, "
                 f"got k={k.max():g}"
             )
-        return PPoly.construct_fast(self.c, self.nodes)(k)[()]
+        return _piecewise(self.c, self.nodes, k)[()]
 
 
 def standard_grid(k_max: float = K_MAX) -> np.ndarray:

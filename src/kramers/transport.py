@@ -36,14 +36,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
-from scipy.interpolate import PPoly
 
-from .kernels import SpectralFunction
+from .kernels import SpectralFunction, _piecewise
 from .neumann import SeriesExpansion, u0
 from .quadrature import _fit_log_tail, _log_integral, _tail_guard, _tail_points
 # perfbench/tracing.py rebinds integrate_spectral here, though nothing here
@@ -482,8 +481,9 @@ def _plan(densities: tuple, weights: tuple, mu: float | None) -> _Plan:
     of floats and mu as a float or None.
 
     Checks that the densities share one grid, sums each row's density D
-    from their pieces, and keeps the first D's moment tables and tail fit
-    and every D's heads and fitted tails at x = 0.  The tails are
+    from their pieces (sampled, for the tail fit, by the piecewise sum of
+    :class:`SpectralFunction`), and keeps the first D's moment tables and
+    tail fit and every D's heads and fitted tails at x = 0.  The tails are
     unguarded: each call guards the ones it reads.
     """
     nodes = densities[0].nodes
@@ -495,7 +495,7 @@ def _plan(densities: tuple, weights: tuple, mu: float | None) -> _Plan:
     k_max = densities[0].k_max
     tables, heads = _head_pieces(nodes, c, mu)
     # [point, D]: each D at any k in [0, k_max]
-    sums = PPoly.construct_fast(c.transpose(0, 2, 1), nodes)
+    sums = partial(_piecewise, c.transpose(0, 2, 1), nodes)
     fit = _fit_log_tail(lambda k: sums(k)[:, 0], k_max,
                         f"transform tail fit at k_max={k_max:g}")
     # The model is fitted to the integrand, damping included, although a

@@ -12,7 +12,8 @@ threshold; the CLI renders the results as a pass/fail table.  Groups:
   one ``pole_residual`` call per series.  The n >= 1 members' gamma-free
   parts are one adaptive family for both series, integrated on the first
   call and read from the cache by the second.
-* ``oracle``      — series path against the independent quadrature path.
+* ``oracle``      — series path against the independent quadrature path;
+  the one group that imports :mod:`kramers.oracle`, and with it scipy.
 
 The adaptive integrals of the first and third groups stop at the engine's
 one rule, an error of at most ``max(ABS_TOL, REL_TOL |value|)`` (absolute
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import neumann, oracle
+from . import neumann
 from .kernels import s_kernel
 from .quadrature import K_MAX, check_k_max
 from .special_integrals import MOMENTS, SQRT_PI, MomentBatch, dispersion_l, fixed_row, t_n
@@ -133,6 +134,9 @@ def _pole_checks(k_max: float) -> list[CheckResult]:
 
 
 def _oracle_checks(k_max: float) -> list[CheckResult]:
+    # imported here, so that only this group loads scipy's QUADPACK
+    from . import oracle
+
     out = []
     for gamma in (0.0, 0.25, 0.5):
         series = neumann.build_series(gamma, 1, k_max)

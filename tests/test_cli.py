@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,3 +654,33 @@ class TestOutputPath:
         code, _, _ = run_cli(capsys, "curves", "--k", "0:1:1", "--output", str(path))
         assert code == 0
         assert path.read_text().startswith("k,L\n")
+
+
+class TestImportContract:
+    """The main path loads no scipy; only the oracle group of ``verify``
+    does, as the oracle keeps QUADPACK apart from the solver.  Each case
+    runs in a fresh interpreter, so no earlier import hides a load."""
+
+    @staticmethod
+    def scipy_modules(code):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        report = "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        done = subprocess.run([sys.executable, "-c", code + report], env=env,
+                              capture_output=True, text=True, check=True)
+        return done.stdout.splitlines()[-1]
+
+    @pytest.mark.parametrize("code", [
+        "import kramers",
+        "import kramers.cli",
+        "from kramers.cli import main; assert main(['slip']) == 0",
+        "from kramers.cli import main; assert main(['profile', '--mu', '0.5']) == 0",
+        "from kramers.cli import main; "
+        "assert main(['verify', '--only', 'identities,constants,pole']) == 0",
+    ])
+    def test_main_path_loads_no_scipy(self, code):
+        assert self.scipy_modules(code) == "[]"
+
+    def test_oracle_group_loads_scipy(self):
+        loaded = self.scipy_modules(
+            "from kramers.cli import main; assert main(['verify', '--only', 'oracle']) == 0")
+        assert "'scipy.integrate'" in loaded

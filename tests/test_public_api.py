@@ -105,6 +105,7 @@ PRIVATE_IMPORTS = sorted([
     ("neumann", "quadrature", "_log_integral"),
     ("neumann", "quadrature", "_tail_guard"),
     ("neumann", "quadrature", "_integrate_spectral_detail"),
+    ("transport", "kernels", "_piecewise"),
     ("transport", "quadrature", "_fit_log_tail"),  # tracer-bound
     ("transport", "quadrature", "_log_integral"),
     ("transport", "quadrature", "_tail_guard"),
